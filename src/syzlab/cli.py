@@ -74,11 +74,13 @@ def _tol_check(name: str, measured: float, tolerance: float) -> dict:
                   abs(measured) <= tolerance)
 
 
-def _params_from(args) -> sfm.ModelParams:
+def _params_from(args, alpha: float | None = None) -> sfm.ModelParams:
+    """Model parameters from the flags; alpha defaults to --alpha, else 1."""
     b0, b0_exact = parse_rational(args.b0)
     kappa = {0: 1.0, 1: args.kappa1} if getattr(args, "kappa1", 0.0) else {}
-    return sfm.ModelParams(k=args.k, eps=args.eps, b0=b0,
-                           alpha=getattr(args, "alpha", 1.0),
+    if alpha is None:
+        alpha = getattr(args, "alpha", 1.0)
+    return sfm.ModelParams(k=args.k, eps=args.eps, b0=b0, alpha=alpha,
                            kappa=kappa, b0_exact=b0_exact)
 
 
@@ -239,8 +241,8 @@ def _cmd_hkrot(args):
 
 
 def _glue_config(args) -> glue.GlueConfig:
-    b0, b0_exact = parse_rational(args.b0)
-    p = sfm.ModelParams(k=args.k, eps=args.eps, b0=b0, b0_exact=b0_exact)
+    # --alpha of glue positivity is the glued scale, not the reference's
+    p = _params_from(args, alpha=1.0)
     return glue.GlueConfig(params=p, r=args.r, s=args.s,
                            rho_min=args.rho_min, rho_max=args.rho_max,
                            v0c=args.v0c, vomc=args.vomc)
@@ -340,8 +342,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--csv", type=str, default=None,
                         help="write the decay curve as CSV (columns r,value)")
     common.add_argument("--no-timestamp", action="store_true")
+    # a string default goes through type=int, so a bad value is a usage error
     common.add_argument("--threads", type=int,
-                        default=int(os.environ.get("SYZLAB_THREADS", "1")))
+                        default=os.environ.get("SYZLAB_THREADS", "1"))
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sf = sub.add_parser("semiflat")

@@ -9,12 +9,20 @@ form itself (alpha = 1) on the modeled annulus; the rescaled end is
 
 whose square is alpha * Omega ^ Omegabar exactly.  The interpolation uses
 a cutoff psi, a positivity reserve t * beta and the harmonic matching of u
-on the gluing annulus; the total mass integral is affine in alpha, so the
-Calabi-Yau scale is found as the unique sign change.
+on the gluing annulus.  The radial kernels take rho as a scalar (giving
+floats) or as an array (evaluated elementwise in one pass).
+
+The total mass integral is affine in (alpha, t) jointly, and the reserve
+t(alpha) is affine on each side of alpha = 1, so the scale equation
+I(alpha, t(alpha)) = 0 has at most one root on each side and need not have
+a unique one: the configuration r = 0.2, s = 0.1, v0c = 40, vomc = 62 has
+I(1) < 0 < I(2) and roots near 0.8693 and 1.798.  solve_alpha returns the
+root in the first doubling bracket from alpha = 1e-3, the smallest root.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -25,6 +33,24 @@ from .errors import NumericalError, ValidationError
 from .numerics import find_root
 
 TWO_PI = 2.0 * math.pi
+
+
+def _as_rho(rho) -> np.ndarray:
+    # at least 1-d: numpy scalars reach libm pow, arrays numpy's own, and
+    # the two differ in the last bit; a scalar rho takes the array path so
+    # that q_coefficient gives it the same value alone as in an array
+    return np.atleast_1d(np.asarray(rho, dtype=float))
+
+
+def _like(rho, val):
+    """val (evaluated at _as_rho(rho)) as a float when rho is a scalar."""
+    return val if np.ndim(rho) else float(val[0])
+
+
+def _require_finite(**values: float) -> None:
+    for name, val in values.items():
+        if not math.isfinite(val):
+            raise ValidationError(f"{name} must be finite, got {val}")
 
 
 @dataclass(frozen=True)
@@ -38,18 +64,16 @@ class Cutoffs:
     r: float
     s: float
 
-    def _step(self, rho: float, lo: float, hi: float) -> tuple[float, float, float]:
+    @staticmethod
+    def _step(rho: np.ndarray, lo: float, hi: float):
         """Smoothstep from 1 at rho <= lo to 0 at rho >= hi, with d/drho, d2/drho2."""
-        big = -math.log(rho)
-        b_lo = -math.log(lo)
-        b_hi = -math.log(hi)
-        # lam runs 0 -> 1 as big runs b_hi -> b_lo (rho decreasing)
+        big = -np.log(rho)
+        b_lo = -np.log(lo)
+        b_hi = -np.log(hi)
+        # lam runs 0 -> 1 as big runs b_hi -> b_lo (rho decreasing); the
+        # polynomial and both derivatives are exactly 0 / 1, 0, 0 at the ends
         denom = b_lo - b_hi
-        lam = (big - b_hi) / denom
-        if lam >= 1.0:
-            return 1.0, 0.0, 0.0
-        if lam <= 0.0:
-            return 0.0, 0.0, 0.0
+        lam = np.clip((big - b_hi) / denom, 0.0, 1.0)
         val = lam ** 3 * (10.0 - 15.0 * lam + 6.0 * lam ** 2)
         d1 = 30.0 * lam ** 2 * (1.0 - lam) ** 2
         d2 = 60.0 * lam * (1.0 - 3.0 * lam + 2.0 * lam ** 2)
@@ -58,20 +82,18 @@ class Cutoffs:
         ddlam = 1.0 / (denom * rho ** 2)
         return val, d1 * dlam, d2 * dlam ** 2 + d1 * ddlam
 
-    def psi(self, rho: float) -> tuple[float, float, float]:
+    def psi(self, rho):
         """(psi, psi', psi'') in rho."""
-        return self._step(rho, self.r + self.s, self.r + 2.0 * self.s)
+        out = self._step(_as_rho(rho), self.r + self.s, self.r + 2.0 * self.s)
+        return tuple(_like(rho, v) for v in out)
 
-    def beta(self, rho: float) -> float:
+    def beta(self, rho):
         """Scalar coefficient of beta in [0, 1] (times i dz ^ dzbar)."""
-        if rho <= self.r or rho >= self.r + 3.0 * self.s:
-            return 0.0
-        if rho < self.r + self.s:
-            # ramp 0 -> 1 as rho goes r -> r+s
-            val, _, _ = self._step(rho, self.r, self.r + self.s)
-            return 1.0 - val
-        down, _, _ = self._step(rho, self.r + 2.0 * self.s, self.r + 3.0 * self.s)
-        return down
+        x = _as_rho(rho)
+        # ramp 0 -> 1 as rho goes r -> r+s, down 1 -> 0 as r+2s -> r+3s
+        up = 1.0 - self._step(x, self.r, self.r + self.s)[0]
+        down = self._step(x, self.r + 2.0 * self.s, self.r + 3.0 * self.s)[0]
+        return _like(rho, np.where(x < self.r + self.s, up, down))
 
 
 @dataclass(frozen=True)
@@ -96,6 +118,10 @@ class GlueConfig:
     c0_rs: float = 1.0
 
     def __post_init__(self):
+        _require_finite(eps=self.params.eps, b0=self.params.b0, r=self.r,
+                        s=self.s, rho_min=self.rho_min, rho_max=self.rho_max,
+                        v0c=self.v0c, vomc=self.vomc, c0=self.c0,
+                        c0_rs=self.c0_rs)
         if not (0.0 < self.rho_min < self.r):
             raise ValidationError("need 0 < rho_min < r")
         if self.s <= 0 or not (self.r + 3.0 * self.s < self.rho_max < 1.0):
@@ -110,21 +136,27 @@ class GlueConfig:
         return Cutoffs(self.r, self.s)
 
 
-def potential_u(cfg: GlueConfig, rho: float, allow_ode: bool = False) -> float:
+def potential_u(cfg: GlueConfig, rho, allow_ode: bool = False):
     """Radial potential with i ddbar u equal to the base dz^dzbar term.
 
     Closed form (k / 3 pi eps)(-log rho)^3 for kappa = 1; a radial ODE
-    fallback (|kappa| sampled on the positive real ray) handles other
-    kappa when explicitly allowed.
+    fallback (|kappa| sampled on the positive real ray, scalar rho only)
+    handles other kappa when explicitly allowed.
     """
-    if not (0.0 < rho < 1.0):
+    x = _as_rho(rho)
+    if not np.all((0.0 < x) & (x < 1.0)):
         raise ValidationError("rho must satisfy 0 < rho < 1")
     p = cfg.params
     if p.kappa_is_one():
-        return (p.k / (3.0 * math.pi * p.eps)) * (-math.log(rho)) ** 3
+        scale = p.k / (3.0 * math.pi * p.eps)
+        if np.ndim(rho) == 0:
+            # libm for a single rho: the finite differences of `glue
+            # potential` amplify last-bit changes of u by about 1/h^2
+            return scale * (-math.log(rho)) ** 3
+        return scale * (-np.log(x)) ** 3
     if not allow_ode:
         raise ValidationError("non-trivial kappa needs allow_ode=True")
-    return _potential_ode(cfg, rho)
+    return _potential_ode(cfg, float(rho))
 
 
 def _potential_ode(cfg: GlueConfig, rho: float) -> float:
@@ -147,16 +179,21 @@ def _potential_ode(cfg: GlueConfig, rho: float) -> float:
     return float(sol.sol(target)[0])
 
 
-def u_zz(cfg: GlueConfig, rho: float) -> float:
-    """dz dzbar second derivative of the potential, k L / (2 pi eps rho^2)."""
+def u_zz(cfg: GlueConfig, rho):
+    """dz dzbar second derivative of the potential, |kappa|^2 k L / (2 pi eps rho^2)."""
+    x = _as_rho(rho)
     p = cfg.params
-    kap2 = abs(p.kappa_at(rho)) ** 2
-    return kap2 * p.k * (-math.log(rho)) / (TWO_PI * p.eps * rho ** 2)
+    # kappa on the positive real ray, elementwise in rho
+    kap = sum((complex(c) * x ** j for j, c in sorted(p.kappa.items())), 0j) \
+        if p.kappa else 1.0
+    kap2 = np.abs(kap) ** 2
+    return _like(rho, kap2 * p.k * (-np.log(x)) / (TWO_PI * p.eps * x ** 2))
 
 
-def u_prime(cfg: GlueConfig, rho: float) -> float:
+def u_prime(cfg: GlueConfig, rho):
+    x = _as_rho(rho)
     p = cfg.params
-    return -(p.k / (math.pi * p.eps)) * (-math.log(rho)) ** 2 / rho
+    return _like(rho, -(p.k / (math.pi * p.eps)) * (-np.log(x)) ** 2 / x)
 
 
 def sup_u_zz(cfg: GlueConfig) -> float:
@@ -176,9 +213,12 @@ def harmonic_match(cfg: GlueConfig) -> tuple[float, float]:
     return a, b
 
 
-def _v_and_prime(cfg: GlueConfig, rho: float) -> tuple[float, float]:
+def _match_defect(cfg: GlueConfig, rho: np.ndarray):
+    """(u - v, (u - v)') along rho, for the harmonic match v of u."""
     a, b = harmonic_match(cfg)
-    return a + b * (-math.log(rho)), -b / rho
+    du = potential_u(cfg, rho) - (a + b * -np.log(rho))
+    dup = u_prime(cfg, rho) + b / rho
+    return du, dup
 
 
 @dataclass(frozen=True)
@@ -191,34 +231,29 @@ class Claim2Scan:
 
 
 def claim2_scan(cfg: GlueConfig, n: int = 400) -> Claim2Scan:
-    lhs = 0.0
-    for rho in np.linspace(cfg.r + cfg.s, cfg.r + 2.0 * cfg.s, n):
-        v, vp = _v_and_prime(cfg, rho)
-        du = potential_u(cfg, rho) - v
-        dup = u_prime(cfg, rho) - vp
-        lhs = max(lhs, abs(du) / cfg.s ** 2 + 0.5 * abs(dup) / cfg.s)
-    rhs = 0.0
-    for rho in np.linspace(cfg.r, cfg.r + 3.0 * cfg.s, n):
-        rhs = max(rhs, u_zz(cfg, rho))
+    du, dup = _match_defect(cfg, np.linspace(cfg.r + cfg.s, cfg.r + 2.0 * cfg.s, n))
+    lhs = float(np.max(np.abs(du) / cfg.s ** 2 + 0.5 * np.abs(dup) / cfg.s))
+    rhs = float(np.max(u_zz(cfg, np.linspace(cfg.r, cfg.r + 3.0 * cfg.s, n))))
     return Claim2Scan(lhs_sup=lhs, rhs_sup=rhs, fitted_c0=lhs / rhs)
 
 
-def q_coefficient(cfg: GlueConfig, alpha: float, t: float, rho: float) -> float:
+def q_coefficient(cfg: GlueConfig, alpha: float, t: float, rho):
     """dz^dzbar coefficient added to omega_0 by the glued family at rho."""
-    if not (cfg.rho_min <= rho <= cfg.rho_max):
+    x = _as_rho(rho)
+    if not np.all((cfg.rho_min <= x) & (x <= cfg.rho_max)):
         raise ValidationError("rho outside the modeled annulus")
-    if rho <= cfg.r:
-        return (alpha - 1.0) * u_zz(cfg, rho)
     cut = cfg.cutoffs
-    psi, psi_p, psi_pp = cut.psi(rho)
-    if psi == 0.0:
-        return t * cut.beta(rho)
-    v, vp = _v_and_prime(cfg, rho)
-    du = potential_u(cfg, rho) - v
-    dup = u_prime(cfg, rho) - vp
-    psi_zz = 0.25 * (psi_pp + psi_p / rho)
-    bracket = psi_zz * du + psi * u_zz(cfg, rho) + 0.5 * psi_p * dup
-    return t * cut.beta(rho) + (alpha - 1.0) * bracket
+    uzz = u_zz(cfg, x)
+    q = t * cut.beta(x)
+    psi, psi_p, psi_pp = cut.psi(x)
+    glued = (x > cfg.r) & (psi != 0.0)
+    if np.any(glued):
+        du, dup = _match_defect(cfg, x)
+        psi_zz = 0.25 * (psi_pp + psi_p / x)
+        bracket = psi_zz * du + psi * uzz + 0.5 * psi_p * dup
+        q = np.where(glued, q + (alpha - 1.0) * bracket, q)
+    q = np.where(x <= cfg.r, (alpha - 1.0) * uzz, q)
+    return _like(rho, q)
 
 
 def glued_form_chart(cfg: GlueConfig, alpha: float, t: float, q: np.ndarray) -> np.ndarray:
@@ -235,19 +270,21 @@ def glued_form_chart(cfg: GlueConfig, alpha: float, t: float, q: np.ndarray) -> 
 
 def cutoff_bounds_ok(cfg: GlueConfig, n: int = 400) -> bool:
     """Derivative bounds s|psi_z| + s^2 |psi_zzbar| < c0 along the annulus."""
-    cut = cfg.cutoffs
-    worst = 0.0
-    for rho in np.linspace(cfg.r + cfg.s, cfg.r + 2.0 * cfg.s, n):
-        psi, psi_p, psi_pp = cut.psi(rho)
-        psi_z = 0.5 * abs(psi_p)
-        psi_zz = 0.25 * abs(psi_pp + psi_p / rho)
-        worst = max(worst, cfg.s * psi_z + cfg.s ** 2 * psi_zz)
-    return worst < cfg.c0
+    rho = np.linspace(cfg.r + cfg.s, cfg.r + 2.0 * cfg.s, n)
+    _, psi_p, psi_pp = cfg.cutoffs.psi(rho)
+    psi_z = 0.5 * np.abs(psi_p)
+    psi_zz = 0.25 * np.abs(psi_pp + psi_p / rho)
+    return bool(np.max(cfg.s * psi_z + cfg.s ** 2 * psi_zz) < cfg.c0)
 
 
 def required_t(cfg: GlueConfig, alpha: float, t_prime: float = 1.0) -> float:
     """Positivity reserve C(r,s) t' + C0 |alpha - 1| sup u_zzbar."""
+    _require_finite(alpha=alpha, t_prime=t_prime)
     return cfg.c0_rs * t_prime + cfg.c0 * abs(alpha - 1.0) * sup_u_zz(cfg)
+
+
+# fiber heights Im(x) at which positivity_scan tests each radius
+_SCAN_X2 = np.array([0.0, 0.35, 0.8])
 
 
 def positivity_scan(cfg: GlueConfig, alpha: float, t: float,
@@ -257,8 +294,10 @@ def positivity_scan(cfg: GlueConfig, alpha: float, t: float,
 
     window restricts the radial scan (defaults to the whole modeled
     annulus).  Raises a validation error when t is at or below the
-    reserve threshold.
+    reserve threshold.  The (x, y) Hermitian blocks of all n radii and
+    fiber heights go to one batched eigenvalue call.
     """
+    _require_finite(alpha=alpha, t=t)
     if alpha <= 0:
         raise ValidationError("alpha must be positive")
     t_req = required_t(cfg, alpha, 0.0)
@@ -269,27 +308,32 @@ def positivity_scan(cfg: GlueConfig, alpha: float, t: float,
     if not (cfg.rho_min <= lo < hi <= cfg.rho_max):
         raise ValidationError("window must lie inside the modeled annulus")
     p = cfg.params
-    worst = math.inf
-    for rho in np.geomspace(lo * 1.0001, hi * 0.9999, n):
-        ell = -math.log(rho)
-        qc = q_coefficient(cfg, alpha, t, rho)
-        psi, _, _ = cfg.cutoffs.psi(rho) if rho > cfg.r else (1.0, 0.0, 0.0)
-        half_term = 0.5 * psi * (alpha - 1.0) * u_zz(cfg, rho)
-        for x2 in (0.0, 0.35, 0.8):
-            cand = 0.5 * _hermitian_xy(p, ell, x2)
-            cand[1, 1] += (qc - half_term) * rho ** 2
-            eig = np.linalg.eigvalsh(cand)[0]
-            worst = min(worst, float(eig))
-    return worst
-
-
-def _hermitian_xy(p: sfm.ModelParams, ell: float, x2: float) -> np.ndarray:
-    w = sfm.w_factor(p, ell)
-    gam = sfm.gamma(p, complex(0.0, x2), complex(ell, 0.0))
+    rho = np.geomspace(lo * 1.0001, hi * 0.9999, n)
+    ell = -np.log(rho)
+    qc = q_coefficient(cfg, alpha, t, rho)
+    psi = cfg.cutoffs.psi(rho)[0]
+    half_term = 0.5 * psi * (alpha - 1.0) * u_zz(cfg, rho)
+    # (n, 1) radial columns against the (3,) fiber heights
+    w = sfm.w_factor(p, ell)[:, None]
+    gam = sfm.gamma(p, 1j * _SCAN_X2, ell[:, None] + 0j)
     h_xx = w * p.eps / 2.0
     h_xy = -h_xx * np.conj(gam)
-    h_yy = 1.0 / (p.eps * w) + h_xx * abs(gam) ** 2
-    return np.array([[h_xx, h_xy], [np.conj(h_xy), h_yy]], dtype=complex)
+    h_yy = 1.0 / (p.eps * w) + h_xx * np.abs(gam) ** 2
+    cand = np.empty(gam.shape + (2, 2), dtype=complex)
+    cand[..., 0, 0] = 0.5 * h_xx
+    cand[..., 0, 1] = 0.5 * h_xy
+    cand[..., 1, 0] = 0.5 * np.conj(h_xy)
+    cand[..., 1, 1] = 0.5 * h_yy + ((qc - half_term) * rho ** 2)[:, None]
+    return float(np.min(np.linalg.eigvalsh(cand)[..., 0]))
+
+
+@functools.lru_cache(maxsize=8)
+def _legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], shared and read-only."""
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
 
 
 def mass_integral(cfg: GlueConfig, alpha: float, t: float, n: int = 64) -> float:
@@ -297,27 +341,27 @@ def mass_integral(cfg: GlueConfig, alpha: float, t: float, n: int = 64) -> float
 
     The integrand vanishes identically below rho = r where the glued form
     is the exactly-solving rescaled semi-flat metric; the rest is a radial
-    integral plus the external constants v0c - alpha * vomc.
+    integral plus the external constants v0c - alpha * vomc.  Each segment
+    between the cutoff breakpoints gets n Gauss-Legendre nodes in ell, and
+    all segments are evaluated as one (segments, n) array.
     """
+    _require_finite(alpha=alpha, t=t)
     if alpha <= 0:
         raise ValidationError("alpha must be positive")
     p = cfg.params
-    nodes, weights = np.polynomial.legendre.leggauss(n)
-    bounds = sorted({cfg.r, cfg.r + cfg.s, cfg.r + 2.0 * cfg.s,
-                     cfg.r + 3.0 * cfg.s, cfg.rho_max})
-    total = 0.0
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        # integrate in ell over the segment
-        l_lo, l_hi = -math.log(hi), -math.log(lo)
-        mid = 0.5 * (l_lo + l_hi)
-        half = 0.5 * (l_hi - l_lo)
-        for xnode, wt in zip(nodes, weights):
-            ell = mid + half * xnode
-            rho = math.exp(-ell)
-            qc = q_coefficient(cfg, alpha, t, rho)
-            w = sfm.w_factor(p, ell)
-            c_val = 4.0 * (1.0 - alpha) + 4.0 * rho ** 2 * w * p.eps * qc
-            total += wt * half * c_val * p.k * ell
+    nodes, weights = _legendre(n)
+    bounds = np.array(sorted({cfg.r, cfg.r + cfg.s, cfg.r + 2.0 * cfg.s,
+                              cfg.r + 3.0 * cfg.s, cfg.rho_max}))
+    # integrate in ell over each segment
+    l_lo, l_hi = -np.log(bounds[1:]), -np.log(bounds[:-1])
+    mid = (0.5 * (l_lo + l_hi))[:, None]
+    half = (0.5 * (l_hi - l_lo))[:, None]
+    ell = mid + half * nodes
+    rho = np.exp(-ell)
+    qc = q_coefficient(cfg, alpha, t, rho)
+    w = sfm.w_factor(p, ell)
+    c_val = 4.0 * (1.0 - alpha) + 4.0 * rho ** 2 * w * p.eps * qc
+    total = float(np.sum(weights * half * c_val * p.k * ell))
     return total + cfg.v0c - alpha * cfg.vomc
 
 
@@ -332,6 +376,17 @@ class AlphaSolve:
 
 
 def solve_alpha(cfg: GlueConfig, t_prime: float = 1.0, n: int = 64) -> AlphaSolve:
+    """Root of f(alpha) = I(alpha, t(alpha)) with t(alpha) = required_t(alpha, t').
+
+    Doubles alpha from 1e-3 until f turns negative and refines the root in
+    that first bracket.  f is affine on each side of alpha = 1 and positive
+    at 1e-3, so it crosses downward at most once: the root returned is the
+    smallest root, even where a second, upward crossing exists above
+    alpha = 1.  When both roots lie between two doubling points, no
+    bracket is found and NumericalError is raised.
+    """
+    _require_finite(t_prime=t_prime)
+
     def t_of(alpha):
         return required_t(cfg, alpha, t_prime)
 

@@ -103,6 +103,39 @@ class TestExitCodes:
         assert report is None
         assert "numerical failure" in err
 
+    @pytest.mark.parametrize("command,extra", [
+        ("positivity", ["--r", "0.1", "--s", "0.02", "--v0c", "1",
+                        "--vomc", "0.2"]),
+        ("solve-alpha", ["--r", "0.2", "--s", "0.1", "--v0c", "40",
+                         "--vomc", "62"]),
+    ])
+    def test_glue_kappa_is_used(self, capsys, command, extra):
+        code, report, err = run_cli(capsys, "glue", command, "--k", "1",
+                                    *extra, "--kappa1", "0.5",
+                                    "--no-timestamp")
+        assert code == 1
+        assert report is None
+        assert "non-trivial kappa needs allow_ode=True" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["positivity", "--r", "0.1", "--s", "0.02", "--v0c", "1",
+         "--vomc", "0.2", "--alpha", "nan"],
+        ["positivity", "--r", "0.1", "--s", "0.02", "--v0c", "1",
+         "--vomc", "0.2", "--t", "nan"],
+        ["solve-alpha", "--r", "0.2", "--s", "0.1", "--v0c", "nan",
+         "--vomc", "62"],
+        ["solve-alpha", "--r", "0.2", "--s", "0.1", "--v0c", "40",
+         "--vomc", "62", "--tprime", "nan"],
+        ["solve-alpha", "--r", "inf", "--s", "0.1", "--v0c", "40",
+         "--vomc", "62"],
+    ])
+    def test_glue_non_finite_is_one(self, capsys, argv):
+        code, report, err = run_cli(capsys, "glue", argv[0], "--k", "1",
+                                    *argv[1:], "--no-timestamp")
+        assert code == 1
+        assert report is None
+        assert "must be finite" in err
+
     def test_failed_check_is_three(self, capsys):
         # finite differences genuinely lose the 1e-8 comparison here
         code, report, _ = run_cli(capsys, "glue", "potential", "--k", "1",
@@ -189,6 +222,15 @@ class TestThreads:
                                   "--no-timestamp")
         assert code == 0
         assert report["inputs"]["threads"] == 4
+
+    def test_bad_env_value_is_one(self, capsys, monkeypatch):
+        monkeypatch.setenv("SYZLAB_THREADS", "abc")
+        cli.build_parser()
+        code, report, err = run_cli(capsys, "dims", "--k", "3",
+                                    "--no-timestamp")
+        assert code == 1
+        assert report is None
+        assert "--threads" in err
 
     def test_flag_overrides(self, capsys, monkeypatch):
         monkeypatch.setenv("SYZLAB_THREADS", "4")

@@ -18,6 +18,112 @@ def make_cfg(r=0.1, s=0.02, v0c=1.0, vomc=0.2, kappa=None, **kw):
 
 ROOT_CFG = dict(r=0.2, s=0.1, v0c=40.0, vomc=62.0)
 
+# configurations for the array-against-loop references: (cfg kwargs, alpha, t)
+REF_CASES = [
+    (dict(), 2.0, 3.0),
+    (dict(ROOT_CFG), 0.8693, 5.0),
+    (dict(ROOT_CFG, rho_min=1e-4), 1.7, 12.0),
+    (dict(r=0.05, s=0.01, v0c=3.0, vomc=2.0), 0.3, 0.5),
+    (dict(r=0.15, s=0.05, v0c=50.0, vomc=75.0, rho_max=0.95), 4.0, 40.0),
+]
+
+
+def smoothstep_ref(rho, lo, hi):
+    """Scalar smoothstep from 1 at rho <= lo to 0 at rho >= hi, with
+    its first two rho-derivatives."""
+    big, b_lo, b_hi = -math.log(rho), -math.log(lo), -math.log(hi)
+    denom = b_lo - b_hi
+    lam = (big - b_hi) / denom
+    if lam >= 1.0:
+        return 1.0, 0.0, 0.0
+    if lam <= 0.0:
+        return 0.0, 0.0, 0.0
+    val = lam ** 3 * (10.0 - 15.0 * lam + 6.0 * lam ** 2)
+    d1 = 30.0 * lam ** 2 * (1.0 - lam) ** 2
+    d2 = 60.0 * lam * (1.0 - 3.0 * lam + 2.0 * lam ** 2)
+    dlam = -1.0 / (denom * rho)
+    ddlam = 1.0 / (denom * rho ** 2)
+    return val, d1 * dlam, d2 * dlam ** 2 + d1 * ddlam
+
+
+def u_zz_ref(cfg, rho):
+    p = cfg.params
+    return p.k * (-math.log(rho)) / (2.0 * math.pi * p.eps * rho ** 2)
+
+
+def q_reference(cfg, alpha, t, rho):
+    """Per-point reference for glue.q_coefficient with kappa = 1."""
+    p, r, s = cfg.params, cfg.r, cfg.s
+    if rho <= r:
+        return (alpha - 1.0) * u_zz_ref(cfg, rho)
+    if rho >= r + 3.0 * s:
+        beta = 0.0
+    elif rho < r + s:
+        beta = 1.0 - smoothstep_ref(rho, r, r + s)[0]
+    else:
+        beta = smoothstep_ref(rho, r + 2.0 * s, r + 3.0 * s)[0]
+    psi, psi_p, psi_pp = smoothstep_ref(rho, r + s, r + 2.0 * s)
+    if psi == 0.0:
+        return t * beta
+    c = p.k / (math.pi * p.eps)
+    l1, l2, ell = -math.log(r), -math.log(r + 3.0 * s), -math.log(rho)
+    b = c / 3.0 * (l1 ** 3 - l2 ** 3) / (l1 - l2)
+    a = c / 3.0 * l1 ** 3 - b * l1
+    du = c / 3.0 * ell ** 3 - (a + b * ell)
+    dup = -c * ell ** 2 / rho + b / rho
+    bracket = (0.25 * (psi_pp + psi_p / rho) * du + psi * u_zz_ref(cfg, rho)
+               + 0.5 * psi_p * dup)
+    return t * beta + (alpha - 1.0) * bracket
+
+
+def mass_integral_loop(cfg, alpha, t, n=64):
+    """Per-node reference for glue.mass_integral."""
+    p = cfg.params
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    bounds = sorted({cfg.r, cfg.r + cfg.s, cfg.r + 2.0 * cfg.s,
+                     cfg.r + 3.0 * cfg.s, cfg.rho_max})
+    total = 0.0
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        l_lo, l_hi = -math.log(hi), -math.log(lo)
+        mid = 0.5 * (l_lo + l_hi)
+        half = 0.5 * (l_hi - l_lo)
+        for xnode, wt in zip(nodes, weights):
+            ell = mid + half * float(xnode)
+            rho = math.exp(-ell)
+            qc = q_reference(cfg, alpha, t, rho)
+            w = sfm.w_factor(p, ell)
+            c_val = 4.0 * (1.0 - alpha) + 4.0 * rho ** 2 * w * p.eps * qc
+            total += float(wt) * half * c_val * p.k * ell
+    return total + cfg.v0c - alpha * cfg.vomc
+
+
+def positivity_loop(cfg, alpha, t, n=200):
+    """Per-radius reference for glue.positivity_scan over the whole annulus."""
+    p = cfg.params
+    worst = math.inf
+    for rho in np.geomspace(cfg.rho_min * 1.0001, cfg.rho_max * 0.9999, n):
+        rho = float(rho)
+        ell = -math.log(rho)
+        qc = q_reference(cfg, alpha, t, rho)
+        psi = smoothstep_ref(rho, cfg.r + cfg.s, cfg.r + 2.0 * cfg.s)[0]
+        half_term = 0.5 * psi * (alpha - 1.0) * u_zz_ref(cfg, rho)
+        for x2 in (0.0, 0.35, 0.8):
+            w = sfm.w_factor(p, ell)
+            gam = sfm.gamma(p, complex(0.0, x2), complex(ell, 0.0))
+            h_xx = w * p.eps / 2.0
+            h_xy = -h_xx * np.conj(gam)
+            h_yy = 1.0 / (p.eps * w) + h_xx * abs(gam) ** 2
+            cand = 0.5 * np.array([[h_xx, h_xy], [np.conj(h_xy), h_yy]],
+                                  dtype=complex)
+            cand[1, 1] += (qc - half_term) * rho ** 2
+            worst = min(worst, float(np.linalg.eigvalsh(cand)[0]))
+    return worst
+
+
+def readme_f(cfg, alpha):
+    """Scale-equation function f(alpha) = I(alpha, t(alpha)) with t' = 1."""
+    return glue.mass_integral(cfg, alpha, glue.required_t(cfg, alpha, 1.0))
+
 
 class TestConfig:
     def test_rho_min_must_precede_r(self):
@@ -37,6 +143,19 @@ class TestConfig:
     def test_volumes_positive(self):
         with pytest.raises(ValidationError):
             make_cfg(vomc=-1.0)
+
+    @pytest.mark.parametrize("field", ["r", "s", "rho_min", "rho_max", "v0c",
+                                       "vomc", "c0", "c0_rs"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, field, bad):
+        with pytest.raises(ValidationError, match="finite"):
+            make_cfg(**{field: bad})
+
+    def test_non_finite_params_rejected(self):
+        p = sfm.ModelParams(k=1, eps=math.inf)
+        with pytest.raises(ValidationError, match="finite"):
+            glue.GlueConfig(params=p, r=0.1, s=0.02, rho_min=0.01,
+                            rho_max=0.9, v0c=1.0, vomc=0.2)
 
 
 class TestPotential:
@@ -141,6 +260,96 @@ class TestHarmonicMatch:
         assert b > 0
 
 
+class TestArrayKernels:
+    def test_scalar_rho_gives_float(self):
+        cfg = make_cfg()
+        for val in (glue.u_zz(cfg, 0.1), glue.u_prime(cfg, 0.1),
+                    glue.potential_u(cfg, 0.1), cfg.cutoffs.beta(0.11),
+                    glue.q_coefficient(cfg, 2.0, 3.0, 0.13),
+                    *cfg.cutoffs.psi(0.13)):
+            assert type(val) is float
+
+    def test_array_matches_scalar_at_breakpoints(self):
+        for kw, alpha, t in REF_CASES:
+            cfg = make_cfg(**kw)
+            rho = np.array([cfg.rho_min, cfg.r, cfg.r + cfg.s,
+                            cfg.r + 2.0 * cfg.s, cfg.r + 3.0 * cfg.s,
+                            cfg.rho_max])
+            arr = glue.q_coefficient(cfg, alpha, t, rho)
+            assert arr.shape == rho.shape
+            one = [glue.q_coefficient(cfg, alpha, t, float(x)) for x in rho]
+            np.testing.assert_allclose(arr, one, rtol=1e-14, atol=0.0)
+            ref = [q_reference(cfg, alpha, t, float(x)) for x in rho]
+            np.testing.assert_allclose(arr, ref, rtol=1e-12, atol=0.0)
+
+    def test_array_matches_reference_across_annulus(self):
+        for kw, alpha, t in REF_CASES:
+            cfg = make_cfg(**kw)
+            rho = np.geomspace(cfg.rho_min, cfg.rho_max, 500)
+            ref = np.array([q_reference(cfg, alpha, t, float(x)) for x in rho])
+            np.testing.assert_allclose(glue.q_coefficient(cfg, alpha, t, rho),
+                                       ref, rtol=1e-12,
+                                       atol=1e-13 * np.max(np.abs(ref)))
+
+    def test_array_keeps_shape(self):
+        cfg = make_cfg()
+        rho = np.geomspace(0.02, 0.8, 12).reshape(3, 4)
+        assert glue.q_coefficient(cfg, 2.0, 3.0, rho).shape == (3, 4)
+        assert glue.u_zz(cfg, rho).shape == (3, 4)
+        assert all(v.shape == (3, 4) for v in cfg.cutoffs.psi(rho))
+
+    @pytest.mark.parametrize("outside", [0.005, 0.95, math.nan])
+    def test_any_out_of_annulus_element_rejected(self, outside):
+        cfg = make_cfg()
+        rho = np.array([0.05, 0.12, outside, 0.5])
+        with pytest.raises(ValidationError, match="annulus"):
+            glue.q_coefficient(cfg, 2.0, 3.0, rho)
+
+    def test_kappa_kept_in_u_zz(self):
+        cfg = make_cfg(kappa={0: 1.0, 1: 0.5})
+        ref = make_cfg()
+        rho = np.array([0.05, 0.3])
+        np.testing.assert_allclose(glue.u_zz(cfg, rho),
+                                   (1.0 + 0.5 * rho) ** 2 * glue.u_zz(ref, rho),
+                                   rtol=1e-14)
+
+    def test_kappa_outside_psi_region_still_evaluates(self):
+        # only the psi region needs the potential itself
+        cfg = make_cfg(kappa={0: 1.0, 1: 0.5})
+        rho = np.array([0.05, 0.145, 0.5])
+        q = glue.q_coefficient(cfg, 2.0, 3.0, rho)
+        assert q[0] == pytest.approx(glue.u_zz(cfg, 0.05), rel=1e-14)
+        assert q[2] == 0.0
+        with pytest.raises(ValidationError, match="allow_ode"):
+            glue.q_coefficient(cfg, 2.0, 3.0, np.array([0.05, 0.13]))
+
+    def test_mass_integral_matches_loop(self):
+        for kw, alpha, t in REF_CASES:
+            cfg = make_cfg(**kw)
+            for n in (16, 64, 128):
+                ref = mass_integral_loop(cfg, alpha, t, n=n)
+                assert glue.mass_integral(cfg, alpha, t, n=n) == pytest.approx(
+                    ref, rel=1e-12, abs=0.0)
+
+    def test_positivity_matches_loop(self):
+        for kw, alpha, _ in REF_CASES:
+            cfg = make_cfg(**kw)
+            t = 1.2 * glue.required_t(cfg, alpha, 0.0) + 1.0
+            ref = positivity_loop(cfg, alpha, t)
+            assert glue.positivity_scan(cfg, alpha, t) == pytest.approx(
+                ref, rel=1e-12, abs=0.0)
+
+    def test_legendre_cache_read_only(self):
+        nodes, weights = glue._legendre(64)
+        assert glue._legendre(64)[0] is nodes
+        assert not nodes.flags.writeable and not weights.flags.writeable
+        with pytest.raises(ValueError):
+            nodes[0] = 0.0
+        ref_nodes, ref_weights = np.polynomial.legendre.leggauss(64)
+        assert np.array_equal(nodes, ref_nodes)
+        assert np.array_equal(weights, ref_weights)
+
+
 class TestClaim2:
     def test_constant_across_scales(self):
         c0s = []
@@ -203,6 +412,25 @@ class TestPositivity:
         with pytest.raises(ValidationError):
             glue.positivity_scan(make_cfg(), -1.0, 100.0)
 
+    @pytest.mark.parametrize("alpha,t", [(math.nan, 100.0), (2.0, math.nan),
+                                         (math.inf, 100.0), (2.0, math.inf)])
+    def test_non_finite_rejected(self, alpha, t):
+        with pytest.raises(ValidationError, match="finite"):
+            glue.positivity_scan(make_cfg(), alpha, t)
+
+    def test_required_t_rejects_non_finite(self):
+        for alpha, t_prime in ((math.nan, 1.0), (2.0, math.inf)):
+            with pytest.raises(ValidationError, match="finite"):
+                glue.required_t(make_cfg(), alpha, t_prime)
+
+    def test_nontrivial_kappa_raises_in_psi_region(self):
+        cfg = make_cfg(kappa={0: 1.0, 1: 0.5})
+        t = 1.2 * glue.required_t(cfg, 1.1) + 1.0
+        with pytest.raises(ValidationError, match="allow_ode"):
+            glue.positivity_scan(cfg, 1.1, t)
+        outer = (cfg.r + 2.0 * cfg.s, cfg.rho_max)
+        assert math.isfinite(glue.positivity_scan(cfg, 1.1, t, window=outer))
+
     def test_margin_positive_near_reference(self):
         cfg = make_cfg()
         t = 1.2 * glue.required_t(cfg, 1.1) + 1.0
@@ -239,6 +467,17 @@ class TestMassIntegral:
         with pytest.raises(ValidationError):
             glue.mass_integral(make_cfg(), 0.0, 2.0)
 
+    @pytest.mark.parametrize("alpha,t", [(math.nan, 2.0), (2.0, math.nan),
+                                         (math.inf, 2.0), (2.0, -math.inf)])
+    def test_non_finite_rejected(self, alpha, t):
+        with pytest.raises(ValidationError, match="finite"):
+            glue.mass_integral(make_cfg(), alpha, t)
+
+    def test_nontrivial_kappa_raises(self):
+        cfg = make_cfg(kappa={0: 1.0, 1: 0.5})
+        with pytest.raises(ValidationError, match="allow_ode"):
+            glue.mass_integral(cfg, 2.0, 3.0)
+
 
 class TestSolveAlpha:
     def test_root_found_and_bracketed(self):
@@ -262,6 +501,21 @@ class TestSolveAlpha:
         cfg = make_cfg(**ROOT_CFG)
         sol = glue.solve_alpha(cfg)
         assert glue.positivity_scan(cfg, sol.alpha_star, sol.t_at_root) > 0
+
+    def test_readme_config_returns_smaller_root(self):
+        # f changes sign twice (near 0.8693 and 1.798); the solver keeps
+        # the root of its first doubling bracket, the smaller one
+        cfg = glue.GlueConfig(params=sfm.ModelParams(k=1), r=0.2, s=0.1,
+                              rho_min=1e-4, rho_max=0.9, v0c=40.0, vomc=62.0)
+        assert readme_f(cfg, 1.0) < 0 < readme_f(cfg, 2.0)
+        sol = glue.solve_alpha(cfg)
+        assert sol.alpha_star < 1.0
+        assert sol.alpha_star == pytest.approx(0.8693309371776228, rel=1e-12)
+
+    def test_non_finite_tprime_rejected(self):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValidationError, match="finite"):
+                glue.solve_alpha(make_cfg(**ROOT_CFG), t_prime=bad)
 
     def test_no_root_reported(self):
         # reserve slope keeps the integral positive for all alpha here
