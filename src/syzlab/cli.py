@@ -11,7 +11,6 @@ import argparse
 import datetime
 import json
 import math
-import os
 import re
 import sys
 from fractions import Fraction
@@ -84,6 +83,14 @@ def _params_from(args, alpha: float | None = None) -> sfm.ModelParams:
                            kappa=kappa, b0_exact=b0_exact)
 
 
+def _count(text: str) -> int:
+    """A sample count: an integer of at least 1."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def _cycle_from(text: str) -> fib.CycleSpec:
     if text.lower() == "fiber":
         return fib.FIBER
@@ -130,12 +137,7 @@ def _cmd_semiflat_residual(args):
 def _cmd_semiflat_pair(args):
     p = _params_from(args)
     c = _cycle_from(args.cycle)
-    from .numerics import Grid2
-    if c.fiber:
-        grid = Grid2(args.grid, args.grid)
-    else:
-        grid = Grid2(args.grid, args.grid, box2=(0.0, 2.0 * math.pi * c.m1))
-    numeric = sfm.pair_cycle(p, c, grid=grid)
+    numeric = sfm.pair_cycle(p, c, n=args.grid)
     closed = sfm.pair_closed_form(p, c)
     err = abs(numeric - closed) / max(abs(closed), 1.0)
     results = {"pairing": numeric, "closed_form": closed, "cycle": args.cycle}
@@ -342,9 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--csv", type=str, default=None,
                         help="write the decay curve as CSV (columns r,value)")
     common.add_argument("--no-timestamp", action="store_true")
-    # a string default goes through type=int, so a bad value is a usage error
-    common.add_argument("--threads", type=int,
-                        default=os.environ.get("SYZLAB_THREADS", "1"))
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sf = sub.add_parser("semiflat")
@@ -360,13 +359,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sf_sub.add_parser("residual", parents=[common])
     _add_params(sp)
-    sp.add_argument("--grid", type=int, default=32)
+    sp.add_argument("--grid", type=_count, default=32)
     sp.set_defaults(handler=_cmd_semiflat_residual)
 
     sp = sf_sub.add_parser("pair", parents=[common])
     _add_params(sp)
     sp.add_argument("--cycle", type=str, default="fiber")
-    sp.add_argument("--grid", type=int, default=64)
+    sp.add_argument("--grid", type=_count, default=64)
     sp.set_defaults(handler=_cmd_semiflat_pair)
 
     sp = sf_sub.add_parser("classify-translation", parents=[common])
@@ -396,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("hkrot", parents=[common])
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--tau", type=str, required=True)
-    sp.add_argument("--verify-grid", type=int, default=5)
+    sp.add_argument("--verify-grid", type=_count, default=5)
     sp.set_defaults(handler=_cmd_hkrot)
 
     p_glue = sub.add_parser("glue")

@@ -5,6 +5,8 @@ can tell bad input apart from a numerical breakdown and from a geometric
 check that honestly failed.
 """
 
+import math
+
 
 class ValidationError(ValueError):
     """Input violates a documented precondition."""
@@ -16,3 +18,10 @@ class NumericalError(ArithmeticError):
 
 class CheckFailure(AssertionError):
     """A geometric identity that should hold was violated beyond tolerance."""
+
+
+def require_finite(**values: float) -> None:
+    """Raise ValidationError naming the first non-finite value."""
+    for name, val in values.items():
+        if not math.isfinite(val):
+            raise ValidationError(f"{name} must be finite, got {val}")

@@ -16,6 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ValidationError
+from .numerics import Grid2
 
 TWO_PI = 2.0 * math.pi
 
@@ -177,6 +178,32 @@ class CycleSpec:
             if self.m2 == 0 and self.m1 != 1:
                 raise ValidationError("m2 = 0 requires m1 = 1")
 
+    def grid(self, n: int) -> Grid2:
+        """The n x n periodic parameter grid: t1 in [0, 1), t2 over one period."""
+        if self.fiber:
+            return Grid2(n, n)
+        return Grid2(n, n, box2=(0.0, TWO_PI * self.m1))
+
+    def lift(self, k: int, ell: float, offset: float = 0.0):
+        """(point, t_a, t_b): the cycle at base radius e^{-ell} in the chart.
+
+        point(t1, t2) is the chart point (ell, theta, x1, x2) at parameters
+        (t1, t2) on grid(n), with Im x shifted by offset; t_a and t_b are its
+        constant chart tangents d/dt1 and d/dt2.  t1 runs along Re x.  For
+        the fiber t2 runs along the second lattice generator (theta-slope 0,
+        x2-slope k*ell/(2*pi)); for C_{m1,m2} it lifts around the base
+        circle (theta-slope -1, x2-slope (m2/m1) (k/(2*pi)) ell/(2*pi)).
+        """
+        if self.fiber:
+            th, x2 = 0.0, k * ell / TWO_PI
+        else:
+            th, x2 = -1.0, (self.m2 / self.m1) * (k / TWO_PI) * ell / TWO_PI
+
+        def point(t1: float, t2: float) -> np.ndarray:
+            return np.array([ell, th * t2, t1, x2 * t2 + offset])
+
+        return point, np.array([0.0, 0.0, 1.0, 0.0]), np.array([0.0, th, 0.0, x2])
+
 
 FIBER = CycleSpec(fiber=True)
 
@@ -184,18 +211,18 @@ FIBER = CycleSpec(fiber=True)
 def cycle_point(c: CycleSpec, k: int, level: float, t1: float, t2: float) -> FiberPoint:
     """Point of C_{m1,m2} at |z| = level, parameters (t1, t2).
 
-    t1 in [0,1) runs along Re x, t2 in [0, 2*pi*m1) lifts around the base
-    circle; Im x = (m2/m1) * (k/2*pi) * (-log level) * (t2 / 2*pi).
+    x is the lift of CycleSpec.lift at ell = -log level; t2 in
+    [0, 2*pi*m1) lifts around the base circle, so z lies on the log branch
+    floor(t2 / 2*pi).
     """
     if c.fiber:
         raise ValidationError("cycle_point parametrizes bad cycles, not the fiber")
     if not (0.0 < level < 1.0):
         raise ValidationError("level must satisfy 0 < level < 1")
-    big_l = -math.log(level)
-    x2 = (c.m2 / c.m1) * (k / TWO_PI) * big_l * (t2 / TWO_PI)
+    q = c.lift(k, -math.log(level))[0](t1, t2)
     branch = math.floor(t2 / TWO_PI)
     z = level * cmath.exp(1j * (t2 - TWO_PI * branch))
-    return FiberPoint(x=complex(t1, x2), z=z, branch=branch)
+    return FiberPoint(x=complex(q[2], q[3]), z=z, branch=branch)
 
 
 def cycle_decompose(c: CycleSpec) -> tuple[int, int]:

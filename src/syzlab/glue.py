@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import semiflat as sfm
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, require_finite
 from .numerics import find_root
 
 TWO_PI = 2.0 * math.pi
@@ -45,12 +45,6 @@ def _as_rho(rho) -> np.ndarray:
 def _like(rho, val):
     """val (evaluated at _as_rho(rho)) as a float when rho is a scalar."""
     return val if np.ndim(rho) else float(val[0])
-
-
-def _require_finite(**values: float) -> None:
-    for name, val in values.items():
-        if not math.isfinite(val):
-            raise ValidationError(f"{name} must be finite, got {val}")
 
 
 @dataclass(frozen=True)
@@ -118,10 +112,10 @@ class GlueConfig:
     c0_rs: float = 1.0
 
     def __post_init__(self):
-        _require_finite(eps=self.params.eps, b0=self.params.b0, r=self.r,
-                        s=self.s, rho_min=self.rho_min, rho_max=self.rho_max,
-                        v0c=self.v0c, vomc=self.vomc, c0=self.c0,
-                        c0_rs=self.c0_rs)
+        # params (ModelParams) already rejects a non-finite eps or b0
+        require_finite(r=self.r, s=self.s, rho_min=self.rho_min,
+                       rho_max=self.rho_max, v0c=self.v0c, vomc=self.vomc,
+                       c0=self.c0, c0_rs=self.c0_rs)
         if not (0.0 < self.rho_min < self.r):
             raise ValidationError("need 0 < rho_min < r")
         if self.s <= 0 or not (self.r + 3.0 * self.s < self.rho_max < 1.0):
@@ -148,12 +142,7 @@ def potential_u(cfg: GlueConfig, rho, allow_ode: bool = False):
         raise ValidationError("rho must satisfy 0 < rho < 1")
     p = cfg.params
     if p.kappa_is_one():
-        scale = p.k / (3.0 * math.pi * p.eps)
-        if np.ndim(rho) == 0:
-            # libm for a single rho: the finite differences of `glue
-            # potential` amplify last-bit changes of u by about 1/h^2
-            return scale * (-math.log(rho)) ** 3
-        return scale * (-np.log(x)) ** 3
+        return _like(rho, p.k / (3.0 * math.pi * p.eps) * (-np.log(x)) ** 3)
     if not allow_ode:
         raise ValidationError("non-trivial kappa needs allow_ode=True")
     return _potential_ode(cfg, float(rho))
@@ -184,9 +173,7 @@ def u_zz(cfg: GlueConfig, rho):
     x = _as_rho(rho)
     p = cfg.params
     # kappa on the positive real ray, elementwise in rho
-    kap = sum((complex(c) * x ** j for j, c in sorted(p.kappa.items())), 0j) \
-        if p.kappa else 1.0
-    kap2 = np.abs(kap) ** 2
+    kap2 = np.abs(p.kappa_at(x)) ** 2
     return _like(rho, kap2 * p.k * (-np.log(x)) / (TWO_PI * p.eps * x ** 2))
 
 
@@ -206,8 +193,7 @@ def harmonic_match(cfg: GlueConfig) -> tuple[float, float]:
     matching u at rho = r and rho = r + 3s."""
     l1 = -math.log(cfg.r)
     l2 = -math.log(cfg.r + 3.0 * cfg.s)
-    u1 = potential_u(cfg, cfg.r)
-    u2 = potential_u(cfg, cfg.r + 3.0 * cfg.s)
+    u1, u2 = potential_u(cfg, np.array([cfg.r, cfg.r + 3.0 * cfg.s]))
     b = (u1 - u2) / (l1 - l2)
     a = u1 - b * l1
     return a, b
@@ -279,7 +265,7 @@ def cutoff_bounds_ok(cfg: GlueConfig, n: int = 400) -> bool:
 
 def required_t(cfg: GlueConfig, alpha: float, t_prime: float = 1.0) -> float:
     """Positivity reserve C(r,s) t' + C0 |alpha - 1| sup u_zzbar."""
-    _require_finite(alpha=alpha, t_prime=t_prime)
+    require_finite(alpha=alpha, t_prime=t_prime)
     return cfg.c0_rs * t_prime + cfg.c0 * abs(alpha - 1.0) * sup_u_zz(cfg)
 
 
@@ -297,7 +283,7 @@ def positivity_scan(cfg: GlueConfig, alpha: float, t: float,
     reserve threshold.  The (x, y) Hermitian blocks of all n radii and
     fiber heights go to one batched eigenvalue call.
     """
-    _require_finite(alpha=alpha, t=t)
+    require_finite(alpha=alpha, t=t)
     if alpha <= 0:
         raise ValidationError("alpha must be positive")
     t_req = required_t(cfg, alpha, 0.0)
@@ -318,7 +304,9 @@ def positivity_scan(cfg: GlueConfig, alpha: float, t: float,
     gam = sfm.gamma(p, 1j * _SCAN_X2, ell[:, None] + 0j)
     h_xx = w * p.eps / 2.0
     h_xy = -h_xx * np.conj(gam)
-    h_yy = 1.0 / (p.eps * w) + h_xx * np.abs(gam) ** 2
+    # as semiflat.hermitian_matrix, with kappa on the positive real ray
+    kap2 = np.abs(p.kappa_at(rho[:, None])) ** 2
+    h_yy = kap2 / (p.eps * w) + h_xx * np.abs(gam) ** 2
     cand = np.empty(gam.shape + (2, 2), dtype=complex)
     cand[..., 0, 0] = 0.5 * h_xx
     cand[..., 0, 1] = 0.5 * h_xy
@@ -345,7 +333,7 @@ def mass_integral(cfg: GlueConfig, alpha: float, t: float, n: int = 64) -> float
     between the cutoff breakpoints gets n Gauss-Legendre nodes in ell, and
     all segments are evaluated as one (segments, n) array.
     """
-    _require_finite(alpha=alpha, t=t)
+    require_finite(alpha=alpha, t=t)
     if alpha <= 0:
         raise ValidationError("alpha must be positive")
     p = cfg.params
@@ -385,7 +373,7 @@ def solve_alpha(cfg: GlueConfig, t_prime: float = 1.0, n: int = 64) -> AlphaSolv
     alpha = 1.  When both roots lie between two doubling points, no
     bracket is found and NumericalError is raised.
     """
-    _require_finite(t_prime=t_prime)
+    require_finite(t_prime=t_prime)
 
     def t_of(alpha):
         return required_t(cfg, alpha, t_prime)

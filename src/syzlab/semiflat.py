@@ -22,9 +22,9 @@ from fractions import Fraction
 import numpy as np
 
 from . import fibration as fib
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, require_finite
 from .forms import i_half_a_wedge_abar, pullback_2form, restrict, top_coeff, wedge_11
-from .numerics import DecayFit, Grid2, fit_decay, quad_periodic
+from .numerics import DecayFit, fit_decay, quad_periodic
 
 TWO_PI = 2.0 * math.pi
 
@@ -65,6 +65,9 @@ class ModelParams:
     def __post_init__(self):
         if self.k < 1:
             raise ValidationError("k must be a positive integer")
+        require_finite(eps=self.eps, b0=self.b0, alpha=self.alpha)
+        if not all(cmath.isfinite(complex(c)) for c in self.kappa.values()):
+            raise ValidationError("kappa coefficients must be finite")
         if not (self.eps > 0 and self.alpha > 0):
             raise ValidationError("eps and alpha must be positive")
         if self.kappa and complex(self.kappa.get(0, 0)) != 1.0 + 0.0j:
@@ -76,10 +79,11 @@ class ModelParams:
         if self.b0_exact is not None and abs(float(self.b0_exact) - self.b0) > 1e-12:
             raise ValidationError("b0_exact disagrees with b0")
 
-    def kappa_at(self, z: complex) -> complex:
+    def kappa_at(self, z):
+        """kappa(z) at a complex z, or elementwise over an array of z."""
         if not self.kappa:
             return 1.0 + 0.0j
-        return sum((complex(c) * complex(z) ** p for p, c in sorted(self.kappa.items())), 0j)
+        return sum((complex(c) * z ** p for p, c in sorted(self.kappa.items())), 0j)
 
     def kappa_is_one(self) -> bool:
         return all(c == 0 for p, c in self.kappa.items() if p != 0)
@@ -102,6 +106,9 @@ def gamma(p: ModelParams, x: complex, y: complex) -> complex:
 def sf_form_chart(p: ModelParams, q: np.ndarray) -> np.ndarray:
     """Metric 2-form alpha * omega_sf as a 4x4 matrix at chart point q."""
     ell, th, x1, x2 = (float(v) for v in q)
+    if not (math.isfinite(ell) and math.isfinite(th)
+            and math.isfinite(x1) and math.isfinite(x2)):
+        raise ValidationError("chart point must be finite")
     if ell <= 0:
         raise ValidationError("chart point must have ell > 0")
     z = cmath.exp(-(ell + 1j * th))
@@ -283,40 +290,16 @@ def pair_closed_form(p: ModelParams, c: fib.CycleSpec) -> float:
 
 
 def pair_cycle(p: ModelParams, c: fib.CycleSpec, level: float = math.exp(-2.0 * math.pi),
-               grid: Grid2 | None = None) -> float:
-    """Pairing by quadrature of the restricted form over the cycle."""
+               n: int = 64) -> float:
+    """Pairing by quadrature of the restricted form over the cycle on c.grid(n)."""
     if not (0.0 < level < 1.0):
         raise ValidationError("level must satisfy 0 < level < 1")
-    big_l = -math.log(level)
-    if c.fiber:
-        if grid is None:
-            grid = Grid2(64, 64)
-        g1, g2 = fib.lattice_basis(p.k, complex(level), 0)
-        t_a = np.array([0.0, 0.0, g1.real, g1.imag])
-        t_b = np.array([0.0, 0.0, g2.real, g2.imag])
-
-        def integrand(s1, s2):
-            x = s1 * g1 + s2 * g2
-            q = np.array([big_l, 0.0, x.real, x.imag])
-            return restrict(sf_form_chart(p, q), t_a, t_b)
-
-        return float(quad_periodic(integrand, grid).real)
-
-    if grid is None:
-        grid = Grid2(64, 64, box2=(0.0, TWO_PI * c.m1))
-    else:
-        if abs(grid.box2[1] - grid.box2[0] - TWO_PI * c.m1) > 1e-12:
-            raise ValidationError("grid box2 must cover [0, 2*pi*m1)")
-    dx2_dt2 = (c.m2 / c.m1) * (p.k / TWO_PI) * big_l / TWO_PI
-    t_a = np.array([0.0, 0.0, 1.0, 0.0])
-    t_b = np.array([0.0, -1.0, 0.0, dx2_dt2])
+    point, t_a, t_b = c.lift(p.k, -math.log(level))
 
     def integrand(t1, t2):
-        x2 = dx2_dt2 * t2
-        q = np.array([big_l, -t2, t1, x2])
-        return restrict(sf_form_chart(p, q), t_a, t_b)
+        return restrict(sf_form_chart(p, point(t1, t2)), t_a, t_b)
 
-    return float(quad_periodic(integrand, grid).real)
+    return float(quad_periodic(integrand, c.grid(n)).real)
 
 
 def rational_near_infinity(p: ModelParams) -> tuple[int, int] | None:

@@ -17,7 +17,7 @@ from . import fibration as fib
 from . import semiflat as sf
 from .errors import NumericalError, ValidationError
 from .forms import wedge_11
-from .numerics import DecayFit, Grid2, fit_decay
+from .numerics import DecayFit, fit_decay
 
 TWO_PI = 2.0 * math.pi
 
@@ -35,10 +35,6 @@ class ModelFiber:
             raise ValidationError("ell must be positive")
         if self.cycle.fiber:
             raise ValidationError("slag fibers are bad cycles, not torus fibers")
-
-    @property
-    def level(self) -> float:
-        return math.exp(-self.ell)
 
 
 @dataclass(frozen=True)
@@ -86,38 +82,22 @@ def lambda1_rayleigh(a: float, b: float, n: int = 64) -> float:
     return best
 
 
-def _cycle_chart(mf: ModelFiber, t1: float, t2: float,
-                 offset: float = 0.0) -> np.ndarray:
-    """Chart point of the cycle at parameters (t1, t2), Im x shifted by offset."""
-    c = mf.cycle
-    dx2 = (c.m2 / c.m1) * (mf.params.k / TWO_PI) * mf.ell / TWO_PI
-    return np.array([mf.ell, -t2, t1, dx2 * t2 + offset])
-
-
-def _cycle_tangents(mf: ModelFiber) -> tuple[np.ndarray, np.ndarray]:
-    c = mf.cycle
-    dx2 = (c.m2 / c.m1) * (mf.params.k / TWO_PI) * mf.ell / TWO_PI
-    return (np.array([0.0, 0.0, 1.0, 0.0]),
-            np.array([0.0, -1.0, 0.0, dx2]))
-
-
-def check_special(mf: ModelFiber, grid: Grid2 | None = None,
+def check_special(mf: ModelFiber, n: int = 32,
                   offset: float = 0.0) -> tuple[float, float]:
     """(sup |omega restriction|, sup calibration-phase defect) over the cycle.
 
     The phase defect is |Im(e^{-i pi/2} Omega)| restricted, which vanishes
     exactly for kappa = 1; for the Lagrangian condition the cycle must
-    satisfy 2*b0/k = -m2/m1.
+    satisfy 2*b0/k = -m2/m1.  The sup runs over the n x n parameter grid.
     """
-    if grid is None:
-        grid = Grid2(32, 32, box2=(0.0, TWO_PI * mf.cycle.m1))
     p = mf.params
-    t_a, t_b = _cycle_tangents(mf)
+    grid = mf.cycle.grid(n)
+    point, t_a, t_b = mf.cycle.lift(p.k, mf.ell, offset)
     sup_omega = 0.0
     sup_phase = 0.0
     for t1 in grid.nodes1():
         for t2 in grid.nodes2():
-            q = _cycle_chart(mf, t1, t2, offset)
+            q = point(t1, t2)
             m = sf.sf_form_chart(p, q)
             sup_omega = max(sup_omega, abs(float(t_a @ m @ t_b)))
             z = cmath.exp(-(q[0] + 1j * q[1]))
@@ -144,14 +124,15 @@ def second_fundamental_form(mf: ModelFiber, t1: float = 0.2, t2: float = 0.7,
     after normalizing by the induced area element.
     """
     p = mf.params
-    q = _cycle_chart(mf, t1, t2, offset)
+    point, t_a, t_b = mf.cycle.lift(p.k, mf.ell, offset)
+    q = point(t1, t2)
     if h is None:
         h = 2e-3 * min(1.0, 10.0 / max(mf.ell, 1.0))
 
     def gf(qq):
         return sf.riemannian_metric_chart(p, qq)
 
-    tan = np.stack(_cycle_tangents(mf), axis=1)  # 4 x 2
+    tan = np.stack((t_a, t_b), axis=1)  # 4 x 2
     g = gf(q)
     hin = tan.T @ g @ tan
     hinv = np.linalg.inv(hin)
@@ -178,9 +159,7 @@ def second_fundamental_form(mf: ModelFiber, t1: float = 0.2, t2: float = 0.7,
                - float(second[:, 0, 1] @ g @ second[:, 0, 1])) / area_sq
 
     def induced(tt):
-        qq = _cycle_chart(mf, tt[0], tt[1], offset)
-        tanq = np.stack(_cycle_tangents(mf), axis=1)
-        return tanq.T @ gf(qq) @ tanq
+        return tan.T @ gf(point(tt[0], tt[1])) @ tan
 
     riem2, h2 = sf.riemann_fd(induced, np.array([t1, t2]), h)
     low2 = np.einsum("ae,ebcd->abcd", h2, riem2)

@@ -1,6 +1,8 @@
 import json
 import math
 import pathlib
+import re
+import shlex
 from fractions import Fraction
 
 import jsonschema
@@ -9,9 +11,8 @@ import pytest
 from syzlab import cli
 from syzlab.errors import ValidationError
 
-SCHEMA = json.loads(
-    (pathlib.Path(__file__).resolve().parents[1]
-     / "src" / "syzlab" / "report_schema.json").read_text())
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SCHEMA = json.loads((ROOT / "src" / "syzlab" / "report_schema.json").read_text())
 
 
 def run_cli(capsys, *argv):
@@ -136,10 +137,25 @@ class TestExitCodes:
         assert report is None
         assert "must be finite" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["semiflat", "residual", "--k", "1", "--eps", "inf"],
+        ["semiflat", "residual", "--k", "1", "--grid", "0"],
+        ["hkrot", "--k", "1", "--tau", "0+1i", "--verify-grid", "0"],
+        ["semiflat", "eval", "--k", "1", "--ell", "nan"],
+        ["semiflat", "eval", "--k", "1", "--ell", "2", "--b0", "nan"],
+        ["semiflat", "eval", "--k", "1", "--ell", "2", "--alpha", "inf"],
+        ["semiflat", "pair", "--k", "1", "--kappa1", "nan"],
+    ])
+    def test_non_finite_or_no_samples_is_one(self, capsys, argv):
+        code, report, err = run_cli(capsys, *argv, "--no-timestamp")
+        assert code == 1
+        assert report is None
+        assert "error" in err
+
     def test_failed_check_is_three(self, capsys):
-        # finite differences genuinely lose the 1e-8 comparison here
-        code, report, _ = run_cli(capsys, "glue", "potential", "--k", "1",
-                                  "--rho", "1e-4", "--no-timestamp")
+        # b0 = 0 with m2 = 1: C_{1,1} is not Lagrangian (sup 0.159 > 1e-10)
+        code, report, _ = run_cli(capsys, "slag", "check", "--k", "1",
+                                  "--cycle", "1,1", "--no-timestamp")
         assert code == 3
         jsonschema.validate(report, SCHEMA)
         assert not all(c["passed"] for c in report["checks"])
@@ -215,26 +231,21 @@ class TestCsv:
         assert "decay curve" in err
 
 
-class TestThreads:
-    def test_env_default(self, capsys, monkeypatch):
-        monkeypatch.setenv("SYZLAB_THREADS", "4")
-        code, report, _ = run_cli(capsys, "dims", "--k", "2",
-                                  "--no-timestamp")
-        assert code == 0
-        assert report["inputs"]["threads"] == 4
+def _reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
 
-    def test_bad_env_value_is_one(self, capsys, monkeypatch):
-        monkeypatch.setenv("SYZLAB_THREADS", "abc")
-        cli.build_parser()
-        code, report, err = run_cli(capsys, "dims", "--k", "3",
-                                    "--no-timestamp")
-        assert code == 1
-        assert report is None
-        assert "--threads" in err
 
-    def test_flag_overrides(self, capsys, monkeypatch):
-        monkeypatch.setenv("SYZLAB_THREADS", "4")
-        code, report, _ = run_cli(capsys, "dims", "--k", "2",
-                                  "--threads", "2", "--no-timestamp")
-        assert code == 0
-        assert report["inputs"]["threads"] == 2
+class TestReadme:
+    def test_examples_exit_zero_with_strict_json(self, capsys, tmp_path):
+        text = (ROOT / "README.md").read_text()
+        lines = [line for block in re.findall(r"```sh\n(.*?)```", text, re.S)
+                 for line in block.splitlines() if line.startswith("syzlab ")]
+        assert len(lines) >= 10
+        for line in lines:
+            argv = [str(tmp_path / a) if a.endswith(".csv") else a
+                    for a in shlex.split(line)[1:]]
+            code = cli.run(argv)
+            report = json.loads(capsys.readouterr().out,
+                                parse_constant=_reject_constant)
+            assert code == 0, line
+            jsonschema.validate(report, SCHEMA)

@@ -2,6 +2,7 @@ import cmath
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -124,6 +125,45 @@ class TestCycles:
         end = fib.cycle_point(c, 1, level, 0.2, TWO_PI * 2)
         assert fib.lattice_equal(1, start, end)
 
+    def test_grid_boxes(self):
+        assert fib.FIBER.grid(8).box2 == (0.0, 1.0)
+        assert fib.CycleSpec(m1=2, m2=1).grid(8).box2 == (0.0, 2.0 * TWO_PI)
+
     def test_quasi_bad_section(self):
         s = fib.quasi_bad_section(1, 2, 1)
         assert s.b == Fraction(1, 4)
+
+
+CYCLES = [fib.FIBER, fib.CycleSpec(m1=1, m2=0), fib.CycleSpec(m1=2, m2=1),
+          fib.CycleSpec(m1=3, m2=-2)]
+
+
+class TestLift:
+    @pytest.mark.parametrize("offset", [0.0, 0.37])
+    @pytest.mark.parametrize("c", CYCLES)
+    def test_point_moves_along_tangents(self, c, offset):
+        point, t_a, t_b = c.lift(2, 7.5, offset)
+        for t1, t2 in ((0.3, 0.0), (0.0, 1.7), (0.61, 9.2)):
+            np.testing.assert_allclose(point(t1, t2) - point(0.0, 0.0),
+                                       t1 * t_a + t2 * t_b, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_fiber_tangents_are_lattice_generators(self, k):
+        ell = 3.3
+        _, t_a, t_b = fib.FIBER.lift(k, ell)
+        g1, g2 = fib.lattice_basis(k, cmath.exp(-ell))
+        np.testing.assert_allclose(t_a, [0.0, 0.0, g1.real, g1.imag],
+                                   rtol=1e-15, atol=0)
+        np.testing.assert_allclose(t_b, [0.0, 0.0, g2.real, g2.imag],
+                                   rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("c", CYCLES[1:])
+    def test_bad_cycle_closes_modulo_lattice(self, c):
+        k, ell = 3, 4.2
+        point, _, _ = c.lift(k, ell, offset=0.1)
+        start, end = point(0.25, 0.0), point(0.25, TWO_PI * c.m1)
+        assert end[1] - start[1] == pytest.approx(-TWO_PI * c.m1)
+        p0 = fib.from_ell(complex(start[2], start[3]), ell, start[1])
+        p1 = fib.from_ell(complex(end[2], end[3]), ell, end[1])
+        assert p1.x != pytest.approx(p0.x) or c.m2 == 0
+        assert fib.lattice_equal(k, p0, p1)

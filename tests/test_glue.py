@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from syzlab import fibration as fib
 from syzlab import glue
 from syzlab import semiflat as sfm
 from syzlab.errors import NumericalError, ValidationError
@@ -152,8 +153,9 @@ class TestConfig:
             make_cfg(**{field: bad})
 
     def test_non_finite_params_rejected(self):
-        p = sfm.ModelParams(k=1, eps=math.inf)
+        # ModelParams itself refuses them, before any GlueConfig exists
         with pytest.raises(ValidationError, match="finite"):
+            p = sfm.ModelParams(k=1, eps=math.inf)
             glue.GlueConfig(params=p, r=0.1, s=0.02, rho_min=0.01,
                             rho_max=0.9, v0c=1.0, vomc=0.2)
 
@@ -430,6 +432,22 @@ class TestPositivity:
             glue.positivity_scan(cfg, 1.1, t)
         outer = (cfg.r + 2.0 * cfg.s, cfg.rho_max)
         assert math.isfinite(glue.positivity_scan(cfg, 1.1, t, window=outer))
+
+    def test_kappa_matches_hermitian_matrix_outside_psi_region(self):
+        # per-radius reference from semiflat.hermitian_matrix at theta = 0
+        cfg = make_cfg(kappa={0: 1.0, 1: 0.5})
+        t = 1.2 * glue.required_t(cfg, 1.1) + 1.0
+        lo, hi = cfg.r + 2.0 * cfg.s, cfg.rho_max
+        want = math.inf
+        for rho in np.geomspace(lo * 1.0001, hi * 0.9999, 40):
+            qc = glue.q_coefficient(cfg, 1.1, t, float(rho))
+            for x2 in (0.0, 0.35, 0.8):
+                pt = fib.from_ell(complex(0.0, x2), -math.log(rho))
+                cand = 0.5 * sfm.hermitian_matrix(cfg.params, pt)
+                cand[1, 1] += qc * rho ** 2
+                want = min(want, float(np.linalg.eigvalsh(cand)[0]))
+        got = glue.positivity_scan(cfg, 1.1, t, n=40, window=(lo, hi))
+        assert got == pytest.approx(want, rel=1e-12)
 
     def test_margin_positive_near_reference(self):
         cfg = make_cfg()

@@ -9,7 +9,7 @@ from syzlab import fibration as fib
 from syzlab import semiflat as sf
 from syzlab.errors import ValidationError
 from syzlab.forms import check_antisymmetric
-from syzlab.numerics import Grid2, herm_pos
+from syzlab.numerics import herm_pos
 
 TWO_PI = 2.0 * math.pi
 
@@ -142,7 +142,7 @@ class TestPairings:
     def test_grid_too_small(self):
         p = sf.ModelParams(k=1, eps=1.0)
         with pytest.raises(ValidationError):
-            sf.pair_cycle(p, fib.FIBER, grid=Grid2(3, 3))
+            sf.pair_cycle(p, fib.FIBER, n=3)
 
 
 class TestTranslatePullback:
