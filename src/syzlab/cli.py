@@ -467,25 +467,8 @@ def _join_negative_values(argv: list[str]) -> list[str]:
     return out
 
 
-def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
-    try:
-        args = parser.parse_args(_join_negative_values(list(argv)))
-        results, checks, curve = args.handler(args)
-        if args.csv is not None:
-            if curve is None:
-                raise ValidationError("this command produces no decay curve")
-            _write_csv(args.csv, curve)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        parser.print_usage(sys.stderr)
-        return 1
-    except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
-
+def _render(args, results: dict, checks: list[dict]) -> str:
+    """The report as strict JSON; a non-finite value is a NumericalError."""
     command = args.command
     if getattr(args, "subcommand", None):
         command += " " + args.subcommand
@@ -494,8 +477,34 @@ def run(argv: list[str] | None = None) -> int:
     if not args.no_timestamp:
         report["timestamp"] = datetime.datetime.now(
             datetime.timezone.utc).isoformat()
-    json.dump(report, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    try:
+        return json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NumericalError(f"report holds a non-finite value ({exc})") from None
+
+
+def run(argv: list[str] | None = None) -> int:
+    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    try:
+        args = parser.parse_args(_join_negative_values(list(argv)))
+        results, checks, curve = args.handler(args)
+        if args.csv is not None and curve is None:
+            raise ValidationError("this command produces no decay curve")
+        text = _render(args, results, checks)
+        if args.csv is not None:
+            _write_csv(args.csv, curve)
+    except ValidationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        parser.print_usage(sys.stderr)
+        return 1
+    except (ArithmeticError, np.linalg.LinAlgError) as exc:
+        # ArithmeticError covers NumericalError and overflow, zero division
+        # and floating-point errors raised by the standard library
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 2
+    sys.stdout.write(text + "\n")
     return 0 if all(c["passed"] for c in checks) else 3
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import fibration as fib
 from .errors import NumericalError, ValidationError, require_finite
-from .forms import i_half_a_wedge_abar, pullback_2form, restrict, top_coeff, wedge_11
+from .forms import pullback_2form, restrict, top_coeff
 from .numerics import DecayFit, fit_decay, quad_periodic
 
 TWO_PI = 2.0 * math.pi
@@ -43,6 +43,9 @@ _J[1, 0] = 1.0
 _J[0, 1] = -1.0
 _J[3, 2] = 1.0
 _J[2, 3] = -1.0
+
+# position of each 4x4 two-form entry in (0, entries 01..23, their negatives)
+_FORM_IDX = np.array([[0, 1, 2, 3], [7, 0, 4, 5], [8, 10, 0, 6], [9, 11, 12, 0]])
 
 
 @dataclass(frozen=True)
@@ -104,21 +107,34 @@ def gamma(p: ModelParams, x: complex, y: complex) -> complex:
 
 
 def sf_form_chart(p: ModelParams, q: np.ndarray) -> np.ndarray:
-    """Metric 2-form alpha * omega_sf as a 4x4 matrix at chart point q."""
-    ell, th, x1, x2 = (float(v) for v in q)
-    if not (math.isfinite(ell) and math.isfinite(th)
-            and math.isfinite(x1) and math.isfinite(x2)):
+    """Metric 2-form alpha * omega_sf at chart points q of shape (..., 4).
+
+    Returns (..., 4, 4).  With Gamma = g_r + i*g_i, c = W*eps and
+    d = 2|kappa|^2/(eps*W), the entries 01, 02, 03, 12, 13, 23 are
+    alpha times d + c|Gamma|^2, c*g_i, -c*g_r, c*g_r, c*g_i and c: the
+    closed form of d*(i/2) dy^dybar + c*(i/2) a^abar with a = dx - Gamma dy.
+    A single point gives numpy scalars, so it pays no array overhead.
+    """
+    q = np.asarray(q, dtype=float)
+    if q.shape[-1:] != (4,):
+        raise ValidationError("chart points must have shape (..., 4)")
+    if not np.isfinite(q).all():
         raise ValidationError("chart point must be finite")
-    if ell <= 0:
+    ell, th, x2 = q[..., 0][()], q[..., 1][()], q[..., 3][()]
+    if (ell <= 0).any():
         raise ValidationError("chart point must have ell > 0")
-    z = cmath.exp(-(ell + 1j * th))
-    kap2 = abs(p.kappa_at(z)) ** 2
+    kap = p.kappa_at(np.exp(-(ell + 1j * th)))
+    # products, not abs(): numpy scalars and arrays round abs() differently
+    kap2 = kap.real * kap.real + kap.imag * kap.imag
     w = w_factor(p, ell)
-    gam = gamma(p, complex(x1, x2), complex(ell, th))
-    a_form = _DX - gam * _DY
-    m = (2.0 * kap2 / (p.eps * w)) * i_half_a_wedge_abar(_DY)
-    m += (w * p.eps) * i_half_a_wedge_abar(a_form)
-    return p.alpha * m
+    c = w * p.eps
+    d = 2.0 * kap2 / (p.eps * w)
+    g_r = p.b0 * ell / (2.0 * math.pi ** 2)
+    g_i = x2 / ell
+    upper = (d + c * (g_r * g_r + g_i * g_i), c * g_i, -(c * g_r), c * g_r, c * g_i, c)
+    u = p.alpha * np.array((0.0 * c,) + upper + tuple(-v for v in upper))
+    m = u[_FORM_IDX]
+    return m.transpose(*range(2, m.ndim), 0, 1)
 
 
 def sf_form(p: ModelParams, pt: fib.FiberPoint) -> np.ndarray:
@@ -160,11 +176,13 @@ def ma_residual(p: ModelParams, pt: fib.FiberPoint) -> tuple[float, float]:
 
 
 def riemannian_metric_chart(p: ModelParams, q: np.ndarray) -> np.ndarray:
-    """g(u, v) = omega(u, Jv) in the real chart."""
+    """g(u, v) = omega(u, Jv) at chart points q of shape (..., 4)."""
     g = sf_form_chart(p, q) @ _J
-    if np.max(np.abs(g - g.T)) > 1e-10 * max(1.0, np.max(np.abs(g))):
+    gt = np.swapaxes(g, -1, -2)
+    scale = np.maximum(1.0, np.abs(g).max(axis=(-2, -1)))
+    if (np.abs(g - gt).max(axis=(-2, -1)) > 1e-10 * scale).any():
         raise NumericalError("metric failed to be symmetric")
-    return 0.5 * (g + g.T)
+    return 0.5 * (g + gt)
 
 
 def riemannian_metric(p: ModelParams, pt: fib.FiberPoint) -> np.ndarray:
@@ -326,31 +344,51 @@ def moduli_dims(k: int) -> tuple[int, int, int]:
 # curvature by finite differences
 
 
+def _stencil(q: np.ndarray, h: float) -> np.ndarray:
+    """q and its central-difference neighbours, shape (..., 2n+1, n).
+
+    Row 0 is q, row 1+a is q + h e_a and row 1+n+a is q - h e_a.  A step
+    too small to move some coordinate of q would give exactly zero
+    differences, so it raises NumericalError instead.
+    """
+    q = np.asarray(q, dtype=float)
+    if (q + h == q).any() or (q - h == q).any():
+        raise NumericalError(f"finite-difference step {h!r} does not move the point")
+    base = q[..., None, :]
+    e = h * np.eye(q.shape[-1])
+    return np.concatenate((base, base + e, base - e), axis=-2)
+
+
 def christoffel_fd(gf, q: np.ndarray, h: float) -> np.ndarray:
-    """Christoffel symbols of a metric function gf by central differences."""
-    n = q.size
-    dg = np.empty((n, n, n))
-    for a in range(n):
-        e = np.zeros(n)
-        e[a] = h
-        dg[a] = (gf(q + e) - gf(q - e)) / (2.0 * h)
-    ginv = np.linalg.inv(gf(q))
+    """Christoffel symbols Gamma^a_{bc} of a metric function by central differences.
+
+    q has shape (..., n) and gf maps (..., n) points to (..., n, n)
+    metrics; the whole stencil of every point is one gf call.
+    """
+    n = np.shape(q)[-1]
+    g = gf(_stencil(q, h))
+    dg = (g[..., 1:n + 1, :, :] - g[..., n + 1:, :, :]) / (2.0 * h)
+    ginv = np.linalg.inv(g[..., 0, :, :])
     # Gamma^a_{bc} = 1/2 g^{ad} (d_b g_{dc} + d_c g_{bd} - d_d g_{bc})
-    return 0.5 * np.einsum("ad,bdc->abc", ginv, dg + np.einsum("cbd->bdc", dg) - np.einsum("dbc->bdc", dg))
+    return 0.5 * np.einsum("...ad,...bdc->...abc", ginv,
+                           dg + np.einsum("...cbd->...bdc", dg)
+                           - np.einsum("...dbc->...bdc", dg))
 
 
 def riemann_fd(gf, q: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """(R^a_{bcd}, g) of a metric function by nested central differences."""
-    n = q.size
-    dgam = np.empty((n, n, n, n))
-    for c in range(n):
-        e = np.zeros(n)
-        e[c] = h
-        dgam[c] = (christoffel_fd(gf, q + e, h) - christoffel_fd(gf, q - e, h)) / (2.0 * h)
-    gam = christoffel_fd(gf, q, h)
+    """(R^a_{bcd}, g) of a metric function by nested central differences.
+
+    The Christoffel symbols on the stencil of q come from one
+    christoffel_fd call, i.e. one gf call on (2n+1)^2 points per q.
+    """
+    n = np.shape(q)[-1]
+    gam = christoffel_fd(gf, _stencil(q, h), h)
+    dgam = (gam[..., 1:n + 1, :, :, :] - gam[..., n + 1:, :, :, :]) / (2.0 * h)
+    gam = gam[..., 0, :, :, :]
     # R^a_{bcd} = d_c Gamma^a_{db} - d_d Gamma^a_{cb} + Gamma^a_{ce} Gamma^e_{db} - Gamma^a_{de} Gamma^e_{cb}
-    riem = (np.einsum("cadb->abcd", dgam) - np.einsum("dacb->abcd", dgam)
-            + np.einsum("ace,edb->abcd", gam, gam) - np.einsum("ade,ecb->abcd", gam, gam))
+    riem = (np.einsum("...cadb->...abcd", dgam) - np.einsum("...dacb->...abcd", dgam)
+            + np.einsum("...ace,...edb->...abcd", gam, gam)
+            - np.einsum("...ade,...ecb->...abcd", gam, gam))
     return riem, gf(q)
 
 
@@ -370,7 +408,8 @@ def curvature_norm(p: ModelParams, pt: fib.FiberPoint, h: float | None = None) -
     riem, g = riemann_fd(gf, q, h)
     ginv = np.linalg.inv(g)
     low = np.einsum("ae,ebcd->abcd", g, riem)
-    val = np.einsum("abcd,efgh,ae,bf,cg,dh->", low, low, ginv, ginv, ginv, ginv)
+    val = np.einsum("abcd,efgh,ae,bf,cg,dh->", low, low, ginv, ginv, ginv, ginv,
+                    optimize=True)
     if val < -1e-8:
         raise NumericalError("negative |Rm|^2 from finite differences")
     return math.sqrt(max(val, 0.0))

@@ -7,7 +7,6 @@ B = alpha*2*pi*eps/(k*ell), so A*B = 2*alpha^2 independently of ell.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -15,7 +14,7 @@ import numpy as np
 
 from . import fibration as fib
 from . import semiflat as sf
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, require_finite
 from .forms import wedge_11
 from .numerics import DecayFit, fit_decay
 
@@ -31,6 +30,7 @@ class ModelFiber:
     ell: float
 
     def __post_init__(self):
+        require_finite(ell=self.ell)
         if self.ell <= 0:
             raise ValidationError("ell must be positive")
         if self.cycle.fiber:
@@ -93,18 +93,13 @@ def check_special(mf: ModelFiber, n: int = 32,
     p = mf.params
     grid = mf.cycle.grid(n)
     point, t_a, t_b = mf.cycle.lift(p.k, mf.ell, offset)
-    sup_omega = 0.0
-    sup_phase = 0.0
-    for t1 in grid.nodes1():
-        for t2 in grid.nodes2():
-            q = point(t1, t2)
-            m = sf.sf_form_chart(p, q)
-            sup_omega = max(sup_omega, abs(float(t_a @ m @ t_b)))
-            z = cmath.exp(-(q[0] + 1j * q[1]))
-            om = p.kappa_at(z) * wedge_11(sf._DY, sf._DX)
-            val = complex(t_a @ om @ t_b)
-            sup_phase = max(sup_phase, abs((-1j * val).imag))
-    return sup_omega, sup_phase
+    t = np.stack(np.meshgrid(grid.nodes1(), grid.nodes2(), indexing="ij"), axis=-1)
+    q = point(0.0, 0.0) + t @ np.stack((t_a, t_b))
+    sup_omega = np.max(np.abs(t_a @ sf.sf_form_chart(p, q) @ t_b))
+    kap = p.kappa_at(np.exp(-(q[..., 0] + 1j * q[..., 1])))
+    val = kap * (t_a @ wedge_11(sf._DY, sf._DX) @ t_b)
+    sup_phase = np.max(np.abs((-1j * val).imag))
+    return float(sup_omega), float(sup_phase)
 
 
 @dataclass(frozen=True)
@@ -159,7 +154,7 @@ def second_fundamental_form(mf: ModelFiber, t1: float = 0.2, t2: float = 0.7,
                - float(second[:, 0, 1] @ g @ second[:, 0, 1])) / area_sq
 
     def induced(tt):
-        return tan.T @ gf(point(tt[0], tt[1])) @ tan
+        return tan.T @ gf(point(0.0, 0.0) + tt @ tan.T) @ tan
 
     riem2, h2 = sf.riemann_fd(induced, np.array([t1, t2]), h)
     low2 = np.einsum("ae,ebcd->abcd", h2, riem2)

@@ -152,6 +152,27 @@ class TestExitCodes:
         assert report is None
         assert "error" in err
 
+    @pytest.mark.parametrize("argv,code", [
+        # singular metric in the finite-difference layer (LinAlgError)
+        (["slag", "pi-decay", "--k", "1", "--eps", "1e300"], 2),
+        (["semiflat", "curvature", "--k", "1", "--eps", "1e300"], 2),
+        # OverflowError in calabi.rotate, ZeroDivisionError in fiber_geometry
+        (["hkrot", "--k", "1", "--tau", "0+1e300i"], 2),
+        (["slag", "geometry", "--k", "1", "--ell", "1e-320"], 2),
+        # the report would hold NaN: strict JSON refuses it before any output
+        (["slag", "check", "--k", "1", "--eps", "1e300"], 2),
+        # a step of 2e-310 leaves ell = 1e308 unchanged: no silent 0.0 passes
+        (["slag", "check", "--k", "1", "--ell", "1e308"], 2),
+        (["slag", "geometry", "--k", "1", "--ell", "inf"], 1),
+        (["slag", "geometry", "--k", "1", "--ell", "nan"], 1),
+    ])
+    def test_numerical_breakdown_exit_codes(self, capsys, argv, code):
+        assert cli.run(argv + ["--no-timestamp"]) == code
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "Traceback" not in err
+        assert ("numerical failure" if code == 2 else "must be finite") in err
+
     def test_failed_check_is_three(self, capsys):
         # b0 = 0 with m2 = 1: C_{1,1} is not Lagrangian (sup 0.159 > 1e-10)
         code, report, _ = run_cli(capsys, "slag", "check", "--k", "1",

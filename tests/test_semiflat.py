@@ -7,8 +7,8 @@ import pytest
 
 from syzlab import fibration as fib
 from syzlab import semiflat as sf
-from syzlab.errors import ValidationError
-from syzlab.forms import check_antisymmetric
+from syzlab.errors import NumericalError, ValidationError
+from syzlab.forms import check_antisymmetric, i_half_a_wedge_abar
 from syzlab.numerics import herm_pos
 
 TWO_PI = 2.0 * math.pi
@@ -72,6 +72,72 @@ class TestSfForm:
     def test_bad_modulus_rejected(self):
         with pytest.raises(ValidationError):
             fib.FiberPoint(x=0.0, z=1.5 + 0.0j)
+
+
+def _outer_product_form(p, q):
+    """Reference form at one chart point from two (i/2) a ^ abar outer products."""
+    ell, th, x1, x2 = (float(v) for v in q)
+    kap2 = abs(p.kappa_at(cmath.exp(-(ell + 1j * th)))) ** 2
+    w = sf.w_factor(p, ell)
+    gam = sf.gamma(p, complex(x1, x2), complex(ell, th))
+    dy = np.array([1.0, 1.0j, 0.0, 0.0])
+    dx = np.array([0.0, 0.0, 1.0, 1.0j])
+    m = (2.0 * kap2 / (p.eps * w)) * i_half_a_wedge_abar(dy)
+    m += (w * p.eps) * i_half_a_wedge_abar(dx - gam * dy)
+    return p.alpha * m
+
+
+def _chart_points(rng, shape):
+    return np.stack([rng.uniform(0.2, 45.0, shape), rng.uniform(-7.0, 7.0, shape),
+                     rng.uniform(-2.0, 2.0, shape), rng.uniform(-2.0, 2.0, shape)],
+                    axis=-1)
+
+
+class TestBatchedKernel:
+    @pytest.mark.parametrize("kappa", [{}, {0: 1.0, 1: 0.5}])
+    def test_batch_equals_stacked_single_points(self, kappa):
+        p = sf.ModelParams(k=2, eps=0.7, b0=0.3, alpha=1.3, kappa=kappa)
+        q = _chart_points(np.random.default_rng(5), (8, 8))
+        # spread ell down to 0.05 so kappa(z) = 1 + 0.5 z moves every entry
+        q[..., 0] = np.linspace(0.05, 12.0, 64).reshape(8, 8)
+        batch = sf.sf_form_chart(p, q)
+        single = np.array([[sf.sf_form_chart(p, q[i, j]) for j in range(8)]
+                           for i in range(8)])
+        assert batch.shape == (8, 8, 4, 4)
+        assert np.array_equal(batch, single)
+        metric = np.array([[sf.riemannian_metric_chart(p, q[i, j])
+                            for j in range(8)] for i in range(8)])
+        assert np.array_equal(sf.riemannian_metric_chart(p, q), metric)
+
+    def test_matches_outer_product_form(self):
+        rng = np.random.default_rng(11)
+        p = sf.ModelParams(k=3, eps=0.6, b0=-0.4, alpha=1.7,
+                           kappa={0: 1.0, 1: 0.5 - 0.3j, 2: 0.2})
+        q = _chart_points(rng, 1000)
+        q[:, 0] = rng.uniform(0.02, 6.0, 1000)  # |kappa| far from 1
+        batch = sf.sf_form_chart(p, q)
+        ref = np.array([_outer_product_form(p, qq) for qq in q])
+        scale = np.abs(ref).max(axis=(1, 2))
+        assert np.max(np.abs(batch - ref).max(axis=(1, 2)) / scale) <= 1e-14
+
+    @pytest.mark.parametrize("bad", [
+        (3, 5, 1, math.nan), (0, 0, 2, math.inf), (7, 7, 0, -math.inf),
+        (2, 6, 0, 0.0), (4, 1, 0, -1.5),
+    ])
+    def test_one_bad_point_in_a_batch_rejected(self, bad):
+        i, j, coord, value = bad
+        p = sf.ModelParams(k=1, eps=1.0)
+        q = _chart_points(np.random.default_rng(2), (8, 8))
+        sf.sf_form_chart(p, q)
+        q[i, j, coord] = value
+        with pytest.raises(ValidationError):
+            sf.sf_form_chart(p, q)
+        with pytest.raises(ValidationError):
+            sf.sf_form_chart(p, q[i, j])
+
+    def test_wrong_trailing_axis_rejected(self):
+        with pytest.raises(ValidationError):
+            sf.sf_form_chart(sf.ModelParams(k=1), np.ones((4, 3)))
 
 
 class TestMaResidual:
@@ -254,3 +320,94 @@ class TestCurvature:
         p = sf.ModelParams(k=1, eps=1.0)
         _, _, fit = sf.curvature_decay(p)
         assert -2.15 <= fit.exponent <= -1.85
+
+
+def _sphere_metric(q):
+    """Round unit 2-sphere in (theta, phi): g = diag(1, sin^2 theta), on (..., 2)."""
+    q = np.asarray(q)
+    g = np.zeros(q.shape[:-1] + (2, 2))
+    g[..., 0, 0] = 1.0
+    g[..., 1, 1] = np.sin(q[..., 0]) ** 2
+    return g
+
+
+def _christoffel_loops(gf, q, h):
+    """Reference Christoffel symbols: one single-point gf call per stencil point."""
+    n = q.size
+    dg = np.empty((n, n, n))
+    for a in range(n):
+        e = np.zeros(n)
+        e[a] = h
+        dg[a] = (gf(q + e) - gf(q - e)) / (2.0 * h)
+    ginv = np.linalg.inv(gf(q))
+    return 0.5 * np.einsum("ad,bdc->abc", ginv, dg + np.einsum("cbd->bdc", dg)
+                           - np.einsum("dbc->bdc", dg))
+
+
+def _riemann_loops(gf, q, h):
+    """Reference R^a_{bcd} from per-direction nested central differences."""
+    n = q.size
+    dgam = np.empty((n, n, n, n))
+    for c in range(n):
+        e = np.zeros(n)
+        e[c] = h
+        dgam[c] = (_christoffel_loops(gf, q + e, h)
+                   - _christoffel_loops(gf, q - e, h)) / (2.0 * h)
+    gam = _christoffel_loops(gf, q, h)
+    return (np.einsum("cadb->abcd", dgam) - np.einsum("dacb->abcd", dgam)
+            + np.einsum("ace,edb->abcd", gam, gam) - np.einsum("ade,ecb->abcd", gam, gam))
+
+
+class TestFiniteDifferences:
+    H = 1e-3
+
+    def test_sphere_christoffel_over_a_batch(self):
+        theta = np.array([[0.4, 0.9, 1.3], [1.7, 2.2, 2.8]])
+        q = np.stack([theta, np.full_like(theta, 0.6)], axis=-1)
+        gam = sf.christoffel_fd(_sphere_metric, q, self.H)
+        assert gam.shape == (2, 3, 2, 2, 2)
+        # Gamma^theta_{phi phi} = -sin cos, Gamma^phi_{theta phi} = cot, O(h^2)
+        assert np.allclose(gam[..., 0, 1, 1], -np.sin(theta) * np.cos(theta),
+                           rtol=0, atol=1e-5)
+        assert np.allclose(gam[..., 1, 0, 1], 1.0 / np.tan(theta), rtol=1e-5)
+        assert np.array_equal(gam[..., 1, 1, 0], gam[..., 1, 0, 1])
+        assert np.allclose(gam[..., 0, 0, 0], 0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("theta", [0.5, 1.1, 2.4])
+    def test_sphere_gaussian_curvature_is_one(self, theta):
+        riem, g = sf.riemann_fd(_sphere_metric, np.array([theta, 0.3]), self.H)
+        low = np.einsum("ae,ebcd->abcd", g, riem)
+        assert low[0, 1, 0, 1] / np.linalg.det(g) == pytest.approx(1.0, abs=1e-5)
+        assert low[0, 1, 1, 0] / np.linalg.det(g) == pytest.approx(-1.0, abs=1e-5)
+
+    @pytest.mark.parametrize("kappa", [{}, {0: 1.0, 1: 0.4}])
+    def test_agrees_with_nested_loops_on_semiflat_metric(self, kappa):
+        p = sf.ModelParams(k=2, eps=0.8, b0=0.25, kappa=kappa)
+
+        def gf(qq):
+            return sf.riemannian_metric_chart(p, qq)
+
+        for q, h in ((np.array([6.0, 0.3, 0.2, 0.5]), 1e-2),
+                     (np.array([25.0, -1.0, 0.1, 0.9]), 4e-3)):
+            gam = sf.christoffel_fd(gf, q, h)
+            ref = _christoffel_loops(gf, q, h)
+            assert np.max(np.abs(gam - ref)) <= 1e-12 * np.max(np.abs(ref))
+            riem, g = sf.riemann_fd(gf, q, h)
+            ref = _riemann_loops(gf, q, h)
+            assert np.max(np.abs(riem - ref)) <= 1e-12 * np.max(np.abs(ref))
+            assert np.array_equal(g, gf(q))
+
+    @pytest.mark.parametrize("q,h", [
+        (np.array([1e308, 0.0, 0.0, 0.0]), 2e-310),
+        (np.array([2.0, 0.5]), 0.0),
+        (np.array([[1.0, 0.5], [1e20, 0.5]]), 1e-3),
+        # at a power of two only one side rounds back onto the point
+        (np.array([1.0, 0.5]), 0.3 * 2.0 ** -52),
+        (np.array([-1.0, 0.5]), 0.3 * 2.0 ** -52),
+    ])
+    def test_step_that_does_not_move_the_point_fails(self, q, h):
+        for fd in (sf.christoffel_fd, sf.riemann_fd):
+            with pytest.raises(NumericalError, match="does not move"):
+                fd(lambda qq: np.broadcast_to(np.eye(q.shape[-1]),
+                                              qq.shape[:-1] + (q.shape[-1],) * 2),
+                   q, h)

@@ -1,3 +1,4 @@
+import cmath
 import math
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from syzlab import fibration as fib
 from syzlab import semiflat as sf
 from syzlab import slag
 from syzlab.errors import ValidationError
+from syzlab.forms import wedge_11
 from syzlab.numerics import fit_decay
 
 STD = sf.ModelParams(k=1, eps=1.0)
@@ -52,6 +54,11 @@ class TestFiberGeometry:
         fit = fit_decay(ells, vals, drop_fraction=0.0)
         assert fit.exponent == pytest.approx(-1.0, abs=0.05)
 
+    @pytest.mark.parametrize("ell", [math.inf, -math.inf, math.nan])
+    def test_non_finite_ell_rejected(self, ell):
+        with pytest.raises(ValidationError, match="finite"):
+            slag.ModelFiber(STD, C10, ell)
+
     def test_alpha_rescale_law(self):
         # scaling the metric by alpha scales vol by alpha, lambda1 by
         # 1/alpha and the diameter by sqrt(alpha)
@@ -64,7 +71,35 @@ class TestFiberGeometry:
         assert gb.diameter == pytest.approx(math.sqrt(2.0) * ga.diameter)
 
 
+def _check_special_loops(mf, n=32):
+    """Reference for check_special: one single-point form per grid node."""
+    p = mf.params
+    grid = mf.cycle.grid(n)
+    point, t_a, t_b = mf.cycle.lift(p.k, mf.ell)
+    sup_omega = sup_phase = 0.0
+    for t1 in grid.nodes1():
+        for t2 in grid.nodes2():
+            q = point(t1, t2)
+            sup_omega = max(sup_omega, abs(float(t_a @ sf.sf_form_chart(p, q) @ t_b)))
+            om = p.kappa_at(cmath.exp(-(q[0] + 1j * q[1]))) * wedge_11(sf._DY, sf._DX)
+            sup_phase = max(sup_phase, abs((-1j * complex(t_a @ om @ t_b)).imag))
+    return sup_omega, sup_phase
+
+
 class TestSpecialCondition:
+    @pytest.mark.parametrize("b0,kappa,cycle,ell", [
+        (0.0, {}, (1, 1), 6.0),
+        (0.3, {0: 1.0, 1: 0.8}, (2, 1), 3.0),
+        (-0.5, {0: 1.0, 1: 0.5 + 0.5j}, (1, 1), 1.5),
+    ])
+    def test_grid_matches_per_node_loop(self, b0, kappa, cycle, ell):
+        p = sf.ModelParams(k=2, eps=0.7, b0=b0, kappa=kappa)
+        mf = slag.ModelFiber(p, fib.CycleSpec(*cycle), ell)
+        got = slag.check_special(mf)
+        ref = _check_special_loops(mf)
+        assert ref[0] > 1e-3 or ref[1] > 1e-3
+        assert got == pytest.approx(ref, rel=1e-12, abs=1e-300)
+
     def test_standard_bad_cycle(self):
         sup_om, sup_ph = slag.check_special(slag.ModelFiber(STD, C10, 10.0))
         assert sup_om <= 1e-10 and sup_ph <= 1e-10
