@@ -3,12 +3,12 @@ near an I_k fiber: metric identities, special Lagrangian fibers, gluing
 mass integrals and mirror arithmetic."""
 
 from . import calabi, fibration, forms, glue, mirror, numerics, semiflat, slag
-from .errors import CheckFailure, NumericalError, ValidationError
+from .errors import NumericalError, ValidationError
 
 __version__ = "0.1.0"
 
 __all__ = [
     "calabi", "fibration", "forms", "glue", "mirror", "numerics",
     "semiflat", "slag",
-    "CheckFailure", "NumericalError", "ValidationError", "__version__",
+    "NumericalError", "ValidationError", "__version__",
 ]

@@ -384,17 +384,3 @@ def mck_restriction(m: CalabiModel, c_level: float, big_k: float,
             val = complex(t1v @ big_om @ t2v)
             sup_im = max(sup_im, abs(val.imag))
     return sup_om, sup_im
-
-
-def reduce_tau(tau: complex, max_iter: int = 200) -> complex:
-    """Move tau to the SL(2,Z) fundamental domain."""
-    t = complex(tau)
-    if t.imag <= 0:
-        raise ValidationError("need Im tau > 0")
-    for _ in range(max_iter):
-        t = complex(t.real - round(t.real), t.imag)
-        if abs(t) < 1.0 - 1e-15:
-            t = -1.0 / t
-        else:
-            return t
-    raise ValidationError("tau reduction did not converge")

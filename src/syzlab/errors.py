@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
-Three failure modes are kept distinct so callers (and the CLI exit codes)
-can tell bad input apart from a numerical breakdown and from a geometric
-check that honestly failed.
+Two failure modes are kept distinct so callers (and the CLI exit codes)
+can tell bad input apart from a numerical breakdown; a geometric check
+that honestly fails is reported, not raised.
 """
 
 import math
@@ -14,10 +14,6 @@ class ValidationError(ValueError):
 
 class NumericalError(ArithmeticError):
     """A computation produced non-finite values or an inconsistent fit."""
-
-
-class CheckFailure(AssertionError):
-    """A geometric identity that should hold was violated beyond tolerance."""
 
 
 def require_finite(**values: float) -> None:

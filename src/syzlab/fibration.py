@@ -11,7 +11,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -79,19 +78,6 @@ def lattice_basis(k: int, z: complex, branch: int = 0) -> tuple[complex, complex
     return (1.0 + 0.0j), g2
 
 
-def reduce_point(k: int, p: FiberPoint) -> FiberPoint:
-    """Translate x into the fundamental domain [0,1) x [0,1) of Lambda(z)."""
-    g1, g2 = lattice_basis(k, p.z, p.branch)
-    # solve x = c1 g1 + c2 g2 over the reals
-    mat = np.array([[g1.real, g2.real], [g1.imag, g2.imag]])
-    c = np.linalg.solve(mat, np.array([p.x.real, p.x.imag]))
-    frac = c - np.floor(c)
-    # snap roundoff at the half-open boundary so reduction is idempotent
-    frac[frac > 1.0 - 1e-12] = 0.0
-    x = frac[0] * g1 + frac[1] * g2
-    return FiberPoint(x=x, z=p.z, branch=p.branch)
-
-
 def lattice_equal(k: int, p: FiberPoint, q: FiberPoint, tol: float = 1e-10) -> bool:
     """Whether two points over the same z agree modulo Lambda(z)."""
     if abs(p.z - q.z) > tol:
@@ -128,13 +114,6 @@ class SectionData:
         return complex(self.h.get(0, 0.0))
 
 
-def section_eval(s: SectionData, z: complex, branch: int = 0) -> complex:
-    """Value of the section over z on the chosen branch."""
-    lg = log_branch(z, branch)
-    w = 2j * math.pi
-    return s.h_at(z) + complex(s.a) * lg / w + complex(s.b) * lg * lg / (w * w)
-
-
 def section_eval_y(s: SectionData, y: complex) -> complex:
     """Section value written in the universal-cover coordinate y = -log z."""
     if y.real <= 0:
@@ -148,14 +127,6 @@ def section_dy(s: SectionData, y: complex) -> complex:
     z = cmath.exp(-y)
     w = 2j * math.pi
     return -z * s.h_prime_at(z) - complex(s.a) / w + 2.0 * complex(s.b) * y / (w * w)
-
-
-def section_is_single_valued(s: SectionData, k: int, tol: float = 1e-12) -> bool:
-    """Single-valued modulo Lambda(z) iff a+b and 2b/k are integers."""
-    ab = complex(s.a) + complex(s.b)
-    tb = 2.0 * complex(s.b) / k
-    return (abs(ab.imag) <= tol and abs(ab.real - round(ab.real)) <= tol
-            and abs(tb.imag) <= tol and abs(tb.real - round(tb.real)) <= tol)
 
 
 @dataclass(frozen=True)
@@ -206,37 +177,3 @@ class CycleSpec:
 
 
 FIBER = CycleSpec(fiber=True)
-
-
-def cycle_point(c: CycleSpec, k: int, level: float, t1: float, t2: float) -> FiberPoint:
-    """Point of C_{m1,m2} at |z| = level, parameters (t1, t2).
-
-    x is the lift of CycleSpec.lift at ell = -log level; t2 in
-    [0, 2*pi*m1) lifts around the base circle, so z lies on the log branch
-    floor(t2 / 2*pi).
-    """
-    if c.fiber:
-        raise ValidationError("cycle_point parametrizes bad cycles, not the fiber")
-    if not (0.0 < level < 1.0):
-        raise ValidationError("level must satisfy 0 < level < 1")
-    q = c.lift(k, -math.log(level))[0](t1, t2)
-    branch = math.floor(t2 / TWO_PI)
-    z = level * cmath.exp(1j * (t2 - TWO_PI * branch))
-    return FiberPoint(x=complex(q[2], q[3]), z=z, branch=branch)
-
-
-def cycle_decompose(c: CycleSpec) -> tuple[int, int]:
-    """Class of C_{m1,m2} as m1 [C_bad] + m2 [F]."""
-    if c.fiber:
-        return (0, 1)
-    return (c.m1, c.m2)
-
-
-def quasi_bad_section(k: int, m1: int, m2: int) -> SectionData:
-    """Translation whose inverse image of C_{1,0} sweeps out a C_{m1,m2} cycle.
-
-    eta(z) = (m2 k / (2 m1)) (log z)^2 / (2*pi*i)^2, so b = m2 k / (2 m1).
-    """
-    if m1 < 1:
-        raise ValidationError("need m1 >= 1")
-    return SectionData(h={}, a=0.0, b=Fraction(m2 * k, 2 * m1))

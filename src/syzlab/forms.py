@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ValidationError
-
 
 def wedge_11(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Wedge of two (possibly complex) 1-forms, as a 4x4 coefficient matrix."""
@@ -53,14 +51,6 @@ def top_coeff_pair(m1: np.ndarray, m2: np.ndarray) -> float:
 def restrict(m: np.ndarray, t1: np.ndarray, t2: np.ndarray) -> float:
     """Evaluate a 2-form on an ordered pair of tangent vectors."""
     return float(t1 @ np.asarray(m) @ t2)
-
-
-def check_antisymmetric(m: np.ndarray, tol: float = 1e-12) -> None:
-    m = np.asarray(m)
-    if m.shape != (4, 4):
-        raise ValidationError("two-form matrix must be 4x4")
-    if np.max(np.abs(m + m.T)) > tol * max(1.0, np.max(np.abs(m))):
-        raise ValidationError("two-form matrix must be antisymmetric")
 
 
 def pullback_2form(m: np.ndarray, jac: np.ndarray) -> np.ndarray:

@@ -130,42 +130,18 @@ class GlueConfig:
         return Cutoffs(self.r, self.s)
 
 
-def potential_u(cfg: GlueConfig, rho, allow_ode: bool = False):
+def potential_u(cfg: GlueConfig, rho):
     """Radial potential with i ddbar u equal to the base dz^dzbar term.
 
-    Closed form (k / 3 pi eps)(-log rho)^3 for kappa = 1; a radial ODE
-    fallback (|kappa| sampled on the positive real ray, scalar rho only)
-    handles other kappa when explicitly allowed.
+    Closed form (k / 3 pi eps)(-log rho)^3; defined for kappa = 1 only.
     """
     x = _as_rho(rho)
     if not np.all((0.0 < x) & (x < 1.0)):
         raise ValidationError("rho must satisfy 0 < rho < 1")
     p = cfg.params
-    if p.kappa_is_one():
-        return _like(rho, p.k / (3.0 * math.pi * p.eps) * (-np.log(x)) ** 3)
-    if not allow_ode:
-        raise ValidationError("non-trivial kappa needs allow_ode=True")
-    return _potential_ode(cfg, float(rho))
-
-
-def _potential_ode(cfg: GlueConfig, rho: float) -> float:
-    from scipy.integrate import solve_ivp
-
-    p = cfg.params
-    l0 = -math.log(cfg.rho_max)
-    target = -math.log(rho)
-
-    def rhs(big, y):
-        kap2 = abs(p.kappa_at(math.exp(-big))) ** 2
-        return [y[1], 2.0 * p.k * big * kap2 / (math.pi * p.eps)]
-
-    u0 = (p.k / (3.0 * math.pi * p.eps)) * l0 ** 3
-    du0 = (p.k / (math.pi * p.eps)) * l0 ** 2
-    sol = solve_ivp(rhs, (l0, target), [u0, du0], rtol=1e-10, atol=1e-12,
-                    dense_output=True)
-    if not sol.success:
-        raise NumericalError("radial potential ODE failed")
-    return float(sol.sol(target)[0])
+    if not p.kappa_is_one():
+        raise ValidationError("no closed-form potential for non-trivial kappa")
+    return _like(rho, p.k / (3.0 * math.pi * p.eps) * (-np.log(x)) ** 3)
 
 
 def u_zz(cfg: GlueConfig, rho):
@@ -240,27 +216,6 @@ def q_coefficient(cfg: GlueConfig, alpha: float, t: float, rho):
         q = np.where(glued, q + (alpha - 1.0) * bracket, q)
     q = np.where(x <= cfg.r, (alpha - 1.0) * uzz, q)
     return _like(rho, q)
-
-
-def glued_form_chart(cfg: GlueConfig, alpha: float, t: float, q: np.ndarray) -> np.ndarray:
-    """Glued 2-form at a chart point (ell, theta, x1, x2)."""
-    rho = math.exp(-float(q[0]))
-    m = sfm.sf_form_chart(cfg.params, q)
-    qc = q_coefficient(cfg, alpha, t, rho)
-    # i dz ^ dzbar = 2 |z|^2 dl ^ dtheta
-    m = m.copy()
-    m[0, 1] += 2.0 * rho ** 2 * qc
-    m[1, 0] -= 2.0 * rho ** 2 * qc
-    return m
-
-
-def cutoff_bounds_ok(cfg: GlueConfig, n: int = 400) -> bool:
-    """Derivative bounds s|psi_z| + s^2 |psi_zzbar| < c0 along the annulus."""
-    rho = np.linspace(cfg.r + cfg.s, cfg.r + 2.0 * cfg.s, n)
-    _, psi_p, psi_pp = cfg.cutoffs.psi(rho)
-    psi_z = 0.5 * np.abs(psi_p)
-    psi_zz = 0.25 * np.abs(psi_pp + psi_p / rho)
-    return bool(np.max(cfg.s * psi_z + cfg.s ** 2 * psi_zz) < cfg.c0)
 
 
 def required_t(cfg: GlueConfig, alpha: float, t_prime: float = 1.0) -> float:

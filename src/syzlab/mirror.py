@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import calabi as cal
-from . import semiflat as sfm
 from .errors import ValidationError
 
 
@@ -68,38 +67,3 @@ def mirror_map(k: int, tau: complex, m: int,
                       v_mirror=v_mirror, product=v_check * v_mirror,
                       sf_class=cls, exact=exact,
                       alpha_q_exact=alpha_q_exact, product_exact=product_exact)
-
-
-def duality_report(k: int, tau: complex, m: int,
-                   tau_exact: tuple[Fraction, Fraction] | None = None) -> dict:
-    """Combined rotation and mirror data, with the class pairing table.
-
-    tau is reduced to the fundamental domain for the rotation step; the
-    B-field slot of the mirror side is reported as an unevaluated vector of
-    the de Rham dimension 11 - k.
-    """
-    data = mirror_map(k, tau, m, tau_exact=tau_exact)
-    tau_red = cal.reduce_tau(tau)
-    model = cal.CalabiModel(k=k, tau=tau_red)
-    rot = cal.rotate(model)
-    p = rot.params
-
-    from . import fibration as fib
-
-    pairings = {"fiber": sfm.pair_closed_form(p, fib.FIBER)}
-    if rot.winding is not None:
-        m1, m2 = rot.winding
-        if m2 == 0:
-            m1 = 1
-        cyc = fib.CycleSpec(m1=m1, m2=m2)
-        pairings[f"C_{m1}_{m2}"] = sfm.pair_closed_form(p, cyc)
-    dims = sfm.moduli_dims(k)
-    return {
-        "mirror": data,
-        "rotation": rot,
-        "tau_reduced": tau_red,
-        "pairings": pairings,
-        "moduli_dims": dims,
-        "b_field": {"dim": dims[1], "evaluated": False,
-                    "components": [0.0] * dims[1]},
-    }

@@ -1,4 +1,4 @@
-"""Deterministic quadrature, decay fitting, root finding, eigen checks.
+"""Deterministic quadrature, decay fitting, root finding.
 
 Everything here is plain numerics with fixed evaluation order so repeated
 runs are bitwise reproducible regardless of how many worker threads the
@@ -215,25 +215,3 @@ def find_root(f, a: float, b: float, rel_tol: float = 1e-10,
         if abs(x1 - x0) <= rel_tol * max(abs(x1), 1.0):
             break
     return float(x1)
-
-
-def sym_min_eig(m: np.ndarray, tol: float = 1e-12) -> float:
-    """Smallest eigenvalue of a real symmetric matrix."""
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValidationError("matrix must be square")
-    scale = max(1.0, np.max(np.abs(m)))
-    if np.max(np.abs(m - m.T)) > tol * scale:
-        raise ValidationError("matrix is not symmetric")
-    return float(np.linalg.eigvalsh(m)[0])
-
-
-def herm_pos(h: np.ndarray, tol: float = 1e-12) -> bool:
-    """True when a Hermitian matrix is positive definite."""
-    h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValidationError("matrix must be square")
-    scale = max(1.0, np.max(np.abs(h)))
-    if np.max(np.abs(h - h.conj().T)) > tol * scale:
-        raise ValidationError("matrix is not Hermitian")
-    return bool(np.linalg.eigvalsh(h)[0] > 0.0)

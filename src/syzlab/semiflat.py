@@ -141,8 +141,8 @@ def sf_form(p: ModelParams, pt: fib.FiberPoint) -> np.ndarray:
     return sf_form_chart(p, chart_of(pt))
 
 
-def hermitian_matrix(p: ModelParams, pt: fib.FiberPoint, chart: str = "xy") -> np.ndarray:
-    """Hermitian coefficient matrix of the metric form in (x, y) or (x, z)."""
+def hermitian_matrix(p: ModelParams, pt: fib.FiberPoint) -> np.ndarray:
+    """Hermitian coefficient matrix of the metric form in (x, y)."""
     ell = pt.ell
     z = cmath.exp(-pt.y)
     kap2 = abs(p.kappa_at(z)) ** 2
@@ -151,13 +151,7 @@ def hermitian_matrix(p: ModelParams, pt: fib.FiberPoint, chart: str = "xy") -> n
     h_xx = w * p.eps / 2.0
     h_xy = -h_xx * np.conj(gam)
     h_yy = kap2 / (p.eps * w) + h_xx * abs(gam) ** 2
-    h = p.alpha * np.array([[h_xx, h_xy], [np.conj(h_xy), h_yy]], dtype=complex)
-    if chart == "xy":
-        return h
-    if chart == "xz":
-        jac = np.diag([1.0 + 0.0j, -1.0 / z])
-        return jac.conj().T @ h @ jac
-    raise ValidationError("chart must be 'xy' or 'xz'")
+    return p.alpha * np.array([[h_xx, h_xy], [np.conj(h_xy), h_yy]], dtype=complex)
 
 
 def holomorphic_volume_top(p: ModelParams, q: np.ndarray) -> float:
@@ -318,19 +312,6 @@ def pair_cycle(p: ModelParams, c: fib.CycleSpec, level: float = math.exp(-2.0 * 
         return restrict(sf_form_chart(p, point(t1, t2)), t_a, t_b)
 
     return float(quad_periodic(integrand, c.grid(n)).real)
-
-
-def rational_near_infinity(p: ModelParams) -> tuple[int, int] | None:
-    """(m1, m2) with 2*b0/k = -m2/m1 in lowest terms, m1 > 0.
-
-    Requires an exact rational b0; returns None in irrational sentinel mode.
-    """
-    if p.b0_irrational:
-        return None
-    if p.b0_exact is None:
-        raise ValidationError("rationality needs b0_exact or the irrational flag")
-    ratio = 2 * p.b0_exact / p.k
-    return (ratio.denominator, -ratio.numerator)
 
 
 def moduli_dims(k: int) -> tuple[int, int, int]:

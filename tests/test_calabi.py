@@ -162,16 +162,3 @@ class TestMckFibers:
     def test_wrong_slice_detected(self):
         sup_om, _ = cal.mck_restriction(MODELS[0], 0.4, 3.0, wrong_slice=True)
         assert sup_om > 1e-6
-
-
-class TestReduceTau:
-    def test_already_reduced(self):
-        assert cal.reduce_tau(1j) == 1j
-
-    def test_translation(self):
-        assert cal.reduce_tau(2.3 + 1.5j) == pytest.approx(0.3 + 1.5j)
-
-    def test_inversion(self):
-        red = cal.reduce_tau(0.1 + 0.2j)
-        assert abs(red) >= 1.0 - 1e-12
-        assert -0.5 - 1e-12 <= red.real < 0.5 + 1e-12

@@ -116,7 +116,7 @@ class TestExitCodes:
                                     "--no-timestamp")
         assert code == 1
         assert report is None
-        assert "non-trivial kappa needs allow_ode=True" in err
+        assert "non-trivial kappa" in err
 
     @pytest.mark.parametrize("argv", [
         ["positivity", "--r", "0.1", "--s", "0.02", "--v0c", "1",
@@ -165,6 +165,8 @@ class TestExitCodes:
         (["slag", "check", "--k", "1", "--ell", "1e308"], 2),
         (["slag", "geometry", "--k", "1", "--ell", "inf"], 1),
         (["slag", "geometry", "--k", "1", "--ell", "nan"], 1),
+        # every Monge-Ampere residual is NaN: the reduction must keep it
+        (["semiflat", "residual", "--k", "1", "--eps", "1e300", "--grid", "2"], 2),
     ])
     def test_numerical_breakdown_exit_codes(self, capsys, argv, code):
         assert cli.run(argv + ["--no-timestamp"]) == code
@@ -172,6 +174,18 @@ class TestExitCodes:
         assert out == ""
         assert "Traceback" not in err
         assert ("numerical failure" if code == 2 else "must be finite") in err
+
+    @pytest.mark.parametrize("argv", [
+        ["semiflat", "eval", "--k", "1", "--ell", "2", "--b0", "abc"],
+        ["semiflat", "classify-translation", "--k", "1", "--section-b", "x"],
+        ["semiflat", "eval", "--k", "1", "--ell", "2", "--b0", "1/0"],
+    ])
+    def test_unparseable_real_is_one(self, capsys, argv):
+        assert cli.run(argv + ["--no-timestamp"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "Traceback" not in err
+        assert "cannot parse real literal" in err
 
     def test_failed_check_is_three(self, capsys):
         # b0 = 0 with m2 = 1: C_{1,1} is not Lagrangian (sup 0.159 > 1e-10)

@@ -76,31 +76,6 @@ class TestMirrorMap:
 
 
 class TestDualityReport:
-    def test_full_report(self):
-        tau = complex(-0.5, 2.0)
-        rep = mirror.duality_report(5, tau, 2,
-                                    tau_exact=(Fraction(-1, 2), Fraction(2)))
-        assert rep["mirror"].product_exact == Fraction(1)
-        assert rep["rotation"].sf_class == cal.QUASI_REGULAR
-        assert rep["moduli_dims"] == (5, 6, 5)
-        assert rep["b_field"]["dim"] == 6
-        assert rep["b_field"]["evaluated"] is False
-        assert len(rep["b_field"]["components"]) == 6
-        # the rotated quasi-bad cycle is Lagrangian for the rotated form
-        names = set(rep["pairings"])
-        assert "fiber" in names
-        lag = [v for nm, v in rep["pairings"].items() if nm != "fiber"]
-        assert lag and all(abs(v) <= 1e-10 for v in lag)
-        assert rep["pairings"]["fiber"] == pytest.approx(
-            rep["rotation"].eps, rel=1e-12)
-
-    def test_reduction_applied(self):
-        # tau outside the fundamental domain is reduced before rotating
-        rep = mirror.duality_report(1, complex(2.5, 2.0), 1)
-        assert rep["tau_reduced"] != complex(2.5, 2.0)
-        red = cal.reduce_tau(complex(2.5, 2.0))
-        assert rep["tau_reduced"] == red
-
     def test_dims_consistency(self):
         for k in range(1, 10):
             sf_dim, h2_dim, hk_dim = sfm.moduli_dims(k)

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from syzlab.errors import ValidationError
-from syzlab.numerics import (DecayFit, Grid2, find_root, fit_decay, herm_pos,
-                             pairwise_sum, quad_periodic, sym_min_eig)
+from syzlab.numerics import (DecayFit, Grid2, find_root, fit_decay, pairwise_sum,
+                             quad_periodic)
 
 TWO_PI = 2.0 * math.pi
 
@@ -105,18 +105,3 @@ class TestFindRoot:
         f = lambda a: slope * (a - root)
         assert find_root(f, root - 1.0, root + 1.0) == pytest.approx(
             root, abs=1e-12)
-
-
-class TestEigHelpers:
-    def test_identity(self):
-        assert sym_min_eig(np.eye(4)) == pytest.approx(1.0)
-        assert herm_pos(np.eye(2))
-
-    def test_indefinite(self):
-        assert not herm_pos(np.diag([1.0, -1.0]).astype(complex))
-
-    def test_asymmetry_rejected(self):
-        m = np.eye(4)
-        m[0, 1] = 1e-6
-        with pytest.raises(ValidationError):
-            sym_min_eig(m)

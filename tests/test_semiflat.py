@@ -8,8 +8,7 @@ import pytest
 from syzlab import fibration as fib
 from syzlab import semiflat as sf
 from syzlab.errors import NumericalError, ValidationError
-from syzlab.forms import check_antisymmetric, i_half_a_wedge_abar
-from syzlab.numerics import herm_pos
+from syzlab.forms import i_half_a_wedge_abar
 
 TWO_PI = 2.0 * math.pi
 
@@ -50,7 +49,8 @@ class TestSfForm:
 
     def test_antisymmetric(self):
         p = sf.ModelParams(k=3, eps=0.3, b0=-0.25, alpha=1.4)
-        check_antisymmetric(sf.sf_form_chart(p, np.array([2.0, 0.1, 0.3, 0.7])))
+        m = sf.sf_form_chart(p, np.array([2.0, 0.1, 0.3, 0.7]))
+        assert np.allclose(m, -m.T)
 
     def test_positivity_sweep(self):
         for k in (1, 2, 3, 9):
@@ -58,8 +58,8 @@ class TestSfForm:
                 for b0 in (0.0, 0.25, -0.25, 2.0, -2.0):
                     p = sf.ModelParams(k=k, eps=eps, b0=b0)
                     for ell in (0.5, 5.0, 50.0):
-                        assert herm_pos(
-                            sf.hermitian_matrix(p, _pt(ell, 0.2, 0.1, 0.4)))
+                        h = sf.hermitian_matrix(p, _pt(ell, 0.2, 0.1, 0.4))
+                        assert np.linalg.eigvalsh(h)[0] > 0
 
     def test_scaling_linear_in_alpha(self):
         # whole-form scale: params with alpha equal alpha times alpha=1 form
@@ -230,7 +230,7 @@ class TestTranslatePullback:
         pt = _pt(3.0, 0.2, 0.1, 0.5)
         s = fib.SectionData(h={0: 0.3 + 0.2j, 1: 0.1}, a=0.5, b=0.25)
         pulled = sf.translate_pullback(p, s, pt)
-        check_antisymmetric(pulled)
+        assert np.allclose(pulled, -pulled.T)
 
     def test_cocycle(self):
         p = sf.ModelParams(k=1, eps=1.0)
@@ -286,18 +286,6 @@ class TestClassifyTranslation:
 
 
 class TestRationalAndDims:
-    def test_rational_near_infinity(self):
-        p = sf.ModelParams(k=1, eps=1.0, b0_exact=Fraction(0))
-        assert sf.rational_near_infinity(p) == (1, 0)
-        p = sf.ModelParams(k=1, eps=1.0, b0=-0.25, b0_exact=Fraction(-1, 4))
-        assert sf.rational_near_infinity(p) == (2, 1)
-        p = sf.ModelParams(k=3, eps=1.0, b0=1.5, b0_exact=Fraction(3, 2))
-        assert sf.rational_near_infinity(p) == (1, -1)
-
-    def test_irrational_sentinel(self):
-        p = sf.ModelParams(k=1, eps=1.0, b0=math.sqrt(2), b0_irrational=True)
-        assert sf.rational_near_infinity(p) is None
-
     def test_moduli_dims(self):
         assert sf.moduli_dims(1) == (9, 10, 9)
         assert sf.moduli_dims(9) == (1, 2, 1)
