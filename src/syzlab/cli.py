@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import math
 import re
@@ -22,19 +23,24 @@ from . import semiflat as sfm, slag
 from .errors import NumericalError, ValidationError
 
 _RATIONAL = re.compile(r"^[+-]?\d+(/\d+)?$")
-_COMPLEX = re.compile(r"^(?P<re>[+-]?[^+-]+)(?P<sign>[+-])(?P<im>[^+-]*)i$")
+# a component is a run without signs, except the sign of an exponent (1e-3)
+_PART = r"(?:[^+-]|(?<=[eE])[+-])"
+_COMPLEX = re.compile(rf"^(?:(?P<re>[+-]?{_PART}+)(?<![eE])(?=[+-]))?"
+                      rf"(?P<sign>[+-]?)(?P<im>{_PART}*)i$")
 
 
 def parse_complex(text: str) -> tuple[complex, tuple[Fraction, Fraction] | None]:
-    """Parse `a+bi` with decimal or rational (`p/q`) components.
+    """Parse `a+bi` or `bi` with decimal, exponent (`1e-1`) or rational
+    (`p/q`) components.
 
     Returns (value, exact) where exact carries Fractions when both parts
-    are written as integers or ratios (exact rational mode).
+    are written as integers or ratios (exact rational mode); a missing
+    real part is the integer 0.
     """
     m = _COMPLEX.match(text.strip().replace(" ", ""))
     if not m:
         raise ValidationError(f"cannot parse complex literal {text!r}; use a+bi")
-    re_s = m.group("re")
+    re_s = m.group("re") or "0"
     im_s = m.group("im") or "1"
     if m.group("sign") == "-":
         im_s = "-" + im_s
@@ -43,8 +49,7 @@ def parse_complex(text: str) -> tuple[complex, tuple[Fraction, Fraction] | None]
     except (ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"cannot parse complex literal {text!r}: {exc}")
     exact = None
-    if _RATIONAL.match(re_s) and _RATIONAL.match(im_s.lstrip("+-")) or \
-            _RATIONAL.match(re_s) and _RATIONAL.match(im_s):
+    if _RATIONAL.match(re_s) and _RATIONAL.match(im_s):
         exact = (Fraction(re_s), Fraction(im_s))
     return val, exact
 
@@ -342,7 +347,10 @@ def _add_glue(sp):
     sp.add_argument("--vomc", type=float, required=True)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parse_args returns a fresh
+    Namespace and _Parser.error raises, so no state carries between runs."""
     parser = _Parser(prog="syzlab", description=__doc__)
     common = _Parser(add_help=False)
     common.add_argument("--csv", type=str, default=None,

@@ -15,6 +15,7 @@ and omega^2 = alpha^2 * Omega ^ Omegabar holds with Omega = kappa dy ^ dx.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -325,30 +326,36 @@ def moduli_dims(k: int) -> tuple[int, int, int]:
 # curvature by finite differences
 
 
-def _stencil(q: np.ndarray, h: float) -> np.ndarray:
+def _stencil(q: np.ndarray, h: float | np.ndarray) -> np.ndarray:
     """q and its central-difference neighbours, shape (..., 2n+1, n).
 
-    Row 0 is q, row 1+a is q + h e_a and row 1+n+a is q - h e_a.  A step
-    too small to move some coordinate of q would give exactly zero
+    h is one step, or one step per point (shape q.shape[:-1]).  Row 0 is
+    q, row 1+a is q + h e_a and row 1+n+a is q - h e_a.  A step too small
+    to move some coordinate of its point would give exactly zero
     differences, so it raises NumericalError instead.
     """
     q = np.asarray(q, dtype=float)
-    if (q + h == q).any() or (q - h == q).any():
-        raise NumericalError(f"finite-difference step {h!r} does not move the point")
+    h = np.asarray(h, dtype=float)[..., None]
+    stuck = (q + h == q) | (q - h == q)
+    if stuck.any():
+        step = float(np.broadcast_to(h, q.shape)[stuck][0])
+        raise NumericalError(f"finite-difference step {step!r} does not move the point")
     base = q[..., None, :]
-    e = h * np.eye(q.shape[-1])
+    e = h[..., None] * np.eye(q.shape[-1])
     return np.concatenate((base, base + e, base - e), axis=-2)
 
 
-def christoffel_fd(gf, q: np.ndarray, h: float) -> np.ndarray:
+def christoffel_fd(gf, q: np.ndarray, h: float | np.ndarray) -> np.ndarray:
     """Christoffel symbols Gamma^a_{bc} of a metric function by central differences.
 
-    q has shape (..., n) and gf maps (..., n) points to (..., n, n)
-    metrics; the whole stencil of every point is one gf call.
+    q has shape (..., n), h is one step or one per point, and gf maps
+    (..., n) points to (..., n, n) metrics; the whole stencil of every
+    point is one gf call.
     """
     n = np.shape(q)[-1]
     g = gf(_stencil(q, h))
-    dg = (g[..., 1:n + 1, :, :] - g[..., n + 1:, :, :]) / (2.0 * h)
+    dg = (g[..., 1:n + 1, :, :] - g[..., n + 1:, :, :]) \
+        / (2.0 * np.asarray(h)[..., None, None, None])
     ginv = np.linalg.inv(g[..., 0, :, :])
     # Gamma^a_{bc} = 1/2 g^{ad} (d_b g_{dc} + d_c g_{bd} - d_d g_{bc})
     return 0.5 * np.einsum("...ad,...bdc->...abc", ginv,
@@ -356,15 +363,18 @@ def christoffel_fd(gf, q: np.ndarray, h: float) -> np.ndarray:
                            - np.einsum("...dbc->...bdc", dg))
 
 
-def riemann_fd(gf, q: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+def riemann_fd(gf, q: np.ndarray, h: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(R^a_{bcd}, g) of a metric function by nested central differences.
 
-    The Christoffel symbols on the stencil of q come from one
-    christoffel_fd call, i.e. one gf call on (2n+1)^2 points per q.
+    h is one step or one per point.  The Christoffel symbols on the
+    stencil of q come from one christoffel_fd call, i.e. one gf call on
+    (2n+1)^2 points per q.
     """
     n = np.shape(q)[-1]
-    gam = christoffel_fd(gf, _stencil(q, h), h)
-    dgam = (gam[..., 1:n + 1, :, :, :] - gam[..., n + 1:, :, :, :]) / (2.0 * h)
+    h = np.asarray(h, dtype=float)
+    gam = christoffel_fd(gf, _stencil(q, h), h[..., None])
+    dgam = (gam[..., 1:n + 1, :, :, :] - gam[..., n + 1:, :, :, :]) \
+        / (2.0 * h[..., None, None, None, None])
     gam = gam[..., 0, :, :, :]
     # R^a_{bcd} = d_c Gamma^a_{db} - d_d Gamma^a_{cb} + Gamma^a_{ce} Gamma^e_{db} - Gamma^a_{de} Gamma^e_{cb}
     riem = (np.einsum("...cadb->...abcd", dgam) - np.einsum("...dacb->...abcd", dgam)
@@ -373,35 +383,30 @@ def riemann_fd(gf, q: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
     return riem, gf(q)
 
 
-def curvature_norm(p: ModelParams, pt: fib.FiberPoint, h: float | None = None) -> float:
-    """Frobenius norm |Rm|_g of the semi-flat metric by central differences.
-
-    The step is scaled to the local injectivity radius, which shrinks like
-    1/ell in the collapsing fiber directions.
-    """
-    q = chart_of(pt)
-    if h is None:
-        h = 1e-2 * min(1.0, 10.0 / max(q[0], 1.0))
-
-    def gf(qq):
-        return riemannian_metric_chart(p, qq)
-
-    riem, g = riemann_fd(gf, q, h)
-    ginv = np.linalg.inv(g)
-    low = np.einsum("ae,ebcd->abcd", g, riem)
-    val = np.einsum("abcd,efgh,ae,bf,cg,dh->", low, low, ginv, ginv, ginv, ginv,
-                    optimize=True)
-    if val < -1e-8:
-        raise NumericalError("negative |Rm|^2 from finite differences")
-    return math.sqrt(max(val, 0.0))
-
-
 def curvature_decay(p: ModelParams, ell_samples: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, DecayFit]:
-    """|Rm| samples against distance r plus a power-law fit."""
+    """|Rm|_g samples on the zero section against distance r, with a power-law fit.
+
+    All samples are one riemann_fd call.  Each step is scaled to the local
+    injectivity radius, which shrinks like 1/ell in the collapsing fiber
+    directions.
+    """
     if ell_samples is None:
         ell_samples = np.linspace(5.0, 40.0, 10)
     ells = np.asarray(ell_samples, dtype=float)
-    vals = np.array([curvature_norm(p, fib.from_ell(0.0j, ell)) for ell in ells])
+    q = np.zeros(ells.shape + (4,))
+    q[..., 0] = ells
+    h = 1e-2 * np.minimum(1.0, 10.0 / np.maximum(ells, 1.0))
+    riem, g = riemann_fd(functools.partial(riemannian_metric_chart, p), q, h)
+    ginv = np.linalg.inv(g)
+    # |Rm|^2 = R_{abcd} R^{abcd}: lower the first index, raise the other three
+    low = np.einsum("...ae,...ebcd->...abcd", g, riem)
+    up = riem
+    for _ in range(3):
+        up = np.moveaxis(up @ ginv[..., None, None, :, :], -1, -3)
+    val = np.sum(low * up, axis=(-4, -3, -2, -1))
+    if (val < -1e-8).any():
+        raise NumericalError("negative |Rm|^2 from finite differences")
+    vals = np.sqrt(np.maximum(val, 0.0))
     r = np.array([distance_r(p, ell) for ell in ells])
     fit = fit_decay(r, vals, model="power")
     return r, vals, fit

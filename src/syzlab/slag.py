@@ -7,6 +7,7 @@ B = alpha*2*pi*eps/(k*ell), so A*B = 2*alpha^2 independently of ell.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -111,40 +112,51 @@ class SecondFF:
     gauss_residual: float
 
 
+def _frame(mf: ModelFiber, t1: float, t2: float, offset: float):
+    """(chart point at (t1, t2), 4 x 2 tangent frame, finite-difference step,
+    chart point at (0, 0)) of the lifted cycle."""
+    point, t_a, t_b = mf.cycle.lift(mf.params.k, mf.ell, offset)
+    h = 2e-3 * min(1.0, 10.0 / max(mf.ell, 1.0))
+    return point(t1, t2), np.stack((t_a, t_b), axis=1), h, point(0.0, 0.0)
+
+
+def _fundamental_forms(gf, q: np.ndarray, tan: np.ndarray, h: float | np.ndarray):
+    """II, |II|^2 and |H|^2 of surfaces with constant chart tangents, batched.
+
+    gf is the ambient metric function, q has shape (..., 4), tan
+    (..., 4, 2) and h is one step or one per point; the Christoffel
+    symbols of every point are one christoffel_fd call.  Returns
+    (II (..., 4, 2, 2), |II|^2, |H|^2, g, induced metric).
+    """
+    tan_t = np.swapaxes(tan, -1, -2)
+    g = gf(q)
+    hin = tan_t @ g @ tan
+    hinv = np.linalg.inv(hin)
+    proj_n = np.eye(4) - tan @ hinv @ tan_t @ g
+    gam = sf.christoffel_fd(gf, q, h)
+    # nabla_{T_i} T_j, coordinate-constant tangent components
+    nab = np.einsum("...ci,...bj,...acb->...aij", tan, tan, gam)
+    second = np.einsum("...na,...aij->...nij", proj_n, nab)
+    pi_sq = np.einsum("...nij,...mkl,...ik,...jl,...nm->...",
+                      second, second, hinv, hinv, g)
+    mean = np.einsum("...nij,...ij->...n", second, hinv)
+    h_sq = np.einsum("...n,...nm,...m->...", mean, g, mean)
+    if (pi_sq < -1e-10).any() or (h_sq < -1e-10).any():
+        raise NumericalError("negative squared norm in second fundamental form")
+    return second, pi_sq, h_sq, g, hin
+
+
 def second_fundamental_form(mf: ModelFiber, t1: float = 0.2, t2: float = 0.7,
-                            offset: float = 0.0, h: float | None = None) -> SecondFF:
+                            offset: float = 0.0) -> SecondFF:
     """|II|, |H| and a Gauss-equation residual at a point of the cycle.
 
     Gauss: K_intrinsic = K_ambient(T1,T2) + (<II_11,II_22> - |II_12|^2)
     after normalizing by the induced area element.
     """
     p = mf.params
-    point, t_a, t_b = mf.cycle.lift(p.k, mf.ell, offset)
-    q = point(t1, t2)
-    if h is None:
-        h = 2e-3 * min(1.0, 10.0 / max(mf.ell, 1.0))
-
-    def gf(qq):
-        return sf.riemannian_metric_chart(p, qq)
-
-    tan = np.stack((t_a, t_b), axis=1)  # 4 x 2
-    g = gf(q)
-    hin = tan.T @ g @ tan
-    hinv = np.linalg.inv(hin)
-    proj_t = tan @ hinv @ tan.T @ g
-    proj_n = np.eye(4) - proj_t
-
-    gam = sf.christoffel_fd(gf, q, h)
-    # nabla_{T_i} T_j, coordinate-constant tangent components
-    nab = np.einsum("ci,bj,acb->aij", tan, tan, gam)
-    second = np.einsum("na,aij->nij", proj_n, nab)
-
-    pi_sq = np.einsum("nij,mkl,ik,jl,nm->", second, second, hinv, hinv, g)
-    mean = np.einsum("nij,ij->n", second, hinv)
-    h_sq = float(mean @ g @ mean)
-    if pi_sq < -1e-10 or h_sq < -1e-10:
-        raise NumericalError("negative squared norm in second fundamental form")
-
+    q, tan, h, origin = _frame(mf, t1, t2, offset)
+    gf = functools.partial(sf.riemannian_metric_chart, p)
+    second, pi_sq, h_sq, g, hin = _fundamental_forms(gf, q, tan, h)
     riem, _ = sf.riemann_fd(gf, q, h)
     low = np.einsum("ae,ebcd->abcd", g, riem)
     area_sq = float(np.linalg.det(hin))
@@ -154,7 +166,7 @@ def second_fundamental_form(mf: ModelFiber, t1: float = 0.2, t2: float = 0.7,
                - float(second[:, 0, 1] @ g @ second[:, 0, 1])) / area_sq
 
     def induced(tt):
-        return tan.T @ gf(point(0.0, 0.0) + tt @ tan.T) @ tan
+        return tan.T @ gf(origin + tt @ tan.T) @ tan
 
     riem2, h2 = sf.riemann_fd(induced, np.array([t1, t2]), h)
     low2 = np.einsum("ae,ebcd->abcd", h2, riem2)
@@ -168,13 +180,21 @@ def second_fundamental_form(mf: ModelFiber, t1: float = 0.2, t2: float = 0.7,
 
 def pi_decay(p: sf.ModelParams, cycle: fib.CycleSpec,
              ell_samples: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, DecayFit]:
-    """|II| samples against distance r, with a power-law fit (expect ~ -1)."""
+    """|II| samples against distance r, with a power-law fit (expect ~ -1).
+
+    Every sample sits at the point and step second_fundamental_form uses,
+    and all of them are one christoffel_fd call.
+    """
     if ell_samples is None:
         ell_samples = np.linspace(5.0, 40.0, 10)
     ells = np.asarray(ell_samples, dtype=float)
-    vals = np.array([
-        second_fundamental_form(ModelFiber(p, cycle, ell)).pi_norm for ell in ells
-    ])
+    if ells.size < 3:
+        raise ValidationError("need at least 3 samples")
+    frames = [_frame(ModelFiber(p, cycle, ell), 0.2, 0.7, 0.0) for ell in ells]
+    q, tan, h, _ = (np.array(v) for v in zip(*frames))
+    pi_sq = _fundamental_forms(functools.partial(sf.riemannian_metric_chart, p),
+                               q, tan, h)[1]
+    vals = np.sqrt(np.maximum(pi_sq, 0.0))
     r = np.array([sf.distance_r(p, ell) for ell in ells])
     fit = fit_decay(r, vals, model="power")
     return r, vals, fit

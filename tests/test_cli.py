@@ -2,7 +2,10 @@ import json
 import math
 import pathlib
 import re
+import os
 import shlex
+import subprocess
+import sys
 from fractions import Fraction
 
 import jsonschema
@@ -38,8 +41,28 @@ class TestParsing:
         assert val == complex(1.5, 2.5)
         assert exact is None
 
+    @pytest.mark.parametrize("text,value", [
+        ("1e-1+2i", complex(0.1, 2.0)),
+        ("1e-1-2.5E-3i", complex(0.1, -0.0025)),
+        ("-3e2+1e+1i", complex(-300.0, 10.0)),
+        ("0+1e300i", complex(0.0, 1e300)),
+    ])
+    def test_complex_exponent_notation(self, text, value):
+        assert cli.parse_complex(text) == (value, None)
+
+    @pytest.mark.parametrize("text,value,exact", [
+        ("2i", 2j, (Fraction(0), Fraction(2))),
+        ("-2i", -2j, (Fraction(0), Fraction(-2))),
+        ("-3/4i", -0.75j, (Fraction(0), Fraction(-3, 4))),
+        ("2.5i", 2.5j, None),
+        ("1e-1i", 0.1j, None),
+    ])
+    def test_complex_pure_imaginary(self, text, value, exact):
+        assert cli.parse_complex(text) == (value, exact)
+
     def test_complex_rejects_garbage(self):
-        for text in ("abc", "2i", "1+2", "1+i+3"):
+        for text in ("abc", "1+2", "1+i+3", "1e-+2i", "1+-2i", "2ii",
+                     "1e-1e-1+2i", "1+2j", ""):
             with pytest.raises(ValidationError):
                 cli.parse_complex(text)
 
@@ -242,6 +265,42 @@ class TestCommands:
             "--no-timestamp")
         assert code == 0
         assert report["results"]["margin"] > 0
+
+
+class TestCachedParser:
+    # one process, one parser: every report must equal a fresh process's
+    ARGV = (
+        ["semiflat", "residual", "--k", "1", "--grid", "4"],
+        ["semiflat", "residual", "--k", "1"],
+        ["semiflat", "residual", "--k", "1", "--grid", "2"],
+        ["semiflat", "eval", "--k", "1", "--ell", "2.0", "--bogus", "1"],
+        ["slag", "check", "--k", "1", "--cycle", "1,1"],
+        ["slag", "pi-decay", "--k", "1", "--cycle", "1,0", "--csv", "{csv}"],
+        ["hkrot", "--k", "1", "--tau", "-1/2+2i"],
+        ["hkrot", "--k", "1", "--tau", "2i"],
+    )
+
+    def test_reports_match_fresh_processes(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setenv("COLUMNS", "80")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+        codes = set()
+        for i, template in enumerate(self.ARGV):
+            argv = [a.format(csv=tmp_path / f"{i}.csv") for a in template]
+            argv.append("--no-timestamp")
+            code = cli.run(argv)
+            captured = capsys.readouterr()
+            csv = (tmp_path / f"{i}.csv").read_text() if "--csv" in argv else None
+            fresh = subprocess.run([sys.executable, "-m", "syzlab.cli", *argv],
+                                   capture_output=True, text=True, env=env,
+                                   timeout=60)
+            assert (code, captured.out, captured.err) == \
+                (fresh.returncode, fresh.stdout, fresh.stderr), argv
+            if csv is not None:
+                assert (tmp_path / f"{i}.csv").read_text() == csv
+            codes.add(code)
+        assert codes == {0, 1, 3}
 
 
 class TestCsv:

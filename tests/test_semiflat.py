@@ -309,6 +309,29 @@ class TestCurvature:
         _, _, fit = sf.curvature_decay(p)
         assert -2.15 <= fit.exponent <= -1.85
 
+    @pytest.mark.parametrize("p", [
+        sf.ModelParams(k=1, eps=1.0),
+        sf.ModelParams(k=2, eps=0.7, b0=0.25, kappa={0: 1.0, 1: 0.5}),
+    ])
+    def test_batched_sweep_matches_per_point_evaluation(self, p):
+        ells = np.array([2.0, 5.0, 12.5, 40.0])
+        r, vals, _ = sf.curvature_decay(p, ells)
+        for ell, ri, val in zip(ells, r, vals):
+            h = 1e-2 * min(1.0, 10.0 / ell)
+            riem, g = sf.riemann_fd(lambda qq: sf.riemannian_metric_chart(p, qq),
+                                    np.array([ell, 0.0, 0.0, 0.0]), h)
+            ginv = np.linalg.inv(g)
+            low = np.einsum("ae,ebcd->abcd", g, riem)
+            ref = math.sqrt(np.einsum("abcd,efgh,ae,bf,cg,dh->", low, low,
+                                      ginv, ginv, ginv, ginv, optimize=True))
+            assert val == pytest.approx(ref, rel=1e-12, abs=0.0)
+            assert ri == sf.distance_r(p, ell)
+
+    def test_one_stuck_point_fails_the_sweep(self):
+        # the step 1e-309 at ell = 1e308 leaves ell unchanged
+        with pytest.raises(NumericalError, match="does not move"):
+            sf.curvature_decay(sf.ModelParams(k=1), np.array([5.0, 10.0, 1e308]))
+
 
 def _sphere_metric(q):
     """Round unit 2-sphere in (theta, phi): g = diag(1, sin^2 theta), on (..., 2)."""
@@ -361,6 +384,15 @@ class TestFiniteDifferences:
         assert np.array_equal(gam[..., 1, 1, 0], gam[..., 1, 0, 1])
         assert np.allclose(gam[..., 0, 0, 0], 0.0, atol=1e-12)
 
+    def test_one_step_per_point(self):
+        q = np.array([[0.4, 0.6], [1.3, 0.6], [2.2, -0.1]])
+        h = np.array([1e-3, 4e-3, 2e-2])
+        gam = sf.christoffel_fd(_sphere_metric, q, h)
+        riem, _ = sf.riemann_fd(_sphere_metric, q, h)
+        for i in range(len(q)):
+            assert np.array_equal(gam[i], sf.christoffel_fd(_sphere_metric, q[i], h[i]))
+            assert np.array_equal(riem[i], sf.riemann_fd(_sphere_metric, q[i], h[i])[0])
+
     @pytest.mark.parametrize("theta", [0.5, 1.1, 2.4])
     def test_sphere_gaussian_curvature_is_one(self, theta):
         riem, g = sf.riemann_fd(_sphere_metric, np.array([theta, 0.3]), self.H)
@@ -392,6 +424,8 @@ class TestFiniteDifferences:
         # at a power of two only one side rounds back onto the point
         (np.array([1.0, 0.5]), 0.3 * 2.0 ** -52),
         (np.array([-1.0, 0.5]), 0.3 * 2.0 ** -52),
+        # one step per point, one of them zero
+        (np.array([[1.0, 0.5], [2.0, 0.5]]), np.array([1e-3, 0.0])),
     ])
     def test_step_that_does_not_move_the_point_fails(self, q, h):
         for fd in (sf.christoffel_fd, sf.riemann_fd):

@@ -8,7 +8,7 @@ import pytest
 from syzlab import fibration as fib
 from syzlab import semiflat as sf
 from syzlab import slag
-from syzlab.errors import ValidationError
+from syzlab.errors import NumericalError, ValidationError
 from syzlab.forms import wedge_11
 from syzlab.numerics import fit_decay
 
@@ -137,6 +137,24 @@ class TestSecondFundamentalForm:
         _, _, fit = slag.pi_decay(STD, C10)
         assert -1.15 <= fit.exponent <= -0.85
         assert fit.r_squared >= 0.99
+
+    @pytest.mark.parametrize("p,cycle", [
+        (STD, C10),
+        (sf.ModelParams(k=2, eps=0.7, b0=-0.25, kappa={0: 1.0, 1: 0.5}),
+         fib.CycleSpec(m1=2, m2=1)),
+    ])
+    def test_pi_decay_matches_second_fundamental_form(self, p, cycle):
+        ells = np.array([2.0, 5.0, 12.5, 40.0])
+        r, vals, _ = slag.pi_decay(p, cycle, ells)
+        for ell, ri, val in zip(ells, r, vals):
+            ff = slag.second_fundamental_form(slag.ModelFiber(p, cycle, ell))
+            assert val == pytest.approx(ff.pi_norm, rel=1e-12, abs=0.0)
+            assert ri == sf.distance_r(p, ell)
+
+    def test_one_stuck_point_fails_the_sweep(self):
+        # the step 2e-311 at ell = 1e308 leaves ell unchanged
+        with pytest.raises(NumericalError, match="does not move"):
+            slag.pi_decay(STD, C10, np.array([5.0, 10.0, 1e308]))
 
 
 class TestNoncollapse:
