@@ -210,7 +210,7 @@ class RotationResult:
 
     alpha and eps are the scale and fiber-area parameters in the convention
     omega_tau = alpha * omega_sf(b0, eps/alpha); params holds the equivalent
-    ModelParams for sf_form, whose eps field therefore stores eps/alpha.
+    ModelParams for sf_form_chart, whose eps field therefore stores eps/alpha.
     """
 
     alpha: float

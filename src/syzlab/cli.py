@@ -119,8 +119,7 @@ def _cmd_semiflat_eval(args):
     form = sfm.sf_form_chart(p, q)
     g = sfm.riemannian_metric_chart(p, q)
     eigs = np.linalg.eigvalsh(g)
-    pt = fib.from_ell(complex(args.x1, args.x2), args.ell, args.theta)
-    _, rel = sfm.ma_residual(p, pt)
+    _, rel = sfm.ma_residual(p, q)
     results = {"form": form.tolist(), "metric": g.tolist(),
                "metric_eigenvalues": eigs.tolist()}
     checks = [_tol_check("ma_residual_rel", rel, 1e-10),
@@ -130,13 +129,12 @@ def _cmd_semiflat_eval(args):
 
 def _cmd_semiflat_residual(args):
     p = _params_from(args)
-    rng = np.random.default_rng(20260826)
-    rels = []
-    for _ in range(args.grid ** 2):
-        ell = rng.uniform(0.5, 50.0)
-        pt = fib.from_ell(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
-                          ell, rng.uniform(0.0, 2.0 * math.pi))
-        rels.append(sfm.ma_residual(p, pt)[1])
+    # row i holds the draws of sample i in the order ell, x1, x2, theta, each
+    # scaled as rng.uniform(lo, hi) scales, lo + (hi - lo) * u
+    u = np.random.default_rng(20260826).random((args.grid ** 2, 4))
+    lo, hi = np.array([0.5, -1.0, -1.0, 0.0]), np.array([50.0, 1.0, 1.0, 2.0 * math.pi])
+    ell, x1, x2, theta = (lo + (hi - lo) * u).T
+    rels = sfm.ma_residual(p, np.stack((ell, theta, x1, x2), axis=-1))[1]
     # np.max carries a NaN residual through; the builtin max drops it
     worst = float(np.max(rels))
     results = {"max_rel_residual": worst, "samples": args.grid ** 2}
@@ -511,9 +509,11 @@ def run(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return 1
-    except (ArithmeticError, np.linalg.LinAlgError) as exc:
+    except (ArithmeticError, np.linalg.LinAlgError, MemoryError) as exc:
         # ArithmeticError covers NumericalError and overflow, zero division
-        # and floating-point errors raised by the standard library
+        # and floating-point errors raised by the standard library; a sample
+        # array too large to allocate (semiflat residual --grid 100000)
+        # raises MemoryError
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     sys.stdout.write(text + "\n")

@@ -27,16 +27,17 @@ def i_half_a_wedge_abar(a: np.ndarray) -> np.ndarray:
     return -np.imag(np.outer(a, np.conj(a)))
 
 
-def pfaffian4(m: np.ndarray) -> float:
-    """Pfaffian of an antisymmetric 4x4 matrix.
+def pfaffian4(m: np.ndarray) -> np.ndarray:
+    """Pfaffian of antisymmetric 4x4 matrices of shape (..., 4, 4).
 
     omega ^ omega = 2 * Pf(M) * e^0123 for omega = sum_{a<b} M_ab e^a e^b.
     """
-    return float(m[0, 1] * m[2, 3] - m[0, 2] * m[1, 3] + m[0, 3] * m[1, 2])
+    return (m[..., 0, 1] * m[..., 2, 3] - m[..., 0, 2] * m[..., 1, 3]
+            + m[..., 0, 3] * m[..., 1, 2])
 
 
-def top_coeff(m: np.ndarray) -> float:
-    """Coefficient of e^0^e^1^e^2^e^3 in omega^omega."""
+def top_coeff(m: np.ndarray) -> np.ndarray:
+    """Coefficient of e^0^e^1^e^2^e^3 in omega^omega, over (..., 4, 4)."""
     return 2.0 * pfaffian4(m)
 
 
@@ -54,10 +55,10 @@ def restrict(m: np.ndarray, t1: np.ndarray, t2: np.ndarray) -> float:
 
 
 def pullback_2form(m: np.ndarray, jac: np.ndarray) -> np.ndarray:
-    """Pull back a 2-form matrix under a map with Jacobian jac.
+    """Pull back 2-form matrices of shape (..., 4, 4) under Jacobians jac.
 
     If phi has Jacobian J = d(target)/d(source), the pullback of omega is
     J^T M J in source coordinates.
     """
     jac = np.asarray(jac)
-    return jac.T @ np.asarray(m) @ jac
+    return np.swapaxes(jac, -1, -2) @ np.asarray(m) @ jac

@@ -19,10 +19,10 @@ REL_TOL = 1e-8
 
 @dataclass(frozen=True)
 class Grid2:
-    """Uniform tensor grid on [a1,b1) x [a2,b2), periodic by default.
+    """Uniform periodic tensor grid on [a1,b1) x [a2,b2).
 
-    Periodic directions use the rectangle rule on nodes without the
-    duplicated endpoint, which is spectrally accurate for smooth periodic
+    Nodes omit the duplicated endpoint and carry equal weights (the
+    rectangle rule), which is spectrally accurate for smooth periodic
     integrands and exact for trigonometric polynomials of degree < n.
     """
 
@@ -30,8 +30,6 @@ class Grid2:
     n2: int
     box1: tuple[float, float] = (0.0, 1.0)
     box2: tuple[float, float] = (0.0, 1.0)
-    periodic1: bool = True
-    periodic2: bool = True
 
     def __post_init__(self):
         if self.n1 < 4 or self.n2 < 4:
@@ -41,33 +39,19 @@ class Grid2:
 
     def nodes1(self) -> np.ndarray:
         a, b = self.box1
-        if self.periodic1:
-            return a + (b - a) * np.arange(self.n1) / self.n1
-        return np.linspace(a, b, self.n1)
+        return a + (b - a) * np.arange(self.n1) / self.n1
 
     def nodes2(self) -> np.ndarray:
         a, b = self.box2
-        if self.periodic2:
-            return a + (b - a) * np.arange(self.n2) / self.n2
-        return np.linspace(a, b, self.n2)
+        return a + (b - a) * np.arange(self.n2) / self.n2
 
     def weights1(self) -> np.ndarray:
         a, b = self.box1
-        if self.periodic1:
-            return np.full(self.n1, (b - a) / self.n1)
-        w = np.full(self.n1, (b - a) / (self.n1 - 1))
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        return w
+        return np.full(self.n1, (b - a) / self.n1)
 
     def weights2(self) -> np.ndarray:
         a, b = self.box2
-        if self.periodic2:
-            return np.full(self.n2, (b - a) / self.n2)
-        w = np.full(self.n2, (b - a) / (self.n2 - 1))
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        return w
+        return np.full(self.n2, (b - a) / self.n2)
 
 
 def pairwise_sum(values: np.ndarray):

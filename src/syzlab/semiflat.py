@@ -93,11 +93,6 @@ class ModelParams:
         return all(c == 0 for p, c in self.kappa.items() if p != 0)
 
 
-def chart_of(pt: fib.FiberPoint) -> np.ndarray:
-    """(ell, theta, x1, x2) coordinates of a fiber point."""
-    return np.array([pt.ell, pt.theta, pt.x.real, pt.x.imag])
-
-
 def w_factor(p: ModelParams, ell: float) -> float:
     return TWO_PI / (p.k * ell)
 
@@ -138,36 +133,33 @@ def sf_form_chart(p: ModelParams, q: np.ndarray) -> np.ndarray:
     return m.transpose(*range(2, m.ndim), 0, 1)
 
 
-def sf_form(p: ModelParams, pt: fib.FiberPoint) -> np.ndarray:
-    return sf_form_chart(p, chart_of(pt))
-
-
-def hermitian_matrix(p: ModelParams, pt: fib.FiberPoint) -> np.ndarray:
-    """Hermitian coefficient matrix of the metric form in (x, y)."""
-    ell = pt.ell
-    z = cmath.exp(-pt.y)
-    kap2 = abs(p.kappa_at(z)) ** 2
+def hermitian_matrix(p: ModelParams, q: np.ndarray) -> np.ndarray:
+    """Hermitian coefficient matrix of the metric form in (x, y) at a chart point."""
+    ell, th, x1, x2 = (float(v) for v in q)
+    y = complex(ell, th)
+    kap2 = abs(p.kappa_at(cmath.exp(-y))) ** 2
     w = w_factor(p, ell)
-    gam = gamma(p, pt.x, pt.y)
+    gam = gamma(p, complex(x1, x2), y)
     h_xx = w * p.eps / 2.0
     h_xy = -h_xx * np.conj(gam)
     h_yy = kap2 / (p.eps * w) + h_xx * abs(gam) ** 2
     return p.alpha * np.array([[h_xx, h_xy], [np.conj(h_xy), h_yy]], dtype=complex)
 
 
-def holomorphic_volume_top(p: ModelParams, q: np.ndarray) -> float:
-    """Chart-volume coefficient of Omega ^ Omegabar, Omega = kappa dy ^ dx."""
-    ell, th = float(q[0]), float(q[1])
-    z = cmath.exp(-(ell + 1j * th))
-    return 4.0 * abs(p.kappa_at(z)) ** 2
+def holomorphic_volume_top(p: ModelParams, q: np.ndarray) -> np.ndarray:
+    """Chart-volume coefficient of Omega ^ Omegabar, Omega = kappa dy ^ dx,
+    at chart points q of shape (..., 4)."""
+    q = np.asarray(q, dtype=float)
+    kap = p.kappa_at(np.exp(-(q[..., 0] + 1j * q[..., 1])))
+    return 4.0 * np.abs(kap) ** 2
 
 
-def ma_residual(p: ModelParams, pt: fib.FiberPoint) -> tuple[float, float]:
-    """(absolute, relative) Monge-Ampere defect omega^2 - alpha^2 Omega^Omegabar."""
-    q = chart_of(pt)
+def ma_residual(p: ModelParams, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(absolute, relative) Monge-Ampere defect omega^2 - alpha^2 Omega^Omegabar
+    at chart points q of shape (..., 4)."""
     lhs = top_coeff(sf_form_chart(p, q))
     rhs = p.alpha ** 2 * holomorphic_volume_top(p, q)
-    return abs(lhs - rhs), abs(lhs - rhs) / abs(rhs)
+    return np.abs(lhs - rhs), np.abs(lhs - rhs) / np.abs(rhs)
 
 
 def riemannian_metric_chart(p: ModelParams, q: np.ndarray) -> np.ndarray:
@@ -180,50 +172,44 @@ def riemannian_metric_chart(p: ModelParams, q: np.ndarray) -> np.ndarray:
     return 0.5 * (g + gt)
 
 
-def riemannian_metric(p: ModelParams, pt: fib.FiberPoint) -> np.ndarray:
-    return riemannian_metric_chart(p, chart_of(pt))
-
-
-def two_form_norm(g: np.ndarray, s: np.ndarray) -> float:
-    """Pointwise norm |s|_g of a 2-form, |s|^2 = (1/2) s_ab s_cd g^ac g^bd."""
-    ginv = np.linalg.inv(g)
-    val = 0.5 * np.einsum("ab,cd,ac,bd->", s, s, ginv, ginv)
-    if val < -1e-12:
-        raise NumericalError("negative squared norm")
-    return math.sqrt(max(val, 0.0))
-
-
 # ---------------------------------------------------------------------------
 # translations by sections
 
 
-def translate_point(s: fib.SectionData, pt: fib.FiberPoint) -> fib.FiberPoint:
-    """T_s(x, z) = (x + eta(z), z) on the fixed branch."""
-    eta = fib.section_eval_y(s, pt.y)
-    return fib.FiberPoint(x=pt.x + eta, z=pt.z, branch=pt.branch)
+def translate_pullback(p: ModelParams, s: fib.SectionData, q: np.ndarray) -> np.ndarray:
+    """Pullback T_s^* (alpha * omega_sf) at chart points q of shape (..., 4).
 
-
-def translate_pullback(p: ModelParams, s: fib.SectionData, pt: fib.FiberPoint) -> np.ndarray:
-    """Pullback T_s^* (alpha * omega_sf) at pt, via the chain rule.
-
-    The map in chart coordinates is (ell, theta, x1, x2) ->
-    (ell, theta, x1 + Re eta, x2 + Im eta) with eta a function of
-    y = ell + i*theta only.
+    T_s(x, y) = (x + eta(y), y) with eta the section value, a function of
+    y = ell + i*theta only, so in the chart the Jacobian is the identity
+    plus the real form of d eta/dy in the (x1, x2) rows.
     """
-    eta_y = fib.section_dy(s, pt.y)
-    target = translate_point(s, pt)
-    jac = np.eye(4)
-    jac[2, 0] = eta_y.real
-    jac[2, 1] = -eta_y.imag
-    jac[3, 0] = eta_y.imag
-    jac[3, 1] = eta_y.real
-    return pullback_2form(sf_form(p, target), jac)
+    q = np.asarray(q, dtype=float)
+    y = q[..., 0] + 1j * q[..., 1]
+    eta = fib.section_eval_y(s, y)
+    eta_y = fib.section_dy(s, y)
+    target = q.copy()
+    target[..., 2] += eta.real
+    target[..., 3] += eta.imag
+    jac = np.broadcast_to(np.eye(4), q.shape + (4,)).copy()
+    jac[..., 2, 0] = eta_y.real
+    jac[..., 2, 1] = -eta_y.imag
+    jac[..., 3, 0] = eta_y.imag
+    jac[..., 3, 1] = eta_y.real
+    return pullback_2form(sf_form_chart(p, target), jac)
 
 
-def translation_defect(p: ModelParams, s: fib.SectionData, pt: fib.FiberPoint) -> float:
-    """|T_s^* omega - omega|_g at pt."""
-    diff = translate_pullback(p, s, pt) - sf_form(p, pt)
-    return two_form_norm(riemannian_metric(p, pt), diff)
+def translation_defect(p: ModelParams, s: fib.SectionData, q: np.ndarray) -> np.ndarray:
+    """|T_s^* omega - omega|_g at chart points q of shape (..., 4).
+
+    |d|_g^2 = (1/2) d_ab d_cd g^ac g^bd, the entrywise product of d with
+    ginv @ d @ ginv.
+    """
+    d = translate_pullback(p, s, q) - sf_form_chart(p, q)
+    ginv = np.linalg.inv(riemannian_metric_chart(p, q))
+    val = 0.5 * np.sum(d * (ginv @ d @ ginv), axis=(-2, -1))
+    if (val < -1e-12).any():
+        raise NumericalError("negative squared norm")
+    return np.sqrt(np.maximum(val, 0.0))
 
 
 def distance_r(p: ModelParams, ell: float) -> float:
@@ -258,9 +244,9 @@ def classify_translation(p: ModelParams, s: fib.SectionData,
     ells = np.asarray(ell_samples, dtype=float)
     if ells.size < 3 or np.any(np.diff(ells) <= 0) or ells[0] <= 0:
         raise ValidationError("ell samples must be >= 3, positive, increasing")
-    vals = np.array([
-        translation_defect(p, s, fib.from_ell(x_probe, ell)) for ell in ells
-    ])
+    x = complex(x_probe)
+    q = np.stack(np.broadcast_arrays(ells, 0.0, x.real, x.imag), axis=-1)
+    vals = translation_defect(p, s, q)
     if not np.all(np.isfinite(vals)):
         raise NumericalError("non-finite translation defect")
     r = np.array([distance_r(p, ell) for ell in ells])
@@ -302,12 +288,10 @@ def pair_closed_form(p: ModelParams, c: fib.CycleSpec) -> float:
     return (c.m1 * 2.0 * p.b0 / p.k + c.m2) * p.eps * p.alpha
 
 
-def pair_cycle(p: ModelParams, c: fib.CycleSpec, level: float = math.exp(-2.0 * math.pi),
-               n: int = 64) -> float:
-    """Pairing by quadrature of the restricted form over the cycle on c.grid(n)."""
-    if not (0.0 < level < 1.0):
-        raise ValidationError("level must satisfy 0 < level < 1")
-    point, t_a, t_b = c.lift(p.k, -math.log(level))
+def pair_cycle(p: ModelParams, c: fib.CycleSpec, n: int = 64) -> float:
+    """Pairing by quadrature of the restricted form over the cycle on c.grid(n),
+    at base radius e^{-2*pi}."""
+    point, t_a, t_b = c.lift(p.k, TWO_PI)
 
     def integrand(t1, t2):
         return restrict(sf_form_chart(p, point(t1, t2)), t_a, t_b)

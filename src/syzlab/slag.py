@@ -83,17 +83,16 @@ def lambda1_rayleigh(a: float, b: float, n: int = 64) -> float:
     return best
 
 
-def check_special(mf: ModelFiber, n: int = 32,
-                  offset: float = 0.0) -> tuple[float, float]:
+def check_special(mf: ModelFiber) -> tuple[float, float]:
     """(sup |omega restriction|, sup calibration-phase defect) over the cycle.
 
     The phase defect is |Im(e^{-i pi/2} Omega)| restricted, which vanishes
     exactly for kappa = 1; for the Lagrangian condition the cycle must
-    satisfy 2*b0/k = -m2/m1.  The sup runs over the n x n parameter grid.
+    satisfy 2*b0/k = -m2/m1.  The sup runs over the 32 x 32 parameter grid.
     """
     p = mf.params
-    grid = mf.cycle.grid(n)
-    point, t_a, t_b = mf.cycle.lift(p.k, mf.ell, offset)
+    grid = mf.cycle.grid(32)
+    point, t_a, t_b = mf.cycle.lift(p.k, mf.ell)
     t = np.stack(np.meshgrid(grid.nodes1(), grid.nodes2(), indexing="ij"), axis=-1)
     q = point(0.0, 0.0) + t @ np.stack((t_a, t_b))
     sup_omega = np.max(np.abs(t_a @ sf.sf_form_chart(p, q) @ t_b))
@@ -112,12 +111,16 @@ class SecondFF:
     gauss_residual: float
 
 
-def _frame(mf: ModelFiber, t1: float, t2: float, offset: float):
-    """(chart point at (t1, t2), 4 x 2 tangent frame, finite-difference step,
-    chart point at (0, 0)) of the lifted cycle."""
-    point, t_a, t_b = mf.cycle.lift(mf.params.k, mf.ell, offset)
+# cycle parameters (t1, t2) of the point where the second fundamental form is taken
+_T1, _T2 = 0.2, 0.7
+
+
+def _frame(mf: ModelFiber):
+    """(chart point at (_T1, _T2), 4 x 2 tangent frame, finite-difference
+    step, chart point at (0, 0)) of the lifted cycle."""
+    point, t_a, t_b = mf.cycle.lift(mf.params.k, mf.ell)
     h = 2e-3 * min(1.0, 10.0 / max(mf.ell, 1.0))
-    return point(t1, t2), np.stack((t_a, t_b), axis=1), h, point(0.0, 0.0)
+    return point(_T1, _T2), np.stack((t_a, t_b), axis=1), h, point(0.0, 0.0)
 
 
 def _fundamental_forms(gf, q: np.ndarray, tan: np.ndarray, h: float | np.ndarray):
@@ -146,15 +149,14 @@ def _fundamental_forms(gf, q: np.ndarray, tan: np.ndarray, h: float | np.ndarray
     return second, pi_sq, h_sq, g, hin
 
 
-def second_fundamental_form(mf: ModelFiber, t1: float = 0.2, t2: float = 0.7,
-                            offset: float = 0.0) -> SecondFF:
-    """|II|, |H| and a Gauss-equation residual at a point of the cycle.
+def second_fundamental_form(mf: ModelFiber) -> SecondFF:
+    """|II|, |H| and a Gauss-equation residual at the cycle point (_T1, _T2).
 
     Gauss: K_intrinsic = K_ambient(T1,T2) + (<II_11,II_22> - |II_12|^2)
     after normalizing by the induced area element.
     """
     p = mf.params
-    q, tan, h, origin = _frame(mf, t1, t2, offset)
+    q, tan, h, origin = _frame(mf)
     gf = functools.partial(sf.riemannian_metric_chart, p)
     second, pi_sq, h_sq, g, hin = _fundamental_forms(gf, q, tan, h)
     riem, _ = sf.riemann_fd(gf, q, h)
@@ -168,7 +170,7 @@ def second_fundamental_form(mf: ModelFiber, t1: float = 0.2, t2: float = 0.7,
     def induced(tt):
         return tan.T @ gf(origin + tt @ tan.T) @ tan
 
-    riem2, h2 = sf.riemann_fd(induced, np.array([t1, t2]), h)
+    riem2, h2 = sf.riemann_fd(induced, np.array([_T1, _T2]), h)
     low2 = np.einsum("ae,ebcd->abcd", h2, riem2)
     k_int = float(low2[0, 1, 0, 1]) / float(np.linalg.det(h2))
 
@@ -190,7 +192,7 @@ def pi_decay(p: sf.ModelParams, cycle: fib.CycleSpec,
     ells = np.asarray(ell_samples, dtype=float)
     if ells.size < 3:
         raise ValidationError("need at least 3 samples")
-    frames = [_frame(ModelFiber(p, cycle, ell), 0.2, 0.7, 0.0) for ell in ells]
+    frames = [_frame(ModelFiber(p, cycle, ell)) for ell in ells]
     q, tan, h, _ = (np.array(v) for v in zip(*frames))
     pi_sq = _fundamental_forms(functools.partial(sf.riemannian_metric_chart, p),
                                q, tan, h)[1]

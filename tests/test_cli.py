@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 import pathlib
@@ -9,9 +10,11 @@ import sys
 from fractions import Fraction
 
 import jsonschema
+import numpy as np
 import pytest
 
 from syzlab import cli
+from syzlab import semiflat as sfm
 from syzlab.errors import ValidationError
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -168,12 +171,25 @@ class TestExitCodes:
         ["semiflat", "eval", "--k", "1", "--ell", "2", "--b0", "nan"],
         ["semiflat", "eval", "--k", "1", "--ell", "2", "--alpha", "inf"],
         ["semiflat", "pair", "--k", "1", "--kappa1", "nan"],
+        ["semiflat", "eval", "--k", "1", "--ell", "0"],
+        ["semiflat", "eval", "--k", "1", "--ell", "-1"],
+        ["semiflat", "eval", "--k", "1", "--ell", "inf"],
+        ["semiflat", "eval", "--k", "1", "--ell", "2", "--theta", "nan"],
+        ["semiflat", "eval", "--k", "1", "--ell", "2", "--x1", "nan"],
     ])
     def test_non_finite_or_no_samples_is_one(self, capsys, argv):
         code, report, err = run_cli(capsys, *argv, "--no-timestamp")
         assert code == 1
         assert report is None
         assert "error" in err
+
+    @pytest.mark.parametrize("ell", ["800", "1e4"])
+    def test_eval_past_exp_underflow_is_zero(self, capsys, ell):
+        # e^{-ell} underflows to 0 here; chart points never form it
+        code = cli.run(["semiflat", "eval", "--k", "1", "--ell", ell, "--no-timestamp"])
+        report = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+        assert code == 0
+        jsonschema.validate(report, SCHEMA)
 
     @pytest.mark.parametrize("argv,code", [
         # singular metric in the finite-difference layer (LinAlgError)
@@ -217,6 +233,50 @@ class TestExitCodes:
         assert code == 3
         jsonschema.validate(report, SCHEMA)
         assert not all(c["passed"] for c in report["checks"])
+
+
+def _residual_reference(p, q):
+    """Relative Monge-Ampere defect at one chart point, in scalar arithmetic."""
+    m = sfm.sf_form_chart(p, q)
+    lhs = 2.0 * (m[0, 1] * m[2, 3] - m[0, 2] * m[1, 3] + m[0, 3] * m[1, 2])
+    rhs = p.alpha ** 2 * 4.0 * abs(p.kappa_at(cmath.exp(-complex(q[0], q[1])))) ** 2
+    return abs(lhs - rhs) / rhs
+
+
+class TestResidualSampling:
+    def test_one_call_on_the_per_sample_draws(self, capsys, monkeypatch):
+        seen = []
+        kernel = sfm.ma_residual
+        monkeypatch.setattr(sfm, "ma_residual",
+                            lambda p, q: seen.append(np.array(q)) or kernel(p, q))
+        code, report, _ = run_cli(capsys, "semiflat", "residual", "--k", "2",
+                                  "--eps", "0.7", "--b0", "1/4", "--kappa1", "0.5",
+                                  "--no-timestamp")
+        assert code == 0
+        assert len(seen) == 1
+        # sample by sample, the draws are ell, Re x, Im x, theta
+        rng = np.random.default_rng(20260826)
+        want = []
+        for _ in range(32 ** 2):
+            ell = rng.uniform(0.5, 50.0)
+            x1, x2 = rng.uniform(-1, 1), rng.uniform(-1, 1)
+            want.append([ell, rng.uniform(0.0, 2.0 * math.pi), x1, x2])
+        assert np.array_equal(seen[0], np.array(want))
+        p = sfm.ModelParams(k=2, eps=0.7, b0=0.25, kappa={0: 1.0, 1: 0.5})
+        ref = max(_residual_reference(p, q) for q in seen[0])
+        assert abs(report["results"]["max_rel_residual"] - ref) <= 2e-15
+
+    def test_sample_array_too_large_is_two(self, capsys, monkeypatch):
+        # all samples go to one call, so a huge --grid fails on allocation;
+        # the failure is simulated, since a real one would need the memory
+        def no_memory(p, q):
+            raise MemoryError("Unable to allocate 298. GiB")
+
+        monkeypatch.setattr(sfm, "ma_residual", no_memory)
+        assert cli.run(["semiflat", "residual", "--k", "1", "--no-timestamp"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "numerical failure" in err and "Traceback" not in err
 
 
 class TestCommands:

@@ -1,4 +1,3 @@
-import cmath
 import math
 
 import numpy as np
@@ -10,25 +9,46 @@ from syzlab.errors import ValidationError
 TWO_PI = 2.0 * math.pi
 
 
+class TestFromEll:
+    def test_chart_point(self):
+        q = fib.from_ell(0.3 - 0.2j, 800.0, 1.5)
+        assert q.tolist() == [800.0, 1.5, 0.3, -0.2]
+
+    @pytest.mark.parametrize("x,ell,theta", [
+        (0.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.0, math.nan, 0.0),
+        (0.0, math.inf, 0.0), (0.0, 2.0, math.nan), (complex(math.nan, 0.0), 2.0, 0.0),
+    ])
+    def test_invalid_point_rejected(self, x, ell, theta):
+        with pytest.raises(ValidationError):
+            fib.from_ell(x, ell, theta)
+
+
 class TestLatticeBasis:
     def test_k1_real_level(self):
-        g1, g2 = fib.lattice_basis(1, cmath.exp(-TWO_PI))
+        g1, g2 = fib.lattice_basis(1, TWO_PI)
         assert g1 == 1
         assert g2 == pytest.approx(1j)
 
     def test_k2_cancellation(self):
-        _, g2 = fib.lattice_basis(2, cmath.exp(-math.pi))
+        _, g2 = fib.lattice_basis(2, math.pi)
         assert g2 == pytest.approx(1j)
 
     def test_general_point(self):
-        z = cmath.exp(-1.0 + 0.5j * math.pi)
-        _, g2 = fib.lattice_basis(1, z)
-        assert g2 == pytest.approx((cmath.log(z).real + 0.5j * math.pi)
-                                   / (2j * math.pi))
+        # z = e^{-1 + i*pi/2}: log z = -y on the branch with theta = -pi/2
+        _, g2 = fib.lattice_basis(1, complex(1.0, -0.5 * math.pi))
+        assert g2 == pytest.approx((-1.0 + 0.5j * math.pi) / (2j * math.pi))
 
     def test_bad_modulus(self):
+        # |z| = 1.5 lies outside the punctured unit disc: Re y < 0
         with pytest.raises(ValidationError):
-            fib.lattice_basis(1, 1.5 + 0.0j)
+            fib.lattice_basis(1, -math.log(1.5))
+
+    def test_theta_turn_keeps_the_lattice(self):
+        # y and y + 2*pi*i lie over the same z and span the same lattice
+        k, y = 3, complex(2.5, 0.4)
+        g1, g2 = fib.lattice_basis(k, y)
+        _, g2_turned = fib.lattice_basis(k, y + 2j * math.pi)
+        assert g2_turned - g2 == pytest.approx(-k * g1)
 
 
 class TestCycles:
@@ -46,10 +66,9 @@ CYCLES = [fib.FIBER, fib.CycleSpec(m1=1, m2=0), fib.CycleSpec(m1=2, m2=1),
 
 
 class TestLift:
-    @pytest.mark.parametrize("offset", [0.0, 0.37])
     @pytest.mark.parametrize("c", CYCLES)
-    def test_point_moves_along_tangents(self, c, offset):
-        point, t_a, t_b = c.lift(2, 7.5, offset)
+    def test_point_moves_along_tangents(self, c):
+        point, t_a, t_b = c.lift(2, 7.5)
         for t1, t2 in ((0.3, 0.0), (0.0, 1.7), (0.61, 9.2)):
             np.testing.assert_allclose(point(t1, t2) - point(0.0, 0.0),
                                        t1 * t_a + t2 * t_b, rtol=0, atol=1e-14)
@@ -58,7 +77,7 @@ class TestLift:
     def test_fiber_tangents_are_lattice_generators(self, k):
         ell = 3.3
         _, t_a, t_b = fib.FIBER.lift(k, ell)
-        g1, g2 = fib.lattice_basis(k, cmath.exp(-ell))
+        g1, g2 = fib.lattice_basis(k, ell)
         np.testing.assert_allclose(t_a, [0.0, 0.0, g1.real, g1.imag],
                                    rtol=1e-15, atol=0)
         np.testing.assert_allclose(t_b, [0.0, 0.0, g2.real, g2.imag],
@@ -67,10 +86,10 @@ class TestLift:
     @pytest.mark.parametrize("c", CYCLES[1:])
     def test_bad_cycle_closes_modulo_lattice(self, c):
         k, ell = 3, 4.2
-        point, _, _ = c.lift(k, ell, offset=0.1)
+        point, _, _ = c.lift(k, ell)
         start, end = point(0.25, 0.0), point(0.25, TWO_PI * c.m1)
         assert end[1] - start[1] == pytest.approx(-TWO_PI * c.m1)
-        p0 = fib.from_ell(complex(start[2], start[3]), ell, start[1])
-        p1 = fib.from_ell(complex(end[2], end[3]), ell, end[1])
-        assert p1.x != pytest.approx(p0.x) or c.m2 == 0
-        assert fib.lattice_equal(k, p0, p1)
+        assert end[3] != pytest.approx(start[3]) or c.m2 == 0
+        assert fib.lattice_equal(k, start, end)
+        assert not fib.lattice_equal(k, start, end + [0.0, 1.0, 0.0, 0.0])
+        assert not fib.lattice_equal(k, start, end + [0.0, 0.0, 0.0, 0.1])

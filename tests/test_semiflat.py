@@ -35,9 +35,8 @@ class TestSfForm:
         # assemble the form directly from the Hermitian coefficients in the
         # (x, y) frame and compare with the chart matrix
         p = sf.ModelParams(k=2, eps=1.0, b0=0.5)
-        pt = _pt(2.0, 0.3, 0.25, 0.6)
-        q = sf.chart_of(pt)
-        h = sf.hermitian_matrix(p, pt)
+        q = _pt(2.0, 0.3, 0.25, 0.6)
+        h = sf.hermitian_matrix(p, q)
         dy = np.array([1.0, 1j, 0.0, 0.0])
         dx = np.array([0.0, 0.0, 1.0, 1j])
         route2 = np.zeros((4, 4))
@@ -70,8 +69,9 @@ class TestSfForm:
                            1.7 * sf.sf_form_chart(p1, q), rtol=0, atol=1e-15)
 
     def test_bad_modulus_rejected(self):
+        # |z| = 1.5: the point lies outside the punctured unit disc
         with pytest.raises(ValidationError):
-            fib.FiberPoint(x=0.0, z=1.5 + 0.0j)
+            sf.ma_residual(sf.ModelParams(k=1), np.array([-math.log(1.5), 0.0, 0.0, 0.0]))
 
 
 def _outer_product_form(p, q):
@@ -211,52 +211,79 @@ class TestPairings:
             sf.pair_cycle(p, fib.FIBER, n=3)
 
 
+def _jacobian(eta_y):
+    """Chart Jacobian of T_s at one point, from d eta/dy there."""
+    jac = np.eye(4)
+    jac[2, 0], jac[2, 1] = eta_y.real, -eta_y.imag
+    jac[3, 0], jac[3, 1] = eta_y.imag, eta_y.real
+    return jac
+
+
+def _pullback_reference(p, s, q):
+    """Per-point T_s^* omega at one chart point by the chain rule."""
+    y = complex(q[0], q[1])
+    eta = complex(fib.section_eval_y(s, y))
+    target = q + np.array([0.0, 0.0, eta.real, eta.imag])
+    jac = _jacobian(complex(fib.section_dy(s, y)))
+    return jac.T @ sf.sf_form_chart(p, target) @ jac
+
+
+def _defect_reference(p, s, q):
+    """Per-point |T_s^* omega - omega|_g, |d|^2 = (1/2) d_ab d_cd g^ac g^bd."""
+    d = _pullback_reference(p, s, q) - sf.sf_form_chart(p, q)
+    ginv = np.linalg.inv(sf.riemannian_metric_chart(p, q))
+    return math.sqrt(0.5 * np.einsum("ab,cd,ac,bd->", d, d, ginv, ginv))
+
+
 class TestTranslatePullback:
     def test_identity(self):
         p = sf.ModelParams(k=1, eps=1.0)
-        pt = _pt(2.0, 0.5, 0.3, 0.7)
+        q = _pt(2.0, 0.5, 0.3, 0.7)
         s = fib.SectionData(h={})
-        assert np.allclose(sf.translate_pullback(p, s, pt),
-                           sf.sf_form(p, pt), atol=1e-13)
+        assert np.allclose(sf.translate_pullback(p, s, q),
+                           sf.sf_form_chart(p, q), atol=1e-13)
 
     def test_real_constant_isometry(self):
         p = sf.ModelParams(k=1, eps=1.0)
-        pt = _pt(2.0, 0.5, 0.3, 0.7)
+        q = _pt(2.0, 0.5, 0.3, 0.7)
         s = fib.SectionData(h={0: 0.37})
-        assert sf.translation_defect(p, s, pt) <= 1e-12
+        assert sf.translation_defect(p, s, q) <= 1e-12
 
     def test_chain_rule_oracle(self):
         p = sf.ModelParams(k=2, eps=0.8, b0=0.25)
-        pt = _pt(3.0, 0.2, 0.1, 0.5)
+        q = _chart_points(np.random.default_rng(3), (3, 5))
         s = fib.SectionData(h={0: 0.3 + 0.2j, 1: 0.1}, a=0.5, b=0.25)
-        pulled = sf.translate_pullback(p, s, pt)
-        assert np.allclose(pulled, -pulled.T)
+        pulled = sf.translate_pullback(p, s, q)
+        assert pulled.shape == (3, 5, 4, 4)
+        assert np.allclose(pulled, -np.swapaxes(pulled, -1, -2))
+        for i in range(3):
+            for j in range(5):
+                ref = _pullback_reference(p, s, q[i, j])
+                assert np.max(np.abs(pulled[i, j] - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_cocycle(self):
         p = sf.ModelParams(k=1, eps=1.0)
-        pt = _pt(2.0, 0.4, 0.2, 0.3)
+        q = _pt(2.0, 0.4, 0.2, 0.3)
         s1 = fib.SectionData(h={0: 0.2 + 0.5j})
         s2 = fib.SectionData(h={0: -0.1 + 0.8j, 1: 0.3})
         s12 = fib.SectionData(h={0: 0.1 + 1.3j, 1: 0.3})
         # T_{s1}^* (T_{s2}^* omega) = T_{s1+s2}^* omega via the chain rule
-        inner = sf.translate_pullback(p, s2, sf.translate_point(s1, pt))
-        eta1 = fib.section_dy(s1, pt.y)
-        jac1 = np.eye(4)
-        jac1[2, 0], jac1[2, 1] = eta1.real, -eta1.imag
-        jac1[3, 0], jac1[3, 1] = eta1.imag, eta1.real
+        y = complex(q[0], q[1])
+        eta1 = complex(fib.section_eval_y(s1, y))
+        inner = sf.translate_pullback(p, s2, q + np.array([0.0, 0.0, eta1.real, eta1.imag]))
+        jac1 = _jacobian(complex(fib.section_dy(s1, y)))
         comp = jac1.T @ inner @ jac1
-        once = sf.translate_pullback(p, s12, pt)
+        once = sf.translate_pullback(p, s12, q)
         assert np.allclose(comp, once, atol=1e-12)
 
     def test_branch_descent(self):
-        # h with integral (a+b, 2b/k): pullback agrees across branches
+        # h with integral (a+b, 2b/k): pullback agrees on y and y + 2*pi*i,
+        # which lie over the same z
         p = sf.ModelParams(k=2, eps=1.0)
         s = fib.SectionData(h={0: 0.2, 1: 0.4}, a=Fraction(0), b=Fraction(1))
-        z = 0.1 * cmath.exp(0.9j)
-        p0 = fib.FiberPoint(x=0.3 + 0.2j, z=z, branch=0)
-        p1 = fib.FiberPoint(x=0.3 + 0.2j, z=z, branch=1)
-        m0 = sf.translate_pullback(p, s, p0)
-        m1 = sf.translate_pullback(p, s, p1)
+        q = _pt(-math.log(0.1), -0.9, 0.3, 0.2)
+        m0 = sf.translate_pullback(p, s, q)
+        m1 = sf.translate_pullback(p, s, q + np.array([0.0, TWO_PI, 0.0, 0.0]))
         assert np.allclose(m0, m1, atol=1e-12)
 
 
@@ -283,6 +310,21 @@ class TestClassifyTranslation:
         dc = sf.classify_translation(p, fib.SectionData(h={0: 1.5, 1: 0.3}))
         assert dc.variant == sf.EXP_DECAY
         assert dc.fit.r_squared >= 0.99
+
+    @pytest.mark.parametrize("kappa1", [0.0, 0.5])
+    @pytest.mark.parametrize("s", [
+        fib.SectionData(h={-1: 0.5, 0: 1.0}),
+        fib.SectionData(h={0: 0.5 + 1j}, b=Fraction(1, 2)),
+        fib.SectionData(h={0: 1j, 1: 1.0}),
+        fib.SectionData(h={0: 1.5, 1: 0.3}),
+    ], ids=["pole", "b", "complex_h0", "real_h0"])
+    def test_samples_match_per_point_chain_rule(self, s, kappa1):
+        p = sf.ModelParams(k=2, eps=0.7, b0=0.25,
+                           kappa={0: 1.0, 1: kappa1} if kappa1 else {})
+        dc = sf.classify_translation(p, s)
+        ref = np.array([_defect_reference(p, s, _pt(ell, 0.0, 0.31))
+                        for ell in np.linspace(3.0, 14.0, 12)])
+        assert np.max(np.abs(dc.values - ref) / ref) <= 1e-12
 
 
 class TestRationalAndDims:
