@@ -119,11 +119,21 @@ def _cmd_semiflat_eval(args):
     form = sfm.sf_form_chart(p, q)
     g = sfm.riemannian_metric_chart(p, q)
     eigs = np.linalg.eigvalsh(g)
+    # D g D, D = diag(g)^(-1/2), is congruent to g (Sylvester) but has a unit
+    # diagonal, so eigvalsh does not round away g's smallest eigenvalue when
+    # g's scales differ by about (k ell / eps)^2; a bad diagonal fails closed
+    d = np.diag(g)
+    diag_ok = bool(np.all((d > 0) & np.isfinite(d)))
+    if diag_ok:
+        scale = 1.0 / np.sqrt(d)
+        low = float(np.linalg.eigvalsh(scale[:, None] * g * scale)[0])
+    else:
+        low = float(np.min(d))
     _, rel = sfm.ma_residual(p, q)
     results = {"form": form.tolist(), "metric": g.tolist(),
                "metric_eigenvalues": eigs.tolist()}
     checks = [_tol_check("ma_residual_rel", rel, 1e-10),
-              _check("metric_positive", float(eigs[0]), 0.0, eigs[0] > 0)]
+              _check("metric_positive", low, 0.0, diag_ok and low > 0)]
     return results, checks, None
 
 

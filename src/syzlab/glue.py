@@ -12,19 +12,22 @@ a cutoff psi, a positivity reserve t * beta and the harmonic matching of u
 on the gluing annulus.  The radial kernels take rho as a scalar (giving
 floats) or as an array (evaluated elementwise in one pass).
 
-The total mass integral is affine in (alpha, t) jointly, and the reserve
-t(alpha) is affine on each side of alpha = 1, so the scale equation
-I(alpha, t(alpha)) = 0 has at most one root on each side and need not have
-a unique one: the configuration r = 0.2, s = 0.1, v0c = 40, vomc = 62 has
-I(1) < 0 < I(2) and roots near 0.8693 and 1.798.  solve_alpha returns the
-root in the first doubling bracket from alpha = 1e-3, the smallest root.
+The total mass integral is affine in (alpha, t) jointly: it is a fixed
+combination of three radial quadratures, which a GlueConfig builds once per
+node count and keeps.  The reserve t(alpha) is affine on each side of
+alpha = 1, so the scale equation I(alpha, t(alpha)) = 0 has at most one
+root on each side and need not have a unique one: the configuration
+r = 0.2, s = 0.1, v0c = 40, vomc = 62 has I(1) < 0 < I(2) and roots near
+0.8693 and 1.798.  solve_alpha returns the smallest root, from the first
+doubling bracket above alpha = 1e-3 or, when both roots fall between two
+doubling points, from the bracket that ends at the kink alpha = 1.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -110,6 +113,9 @@ class GlueConfig:
     vomc: float
     c0: float = 8.0
     c0_rs: float = 1.0
+    # (S_1, S_t, S_a) of mass_integral per node count n
+    _sums: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     def __post_init__(self):
         # params (ModelParams) already rejects a non-finite eps or b0
@@ -199,23 +205,27 @@ def claim2_scan(cfg: GlueConfig, n: int = 400) -> Claim2Scan:
     return Claim2Scan(lhs_sup=lhs, rhs_sup=rhs, fitted_c0=lhs / rhs)
 
 
-def q_coefficient(cfg: GlueConfig, alpha: float, t: float, rho):
-    """dz^dzbar coefficient added to omega_0 by the glued family at rho."""
-    x = _as_rho(rho)
+def _q_parts(cfg: GlueConfig, x: np.ndarray):
+    """(beta, B) along the rho array x, with q = t * beta + (alpha - 1) * B:
+    B is u_zz for rho <= r and the glued bracket where psi is non-zero above."""
     if not np.all((cfg.rho_min <= x) & (x <= cfg.rho_max)):
         raise ValidationError("rho outside the modeled annulus")
     cut = cfg.cutoffs
     uzz = u_zz(cfg, x)
-    q = t * cut.beta(x)
+    bracket = np.zeros_like(x)
     psi, psi_p, psi_pp = cut.psi(x)
     glued = (x > cfg.r) & (psi != 0.0)
     if np.any(glued):
         du, dup = _match_defect(cfg, x)
         psi_zz = 0.25 * (psi_pp + psi_p / x)
-        bracket = psi_zz * du + psi * uzz + 0.5 * psi_p * dup
-        q = np.where(glued, q + (alpha - 1.0) * bracket, q)
-    q = np.where(x <= cfg.r, (alpha - 1.0) * uzz, q)
-    return _like(rho, q)
+        bracket = np.where(glued, psi_zz * du + psi * uzz + 0.5 * psi_p * dup, 0.0)
+    return cut.beta(x), np.where(x <= cfg.r, uzz, bracket)
+
+
+def q_coefficient(cfg: GlueConfig, alpha: float, t: float, rho):
+    """dz^dzbar coefficient added to omega_0 by the glued family at rho."""
+    beta, bracket = _q_parts(cfg, _as_rho(rho))
+    return _like(rho, t * beta + (alpha - 1.0) * bracket)
 
 
 def required_t(cfg: GlueConfig, alpha: float, t_prime: float = 1.0) -> float:
@@ -285,27 +295,38 @@ def mass_integral(cfg: GlueConfig, alpha: float, t: float, n: int = 64) -> float
     The integrand vanishes identically below rho = r where the glued form
     is the exactly-solving rescaled semi-flat metric; the rest is a radial
     integral plus the external constants v0c - alpha * vomc.  Each segment
-    between the cutoff breakpoints gets n Gauss-Legendre nodes in ell, and
-    all segments are evaluated as one (segments, n) array.
+    between the cutoff breakpoints gets n Gauss-Legendre nodes in ell (one
+    (segments, n) array, weights W).  With q = t * beta + (alpha - 1) * B,
+
+        I = (1 - alpha) S_1 + t S_t + (alpha - 1) S_a + v0c - alpha vomc,
+        S_1 = sum 4 W k ell,   S_t = sum 4 rho^2 w eps beta W k ell,
+        S_a = sum 4 rho^2 w eps B W k ell.
+
+    The sums are free of alpha and t: cfg keeps them per n from the first
+    call that builds them (a build that raises keeps nothing).
     """
     require_finite(alpha=alpha, t=t)
     if alpha <= 0:
         raise ValidationError("alpha must be positive")
-    p = cfg.params
-    nodes, weights = _legendre(n)
-    bounds = np.array(sorted({cfg.r, cfg.r + cfg.s, cfg.r + 2.0 * cfg.s,
-                              cfg.r + 3.0 * cfg.s, cfg.rho_max}))
-    # integrate in ell over each segment
-    l_lo, l_hi = -np.log(bounds[1:]), -np.log(bounds[:-1])
-    mid = (0.5 * (l_lo + l_hi))[:, None]
-    half = (0.5 * (l_hi - l_lo))[:, None]
-    ell = mid + half * nodes
-    rho = np.exp(-ell)
-    qc = q_coefficient(cfg, alpha, t, rho)
-    w = sfm.w_factor(p, ell)
-    c_val = 4.0 * (1.0 - alpha) + 4.0 * rho ** 2 * w * p.eps * qc
-    total = float(np.sum(weights * half * c_val * p.k * ell))
-    return total + cfg.v0c - alpha * cfg.vomc
+    if n not in cfg._sums:
+        p = cfg.params
+        nodes, weights = _legendre(n)
+        bounds = np.array(sorted({cfg.r, cfg.r + cfg.s, cfg.r + 2.0 * cfg.s,
+                                  cfg.r + 3.0 * cfg.s, cfg.rho_max}))
+        # integrate in ell over each segment
+        l_lo, l_hi = -np.log(bounds[1:]), -np.log(bounds[:-1])
+        mid = (0.5 * (l_lo + l_hi))[:, None]
+        half = (0.5 * (l_hi - l_lo))[:, None]
+        ell = mid + half * nodes
+        rho = np.exp(-ell)
+        beta, bracket = _q_parts(cfg, rho)
+        wkl = 4.0 * weights * half * p.k * ell
+        lift = rho ** 2 * sfm.w_factor(p, ell) * p.eps * wkl
+        cfg._sums[n] = (float(np.sum(wkl)), float(np.sum(lift * beta)),
+                        float(np.sum(lift * bracket)))
+    s_1, s_t, s_a = cfg._sums[n]
+    return ((1.0 - alpha) * s_1 + t * s_t + (alpha - 1.0) * s_a
+            + cfg.v0c - alpha * cfg.vomc)
 
 
 @dataclass(frozen=True)
@@ -326,7 +347,9 @@ def solve_alpha(cfg: GlueConfig, t_prime: float = 1.0, n: int = 64) -> AlphaSolv
     at 1e-3, so it crosses downward at most once: the root returned is the
     smallest root, even where a second, upward crossing exists above
     alpha = 1.  When both roots lie between two doubling points, no
-    bracket is found and NumericalError is raised.
+    doubling point is negative but the kink is: f(1) < 0 then brackets the
+    smaller root with the last doubling point below 1.  Otherwise
+    NumericalError is raised.
     """
     require_finite(t_prime=t_prime)
 
@@ -342,15 +365,17 @@ def solve_alpha(cfg: GlueConfig, t_prime: float = 1.0, n: int = 64) -> AlphaSolv
         raise ValidationError("mass integral not positive at small alpha; "
                               "check v0c/vomc")
     hi = lo
-    f_hi = f_lo
     for _ in range(40):
         hi *= 2.0
         f_hi = f(hi)
         if f_hi < 0:
+            a = hi / 2.0
             break
     else:
-        raise NumericalError("no sign change found for the mass integral")
-    a = hi / 2.0
+        a = lo * 2.0 ** math.floor(math.log2(1.0 / lo))
+        hi, f_hi = 1.0, f(1.0)
+        if not f_hi < 0:
+            raise NumericalError("no sign change found for the mass integral")
     fa = f(a)
     if fa <= 0:
         a, fa = lo, f_lo

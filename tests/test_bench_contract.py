@@ -2,19 +2,26 @@
 
 bench/tracer.py looks up every name in TRACED with getattr and no default,
 so deleting or renaming a traced function breaks every traced run; the
-benchmark's setup launch calls cli.build_parser() with no arguments.
+benchmark's setup launch calls cli.build_parser() with no arguments.  The
+traced run is incorrect unless each README input of design.json makes its
+recorded number of calls, twice in one process.
 """
 
 import ast
 import importlib
 import inspect
+import json
 import pathlib
+import shlex
+import sys
 
 import pytest
 
 from syzlab import cli
 
-TRACER = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
+TRACER = BENCH / "tracer.py"
+README_COUNTS = json.loads((BENCH / "design.json").read_text())["readme_counts"]["counts"]
 
 
 def _tuple_constant(name: str) -> tuple[str, ...]:
@@ -43,3 +50,26 @@ def test_build_parser_takes_no_arguments():
     params = inspect.signature(cli.build_parser).parameters.values()
     assert all(p.default is not p.empty for p in params)
     assert cli.build_parser().parse_args(["dims", "--k", "2"]).k == 2
+
+
+@pytest.mark.parametrize("entry", README_COUNTS, ids=lambda e: e["span"])
+def test_readme_call_count(entry, monkeypatch, capsys):
+    module, func = entry["span"].split(".")
+    orig = getattr(importlib.import_module(f"syzlab.{module}"), func)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return orig(*args, **kwargs)
+
+    # as bench/tracer.py: every syzlab module that binds the function
+    for name, mod in list(sys.modules.items()):
+        if mod is not None and (name == "syzlab" or name.startswith("syzlab.")):
+            for attr, val in list(vars(mod).items()):
+                if val is orig:
+                    monkeypatch.setattr(mod, attr, counted)
+    for _ in range(2):
+        calls.clear()
+        assert cli.run(shlex.split(entry["argv"])) == 0
+        assert len(calls) == entry["calls"]
+    capsys.readouterr()

@@ -191,6 +191,36 @@ class TestExitCodes:
         assert code == 0
         jsonschema.validate(report, SCHEMA)
 
+    @pytest.mark.parametrize("argv", [
+        ["--ell", "1e9", "--x2", "0.3"],
+        ["--b0", "1/4", "--ell", "1e9"],
+    ])
+    def test_eval_large_ell_metric_positive(self, capsys, argv):
+        # the metric's scales differ by about ell^2 here, so eigvalsh on the
+        # raw metric rounds its smallest eigenvalue to zero or below
+        code, report, _ = run_cli(capsys, "semiflat", "eval", "--k", "1",
+                                  *argv, "--no-timestamp")
+        assert code == 0
+        check = {c["name"]: c for c in report["checks"]}["metric_positive"]
+        assert check["passed"] and check["measured"] > 0.5
+        assert len(report["results"]["metric_eigenvalues"]) == 4
+
+    @pytest.mark.parametrize("diag,code", [(-1.0, 3), (0.0, 3), (math.inf, 2),
+                                           (math.nan, 2)])
+    def test_eval_bad_metric_diagonal_fails_closed(self, capsys, monkeypatch,
+                                                   diag, code):
+        def metric(p, q):
+            return np.diag([1.0, diag, 1.0, 1.0])
+
+        monkeypatch.setattr(sfm, "riemannian_metric_chart", metric)
+        assert cli.run(["semiflat", "eval", "--k", "1", "--ell", "2",
+                        "--no-timestamp"]) == code
+        out, err = capsys.readouterr()
+        assert "Traceback" not in err
+        if code == 3:
+            check = {c["name"]: c for c in json.loads(out)["checks"]}
+            assert not check["metric_positive"]["passed"]
+
     @pytest.mark.parametrize("argv,code", [
         # singular metric in the finite-difference layer (LinAlgError)
         (["slag", "pi-decay", "--k", "1", "--eps", "1e300"], 2),
@@ -317,6 +347,17 @@ class TestCommands:
         assert code == 0
         assert report["results"] == {"semiflat_family": 1, "h2_de_rham": 2,
                                      "hyperkahler_family": 1}
+
+    def test_glue_solve_alpha_close_roots(self, capsys):
+        # both roots (near 0.998 and 1.0095) lie between the doubling points
+        # 0.512 and 1.024; the kink at alpha = 1 brackets the smaller one
+        code, report, _ = run_cli(
+            capsys, "glue", "solve-alpha", "--k", "1", "--r", "0.2",
+            "--s", "0.1", "--v0c", "60", "--vomc", "62", "--no-timestamp")
+        assert code == 0
+        res = report["results"]
+        assert res["bracket"] == [0.512, 1.0]
+        assert res["alpha_star"] == pytest.approx(0.9984464086628753, rel=1e-12)
 
     def test_glue_positivity(self, capsys):
         code, report, _ = run_cli(

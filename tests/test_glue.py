@@ -77,6 +77,22 @@ def q_reference(cfg, alpha, t, rho):
     return t * beta + (alpha - 1.0) * bracket
 
 
+def q_presplit(cfg, alpha, t, rho):
+    """glue.q_coefficient as written before its (alpha, t)-free split."""
+    x = np.atleast_1d(np.asarray(rho, dtype=float))
+    cut = cfg.cutoffs
+    uzz = glue.u_zz(cfg, x)
+    q = t * cut.beta(x)
+    psi, psi_p, psi_pp = cut.psi(x)
+    glued = (x > cfg.r) & (psi != 0.0)
+    if np.any(glued):
+        du, dup = glue._match_defect(cfg, x)
+        psi_zz = 0.25 * (psi_pp + psi_p / x)
+        bracket = psi_zz * du + psi * uzz + 0.5 * psi_p * dup
+        q = np.where(glued, q + (alpha - 1.0) * bracket, q)
+    return np.where(x <= cfg.r, (alpha - 1.0) * uzz, q)
+
+
 def mass_integral_loop(cfg, alpha, t, n=64):
     """Per-node reference for glue.mass_integral."""
     p = cfg.params
@@ -314,6 +330,15 @@ class TestArrayKernels:
                 assert glue.mass_integral(cfg, alpha, t, n=n) == pytest.approx(
                     ref, rel=1e-12, abs=0.0)
 
+    def test_split_matches_presplit_bitwise(self):
+        for kw, alpha, t in REF_CASES:
+            cfg = make_cfg(**kw)
+            rho = np.concatenate([
+                np.geomspace(cfg.rho_min, cfg.rho_max, 500),
+                [cfg.r, cfg.r + cfg.s, cfg.r + 2.0 * cfg.s, cfg.r + 3.0 * cfg.s]])
+            got = glue.q_coefficient(cfg, alpha, t, rho)
+            assert got.tobytes() == q_presplit(cfg, alpha, t, rho).tobytes()
+
     def test_positivity_matches_loop(self):
         for kw, alpha, _ in REF_CASES:
             cfg = make_cfg(**kw)
@@ -466,6 +491,43 @@ class TestMassIntegral:
             glue.mass_integral(cfg, 2.0, 3.0)
 
 
+def count_matches(monkeypatch):
+    """Calls of glue.harmonic_match, one per build of the radial sums."""
+    calls = []
+    match = glue.harmonic_match
+    monkeypatch.setattr(glue, "harmonic_match",
+                        lambda cfg: calls.append(cfg) or match(cfg))
+    return calls
+
+
+class TestRadialSums:
+    def test_built_once_per_node_count(self, monkeypatch):
+        calls = count_matches(monkeypatch)
+        cfg = make_cfg(**ROOT_CFG)
+        first = glue.solve_alpha(cfg)
+        assert len(calls) == 1
+        assert glue.solve_alpha(cfg) == first
+        assert len(calls) == 1
+        glue.solve_alpha(cfg, n=128)
+        glue.solve_alpha(cfg, n=128)
+        assert len(calls) == 2
+
+    def test_equal_config_builds_its_own(self, monkeypatch):
+        calls = count_matches(monkeypatch)
+        cfg, twin = make_cfg(**ROOT_CFG), make_cfg(**ROOT_CFG)
+        assert cfg == twin and cfg is not twin
+        assert glue.solve_alpha(cfg) == glue.solve_alpha(twin)
+        assert calls == [cfg, twin]
+
+    def test_failure_not_memoised(self, monkeypatch):
+        calls = count_matches(monkeypatch)
+        cfg = make_cfg(kappa={0: 1.0, 1: 0.5})
+        for _ in range(2):
+            with pytest.raises(ValidationError, match="non-trivial kappa"):
+                glue.mass_integral(cfg, 2.0, 3.0)
+        assert len(calls) == 2
+
+
 class TestSolveAlpha:
     def test_root_found_and_bracketed(self):
         cfg = make_cfg(**ROOT_CFG)
@@ -498,6 +560,16 @@ class TestSolveAlpha:
         sol = glue.solve_alpha(cfg)
         assert sol.alpha_star < 1.0
         assert sol.alpha_star == pytest.approx(0.8693309371776228, rel=1e-12)
+
+    def test_close_roots_bracketed_at_kink(self):
+        # f(0.512) > 0, f(1.024) > 0 and f(1) < 0: both roots lie between
+        # two doubling points, and the kink brackets the smaller one
+        cfg = make_cfg(**dict(ROOT_CFG, v0c=60.0), rho_min=1e-4)
+        sol = glue.solve_alpha(cfg)
+        assert sol.bracket == (0.512, 1.0)
+        assert sol.values[0] > 0 > sol.values[1]
+        assert readme_f(cfg, 1.024) > 0
+        assert sol.alpha_star == pytest.approx(0.9984464086628753, rel=1e-12)
 
     def test_non_finite_tprime_rejected(self):
         for bad in (math.nan, math.inf):
