@@ -13,8 +13,12 @@ so d theta = -c^2 d xi1 ^ d xi2.  The triple is
     omega_I = c (theta ^ d xi2 + ell d ell ^ d xi1),
     omega_K = c (d xi1 ^ theta + ell d ell ^ d xi2),
 
-and rotation by a_tau omega_I + b_tau omega_K (a = Im tau/|tau|,
-b = -Re tau/|tau|) lands on a semi-flat model with
+each of the form E^T A E: A holds its coefficients in the coframe
+(d ell, theta, d xi1, d xi2), and E is the identity with row 1 replaced by
+theta = (0, 1, c^2 xi2/2, -c^2 xi1/2) in the coordinate coframe.  Rotation
+by a_tau omega_I + b_tau omega_K (a = Im tau/|tau|, b = -Re tau/|tau|) is
+the same product with a_tau A_I + b_tau A_K, and lands on a semi-flat
+model with
 
     eps = 2 pi |tau| c,  alpha = sqrt(k pi Im tau)/|tau|,
     b0 = -k Re tau / (2 |tau|^2).
@@ -95,27 +99,32 @@ class CalabiPoint:
         return np.array([self.ell, self.psi, self.xi1, self.xi2])
 
 
-def _covectors(m: CalabiModel, q: np.ndarray):
-    """(d ell, theta, d xi1, d xi2) in the coordinate coframe (dl, dpsi, dxi1, dxi2)."""
-    c2 = m.c_tau ** 2
-    dl = np.array([1.0, 0.0, 0.0, 0.0])
-    th = np.array([0.0, 1.0, 0.5 * c2 * q[3], -0.5 * c2 * q[2]])
-    dx1 = np.array([0.0, 0.0, 1.0, 0.0])
-    dx2 = np.array([0.0, 0.0, 0.0, 1.0])
-    return dl, th, dx1, dx2
+def _coframe(m: CalabiModel, pt: CalabiPoint) -> np.ndarray:
+    """E: rows (d ell, theta, d xi1, d xi2) in the coordinate coframe
+    (d ell, d psi, d xi1, d xi2), so coefficients A in the first are E^T A E."""
+    h = 0.5 * m.c_tau ** 2
+    return np.array([[1.0, 0.0, 0.0, 0.0],
+                     [0.0, 1.0, h * pt.xi2, -h * pt.xi1],
+                     [0.0, 0.0, 1.0, 0.0],
+                     [0.0, 0.0, 0.0, 1.0]])
 
 
 def hk_triple(m: CalabiModel, pt: CalabiPoint) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(omega_I, omega_J, omega_K) as matrices in the coordinate coframe."""
-    q = pt.coords()
-    dl, th, dx1, dx2 = _covectors(m, q)
+    """(omega_I, omega_J, omega_K) in the coordinate coframe, each E^T A E.
+
+    The potential V = ell multiplies omega_J's base area term (closedness
+    forces it)."""
     c = m.c_tau
-    ell = q[0]
-    # the potential V = ell multiplies the base area term (closedness forces it)
-    om_j = wedge_11(th, dl) + ell * c * c * wedge_11(dx1, dx2)
-    om_i = c * (wedge_11(th, dx2) + ell * wedge_11(dl, dx1))
-    om_k = c * (wedge_11(dx1, th) + ell * wedge_11(dl, dx2))
-    return om_i.real, om_j.real, om_k.real
+    cl = c * pt.ell
+    lc2 = cl * c
+    a = np.array([[[0.0, 0.0, cl, 0.0], [0.0, 0.0, 0.0, c],
+                   [-cl, 0.0, 0.0, 0.0], [0.0, -c, 0.0, 0.0]],
+                  [[0.0, -1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0],
+                   [0.0, 0.0, 0.0, lc2], [0.0, 0.0, -lc2, 0.0]],
+                  [[0.0, 0.0, 0.0, cl], [0.0, 0.0, -c, 0.0],
+                   [0.0, c, 0.0, 0.0], [-cl, 0.0, 0.0, 0.0]]])
+    e = _coframe(m, pt)
+    return tuple(e.T @ a @ e)
 
 
 def holomorphic_form_j(m: CalabiModel, pt: CalabiPoint) -> np.ndarray:
@@ -134,15 +143,14 @@ def gibbons_hawking_metric(m: CalabiModel, pt: CalabiPoint) -> np.ndarray:
     The complex structure J satisfies J dl = theta/ell, J dxi1 = -dxi2.
     The result matches ell (dl^2 + c^2 |dxi|^2) + theta^2/ell.
     """
-    q = pt.coords()
-    ell = q[0]
-    dl, th, dx1, dx2 = _covectors(m, q)
+    ell = pt.ell
+    dl, th, dx1, dx2 = _coframe(m, pt)
     # J* on the coordinate coframe
     jstar = np.zeros((4, 4))
     jstar[0] = th / ell
     # dpsi = theta - (c^2/2)(xi2 dxi1 - xi1 dxi2); J*theta = -ell*dl
     c2 = m.c_tau ** 2
-    jstar[1] = -ell * dl - 0.5 * c2 * (q[3] * (-dx2) - q[2] * dx1)
+    jstar[1] = -ell * dl - 0.5 * c2 * (pt.xi2 * (-dx2) - pt.xi1 * dx1)
     jstar[2] = -dx2
     jstar[3] = dx1
     _, om_j, _ = hk_triple(m, pt)
@@ -152,9 +160,8 @@ def gibbons_hawking_metric(m: CalabiModel, pt: CalabiPoint) -> np.ndarray:
 
 
 def gibbons_hawking_closed_form(m: CalabiModel, pt: CalabiPoint) -> np.ndarray:
-    q = pt.coords()
-    ell = q[0]
-    _, th, _, _ = _covectors(m, q)
+    ell = pt.ell
+    th = _coframe(m, pt)[1]
     c2 = m.c_tau ** 2
     g = np.diag([ell, 0.0, ell * c2, ell * c2])
     return g + np.outer(th, th) / ell
@@ -261,7 +268,7 @@ def sf_coordinates(m: CalabiModel, pt: CalabiPoint) -> tuple[np.ndarray, np.ndar
     t = complex(m.tau)
     a, b, c = m.a_tau, m.b_tau, m.c_tau
     c2 = c * c
-    ell, psi, xi1, xi2 = pt.coords()
+    ell, psi, xi1, xi2 = pt.ell, pt.psi, pt.xi1, pt.xi2
 
     c1 = TWO_PI * abs(t) / (t.imag * c)
     ell_sf = c1 * ell
@@ -271,22 +278,25 @@ def sf_coordinates(m: CalabiModel, pt: CalabiPoint) -> tuple[np.ndarray, np.ndar
     x2 = c * ell * xi2 / (TWO_PI * a)
     q_sf = np.array([ell_sf, th_sf, x1, x2])
 
-    jac = np.zeros((4, 4))
-    jac[0, 0] = c1
-    jac[1, 2] = TWO_PI
-    jac[1, 3] = -TWO_PI * t.real / t.imag
-    jac[2, 0] = b * ell / (TWO_PI * a)
-    jac[2, 1] = 1.0 / TWO_PI
-    jac[2, 2] = -c2 * xi2 / (2.0 * TWO_PI)
-    jac[2, 3] = (-0.5 * a * c2 * xi1 - b * c2 * xi2) / (TWO_PI * a)
-    jac[3, 0] = c * xi2 / (TWO_PI * a)
-    jac[3, 3] = c * ell / (TWO_PI * a)
+    jac = np.array([
+        [c1, 0.0, 0.0, 0.0],
+        [0.0, 0.0, TWO_PI, -TWO_PI * t.real / t.imag],
+        [b * ell / (TWO_PI * a), 1.0 / TWO_PI, -c2 * xi2 / (2.0 * TWO_PI),
+         (-0.5 * a * c2 * xi1 - b * c2 * xi2) / (TWO_PI * a)],
+        [c * xi2 / (TWO_PI * a), 0.0, 0.0, c * ell / (TWO_PI * a)]])
     return q_sf, jac
 
 
 def omega_tau(m: CalabiModel, pt: CalabiPoint) -> np.ndarray:
-    om_i, _, om_k = hk_triple(m, pt)
-    return m.a_tau * om_i + m.b_tau * om_k
+    """a_tau omega_I + b_tau omega_K, as E^T (a_tau A_I + b_tau A_K) E
+    with the coefficients of hk_triple."""
+    c = m.c_tau
+    ac, bc = m.a_tau * c, m.b_tau * c
+    acl, bcl = ac * pt.ell, bc * pt.ell
+    a = np.array([[0.0, 0.0, acl, bcl], [0.0, 0.0, -bc, ac],
+                  [-acl, bc, 0.0, 0.0], [-bcl, -ac, 0.0, 0.0]])
+    e = _coframe(m, pt)
+    return e.T @ a @ e
 
 
 def verify_rotation(m: CalabiModel, pt: CalabiPoint) -> float:
@@ -297,8 +307,8 @@ def verify_rotation(m: CalabiModel, pt: CalabiPoint) -> float:
     jinv = np.linalg.inv(jac)
     pushed = jinv.T @ omega_tau(m, pt) @ jinv
     target = sfm.sf_form_chart(rot.params, q_sf)
-    scale = max(np.max(np.abs(target)), 1e-300)
-    return float(np.max(np.abs(pushed - target)) / scale)
+    scale = max(np.abs(target).max(), 1e-300)
+    return float(np.abs(pushed - target).max() / scale)
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,9 @@ _J[0, 1] = -1.0
 _J[3, 2] = 1.0
 _J[2, 3] = -1.0
 
+# strict lower bounds of a valid chart point: ell > 0, the rest finite
+_LOWER = np.array([0.0, -np.inf, -np.inf, -np.inf])
+
 # position of each 4x4 two-form entry in (0, entries 01..23, their negatives)
 _FORM_IDX = np.array([[0, 1, 2, 3], [7, 0, 4, 5], [8, 10, 0, 6], [9, 11, 12, 0]])
 
@@ -114,14 +117,16 @@ def sf_form_chart(p: ModelParams, q: np.ndarray) -> np.ndarray:
     q = np.asarray(q, dtype=float)
     if q.shape[-1:] != (4,):
         raise ValidationError("chart points must have shape (..., 4)")
-    if not np.isfinite(q).all():
-        raise ValidationError("chart point must be finite")
-    ell, th, x2 = q[..., 0][()], q[..., 1][()], q[..., 3][()]
-    if (ell <= 0).any():
+    if not ((q > _LOWER) & (q < np.inf)).all():
+        if not np.isfinite(q).all():
+            raise ValidationError("chart point must be finite")
         raise ValidationError("chart point must have ell > 0")
-    kap = p.kappa_at(np.exp(-(ell + 1j * th)))
-    # products, not abs(): numpy scalars and arrays round abs() differently
-    kap2 = kap.real * kap.real + kap.imag * kap.imag
+    ell, th, x2 = q[..., 0][()], q[..., 1][()], q[..., 3][()]
+    kap2 = 1.0
+    if p.kappa:
+        kap = p.kappa_at(np.exp(-(ell + 1j * th)))
+        # products, not abs(): numpy scalars and arrays round abs() differently
+        kap2 = kap.real * kap.real + kap.imag * kap.imag
     w = w_factor(p, ell)
     c = w * p.eps
     d = 2.0 * kap2 / (p.eps * w)

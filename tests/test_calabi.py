@@ -7,7 +7,7 @@ import pytest
 from syzlab import calabi as cal
 from syzlab import semiflat as sf
 from syzlab.errors import ValidationError
-from syzlab.forms import top_coeff, top_coeff_pair
+from syzlab.forms import top_coeff, top_coeff_pair, wedge_11
 
 TWO_PI = 2.0 * math.pi
 
@@ -28,7 +28,32 @@ def _random_points(n, seed=11):
                             xi2=rng.uniform(-0.5, 0.5)) for _ in range(n)]
 
 
+def _wedge_triple(m, pt):
+    """Reference (omega_I, omega_J, omega_K) from six wedges of the coframe
+    (d ell, theta, d xi1, d xi2), as the module docstring writes them."""
+    c = m.c_tau
+    c2 = c * c
+    dl = np.array([1.0, 0.0, 0.0, 0.0])
+    th = np.array([0.0, 1.0, 0.5 * c2 * pt.xi2, -0.5 * c2 * pt.xi1])
+    dx1 = np.array([0.0, 0.0, 1.0, 0.0])
+    dx2 = np.array([0.0, 0.0, 0.0, 1.0])
+    om_j = wedge_11(th, dl) + pt.ell * c2 * wedge_11(dx1, dx2)
+    om_i = c * (wedge_11(th, dx2) + pt.ell * wedge_11(dl, dx1))
+    om_k = c * (wedge_11(dx1, th) + pt.ell * wedge_11(dl, dx2))
+    return om_i, om_j, om_k
+
+
 class TestHkTriple:
+    @pytest.mark.parametrize("model", MODELS)
+    def test_matches_wedge_construction(self, model):
+        for pt in _random_points(20):
+            want = _wedge_triple(model, pt)
+            for got, ref in zip(cal.hk_triple(model, pt), want):
+                assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+            ref = model.a_tau * want[0] + model.b_tau * want[2]
+            got = cal.omega_tau(model, pt)
+            assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+
     @pytest.mark.parametrize("model", MODELS)
     def test_orthogonality_and_squares(self, model):
         for pt in _random_points(20):
@@ -118,6 +143,21 @@ class TestRotate:
 
 
 class TestVerifyRotation:
+    @pytest.mark.parametrize("model", MODELS)
+    def test_jacobian_matches_central_differences(self, model):
+        h = 1e-6
+        for pt in _random_points(10, seed=3):
+            q = pt.coords()
+            _, jac = cal.sf_coordinates(model, pt)
+            fd = np.empty((4, 4))
+            for b in range(4):
+                step = np.zeros(4)
+                step[b] = h
+                plus = cal.sf_coordinates(model, cal.CalabiPoint(*(q + step)))[0]
+                minus = cal.sf_coordinates(model, cal.CalabiPoint(*(q - step)))[0]
+                fd[:, b] = (plus - minus) / (2.0 * h)
+            assert np.max(np.abs(jac - fd)) <= 1e-8 * max(1.0, np.max(np.abs(jac)))
+
     def test_single_point_square(self):
         pt = cal.CalabiPoint(ell=2.0, psi=1.0, xi1=0.3, xi2=0.0)
         assert cal.verify_rotation(MODELS[0], pt) <= 1e-8

@@ -7,6 +7,7 @@ import os
 import shlex
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 
 import jsonschema
@@ -14,7 +15,9 @@ import numpy as np
 import pytest
 
 from syzlab import cli
+from syzlab import fibration as fib
 from syzlab import semiflat as sfm
+from syzlab.numerics import DecayFit
 from syzlab.errors import ValidationError
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -245,6 +248,23 @@ class TestExitCodes:
         assert ("numerical failure" if code == 2 else "must be finite") in err
 
     @pytest.mark.parametrize("argv", [
+        ["slag", "geometry", "--k", "1", "--ell", "1e-320"],
+        ["slag", "check", "--k", "1", "--eps", "1e300"],
+        ["semiflat", "residual", "--k", "1", "--eps", "1e300", "--grid", "2"],
+        # the cutoff's transition width underflows to a division by zero,
+        # which numpy used to carry through to a passing margin
+        ["glue", "positivity", "--k", "1", "--r", "0.1", "--s", "1e-300",
+         "--v0c", "1", "--vomc", "0.2"],
+    ])
+    def test_floating_point_error_is_two_without_warnings(self, capsys, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.run(argv + ["--no-timestamp"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "numerical failure" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
         ["semiflat", "eval", "--k", "1", "--ell", "2", "--b0", "abc"],
         ["semiflat", "classify-translation", "--k", "1", "--section-b", "x"],
         ["semiflat", "eval", "--k", "1", "--ell", "2", "--b0", "1/0"],
@@ -366,6 +386,55 @@ class TestCommands:
             "--no-timestamp")
         assert code == 0
         assert report["results"]["margin"] > 0
+
+
+class TestClassifyChecks:
+    def test_power_decay_exponent_checked(self, capsys):
+        code, report, _ = run_cli(capsys, "semiflat", "classify-translation",
+                                  "--k", "1", "--h0", "0+1i", "--h1", "1+0i",
+                                  "--no-timestamp")
+        assert code == 0
+        check = {c["name"]: c for c in report["checks"]}["power_decay_exponent"]
+        assert check["passed"]
+        assert check["measured"] == report["results"]["fit"]["exponent"]
+        assert abs(check["measured"] + 4.0 / 3.0) <= 0.01
+
+    @pytest.mark.parametrize("exponent,code", [(-1.0, 3), (-1.6, 3),
+                                               (-1.3, 0), (-1.45, 0)])
+    def test_power_decay_window(self, capsys, monkeypatch, exponent, code):
+        fit = DecayFit("power", exponent, 1.0, 0.9999, 9)
+        dc = sfm.DecayClass(sfm.POWER_DECAY, fit, None, np.ones(3), np.ones(3))
+        monkeypatch.setattr(sfm, "classify_translation", lambda p, s: dc)
+        got, report, _ = run_cli(capsys, "semiflat", "classify-translation",
+                                 "--k", "1", "--h0", "0+1i", "--no-timestamp")
+        assert got == code
+        jsonschema.validate(report, SCHEMA)
+        check = {c["name"]: c for c in report["checks"]}["power_decay_exponent"]
+        assert check["passed"] == (code == 0)
+
+    @pytest.mark.parametrize("argv", [["--pole"], ["--section-b", "1/2"],
+                                      ["--h0", "1/2+0i"]])
+    def test_other_variants_have_no_exponent_window(self, capsys, argv):
+        code, report, _ = run_cli(capsys, "semiflat", "classify-translation",
+                                  "--k", "1", *argv, "--no-timestamp")
+        assert code == 0
+        assert "power_decay_exponent" not in {c["name"] for c in report["checks"]}
+
+
+class TestEvalPoint:
+    def test_point_built_by_from_ell(self, capsys, monkeypatch):
+        seen = []
+        from_ell = fib.from_ell
+        monkeypatch.setattr(fib, "from_ell",
+                            lambda *a: seen.append(a) or from_ell(*a))
+        code, report, _ = run_cli(capsys, "semiflat", "eval", "--k", "1",
+                                  "--ell", "2.5", "--theta", "0.4", "--x1",
+                                  "-0.3", "--x2", "0.7", "--no-timestamp")
+        assert code == 0
+        assert seen == [(complex(-0.3, 0.7), 2.5, 0.4)]
+        q = np.array([2.5, 0.4, -0.3, 0.7])
+        assert report["results"]["form"] == \
+            sfm.sf_form_chart(sfm.ModelParams(k=1), q).tolist()
 
 
 class TestCachedParser:

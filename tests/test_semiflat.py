@@ -135,6 +135,33 @@ class TestBatchedKernel:
         with pytest.raises(ValidationError):
             sf.sf_form_chart(p, q[i, j])
 
+    @pytest.mark.parametrize("coord,value,message", [
+        *((c, v, "must be finite") for c in range(4)
+          for v in (math.nan, math.inf, -math.inf)),
+        *((0, v, "ell > 0") for v in (0.0, -0.0, -1.0)),
+    ])
+    def test_rejection_names_the_fault(self, coord, value, message):
+        p = sf.ModelParams(k=1, eps=1.0)
+        q = _chart_points(np.random.default_rng(4), (3, 5))
+        q[1, 3, coord] = value
+        for bad in (q, q[1, 3]):
+            with pytest.raises(ValidationError, match=message):
+                sf.sf_form_chart(p, bad)
+
+    def test_non_finite_reported_before_ell(self):
+        q = _chart_points(np.random.default_rng(4), (3, 5))
+        q[0, 0, 0] = 0.0
+        q[2, 4, 3] = math.nan
+        with pytest.raises(ValidationError, match="must be finite"):
+            sf.sf_form_chart(sf.ModelParams(k=1), q)
+
+    def test_empty_kappa_equals_unit_kappa(self):
+        q = _chart_points(np.random.default_rng(9), (3, 5))
+        forms = [sf.sf_form_chart(sf.ModelParams(k=2, eps=0.7, b0=0.3, kappa=kap), qq)
+                 for kap in ({}, {0: 1}) for qq in (q, q[2, 1])]
+        assert np.array_equal(forms[0], forms[2])
+        assert np.array_equal(forms[1], forms[3])
+
     def test_wrong_trailing_axis_rejected(self):
         with pytest.raises(ValidationError):
             sf.sf_form_chart(sf.ModelParams(k=1), np.ones((4, 3)))
