@@ -126,6 +126,13 @@ class GlueConfig:
             raise ValidationError("need 0 < rho_min < r")
         if self.s <= 0 or not (self.r + 3.0 * self.s < self.rho_max < 1.0):
             raise ValidationError("need r + 3s < rho_max < 1")
+        # the cutoffs divide by differences of -log over these edges
+        edges = (self.r, self.r + self.s, self.r + 2.0 * self.s, self.r + 3.0 * self.s)
+        logs = [-np.log(e) for e in edges]
+        if not (edges[0] < edges[1] < edges[2] < edges[3]
+                and logs[0] > logs[1] > logs[2] > logs[3]):
+            raise ValidationError("s is too small: r, r+s, r+2s and r+3s (or their"
+                                  " logarithms) are not distinct in floating point")
         if self.params.alpha != 1.0:
             raise ValidationError("reference params must have alpha = 1")
         if self.v0c <= 0 or self.vomc <= 0:

@@ -47,9 +47,7 @@ _J[2, 3] = -1.0
 
 # strict lower bounds of a valid chart point: ell > 0, the rest finite
 _LOWER = np.array([0.0, -np.inf, -np.inf, -np.inf])
-
-# position of each 4x4 two-form entry in (0, entries 01..23, their negatives)
-_FORM_IDX = np.array([[0, 1, 2, 3], [7, 0, 4, 5], [8, 10, 0, 6], [9, 11, 12, 0]])
+_INF = math.inf
 
 
 @dataclass(frozen=True)
@@ -68,6 +66,8 @@ class ModelParams:
     kappa: dict = field(default_factory=dict)
     b0_exact: Fraction | None = None
     b0_irrational: bool = False
+    # (power, complex coefficient) of kappa in increasing power, built once
+    _kappa_terms: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.k < 1:
@@ -85,12 +85,17 @@ class ModelParams:
             raise ValidationError("b0 cannot be both exact-rational and irrational")
         if self.b0_exact is not None and abs(float(self.b0_exact) - self.b0) > 1e-12:
             raise ValidationError("b0_exact disagrees with b0")
+        object.__setattr__(self, "_kappa_terms",
+                           tuple((p, complex(c)) for p, c in sorted(self.kappa.items())))
 
     def kappa_at(self, z):
         """kappa(z) at a complex z, or elementwise over an array of z."""
-        if not self.kappa:
+        if not self._kappa_terms:
             return 1.0 + 0.0j
-        return sum((complex(c) * z ** p for p, c in sorted(self.kappa.items())), 0j)
+        kap = 0j
+        for power, c in self._kappa_terms:
+            kap = kap + c * z ** power
+        return kap
 
     def kappa_is_one(self) -> bool:
         return all(c == 0 for p, c in self.kappa.items() if p != 0)
@@ -105,26 +110,12 @@ def gamma(p: ModelParams, x: complex, y: complex) -> complex:
     return 1j * x.imag / y.real + p.b0 * y.real / (2.0 * math.pi ** 2)
 
 
-def sf_form_chart(p: ModelParams, q: np.ndarray) -> np.ndarray:
-    """Metric 2-form alpha * omega_sf at chart points q of shape (..., 4).
-
-    Returns (..., 4, 4).  With Gamma = g_r + i*g_i, c = W*eps and
-    d = 2|kappa|^2/(eps*W), the entries 01, 02, 03, 12, 13, 23 are
-    alpha times d + c|Gamma|^2, c*g_i, -c*g_r, c*g_r, c*g_i and c: the
-    closed form of d*(i/2) dy^dybar + c*(i/2) a^abar with a = dx - Gamma dy.
-    A single point gives numpy scalars, so it pays no array overhead.
-    """
-    q = np.asarray(q, dtype=float)
-    if q.shape[-1:] != (4,):
-        raise ValidationError("chart points must have shape (..., 4)")
-    if not ((q > _LOWER) & (q < np.inf)).all():
-        if not np.isfinite(q).all():
-            raise ValidationError("chart point must be finite")
-        raise ValidationError("chart point must have ell > 0")
-    ell, th, x2 = q[..., 0][()], q[..., 1][()], q[..., 3][()]
+def _form_entries(p: ModelParams, ell, th, x2, exp):
+    """alpha times (d + c|Gamma|^2, c*g_i, c*g_r, c) of sf_form_chart, on
+    floats or arrays."""
     kap2 = 1.0
     if p.kappa:
-        kap = p.kappa_at(np.exp(-(ell + 1j * th)))
+        kap = p.kappa_at(exp(-(ell + 1j * th)))
         # products, not abs(): numpy scalars and arrays round abs() differently
         kap2 = kap.real * kap.real + kap.imag * kap.imag
     w = w_factor(p, ell)
@@ -132,10 +123,54 @@ def sf_form_chart(p: ModelParams, q: np.ndarray) -> np.ndarray:
     d = 2.0 * kap2 / (p.eps * w)
     g_r = p.b0 * ell / (2.0 * math.pi ** 2)
     g_i = x2 / ell
-    upper = (d + c * (g_r * g_r + g_i * g_i), c * g_i, -(c * g_r), c * g_r, c * g_i, c)
-    u = p.alpha * np.array((0.0 * c,) + upper + tuple(-v for v in upper))
-    m = u[_FORM_IDX]
-    return m.transpose(*range(2, m.ndim), 0, 1)
+    a = p.alpha
+    # alpha scales each finished entry, a * (c * g_i) and not (a * c) * g_i,
+    # which keeps the bits of scaling the whole matrix by alpha
+    return a * (d + c * (g_r * g_r + g_i * g_i)), a * (c * g_i), a * (c * g_r), a * c
+
+
+def _reject_chart_point(q: np.ndarray):
+    if not np.isfinite(q).all():
+        raise ValidationError("chart point must be finite")
+    raise ValidationError("chart point must have ell > 0")
+
+
+def sf_form_chart(p: ModelParams, q: np.ndarray) -> np.ndarray:
+    """Metric 2-form alpha * omega_sf at chart points q of shape (..., 4).
+
+    Returns (..., 4, 4).  With Gamma = g_r + i*g_i, c = W*eps and
+    d = 2|kappa|^2/(eps*W), the entries 01, 02, 03, 12, 13, 23 are
+    alpha times d + c|Gamma|^2, c*g_i, -c*g_r, c*g_r, c*g_i and c: the
+    closed form of d*(i/2) dy^dybar + c*(i/2) a^abar with a = dx - Gamma dy.
+    A single point runs these formulas on Python floats, which cost less
+    per operation than numpy scalars and round the same; only a result
+    that overflows or divides by zero is redone on numpy scalars, so that
+    np.errstate governs it as it governs a batch.
+    """
+    q = np.asarray(q, dtype=float)
+    if q.shape[-1:] != (4,):
+        raise ValidationError("chart points must have shape (..., 4)")
+    if q.ndim == 1:
+        ell, th, x1, x2 = q.tolist()
+        if not (0.0 < ell < _INF and -_INF < th < _INF
+                and -_INF < x1 < _INF and -_INF < x2 < _INF):
+            _reject_chart_point(q)
+        try:
+            e01, cg_i, cg_r, c = _form_entries(p, ell, th, x2, cmath.exp)
+        except ZeroDivisionError:
+            e01 = c = _INF
+        # |c*g_i| and |c*g_r| are at most max(c, e01), which are finite if
+        # their sum is (a finite sum that overflows only takes the slow path)
+        if not math.isfinite(e01 + c):
+            e01, cg_i, cg_r, c = _form_entries(p, q[0], q[1], q[3], np.exp)
+    else:
+        if not ((q > _LOWER) & (q < np.inf)).all():
+            _reject_chart_point(q)
+        e01, cg_i, cg_r, c = _form_entries(p, q[..., 0], q[..., 1], q[..., 3], np.exp)
+    z = 0.0 * c
+    m = np.array([[z, e01, cg_i, -cg_r], [-e01, z, cg_r, cg_i],
+                  [-cg_i, -cg_r, z, c], [cg_r, -cg_i, -c, z]])
+    return m if m.ndim == 2 else m.transpose(*range(2, m.ndim), 0, 1)
 
 
 def hermitian_matrix(p: ModelParams, q: np.ndarray) -> np.ndarray:

@@ -1,4 +1,6 @@
 import cmath
+import contextlib
+import io
 import json
 import math
 import pathlib
@@ -13,6 +15,8 @@ from fractions import Fraction
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from syzlab import cli
 from syzlab import fibration as fib
@@ -251,10 +255,6 @@ class TestExitCodes:
         ["slag", "geometry", "--k", "1", "--ell", "1e-320"],
         ["slag", "check", "--k", "1", "--eps", "1e300"],
         ["semiflat", "residual", "--k", "1", "--eps", "1e300", "--grid", "2"],
-        # the cutoff's transition width underflows to a division by zero,
-        # which numpy used to carry through to a passing margin
-        ["glue", "positivity", "--k", "1", "--r", "0.1", "--s", "1e-300",
-         "--v0c", "1", "--vomc", "0.2"],
     ])
     def test_floating_point_error_is_two_without_warnings(self, capsys, argv):
         with warnings.catch_warnings():
@@ -263,6 +263,22 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == ""
         assert "numerical failure" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("s", ["1e-300", "1e-17"])
+    @pytest.mark.parametrize("command,extra", [
+        ("positivity", ["--r", "0.1", "--v0c", "1", "--vomc", "0.2"]),
+        ("solve-alpha", ["--r", "0.2", "--v0c", "40", "--vomc", "62"]),
+    ])
+    def test_glue_unresolvable_s_is_one(self, capsys, command, extra, s):
+        # r, r+s, r+2s and r+3s are not distinct in floating point, so the
+        # cutoff would divide by zero (exit 2 before)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.run(["glue", command, "--k", "1", *extra, "--s", s,
+                            "--no-timestamp"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "s is too small" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("argv", [
         ["semiflat", "eval", "--k", "1", "--ell", "2", "--b0", "abc"],
@@ -513,3 +529,59 @@ class TestReadme:
                                 parse_constant=_reject_constant)
             assert code == 0, line
             jsonschema.validate(report, SCHEMA)
+
+
+# finite (positive ones reach the kernels), zero, infinite, NaN and huge
+_GATE_VALUES = st.one_of(
+    st.floats(0.05, 20.0),
+    st.floats(-50.0, 50.0),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1e300, -1e300,
+                     1.7e308, 1e-300, 5e-324]),
+)
+_GATE_COMMANDS = [
+    (["semiflat", "eval", "--k", "1", "--ell", "2"],
+     ["--ell", "--theta", "--x1", "--x2", "--eps", "--b0", "--alpha", "--kappa1"]),
+    (["semiflat", "pair", "--k", "2", "--cycle", "2,1", "--grid", "8"],
+     ["--eps", "--b0", "--alpha", "--kappa1"]),
+    (["semiflat", "residual", "--k", "1", "--grid", "8"],
+     ["--eps", "--b0", "--alpha", "--kappa1"]),
+    (["slag", "check", "--k", "1"], ["--ell", "--eps", "--b0", "--kappa1"]),
+    (["hkrot", "--k", "1"], ["tau"]),
+]
+
+
+def _set_flag(argv, flag, value):
+    if flag in argv:
+        argv[argv.index(flag) + 1] = value
+    else:
+        argv += [flag, value]
+
+
+class TestArgvGate:
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    def test_edge_values_keep_the_exit_contract(self, data):
+        base, flags = data.draw(st.sampled_from(_GATE_COMMANDS))
+        argv = list(base) + ["--no-timestamp"]
+        for flag in data.draw(st.lists(st.sampled_from(flags), min_size=1,
+                                       max_size=2, unique=True)):
+            if flag == "tau":
+                re_s, im_s = repr(data.draw(_GATE_VALUES)), repr(data.draw(_GATE_VALUES))
+                _set_flag(argv, "--tau", re_s + ("" if im_s[0] == "-" else "+") + im_s + "i")
+            else:
+                _set_flag(argv, flag, repr(data.draw(_GATE_VALUES)))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.run(argv)  # an escaping exception fails the test
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 1, 2, 3), argv
+        assert "Traceback" not in err, argv
+        if code in (1, 2):
+            assert out == "", argv
+            return
+        report = json.loads(out, parse_constant=_reject_constant)
+        jsonschema.validate(report, SCHEMA)
+        assert all(c["passed"] for c in report["checks"]) == (code == 0), argv
+        for c in report["checks"]:
+            if c["passed"] and isinstance(c["measured"], float):
+                assert math.isfinite(c["measured"]), argv

@@ -161,6 +161,24 @@ class TestConfig:
         with pytest.raises(ValidationError):
             make_cfg(vomc=-1.0)
 
+    @pytest.mark.parametrize("s", [1e-300, 1e-17, 2e-17])
+    def test_unresolvable_transition_width_rejected(self, s):
+        # the cutoffs divide by differences of -log over r, r+s, r+2s, r+3s
+        with pytest.raises(ValidationError, match="s is too small"):
+            make_cfg(r=0.1, s=s)
+
+    def test_coinciding_logarithms_rejected(self):
+        # four distinct edges whose -log values still collide at r = 0.1
+        r, s = 0.1, 2e-17
+        edges = [r, r + s, r + 2.0 * s, r + 3.0 * s]
+        assert len(set(edges)) == 4
+        assert len({float(-np.log(e)) for e in edges}) < 4
+        with pytest.raises(ValidationError, match="s is too small"):
+            make_cfg(r=r, s=s)
+
+    def test_small_resolvable_transition_width_accepted(self):
+        assert make_cfg(r=0.1, s=1e-12).cutoffs.s == 1e-12
+
     @pytest.mark.parametrize("field", ["r", "s", "rho_min", "rho_max", "v0c",
                                        "vomc", "c0", "c0_rs"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

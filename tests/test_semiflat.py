@@ -94,17 +94,25 @@ def _chart_points(rng, shape):
 
 
 class TestBatchedKernel:
-    @pytest.mark.parametrize("kappa", [{}, {0: 1.0, 1: 0.5}])
+    @pytest.mark.parametrize("kappa", [{}, {0: 1.0, 1: 0.5},
+                                       {2: 0.2, 0: 1.0, 1: 0.5 - 0.3j}])
     def test_batch_equals_stacked_single_points(self, kappa):
         p = sf.ModelParams(k=2, eps=0.7, b0=0.3, alpha=1.3, kappa=kappa)
         q = _chart_points(np.random.default_rng(5), (8, 8))
         # spread ell down to 0.05 so kappa(z) = 1 + 0.5 z moves every entry
         q[..., 0] = np.linspace(0.05, 12.0, 64).reshape(8, 8)
+        # x2 = +-0 gives entries +-0, theta = -0 a negative zero in kappa's z
+        q[0, :, 3] = 0.0
+        q[1, :, 3] = -0.0
+        q[2, :, 1] = -0.0
         batch = sf.sf_form_chart(p, q)
         single = np.array([[sf.sf_form_chart(p, q[i, j]) for j in range(8)]
                            for i in range(8)])
         assert batch.shape == (8, 8, 4, 4)
+        # one point runs on Python floats, a batch on arrays: the same bits
         assert np.array_equal(batch, single)
+        assert np.array_equal(np.signbit(batch), np.signbit(single))
+        assert np.signbit(batch[1][batch[1] == 0]).any()
         metric = np.array([[sf.riemannian_metric_chart(p, q[i, j])
                             for j in range(8)] for i in range(8)])
         assert np.array_equal(sf.riemannian_metric_chart(p, q), metric)
@@ -165,6 +173,50 @@ class TestBatchedKernel:
     def test_wrong_trailing_axis_rejected(self):
         with pytest.raises(ValidationError):
             sf.sf_form_chart(sf.ModelParams(k=1), np.ones((4, 3)))
+
+    @pytest.mark.parametrize("b0,x2,signs", [
+        (0.0, 0.0, "0001100011000110"),
+        (0.0, -0.0, "0011100101000010"),
+        (-0.0, 0.0, "0000101010001110"),
+        (-0.0, -0.0, "0010101100001010"),
+    ])
+    def test_signed_zeros_pinned(self, b0, x2, signs):
+        p = sf.ModelParams(k=2, eps=0.7, b0=b0, alpha=1.3)
+        for q in (np.array([2.0, 0.5, 0.3, x2]), np.array([[2.0, 0.5, 0.3, x2]])):
+            m = sf.sf_form_chart(p, q).reshape(4, 4)
+            assert "".join("1" if b else "0" for b in np.signbit(m).ravel()) == signs
+
+    @pytest.mark.parametrize("q,row", [
+        ([0.05, 0.3, -1.2, 0.7],
+         ["0x0.0p+0", "0x1.05b49f0bb077dp+13", "0x1.2b1462045e7eep+9", "0x1.62a2035e9e04dp-5"]),
+        ([1.5, -2.0, 0.4, -0.9],
+         ["0x0.0p+0", "0x1.2ca04ccbfa236p+2", "-0x1.b582c11f428ddp-1", "0x1.62a2035e9e04dp-5"]),
+        ([12.0, 6.5, 0.0, 1.9],
+         ["0x0.0p+0", "0x1.03dcb51c05bf7p+5", "0x1.cdd1212f38079p-6", "0x1.62a2035e9e04dp-5"]),
+        # summing kappa's terms from the top power would round this one apart
+        ([1.03, 2.7, 0.0, 0.5],
+         ["0x0.0p+0", "0x1.28ba79193a4acp+1", "0x1.01bf56184dc4ep+0", "0x1.62a2035e9e04dp-5"]),
+    ])
+    def test_three_term_kappa_row_pinned(self, q, row):
+        # bits of the first row recorded before the single-point float path
+        p = sf.ModelParams(k=3, eps=0.6, b0=-0.4, alpha=1.7,
+                           kappa={0: 1.0, 1: 0.5 - 0.3j, 2: 0.2})
+        for m in (sf.sf_form_chart(p, np.array(q)), sf.sf_form_chart(p, np.array([q]))[0]):
+            assert [v.hex() for v in m[0]] == row
+
+    @pytest.mark.parametrize("q", [
+        [1e-320, 0.1, 0.0, 0.3],  # W = 2 pi / (k ell) overflows
+        [1e300, 0.1, 0.0, 0.3],  # b0 * ell overflows
+        [0.5, 0.1, 0.0, 1e300],  # Gamma^2 overflows
+    ])
+    def test_single_point_overflow_raises_under_errstate(self, q):
+        # Python floats overflow silently; a point numpy would flag must
+        # still raise under np.errstate, as in a batch
+        p = sf.ModelParams(k=2, eps=0.7, b0=0.3, alpha=1.3, kappa={0: 1.0, 1: 0.6})
+        for pts in (np.array(q), np.array([q])):
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                with pytest.raises(FloatingPointError):
+                    sf.sf_form_chart(p, pts)
 
 
 class TestMaResidual:
@@ -236,6 +288,19 @@ class TestPairings:
         p = sf.ModelParams(k=1, eps=1.0)
         with pytest.raises(ValidationError):
             sf.pair_cycle(p, fib.FIBER, n=3)
+
+    @pytest.mark.parametrize("kappa1", [0.0, 0.6])
+    @pytest.mark.parametrize("cycle,bits", [
+        (fib.FIBER, "0x1.d1eb851eb851ep-1"),
+        (fib.CycleSpec(m1=1, m2=0), "-0x1.d1eb851eb851ep-3"),
+        (fib.CycleSpec(m1=1, m2=1), "0x1.5d70a3d70a3d7p-1"),
+        (fib.CycleSpec(m1=2, m2=1), "0x1.d1eb851eb851ep-2"),
+    ])
+    def test_quadrature_bits_pinned(self, cycle, bits, kappa1):
+        # recorded before the single-point float path of sf_form_chart
+        kappa = {0: 1.0, 1: kappa1} if kappa1 else {}
+        p = sf.ModelParams(k=2, eps=0.7, b0=-0.25, alpha=1.3, kappa=kappa)
+        assert sf.pair_cycle(p, cycle, n=16).hex() == bits
 
 
 def _jacobian(eta_y):
