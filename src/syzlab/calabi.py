@@ -27,7 +27,7 @@ model with
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -57,6 +57,9 @@ class CalabiModel:
     re_exact: Fraction | None = None
     abs2_exact: Fraction | None = None
     ratio_irrational: bool = False
+    # the RotationResult of rotate(self), stored by its first successful call
+    _rotation: RotationResult | None = field(default=None, init=False, repr=False,
+                                             compare=False)
 
     def __post_init__(self):
         if self.k < 1:
@@ -92,6 +95,10 @@ class CalabiPoint:
     xi2: float = 0.0
 
     def __post_init__(self):
+        inf = math.inf
+        if not (-inf < self.psi < inf and -inf < self.xi1 < inf
+                and -inf < self.xi2 < inf and -inf < self.ell < inf):
+            raise ValidationError("point coordinates must be finite")
         if self.ell <= 0:
             raise ValidationError("ell must be positive")
 
@@ -230,6 +237,10 @@ class RotationResult:
 
 
 def rotate(m: CalabiModel) -> RotationResult:
+    """The semi-flat data of m, computed by the first call for this model
+    instance and stored on it; a call that raises stores nothing."""
+    if m._rotation is not None:
+        return m._rotation
     t = complex(m.tau)
     alpha = math.sqrt(m.k * math.pi * t.imag) / abs(t)
     eps = TWO_PI * abs(t) * m.c_tau
@@ -249,21 +260,27 @@ def rotate(m: CalabiModel) -> RotationResult:
     params = sfm.ModelParams(k=m.k, eps=eps / alpha, b0=b0, alpha=alpha,
                              b0_exact=b0_exact,
                              b0_irrational=m.ratio_irrational)
-    return RotationResult(alpha=alpha, eps=eps, b0=b0, sf_class=cls,
-                          exact=exact, winding=winding, params=params)
+    rot = RotationResult(alpha=alpha, eps=eps, b0=b0, sf_class=cls,
+                         exact=exact, winding=winding, params=params)
+    object.__setattr__(m, "_rotation", rot)
+    return rot
 
 
 # ---------------------------------------------------------------------------
 # coordinate change to the semi-flat chart
 
 
-def sf_coordinates(m: CalabiModel, pt: CalabiPoint) -> tuple[np.ndarray, np.ndarray]:
-    """Semi-flat chart point (ell_sf, theta_sf, x1, x2) and its Jacobian.
+def _chart(m: CalabiModel, pt: CalabiPoint) -> tuple[list, tuple]:
+    """Semi-flat chart point (ell_sf, theta_sf, x1, x2) and the inverse of
+    its Jacobian, on Python floats.
 
     x = x1 + i x2 is the fiber coordinate normalized so the lattice is
     Lambda(z); x1 comes from the exact antiderivative of J dx2, pinned to
     vanish along the parallel holomorphic section psi = -b ell^2 / (2a),
-    xi2 = 0.
+    xi2 = 0.  The Jacobian is block-triangular (ell_sf depends on ell
+    alone, x2 on ell and xi2, theta_sf on xi, x1 adds psi), so its inverse
+    is solved row by row: rows (d ell, d psi, d xi1, d xi2), columns the
+    chart coordinates.
     """
     t = complex(m.tau)
     a, b, c = m.a_tau, m.b_tau, m.c_tau
@@ -271,44 +288,95 @@ def sf_coordinates(m: CalabiModel, pt: CalabiPoint) -> tuple[np.ndarray, np.ndar
     ell, psi, xi1, xi2 = pt.ell, pt.psi, pt.xi1, pt.xi2
 
     c1 = TWO_PI * abs(t) / (t.imag * c)
-    ell_sf = c1 * ell
-    th_sf = TWO_PI * xi1 - TWO_PI * (t.real / t.imag) * xi2
-    x1 = (a * psi + 0.5 * b * ell ** 2 - 0.5 * a * c2 * xi1 * xi2
-          - 0.5 * b * c2 * xi2 ** 2) / (TWO_PI * a)
-    x2 = c * ell * xi2 / (TWO_PI * a)
-    q_sf = np.array([ell_sf, th_sf, x1, x2])
+    r = t.real / t.imag
+    q_sf = [c1 * ell,
+            TWO_PI * xi1 - TWO_PI * r * xi2,
+            (a * psi + 0.5 * b * ell ** 2 - 0.5 * a * c2 * xi1 * xi2
+             - 0.5 * b * c2 * xi2 ** 2) / (TWO_PI * a),
+            c * ell * xi2 / (TWO_PI * a)]
 
+    s = 1.0 / c1
+    y0 = -xi2 * s / ell
+    y3 = TWO_PI * a / (c * ell)
+    w = 0.5 * c2 * (xi1 + r * xi2) + c2 * b * xi2 / a
+    jinv = ((s, 0.0, 0.0, 0.0),
+            (w * y0 - b * ell * s / a, 0.5 * c2 * xi2 / TWO_PI, TWO_PI, w * y3),
+            (r * y0, 1.0 / TWO_PI, 0.0, r * y3),
+            (y0, 0.0, 0.0, y3))
+    return q_sf, jinv
+
+
+def sf_coordinates(m: CalabiModel, pt: CalabiPoint) -> tuple[np.ndarray, np.ndarray]:
+    """Semi-flat chart point (ell_sf, theta_sf, x1, x2) of `_chart` and its
+    Jacobian."""
+    t = complex(m.tau)
+    a, b, c = m.a_tau, m.b_tau, m.c_tau
+    c2 = c * c
+    ell, xi1, xi2 = pt.ell, pt.xi1, pt.xi2
     jac = np.array([
-        [c1, 0.0, 0.0, 0.0],
+        [TWO_PI * abs(t) / (t.imag * c), 0.0, 0.0, 0.0],
         [0.0, 0.0, TWO_PI, -TWO_PI * t.real / t.imag],
         [b * ell / (TWO_PI * a), 1.0 / TWO_PI, -c2 * xi2 / (2.0 * TWO_PI),
          (-0.5 * a * c2 * xi1 - b * c2 * xi2) / (TWO_PI * a)],
         [c * xi2 / (TWO_PI * a), 0.0, 0.0, c * ell / (TWO_PI * a)]])
-    return q_sf, jac
+    return np.array(_chart(m, pt)[0]), jac
+
+
+def _tau_coefficients(m: CalabiModel, ell: float) -> tuple[float, float, float, float]:
+    """Entries (A02, A03, A12, A13) of a_tau A_I + b_tau A_K, the
+    coefficients of omega_tau in the coframe (d ell, theta, d xi1, d xi2);
+    A01 = A23 = 0."""
+    c = m.c_tau
+    ac, bc = m.a_tau * c, m.b_tau * c
+    return ac * ell, bc * ell, -bc, ac
 
 
 def omega_tau(m: CalabiModel, pt: CalabiPoint) -> np.ndarray:
     """a_tau omega_I + b_tau omega_K, as E^T (a_tau A_I + b_tau A_K) E
     with the coefficients of hk_triple."""
-    c = m.c_tau
-    ac, bc = m.a_tau * c, m.b_tau * c
-    acl, bcl = ac * pt.ell, bc * pt.ell
-    a = np.array([[0.0, 0.0, acl, bcl], [0.0, 0.0, -bc, ac],
-                  [-acl, bc, 0.0, 0.0], [-bcl, -ac, 0.0, 0.0]])
+    a02, a03, a12, a13 = _tau_coefficients(m, pt.ell)
+    a = np.array([[0.0, 0.0, a02, a03], [0.0, 0.0, a12, a13],
+                  [-a02, -a12, 0.0, 0.0], [-a03, -a13, 0.0, 0.0]])
     e = _coframe(m, pt)
     return e.T @ a @ e
 
 
+_UPPER = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+
+
+def _pushed_omega_tau(m: CalabiModel, pt: CalabiPoint) -> tuple[list, list]:
+    """Chart point q_sf and the upper entries (01, 02, 03, 12, 13, 23) of
+    omega_tau pushed to the semi-flat chart, on Python floats.
+
+    The push-forward is M^T A M with M = E J^-1, the coframe (d ell,
+    theta, d xi1, d xi2) over the chart coordinates.  As A01 = A23 = 0,
+    omega_tau is d ell ^ P + theta ^ Q with P = A02 d xi1 + A03 d xi2 and
+    Q = A12 d xi1 + A13 d xi2, so entry ij is
+    dl_i P_j - P_i dl_j + th_i Q_j - Q_i th_j.
+    """
+    q_sf, (dl, dpsi, dx1, dx2) = _chart(m, pt)
+    h = 0.5 * m.c_tau ** 2
+    u, v = h * pt.xi2, h * pt.xi1
+    th = [p + u * x - v * y for p, x, y in zip(dpsi, dx1, dx2)]
+    a02, a03, a12, a13 = _tau_coefficients(m, pt.ell)
+    pp = [a02 * x + a03 * y for x, y in zip(dx1, dx2)]
+    qq = [a12 * x + a13 * y for x, y in zip(dx1, dx2)]
+    return q_sf, [dl[i] * pp[j] - pp[i] * dl[j] + th[i] * qq[j] - qq[i] * th[j]
+                  for i, j in _UPPER]
+
+
 def verify_rotation(m: CalabiModel, pt: CalabiPoint) -> float:
     """Relative defect between omega_tau pushed to the semi-flat chart and
-    the rotated semi-flat form."""
+    the rotated semi-flat form; NaN propagates."""
     rot = rotate(m)
-    q_sf, jac = sf_coordinates(m, pt)
-    jinv = np.linalg.inv(jac)
-    pushed = jinv.T @ omega_tau(m, pt) @ jinv
-    target = sfm.sf_form_chart(rot.params, q_sf)
-    scale = max(np.abs(target).max(), 1e-300)
-    return float(np.abs(pushed - target).max() / scale)
+    q_sf, pushed = _pushed_omega_tau(m, pt)
+    target = sfm.sf_form_chart(rot.params, q_sf).tolist()
+    want = [target[i][j] for i, j in _UPPER]
+    diffs = [abs(p - w) for p, w in zip(pushed, want)]
+    scale = max(max(abs(w) for w in want), 1e-300)
+    # the builtin max drops NaN; a NaN difference makes the sum NaN
+    total = sum(diffs)
+    return (max(diffs) if total == total else total) / scale
 
 
 # ---------------------------------------------------------------------------

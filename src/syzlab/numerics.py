@@ -19,7 +19,7 @@ REL_TOL = 1e-8
 
 @dataclass(frozen=True)
 class Grid2:
-    """Uniform periodic tensor grid on [a1,b1) x [a2,b2).
+    """Uniform periodic tensor grid on [0,1) x [a2,b2).
 
     Nodes omit the duplicated endpoint and carry equal weights (the
     rectangle rule), which is spectrally accurate for smooth periodic
@@ -28,26 +28,23 @@ class Grid2:
 
     n1: int
     n2: int
-    box1: tuple[float, float] = (0.0, 1.0)
     box2: tuple[float, float] = (0.0, 1.0)
 
     def __post_init__(self):
         if self.n1 < 4 or self.n2 < 4:
             raise ValidationError("grid needs at least 4 nodes per direction")
-        if self.box1[1] <= self.box1[0] or self.box2[1] <= self.box2[0]:
+        if self.box2[1] <= self.box2[0]:
             raise ValidationError("grid box must have positive extent")
 
     def nodes1(self) -> np.ndarray:
-        a, b = self.box1
-        return a + (b - a) * np.arange(self.n1) / self.n1
+        return np.arange(self.n1) / self.n1
 
     def nodes2(self) -> np.ndarray:
         a, b = self.box2
         return a + (b - a) * np.arange(self.n2) / self.n2
 
     def weights1(self) -> np.ndarray:
-        a, b = self.box1
-        return np.full(self.n1, (b - a) / self.n1)
+        return np.full(self.n1, 1.0 / self.n1)
 
     def weights2(self) -> np.ndarray:
         a, b = self.box2

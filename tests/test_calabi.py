@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -185,6 +186,82 @@ class TestVerifyRotation:
         pt = cal.CalabiPoint(ell=1.7, psi=0.4, xi1=0.2, xi2=0.3)
         defects = cal.lattice_defects(model, pt)
         assert max(defects.values()) <= 1e-10
+
+
+class TestClosedFormPushForward:
+    @pytest.mark.parametrize("model", MODELS)
+    def test_inverse_jacobian_matches_numpy(self, model):
+        for pt in _random_points(20, seed=5):
+            _, jac = cal.sf_coordinates(model, pt)
+            want = np.linalg.inv(jac)
+            _, jinv = cal._chart(model, pt)
+            assert np.max(np.abs(np.array(jinv) - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_push_forward_matches_matrix_oracle(self, model):
+        rows, cols = np.triu_indices(4, 1)
+        for pt in _random_points(20, seed=6):
+            _, jac = cal.sf_coordinates(model, pt)
+            jinv = np.linalg.inv(jac)
+            oracle = jinv.T @ cal.omega_tau(model, pt) @ jinv
+            _, pushed = cal._pushed_omega_tau(model, pt)
+            scale = np.max(np.abs(oracle))
+            assert np.max(np.abs(np.array(pushed) - oracle[rows, cols])) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("model", MODELS)
+    @pytest.mark.parametrize("field", ["b0", "alpha"])
+    def test_wrong_rotation_is_detected(self, monkeypatch, model, field):
+        rot = cal.rotate(model)
+        if field == "b0":
+            params = dataclasses.replace(rot.params, b0=rot.b0 + 1e-6, b0_exact=None)
+        else:
+            params = dataclasses.replace(rot.params, alpha=rot.alpha * (1.0 + 1e-6))
+        bad = dataclasses.replace(rot, params=params)
+        monkeypatch.setattr(cal, "rotate", lambda m: bad)
+        pt = cal.CalabiPoint(ell=2.0, psi=1.0, xi1=0.3, xi2=0.2)
+        assert cal.verify_rotation(model, pt) > 1e-8
+
+    def test_nan_propagates(self, monkeypatch):
+        pt = cal.CalabiPoint(ell=2.0, psi=1.0, xi1=0.3, xi2=0.2)
+        real = cal._pushed_omega_tau
+
+        def poisoned(m, p):
+            q_sf, pushed = real(m, p)
+            return q_sf, pushed[:-1] + [math.nan]
+
+        monkeypatch.setattr(cal, "_pushed_omega_tau", poisoned)
+        assert math.isnan(cal.verify_rotation(MODELS[1], pt))
+
+
+class TestRotateOnce:
+    def test_same_instance_same_result(self):
+        model = cal.CalabiModel(k=2, tau=complex(-0.5, 2.0),
+                                re_exact=Fraction(-1, 2), abs2_exact=Fraction(17, 4))
+        assert cal.rotate(model) is cal.rotate(model)
+
+    def test_fresh_equal_model_gives_equal_fields(self):
+        kwargs = dict(k=3, tau=complex(-0.5, math.sqrt(3) / 2),
+                      re_exact=Fraction(-1, 2), abs2_exact=Fraction(1))
+        first, second = cal.CalabiModel(**kwargs), cal.CalabiModel(**kwargs)
+        rot = cal.rotate(first)
+        assert first == second
+        assert dataclasses.astuple(cal.rotate(second)) == dataclasses.astuple(rot)
+
+    def test_exception_is_not_stored(self):
+        model = cal.CalabiModel(k=1, tau=1e300j)
+        for _ in range(3):
+            with pytest.raises(OverflowError):
+                cal.rotate(model)
+
+
+class TestCalabiPoint:
+    @pytest.mark.parametrize("field", ["ell", "psi", "xi1", "xi2"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_field_rejected(self, field, value):
+        kwargs = dict(ell=1.0, psi=0.0, xi1=0.0, xi2=0.0)
+        kwargs[field] = value
+        with pytest.raises(ValidationError):
+            cal.CalabiPoint(**kwargs)
 
 
 class TestMckFibers:

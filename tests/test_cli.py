@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from syzlab import cli
+from syzlab import calabi, cli
 from syzlab import fibration as fib
 from syzlab import semiflat as sfm
 from syzlab.numerics import DecayFit
@@ -340,6 +340,37 @@ class TestResidualSampling:
 
         monkeypatch.setattr(sfm, "ma_residual", no_memory)
         assert cli.run(["semiflat", "residual", "--k", "1", "--no-timestamp"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "numerical failure" in err and "Traceback" not in err
+
+
+class TestHkrotFailsClosed:
+    """One NaN rotation residual or lattice defect is exit 2: the
+    reductions must not drop it the way the builtin max does."""
+
+    ARGV = ["hkrot", "--k", "2", "--tau", "-1/2+2i", "--no-timestamp"]
+
+    def test_nan_rotation_residual_is_two(self, capsys, monkeypatch):
+        real = calabi.verify_rotation
+        seen = []
+
+        def nan_once(m, pt):
+            seen.append(pt)
+            return math.nan if len(seen) == 2 else real(m, pt)
+
+        monkeypatch.setattr(calabi, "verify_rotation", nan_once)
+        assert cli.run(self.ARGV) == 2
+        out, err = capsys.readouterr()
+        assert len(seen) == 75
+        assert out == ""
+        assert "numerical failure" in err and "Traceback" not in err
+
+    def test_nan_lattice_defect_is_two(self, capsys, monkeypatch):
+        real = calabi.lattice_defects
+        monkeypatch.setattr(calabi, "lattice_defects",
+                            lambda m, pt: {**real(m, pt), "gamma_one": math.nan})
+        assert cli.run(self.ARGV) == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert "numerical failure" in err and "Traceback" not in err
