@@ -47,16 +47,13 @@ IRREGULAR = "irregular"
 class CalabiModel:
     """Calabi model data: degree k and modulus tau in the fundamental domain.
 
-    re_exact / abs2_exact optionally carry exact rational values of Re tau
-    and |tau|^2 for exact rationality decisions; ratio_irrational marks
-    -Re tau/|tau|^2 as deliberately irrational.
+    tau_exact optionally carries (Re tau, Im tau) as Fractions, which makes
+    the rationality decision of rotate exact.
     """
 
     k: int
     tau: complex
-    re_exact: Fraction | None = None
-    abs2_exact: Fraction | None = None
-    ratio_irrational: bool = False
+    tau_exact: tuple[Fraction, Fraction] | None = None
     # the RotationResult of rotate(self), stored by its first successful call
     _rotation: RotationResult | None = field(default=None, init=False, repr=False,
                                              compare=False)
@@ -69,10 +66,8 @@ class CalabiModel:
             raise ValidationError("need Im tau > 0")
         if abs(t) < 1.0 - 1e-12 or abs(t.real) > 0.5 + 1e-12:
             raise ValidationError("tau must lie in the fundamental domain")
-        if self.re_exact is not None and abs(float(self.re_exact) - t.real) > 1e-9:
-            raise ValidationError("re_exact disagrees with tau")
-        if self.abs2_exact is not None and abs(float(self.abs2_exact) - abs(t) ** 2) > 1e-9:
-            raise ValidationError("abs2_exact disagrees with tau")
+        if self.tau_exact and abs(complex(*map(float, self.tau_exact)) - t) > 1e-12:
+            raise ValidationError("tau_exact disagrees with tau")
 
     @property
     def a_tau(self) -> float:
@@ -197,14 +192,12 @@ def closedness_defect(m: CalabiModel, pt: CalabiPoint, h: float = 1e-4) -> float
 
 
 # ---------------------------------------------------------------------------
-# rationality classification shared with the mirror module
+# rationality classification of the rotated model
 
 
-def classify_ratio(ratio_float: float, ratio_exact: Fraction | None,
-                   irrational: bool) -> tuple[str, bool, Fraction | None]:
+def classify_ratio(ratio_float: float,
+                   ratio_exact: Fraction | None) -> tuple[str, bool, Fraction | None]:
     """Classify 2*b0/k = -Re tau/|tau|^2: (class, decided exactly, ratio)."""
-    if irrational:
-        return IRREGULAR, True, None
     if ratio_exact is not None:
         if ratio_exact == 0:
             return STANDARD, True, ratio_exact
@@ -247,19 +240,15 @@ def rotate(m: CalabiModel) -> RotationResult:
     b0 = -m.k * t.real / (2.0 * abs(t) ** 2)
 
     ratio_exact = None
-    if m.re_exact is not None and m.abs2_exact is not None:
-        ratio_exact = -m.re_exact / m.abs2_exact
-    cls, exact, ratio = classify_ratio(-t.real / abs(t) ** 2, ratio_exact,
-                                       m.ratio_irrational)
+    if m.tau_exact is not None:
+        re, im = (Fraction(v) for v in m.tau_exact)
+        ratio_exact = -re / (re * re + im * im)
+    cls, exact, ratio = classify_ratio(-t.real / abs(t) ** 2, ratio_exact)
     winding = None
-    b0_exact = None
     if ratio is not None:
         winding = (ratio.denominator, -ratio.numerator)
-        b0_exact = Fraction(m.k) * ratio / 2
-        b0 = float(b0_exact)
-    params = sfm.ModelParams(k=m.k, eps=eps / alpha, b0=b0, alpha=alpha,
-                             b0_exact=b0_exact,
-                             b0_irrational=m.ratio_irrational)
+        b0 = float(Fraction(m.k) * ratio / 2)
+    params = sfm.ModelParams(k=m.k, eps=eps / alpha, b0=b0, alpha=alpha)
     rot = RotationResult(alpha=alpha, eps=eps, b0=b0, sf_class=cls,
                          exact=exact, winding=winding, params=params)
     object.__setattr__(m, "_rotation", rot)
@@ -270,7 +259,7 @@ def rotate(m: CalabiModel) -> RotationResult:
 # coordinate change to the semi-flat chart
 
 
-def _chart(m: CalabiModel, pt: CalabiPoint) -> tuple[list, tuple]:
+def sf_coordinates(m: CalabiModel, pt: CalabiPoint) -> tuple[list, tuple]:
     """Semi-flat chart point (ell_sf, theta_sf, x1, x2) and the inverse of
     its Jacobian, on Python floats.
 
@@ -306,22 +295,6 @@ def _chart(m: CalabiModel, pt: CalabiPoint) -> tuple[list, tuple]:
     return q_sf, jinv
 
 
-def sf_coordinates(m: CalabiModel, pt: CalabiPoint) -> tuple[np.ndarray, np.ndarray]:
-    """Semi-flat chart point (ell_sf, theta_sf, x1, x2) of `_chart` and its
-    Jacobian."""
-    t = complex(m.tau)
-    a, b, c = m.a_tau, m.b_tau, m.c_tau
-    c2 = c * c
-    ell, xi1, xi2 = pt.ell, pt.xi1, pt.xi2
-    jac = np.array([
-        [TWO_PI * abs(t) / (t.imag * c), 0.0, 0.0, 0.0],
-        [0.0, 0.0, TWO_PI, -TWO_PI * t.real / t.imag],
-        [b * ell / (TWO_PI * a), 1.0 / TWO_PI, -c2 * xi2 / (2.0 * TWO_PI),
-         (-0.5 * a * c2 * xi1 - b * c2 * xi2) / (TWO_PI * a)],
-        [c * xi2 / (TWO_PI * a), 0.0, 0.0, c * ell / (TWO_PI * a)]])
-    return np.array(_chart(m, pt)[0]), jac
-
-
 def _tau_coefficients(m: CalabiModel, ell: float) -> tuple[float, float, float, float]:
     """Entries (A02, A03, A12, A13) of a_tau A_I + b_tau A_K, the
     coefficients of omega_tau in the coframe (d ell, theta, d xi1, d xi2);
@@ -354,7 +327,7 @@ def _pushed_omega_tau(m: CalabiModel, pt: CalabiPoint) -> tuple[list, list]:
     Q = A12 d xi1 + A13 d xi2, so entry ij is
     dl_i P_j - P_i dl_j + th_i Q_j - Q_i th_j.
     """
-    q_sf, (dl, dpsi, dx1, dx2) = _chart(m, pt)
+    q_sf, (dl, dpsi, dx1, dx2) = sf_coordinates(m, pt)
     h = 0.5 * m.c_tau ** 2
     u, v = h * pt.xi2, h * pt.xi1
     th = [p + u * x - v * y for p, x, y in zip(dpsi, dx1, dx2)]
@@ -403,28 +376,27 @@ def lattice_defects(m: CalabiModel, pt: CalabiPoint) -> dict[str, float]:
 
     psi + 2*pi shifts x by exactly 1; transport by tau shifts x by
     (k/Im tau)(i y1 - y2) with y = |tau| ell / c + i (Im tau xi1 - Re tau xi2);
-    transport by 1 fixes x and shifts theta_sf by 2*pi.
+    transport by 1 fixes x and shifts theta_sf by 2*pi.  Each coordinate's
+    residual is relative to max(1, |coordinate|), so that rounding of
+    coordinates that grow with k is not a defect.
     """
     t = complex(m.tau)
-    q0, _ = sf_coordinates(m, pt)
-
-    p_psi = CalabiPoint(pt.ell, pt.psi + TWO_PI, pt.xi1, pt.xi2)
-    q1, _ = sf_coordinates(m, p_psi)
-    d_psi = abs(q1[2] - q0[2] - 1.0) + abs(q1[3] - q0[3]) + abs(q1[0] - q0[0]) + abs(q1[1] - q0[1])
-
-    p_one = transport(m, pt, 1.0)
-    q2, _ = sf_coordinates(m, p_one)
-    d_one = (abs(q2[2] - q0[2]) + abs(q2[3] - q0[3]) + abs(q2[0] - q0[0])
-             + abs(q2[1] - q0[1] - TWO_PI))
-
-    p_tau = transport(m, pt, t)
-    q3, _ = sf_coordinates(m, p_tau)
+    q0 = sf_coordinates(m, pt)[0]
     y1 = abs(t) * pt.ell / m.c_tau
     y2 = t.imag * pt.xi1 - t.real * pt.xi2
     expected = (m.k / t.imag) * complex(-y2, y1)
-    d_tau = (abs(q3[2] - q0[2] - expected.real) + abs(q3[3] - q0[3] - expected.imag)
-             + abs(q3[0] - q0[0]) + abs(q3[1] - q0[1]))
-    return {"psi_period": d_psi, "gamma_one": d_one, "gamma_tau": d_tau}
+    # (moved point, expected shift of (ell_sf, theta_sf, x1, x2))
+    moves = {"psi_period": (CalabiPoint(pt.ell, pt.psi + TWO_PI, pt.xi1, pt.xi2),
+                            (0.0, 0.0, 1.0, 0.0)),
+             "gamma_one": (transport(m, pt, 1.0), (0.0, TWO_PI, 0.0, 0.0)),
+             "gamma_tau": (transport(m, pt, t), (0.0, 0.0, expected.real, expected.imag))}
+    defects = {}
+    for name, (moved, shift) in moves.items():
+        q = sf_coordinates(m, moved)[0]
+        # x1, x2 first: the order of the sum that earlier reports used
+        defects[name] = sum(abs(q[i] - q0[i] - shift[i]) / max(1.0, abs(q[i]), abs(q0[i]))
+                            for i in (2, 3, 0, 1))
+    return defects
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ def parse_complex(text: str) -> tuple[complex, tuple[Fraction, Fraction] | None]
 
     Returns (value, exact) where exact carries Fractions when both parts
     are written as integers or ratios (exact rational mode); a missing
-    real part is the integer 0.
+    real part is the integer 0.  A part too large for a float is rejected.
     """
     m = _COMPLEX.match(text.strip().replace(" ", ""))
     if not m:
@@ -46,7 +46,7 @@ def parse_complex(text: str) -> tuple[complex, tuple[Fraction, Fraction] | None]
         im_s = "-" + im_s
     try:
         val = complex(float(Fraction(re_s)), float(Fraction(im_s)))
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ValidationError(f"cannot parse complex literal {text!r}: {exc}")
     exact = None
     if _RATIONAL.match(re_s) and _RATIONAL.match(im_s):
@@ -54,16 +54,17 @@ def parse_complex(text: str) -> tuple[complex, tuple[Fraction, Fraction] | None]
     return val, exact
 
 
-def parse_rational(text: str) -> tuple[float, Fraction | None]:
-    """Parse a real flag, keeping the exact Fraction for `p/q` literals."""
+def parse_rational(text: str) -> float:
+    """Parse a real flag, a decimal, exponent or `p/q` literal, as a finite
+    float."""
     text = text.strip()
     try:
-        if _RATIONAL.match(text):
-            f = Fraction(text)
-            return float(f), f
-        return float(text), None
-    except (ValueError, ZeroDivisionError) as exc:
+        val = float(Fraction(text)) if _RATIONAL.match(text) else float(text)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ValidationError(f"cannot parse real literal {text!r}: {exc}")
+    if not math.isfinite(val):
+        raise ValidationError(f"real literal {text!r} is not finite")
+    return val
 
 
 class _Parser(argparse.ArgumentParser):
@@ -83,12 +84,11 @@ def _tol_check(name: str, measured: float, tolerance: float) -> dict:
 
 def _params_from(args, alpha: float | None = None) -> sfm.ModelParams:
     """Model parameters from the flags; alpha defaults to --alpha, else 1."""
-    b0, b0_exact = parse_rational(args.b0)
     kappa = {0: 1.0, 1: args.kappa1} if getattr(args, "kappa1", 0.0) else {}
     if alpha is None:
         alpha = getattr(args, "alpha", 1.0)
-    return sfm.ModelParams(k=args.k, eps=args.eps, b0=b0, alpha=alpha,
-                           kappa=kappa, b0_exact=b0_exact)
+    return sfm.ModelParams(k=args.k, eps=args.eps, b0=parse_rational(args.b0),
+                           alpha=alpha, kappa=kappa)
 
 
 def _count(text: str) -> int:
@@ -171,8 +171,7 @@ def _cmd_semiflat_classify(args):
         h[-1] = 0.5
     if args.h1:
         h[1] = complex(parse_complex(args.h1)[0])
-    b, b_exact = parse_rational(args.section_b)
-    s = fib.SectionData(h=h, b=b_exact if b_exact is not None else b)
+    s = fib.SectionData(h=h, b=parse_rational(args.section_b))
     dc = sfm.classify_translation(p, s)
     results = {"variant": dc.variant}
     checks = []
@@ -241,11 +240,7 @@ def _cmd_slag_pi_decay(args):
 
 def _cmd_hkrot(args):
     tau, tau_exact = parse_complex(args.tau)
-    kwargs = {}
-    if tau_exact is not None:
-        re, im = tau_exact
-        kwargs = {"re_exact": re, "abs2_exact": re * re + im * im}
-    model = calabi.CalabiModel(k=args.k, tau=tau, **kwargs)
+    model = calabi.CalabiModel(k=args.k, tau=tau, tau_exact=tau_exact)
     rot = calabi.rotate(model)
     n = args.verify_grid
     residuals = []

@@ -271,19 +271,13 @@ def positivity_scan(cfg: GlueConfig, alpha: float, t: float,
     qc = q_coefficient(cfg, alpha, t, rho)
     psi = cfg.cutoffs.psi(rho)[0]
     half_term = 0.5 * psi * (alpha - 1.0) * u_zz(cfg, rho)
-    # (n, 1) radial columns against the (3,) fiber heights
-    w = sfm.w_factor(p, ell)[:, None]
-    gam = sfm.gamma(p, 1j * _SCAN_X2, ell[:, None] + 0j)
-    h_xx = w * p.eps / 2.0
-    h_xy = -h_xx * np.conj(gam)
-    # as semiflat.hermitian_matrix, with kappa on the positive real ray
-    kap2 = np.abs(p.kappa_at(rho[:, None])) ** 2
-    h_yy = kap2 / (p.eps * w) + h_xx * np.abs(gam) ** 2
-    cand = np.empty(gam.shape + (2, 2), dtype=complex)
-    cand[..., 0, 0] = 0.5 * h_xx
-    cand[..., 0, 1] = 0.5 * h_xy
-    cand[..., 1, 0] = 0.5 * np.conj(h_xy)
-    cand[..., 1, 1] = 0.5 * h_yy + ((qc - half_term) * rho ** 2)[:, None]
+    # chart points (ell, 0, 0, x2): n radii against the fiber heights
+    q = np.zeros((n, _SCAN_X2.size, 4))
+    q[..., 0] = ell[:, None]
+    q[..., 3] = _SCAN_X2
+    cand = sfm.hermitian_matrix(p, q)
+    cand *= 0.5
+    cand[..., 1, 1] += ((qc - half_term) * rho ** 2)[:, None]
     return float(np.min(np.linalg.eigvalsh(cand)[..., 0]))
 
 

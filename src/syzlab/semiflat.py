@@ -18,7 +18,6 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -54,9 +53,7 @@ _INF = math.inf
 class ModelParams:
     """Parameters of the (possibly non-standard) semi-flat model.
 
-    kappa is a finite polynomial {power: coeff} with kappa(0) = 1.  b0_exact
-    carries an exact rational value of b0 when one is known; b0_irrational
-    marks b0 as deliberately irrational for classification purposes.
+    kappa is a finite polynomial {power: coeff} with kappa(0) = 1.
     """
 
     k: int
@@ -64,8 +61,6 @@ class ModelParams:
     b0: float = 0.0
     alpha: float = 1.0
     kappa: dict = field(default_factory=dict)
-    b0_exact: Fraction | None = None
-    b0_irrational: bool = False
     # (power, complex coefficient) of kappa in increasing power, built once
     _kappa_terms: tuple = field(init=False, repr=False, compare=False)
 
@@ -81,10 +76,6 @@ class ModelParams:
             raise ValidationError("kappa must satisfy kappa(0) = 1")
         if any(p < 0 for p in self.kappa):
             raise ValidationError("kappa must be polynomial (no poles)")
-        if self.b0_exact is not None and self.b0_irrational:
-            raise ValidationError("b0 cannot be both exact-rational and irrational")
-        if self.b0_exact is not None and abs(float(self.b0_exact) - self.b0) > 1e-12:
-            raise ValidationError("b0_exact disagrees with b0")
         object.__setattr__(self, "_kappa_terms",
                            tuple((p, complex(c)) for p, c in sorted(self.kappa.items())))
 
@@ -174,16 +165,23 @@ def sf_form_chart(p: ModelParams, q: np.ndarray) -> np.ndarray:
 
 
 def hermitian_matrix(p: ModelParams, q: np.ndarray) -> np.ndarray:
-    """Hermitian coefficient matrix of the metric form in (x, y) at a chart point."""
-    ell, th, x1, x2 = (float(v) for v in q)
-    y = complex(ell, th)
-    kap2 = abs(p.kappa_at(cmath.exp(-y))) ** 2
+    """Hermitian coefficient matrix of the metric form in (x, y) at chart
+    points q of shape (..., 4); returns (..., 2, 2).  A single point runs
+    the array loops of a batch, which round as a batch does."""
+    q = np.asarray(q, dtype=float)
+    ell, th, _, x2 = q.reshape(-1, 4).T
+    kap2 = np.abs(p.kappa_at(np.exp(-(ell + 1j * th)))) ** 2 if p.kappa else 1.0
     w = w_factor(p, ell)
-    gam = gamma(p, complex(x1, x2), y)
+    gam = gamma(p, 1j * x2, ell)
     h_xx = w * p.eps / 2.0
     h_xy = -h_xx * np.conj(gam)
-    h_yy = kap2 / (p.eps * w) + h_xx * abs(gam) ** 2
-    return p.alpha * np.array([[h_xx, h_xy], [np.conj(h_xy), h_yy]], dtype=complex)
+    h = np.empty(ell.shape + (2, 2), dtype=complex)
+    h[:, 0, 0] = h_xx
+    h[:, 0, 1] = h_xy
+    h[:, 1, 0] = np.conj(h_xy)
+    h[:, 1, 1] = kap2 / (p.eps * w) + h_xx * np.abs(gam) ** 2
+    h *= p.alpha
+    return h.reshape(q.shape[:-1] + (2, 2))
 
 
 def holomorphic_volume_top(p: ModelParams, q: np.ndarray) -> np.ndarray:

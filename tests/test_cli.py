@@ -71,14 +71,20 @@ class TestParsing:
         assert cli.parse_complex(text) == (value, exact)
 
     def test_complex_rejects_garbage(self):
+        # the last three have a part too large for a float
         for text in ("abc", "1+2", "1+i+3", "1e-+2i", "1+-2i", "2ii",
-                     "1e-1e-1+2i", "1+2j", ""):
+                     "1e-1e-1+2i", "1+2j", "", "0+1e400i", "1e400+1i",
+                     "1" + "0" * 400 + "i"):
             with pytest.raises(ValidationError):
                 cli.parse_complex(text)
 
     def test_rational(self):
-        assert cli.parse_rational("-1/4") == (-0.25, Fraction(-1, 4))
-        assert cli.parse_rational("0.25") == (0.25, None)
+        assert cli.parse_rational("-1/4") == -0.25
+        assert cli.parse_rational("0.25") == 0.25
+        assert cli.parse_rational("1/3") == 1.0 / 3.0
+        for text in ("1e400", "-1e400", "inf", "nan", "1" + "0" * 400):
+            with pytest.raises(ValidationError):
+                cli.parse_rational(text)
 
 
 class TestReports:
@@ -183,6 +189,14 @@ class TestExitCodes:
         ["semiflat", "eval", "--k", "1", "--ell", "inf"],
         ["semiflat", "eval", "--k", "1", "--ell", "2", "--theta", "nan"],
         ["semiflat", "eval", "--k", "1", "--ell", "2", "--x1", "nan"],
+        # literals too large for a float (exit 2 before)
+        ["hkrot", "--k", "1", "--tau", "0+1e400i"],
+        ["mirror", "--k", "1", "--tau", "1e400+1i"],
+        ["semiflat", "classify-translation", "--k", "1", "--h1", "1e400+0i"],
+        ["semiflat", "classify-translation", "--k", "1", "--section-b", "1e400"],
+        # tau outside the fundamental domain (mirror exited 0 before)
+        ["mirror", "--k", "2", "--tau", "0.5+0.5i"],
+        ["mirror", "--k", "2", "--tau", "2+0.1i"],
     ])
     def test_non_finite_or_no_samples_is_one(self, capsys, argv):
         code, report, err = run_cli(capsys, *argv, "--no-timestamp")
@@ -374,6 +388,26 @@ class TestHkrotFailsClosed:
         out, err = capsys.readouterr()
         assert out == ""
         assert "numerical failure" in err and "Traceback" not in err
+
+    def test_large_k_rounding_is_no_defect(self, capsys):
+        # x1 is near 1e7 here; its rounding (3.7e-9 absolute) exited 3 before
+        code, report, _ = run_cli(capsys, "hkrot", "--k", "100000000",
+                                  "--tau", "0+1i", "--no-timestamp")
+        assert code == 0
+        assert max(report["results"]["lattice_defects"].values()) <= 1e-15
+
+    def test_perturbed_transport_is_three(self, capsys, monkeypatch):
+        real = calabi.transport
+
+        def nudged(m, pt, gamma):
+            p = real(m, pt, gamma)
+            return calabi.CalabiPoint(p.ell, p.psi, p.xi1 + 1e-9, p.xi2)
+
+        monkeypatch.setattr(calabi, "transport", nudged)
+        code, report, _ = run_cli(capsys, *self.ARGV)
+        assert code == 3
+        check = {c["name"]: c for c in report["checks"]}["lattice_defect"]
+        assert not check["passed"] and check["measured"] > 1e-10
 
 
 class TestCommands:

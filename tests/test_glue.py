@@ -461,6 +461,34 @@ class TestPositivity:
         got = glue.positivity_scan(cfg, 1.1, t, n=40, window=(lo, hi))
         assert got == pytest.approx(want, rel=1e-12)
 
+    def test_kappa_enters_as_modulus_squared(self):
+        # reference built inline from the closed form of the (x, y) block,
+        # h_yy = |kappa(rho)|^2 / (eps W) + h_xx |Gamma|^2; dropping the
+        # |kappa|^2 factor must move the margin
+        cfg = make_cfg(kappa={0: 1.0, 1: 0.5})
+        p = cfg.params
+        t = 1.2 * glue.required_t(cfg, 1.1) + 1.0
+        lo, hi = cfg.r + 2.0 * cfg.s, cfg.rho_max
+        margins = {True: math.inf, False: math.inf}
+        for rho in np.geomspace(lo * 1.0001, hi * 0.9999, 40):
+            ell = -math.log(rho)
+            qc = glue.q_coefficient(cfg, 1.1, t, float(rho))
+            w = 2.0 * math.pi / (p.k * ell)
+            h_xx = 0.5 * w * p.eps
+            for x2 in (0.0, 0.35, 0.8):
+                gam = complex(p.b0 * ell / (2.0 * math.pi ** 2), x2 / ell)
+                for with_kappa in margins:
+                    kap2 = abs(1.0 + 0.5 * rho) ** 2 if with_kappa else 1.0
+                    h_yy = kap2 / (p.eps * w) + h_xx * abs(gam) ** 2
+                    cand = 0.5 * np.array([[h_xx, -h_xx * gam.conjugate()],
+                                           [-h_xx * gam, h_yy]])
+                    cand[1, 1] += qc * rho ** 2
+                    margins[with_kappa] = min(margins[with_kappa],
+                                              float(np.linalg.eigvalsh(cand)[0]))
+        got = glue.positivity_scan(cfg, 1.1, t, n=40, window=(lo, hi))
+        assert got == pytest.approx(margins[True], rel=1e-12)
+        assert abs(got - margins[False]) > 1e-6 * abs(got)
+
     def test_margin_positive_near_reference(self):
         cfg = make_cfg()
         t = 1.2 * glue.required_t(cfg, 1.1) + 1.0

@@ -35,8 +35,9 @@ class TestMirrorMap:
         import random
         rng = random.Random(20260826)
         for _ in range(50):
-            re = Fraction(rng.randint(-40, 40), rng.randint(1, 20))
-            im = Fraction(rng.randint(1, 60), rng.randint(1, 20))
+            # tau in the fundamental domain: |Re tau| <= 1/2 and Im tau >= 1
+            re = Fraction(rng.randint(-10, 10), 20)
+            im = 1 + Fraction(rng.randint(0, 60), rng.randint(1, 20))
             m = rng.randint(1, 9)
             k = rng.randint(1, 9)
             data = mirror.mirror_map(k, complex(float(re), float(im)), m,
@@ -66,13 +67,14 @@ class TestMirrorMap:
         with pytest.raises(ValidationError):
             mirror.mirror_map(10, 2j, 1)
         with pytest.raises(ValidationError):
-            mirror.mirror_map(1, 2j, 1, tau_exact=(Fraction(1), Fraction(2)))
+            mirror.mirror_map(1, 2j, 1, tau_exact=(Fraction(1, 3), Fraction(2)))
+        with pytest.raises(ValidationError, match="fundamental domain"):
+            mirror.mirror_map(2, complex(0.5, 0.5), 1)
 
-    def test_irrational_sentinel(self):
-        data = mirror.mirror_map(1, complex(-0.3, 1.1), 1,
-                                 ratio_irrational=True)
+    def test_irregular_from_decimal_tau(self):
+        data = mirror.mirror_map(1, complex(-0.40000001, 1.2), 1)
         assert data.sf_class == cal.IRREGULAR
-        assert data.exact
+        assert not data.exact
 
 
 class TestDualityReport:

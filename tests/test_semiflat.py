@@ -46,6 +46,19 @@ class TestSfForm:
             route2 = route2 + (1j * h[a, b] * (m - m.T)).real
         assert np.allclose(route2, sf.sf_form_chart(p, q), atol=1e-12)
 
+    @pytest.mark.parametrize("kappa", [{}, {0: 1.0, 1: 0.5 - 0.25j}])
+    def test_hermitian_batch_matches_single_points(self, kappa):
+        p = sf.ModelParams(k=2, eps=0.7, b0=0.3, alpha=1.3, kappa=kappa)
+        rng = np.random.default_rng(4)
+        q = np.stack([rng.uniform(0.5, 6.0, (5, 3)), rng.uniform(-3.0, 3.0, (5, 3)),
+                      rng.uniform(-1.0, 1.0, (5, 3)), rng.uniform(-1.0, 1.0, (5, 3))],
+                     axis=-1)
+        batch = sf.hermitian_matrix(p, q)
+        assert batch.shape == (5, 3, 2, 2)
+        single = np.array([[sf.hermitian_matrix(p, q[i, j]) for j in range(3)]
+                           for i in range(5)])
+        assert np.array_equal(batch, single)
+
     def test_antisymmetric(self):
         p = sf.ModelParams(k=3, eps=0.3, b0=-0.25, alpha=1.4)
         m = sf.sf_form_chart(p, np.array([2.0, 0.1, 0.3, 0.7]))
@@ -272,7 +285,7 @@ class TestPairings:
         assert abs(sf.pair_cycle(p, fib.CycleSpec(m1=1, m2=0))) <= 1e-10
 
     def test_quasi_bad_closed_form(self):
-        p = sf.ModelParams(k=1, eps=1.0, b0=-0.25, b0_exact=Fraction(-1, 4))
+        p = sf.ModelParams(k=1, eps=1.0, b0=-0.25)
         assert abs(sf.pair_cycle(p, fib.CycleSpec(m1=2, m2=1))) <= 1e-8
         assert sf.pair_cycle(p, fib.CycleSpec(m1=1, m2=0)) == pytest.approx(
             -0.5, abs=1e-8)

@@ -1,6 +1,5 @@
 import cmath
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -34,7 +33,7 @@ class TestFiberGeometry:
         assert v5 == pytest.approx(2.0 * math.pi * math.sqrt(2.0))
 
     def test_volume_multiplicative(self):
-        p = sf.ModelParams(k=1, eps=1.0, b0=-0.25, b0_exact=Fraction(-1, 4))
+        p = sf.ModelParams(k=1, eps=1.0, b0=-0.25)
         v1 = slag.fiber_geometry(slag.ModelFiber(STD, C10, 7.0)).volume
         v2 = slag.fiber_geometry(
             slag.ModelFiber(p, fib.CycleSpec(m1=2, m2=1), 7.0)).volume
@@ -105,7 +104,7 @@ class TestSpecialCondition:
         assert sup_om <= 1e-10 and sup_ph <= 1e-10
 
     def test_matched_quasi_bad(self):
-        p = sf.ModelParams(k=1, eps=1.0, b0=-0.25, b0_exact=Fraction(-1, 4))
+        p = sf.ModelParams(k=1, eps=1.0, b0=-0.25)
         mf = slag.ModelFiber(p, fib.CycleSpec(m1=2, m2=1), 8.0)
         sup_om, sup_ph = slag.check_special(mf)
         assert sup_om <= 1e-10 and sup_ph <= 1e-10
