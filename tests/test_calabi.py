@@ -196,7 +196,29 @@ class TestVerifyRotation:
         assert max(defects.values()) <= 1e-10
 
 
+def _forward_jacobian(model, pt):
+    """Closed-form Jacobian of the point map of sf_coordinates, in the
+    coordinates (ell, psi, xi1, xi2)."""
+    t = complex(model.tau)
+    a, b, c = model.a_tau, model.b_tau, model.c_tau
+    c2 = c * c
+    ell, xi1, xi2 = pt.ell, pt.xi1, pt.xi2
+    return np.array([
+        [TWO_PI * abs(t) / (t.imag * c), 0.0, 0.0, 0.0],
+        [0.0, 0.0, TWO_PI, -TWO_PI * t.real / t.imag],
+        [b * ell / (TWO_PI * a), 1.0 / TWO_PI, -c2 * xi2 / (2.0 * TWO_PI),
+         (-0.5 * a * c2 * xi1 - b * c2 * xi2) / (TWO_PI * a)],
+        [c * xi2 / (TWO_PI * a), 0.0, 0.0, c * ell / (TWO_PI * a)]])
+
+
 class TestClosedFormPushForward:
+    @pytest.mark.parametrize("model", MODELS)
+    def test_inverse_jacobian_matches_numpy(self, model):
+        for pt in _random_points(20, seed=5):
+            want = np.linalg.inv(_forward_jacobian(model, pt))
+            _, jinv = cal.sf_coordinates(model, pt)
+            assert np.max(np.abs(np.array(jinv) - want)) <= 1e-13 * np.max(np.abs(want))
+
     @pytest.mark.parametrize("model", MODELS)
     def test_push_forward_matches_matrix_oracle(self, model):
         rows, cols = np.triu_indices(4, 1)
