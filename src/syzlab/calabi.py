@@ -26,6 +26,7 @@ model with
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -62,6 +63,8 @@ class CalabiModel:
         if self.k < 1:
             raise ValidationError("k must be a positive integer")
         t = complex(self.tau)
+        if not cmath.isfinite(t):
+            raise ValidationError("tau must be finite")
         if t.imag <= 0:
             raise ValidationError("need Im tau > 0")
         if abs(t) < 1.0 - 1e-12 or abs(t.real) > 0.5 + 1e-12:
@@ -237,13 +240,15 @@ def rotate(m: CalabiModel) -> RotationResult:
     t = complex(m.tau)
     alpha = math.sqrt(m.k * math.pi * t.imag) / abs(t)
     eps = TWO_PI * abs(t) * m.c_tau
-    b0 = -m.k * t.real / (2.0 * abs(t) ** 2)
+    # -Re tau/|tau|^2 as b_tau/|tau|: the square of |tau| overflows past 1.3e154
+    ratio_float = m.b_tau / abs(t)
+    b0 = m.k * ratio_float / 2.0
 
     ratio_exact = None
     if m.tau_exact is not None:
         re, im = (Fraction(v) for v in m.tau_exact)
         ratio_exact = -re / (re * re + im * im)
-    cls, exact, ratio = classify_ratio(-t.real / abs(t) ** 2, ratio_exact)
+    cls, exact, ratio = classify_ratio(ratio_float, ratio_exact)
     winding = None
     if ratio is not None:
         winding = (ratio.denominator, -ratio.numerator)
@@ -296,22 +301,12 @@ def sf_coordinates(m: CalabiModel, pt: CalabiPoint) -> tuple[list, tuple]:
 
 
 def _tau_coefficients(m: CalabiModel, ell: float) -> tuple[float, float, float, float]:
-    """Entries (A02, A03, A12, A13) of a_tau A_I + b_tau A_K, the
-    coefficients of omega_tau in the coframe (d ell, theta, d xi1, d xi2);
-    A01 = A23 = 0."""
+    """Entries (A02, A03, A12, A13) of a_tau A_I + b_tau A_K with the A of
+    hk_triple: the coefficients of omega_tau = a_tau omega_I + b_tau omega_K
+    in the coframe (d ell, theta, d xi1, d xi2); A01 = A23 = 0."""
     c = m.c_tau
     ac, bc = m.a_tau * c, m.b_tau * c
     return ac * ell, bc * ell, -bc, ac
-
-
-def omega_tau(m: CalabiModel, pt: CalabiPoint) -> np.ndarray:
-    """a_tau omega_I + b_tau omega_K, as E^T (a_tau A_I + b_tau A_K) E
-    with the coefficients of hk_triple."""
-    a02, a03, a12, a13 = _tau_coefficients(m, pt.ell)
-    a = np.array([[0.0, 0.0, a02, a03], [0.0, 0.0, a12, a13],
-                  [-a02, -a12, 0.0, 0.0], [-a03, -a13, 0.0, 0.0]])
-    e = _coframe(m, pt)
-    return e.T @ a @ e
 
 
 _UPPER = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))

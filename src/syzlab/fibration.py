@@ -41,12 +41,13 @@ def lattice_basis(k: int, y: complex) -> tuple[complex, complex]:
     return (1.0 + 0.0j), -k * y / (2j * math.pi)
 
 
-def lattice_equal(k: int, p: np.ndarray, q: np.ndarray, tol: float = 1e-10) -> bool:
-    """Whether two chart points over the same z agree modulo Lambda(y).
+def lattice_equal(k: int, p: np.ndarray, q: np.ndarray) -> bool:
+    """Whether two chart points over the same z agree modulo Lambda(y), to 1e-10.
 
     The base points agree when their ell match and their theta differ by a
     multiple of 2*pi.
     """
+    tol = 1e-10
     turns = (q[1] - p[1]) / TWO_PI
     if abs(q[0] - p[0]) > tol or abs(turns - round(turns)) > tol:
         return False
@@ -119,9 +120,7 @@ class CycleSpec:
 
     def grid(self, n: int) -> Grid2:
         """The n x n periodic parameter grid: t1 in [0, 1), t2 over one period."""
-        if self.fiber:
-            return Grid2(n, n)
-        return Grid2(n, n, box2=(0.0, TWO_PI * self.m1))
+        return Grid2(n, 1.0 if self.fiber else TWO_PI * self.m1)
 
     def lift(self, k: int, ell: float):
         """(point, t_a, t_b): the cycle at base radius e^{-ell} in the chart.

@@ -36,6 +36,9 @@ from .errors import NumericalError, ValidationError, require_finite
 from .numerics import find_root
 
 TWO_PI = 2.0 * math.pi
+# derivative-bound constant of the cutoffs, and the gluing constant C(r, s)
+C0 = 8.0
+C0_RS = 1.0
 
 
 def _as_rho(rho) -> np.ndarray:
@@ -97,9 +100,8 @@ class Cutoffs:
 class GlueConfig:
     """Gluing data on the annulus rho_min < |z| < rho_max.
 
-    c0 is the derivative-bound constant of the cutoffs, c0_rs the gluing
-    constant C(r, s); v0c and vomc are the contributions of
-    int omega_0^2 and int Omega ^ Omegabar outside the modeled region.
+    v0c and vomc are the contributions of int omega_0^2 and
+    int Omega ^ Omegabar outside the modeled region.
     The alpha used here squares the main-text scale: pairings of the glued
     family keep the fiber pairing eps fixed for every alpha.
     """
@@ -111,8 +113,6 @@ class GlueConfig:
     rho_max: float
     v0c: float
     vomc: float
-    c0: float = 8.0
-    c0_rs: float = 1.0
     # (S_1, S_t, S_a) of mass_integral per node count n
     _sums: dict = field(default_factory=dict, init=False, repr=False,
                         compare=False)
@@ -120,8 +120,7 @@ class GlueConfig:
     def __post_init__(self):
         # params (ModelParams) already rejects a non-finite eps or b0
         require_finite(r=self.r, s=self.s, rho_min=self.rho_min,
-                       rho_max=self.rho_max, v0c=self.v0c, vomc=self.vomc,
-                       c0=self.c0, c0_rs=self.c0_rs)
+                       rho_max=self.rho_max, v0c=self.v0c, vomc=self.vomc)
         if not (0.0 < self.rho_min < self.r):
             raise ValidationError("need 0 < rho_min < r")
         if self.s <= 0 or not (self.r + 3.0 * self.s < self.rho_max < 1.0):
@@ -198,17 +197,18 @@ def _match_defect(cfg: GlueConfig, rho: np.ndarray):
 
 @dataclass(frozen=True)
 class Claim2Scan:
-    """Fitted gluing constant sup(s^-2|u-v| + s^-1|(u-v)_z|) / sup u_zzbar."""
+    """Fitted gluing constant sup(s^-2|u-v| + s^-1|(u-v)_z|) / sup u_zzbar,
+    each sup over 400 radii."""
 
     lhs_sup: float
     rhs_sup: float
     fitted_c0: float
 
 
-def claim2_scan(cfg: GlueConfig, n: int = 400) -> Claim2Scan:
-    du, dup = _match_defect(cfg, np.linspace(cfg.r + cfg.s, cfg.r + 2.0 * cfg.s, n))
+def claim2_scan(cfg: GlueConfig) -> Claim2Scan:
+    du, dup = _match_defect(cfg, np.linspace(cfg.r + cfg.s, cfg.r + 2.0 * cfg.s, 400))
     lhs = float(np.max(np.abs(du) / cfg.s ** 2 + 0.5 * np.abs(dup) / cfg.s))
-    rhs = float(np.max(u_zz(cfg, np.linspace(cfg.r, cfg.r + 3.0 * cfg.s, n))))
+    rhs = float(np.max(u_zz(cfg, np.linspace(cfg.r, cfg.r + 3.0 * cfg.s, 400))))
     return Claim2Scan(lhs_sup=lhs, rhs_sup=rhs, fitted_c0=lhs / rhs)
 
 
@@ -238,7 +238,7 @@ def q_coefficient(cfg: GlueConfig, alpha: float, t: float, rho):
 def required_t(cfg: GlueConfig, alpha: float, t_prime: float = 1.0) -> float:
     """Positivity reserve C(r,s) t' + C0 |alpha - 1| sup u_zzbar."""
     require_finite(alpha=alpha, t_prime=t_prime)
-    return cfg.c0_rs * t_prime + cfg.c0 * abs(alpha - 1.0) * sup_u_zz(cfg)
+    return C0_RS * t_prime + C0 * abs(alpha - 1.0) * sup_u_zz(cfg)
 
 
 # fiber heights Im(x) at which positivity_scan tests each radius

@@ -13,42 +13,28 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 
-ABS_TOL = 1e-10
-REL_TOL = 1e-8
-
 
 @dataclass(frozen=True)
 class Grid2:
-    """Uniform periodic tensor grid on [0,1) x [a2,b2).
+    """Uniform periodic n x n tensor grid on [0,1) x [0,period2).
 
     Nodes omit the duplicated endpoint and carry equal weights (the
     rectangle rule), which is spectrally accurate for smooth periodic
     integrands and exact for trigonometric polynomials of degree < n.
     """
 
-    n1: int
-    n2: int
-    box2: tuple[float, float] = (0.0, 1.0)
+    n: int
+    period2: float
 
     def __post_init__(self):
-        if self.n1 < 4 or self.n2 < 4:
+        if self.n < 4:
             raise ValidationError("grid needs at least 4 nodes per direction")
-        if self.box2[1] <= self.box2[0]:
-            raise ValidationError("grid box must have positive extent")
 
     def nodes1(self) -> np.ndarray:
-        return np.arange(self.n1) / self.n1
+        return np.arange(self.n) / self.n
 
     def nodes2(self) -> np.ndarray:
-        a, b = self.box2
-        return a + (b - a) * np.arange(self.n2) / self.n2
-
-    def weights1(self) -> np.ndarray:
-        return np.full(self.n1, 1.0 / self.n1)
-
-    def weights2(self) -> np.ndarray:
-        a, b = self.box2
-        return np.full(self.n2, (b - a) / self.n2)
+        return self.period2 * np.arange(self.n) / self.n
 
 
 def pairwise_sum(values: np.ndarray):
@@ -70,12 +56,11 @@ def pairwise_sum(values: np.ndarray):
 def quad_grid(values: np.ndarray, grid: Grid2):
     """Integrate sampled values over the grid with a deterministic reduction."""
     values = np.asarray(values)
-    if values.shape != (grid.n1, grid.n2):
-        raise ValidationError("values shape must match grid (n1, n2)")
+    if values.shape != (grid.n, grid.n):
+        raise ValidationError("values shape must match grid (n, n)")
     if not np.all(np.isfinite(np.abs(values))):
         raise NumericalError("non-finite integrand samples")
-    w = np.outer(grid.weights1(), grid.weights2())
-    return pairwise_sum(values * w)
+    return pairwise_sum(values * ((1.0 / grid.n) * (grid.period2 / grid.n)))
 
 
 def quad_periodic(f, grid: Grid2):
@@ -92,17 +77,15 @@ class DecayFit:
 
     model: str
     exponent: float
-    amplitude: float
     r_squared: float
     n_samples: int
 
 
-def fit_decay(r: np.ndarray, values: np.ndarray, model: str = "power",
-              drop_fraction: float = 0.2) -> DecayFit:
+def fit_decay(r: np.ndarray, values: np.ndarray, model: str = "power") -> DecayFit:
     """Fit values(r) ~ C * r^exponent, or C * exp(exponent * r^(2/3)).
 
-    The smallest drop_fraction of the r-range is discarded so the fit sees
-    the asymptotic regime rather than the near region.
+    The smallest fifth of the samples (keeping at least 3) is discarded so
+    the fit sees the asymptotic regime rather than the near region.
     """
     r = np.asarray(r, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -112,12 +95,10 @@ def fit_decay(r: np.ndarray, values: np.ndarray, model: str = "power",
         raise ValidationError("need at least 3 samples")
     if np.any(np.diff(r) <= 0):
         raise ValidationError("r must be strictly increasing")
-    if not (0.0 <= drop_fraction < 1.0):
-        raise ValidationError("drop_fraction must lie in [0, 1)")
     if np.any(values <= 0):
         raise ValidationError("values must be positive for a log fit")
 
-    n_drop = min(int(np.floor(drop_fraction * r.size)), r.size - 3)
+    n_drop = min(int(np.floor(0.2 * r.size)), r.size - 3)
     r = r[n_drop:]
     values = values[n_drop:]
 
@@ -139,16 +120,15 @@ def fit_decay(r: np.ndarray, values: np.ndarray, model: str = "power",
     else:
         r2 = 1.0 - np.sum(resid ** 2) / ss_tot
     return DecayFit(model=model, exponent=float(slope),
-                    amplitude=float(np.exp(intercept)),
                     r_squared=float(r2), n_samples=int(r.size))
 
 
-def find_root(f, a: float, b: float, rel_tol: float = 1e-10,
-              max_iter: int = 200) -> float:
+def find_root(f, a: float, b: float) -> float:
     """Root of f on a sign-changing bracket [a, b].
 
     Affine functions are detected from three samples and solved exactly;
-    otherwise bisection localizes and a secant pass polishes.
+    otherwise at most 200 bisection steps localize the root to 1e-10
+    relative and a secant pass polishes.
     """
     if not (b > a):
         raise ValidationError("bracket must satisfy a < b")
@@ -170,7 +150,7 @@ def find_root(f, a: float, b: float, rel_tol: float = 1e-10,
         return float(a - fa * (b - a) / (fb - fa))
 
     lo, hi, flo = a, b, fa
-    for _ in range(max_iter):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         fm = f(mid)
         if not np.isfinite(fm):
@@ -181,7 +161,7 @@ def find_root(f, a: float, b: float, rel_tol: float = 1e-10,
             hi = mid
         else:
             lo, flo = mid, fm
-        if hi - lo <= rel_tol * max(abs(lo), abs(hi), 1.0):
+        if hi - lo <= 1e-10 * max(abs(lo), abs(hi), 1.0):
             break
     # secant polish inside the final bracket
     x0, x1 = lo, hi
@@ -193,6 +173,6 @@ def find_root(f, a: float, b: float, rel_tol: float = 1e-10,
         if not (lo <= x2 <= hi):
             break
         x0, f0, x1, f1 = x1, f1, x2, f(x2)
-        if abs(x1 - x0) <= rel_tol * max(abs(x1), 1.0):
+        if abs(x1 - x0) <= 1e-10 * max(abs(x1), 1.0):
             break
     return float(x1)

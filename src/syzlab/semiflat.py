@@ -96,11 +96,6 @@ def w_factor(p: ModelParams, ell: float) -> float:
     return TWO_PI / (p.k * ell)
 
 
-def gamma(p: ModelParams, x: complex, y: complex) -> complex:
-    """Connection coefficient Gamma(x, y) of the non-standard model."""
-    return 1j * x.imag / y.real + p.b0 * y.real / (2.0 * math.pi ** 2)
-
-
 def _form_entries(p: ModelParams, ell, th, x2, exp):
     """alpha times (d + c|Gamma|^2, c*g_i, c*g_r, c) of sf_form_chart, on
     floats or arrays."""
@@ -165,23 +160,22 @@ def sf_form_chart(p: ModelParams, q: np.ndarray) -> np.ndarray:
 
 
 def hermitian_matrix(p: ModelParams, q: np.ndarray) -> np.ndarray:
-    """Hermitian coefficient matrix of the metric form in (x, y) at chart
-    points q of shape (..., 4); returns (..., 2, 2).  A single point runs
-    the array loops of a batch, which round as a batch does."""
+    """Hermitian matrix h of the metric form, omega = i sum h_jk dz_j ^ dzbar_k
+    with z = (x, y), at chart points q of shape (..., 4); returns (..., 2, 2).
+
+    In the notation of sf_form_chart, h = (alpha/2) [[c, -c conj(Gamma)],
+    [-c Gamma, d + c|Gamma|^2]], from the same entries.  A single point
+    runs the array loops of a batch, which round as a batch does.
+    """
     q = np.asarray(q, dtype=float)
-    ell, th, _, x2 = q.reshape(-1, 4).T
-    kap2 = np.abs(p.kappa_at(np.exp(-(ell + 1j * th)))) ** 2 if p.kappa else 1.0
-    w = w_factor(p, ell)
-    gam = gamma(p, 1j * x2, ell)
-    h_xx = w * p.eps / 2.0
-    h_xy = -h_xx * np.conj(gam)
-    h = np.empty(ell.shape + (2, 2), dtype=complex)
-    h[:, 0, 0] = h_xx
-    h[:, 0, 1] = h_xy
-    h[:, 1, 0] = np.conj(h_xy)
-    h[:, 1, 1] = kap2 / (p.eps * w) + h_xx * np.abs(gam) ** 2
-    h *= p.alpha
-    return h.reshape(q.shape[:-1] + (2, 2))
+    pts = q.reshape(-1, 4)
+    e01, cg_i, cg_r, c = _form_entries(p, pts[:, 0], pts[:, 1], pts[:, 3], np.exp)
+    h = np.empty((len(pts), 2, 2), dtype=complex)
+    h[:, 0, 0] = c
+    h[:, 1, 0] = -(cg_r + 1j * cg_i)
+    h[:, 0, 1] = np.conj(h[:, 1, 0])
+    h[:, 1, 1] = e01
+    return (0.5 * h).reshape(q.shape[:-1] + (2, 2))
 
 
 def holomorphic_volume_top(p: ModelParams, q: np.ndarray) -> np.ndarray:
@@ -266,10 +260,9 @@ class DecayClass:
     values: np.ndarray
 
 
-def classify_translation(p: ModelParams, s: fib.SectionData,
-                         ell_samples: np.ndarray | None = None,
-                         x_probe: complex = 0.31 + 0.0j) -> DecayClass:
-    """Classify the decay of the translated-metric defect.
+def classify_translation(p: ModelParams, s: fib.SectionData) -> DecayClass:
+    """Classify the decay of the translated-metric defect, sampled at the 12
+    points ell = 3, 4, ..., 14 with theta = 0 and x = 0.31.
 
     Structural mapping: pole in h -> not uniform; b != 0 -> bounded
     difference; b = 0 with Im h(0) != 0 -> power decay ~ r^(-4/3);
@@ -277,13 +270,8 @@ def classify_translation(p: ModelParams, s: fib.SectionData,
     samples must corroborate the predicted behaviour or a NumericalError
     is raised.
     """
-    if ell_samples is None:
-        ell_samples = np.linspace(3.0, 14.0, 12)
-    ells = np.asarray(ell_samples, dtype=float)
-    if ells.size < 3 or np.any(np.diff(ells) <= 0) or ells[0] <= 0:
-        raise ValidationError("ell samples must be >= 3, positive, increasing")
-    x = complex(x_probe)
-    q = np.stack(np.broadcast_arrays(ells, 0.0, x.real, x.imag), axis=-1)
+    ells = np.linspace(3.0, 14.0, 12)
+    q = np.stack(np.broadcast_arrays(ells, 0.0, 0.31, 0.0), axis=-1)
     vals = translation_defect(p, s, q)
     if not np.all(np.isfinite(vals)):
         raise NumericalError("non-finite translation defect")
@@ -405,19 +393,18 @@ def riemann_fd(gf, q: np.ndarray, h: float | np.ndarray) -> tuple[np.ndarray, np
     return riem, gf(q)
 
 
-def curvature_decay(p: ModelParams, ell_samples: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, DecayFit]:
-    """|Rm|_g samples on the zero section against distance r, with a power-law fit.
+def curvature_decay(p: ModelParams) -> tuple[np.ndarray, np.ndarray, DecayFit]:
+    """|Rm|_g samples on the zero section at 10 evenly spaced ell from 5 to
+    40 against distance r, with a power-law fit.
 
     All samples are one riemann_fd call.  Each step is scaled to the local
     injectivity radius, which shrinks like 1/ell in the collapsing fiber
     directions.
     """
-    if ell_samples is None:
-        ell_samples = np.linspace(5.0, 40.0, 10)
-    ells = np.asarray(ell_samples, dtype=float)
+    ells = np.linspace(5.0, 40.0, 10)
     q = np.zeros(ells.shape + (4,))
     q[..., 0] = ells
-    h = 1e-2 * np.minimum(1.0, 10.0 / np.maximum(ells, 1.0))
+    h = 1e-2 * np.minimum(1.0, 10.0 / ells)
     riem, g = riemann_fd(functools.partial(riemannian_metric_chart, p), q, h)
     ginv = np.linalg.inv(g)
     # |Rm|^2 = R_{abcd} R^{abcd}: lower the first index, raise the other three

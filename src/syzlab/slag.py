@@ -63,15 +63,17 @@ def fiber_geometry(mf: ModelFiber) -> FiberGeometry:
                          noncollapse_scale=math.sqrt(b))
 
 
-def lambda1_rayleigh(a: float, b: float, n: int = 64) -> float:
+def lambda1_rayleigh(a: float, b: float) -> float:
     """First nonzero Laplace eigenvalue estimated by a discrete Rayleigh quotient.
 
-    A five-point finite-difference Laplacian on the flat rectangular torus
-    with side lengths (2*pi*sqrt(a), sqrt(b)) is applied to the two
-    fundamental modes; the smaller quotient estimates lambda_1.
+    A five-point finite-difference Laplacian on 64 nodes per side of the
+    flat rectangular torus with side lengths (2*pi*sqrt(a), sqrt(b)) is
+    applied to the two fundamental modes; the smaller quotient estimates
+    lambda_1.
     """
-    if a <= 0 or b <= 0 or n < 8:
-        raise ValidationError("need positive coefficients and n >= 8")
+    if a <= 0 or b <= 0:
+        raise ValidationError("need positive coefficients")
+    n = 64
     best = math.inf
     for length in (TWO_PI * math.sqrt(a), math.sqrt(b)):
         h = length / n
@@ -180,18 +182,14 @@ def second_fundamental_form(mf: ModelFiber) -> SecondFF:
                     gauss_residual=gauss)
 
 
-def pi_decay(p: sf.ModelParams, cycle: fib.CycleSpec,
-             ell_samples: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, DecayFit]:
-    """|II| samples against distance r, with a power-law fit (expect ~ -1).
+def pi_decay(p: sf.ModelParams, cycle: fib.CycleSpec) -> tuple[np.ndarray, np.ndarray, DecayFit]:
+    """|II| samples at 10 evenly spaced ell from 5 to 40 against distance
+    r, with a power-law fit (expect ~ -1).
 
     Every sample sits at the point and step second_fundamental_form uses,
     and all of them are one christoffel_fd call.
     """
-    if ell_samples is None:
-        ell_samples = np.linspace(5.0, 40.0, 10)
-    ells = np.asarray(ell_samples, dtype=float)
-    if ells.size < 3:
-        raise ValidationError("need at least 3 samples")
+    ells = np.linspace(5.0, 40.0, 10)
     frames = [_frame(ModelFiber(p, cycle, ell)) for ell in ells]
     q, tan, h, _ = (np.array(v) for v in zip(*frames))
     pi_sq = _fundamental_forms(functools.partial(sf.riemannian_metric_chart, p),

@@ -51,9 +51,6 @@ class TestHkTriple:
             want = _wedge_triple(model, pt)
             for got, ref in zip(cal.hk_triple(model, pt), want):
                 assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
-            ref = model.a_tau * want[0] + model.b_tau * want[2]
-            got = cal.omega_tau(model, pt)
-            assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("model", MODELS)
     def test_orthogonality_and_squares(self, model):
@@ -144,6 +141,20 @@ class TestRotate:
             assert rot.eps == pytest.approx(
                 TWO_PI * t * math.sqrt(TWO_PI / t))
 
+    @pytest.mark.parametrize("tau", [1e300j, complex(0.5, 1e300), complex(-0.5, 1e200)])
+    def test_huge_modulus_does_not_overflow(self, tau):
+        # |tau|^2 overflows; -Re tau/|tau|^2 is below every float
+        rot = cal.rotate(cal.CalabiModel(k=1, tau=tau))
+        assert rot.sf_class == cal.STANDARD and rot.b0 == 0.0
+        assert math.isfinite(rot.alpha) and math.isfinite(rot.eps)
+
+    @pytest.mark.parametrize("part", ["real", "imag"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tau_rejected(self, part, value):
+        tau = complex(value, 1.2) if part == "real" else complex(0.3, value)
+        with pytest.raises(ValidationError, match="tau must be finite"):
+            cal.CalabiModel(k=1, tau=tau)
+
     def test_fundamental_domain_enforced(self):
         with pytest.raises(ValidationError):
             cal.CalabiModel(k=1, tau=0.7 + 1.0j)
@@ -224,7 +235,8 @@ class TestClosedFormPushForward:
         rows, cols = np.triu_indices(4, 1)
         for pt in _random_points(20, seed=6):
             jinv = np.array(cal.sf_coordinates(model, pt)[1])
-            oracle = jinv.T @ cal.omega_tau(model, pt) @ jinv
+            om_i, _, om_k = cal.hk_triple(model, pt)
+            oracle = jinv.T @ (model.a_tau * om_i + model.b_tau * om_k) @ jinv
             _, pushed = cal._pushed_omega_tau(model, pt)
             scale = np.max(np.abs(oracle))
             assert np.max(np.abs(np.array(pushed) - oracle[rows, cols])) <= 1e-14 * scale
@@ -268,11 +280,23 @@ class TestRotateOnce:
         assert first == second
         assert dataclasses.astuple(cal.rotate(second)) == dataclasses.astuple(rot)
 
-    def test_exception_is_not_stored(self):
-        model = cal.CalabiModel(k=1, tau=1e300j)
-        for _ in range(3):
-            with pytest.raises(OverflowError):
-                cal.rotate(model)
+    def test_exception_is_not_stored(self, monkeypatch):
+        real = cal.classify_ratio
+        calls = []
+
+        def fails_once(*args):
+            calls.append(args)
+            if len(calls) == 1:
+                raise ArithmeticError("injected")
+            return real(*args)
+
+        monkeypatch.setattr(cal, "classify_ratio", fails_once)
+        model = cal.CalabiModel(k=1, tau=1j)
+        with pytest.raises(ArithmeticError, match="injected"):
+            cal.rotate(model)
+        rot = cal.rotate(model)
+        assert rot.sf_class == cal.STANDARD and len(calls) == 2
+        assert cal.rotate(model) is rot and len(calls) == 2
 
 
 class TestCalabiPoint:

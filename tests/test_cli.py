@@ -246,7 +246,8 @@ class TestExitCodes:
         # singular metric in the finite-difference layer (LinAlgError)
         (["slag", "pi-decay", "--k", "1", "--eps", "1e300"], 2),
         (["semiflat", "curvature", "--k", "1", "--eps", "1e300"], 2),
-        # OverflowError in calabi.rotate, ZeroDivisionError in fiber_geometry
+        # OverflowError in calabi.sf_coordinates, which squares the xi2 that
+        # transport by tau moved; ZeroDivisionError in fiber_geometry
         (["hkrot", "--k", "1", "--tau", "0+1e300i"], 2),
         (["slag", "geometry", "--k", "1", "--ell", "1e-320"], 2),
         # the report would hold NaN: strict JSON refuses it before any output
@@ -264,6 +265,14 @@ class TestExitCodes:
         assert out == ""
         assert "Traceback" not in err
         assert ("numerical failure" if code == 2 else "must be finite") in err
+
+    def test_huge_modulus_mirror_passes(self, capsys):
+        # rotate never forms |tau|^2, which overflows past 1.3e154
+        code, report, err = run_cli(capsys, "mirror", "--k", "1", "--tau", "0+1e300i",
+                                    "--no-timestamp")
+        assert code == 0 and err == ""
+        assert report["results"]["product"] == 1.0
+        assert report["results"]["sf_class"] == "standard"
 
     @pytest.mark.parametrize("argv", [
         ["slag", "geometry", "--k", "1", "--ell", "1e-320"],
@@ -483,7 +492,7 @@ class TestClassifyChecks:
     @pytest.mark.parametrize("exponent,code", [(-1.0, 3), (-1.6, 3),
                                                (-1.3, 0), (-1.45, 0)])
     def test_power_decay_window(self, capsys, monkeypatch, exponent, code):
-        fit = DecayFit("power", exponent, 1.0, 0.9999, 9)
+        fit = DecayFit("power", exponent, 0.9999, 9)
         dc = sfm.DecayClass(sfm.POWER_DECAY, fit, None, np.ones(3), np.ones(3))
         monkeypatch.setattr(sfm, "classify_translation", lambda p, s: dc)
         got, report, _ = run_cli(capsys, "semiflat", "classify-translation",

@@ -57,8 +57,8 @@ class TestCycles:
             fib.CycleSpec(m1=2, m2=4)
 
     def test_grid_boxes(self):
-        assert fib.FIBER.grid(8).box2 == (0.0, 1.0)
-        assert fib.CycleSpec(m1=2, m2=1).grid(8).box2 == (0.0, 2.0 * TWO_PI)
+        assert fib.FIBER.grid(8).period2 == 1.0
+        assert fib.CycleSpec(m1=2, m2=1).grid(8).period2 == 2.0 * TWO_PI
 
 
 CYCLES = [fib.FIBER, fib.CycleSpec(m1=1, m2=0), fib.CycleSpec(m1=2, m2=1),

@@ -14,17 +14,17 @@ TWO_PI = 2.0 * math.pi
 
 class TestQuadPeriodic:
     def test_constant(self):
-        grid = Grid2(16, 16, box2=(0.0, TWO_PI))
+        grid = Grid2(16, TWO_PI)
         assert quad_periodic(lambda a, b: 1.0, grid) == pytest.approx(TWO_PI)
 
     def test_orthogonality(self):
-        grid = Grid2(16, 16, box2=(0.0, TWO_PI))
+        grid = Grid2(16, TWO_PI)
         val = quad_periodic(lambda t1, t2: np.exp(2j * math.pi * t1), grid)
         assert abs(val) <= 1e-12
 
     def test_trig_polynomial_exact(self):
         # rectangle rule is exact below the grid Nyquist degree
-        grid = Grid2(16, 16, box2=(0.0, TWO_PI))
+        grid = Grid2(16, TWO_PI)
 
         def f(t1, t2):
             return 2.0 + np.cos(2 * TWO_PI * t1) * np.sin(3.0 * t2)
@@ -32,13 +32,13 @@ class TestQuadPeriodic:
         assert quad_periodic(f, grid) == pytest.approx(2.0 * TWO_PI, rel=1e-12)
 
     def test_nonfinite_rejected(self):
-        grid = Grid2(4, 4)
+        grid = Grid2(4, 1.0)
         with pytest.raises(Exception):
             quad_periodic(lambda a, b: math.inf, grid)
 
     def test_grid_too_small(self):
         with pytest.raises(ValidationError):
-            Grid2(2, 8)
+            Grid2(2, 1.0)
 
 
 class TestPairwiseSum:
@@ -57,19 +57,19 @@ class TestPairwiseSum:
 class TestFitDecay:
     def test_exact_power(self):
         r = np.array([10.0, 20.0, 40.0, 80.0])
-        fit = fit_decay(r, r ** -2.0, drop_fraction=0.0)
+        fit = fit_decay(r, r ** -2.0)
         assert fit.exponent == pytest.approx(-2.0, abs=1e-9)
         assert fit.r_squared == pytest.approx(1.0)
 
     def test_exact_four_thirds(self):
         r = np.linspace(5.0, 60.0, 9)
-        fit = fit_decay(r, 5.0 * r ** (-4.0 / 3.0), drop_fraction=0.0)
+        fit = fit_decay(r, 5.0 * r ** (-4.0 / 3.0))
         assert fit.exponent == pytest.approx(-4.0 / 3.0, abs=1e-9)
 
     def test_stretched_exp(self):
         r = np.linspace(5.0, 60.0, 9)
         fit = fit_decay(r, 3.0 * np.exp(-0.7 * r ** (2.0 / 3.0)),
-                        model="stretched_exp", drop_fraction=0.0)
+                        model="stretched_exp")
         assert fit.model == "stretched_exp"
         assert fit.exponent == pytest.approx(-0.7, abs=1e-9)
         assert fit.r_squared == pytest.approx(1.0)
@@ -80,7 +80,7 @@ class TestFitDecay:
 
     def test_fields(self):
         r = np.array([10.0, 20.0, 40.0, 80.0])
-        fit = fit_decay(r, r ** -1.0, drop_fraction=0.0)
+        fit = fit_decay(r, r ** -1.0)
         assert isinstance(fit, DecayFit)
         assert fit.n_samples >= 3
         assert 0.0 <= fit.r_squared <= 1.0

@@ -59,6 +59,22 @@ class TestSfForm:
                            for i in range(5)])
         assert np.array_equal(batch, single)
 
+    @pytest.mark.parametrize("kappa", [{}, {0: 1.0, 1: 0.5 - 0.3j, 2: 0.2}])
+    def test_form_is_i_h_dz_wedge_dzbar(self, kappa):
+        # sf_form_chart = i sum h_jk dz_j ^ dzbar_k with z = (x, y) and h
+        # from hermitian_matrix, off-diagonal terms included
+        p = sf.ModelParams(k=3, eps=0.6, b0=-0.4, alpha=1.7, kappa=kappa)
+        rng = np.random.default_rng(21)
+        q = np.stack([rng.uniform(0.05, 8.0, (6, 50)), rng.uniform(-7.0, 7.0, (6, 50)),
+                      rng.uniform(-2.0, 2.0, (6, 50)), rng.uniform(-2.0, 2.0, (6, 50))],
+                     axis=-1)
+        dz = np.array([[0.0, 0.0, 1.0, 1j], [1.0, 1j, 0.0, 0.0]])
+        w = np.einsum("...jk,jm,kn->...mn", sf.hermitian_matrix(p, q), dz, dz.conj())
+        form = (1j * (w - np.swapaxes(w, -1, -2))).real
+        ref = sf.sf_form_chart(p, q)
+        err = np.max(np.abs(form - ref), axis=(-2, -1))
+        assert np.all(err <= 1e-14 * np.max(np.abs(ref), axis=(-2, -1)))
+
     def test_antisymmetric(self):
         p = sf.ModelParams(k=3, eps=0.3, b0=-0.25, alpha=1.4)
         m = sf.sf_form_chart(p, np.array([2.0, 0.1, 0.3, 0.7]))
@@ -92,7 +108,7 @@ def _outer_product_form(p, q):
     ell, th, x1, x2 = (float(v) for v in q)
     kap2 = abs(p.kappa_at(cmath.exp(-(ell + 1j * th)))) ** 2
     w = sf.w_factor(p, ell)
-    gam = sf.gamma(p, complex(x1, x2), complex(ell, th))
+    gam = 1j * x2 / ell + p.b0 * ell / (2.0 * math.pi ** 2)
     dy = np.array([1.0, 1.0j, 0.0, 0.0])
     dx = np.array([0.0, 0.0, 1.0, 1.0j])
     m = (2.0 * kap2 / (p.eps * w)) * i_half_a_wedge_abar(dy)
@@ -461,9 +477,9 @@ class TestCurvature:
         sf.ModelParams(k=2, eps=0.7, b0=0.25, kappa={0: 1.0, 1: 0.5}),
     ])
     def test_batched_sweep_matches_per_point_evaluation(self, p):
-        ells = np.array([2.0, 5.0, 12.5, 40.0])
-        r, vals, _ = sf.curvature_decay(p, ells)
-        for ell, ri, val in zip(ells, r, vals):
+        r, vals, _ = sf.curvature_decay(p)
+        assert vals.shape == (10,)
+        for ell, ri, val in zip(np.linspace(5.0, 40.0, 10), r, vals):
             h = 1e-2 * min(1.0, 10.0 / ell)
             riem, g = sf.riemann_fd(lambda qq: sf.riemannian_metric_chart(p, qq),
                                     np.array([ell, 0.0, 0.0, 0.0]), h)
@@ -475,9 +491,15 @@ class TestCurvature:
             assert ri == sf.distance_r(p, ell)
 
     def test_one_stuck_point_fails_the_sweep(self):
-        # the step 1e-309 at ell = 1e308 leaves ell unchanged
+        # curvature_decay's step rule on a batch with ell = 1e308: the step
+        # 1e-309 there leaves ell unchanged
+        ells = np.array([5.0, 10.0, 1e308])
+        q = np.zeros((3, 4))
+        q[:, 0] = ells
+        h = 1e-2 * np.minimum(1.0, 10.0 / ells)
+        p = sf.ModelParams(k=1)
         with pytest.raises(NumericalError, match="does not move"):
-            sf.curvature_decay(sf.ModelParams(k=1), np.array([5.0, 10.0, 1e308]))
+            sf.riemann_fd(lambda qq: sf.riemannian_metric_chart(p, qq), q, h)
 
 
 def _sphere_metric(q):
