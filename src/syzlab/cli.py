@@ -277,17 +277,15 @@ def _glue_config(args) -> glue.GlueConfig:
 
 def _cmd_glue_potential(args):
     p = _params_from(args)
-    cfg = glue.GlueConfig(params=p, r=0.1, s=0.02, rho_min=1e-4, rho_max=0.9,
-                          v0c=1.0, vomc=0.2)
-    u = glue.potential_u(cfg, args.rho)
+    u = glue.potential_u(p, args.rho)
     # fourth-order stencils keep roundoff below the 1e-8 comparison
     h = 1e-3 * args.rho
-    um2, um1, up1, up2 = (glue.potential_u(cfg, args.rho + j * h)
+    um2, um1, up1, up2 = (glue.potential_u(p, args.rho + j * h)
                           for j in (-2, -1, 1, 2))
     upp = (-up2 + 16.0 * up1 - 30.0 * u + 16.0 * um1 - um2) / (12.0 * h ** 2)
     up = (-up2 + 8.0 * up1 - 8.0 * um1 + um2) / (12.0 * h)
     fd = 0.25 * (upp + up / args.rho)
-    closed = glue.u_zz(cfg, args.rho)
+    closed = glue.u_zz(p, args.rho)
     results = {"u": u, "u_zz": closed, "u_zz_fd": fd}
     err = abs(fd - closed) / abs(closed)
     return results, [_tol_check("u_zz_fd_rel", err, 1e-8)], None

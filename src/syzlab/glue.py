@@ -142,7 +142,7 @@ class GlueConfig:
         return Cutoffs(self.r, self.s)
 
 
-def potential_u(cfg: GlueConfig, rho):
+def potential_u(p: sfm.ModelParams, rho):
     """Radial potential with i ddbar u equal to the base dz^dzbar term.
 
     Closed form (k / 3 pi eps)(-log rho)^3; defined for kappa = 1 only.
@@ -150,30 +150,27 @@ def potential_u(cfg: GlueConfig, rho):
     x = _as_rho(rho)
     if not np.all((0.0 < x) & (x < 1.0)):
         raise ValidationError("rho must satisfy 0 < rho < 1")
-    p = cfg.params
     if not p.kappa_is_one():
         raise ValidationError("no closed-form potential for non-trivial kappa")
     return _like(rho, p.k / (3.0 * math.pi * p.eps) * (-np.log(x)) ** 3)
 
 
-def u_zz(cfg: GlueConfig, rho):
+def u_zz(p: sfm.ModelParams, rho):
     """dz dzbar second derivative of the potential, |kappa|^2 k L / (2 pi eps rho^2)."""
     x = _as_rho(rho)
-    p = cfg.params
     # kappa on the positive real ray, elementwise in rho
     kap2 = np.abs(p.kappa_at(x)) ** 2
     return _like(rho, kap2 * p.k * (-np.log(x)) / (TWO_PI * p.eps * x ** 2))
 
 
-def u_prime(cfg: GlueConfig, rho):
+def u_prime(p: sfm.ModelParams, rho):
     x = _as_rho(rho)
-    p = cfg.params
     return _like(rho, -(p.k / (math.pi * p.eps)) * (-np.log(x)) ** 2 / x)
 
 
 def sup_u_zz(cfg: GlueConfig) -> float:
     """Sup of u_zzbar over the gluing annulus [r, r+3s] (attained at r)."""
-    return u_zz(cfg, cfg.r)
+    return u_zz(cfg.params, cfg.r)
 
 
 def harmonic_match(cfg: GlueConfig) -> tuple[float, float]:
@@ -181,7 +178,7 @@ def harmonic_match(cfg: GlueConfig) -> tuple[float, float]:
     matching u at rho = r and rho = r + 3s."""
     l1 = -math.log(cfg.r)
     l2 = -math.log(cfg.r + 3.0 * cfg.s)
-    u1, u2 = potential_u(cfg, np.array([cfg.r, cfg.r + 3.0 * cfg.s]))
+    u1, u2 = potential_u(cfg.params, np.array([cfg.r, cfg.r + 3.0 * cfg.s]))
     b = (u1 - u2) / (l1 - l2)
     a = u1 - b * l1
     return a, b
@@ -190,26 +187,18 @@ def harmonic_match(cfg: GlueConfig) -> tuple[float, float]:
 def _match_defect(cfg: GlueConfig, rho: np.ndarray):
     """(u - v, (u - v)') along rho, for the harmonic match v of u."""
     a, b = harmonic_match(cfg)
-    du = potential_u(cfg, rho) - (a + b * -np.log(rho))
-    dup = u_prime(cfg, rho) + b / rho
+    du = potential_u(cfg.params, rho) - (a + b * -np.log(rho))
+    dup = u_prime(cfg.params, rho) + b / rho
     return du, dup
 
 
-@dataclass(frozen=True)
-class Claim2Scan:
+def claim2_scan(cfg: GlueConfig) -> float:
     """Fitted gluing constant sup(s^-2|u-v| + s^-1|(u-v)_z|) / sup u_zzbar,
     each sup over 400 radii."""
-
-    lhs_sup: float
-    rhs_sup: float
-    fitted_c0: float
-
-
-def claim2_scan(cfg: GlueConfig) -> Claim2Scan:
     du, dup = _match_defect(cfg, np.linspace(cfg.r + cfg.s, cfg.r + 2.0 * cfg.s, 400))
-    lhs = float(np.max(np.abs(du) / cfg.s ** 2 + 0.5 * np.abs(dup) / cfg.s))
-    rhs = float(np.max(u_zz(cfg, np.linspace(cfg.r, cfg.r + 3.0 * cfg.s, 400))))
-    return Claim2Scan(lhs_sup=lhs, rhs_sup=rhs, fitted_c0=lhs / rhs)
+    lhs = np.max(np.abs(du) / cfg.s ** 2 + 0.5 * np.abs(dup) / cfg.s)
+    rhs = np.max(u_zz(cfg.params, np.linspace(cfg.r, cfg.r + 3.0 * cfg.s, 400)))
+    return float(lhs / rhs)
 
 
 def _q_parts(cfg: GlueConfig, x: np.ndarray):
@@ -218,7 +207,7 @@ def _q_parts(cfg: GlueConfig, x: np.ndarray):
     if not np.all((cfg.rho_min <= x) & (x <= cfg.rho_max)):
         raise ValidationError("rho outside the modeled annulus")
     cut = cfg.cutoffs
-    uzz = u_zz(cfg, x)
+    uzz = u_zz(cfg.params, x)
     bracket = np.zeros_like(x)
     psi, psi_p, psi_pp = cut.psi(x)
     glued = (x > cfg.r) & (psi != 0.0)
@@ -270,7 +259,7 @@ def positivity_scan(cfg: GlueConfig, alpha: float, t: float,
     ell = -np.log(rho)
     qc = q_coefficient(cfg, alpha, t, rho)
     psi = cfg.cutoffs.psi(rho)[0]
-    half_term = 0.5 * psi * (alpha - 1.0) * u_zz(cfg, rho)
+    half_term = 0.5 * psi * (alpha - 1.0) * u_zz(p, rho)
     # chart points (ell, 0, 0, x2): n radii against the fiber heights
     q = np.zeros((n, _SCAN_X2.size, 4))
     q[..., 0] = ell[:, None]

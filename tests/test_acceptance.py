@@ -238,7 +238,7 @@ def test_criterion_7_gluing():
         return glue.GlueConfig(params=p, r=r, s=s, rho_min=0.01, rho_max=0.9,
                                v0c=v0c, vomc=vomc)
 
-    c0s = [glue.claim2_scan(cfg(r, s)).fitted_c0
+    c0s = [glue.claim2_scan(cfg(r, s))
            for r, s in ((0.1, 0.02), (0.05, 0.01), (0.2, 0.04))]
     c0_ratio = max(c0s) / min(c0s)
     base = cfg(0.1, 0.02)

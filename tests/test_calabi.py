@@ -44,6 +44,20 @@ def _wedge_triple(m, pt):
     return om_i, om_j, om_k
 
 
+E = np.eye(4)
+
+
+def _add_to_omega_j(monkeypatch, extra):
+    """Patch hk_triple so that omega_J at pt gains the 2-form extra(pt)."""
+    real = cal.hk_triple
+
+    def patched(m, pt):
+        om_i, om_j, om_k = real(m, pt)
+        return om_i, om_j + extra(pt), om_k
+
+    monkeypatch.setattr(cal, "hk_triple", patched)
+
+
 class TestHkTriple:
     @pytest.mark.parametrize("model", MODELS)
     def test_matches_wedge_construction(self, model):
@@ -73,13 +87,34 @@ class TestHkTriple:
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
     @pytest.mark.parametrize("model", MODELS)
-    def test_closedness_second_order(self, model):
+    def test_closed_to_rounding(self, model):
+        for pt in _random_points(50, seed=13):
+            scale = np.max(np.abs(np.stack(cal.hk_triple(model, pt))))
+            assert cal.closedness_defect(model, pt) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_entries_affine_in_each_coordinate(self, model):
+        # the premise that makes closedness_defect's unit differences exact
+        rng = np.random.default_rng(17)
+        for pt in _random_points(10, seed=17):
+            q = pt.coords()
+            for e in np.eye(4):
+                step = rng.uniform(0.1, 2.0) * e
+                m0, m1, m2 = (np.stack(cal.hk_triple(model, cal.CalabiPoint(*(q + j * step))))
+                              for j in range(3))
+                scale = max(np.max(np.abs(m)) for m in (m0, m1, m2))
+                assert np.max(np.abs(m2 - 2.0 * m1 + m0)) <= 1e-14 * scale
+
+    def test_non_closed_form_detected(self, monkeypatch):
+        # d(ell dxi1 ^ dpsi) = dell ^ dxi1 ^ dpsi has coefficient 1
+        _add_to_omega_j(monkeypatch, lambda pt: pt.ell * wedge_11(E[2], E[1]))
         pt = cal.CalabiPoint(ell=1.4, psi=0.7, xi1=0.21, xi2=-0.35)
-        d1 = cal.closedness_defect(model, pt, h=1e-3)
-        d2 = cal.closedness_defect(model, pt, h=5e-4)
-        assert d1 <= 1e-8
-        # refinement converges at least quadratically or is at roundoff
-        assert d2 <= max(0.3 * d1, 1e-11)
+        assert cal.closedness_defect(MODELS[0], pt) >= 0.5
+
+    def test_nan_triple_fails_closed(self, monkeypatch):
+        _add_to_omega_j(monkeypatch, lambda pt: np.full((4, 4), math.nan))
+        pt = cal.CalabiPoint(ell=1.4, psi=0.7, xi1=0.21, xi2=-0.35)
+        assert math.isnan(cal.closedness_defect(MODELS[0], pt))
 
 
 class TestGibbonsHawking:
@@ -320,6 +355,15 @@ class TestMckFibers:
         sup_om, sup_im = cal.mck_restriction(model, 0.4, 3.0)
         assert sup_om <= 1e-10 and sup_im <= 1e-10
 
-    def test_wrong_slice_detected(self):
-        sup_om, _ = cal.mck_restriction(MODELS[0], 0.4, 3.0, wrong_slice=True)
-        assert sup_om > 1e-6
+    @pytest.mark.parametrize("model", MODELS)
+    def test_non_lagrangian_form_detected(self, monkeypatch, model):
+        # dpsi ^ dxi2 pairs d/dpsi with tau in xi to Im tau
+        _add_to_omega_j(monkeypatch, lambda pt: wedge_11(E[1], E[3]))
+        sup_om, sup_im = cal.mck_restriction(model, 0.4, 3.0)
+        assert sup_om == pytest.approx(model.tau.imag, rel=1e-12)
+        assert sup_im <= 1e-10
+
+    def test_nan_triple_fails_closed(self, monkeypatch):
+        _add_to_omega_j(monkeypatch, lambda pt: np.full((4, 4), math.nan))
+        sup_om, _ = cal.mck_restriction(MODELS[0], 0.4, 3.0)
+        assert math.isnan(sup_om)

@@ -246,8 +246,8 @@ class TestExitCodes:
         # singular metric in the finite-difference layer (LinAlgError)
         (["slag", "pi-decay", "--k", "1", "--eps", "1e300"], 2),
         (["semiflat", "curvature", "--k", "1", "--eps", "1e300"], 2),
-        # OverflowError in calabi.sf_coordinates, which squares the xi2 that
-        # transport by tau moved; ZeroDivisionError in fiber_geometry
+        # the lattice defect of transport by tau is not finite (y1 = |tau| ell
+        # / c overflows); ZeroDivisionError in fiber_geometry
         (["hkrot", "--k", "1", "--tau", "0+1e300i"], 2),
         (["slag", "geometry", "--k", "1", "--ell", "1e-320"], 2),
         # the report would hold NaN: strict JSON refuses it before any output
@@ -273,6 +273,20 @@ class TestExitCodes:
         assert code == 0 and err == ""
         assert report["results"]["product"] == 1.0
         assert report["results"]["sf_class"] == "standard"
+
+    def test_huge_modulus_hkrot_passes(self, capsys):
+        # transport by tau moves xi2 by 1e200; sf_coordinates squared it
+        # alone, which overflowed (exit 2 before)
+        code, report, err = run_cli(capsys, "hkrot", "--k", "1", "--tau", "0+1e200i",
+                                    "--no-timestamp")
+        assert code == 0 and err == ""
+        assert max(report["results"]["lattice_defects"].values()) <= 1e-15
+
+    def test_huge_modulus_hkrot_names_the_failure(self, capsys):
+        code, report, err = run_cli(capsys, "hkrot", "--k", "1", "--tau", "0+1e300i",
+                                    "--no-timestamp")
+        assert code == 2 and report is None
+        assert "non-finite rotation residual or lattice defect" in err
 
     @pytest.mark.parametrize("argv", [
         ["slag", "geometry", "--k", "1", "--ell", "1e-320"],

@@ -14,12 +14,6 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "syzlab"
 
 SETTINGS = {
     "calabi.CalabiModel.tau_exact",
-    "calabi.CalabiPoint.psi",
-    "calabi.CalabiPoint.xi1",
-    "calabi.CalabiPoint.xi2",
-    "calabi.closedness_defect(h)",
-    "calabi.mck_restriction(n)",
-    "calabi.mck_restriction(wrong_slice)",
     "cli._add_params(alpha)",
     "cli._params_from(alpha)",
     "cli.run(argv)",

@@ -1,0 +1,183 @@
+"""Compare syzlab's outputs at a parent revision with the working tree.
+
+    python3 tools/compare_outputs.py --parent <rev>
+
+extracts the parent's `src/` with `git archive` into a temporary directory
+and runs one argv corpus through `syzlab.cli.run` once per tree, each tree
+in its own subprocess.  It prints every argv whose stdout, stderr or exit
+code differ, grouped by command with counts, and exits 1 if any argv
+differs.  For a JSON report it names the fields that differ.
+
+The corpus, in this order and without repeats:
+- the argv keys of bench/pins.json;
+- 6 blocks of each benchmark workload at seeds 0 and 7, drawn through
+  bench/workloads.py;
+- the `syzlab ...` examples in README.md;
+- tools/edges.txt, one argv per line.
+
+Every argv runs with --no-timestamp and in a temporary working directory,
+so that --csv writes nothing into the repository.  Only the standard
+library and git are used.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import io
+import itertools
+import json
+import os
+import re
+import shlex
+import subprocess
+import sys
+import tarfile
+import tempfile
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+BLOCKS = 6
+SEEDS = (0, 7)
+
+# Runs in the child: reads a JSON list of argv on stdin and writes one
+# [exit code, stdout, stderr] per argv as JSON; an exception that escapes
+# cli.run is recorded in place of the exit code.
+_RUNNER = r"""
+import contextlib, io, json, os, sys, warnings
+import syzlab, syzlab.cli
+if not os.path.realpath(syzlab.__file__).startswith(os.path.realpath(sys.argv[1])):
+    sys.exit(f"imported syzlab from {syzlab.__file__}, not from {sys.argv[1]}")
+warnings.simplefilter("always")
+results = []
+for argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = syzlab.cli.run(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except BaseException as exc:
+            code = f"uncaught {type(exc).__name__}: {exc}"
+    results.append([code, out.getvalue(), err.getvalue()])
+json.dump(results, sys.stdout)
+"""
+
+
+def _load_workloads():
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "bench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def readme_examples() -> list[list[str]]:
+    text = (ROOT / "README.md").read_text()
+    return [shlex.split(line)[1:]
+            for block in re.findall(r"```sh\n(.*?)```", text, re.S)
+            for line in block.splitlines() if line.startswith("syzlab ")]
+
+
+def corpus() -> list[list[str]]:
+    """The argv corpus, each ending in --no-timestamp, without repeats."""
+    pins = [key.split() for key in json.loads((ROOT / "bench" / "pins.json").read_text())]
+    workloads = _load_workloads()
+    drawn = [argv for name in workloads.DESIGN["workloads"] for seed in SEEDS
+             for block in itertools.islice(workloads.blocks(name, seed), BLOCKS)
+             for argv in block]
+    edges = [shlex.split(line, comments=True)
+             for line in (ROOT / "tools" / "edges.txt").read_text().splitlines()]
+    out, seen = [], set()
+    for argv in itertools.chain(pins, drawn, readme_examples(), edges):
+        if not argv:
+            continue
+        if "--no-timestamp" not in argv:
+            argv = argv + ["--no-timestamp"]
+        if tuple(argv) not in seen:
+            seen.add(tuple(argv))
+            out.append(argv)
+    return out
+
+
+def run_tree(src: Path, argvs: list[list[str]]) -> list[list]:
+    """[exit code, stdout, stderr] of each argv, run on the package under src
+    in a fresh interpreter whose working directory is a temporary one."""
+    src = Path(src).resolve()
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    with tempfile.TemporaryDirectory() as cwd:
+        proc = subprocess.run([sys.executable, "-c", _RUNNER, str(src)], cwd=cwd, env=env,
+                              input=json.dumps(argvs), capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"runner failed on {src}:\n{proc.stderr}")
+    return json.loads(proc.stdout)
+
+
+def _json_paths(a, b, path: str = "") -> list[str]:
+    """Paths of the leaves where two parsed JSON values differ."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        return [p for key in sorted(a.keys() | b.keys())
+                for p in _json_paths(a.get(key), b.get(key), f"{path}.{key}")]
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        return [p for i, (x, y) in enumerate(zip(a, b)) for p in _json_paths(x, y, f"{path}[{i}]")]
+    return [] if a == b else [path or "."]
+
+
+def _describe(old: list, new: list) -> str:
+    parts = []
+    if old[0] != new[0]:
+        parts.append(f"exit {old[0]} -> {new[0]}")
+    if old[1] != new[1]:
+        try:
+            paths = _json_paths(json.loads(old[1]), json.loads(new[1]))
+            parts.append("stdout " + ", ".join(p.lstrip(".") for p in paths))
+        except ValueError:
+            parts.append("stdout")
+    if old[2] != new[2]:
+        parts.append("stderr")
+    return "; ".join(parts)
+
+
+def differences(argvs, old, new) -> list[tuple[list[str], str]]:
+    """(argv, what differs) for each argv whose results differ."""
+    return [(argv, _describe(a, b)) for argv, a, b in zip(argvs, old, new) if a != b]
+
+
+def command_of(argv: list[str]) -> str:
+    return " ".join(itertools.takewhile(lambda a: not a.startswith("-"), argv))
+
+
+def report(diffs, total: int) -> None:
+    print(f"{len(diffs)} of {total} argv differ")
+    counts = Counter(command_of(argv) for argv, _ in diffs)
+    for command in sorted(counts):
+        print(f"\n{command}: {counts[command]}")
+        for argv, what in diffs:
+            if command_of(argv) == command:
+                print(f"  {shlex.join(argv)}\n    {what}")
+
+
+def extract_src(rev: str, into: Path) -> Path:
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev, "src"],
+                             capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(into, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
+    return into / "src"
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, help="git revision to compare against")
+    args = parser.parse_args()
+    argvs = corpus()
+    with tempfile.TemporaryDirectory() as tmp:
+        old = run_tree(extract_src(args.parent, Path(tmp)), argvs)
+    new = run_tree(ROOT / "src", argvs)
+    diffs = differences(argvs, old, new)
+    print(f"parent {args.parent} vs working tree, corpus of {len(argvs)} argv")
+    report(diffs, len(argvs))
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
