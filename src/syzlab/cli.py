@@ -132,7 +132,7 @@ def _cmd_semiflat_eval(args):
     _, rel = sfm.ma_residual(p, q)
     results = {"form": form.tolist(), "metric": g.tolist(),
                "metric_eigenvalues": eigs.tolist()}
-    checks = [_tol_check("ma_residual_rel", rel, 1e-10),
+    checks = [_tol_check("ma_residual_rel", rel, sfm.MA_TOL),
               _check("metric_positive", low, 0.0, diag_ok and low > 0)]
     return results, checks, None
 
@@ -148,7 +148,7 @@ def _cmd_semiflat_residual(args):
     # np.max carries a NaN residual through; the builtin max drops it
     worst = float(np.max(rels))
     results = {"max_rel_residual": worst, "samples": args.grid ** 2}
-    return results, [_tol_check("monge_ampere_rel", worst, 1e-10)], None
+    return results, [_tol_check("monge_ampere_rel", worst, sfm.MA_TOL)], None
 
 
 def _cmd_semiflat_pair(args):

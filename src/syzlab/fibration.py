@@ -141,5 +141,18 @@ class CycleSpec:
 
         return point, np.array([0.0, 0.0, 1.0, 0.0]), np.array([0.0, th, 0.0, x2])
 
+    def lift_grid(self, k: int, ell: float, n: int):
+        """(q, t_a, t_b): the lift's chart points at every node of grid(n),
+        shape (n, n, 4) with t1 along the first axis, and its tangents.
+
+        q[i, j] equals point(t1_i, t2_j) in every bit but the sign of a
+        zero: each coordinate is at most one rounded product, t2 * th or
+        t2 * x2, plus exact zeros.
+        """
+        grid = self.grid(n)
+        point, t_a, t_b = self.lift(k, ell)
+        t = np.stack(np.meshgrid(grid.nodes1(), grid.nodes2(), indexing="ij"), axis=-1)
+        return point(0.0, 0.0) + t @ np.stack((t_a, t_b)), t_a, t_b
+
 
 FIBER = CycleSpec(fiber=True)

@@ -49,11 +49,6 @@ def top_coeff_pair(m1: np.ndarray, m2: np.ndarray) -> float:
     )
 
 
-def restrict(m: np.ndarray, t1: np.ndarray, t2: np.ndarray) -> float:
-    """Evaluate a 2-form on an ordered pair of tangent vectors."""
-    return float(t1 @ np.asarray(m) @ t2)
-
-
 def pullback_2form(m: np.ndarray, jac: np.ndarray) -> np.ndarray:
     """Pull back 2-form matrices of shape (..., 4, 4) under Jacobians jac.
 

@@ -141,6 +141,11 @@ class GlueConfig:
     def cutoffs(self) -> Cutoffs:
         return Cutoffs(self.r, self.s)
 
+    @functools.cached_property
+    def _sup_u_zz(self) -> float:
+        # required_t reads it on every evaluation of the scale equation
+        return sup_u_zz(self)
+
 
 def potential_u(p: sfm.ModelParams, rho):
     """Radial potential with i ddbar u equal to the base dz^dzbar term.
@@ -227,7 +232,7 @@ def q_coefficient(cfg: GlueConfig, alpha: float, t: float, rho):
 def required_t(cfg: GlueConfig, alpha: float, t_prime: float = 1.0) -> float:
     """Positivity reserve C(r,s) t' + C0 |alpha - 1| sup u_zzbar."""
     require_finite(alpha=alpha, t_prime=t_prime)
-    return C0_RS * t_prime + C0 * abs(alpha - 1.0) * sup_u_zz(cfg)
+    return C0_RS * t_prime + C0 * abs(alpha - 1.0) * cfg._sup_u_zz
 
 
 # fiber heights Im(x) at which positivity_scan tests each radius

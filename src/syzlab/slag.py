@@ -93,10 +93,7 @@ def check_special(mf: ModelFiber) -> tuple[float, float]:
     satisfy 2*b0/k = -m2/m1.  The sup runs over the 32 x 32 parameter grid.
     """
     p = mf.params
-    grid = mf.cycle.grid(32)
-    point, t_a, t_b = mf.cycle.lift(p.k, mf.ell)
-    t = np.stack(np.meshgrid(grid.nodes1(), grid.nodes2(), indexing="ij"), axis=-1)
-    q = point(0.0, 0.0) + t @ np.stack((t_a, t_b))
+    q, t_a, t_b = mf.cycle.lift_grid(p.k, mf.ell, 32)
     sup_omega = np.max(np.abs(t_a @ sf.sf_form_chart(p, q) @ t_b))
     kap = p.kappa_at(np.exp(-(q[..., 0] + 1j * q[..., 1])))
     val = kap * (t_a @ wedge_11(sf._DY, sf._DX) @ t_b)

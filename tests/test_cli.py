@@ -258,6 +258,11 @@ class TestExitCodes:
         (["slag", "geometry", "--k", "1", "--ell", "nan"], 1),
         # every Monge-Ampere residual is NaN: the reduction must keep it
         (["semiflat", "residual", "--k", "1", "--eps", "1e300", "--grid", "2"], 2),
+        # float64 cannot resolve omega^2 on these exact solutions (exit 3 before)
+        (["semiflat", "eval", "--k", "1", "--ell", "2", "--b0", "1e9"], 2),
+        (["semiflat", "eval", "--k", "1", "--ell", "2", "--x2", "1e20"], 2),
+        (["semiflat", "residual", "--k", "1", "--grid", "8", "--b0", "1e9"], 2),
+        (["semiflat", "residual", "--k", "1", "--grid", "8", "--eps", "1e9"], 2),
     ])
     def test_numerical_breakdown_exit_codes(self, capsys, argv, code):
         assert cli.run(argv + ["--no-timestamp"]) == code
@@ -368,6 +373,31 @@ class TestResidualSampling:
         p = sfm.ModelParams(k=2, eps=0.7, b0=0.25, kappa={0: 1.0, 1: 0.5})
         ref = max(_residual_reference(p, q) for q in seen[0])
         assert abs(report["results"]["max_rel_residual"] - ref) <= 2e-15
+
+    def test_drawable_configs_far_below_the_cancellation_bound(self, capsys, monkeypatch):
+        # every residual config the benchmark can draw keeps rho = c|Gamma|^2/d
+        # a hundredfold below ma_residual's fail-closed bound
+        ranges = json.loads((ROOT / "bench" / "design.json").read_text())[
+            "ranges"]["semiflat residual"]
+        seen = []
+        kernel = sfm.ma_residual
+        monkeypatch.setattr(sfm, "ma_residual",
+                            lambda p, q: seen.append((p, q)) or kernel(p, q))
+        worst = 0.0
+        for k in ranges["k"]:
+            for eps in ranges["eps"]:
+                for b0 in ranges["b0"]:
+                    for kappa1 in ranges["kappa1"]:
+                        code, _, _ = run_cli(capsys, "semiflat", "residual", "--k", str(k),
+                                             "--eps", eps, "--b0", b0, "--kappa1", kappa1,
+                                             "--no-timestamp")
+                        assert code == 0
+                        p, q = seen.pop()
+                        m = sfm.sf_form_chart(p, q)
+                        rho = 2.0 * (m[:, 0, 2] ** 2 + m[:, 0, 3] ** 2) \
+                            / (p.alpha ** 2 * sfm.holomorphic_volume_top(p, q))
+                        worst = max(worst, float(np.max(rho)))
+        assert 100.0 < worst <= 0.01 * sfm.MA_RHO_MAX
 
     def test_sample_array_too_large_is_two(self, capsys, monkeypatch):
         # all samples go to one call, so a huge --grid fails on allocation;

@@ -73,6 +73,23 @@ class TestLift:
             np.testing.assert_allclose(point(t1, t2) - point(0.0, 0.0),
                                        t1 * t_a + t2 * t_b, rtol=0, atol=1e-14)
 
+    @pytest.mark.parametrize("c", CYCLES)
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("ell", [0.7, TWO_PI, 13.0, 41.3])
+    def test_lift_grid_equals_point_at_every_node(self, c, k, ell):
+        n = 16
+        q, t_a, t_b = c.lift_grid(k, ell, n)
+        point, t_a0, t_b0 = c.lift(k, ell)
+        grid = c.grid(n)
+        ref = np.array([[point(t1, t2) for t2 in grid.nodes2()] for t1 in grid.nodes1()])
+        assert q.shape == (n, n, 4)
+        assert np.array_equal(q, ref)
+        assert np.array_equal(t_a, t_a0) and np.array_equal(t_b, t_b0)
+
+    def test_lift_grid_rejects_small_grid(self):
+        with pytest.raises(ValidationError):
+            fib.FIBER.lift_grid(1, 2.0, 3)
+
     @pytest.mark.parametrize("k", [1, 2, 5])
     def test_fiber_tangents_are_lattice_generators(self, k):
         ell = 3.3

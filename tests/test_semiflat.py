@@ -8,7 +8,8 @@ import pytest
 from syzlab import fibration as fib
 from syzlab import semiflat as sf
 from syzlab.errors import NumericalError, ValidationError
-from syzlab.forms import i_half_a_wedge_abar
+from syzlab.forms import i_half_a_wedge_abar, top_coeff
+from syzlab.numerics import quad_grid
 
 TWO_PI = 2.0 * math.pi
 
@@ -233,6 +234,22 @@ class TestBatchedKernel:
         for m in (sf.sf_form_chart(p, np.array(q)), sf.sf_form_chart(p, np.array([q]))[0]):
             assert [v.hex() for v in m[0]] == row
 
+    @pytest.mark.parametrize("kappa", [{}, {0: 1.0, 1: 0.6}, {0: 1.0, 1: 0.5 - 0.3j, 2: 0.2}])
+    def test_single_point_equals_batch_row(self, kappa):
+        # pair_cycle loops over single points where one batched call would
+        # do: the two paths must agree in every bit, overflowed points too
+        p = sf.ModelParams(k=3, eps=0.6, b0=-0.4, alpha=1.7, kappa=kappa)
+        rng = np.random.default_rng(17)
+        q = _chart_points(rng, 200)
+        q[:50, 0] = rng.uniform(0.01, 1.0, 50)
+        q[-3:] = [[1e-320, 0.1, 0.0, 0.3], [1e300, 0.1, 0.0, 0.3], [0.5, 0.1, 0.0, 1e300]]
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            batch = sf.sf_form_chart(p, q)
+            single = np.array([sf.sf_form_chart(p, qq) for qq in q])
+        assert not np.isfinite(batch[-3:]).all(axis=(1, 2)).any()
+        assert np.array_equal(batch, single, equal_nan=True)
+        assert np.array_equal(np.signbit(batch), np.signbit(single))
+
     @pytest.mark.parametrize("q", [
         [1e-320, 0.1, 0.0, 0.3],  # W = 2 pi / (k ell) overflows
         [1e300, 0.1, 0.0, 0.3],  # b0 * ell overflows
@@ -259,6 +276,38 @@ class TestMaResidual:
                            kappa={0: 1.0, 1: 1.0})
         _, rel = sf.ma_residual(p, _pt(1.5, 0.4, 0.2, 0.6))
         assert rel <= 1e-10
+
+    def test_resolvable_up_to_the_cancellation_bound(self):
+        # rho = c|Gamma|^2/d from 0 to MA_RHO_MAX: an exact solution passes
+        rng = np.random.default_rng(3)
+        p = sf.ModelParams(k=2, eps=0.8, b0=0.6, alpha=1.4, kappa={0: 1.0, 1: 0.4 - 0.2j})
+        q = _chart_points(rng, 4000)
+        q[:, 3] = rng.uniform(-1.0, 1.0, 4000) * rng.uniform(0.0, 60.0, 4000) ** 3
+        # rho = c|Gamma|^2/d from its closed form, c = W eps, d = 2|kappa|^2/(eps W)
+        ell, x2 = q[:, 0], q[:, 3]
+        w = sf.w_factor(p, ell)
+        kap2 = np.abs(p.kappa_at(np.exp(-(ell + 1j * q[:, 1])))) ** 2
+        gam2 = (p.b0 * ell / (2.0 * math.pi ** 2)) ** 2 + (x2 / ell) ** 2
+        rho = (w * p.eps) * gam2 / (2.0 * kap2 / (p.eps * w))
+        keep = rho <= 0.99 * sf.MA_RHO_MAX
+        assert np.max(rho[keep]) > 0.5 * sf.MA_RHO_MAX
+        assert np.max(sf.ma_residual(p, q[keep])[1]) <= sf.MA_TOL
+
+    @pytest.mark.parametrize("b0,x2", [(1e9, 0.0), (0.0, 1e20), (1e4, 0.0), (0.0, 1e6)])
+    def test_unresolvable_cancellation_raises(self, b0, x2):
+        p = sf.ModelParams(k=1, b0=b0)
+        q = np.array([[2.0, 0.0, 0.0, 0.5], [2.0, 0.0, 0.0, x2]])
+        for pts in (q, q[1]):
+            with pytest.raises(NumericalError, match="cancellation ratio"):
+                sf.ma_residual(p, pts)
+
+    @pytest.mark.parametrize("b0,x2", [(1e9, 0.0), (0.0, 1e20)])
+    def test_pfaffian_misses_the_tolerance_past_the_bound(self, b0, x2):
+        # why ma_residual raises there: an exact solution reads far above MA_TOL
+        p = sf.ModelParams(k=1, b0=b0)
+        q = np.array([2.0, 0.0, 0.0, x2])
+        rhs = sf.holomorphic_volume_top(p, q)
+        assert abs(top_coeff(sf.sf_form_chart(p, q)) - rhs) / rhs > 1e3 * sf.MA_TOL
 
     def test_detects_perturbation(self):
         p = sf.ModelParams(k=1, eps=1.0)
@@ -318,15 +367,32 @@ class TestPairings:
         with pytest.raises(ValidationError):
             sf.pair_cycle(p, fib.FIBER, n=3)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_one_batched_kernel_call(self, seed):
+        # drawable benchmark configs: the per-node loop is one batched call
+        rng = np.random.default_rng(seed)
+        kappa1 = float(rng.choice([0.0, 0.3, 0.6]))
+        p = sf.ModelParams(k=int(rng.integers(1, 4)), eps=float(rng.choice([0.5, 1.0, 2.0])),
+                           b0=float(rng.choice([0.0, 0.25, -0.25, 1.0 / 3.0])),
+                           kappa={0: 1.0, 1: kappa1} if kappa1 else {})
+        for c in (fib.FIBER, fib.CycleSpec(m1=1, m2=0), fib.CycleSpec(m1=1, m2=1),
+                  fib.CycleSpec(m1=2, m2=1)):
+            q, t_a, t_b = c.lift_grid(p.k, TWO_PI, 64)
+            forms = sf.sf_form_chart(p, q).reshape(-1, 4, 4)
+            want = quad_grid(((t_a @ forms) @ t_b).reshape(64, 64), c.grid(64))
+            assert sf.pair_cycle(p, c).hex() == want.hex()
+
     @pytest.mark.parametrize("kappa1", [0.0, 0.6])
     @pytest.mark.parametrize("cycle,bits", [
         (fib.FIBER, "0x1.d1eb851eb851ep-1"),
         (fib.CycleSpec(m1=1, m2=0), "-0x1.d1eb851eb851ep-3"),
-        (fib.CycleSpec(m1=1, m2=1), "0x1.5d70a3d70a3d7p-1"),
+        (fib.CycleSpec(m1=1, m2=1), "0x1.5d70a3d70a3d6p-1"),
         (fib.CycleSpec(m1=2, m2=1), "0x1.d1eb851eb851ep-2"),
     ])
     def test_quadrature_bits_pinned(self, cycle, bits, kappa1):
-        # recorded before the single-point float path of sf_form_chart
+        # recorded before the single-point float path of sf_form_chart; the
+        # (1, 1) value since the contraction over all nodes at once, which
+        # rounds it onto pair_closed_form's float (one ulp below before)
         kappa = {0: 1.0, 1: kappa1} if kappa1 else {}
         p = sf.ModelParams(k=2, eps=0.7, b0=-0.25, alpha=1.3, kappa=kappa)
         assert sf.pair_cycle(p, cycle, n=16).hex() == bits
