@@ -1,9 +1,9 @@
 """Hyperkahler triple on the Calabi model space and its rotation to a
 semi-flat metric.
 
-Coordinates are (ell, psi, xi1, xi2): xi on the elliptic curve C/(Z + tau Z),
-psi the S^1 angle of the line bundle fiber, ell the moment-map-like radial
-variable.  The connection form is
+A point is the tuple (ell, psi, xi1, xi2): xi on the elliptic curve
+C/(Z + tau Z), psi the S^1 angle of the line bundle fiber, ell the
+moment-map-like radial variable.  The connection form is
 
     theta = d psi + (c^2/2) (xi2 d xi1 - xi1 d xi2),   c^2 = 2 pi k / Im tau,
 
@@ -85,42 +85,23 @@ class CalabiModel:
         return math.sqrt(TWO_PI * self.k / self.tau.imag)
 
 
-@dataclass(frozen=True)
-class CalabiPoint:
-    ell: float
-    psi: float
-    xi1: float
-    xi2: float
-
-    def __post_init__(self):
-        inf = math.inf
-        if not (-inf < self.psi < inf and -inf < self.xi1 < inf
-                and -inf < self.xi2 < inf and -inf < self.ell < inf):
-            raise ValidationError("point coordinates must be finite")
-        if self.ell <= 0:
-            raise ValidationError("ell must be positive")
-
-    def coords(self) -> np.ndarray:
-        return np.array([self.ell, self.psi, self.xi1, self.xi2])
-
-
-def _coframe(m: CalabiModel, pt: CalabiPoint) -> np.ndarray:
+def _coframe(m: CalabiModel, pt) -> np.ndarray:
     """E: rows (d ell, theta, d xi1, d xi2) in the coordinate coframe
     (d ell, d psi, d xi1, d xi2), so coefficients A in the first are E^T A E."""
     h = 0.5 * m.c_tau ** 2
     return np.array([[1.0, 0.0, 0.0, 0.0],
-                     [0.0, 1.0, h * pt.xi2, -h * pt.xi1],
+                     [0.0, 1.0, h * pt[3], -h * pt[2]],
                      [0.0, 0.0, 1.0, 0.0],
                      [0.0, 0.0, 0.0, 1.0]])
 
 
-def hk_triple(m: CalabiModel, pt: CalabiPoint) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def hk_triple(m: CalabiModel, pt) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(omega_I, omega_J, omega_K) in the coordinate coframe, each E^T A E.
 
     The potential V = ell multiplies omega_J's base area term (closedness
     forces it)."""
     c = m.c_tau
-    cl = c * pt.ell
+    cl = c * pt[0]
     lc2 = cl * c
     a = np.array([[[0.0, 0.0, cl, 0.0], [0.0, 0.0, 0.0, c],
                    [-cl, 0.0, 0.0, 0.0], [0.0, -c, 0.0, 0.0]],
@@ -132,17 +113,16 @@ def hk_triple(m: CalabiModel, pt: CalabiPoint) -> tuple[np.ndarray, np.ndarray, 
     return tuple(e.T @ a @ e)
 
 
-def holomorphic_form_j(m: CalabiModel, pt: CalabiPoint) -> np.ndarray:
+def holomorphic_form_j(m: CalabiModel, pt) -> np.ndarray:
     """Omega_J = i (taubar/|tau|) c (dphi/2 - ell dl + i dpsi) ^ (dxi1 + i dxi2)."""
-    q = pt.coords()
     c2 = m.c_tau ** 2
-    u = np.array([-q[0], 1.0j, 0.5 * c2 * q[2], 0.5 * c2 * q[3]], dtype=complex)
+    u = np.array([-pt[0], 1.0j, 0.5 * c2 * pt[2], 0.5 * c2 * pt[3]], dtype=complex)
     v = np.array([0.0, 0.0, 1.0, 1.0j], dtype=complex)
     phase = 1j * np.conj(complex(m.tau)) / abs(m.tau)
     return phase * m.c_tau * wedge_11(u, v)
 
 
-def gibbons_hawking_metric(m: CalabiModel, pt: CalabiPoint) -> np.ndarray:
+def gibbons_hawking_metric(m: CalabiModel, pt) -> np.ndarray:
     """Riemannian metric g = -omega_J omega_I^-1 omega_K of the triple, in
     the coordinate frame; gibbons_hawking_closed_form writes it out as
     ell (dl^2 + c^2 |dxi|^2) + theta^2/ell."""
@@ -151,25 +131,25 @@ def gibbons_hawking_metric(m: CalabiModel, pt: CalabiPoint) -> np.ndarray:
     return 0.5 * (g + g.T)
 
 
-def gibbons_hawking_closed_form(m: CalabiModel, pt: CalabiPoint) -> np.ndarray:
-    ell = pt.ell
+def gibbons_hawking_closed_form(m: CalabiModel, pt) -> np.ndarray:
+    ell = pt[0]
     th = _coframe(m, pt)[1]
     c2 = m.c_tau ** 2
     g = np.diag([ell, 0.0, ell * c2, ell * c2])
     return g + np.outer(th, th) / ell
 
 
-def closedness_defect(m: CalabiModel, pt: CalabiPoint) -> float:
+def closedness_defect(m: CalabiModel, pt) -> float:
     """Largest coefficient of d omega over the triple; NaN propagates.
 
     Every entry of E^T A E is affine in each coordinate (A is affine in
     ell, E in xi, and A has no theta-theta entry), so a unit forward
     difference along a coordinate is that partial derivative exactly.
     """
-    q = pt.coords()
-    base = np.stack(hk_triple(m, pt))
+    q = np.asarray(pt, dtype=float)
+    base = np.stack(hk_triple(m, q))
     # d[f, a, b, c]: the partial along coordinate a of entry (b, c) of form f
-    d = np.stack([np.stack(hk_triple(m, CalabiPoint(*(q + e)))) - base
+    d = np.stack([np.stack(hk_triple(m, q + e)) - base
                   for e in np.eye(4)], axis=1)
     # (d omega)_abc = d_a M_bc - d_b M_ac + d_c M_ab
     return float(np.max(np.abs(d - d.transpose(0, 2, 1, 3) + d.transpose(0, 2, 3, 1))))
@@ -245,7 +225,7 @@ def rotate(m: CalabiModel) -> RotationResult:
 # coordinate change to the semi-flat chart
 
 
-def sf_coordinates(m: CalabiModel, pt: CalabiPoint) -> tuple[list, tuple]:
+def sf_coordinates(m: CalabiModel, pt) -> tuple[list, tuple]:
     """Semi-flat chart point (ell_sf, theta_sf, x1, x2) and the inverse of
     its Jacobian, on Python floats.
 
@@ -260,7 +240,7 @@ def sf_coordinates(m: CalabiModel, pt: CalabiPoint) -> tuple[list, tuple]:
     t = complex(m.tau)
     a, b, c = m.a_tau, m.b_tau, m.c_tau
     c2 = c * c
-    ell, psi, xi1, xi2 = pt.ell, pt.psi, pt.xi1, pt.xi2
+    ell, psi, xi1, xi2 = pt
 
     c1 = TWO_PI * abs(t) / (t.imag * c)
     r = t.real / t.imag
@@ -295,7 +275,7 @@ def _tau_coefficients(m: CalabiModel, ell: float) -> tuple[float, float, float, 
 _UPPER = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
-def _pushed_omega_tau(m: CalabiModel, pt: CalabiPoint) -> tuple[list, list]:
+def _pushed_omega_tau(m: CalabiModel, pt) -> tuple[list, list]:
     """Chart point q_sf and the upper entries (01, 02, 03, 12, 13, 23) of
     omega_tau pushed to the semi-flat chart, on Python floats.
 
@@ -307,16 +287,16 @@ def _pushed_omega_tau(m: CalabiModel, pt: CalabiPoint) -> tuple[list, list]:
     """
     q_sf, (dl, dpsi, dx1, dx2) = sf_coordinates(m, pt)
     h = 0.5 * m.c_tau ** 2
-    u, v = h * pt.xi2, h * pt.xi1
+    u, v = h * pt[3], h * pt[2]
     th = [p + u * x - v * y for p, x, y in zip(dpsi, dx1, dx2)]
-    a02, a03, a12, a13 = _tau_coefficients(m, pt.ell)
+    a02, a03, a12, a13 = _tau_coefficients(m, pt[0])
     pp = [a02 * x + a03 * y for x, y in zip(dx1, dx2)]
     qq = [a12 * x + a13 * y for x, y in zip(dx1, dx2)]
     return q_sf, [dl[i] * pp[j] - pp[i] * dl[j] + th[i] * qq[j] - qq[i] * th[j]
                   for i, j in _UPPER]
 
 
-def verify_rotation(m: CalabiModel, pt: CalabiPoint) -> float:
+def verify_rotation(m: CalabiModel, pt) -> float:
     """Relative defect between omega_tau pushed to the semi-flat chart and
     the rotated semi-flat form; NaN propagates."""
     rot = rotate(m)
@@ -334,7 +314,7 @@ def verify_rotation(m: CalabiModel, pt: CalabiPoint) -> float:
 # lattice transport checks
 
 
-def transport(m: CalabiModel, pt: CalabiPoint, gamma: complex) -> CalabiPoint:
+def transport(m: CalabiModel, pt, gamma: complex) -> tuple:
     """Deck transport of a point by a lattice element gamma of Z + tau Z.
 
     The line-bundle cocycle multiplies the fiber coordinate by
@@ -342,14 +322,12 @@ def transport(m: CalabiModel, pt: CalabiPoint, gamma: complex) -> CalabiPoint:
     and psi shifts by the argument of the cocycle.
     """
     t = complex(m.tau)
-    xi = complex(pt.xi1, pt.xi2)
-    dpsi = (m.k * math.pi / t.imag) * (np.conj(gamma) * xi).imag
-    return CalabiPoint(ell=pt.ell, psi=pt.psi + dpsi,
-                       xi1=pt.xi1 + complex(gamma).real,
-                       xi2=pt.xi2 + complex(gamma).imag)
+    ell, psi, xi1, xi2 = pt
+    dpsi = (m.k * math.pi / t.imag) * (np.conj(gamma) * complex(xi1, xi2)).imag
+    return ell, psi + dpsi, xi1 + complex(gamma).real, xi2 + complex(gamma).imag
 
 
-def lattice_defects(m: CalabiModel, pt: CalabiPoint) -> dict[str, float]:
+def lattice_defects(m: CalabiModel, pt) -> dict[str, float]:
     """Residuals of the quotient relations in the semi-flat coordinates.
 
     psi + 2*pi shifts x by exactly 1; transport by tau shifts x by
@@ -359,13 +337,13 @@ def lattice_defects(m: CalabiModel, pt: CalabiPoint) -> dict[str, float]:
     coordinates that grow with k is not a defect.
     """
     t = complex(m.tau)
+    ell, psi, xi1, xi2 = pt
     q0 = sf_coordinates(m, pt)[0]
-    y1 = abs(t) * pt.ell / m.c_tau
-    y2 = t.imag * pt.xi1 - t.real * pt.xi2
+    y1 = abs(t) * ell / m.c_tau
+    y2 = t.imag * xi1 - t.real * xi2
     expected = (m.k / t.imag) * complex(-y2, y1)
     # (moved point, expected shift of (ell_sf, theta_sf, x1, x2))
-    moves = {"psi_period": (CalabiPoint(pt.ell, pt.psi + TWO_PI, pt.xi1, pt.xi2),
-                            (0.0, 0.0, 1.0, 0.0)),
+    moves = {"psi_period": ((ell, psi + TWO_PI, xi1, xi2), (0.0, 0.0, 1.0, 0.0)),
              "gamma_one": (transport(m, pt, 1.0), (0.0, TWO_PI, 0.0, 0.0)),
              "gamma_tau": (transport(m, pt, t), (0.0, 0.0, expected.real, expected.imag))}
     defects = {}
@@ -391,7 +369,7 @@ def mck_restriction(m: CalabiModel, c_level: float, big_k: float) -> tuple[float
     om, im = [], []
     for s in np.linspace(-0.5, 0.5, 5):
         for psi in np.linspace(0.0, TWO_PI, 5, endpoint=False):
-            pt = CalabiPoint(big_k, psi, c_level / t.imag + s * t.real, s * t.imag)
+            pt = (big_k, psi, c_level / t.imag + s * t.real, s * t.imag)
             om.append(t1 @ hk_triple(m, pt)[1] @ t2)
             im.append((t1 @ holomorphic_form_j(m, pt) @ t2).imag)
     return float(np.max(np.abs(om))), float(np.max(np.abs(im)))

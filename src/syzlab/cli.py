@@ -248,10 +248,8 @@ def _cmd_hkrot(args):
     for ell in np.linspace(1.0, 3.0, n).tolist():
         for xi1 in np.linspace(0.0, 0.6, n).tolist():
             for psi in (0.0, 1.0, 2.5):
-                pt = calabi.CalabiPoint(ell=ell, psi=psi, xi1=xi1, xi2=0.2)
-                residuals.append(calabi.verify_rotation(model, pt))
-    defect = calabi.lattice_defects(model, calabi.CalabiPoint(ell=1.7, psi=0.4,
-                                                              xi1=0.2, xi2=0.3))
+                residuals.append(calabi.verify_rotation(model, (ell, psi, xi1, 0.2)))
+    defect = calabi.lattice_defects(model, (1.7, 0.4, 0.2, 0.3))
     # np.max carries a NaN through; the builtin max drops it
     worst = float(np.max(residuals))
     worst_defect = float(np.max(list(defect.values())))
@@ -277,15 +275,14 @@ def _glue_config(args) -> glue.GlueConfig:
 
 def _cmd_glue_potential(args):
     p = _params_from(args)
-    u = glue.potential_u(p, args.rho)
     # fourth-order stencils keep roundoff below the 1e-8 comparison
     h = 1e-3 * args.rho
-    um2, um1, up1, up2 = (glue.potential_u(p, args.rho + j * h)
-                          for j in (-2, -1, 1, 2))
+    u, um2, um1, up1, up2 = glue.potential_u(
+        p, args.rho + h * np.array([0.0, -2.0, -1.0, 1.0, 2.0])).tolist()
     upp = (-up2 + 16.0 * up1 - 30.0 * u + 16.0 * um1 - um2) / (12.0 * h ** 2)
     up = (-up2 + 8.0 * up1 - 8.0 * um1 + um2) / (12.0 * h)
     fd = 0.25 * (upp + up / args.rho)
-    closed = glue.u_zz(p, args.rho)
+    closed = glue.u_zz(p, np.array([args.rho])).item()
     results = {"u": u, "u_zz": closed, "u_zz_fd": fd}
     err = abs(fd - closed) / abs(closed)
     return results, [_tol_check("u_zz_fd_rel", err, 1e-8)], None

@@ -122,11 +122,12 @@ class CycleSpec:
         """The n x n periodic parameter grid: t1 in [0, 1), t2 over one period."""
         return Grid2(n, 1.0 if self.fiber else TWO_PI * self.m1)
 
-    def lift(self, k: int, ell: float):
-        """(point, t_a, t_b): the cycle at base radius e^{-ell} in the chart.
+    def lift(self, k: int, ell: float) -> tuple[np.ndarray, np.ndarray]:
+        """(origin, frame): the cycle at base radius e^{-ell} in the chart.
 
-        point(t1, t2) is the chart point (ell, theta, x1, x2) at parameters
-        (t1, t2) on grid(n); t_a and t_b are its constant chart tangents d/dt1 and d/dt2.  t1 runs along Re x.  For
+        The chart point (ell, theta, x1, x2) at parameters t = (t1, t2) on
+        grid(n) is origin + frame @ t; the 4 x 2 frame holds the constant
+        chart tangents d/dt1 and d/dt2 as columns.  t1 runs along Re x.  For
         the fiber t2 runs along the second lattice generator (theta-slope 0,
         x2-slope k*ell/(2*pi)); for C_{m1,m2} it lifts around the base
         circle (theta-slope -1, x2-slope (m2/m1) (k/(2*pi)) ell/(2*pi)).
@@ -135,24 +136,19 @@ class CycleSpec:
             th, x2 = 0.0, k * ell / TWO_PI
         else:
             th, x2 = -1.0, (self.m2 / self.m1) * (k / TWO_PI) * ell / TWO_PI
-
-        def point(t1: float, t2: float) -> np.ndarray:
-            return np.array([ell, th * t2, t1, x2 * t2])
-
-        return point, np.array([0.0, 0.0, 1.0, 0.0]), np.array([0.0, th, 0.0, x2])
+        return np.array([ell, 0.0, 0.0, 0.0]), np.array([[0.0, 0.0], [0.0, th],
+                                                         [1.0, 0.0], [0.0, x2]])
 
     def lift_grid(self, k: int, ell: float, n: int):
         """(q, t_a, t_b): the lift's chart points at every node of grid(n),
-        shape (n, n, 4) with t1 along the first axis, and its tangents.
-
-        q[i, j] equals point(t1_i, t2_j) in every bit but the sign of a
-        zero: each coordinate is at most one rounded product, t2 * th or
-        t2 * x2, plus exact zeros.
-        """
+        shape (n, n, 4) with t1 along the first axis, and its tangents."""
         grid = self.grid(n)
-        point, t_a, t_b = self.lift(k, ell)
+        origin, frame = self.lift(k, ell)
         t = np.stack(np.meshgrid(grid.nodes1(), grid.nodes2(), indexing="ij"), axis=-1)
-        return point(0.0, 0.0) + t @ np.stack((t_a, t_b)), t_a, t_b
+        # in place: origin + (t @ frame.T) would hold a second (n, n, 4) array
+        q = t @ frame.T
+        q += origin
+        return q, frame[:, 0], frame[:, 1]
 
 
 FIBER = CycleSpec(fiber=True)

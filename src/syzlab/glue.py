@@ -9,8 +9,7 @@ form itself (alpha = 1) on the modeled annulus; the rescaled end is
 
 whose square is alpha * Omega ^ Omegabar exactly.  The interpolation uses
 a cutoff psi, a positivity reserve t * beta and the harmonic matching of u
-on the gluing annulus.  The radial kernels take rho as a scalar (giving
-floats) or as an array (evaluated elementwise in one pass).
+on the gluing annulus.
 
 The total mass integral is affine in (alpha, t) jointly: it is a fixed
 combination of three radial quadratures, which a GlueConfig builds once per
@@ -39,18 +38,6 @@ TWO_PI = 2.0 * math.pi
 # derivative-bound constant of the cutoffs, and the gluing constant C(r, s)
 C0 = 8.0
 C0_RS = 1.0
-
-
-def _as_rho(rho) -> np.ndarray:
-    # at least 1-d: numpy scalars reach libm pow, arrays numpy's own, and
-    # the two differ in the last bit; a scalar rho takes the array path so
-    # that q_coefficient gives it the same value alone as in an array
-    return np.atleast_1d(np.asarray(rho, dtype=float))
-
-
-def _like(rho, val):
-    """val (evaluated at _as_rho(rho)) as a float when rho is a scalar."""
-    return val if np.ndim(rho) else float(val[0])
 
 
 @dataclass(frozen=True)
@@ -82,18 +69,16 @@ class Cutoffs:
         ddlam = 1.0 / (denom * rho ** 2)
         return val, d1 * dlam, d2 * dlam ** 2 + d1 * ddlam
 
-    def psi(self, rho):
-        """(psi, psi', psi'') in rho."""
-        out = self._step(_as_rho(rho), self.r + self.s, self.r + 2.0 * self.s)
-        return tuple(_like(rho, v) for v in out)
+    def psi(self, rho: np.ndarray):
+        """(psi, psi', psi'') along the rho array."""
+        return self._step(rho, self.r + self.s, self.r + 2.0 * self.s)
 
-    def beta(self, rho):
-        """Scalar coefficient of beta in [0, 1] (times i dz ^ dzbar)."""
-        x = _as_rho(rho)
+    def beta(self, rho: np.ndarray) -> np.ndarray:
+        """Coefficient of beta in [0, 1] (times i dz ^ dzbar) along rho."""
         # ramp 0 -> 1 as rho goes r -> r+s, down 1 -> 0 as r+2s -> r+3s
-        up = 1.0 - self._step(x, self.r, self.r + self.s)[0]
-        down = self._step(x, self.r + 2.0 * self.s, self.r + 3.0 * self.s)[0]
-        return _like(rho, np.where(x < self.r + self.s, up, down))
+        up = 1.0 - self._step(rho, self.r, self.r + self.s)[0]
+        down = self._step(rho, self.r + 2.0 * self.s, self.r + 3.0 * self.s)[0]
+        return np.where(rho < self.r + self.s, up, down)
 
 
 @dataclass(frozen=True)
@@ -147,35 +132,33 @@ class GlueConfig:
         return sup_u_zz(self)
 
 
-def potential_u(p: sfm.ModelParams, rho):
-    """Radial potential with i ddbar u equal to the base dz^dzbar term.
+def potential_u(p: sfm.ModelParams, rho: np.ndarray) -> np.ndarray:
+    """Radial potential with i ddbar u equal to the base dz^dzbar term,
+    along the rho array.
 
     Closed form (k / 3 pi eps)(-log rho)^3; defined for kappa = 1 only.
     """
-    x = _as_rho(rho)
-    if not np.all((0.0 < x) & (x < 1.0)):
+    if not np.all((0.0 < rho) & (rho < 1.0)):
         raise ValidationError("rho must satisfy 0 < rho < 1")
     if not p.kappa_is_one():
         raise ValidationError("no closed-form potential for non-trivial kappa")
-    return _like(rho, p.k / (3.0 * math.pi * p.eps) * (-np.log(x)) ** 3)
+    return p.k / (3.0 * math.pi * p.eps) * (-np.log(rho)) ** 3
 
 
-def u_zz(p: sfm.ModelParams, rho):
+def u_zz(p: sfm.ModelParams, rho: np.ndarray) -> np.ndarray:
     """dz dzbar second derivative of the potential, |kappa|^2 k L / (2 pi eps rho^2)."""
-    x = _as_rho(rho)
     # kappa on the positive real ray, elementwise in rho
-    kap2 = np.abs(p.kappa_at(x)) ** 2
-    return _like(rho, kap2 * p.k * (-np.log(x)) / (TWO_PI * p.eps * x ** 2))
+    kap2 = np.abs(p.kappa_at(rho)) ** 2
+    return kap2 * p.k * (-np.log(rho)) / (TWO_PI * p.eps * rho ** 2)
 
 
-def u_prime(p: sfm.ModelParams, rho):
-    x = _as_rho(rho)
-    return _like(rho, -(p.k / (math.pi * p.eps)) * (-np.log(x)) ** 2 / x)
+def u_prime(p: sfm.ModelParams, rho: np.ndarray) -> np.ndarray:
+    return -(p.k / (math.pi * p.eps)) * (-np.log(rho)) ** 2 / rho
 
 
 def sup_u_zz(cfg: GlueConfig) -> float:
     """Sup of u_zzbar over the gluing annulus [r, r+3s] (attained at r)."""
-    return u_zz(cfg.params, cfg.r)
+    return u_zz(cfg.params, np.array([cfg.r])).item()
 
 
 def harmonic_match(cfg: GlueConfig) -> tuple[float, float]:
@@ -223,10 +206,10 @@ def _q_parts(cfg: GlueConfig, x: np.ndarray):
     return cut.beta(x), np.where(x <= cfg.r, uzz, bracket)
 
 
-def q_coefficient(cfg: GlueConfig, alpha: float, t: float, rho):
-    """dz^dzbar coefficient added to omega_0 by the glued family at rho."""
-    beta, bracket = _q_parts(cfg, _as_rho(rho))
-    return _like(rho, t * beta + (alpha - 1.0) * bracket)
+def q_coefficient(cfg: GlueConfig, alpha: float, t: float, rho: np.ndarray) -> np.ndarray:
+    """dz^dzbar coefficient added to omega_0 by the glued family along rho."""
+    beta, bracket = _q_parts(cfg, rho)
+    return t * beta + (alpha - 1.0) * bracket
 
 
 def required_t(cfg: GlueConfig, alpha: float, t_prime: float = 1.0) -> float:

@@ -37,13 +37,6 @@ EXP_DECAY = "exp_decay"
 _DY = np.array([1.0, 1.0j, 0.0, 0.0])
 _DX = np.array([0.0, 0.0, 1.0, 1.0j])
 
-# complex structure on tangent vectors: J d/dell = d/dtheta, J d/dx1 = d/dx2
-_J = np.zeros((4, 4))
-_J[1, 0] = 1.0
-_J[0, 1] = -1.0
-_J[3, 2] = 1.0
-_J[2, 3] = -1.0
-
 # strict lower bounds of a valid chart point: ell > 0, the rest finite
 _LOWER = np.array([0.0, -np.inf, -np.inf, -np.inf])
 _INF = math.inf
@@ -224,13 +217,14 @@ def ma_residual(p: ModelParams, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def riemannian_metric_chart(p: ModelParams, q: np.ndarray) -> np.ndarray:
-    """g(u, v) = omega(u, Jv) at chart points q of shape (..., 4)."""
-    g = sf_form_chart(p, q) @ _J
-    gt = np.swapaxes(g, -1, -2)
-    scale = np.maximum(1.0, np.abs(g).max(axis=(-2, -1)))
-    if (np.abs(g - gt).max(axis=(-2, -1)) > 1e-10 * scale).any():
-        raise NumericalError("metric failed to be symmetric")
-    return 0.5 * (g + gt)
+    """g(u, v) = omega(u, Jv) at chart points q of shape (..., 4).
+
+    With J d/dell = d/dtheta and J d/dx1 = d/dx2, column b of g is column
+    (1, 0, 3, 2)[b] of omega, negated for b = 1, 3: symmetric in every bit.
+    + 0.0 turns -0.0 into 0.0; the result is C-contiguous, as omega @ J was.
+    """
+    g = sf_form_chart(p, q)[..., [1, 0, 3, 2]] * np.array([1.0, -1.0, 1.0, -1.0]) + 0.0
+    return np.ascontiguousarray(g)
 
 
 # ---------------------------------------------------------------------------
@@ -348,16 +342,24 @@ def pair_cycle(p: ModelParams, c: fib.CycleSpec, n: int = 64) -> float:
     at base radius e^{-2*pi}.
 
     The form is evaluated one node at a time and contracted with the
-    tangents once, as t_a . omega . t_b over all n^2 nodes.  A single point
-    and a batch of sf_form_chart agree bitwise, so one batched call over q
-    would give the same pairing at about a hundredth of the cost; the loop
-    stays while the benchmark counts kernel calls rather than points.
+    tangents as t_a . omega . t_b once per block of whole grid rows of at
+    most 4,096 nodes (one row if it is longer), which gives the bits of one
+    contraction over all nodes.  A single point and a batch of
+    sf_form_chart agree bitwise, so one batched call per block would give
+    the same pairing at about a hundredth of the cost; the loop stays while
+    the benchmark counts kernel calls rather than points.
     """
     q, t_a, t_b = c.lift_grid(p.k, TWO_PI, n)
-    forms = np.empty((n * n, 4, 4))
-    for i, pt in enumerate(q.reshape(-1, 4)):
-        forms[i] = sf_form_chart(p, pt)
-    return float(quad_grid(((t_a @ forms) @ t_b).reshape(n, n), c.grid(n)))
+    rows = max(1, 4096 // n)
+    forms = np.empty((min(rows, n) * n, 4, 4))
+    vals = np.empty((n, n))
+    for r0 in range(0, n, rows):
+        block = q[r0:r0 + rows].reshape(-1, 4)
+        for i, pt in enumerate(block):
+            forms[i] = sf_form_chart(p, pt)
+        vals[r0:r0 + rows] = ((t_a @ forms[:len(block)]) @ t_b).reshape(-1, n)
+    del q, forms  # before quad_grid copies vals
+    return float(quad_grid(vals, c.grid(n)))
 
 
 def moduli_dims(k: int) -> tuple[int, int, int]:

@@ -111,15 +111,12 @@ class SecondFF:
 
 
 # cycle parameters (t1, t2) of the point where the second fundamental form is taken
-_T1, _T2 = 0.2, 0.7
+_T = np.array([0.2, 0.7])
 
 
-def _frame(mf: ModelFiber):
-    """(chart point at (_T1, _T2), 4 x 2 tangent frame, finite-difference
-    step, chart point at (0, 0)) of the lifted cycle."""
-    point, t_a, t_b = mf.cycle.lift(mf.params.k, mf.ell)
-    h = 2e-3 * min(1.0, 10.0 / max(mf.ell, 1.0))
-    return point(_T1, _T2), np.stack((t_a, t_b), axis=1), h, point(0.0, 0.0)
+def _step(ell: float) -> float:
+    """Finite-difference step of the second fundamental form at radius ell."""
+    return 2e-3 * min(1.0, 10.0 / max(ell, 1.0))
 
 
 def _fundamental_forms(gf, q: np.ndarray, tan: np.ndarray, h: float | np.ndarray):
@@ -149,13 +146,14 @@ def _fundamental_forms(gf, q: np.ndarray, tan: np.ndarray, h: float | np.ndarray
 
 
 def second_fundamental_form(mf: ModelFiber) -> SecondFF:
-    """|II|, |H| and a Gauss-equation residual at the cycle point (_T1, _T2).
+    """|II|, |H| and a Gauss-equation residual at the cycle point _T.
 
     Gauss: K_intrinsic = K_ambient(T1,T2) + (<II_11,II_22> - |II_12|^2)
     after normalizing by the induced area element.
     """
     p = mf.params
-    q, tan, h, origin = _frame(mf)
+    origin, tan = mf.cycle.lift(p.k, mf.ell)
+    q, h = origin + tan @ _T, _step(mf.ell)
     gf = functools.partial(sf.riemannian_metric_chart, p)
     second, pi_sq, h_sq, g, hin = _fundamental_forms(gf, q, tan, h)
     riem, _ = sf.riemann_fd(gf, q, h)
@@ -169,7 +167,7 @@ def second_fundamental_form(mf: ModelFiber) -> SecondFF:
     def induced(tt):
         return tan.T @ gf(origin + tt @ tan.T) @ tan
 
-    riem2, h2 = sf.riemann_fd(induced, np.array([_T1, _T2]), h)
+    riem2, h2 = sf.riemann_fd(induced, _T, h)
     low2 = np.einsum("ae,ebcd->abcd", h2, riem2)
     k_int = float(low2[0, 1, 0, 1]) / float(np.linalg.det(h2))
 
@@ -186,11 +184,13 @@ def pi_decay(p: sf.ModelParams, cycle: fib.CycleSpec) -> tuple[np.ndarray, np.nd
     Every sample sits at the point and step second_fundamental_form uses,
     and all of them are one christoffel_fd call.
     """
-    ells = np.linspace(5.0, 40.0, 10)
-    frames = [_frame(ModelFiber(p, cycle, ell)) for ell in ells]
-    q, tan, h, _ = (np.array(v) for v in zip(*frames))
+    if cycle.fiber:
+        raise ValidationError("slag fibers are bad cycles, not torus fibers")
+    ells = np.linspace(5.0, 40.0, 10).tolist()
+    origin, tan = (np.array(v) for v in zip(*(cycle.lift(p.k, ell) for ell in ells)))
+    h = np.array([_step(ell) for ell in ells])
     pi_sq = _fundamental_forms(functools.partial(sf.riemannian_metric_chart, p),
-                               q, tan, h)[1]
+                               origin + tan @ _T, tan, h)[1]
     vals = np.sqrt(np.maximum(pi_sq, 0.0))
     r = np.array([sf.distance_r(p, ell) for ell in ells])
     fit = fit_decay(r, vals, model="power")

@@ -191,12 +191,10 @@ def test_criterion_6_hyperkahler_rotation():
     for tau in taus:
         for k in (1, 2, 3):
             m = cal.CalabiModel(k=k, tau=tau)
-            pt = cal.CalabiPoint(ell=float(rng.uniform(1.0, 3.0)),
-                                 psi=float(rng.uniform(0.0, 2.0 * math.pi)),
-                                 xi1=float(rng.uniform(-0.5, 0.5)),
-                                 xi2=float(rng.uniform(-0.5, 0.5)))
+            pt = (float(rng.uniform(1.0, 3.0)), float(rng.uniform(0.0, 2.0 * math.pi)),
+                  float(rng.uniform(-0.5, 0.5)), float(rng.uniform(-0.5, 0.5)))
             oi, oj, okk = cal.hk_triple(m, pt)
-            scale = abs(2.0 * pt.ell * m.c_tau ** 2)
+            scale = abs(2.0 * pt[0] * m.c_tau ** 2)
             for a, b in ((oi, oj), (oi, okk), (oj, okk)):
                 from syzlab.forms import top_coeff_pair
                 worst_triple = np.maximum(worst_triple,
@@ -210,8 +208,7 @@ def test_criterion_6_hyperkahler_rotation():
             for ell in np.linspace(1.0, 3.0, 5):
                 for xi1 in np.linspace(0.0, 0.6, 5):
                     for psi in (0.0, 1.0, 2.5):
-                        ptg = cal.CalabiPoint(ell=float(ell), psi=psi,
-                                              xi1=float(xi1), xi2=0.2)
+                        ptg = (float(ell), psi, float(xi1), 0.2)
                         worst_rot = np.maximum(worst_rot, cal.verify_rotation(m, ptg))
             defects = cal.lattice_defects(m, pt)
             # np.maximum and np.max carry a NaN through; the builtin max drops it

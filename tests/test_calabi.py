@@ -23,10 +23,8 @@ MODELS = [
 
 def _random_points(n, seed=11):
     rng = np.random.default_rng(seed)
-    return [cal.CalabiPoint(ell=rng.uniform(0.5, 4.0),
-                            psi=rng.uniform(0.0, TWO_PI),
-                            xi1=rng.uniform(-0.5, 0.5),
-                            xi2=rng.uniform(-0.5, 0.5)) for _ in range(n)]
+    return [(rng.uniform(0.5, 4.0), rng.uniform(0.0, TWO_PI),
+             rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)) for _ in range(n)]
 
 
 def _wedge_triple(m, pt):
@@ -35,12 +33,12 @@ def _wedge_triple(m, pt):
     c = m.c_tau
     c2 = c * c
     dl = np.array([1.0, 0.0, 0.0, 0.0])
-    th = np.array([0.0, 1.0, 0.5 * c2 * pt.xi2, -0.5 * c2 * pt.xi1])
+    th = np.array([0.0, 1.0, 0.5 * c2 * pt[3], -0.5 * c2 * pt[2]])
     dx1 = np.array([0.0, 0.0, 1.0, 0.0])
     dx2 = np.array([0.0, 0.0, 0.0, 1.0])
-    om_j = wedge_11(th, dl) + pt.ell * c2 * wedge_11(dx1, dx2)
-    om_i = c * (wedge_11(th, dx2) + pt.ell * wedge_11(dl, dx1))
-    om_k = c * (wedge_11(dx1, th) + pt.ell * wedge_11(dl, dx2))
+    om_j = wedge_11(th, dl) + pt[0] * c2 * wedge_11(dx1, dx2)
+    om_i = c * (wedge_11(th, dx2) + pt[0] * wedge_11(dl, dx1))
+    om_k = c * (wedge_11(dx1, th) + pt[0] * wedge_11(dl, dx2))
     return om_i, om_j, om_k
 
 
@@ -70,7 +68,7 @@ class TestHkTriple:
     def test_orthogonality_and_squares(self, model):
         for pt in _random_points(20):
             oi, oj, ok = cal.hk_triple(model, pt)
-            want = -2.0 * pt.ell * model.c_tau ** 2
+            want = -2.0 * pt[0] * model.c_tau ** 2
             for a, b in ((oi, oj), (oi, ok), (oj, ok)):
                 assert abs(top_coeff_pair(a, b)) <= 1e-12
             for om in (oi, oj, ok):
@@ -97,23 +95,23 @@ class TestHkTriple:
         # the premise that makes closedness_defect's unit differences exact
         rng = np.random.default_rng(17)
         for pt in _random_points(10, seed=17):
-            q = pt.coords()
+            q = np.array(pt)
             for e in np.eye(4):
                 step = rng.uniform(0.1, 2.0) * e
-                m0, m1, m2 = (np.stack(cal.hk_triple(model, cal.CalabiPoint(*(q + j * step))))
+                m0, m1, m2 = (np.stack(cal.hk_triple(model, q + j * step))
                               for j in range(3))
                 scale = max(np.max(np.abs(m)) for m in (m0, m1, m2))
                 assert np.max(np.abs(m2 - 2.0 * m1 + m0)) <= 1e-14 * scale
 
     def test_non_closed_form_detected(self, monkeypatch):
         # d(ell dxi1 ^ dpsi) = dell ^ dxi1 ^ dpsi has coefficient 1
-        _add_to_omega_j(monkeypatch, lambda pt: pt.ell * wedge_11(E[2], E[1]))
-        pt = cal.CalabiPoint(ell=1.4, psi=0.7, xi1=0.21, xi2=-0.35)
+        _add_to_omega_j(monkeypatch, lambda pt: pt[0] * wedge_11(E[2], E[1]))
+        pt = (1.4, 0.7, 0.21, -0.35)
         assert cal.closedness_defect(MODELS[0], pt) >= 0.5
 
     def test_nan_triple_fails_closed(self, monkeypatch):
         _add_to_omega_j(monkeypatch, lambda pt: np.full((4, 4), math.nan))
-        pt = cal.CalabiPoint(ell=1.4, psi=0.7, xi1=0.21, xi2=-0.35)
+        pt = (1.4, 0.7, 0.21, -0.35)
         assert math.isnan(cal.closedness_defect(MODELS[0], pt))
 
 
@@ -127,7 +125,7 @@ class TestGibbonsHawking:
 
     def test_perturbation_detected(self):
         model = MODELS[0]
-        pt = cal.CalabiPoint(ell=1.3, psi=0.2, xi1=0.1, xi2=0.4)
+        pt = (1.3, 0.2, 0.1, 0.4)
         g = cal.gibbons_hawking_metric(model, pt)
         bad = cal.gibbons_hawking_closed_form(model, pt)
         bad = bad + np.diag([0.01, 0, 0, 0])
@@ -204,19 +202,19 @@ class TestVerifyRotation:
         # of its point map is the identity
         h = 1e-6
         for pt in _random_points(10, seed=3):
-            q = pt.coords()
+            q = np.array(pt)
             _, jinv = cal.sf_coordinates(model, pt)
             fd = np.empty((4, 4))
             for b in range(4):
                 step = np.zeros(4)
                 step[b] = h
-                plus = cal.sf_coordinates(model, cal.CalabiPoint(*(q + step)))[0]
-                minus = cal.sf_coordinates(model, cal.CalabiPoint(*(q - step)))[0]
+                plus = cal.sf_coordinates(model, q + step)[0]
+                minus = cal.sf_coordinates(model, q - step)[0]
                 fd[:, b] = (np.array(plus) - np.array(minus)) / (2.0 * h)
             assert np.max(np.abs(np.array(jinv) @ fd - np.eye(4))) <= 1e-8
 
     def test_single_point_square(self):
-        pt = cal.CalabiPoint(ell=2.0, psi=1.0, xi1=0.3, xi2=0.0)
+        pt = (2.0, 1.0, 0.3, 0.0)
         assert cal.verify_rotation(MODELS[0], pt) <= 1e-8
 
     def test_grid_hexagonal(self):
@@ -224,7 +222,7 @@ class TestVerifyRotation:
         worst = 0.0
         for ell in np.linspace(1.0, 3.0, 5):
             for xi1 in np.linspace(0.0, 0.6, 5):
-                pt = cal.CalabiPoint(ell=ell, psi=0.8, xi1=xi1, xi2=0.25)
+                pt = (ell, 0.8, xi1, 0.25)
                 worst = max(worst, cal.verify_rotation(model, pt))
         assert worst <= 1e-8
 
@@ -237,7 +235,7 @@ class TestVerifyRotation:
 
     @pytest.mark.parametrize("model", MODELS)
     def test_lattice_relations(self, model):
-        pt = cal.CalabiPoint(ell=1.7, psi=0.4, xi1=0.2, xi2=0.3)
+        pt = (1.7, 0.4, 0.2, 0.3)
         defects = cal.lattice_defects(model, pt)
         assert max(defects.values()) <= 1e-10
 
@@ -248,7 +246,7 @@ def _forward_jacobian(model, pt):
     t = complex(model.tau)
     a, b, c = model.a_tau, model.b_tau, model.c_tau
     c2 = c * c
-    ell, xi1, xi2 = pt.ell, pt.xi1, pt.xi2
+    ell, _, xi1, xi2 = pt
     return np.array([
         [TWO_PI * abs(t) / (t.imag * c), 0.0, 0.0, 0.0],
         [0.0, 0.0, TWO_PI, -TWO_PI * t.real / t.imag],
@@ -286,11 +284,11 @@ class TestClosedFormPushForward:
             params = dataclasses.replace(rot.params, alpha=rot.alpha * (1.0 + 1e-6))
         bad = dataclasses.replace(rot, params=params)
         monkeypatch.setattr(cal, "rotate", lambda m: bad)
-        pt = cal.CalabiPoint(ell=2.0, psi=1.0, xi1=0.3, xi2=0.2)
+        pt = (2.0, 1.0, 0.3, 0.2)
         assert cal.verify_rotation(model, pt) > 1e-8
 
     def test_nan_propagates(self, monkeypatch):
-        pt = cal.CalabiPoint(ell=2.0, psi=1.0, xi1=0.3, xi2=0.2)
+        pt = (2.0, 1.0, 0.3, 0.2)
         real = cal._pushed_omega_tau
 
         def poisoned(m, p):
@@ -332,16 +330,6 @@ class TestRotateOnce:
         rot = cal.rotate(model)
         assert rot.sf_class == cal.STANDARD and len(calls) == 2
         assert cal.rotate(model) is rot and len(calls) == 2
-
-
-class TestCalabiPoint:
-    @pytest.mark.parametrize("field", ["ell", "psi", "xi1", "xi2"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    def test_non_finite_field_rejected(self, field, value):
-        kwargs = dict(ell=1.0, psi=0.0, xi1=0.0, xi2=0.0)
-        kwargs[field] = value
-        with pytest.raises(ValidationError):
-            cal.CalabiPoint(**kwargs)
 
 
 class TestMckFibers:

@@ -453,14 +453,28 @@ class TestHkrotFailsClosed:
         real = calabi.transport
 
         def nudged(m, pt, gamma):
-            p = real(m, pt, gamma)
-            return calabi.CalabiPoint(p.ell, p.psi, p.xi1 + 1e-9, p.xi2)
+            ell, psi, xi1, xi2 = real(m, pt, gamma)
+            return ell, psi, xi1 + 1e-9, xi2
 
         monkeypatch.setattr(calabi, "transport", nudged)
         code, report, _ = run_cli(capsys, *self.ARGV)
         assert code == 3
         check = {c["name"]: c for c in report["checks"]}["lattice_defect"]
         assert not check["passed"] and check["measured"] > 1e-10
+
+    def test_points_are_python_floats(self, capsys, monkeypatch):
+        # the per-point rotation check costs less on floats than on numpy scalars
+        seen = []
+        for name in ("verify_rotation", "lattice_defects"):
+            def wrapped(m, pt, real=getattr(calabi, name)):
+                seen.append(pt)
+                return real(m, pt)
+
+            monkeypatch.setattr(calabi, name, wrapped)
+        code, _, _ = run_cli(capsys, *self.ARGV, "--verify-grid", "3")
+        assert code == 0
+        assert len(seen) == 3 * 3 * 3 + 1
+        assert all(type(x) is float for pt in seen for x in pt)
 
 
 class TestCommands:

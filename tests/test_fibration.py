@@ -68,10 +68,13 @@ CYCLES = [fib.FIBER, fib.CycleSpec(m1=1, m2=0), fib.CycleSpec(m1=2, m2=1),
 class TestLift:
     @pytest.mark.parametrize("c", CYCLES)
     def test_point_moves_along_tangents(self, c):
-        point, t_a, t_b = c.lift(2, 7.5)
+        k, ell = 2, 7.5
+        origin, frame = c.lift(k, ell)
+        assert frame.shape == (4, 2)
+        slope = 1.0 if c.fiber else (c.m2 / c.m1) / TWO_PI
         for t1, t2 in ((0.3, 0.0), (0.0, 1.7), (0.61, 9.2)):
-            np.testing.assert_allclose(point(t1, t2) - point(0.0, 0.0),
-                                       t1 * t_a + t2 * t_b, rtol=0, atol=1e-14)
+            want = [ell, 0.0 if c.fiber else -t2, t1, slope * k * ell * t2 / TWO_PI]
+            np.testing.assert_allclose(origin + frame @ [t1, t2], want, rtol=1e-15, atol=0)
 
     @pytest.mark.parametrize("c", CYCLES)
     @pytest.mark.parametrize("k", [1, 2, 3])
@@ -79,12 +82,14 @@ class TestLift:
     def test_lift_grid_equals_point_at_every_node(self, c, k, ell):
         n = 16
         q, t_a, t_b = c.lift_grid(k, ell, n)
-        point, t_a0, t_b0 = c.lift(k, ell)
+        origin, frame = c.lift(k, ell)
         grid = c.grid(n)
-        ref = np.array([[point(t1, t2) for t2 in grid.nodes2()] for t1 in grid.nodes1()])
+        ref = np.array([[origin + frame @ [t1, t2] for t2 in grid.nodes2()]
+                        for t1 in grid.nodes1()])
         assert q.shape == (n, n, 4)
-        assert np.array_equal(q, ref)
-        assert np.array_equal(t_a, t_a0) and np.array_equal(t_b, t_b0)
+        # bitwise, the sign of a zero included
+        assert q.tobytes() == ref.tobytes()
+        assert np.array_equal(t_a, frame[:, 0]) and np.array_equal(t_b, frame[:, 1])
 
     def test_lift_grid_rejects_small_grid(self):
         with pytest.raises(ValidationError):
@@ -93,7 +98,7 @@ class TestLift:
     @pytest.mark.parametrize("k", [1, 2, 5])
     def test_fiber_tangents_are_lattice_generators(self, k):
         ell = 3.3
-        _, t_a, t_b = fib.FIBER.lift(k, ell)
+        t_a, t_b = fib.FIBER.lift(k, ell)[1].T
         g1, g2 = fib.lattice_basis(k, ell)
         np.testing.assert_allclose(t_a, [0.0, 0.0, g1.real, g1.imag],
                                    rtol=1e-15, atol=0)
@@ -103,8 +108,8 @@ class TestLift:
     @pytest.mark.parametrize("c", CYCLES[1:])
     def test_bad_cycle_closes_modulo_lattice(self, c):
         k, ell = 3, 4.2
-        point, _, _ = c.lift(k, ell)
-        start, end = point(0.25, 0.0), point(0.25, TWO_PI * c.m1)
+        origin, frame = c.lift(k, ell)
+        start, end = origin + frame @ [0.25, 0.0], origin + frame @ [0.25, TWO_PI * c.m1]
         assert end[1] - start[1] == pytest.approx(-TWO_PI * c.m1)
         assert end[3] != pytest.approx(start[3]) or c.m2 == 0
         assert fib.lattice_equal(k, start, end)

@@ -278,14 +278,6 @@ class TestHarmonicMatch:
 
 
 class TestArrayKernels:
-    def test_scalar_rho_gives_float(self):
-        cfg = make_cfg()
-        for val in (glue.u_zz(cfg.params, 0.1), glue.u_prime(cfg.params, 0.1),
-                    glue.potential_u(cfg.params, 0.1), cfg.cutoffs.beta(0.11),
-                    glue.q_coefficient(cfg, 2.0, 3.0, 0.13),
-                    *cfg.cutoffs.psi(0.13)):
-            assert type(val) is float
-
     def test_array_matches_scalar_at_breakpoints(self):
         for kw, alpha, t in REF_CASES:
             cfg = make_cfg(**kw)

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -339,6 +340,26 @@ class TestRiemannianMetric:
         assert np.allclose(g, g.T, atol=1e-13)
         assert np.linalg.eigvalsh(g)[0] > 0
 
+    @pytest.mark.parametrize("kappa", [{}, {0: 1.0, 1: 0.5 - 0.3j}])
+    @pytest.mark.parametrize("b0", [0.0, -0.0, 0.3])
+    def test_equals_symmetrised_form_times_j(self, kappa, b0):
+        # oracle: g = omega J, symmetrised, with J d/dell = d/dtheta and
+        # J d/dx1 = d/dx2 on tangent vectors
+        j = np.zeros((4, 4))
+        j[1, 0] = j[3, 2] = 1.0
+        j[0, 1] = j[2, 3] = -1.0
+        p = sf.ModelParams(k=2, eps=0.7, b0=b0, alpha=1.3, kappa=kappa)
+        q = _chart_points(np.random.default_rng(23), (6, 5))
+        q[0, :, 3] = 0.0
+        q[1, :, 3] = -0.0
+        for pts in (q, q[2, 3]):
+            g = sf.sf_form_chart(p, pts) @ j
+            want = 0.5 * (g + np.swapaxes(g, -1, -2))
+            got = sf.riemannian_metric_chart(p, pts)
+            assert got.shape == want.shape and got.flags.c_contiguous
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
 
 class TestPairings:
     def test_fiber_pairing(self):
@@ -396,6 +417,35 @@ class TestPairings:
         kappa = {0: 1.0, 1: kappa1} if kappa1 else {}
         p = sf.ModelParams(k=2, eps=0.7, b0=-0.25, alpha=1.3, kappa=kappa)
         assert sf.pair_cycle(p, cycle, n=16).hex() == bits
+
+    def test_row_block_bits_pinned(self):
+        # n = 100 contracts three blocks of 40, 40 and 20 rows; recorded
+        # when all nodes were contracted at once
+        p = sf.ModelParams(k=2, eps=0.7, b0=-0.25, alpha=1.3, kappa={0: 1.0, 1: 0.6})
+        assert sf.pair_cycle(p, fib.CycleSpec(m1=1, m2=1), n=100).hex() \
+            == "0x1.5d70a3d70a3d8p-1"
+
+    @pytest.mark.parametrize("n", [65, 100, 130])
+    def test_row_blocks_equal_one_contraction(self, n):
+        p = sf.ModelParams(k=3, eps=0.5, b0=1.0 / 3.0, kappa={0: 1.0, 1: 0.3})
+        for c in (fib.FIBER, fib.CycleSpec(m1=1, m2=1), fib.CycleSpec(m1=2, m2=1)):
+            q, t_a, t_b = c.lift_grid(p.k, TWO_PI, n)
+            forms = sf.sf_form_chart(p, q).reshape(-1, 4, 4)
+            want = quad_grid(((t_a @ forms) @ t_b).reshape(n, n), c.grid(n))
+            assert sf.pair_cycle(p, c, n=n).hex() == want.hex()
+
+    def test_forms_held_in_row_blocks(self):
+        # all 256^2 forms at once would take 8.4 MB
+        p = sf.ModelParams(k=1, eps=1.0)
+        c = fib.CycleSpec(m1=1, m2=1)
+        sf.pair_cycle(p, c, n=16)
+        tracemalloc.start()
+        try:
+            sf.pair_cycle(p, c, n=256)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
 
 def _jacobian(eta_y):

@@ -74,11 +74,12 @@ def _check_special_loops(mf, n=32):
     """Reference for check_special: one single-point form per grid node."""
     p = mf.params
     grid = mf.cycle.grid(n)
-    point, t_a, t_b = mf.cycle.lift(p.k, mf.ell)
+    origin, frame = mf.cycle.lift(p.k, mf.ell)
+    t_a, t_b = frame.T
     sup_omega = sup_phase = 0.0
     for t1 in grid.nodes1():
         for t2 in grid.nodes2():
-            q = point(t1, t2)
+            q = origin + frame @ [t1, t2]
             sup_omega = max(sup_omega, abs(float(t_a @ sf.sf_form_chart(p, q) @ t_b)))
             om = p.kappa_at(cmath.exp(-(q[0] + 1j * q[1]))) * wedge_11(sf._DY, sf._DX)
             sup_phase = max(sup_phase, abs((-1j * complex(t_a @ om @ t_b)).imag))
