@@ -9,7 +9,8 @@ form itself (alpha = 1) on the modeled annulus; the rescaled end is
 
 whose square is alpha * Omega ^ Omegabar exactly.  The interpolation uses
 a cutoff psi, a positivity reserve t * beta and the harmonic matching of u
-on the gluing annulus.
+on the gluing annulus.  The positivity margin is the smallest eigenvalue of
+each 2 x 2 (x, y) block, taken in closed form.
 
 The total mass integral is affine in (alpha, t) jointly: it is a fixed
 combination of three radial quadratures, which a GlueConfig builds once per
@@ -229,8 +230,10 @@ def positivity_scan(cfg: GlueConfig, alpha: float, t: float,
 
     window restricts the radial scan (defaults to the whole modeled
     annulus).  Raises a validation error when t is at or below the
-    reserve threshold.  The (x, y) Hermitian blocks of all n radii and
-    fiber heights go to one batched eigenvalue call.
+    reserve threshold.  The (x, y) block at each of the n radii and fiber
+    heights is (1/4)[[c, -c conj(Gamma)], [-c Gamma, d + c|Gamma|^2]] +
+    diag(0, X); its determinant (c/4)(d/4 + X) never forms the cancelling
+    c|Gamma|^2 terms, which reach 4e3 where the margin is about 1e-4.
     """
     require_finite(alpha=alpha, t=t)
     if alpha <= 0:
@@ -244,18 +247,24 @@ def positivity_scan(cfg: GlueConfig, alpha: float, t: float,
         raise ValidationError("window must lie inside the modeled annulus")
     p = cfg.params
     rho = np.geomspace(lo * 1.0001, hi * 0.9999, n)
-    ell = -np.log(rho)
     qc = q_coefficient(cfg, alpha, t, rho)
     psi = cfg.cutoffs.psi(rho)[0]
-    half_term = 0.5 * psi * (alpha - 1.0) * u_zz(p, rho)
-    # chart points (ell, 0, 0, x2): n radii against the fiber heights
-    q = np.zeros((n, _SCAN_X2.size, 4))
-    q[..., 0] = ell[:, None]
-    q[..., 3] = _SCAN_X2
-    cand = sfm.hermitian_matrix(p, q)
-    cand *= 0.5
-    cand[..., 1, 1] += ((qc - half_term) * rho ** 2)[:, None]
-    return float(np.min(np.linalg.eigvalsh(cand)[..., 0]))
+    x = ((qc - 0.5 * psi * (alpha - 1.0) * u_zz(p, rho)) * rho ** 2)[:, None]
+    # n radii (theta = 0) against the fiber heights
+    e01, cg_i, cg_r, c, d = sfm._form_entries(p, -np.log(rho)[:, None], 0.0,
+                                               _SCAN_X2, np.exp)
+    a = 0.25 * c
+    return float(np.min(_smallest_eigenvalue(a, 0.25 * e01 + x, 0.25 * np.hypot(cg_r, cg_i),
+                                             a * (0.25 * d + x))))
+
+
+def _smallest_eigenvalue(a, dd, b, det):
+    """Smallest eigenvalue m - r of the Hermitian [[a, B], [conj(B), dd]],
+    |B| = b, elementwise: det / (m + r) where m = (a + dd)/2 >= 0, which
+    does not cancel and keeps the accuracy of the determinant det."""
+    m = 0.5 * (a + dd)
+    r = np.hypot(0.5 * (a - dd), b)
+    return np.where(m >= 0.0, det / (m + r), m - r)
 
 
 @functools.lru_cache(maxsize=8)

@@ -90,7 +90,7 @@ def w_factor(p: ModelParams, ell: float) -> float:
 
 
 def _form_entries(p: ModelParams, ell, th, x2, exp):
-    """alpha times (d + c|Gamma|^2, c*g_i, c*g_r, c) of sf_form_chart, on
+    """alpha times (d + c|Gamma|^2, c*g_i, c*g_r, c, d) of sf_form_chart, on
     floats or arrays."""
     kap2 = 1.0
     if p.kappa:
@@ -105,7 +105,8 @@ def _form_entries(p: ModelParams, ell, th, x2, exp):
     a = p.alpha
     # alpha scales each finished entry, a * (c * g_i) and not (a * c) * g_i,
     # which keeps the bits of scaling the whole matrix by alpha
-    return a * (d + c * (g_r * g_r + g_i * g_i)), a * (c * g_i), a * (c * g_r), a * c
+    return (a * (d + c * (g_r * g_r + g_i * g_i)), a * (c * g_i), a * (c * g_r), a * c,
+            a * d)
 
 
 def _reject_chart_point(q: np.ndarray):
@@ -135,43 +136,24 @@ def sf_form_chart(p: ModelParams, q: np.ndarray) -> np.ndarray:
                 and -_INF < x1 < _INF and -_INF < x2 < _INF):
             _reject_chart_point(q)
         try:
-            e01, cg_i, cg_r, c = _form_entries(p, ell, th, x2, cmath.exp)
+            e01, cg_i, cg_r, c, _ = _form_entries(p, ell, th, x2, cmath.exp)
         except ZeroDivisionError:
             e01 = c = _INF
         # |c*g_i| and |c*g_r| are at most max(c, e01), which are finite if
         # their sum is (a finite sum that overflows only takes the slow path)
         if not math.isfinite(e01 + c):
-            e01, cg_i, cg_r, c = _form_entries(p, q[0], q[1], q[3], np.exp)
+            e01, cg_i, cg_r, c, _ = _form_entries(p, q[0], q[1], q[3], np.exp)
         z = 0.0 * c
         # one flat list of 16 floats converts faster than 4 nested rows
         return np.array([z, e01, cg_i, -cg_r, -e01, z, cg_r, cg_i,
                          -cg_i, -cg_r, z, c, cg_r, -cg_i, -c, z]).reshape(4, 4)
     if not ((q > _LOWER) & (q < np.inf)).all():
         _reject_chart_point(q)
-    e01, cg_i, cg_r, c = _form_entries(p, q[..., 0], q[..., 1], q[..., 3], np.exp)
+    e01, cg_i, cg_r, c, _ = _form_entries(p, q[..., 0], q[..., 1], q[..., 3], np.exp)
     z = 0.0 * c
     m = np.array([[z, e01, cg_i, -cg_r], [-e01, z, cg_r, cg_i],
                   [-cg_i, -cg_r, z, c], [cg_r, -cg_i, -c, z]])
     return m.transpose(*range(2, m.ndim), 0, 1)
-
-
-def hermitian_matrix(p: ModelParams, q: np.ndarray) -> np.ndarray:
-    """Hermitian matrix h of the metric form, omega = i sum h_jk dz_j ^ dzbar_k
-    with z = (x, y), at chart points q of shape (..., 4); returns (..., 2, 2).
-
-    In the notation of sf_form_chart, h = (alpha/2) [[c, -c conj(Gamma)],
-    [-c Gamma, d + c|Gamma|^2]], from the same entries.  A single point
-    runs the array loops of a batch, which round as a batch does.
-    """
-    q = np.asarray(q, dtype=float)
-    pts = q.reshape(-1, 4)
-    e01, cg_i, cg_r, c = _form_entries(p, pts[:, 0], pts[:, 1], pts[:, 3], np.exp)
-    h = np.empty((len(pts), 2, 2), dtype=complex)
-    h[:, 0, 0] = c
-    h[:, 1, 0] = -(cg_r + 1j * cg_i)
-    h[:, 0, 1] = np.conj(h[:, 1, 0])
-    h[:, 1, 1] = e01
-    return (0.5 * h).reshape(q.shape[:-1] + (2, 2))
 
 
 def holomorphic_volume_top(p: ModelParams, q: np.ndarray) -> np.ndarray:
@@ -268,8 +250,12 @@ def translation_defect(p: ModelParams, s: fib.SectionData, q: np.ndarray) -> np.
 
 
 def distance_r(p: ModelParams, ell: float) -> float:
-    """Leading-order metric distance from the I_k fiber, r ~ c * ell^(3/2)."""
-    return (2.0 / 3.0) * math.sqrt(p.alpha * p.k / (math.pi * p.eps)) * ell ** 1.5
+    """Leading-order metric distance from the I_k fiber, r ~ c * ell^(3/2);
+    NumericalError where r rounds to 0 or inf (pi * eps overflows past 5.7e307)."""
+    r = (2.0 / 3.0) * math.sqrt(p.alpha * p.k / (math.pi * p.eps)) * ell ** 1.5
+    if not 0.0 < r < _INF:
+        raise NumericalError(f"distance r = {r} from the I_k fiber is not resolved in float64")
+    return r
 
 
 @dataclass(frozen=True)

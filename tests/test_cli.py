@@ -263,6 +263,9 @@ class TestExitCodes:
         (["semiflat", "eval", "--k", "1", "--ell", "2", "--x2", "1e20"], 2),
         (["semiflat", "residual", "--k", "1", "--grid", "8", "--b0", "1e9"], 2),
         (["semiflat", "residual", "--k", "1", "--grid", "8", "--eps", "1e9"], 2),
+        # pi * eps overflows, so every distance r is 0 (exit 1 before)
+        (["slag", "pi-decay", "--k", "3", "--eps", "1e308"], 2),
+        (["slag", "pi-decay", "--k", "1", "--eps", "1e308", "--b0", "0", "--cycle", "1,0"], 2),
     ])
     def test_numerical_breakdown_exit_codes(self, capsys, argv, code):
         assert cli.run(argv + ["--no-timestamp"]) == code

@@ -1,9 +1,9 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
-from syzlab import fibration as fib
 from syzlab import glue
 from syzlab import semiflat as sfm
 from syzlab.errors import NumericalError, ValidationError
@@ -114,26 +114,62 @@ def mass_integral_loop(cfg, alpha, t, n=64):
     return total + cfg.v0c - alpha * cfg.vomc
 
 
-def positivity_loop(cfg, alpha, t, n=200):
-    """Per-radius reference for glue.positivity_scan over the whole annulus."""
+# pi to 40 significant digits, for the exact block eigenvalue
+PI_40 = Decimal("3.141592653589793238462643383279502884197")
+
+
+def exact_min_eig(c, d, gam2, x):
+    """Smallest eigenvalue of (1/4)[[c, -c conj(Gamma)], [-c Gamma,
+    d + c|Gamma|^2]] + diag(0, x), |Gamma|^2 = gam2, for Decimal inputs,
+    in 40-digit decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        a, dd = c / 4, (d + c * gam2) / 4 + x
+        half_gap = ((a - dd) ** 2 / 4 + c ** 2 * gam2 / 16).sqrt()
+        return float((a + dd) / 2 - half_gap)
+
+
+def exact_block_min(p, ell, x2, x):
+    """exact_min_eig of the positivity block at theta = 0, from the floats
+    ell, x2 and x."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        ell, x2 = Decimal(ell), Decimal(x2)
+        rho = (-ell).exp()
+        kap_re, kap_im = Decimal(0 if p.kappa else 1), Decimal(0)
+        for power, coeff in p.kappa.items():
+            coeff = complex(coeff)
+            kap_re += Decimal(coeff.real) * rho ** power
+            kap_im += Decimal(coeff.imag) * rho ** power
+        w = 2 * PI_40 / (p.k * ell)
+        c = w * Decimal(p.eps)
+        d = 2 * (kap_re ** 2 + kap_im ** 2) / (Decimal(p.eps) * w)
+        gam2 = (Decimal(p.b0) * ell / (2 * PI_40 ** 2)) ** 2 + (x2 / ell) ** 2
+        return exact_min_eig(c, d, gam2, Decimal(x))
+
+
+def closed_form_min(c, d, g_r, g_i, x):
+    """glue._smallest_eigenvalue on the block of exact_min_eig, with the
+    entries rounded as semiflat._form_entries rounds them (alpha = 1)."""
+    e01, cg = d + c * (g_r * g_r + g_i * g_i), np.hypot(c * g_r, c * g_i)
+    return glue._smallest_eigenvalue(0.25 * c, 0.25 * e01 + x, 0.25 * cg,
+                                     0.25 * c * (0.25 * d + x))
+
+
+def positivity_oracle(cfg, alpha, t, n=200, window=None):
+    """Per-radius reference for glue.positivity_scan: X from the scalar
+    references, the block's smallest eigenvalue from exact_block_min."""
+    lo, hi = window if window is not None else (cfg.rho_min, cfg.rho_max)
     p = cfg.params
     worst = math.inf
-    for rho in np.geomspace(cfg.rho_min * 1.0001, cfg.rho_max * 0.9999, n):
-        rho = float(rho)
-        ell = -math.log(rho)
-        qc = q_reference(cfg, alpha, t, rho)
+    for rho in np.geomspace(lo * 1.0001, hi * 0.9999, n).tolist():
+        qc = q_reference(cfg, alpha, t, rho) if p.kappa_is_one() else \
+            glue.q_coefficient(cfg, alpha, t, np.array([rho])).item()
         psi = smoothstep_ref(rho, cfg.r + cfg.s, cfg.r + 2.0 * cfg.s)[0]
         half_term = 0.5 * psi * (alpha - 1.0) * u_zz_ref(cfg, rho)
         for x2 in (0.0, 0.35, 0.8):
-            w = sfm.w_factor(p, ell)
-            gam = 1j * x2 / ell + p.b0 * ell / (2.0 * math.pi ** 2)
-            h_xx = w * p.eps / 2.0
-            h_xy = -h_xx * np.conj(gam)
-            h_yy = 1.0 / (p.eps * w) + h_xx * abs(gam) ** 2
-            cand = 0.5 * np.array([[h_xx, h_xy], [np.conj(h_xy), h_yy]],
-                                  dtype=complex)
-            cand[1, 1] += (qc - half_term) * rho ** 2
-            worst = min(worst, float(np.linalg.eigvalsh(cand)[0]))
+            worst = min(worst, exact_block_min(p, -math.log(rho), x2,
+                                               (qc - half_term) * rho ** 2))
     return worst
 
 
@@ -350,12 +386,15 @@ class TestArrayKernels:
             assert got.tobytes() == q_presplit(cfg, alpha, t, rho).tobytes()
 
     def test_positivity_matches_loop(self):
+        # against the exact block eigenvalue, over the whole annulus and on
+        # the windows below r and across the gluing annulus, where X != 0
         for kw, alpha, _ in REF_CASES:
             cfg = make_cfg(**kw)
             t = 1.2 * glue.required_t(cfg, alpha, 0.0) + 1.0
-            ref = positivity_loop(cfg, alpha, t)
-            assert glue.positivity_scan(cfg, alpha, t) == pytest.approx(
-                ref, rel=1e-12, abs=0.0)
+            for window in (None, (cfg.rho_min, cfg.r), (cfg.r, cfg.r + 3.0 * cfg.s)):
+                ref = positivity_oracle(cfg, alpha, t, window=window)
+                assert glue.positivity_scan(cfg, alpha, t, window=window) == \
+                    pytest.approx(ref, rel=1e-14, abs=0.0)
 
     def test_legendre_cache_read_only(self):
         nodes, weights = glue._legendre(64)
@@ -366,6 +405,55 @@ class TestArrayKernels:
         ref_nodes, ref_weights = np.polynomial.legendre.leggauss(64)
         assert np.array_equal(nodes, ref_nodes)
         assert np.array_equal(weights, ref_weights)
+
+
+class TestSmallestEigenvalue:
+    def test_backward_error_against_eigvalsh(self):
+        # the scale is the block's Frobenius norm with its yy entry replaced
+        # by (d + c|Gamma|^2)/4 + |x|, the size of the terms it is summed
+        # from: where x cancels them, the rounded block's own norm falls far
+        # below their rounding error.  On these draws the closed form is
+        # within 2.0u times the scale of the 40-digit value, eigvalsh 13.4u
+        u = 2.0 ** -53
+        rng = np.random.default_rng(20)
+        size = 5000
+        c, d = 10.0 ** rng.uniform(-3, 3, (2, size))
+        g_r, g_i = 10.0 ** rng.uniform(-3, 3, (2, size)) * rng.choice([-1, 1], (2, size))
+        x = rng.uniform(-1.0, 1.0, size) * (c + d) * (1.0 + g_r ** 2 + g_i ** 2)
+        e01 = d + c * (g_r * g_r + g_i * g_i)
+        block = np.empty((size, 2, 2), dtype=complex)
+        block[:, 0, 0] = 0.25 * c
+        block[:, 1, 0] = -0.25 * (c * g_r + 1j * (c * g_i))
+        block[:, 0, 1] = np.conj(block[:, 1, 0])
+        block[:, 1, 1] = 0.25 * e01 + x
+        scale = np.sqrt(block[:, 0, 0].real ** 2 + 2.0 * np.abs(block[:, 1, 0]) ** 2
+                        + (0.25 * e01 + np.abs(x)) ** 2)
+        got = closed_form_min(c, d, g_r, g_i, x)
+        exact = np.array([exact_min_eig(*map(Decimal, (ci, di)),
+                                        Decimal(gr) ** 2 + Decimal(gi) ** 2, Decimal(xi))
+                          for ci, di, gr, gi, xi in zip(c, d, g_r, g_i, x)])
+        assert np.all(np.abs(got - exact) <= 4.0 * u * scale)
+        ref = np.linalg.eigvalsh(block)[:, 0]
+        assert np.all(np.abs(got - ref) <= 16.0 * u * scale)
+        # both branches and both signs of the margin are drawn
+        m = 0.125 * (c + e01) + 0.5 * x
+        assert np.any(m < 0) and np.any((m >= 0) & (exact < 0)) and np.any(exact > 0)
+
+    @pytest.mark.parametrize("c,d,g_r,g_i,x,m_sign,sign", [
+        (2.0, 0.7, 0.3, -1.2, 0.05, 1, 1),
+        (59.8, 0.0335, 0.0, 7.6, 0.0, 1, 1),     # the margin near rho_max
+        (3.0, 1.0, 0.5, 0.5, -0.4, 1, -1),
+        (1.0, 0.5, 2.0, 0.1, -50.0, -1, -1),
+        (1e-3, 2.0, 1e3, -1e2, -1e4, -1, -1),    # large |Gamma|
+    ])
+    def test_both_branches_against_exact(self, c, d, g_r, g_i, x, m_sign, sign):
+        # m_sign picks the branch (det / (m + r) or m - r), sign the margin's
+        m = 0.125 * (c + d + c * (g_r ** 2 + g_i ** 2)) + 0.5 * x
+        assert math.copysign(1.0, m) == m_sign
+        want = exact_min_eig(Decimal(c), Decimal(d),
+                             Decimal(g_r) ** 2 + Decimal(g_i) ** 2, Decimal(x))
+        assert math.copysign(1.0, want) == sign
+        assert closed_form_min(c, d, g_r, g_i, x) == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 class TestClaim2:
@@ -438,48 +526,38 @@ class TestPositivity:
         assert math.isfinite(glue.positivity_scan(cfg, 1.1, t, window=outer))
 
     def test_kappa_matches_hermitian_matrix_outside_psi_region(self):
-        # per-radius reference from semiflat.hermitian_matrix at theta = 0
+        # per-radius reference: the exact eigenvalue of the Hermitian block
         cfg = make_cfg(kappa={0: 1.0, 1: 0.5})
         t = 1.2 * glue.required_t(cfg, 1.1) + 1.0
-        lo, hi = cfg.r + 2.0 * cfg.s, cfg.rho_max
-        want = math.inf
-        for rho in np.geomspace(lo * 1.0001, hi * 0.9999, 40):
-            qc = glue.q_coefficient(cfg, 1.1, t, float(rho))
-            for x2 in (0.0, 0.35, 0.8):
-                pt = fib.from_ell(complex(0.0, x2), -math.log(rho))
-                cand = 0.5 * sfm.hermitian_matrix(cfg.params, pt)
-                cand[1, 1] += qc * rho ** 2
-                want = min(want, float(np.linalg.eigvalsh(cand)[0]))
-        got = glue.positivity_scan(cfg, 1.1, t, n=40, window=(lo, hi))
-        assert got == pytest.approx(want, rel=1e-12)
+        window = (cfg.r + 2.0 * cfg.s, cfg.rho_max)
+        want = positivity_oracle(cfg, 1.1, t, n=40, window=window)
+        got = glue.positivity_scan(cfg, 1.1, t, n=40, window=window)
+        assert got == pytest.approx(want, rel=1e-14)
 
     def test_kappa_enters_as_modulus_squared(self):
-        # reference built inline from the closed form of the (x, y) block,
-        # h_yy = |kappa(rho)|^2 / (eps W) + h_xx |Gamma|^2; dropping the
-        # |kappa|^2 factor must move the margin
-        cfg = make_cfg(kappa={0: 1.0, 1: 0.5})
-        p = cfg.params
+        # the exact reference reads a complex kappa(rho) through
+        # Re^2 + Im^2; dropping the |kappa|^2 factor must move the margin
+        cfg = make_cfg(kappa={0: 1.0, 1: 0.3 + 0.4j})
         t = 1.2 * glue.required_t(cfg, 1.1) + 1.0
-        lo, hi = cfg.r + 2.0 * cfg.s, cfg.rho_max
-        margins = {True: math.inf, False: math.inf}
-        for rho in np.geomspace(lo * 1.0001, hi * 0.9999, 40):
-            ell = -math.log(rho)
-            qc = glue.q_coefficient(cfg, 1.1, t, float(rho))
-            w = 2.0 * math.pi / (p.k * ell)
-            h_xx = 0.5 * w * p.eps
-            for x2 in (0.0, 0.35, 0.8):
-                gam = complex(p.b0 * ell / (2.0 * math.pi ** 2), x2 / ell)
-                for with_kappa in margins:
-                    kap2 = abs(1.0 + 0.5 * rho) ** 2 if with_kappa else 1.0
-                    h_yy = kap2 / (p.eps * w) + h_xx * abs(gam) ** 2
-                    cand = 0.5 * np.array([[h_xx, -h_xx * gam.conjugate()],
-                                           [-h_xx * gam, h_yy]])
-                    cand[1, 1] += qc * rho ** 2
-                    margins[with_kappa] = min(margins[with_kappa],
-                                              float(np.linalg.eigvalsh(cand)[0]))
-        got = glue.positivity_scan(cfg, 1.1, t, n=40, window=(lo, hi))
-        assert got == pytest.approx(margins[True], rel=1e-12)
-        assert abs(got - margins[False]) > 1e-6 * abs(got)
+        window = (cfg.r + 2.0 * cfg.s, cfg.rho_max)
+        got = glue.positivity_scan(cfg, 1.1, t, n=40, window=window)
+        assert got == pytest.approx(positivity_oracle(cfg, 1.1, t, n=40, window=window),
+                                    rel=1e-14)
+        without = positivity_oracle(make_cfg(), 1.1, t, n=40, window=window)
+        assert abs(got - without) > 1e-6 * abs(got)
+
+    def test_no_cancellation_at_large_gamma(self):
+        # b0 = 1e4 puts c|Gamma|^2 / d = b0^2 eps^2 / (2 pi^2 k^2) = 5.1e6
+        # at every radius: the yy entry is 5e6 times d/4, and the closed
+        # form's determinant (c/4)(d/4 + X) never subtracts the difference
+        p = sfm.ModelParams(k=1, b0=1e4)
+        cfg = glue.GlueConfig(params=p, r=0.1, s=0.02, rho_min=0.01, rho_max=0.9,
+                              v0c=1.0, vomc=0.2)
+        assert p.b0 ** 2 / (2.0 * math.pi ** 2) >= 1e6
+        for alpha in (0.3, 2.0):
+            t = 1.2 * glue.required_t(cfg, alpha, 0.0) + 1.0
+            assert glue.positivity_scan(cfg, alpha, t) == pytest.approx(
+                positivity_oracle(cfg, alpha, t), rel=1e-14, abs=0.0)
 
     def test_margin_positive_near_reference(self):
         cfg = make_cfg()

@@ -19,18 +19,37 @@ def _pt(ell, theta=0.0, x1=0.0, x2=0.0):
     return fib.from_ell(complex(x1, x2), ell, theta)
 
 
+def hermitian_matrix(p, q):
+    """Hermitian matrix h of alpha * omega_sf, omega = i sum h_jk dz_j ^ dzbar_k
+    with z = (x, y), at chart points q of shape (..., 4), from the closed form
+    h = (alpha/2) [[c, -c conj(Gamma)], [-c Gamma, d + c|Gamma|^2]] with
+    c = W eps, d = 2|kappa|^2 / (eps W); returns (..., 2, 2)."""
+    q = np.asarray(q, dtype=float)
+    ell, th, x2 = q[..., 0], q[..., 1], q[..., 3]
+    w = TWO_PI / (p.k * ell)
+    c = w * p.eps
+    d = 2.0 * np.abs(p.kappa_at(np.exp(-(ell + 1j * th)))) ** 2 / (p.eps * w)
+    gam = p.b0 * ell / (2.0 * math.pi ** 2) + 1j * x2 / ell
+    h = np.empty(q.shape[:-1] + (2, 2), dtype=complex)
+    h[..., 0, 0] = c
+    h[..., 0, 1] = -c * np.conj(gam)
+    h[..., 1, 0] = -c * gam
+    h[..., 1, 1] = d + c * np.abs(gam) ** 2
+    return 0.5 * p.alpha * h
+
+
 class TestSfForm:
     def test_standard_point_values(self):
         # k=1, eps=1, ell=1, Im x = 0: h_yy = 1/(2 pi), h_xx = pi
         p = sf.ModelParams(k=1, eps=1.0)
-        h = sf.hermitian_matrix(p, _pt(1.0))
+        h = hermitian_matrix(p, _pt(1.0))
         assert h[0, 0].real == pytest.approx(math.pi)
         assert h[1, 1].real == pytest.approx(1.0 / TWO_PI)
         assert abs(h[0, 1]) <= 1e-14
 
     def test_off_diagonal_vanishes_on_real_x(self):
         p = sf.ModelParams(k=2, eps=0.7)
-        h = sf.hermitian_matrix(p, _pt(3.0, 0.4, 0.9, 0.0))
+        h = hermitian_matrix(p, _pt(3.0, 0.4, 0.9, 0.0))
         assert abs(h[0, 1]) <= 1e-14
 
     def test_two_route_nonstandard(self):
@@ -38,7 +57,7 @@ class TestSfForm:
         # (x, y) frame and compare with the chart matrix
         p = sf.ModelParams(k=2, eps=1.0, b0=0.5)
         q = _pt(2.0, 0.3, 0.25, 0.6)
-        h = sf.hermitian_matrix(p, q)
+        h = hermitian_matrix(p, q)
         dy = np.array([1.0, 1j, 0.0, 0.0])
         dx = np.array([0.0, 0.0, 1.0, 1j])
         route2 = np.zeros((4, 4))
@@ -48,30 +67,17 @@ class TestSfForm:
             route2 = route2 + (1j * h[a, b] * (m - m.T)).real
         assert np.allclose(route2, sf.sf_form_chart(p, q), atol=1e-12)
 
-    @pytest.mark.parametrize("kappa", [{}, {0: 1.0, 1: 0.5 - 0.25j}])
-    def test_hermitian_batch_matches_single_points(self, kappa):
-        p = sf.ModelParams(k=2, eps=0.7, b0=0.3, alpha=1.3, kappa=kappa)
-        rng = np.random.default_rng(4)
-        q = np.stack([rng.uniform(0.5, 6.0, (5, 3)), rng.uniform(-3.0, 3.0, (5, 3)),
-                      rng.uniform(-1.0, 1.0, (5, 3)), rng.uniform(-1.0, 1.0, (5, 3))],
-                     axis=-1)
-        batch = sf.hermitian_matrix(p, q)
-        assert batch.shape == (5, 3, 2, 2)
-        single = np.array([[sf.hermitian_matrix(p, q[i, j]) for j in range(3)]
-                           for i in range(5)])
-        assert np.array_equal(batch, single)
-
     @pytest.mark.parametrize("kappa", [{}, {0: 1.0, 1: 0.5 - 0.3j, 2: 0.2}])
     def test_form_is_i_h_dz_wedge_dzbar(self, kappa):
         # sf_form_chart = i sum h_jk dz_j ^ dzbar_k with z = (x, y) and h
-        # from hermitian_matrix, off-diagonal terms included
+        # from the closed form, off-diagonal terms included
         p = sf.ModelParams(k=3, eps=0.6, b0=-0.4, alpha=1.7, kappa=kappa)
         rng = np.random.default_rng(21)
         q = np.stack([rng.uniform(0.05, 8.0, (6, 50)), rng.uniform(-7.0, 7.0, (6, 50)),
                       rng.uniform(-2.0, 2.0, (6, 50)), rng.uniform(-2.0, 2.0, (6, 50))],
                      axis=-1)
         dz = np.array([[0.0, 0.0, 1.0, 1j], [1.0, 1j, 0.0, 0.0]])
-        w = np.einsum("...jk,jm,kn->...mn", sf.hermitian_matrix(p, q), dz, dz.conj())
+        w = np.einsum("...jk,jm,kn->...mn", hermitian_matrix(p, q), dz, dz.conj())
         form = (1j * (w - np.swapaxes(w, -1, -2))).real
         ref = sf.sf_form_chart(p, q)
         err = np.max(np.abs(form - ref), axis=(-2, -1))
@@ -88,7 +94,7 @@ class TestSfForm:
                 for b0 in (0.0, 0.25, -0.25, 2.0, -2.0):
                     p = sf.ModelParams(k=k, eps=eps, b0=b0)
                     for ell in (0.5, 5.0, 50.0):
-                        h = sf.hermitian_matrix(p, _pt(ell, 0.2, 0.1, 0.4))
+                        h = hermitian_matrix(p, _pt(ell, 0.2, 0.1, 0.4))
                         assert np.linalg.eigvalsh(h)[0] > 0
 
     def test_scaling_linear_in_alpha(self):

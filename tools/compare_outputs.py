@@ -6,7 +6,10 @@ extracts the parent's `src/` with `git archive` into a temporary directory
 and runs one argv corpus through `syzlab.cli.run` once per tree, each tree
 in its own subprocess.  It prints every argv whose stdout, stderr or exit
 code differ, grouped by command with counts, and exits 1 if any argv
-differs.  For a JSON report it names the fields that differ.
+differs.  For a JSON report it names the fields that differ, and for a
+field that is a number on both sides it prints old -> new and the relative
+difference; it ends with one line per (command, field) giving the number
+of argv and the largest relative difference.
 
 The corpus, in this order and without repeats:
 - the argv keys of bench/pins.json;
@@ -113,34 +116,57 @@ def run_tree(src: Path, argvs: list[list[str]]) -> list[list]:
     return json.loads(proc.stdout)
 
 
-def _json_paths(a, b, path: str = "") -> list[str]:
-    """Paths of the leaves where two parsed JSON values differ."""
+def _json_leaves(a, b, path: str = "") -> list[tuple[str, object, object]]:
+    """(path, old, new) of the leaves where two parsed JSON values differ."""
     if isinstance(a, dict) and isinstance(b, dict):
-        return [p for key in sorted(a.keys() | b.keys())
-                for p in _json_paths(a.get(key), b.get(key), f"{path}.{key}")]
+        return [leaf for key in sorted(a.keys() | b.keys())
+                for leaf in _json_leaves(a.get(key), b.get(key), f"{path}.{key}")]
     if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
-        return [p for i, (x, y) in enumerate(zip(a, b)) for p in _json_paths(x, y, f"{path}[{i}]")]
-    return [] if a == b else [path or "."]
+        return [leaf for i, (x, y) in enumerate(zip(a, b))
+                for leaf in _json_leaves(x, y, f"{path}[{i}]")]
+    return [] if a == b else [(path.lstrip(".") or ".", a, b)]
 
 
-def _describe(old: list, new: list) -> str:
-    parts = []
+def relative_difference(old, new) -> float | None:
+    """|new - old| / max(|old|, |new|) when both are numbers, else None."""
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (old, new)):
+        return None
+    return abs(new - old) / max(abs(old), abs(new))
+
+
+def changes(old: list, new: list) -> list[tuple[str, object, object]]:
+    """(field, old, new) for each part of two [exit code, stdout, stderr]
+    results that differs: `exit`, each differing leaf of a JSON stdout by
+    its path, or `stdout` / `stderr` as a whole (values None)."""
+    out = []
     if old[0] != new[0]:
-        parts.append(f"exit {old[0]} -> {new[0]}")
+        out.append(("exit", old[0], new[0]))
     if old[1] != new[1]:
         try:
-            paths = _json_paths(json.loads(old[1]), json.loads(new[1]))
-            parts.append("stdout " + ", ".join(p.lstrip(".") for p in paths))
+            out += _json_leaves(json.loads(old[1]), json.loads(new[1]))
         except ValueError:
-            parts.append("stdout")
+            out.append(("stdout", None, None))
     if old[2] != new[2]:
-        parts.append("stderr")
+        out.append(("stderr", None, None))
+    return out
+
+
+def _describe(moved: list[tuple[str, object, object]]) -> str:
+    parts = []
+    for field, a, b in moved:
+        rel = relative_difference(a, b)
+        if field == "exit":
+            parts.append(f"exit {a} -> {b}")
+        elif rel is not None:
+            parts.append(f"{field} {a!r} -> {b!r} (rel {rel:.2e})")
+        else:
+            parts.append(field)
     return "; ".join(parts)
 
 
-def differences(argvs, old, new) -> list[tuple[list[str], str]]:
-    """(argv, what differs) for each argv whose results differ."""
-    return [(argv, _describe(a, b)) for argv, a, b in zip(argvs, old, new) if a != b]
+def differences(argvs, old, new) -> list[tuple[list[str], list]]:
+    """(argv, changes) for each argv whose results differ."""
+    return [(argv, changes(a, b)) for argv, a, b in zip(argvs, old, new) if a != b]
 
 
 def command_of(argv: list[str]) -> str:
@@ -148,13 +174,26 @@ def command_of(argv: list[str]) -> str:
 
 
 def report(diffs, total: int) -> None:
+    """Print each differing argv by command, then one line per (command,
+    field): how many argv it moved in and the largest relative difference
+    (`-` for the exit code and where a value is not a number on both sides)."""
     print(f"{len(diffs)} of {total} argv differ")
     counts = Counter(command_of(argv) for argv, _ in diffs)
     for command in sorted(counts):
         print(f"\n{command}: {counts[command]}")
-        for argv, what in diffs:
+        for argv, moved in diffs:
             if command_of(argv) == command:
-                print(f"  {shlex.join(argv)}\n    {what}")
+                print(f"  {shlex.join(argv)}\n    {_describe(moved)}")
+    fields: dict[tuple[str, str], list] = {}
+    for argv, moved in diffs:
+        for field, a, b in moved:
+            rel = None if field == "exit" else relative_difference(a, b)
+            fields.setdefault((command_of(argv), field), []).append(rel)
+    if fields:
+        print("\nby field:")
+    for (command, field), rels in sorted(fields.items()):
+        largest = "-" if None in rels else f"{max(rels):.2e}"
+        print(f"  {command} {field}: {len(rels)} argv, largest rel {largest}")
 
 
 def extract_src(rev: str, into: Path) -> Path:
