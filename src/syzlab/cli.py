@@ -118,22 +118,14 @@ def _cmd_semiflat_eval(args):
     q = fib.from_ell(complex(args.x1, args.x2), args.ell, args.theta)
     form = sfm.sf_form_chart(p, q)
     g = sfm.riemannian_metric_chart(p, q)
-    eigs = np.linalg.eigvalsh(g)
-    # D g D, D = diag(g)^(-1/2), is congruent to g (Sylvester) but has a unit
-    # diagonal, so eigvalsh does not round away g's smallest eigenvalue when
-    # g's scales differ by about (k ell / eps)^2; a bad diagonal fails closed
-    d = np.diag(g)
-    diag_ok = bool(np.all((d > 0) & np.isfinite(d)))
-    if diag_ok:
-        scale = 1.0 / np.sqrt(d)
-        low = float(np.linalg.eigvalsh(scale[:, None] * g * scale)[0])
-    else:
-        low = float(np.min(d))
+    # g's J-invariant block has det (alpha c)(alpha d), which cancels nothing
+    e01, cg_i, cg_r, c, d = sfm._form_entries(p, q[0], q[1], q[3], np.exp)
+    low = float(sfm._smallest_eigenvalue(c, e01, np.hypot(cg_r, cg_i), c * d))
     _, rel = sfm.ma_residual(p, q)
     results = {"form": form.tolist(), "metric": g.tolist(),
-               "metric_eigenvalues": eigs.tolist()}
+               "metric_eigenvalues": np.linalg.eigvalsh(g).tolist()}
     checks = [_tol_check("ma_residual_rel", rel, sfm.MA_TOL),
-              _check("metric_positive", low, 0.0, diag_ok and low > 0)]
+              _check("metric_positive", low, 0.0, low > 0)]
     return results, checks, None
 
 

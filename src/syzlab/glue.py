@@ -221,6 +221,7 @@ def required_t(cfg: GlueConfig, alpha: float, t_prime: float = 1.0) -> float:
 
 # fiber heights Im(x) at which positivity_scan tests each radius
 _SCAN_X2 = np.array([0.0, 0.35, 0.8])
+POSITIVITY_SUM_ERR = 32.0 * 2.0 ** -53
 
 
 def positivity_scan(cfg: GlueConfig, alpha: float, t: float,
@@ -234,6 +235,12 @@ def positivity_scan(cfg: GlueConfig, alpha: float, t: float,
     heights is (1/4)[[c, -c conj(Gamma)], [-c Gamma, d + c|Gamma|^2]] +
     diag(0, X); its determinant (c/4)(d/4 + X) never forms the cancelling
     c|Gamma|^2 terms, which reach 4e3 where the margin is about 1e-4.
+
+    The margin has the sign of d/4 + X, rounded to within POSITIVITY_SUM_ERR
+    = 32u times |d/4| + |X|, u = 2^-53: d rounds 4 times, X 7 times on each
+    of two terms that cancel by at most 3x below r, where d/4 + X = alpha
+    d/4, and the sum once.  Below the bound NumericalError is raised (alpha
+    < 7e-15 below r); the bound omits the cancellation of u - v in X.
     """
     require_finite(alpha=alpha, t=t)
     if alpha <= 0:
@@ -253,18 +260,14 @@ def positivity_scan(cfg: GlueConfig, alpha: float, t: float,
     # n radii (theta = 0) against the fiber heights
     e01, cg_i, cg_r, c, d = sfm._form_entries(p, -np.log(rho)[:, None], 0.0,
                                                _SCAN_X2, np.exp)
+    d_x = 0.25 * d + x
+    unresolved = np.abs(d_x) < POSITIVITY_SUM_ERR * (0.25 * d + np.abs(x))
+    if unresolved.any():
+        raise NumericalError("float64 cannot resolve positivity_margin: d/4 + X ="
+                             f" {d_x[unresolved][0]:.3g} is within its rounding bound")
     a = 0.25 * c
-    return float(np.min(_smallest_eigenvalue(a, 0.25 * e01 + x, 0.25 * np.hypot(cg_r, cg_i),
-                                             a * (0.25 * d + x))))
-
-
-def _smallest_eigenvalue(a, dd, b, det):
-    """Smallest eigenvalue m - r of the Hermitian [[a, B], [conj(B), dd]],
-    |B| = b, elementwise: det / (m + r) where m = (a + dd)/2 >= 0, which
-    does not cancel and keeps the accuracy of the determinant det."""
-    m = 0.5 * (a + dd)
-    r = np.hypot(0.5 * (a - dd), b)
-    return np.where(m >= 0.0, det / (m + r), m - r)
+    return float(np.min(sfm._smallest_eigenvalue(a, 0.25 * e01 + x, 0.25 * np.hypot(cg_r, cg_i),
+                                                 a * d_x)))
 
 
 @functools.lru_cache(maxsize=8)

@@ -109,6 +109,14 @@ def _form_entries(p: ModelParams, ell, th, x2, exp):
             a * d)
 
 
+def _smallest_eigenvalue(a, dd, b, det):
+    """Smallest eigenvalue m - r of the Hermitian [[a, B], [conj(B), dd]], |B| = b,
+    elementwise: det / (m + r) where m = (a + dd)/2 >= 0, as accurate as det."""
+    m = 0.5 * (a + dd)
+    r = np.hypot(0.5 * (a - dd), b)
+    return np.where(m >= 0.0, det / (m + r), m - r)
+
+
 def _reject_chart_point(q: np.ndarray):
     if not np.isfinite(q).all():
         raise ValidationError("chart point must be finite")
@@ -396,12 +404,13 @@ def christoffel_fd(gf, q: np.ndarray, h: float | np.ndarray) -> np.ndarray:
                            - np.einsum("...dbc->...bdc", dg))
 
 
-def riemann_fd(gf, q: np.ndarray, h: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(R^a_{bcd}, g) of a metric function by nested central differences.
+def riemann_fd(gf, q: np.ndarray, h: float | np.ndarray) -> tuple[np.ndarray, ...]:
+    """(R^a_{bcd}, Gamma^a_{bc}, g) at q by nested central differences.
 
     h is one step or one per point.  The Christoffel symbols on the
     stencil of q come from one christoffel_fd call, i.e. one gf call on
-    (2n+1)^2 points per q.
+    (2n+1)^2 points per q; Gamma is that call's row at q, the bits of
+    christoffel_fd(gf, q, h).
     """
     n = np.shape(q)[-1]
     h = np.asarray(h, dtype=float)
@@ -413,7 +422,7 @@ def riemann_fd(gf, q: np.ndarray, h: float | np.ndarray) -> tuple[np.ndarray, np
     riem = (np.einsum("...cadb->...abcd", dgam) - np.einsum("...dacb->...abcd", dgam)
             + np.einsum("...ace,...edb->...abcd", gam, gam)
             - np.einsum("...ade,...ecb->...abcd", gam, gam))
-    return riem, gf(q)
+    return riem, gam, gf(q)
 
 
 def curvature_decay(p: ModelParams) -> tuple[np.ndarray, np.ndarray, DecayFit]:
@@ -428,7 +437,7 @@ def curvature_decay(p: ModelParams) -> tuple[np.ndarray, np.ndarray, DecayFit]:
     q = np.zeros(ells.shape + (4,))
     q[..., 0] = ells
     h = 1e-2 * np.minimum(1.0, 10.0 / ells)
-    riem, g = riemann_fd(functools.partial(riemannian_metric_chart, p), q, h)
+    riem, _, g = riemann_fd(functools.partial(riemannian_metric_chart, p), q, h)
     ginv = np.linalg.inv(g)
     # |Rm|^2 = R_{abcd} R^{abcd}: lower the first index, raise the other three
     low = np.einsum("...ae,...ebcd->...abcd", g, riem)

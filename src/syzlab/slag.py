@@ -1,8 +1,14 @@
 """Special Lagrangian fiber geometry of the semi-flat model.
 
-The (quasi-)bad cycle C_{m1,m2} at |z| = e^{-ell} carries the induced flat
-metric A dtheta^2 + B dx1^2 with A = alpha*k*ell/(pi*eps) and
-B = alpha*2*pi*eps/(k*ell), so A*B = 2*alpha^2 independently of ell.
+The (quasi-)bad cycle C_{m1,m2} at |z| = e^{-ell}, lifted with tangents
+T1 = d/dx1 and T2 = -d/dtheta + s d/dx2, has dy = -i dt2 and dx - Gamma dy
+= (dt1 - g_i dt2) + i (g_r + s) dt2, so it carries the induced metric
+B (dt1 - g_i dt2)^2 + A dt2^2 with B = alpha c and A = alpha (d + c (g_r +
+s)^2).  B is constant on the cycle, and g_i = s t2/ell and A depend on t2
+alone (d = |kappa(e^{-ell + i t2})|^2 k ell/(pi eps)), so in v = t1 - int
+g_i dt2 the metric is the flat A dt2^2 + B dv^2.  For kappa = 1 and g_r + s
+= 0 (special cycles) it is A dtheta^2 + B dx1^2 with A = alpha*k*ell/(pi*eps)
+and B = alpha*2*pi*eps/(k*ell), so A*B = 2*alpha^2 independently of ell.
 """
 
 from __future__ import annotations
@@ -119,20 +125,17 @@ def _step(ell: float) -> float:
     return 2e-3 * min(1.0, 10.0 / max(ell, 1.0))
 
 
-def _fundamental_forms(gf, q: np.ndarray, tan: np.ndarray, h: float | np.ndarray):
+def _fundamental_forms(g: np.ndarray, gam: np.ndarray, tan: np.ndarray):
     """II, |II|^2 and |H|^2 of surfaces with constant chart tangents, batched.
 
-    gf is the ambient metric function, q has shape (..., 4), tan
-    (..., 4, 2) and h is one step or one per point; the Christoffel
-    symbols of every point are one christoffel_fd call.  Returns
-    (II (..., 4, 2, 2), |II|^2, |H|^2, g, induced metric).
+    g (..., 4, 4) and gam (..., 4, 4, 4) are the ambient metric and its
+    Christoffel symbols Gamma^a_{bc} at the points, tan (..., 4, 2) the
+    tangents.  Returns (II (..., 4, 2, 2), |II|^2, |H|^2, induced metric).
     """
     tan_t = np.swapaxes(tan, -1, -2)
-    g = gf(q)
     hin = tan_t @ g @ tan
     hinv = np.linalg.inv(hin)
     proj_n = np.eye(4) - tan @ hinv @ tan_t @ g
-    gam = sf.christoffel_fd(gf, q, h)
     # nabla_{T_i} T_j, coordinate-constant tangent components
     nab = np.einsum("...ci,...bj,...acb->...aij", tan, tan, gam)
     second = np.einsum("...na,...aij->...nij", proj_n, nab)
@@ -142,39 +145,31 @@ def _fundamental_forms(gf, q: np.ndarray, tan: np.ndarray, h: float | np.ndarray
     h_sq = np.einsum("...n,...nm,...m->...", mean, g, mean)
     if (pi_sq < -1e-10).any() or (h_sq < -1e-10).any():
         raise NumericalError("negative squared norm in second fundamental form")
-    return second, pi_sq, h_sq, g, hin
+    return second, pi_sq, h_sq, hin
 
 
 def second_fundamental_form(mf: ModelFiber) -> SecondFF:
     """|II|, |H| and a Gauss-equation residual at the cycle point _T.
 
     Gauss: K_intrinsic = K_ambient(T1,T2) + (<II_11,II_22> - |II_12|^2)
-    after normalizing by the induced area element.
+    after normalizing by the induced area element.  K_intrinsic is 0, as the
+    induced metric B (dt1 - g_i dt2)^2 + A(t2) dt2^2, B constant, is flat
+    (module docstring); II and K_ambient share one riemann_fd stencil.
     """
     p = mf.params
     origin, tan = mf.cycle.lift(p.k, mf.ell)
-    q, h = origin + tan @ _T, _step(mf.ell)
-    gf = functools.partial(sf.riemannian_metric_chart, p)
-    second, pi_sq, h_sq, g, hin = _fundamental_forms(gf, q, tan, h)
-    riem, _ = sf.riemann_fd(gf, q, h)
+    riem, gam, g = sf.riemann_fd(functools.partial(sf.riemannian_metric_chart, p),
+                                 origin + tan @ _T, _step(mf.ell))
+    second, pi_sq, h_sq, hin = _fundamental_forms(g, gam, tan)
     low = np.einsum("ae,ebcd->abcd", g, riem)
     area_sq = float(np.linalg.det(hin))
     t1v, t2v = tan[:, 0], tan[:, 1]
     k_amb = float(np.einsum("abcd,a,b,c,d->", low, t1v, t2v, t1v, t2v)) / area_sq
     pi_term = (float(second[:, 0, 0] @ g @ second[:, 1, 1])
                - float(second[:, 0, 1] @ g @ second[:, 0, 1])) / area_sq
-
-    def induced(tt):
-        return tan.T @ gf(origin + tt @ tan.T) @ tan
-
-    riem2, h2 = sf.riemann_fd(induced, _T, h)
-    low2 = np.einsum("ae,ebcd->abcd", h2, riem2)
-    k_int = float(low2[0, 1, 0, 1]) / float(np.linalg.det(h2))
-
-    gauss = abs(k_int - (k_amb + pi_term))
     return SecondFF(pi_norm=math.sqrt(max(pi_sq, 0.0)),
                     h_norm=math.sqrt(max(h_sq, 0.0)),
-                    gauss_residual=gauss)
+                    gauss_residual=abs(k_amb + pi_term))
 
 
 def pi_decay(p: sf.ModelParams, cycle: fib.CycleSpec) -> tuple[np.ndarray, np.ndarray, DecayFit]:
@@ -189,8 +184,8 @@ def pi_decay(p: sf.ModelParams, cycle: fib.CycleSpec) -> tuple[np.ndarray, np.nd
     ells = np.linspace(5.0, 40.0, 10).tolist()
     origin, tan = (np.array(v) for v in zip(*(cycle.lift(p.k, ell) for ell in ells)))
     h = np.array([_step(ell) for ell in ells])
-    pi_sq = _fundamental_forms(functools.partial(sf.riemannian_metric_chart, p),
-                               origin + tan @ _T, tan, h)[1]
+    gf, q = functools.partial(sf.riemannian_metric_chart, p), origin + tan @ _T
+    pi_sq = _fundamental_forms(gf(q), sf.christoffel_fd(gf, q, h), tan)[1]
     vals = np.sqrt(np.maximum(pi_sq, 0.0))
     r = np.array([sf.distance_r(p, ell) for ell in ells])
     fit = fit_decay(r, vals, model="power")

@@ -1,5 +1,6 @@
 import cmath
 import contextlib
+import decimal
 import io
 import json
 import math
@@ -10,6 +11,7 @@ import shlex
 import subprocess
 import sys
 import warnings
+from decimal import Decimal
 from fractions import Fraction
 
 import jsonschema
@@ -218,22 +220,38 @@ class TestExitCodes:
     ])
     def test_eval_large_ell_metric_positive(self, capsys, argv):
         # the metric's scales differ by about ell^2 here, so eigvalsh on the
-        # raw metric rounds its smallest eigenvalue to zero or below
+        # raw metric rounds its smallest eigenvalue to zero or below; the
+        # reference is m - r of the J-invariant block (k = eps = alpha = 1,
+        # kappa = 1) in 60-digit decimals
         code, report, _ = run_cli(capsys, "semiflat", "eval", "--k", "1",
                                   *argv, "--no-timestamp")
         assert code == 0
         check = {c["name"]: c for c in report["checks"]}["metric_positive"]
-        assert check["passed"] and check["measured"] > 0.5
+        inputs = report["inputs"]
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            pi = Decimal("3.14159265358979323846264338327950288419716939937511")
+            ell, b0 = Decimal(inputs["ell"]), Fraction(inputs["b0"])
+            c, d = 2 * pi / ell, ell / pi
+            gam2 = (b0.numerator * ell / (2 * pi ** 2 * b0.denominator)) ** 2 \
+                + (Decimal(inputs["x2"]) / ell) ** 2
+            a_, dd = c, d + c * gam2
+            want = (a_ + dd) / 2 - (((a_ - dd) / 2) ** 2 + c * c * gam2).sqrt()
+        assert check["passed"] and check["measured"] == pytest.approx(float(want), rel=1e-14)
         assert len(report["results"]["metric_eigenvalues"]) == 4
 
     @pytest.mark.parametrize("diag,code", [(-1.0, 3), (0.0, 3), (math.inf, 2),
                                            (math.nan, 2)])
     def test_eval_bad_metric_diagonal_fails_closed(self, capsys, monkeypatch,
                                                    diag, code):
-        def metric(p, q):
-            return np.diag([1.0, diag, 1.0, 1.0])
+        # the block's ell-ell entry alpha(d + c|Gamma|^2), and alpha d with it
+        entries = sfm._form_entries
 
-        monkeypatch.setattr(sfm, "riemannian_metric_chart", metric)
+        def bad_entries(*args):
+            _, cg_i, cg_r, c, _ = entries(*args)
+            return diag, cg_i, cg_r, c, diag
+
+        monkeypatch.setattr(sfm, "_form_entries", bad_entries)
         assert cli.run(["semiflat", "eval", "--k", "1", "--ell", "2",
                         "--no-timestamp"]) == code
         out, err = capsys.readouterr()

@@ -129,9 +129,9 @@ def exact_min_eig(c, d, gam2, x):
         return float((a + dd) / 2 - half_gap)
 
 
-def exact_block_min(p, ell, x2, x):
-    """exact_min_eig of the positivity block at theta = 0, from the floats
-    ell, x2 and x."""
+def exact_block_entries(p, ell, x2):
+    """(c, d, |Gamma|^2) of the positivity block at theta = 0, from the
+    floats ell and x2, in 40-digit decimals."""
     with localcontext() as ctx:
         ctx.prec = 40
         ell, x2 = Decimal(ell), Decimal(x2)
@@ -145,15 +145,41 @@ def exact_block_min(p, ell, x2, x):
         c = w * Decimal(p.eps)
         d = 2 * (kap_re ** 2 + kap_im ** 2) / (Decimal(p.eps) * w)
         gam2 = (Decimal(p.b0) * ell / (2 * PI_40 ** 2)) ** 2 + (x2 / ell) ** 2
-        return exact_min_eig(c, d, gam2, Decimal(x))
+        return c, d, gam2
+
+
+def exact_block_min(p, ell, x2, x):
+    """exact_min_eig of the positivity block at theta = 0, from the floats
+    ell, x2 and x."""
+    return exact_min_eig(*exact_block_entries(p, ell, x2), Decimal(x))
+
+
+def rescaled_margin(cfg, alpha, window, n=200):
+    """positivity_scan's margin on a window below r, where the glued block
+    is the semi-flat one with d scaled by alpha (X = (alpha - 1) d/4 in
+    exact arithmetic): per block det / lambda_max in 40-digit decimals,
+    which cancels nothing, so it resolves a margin of order alpha = 1e-300."""
+    lo, hi = window
+    assert hi <= cfg.r
+    worst = math.inf
+    for rho in np.geomspace(lo * 1.0001, hi * 0.9999, n).tolist():
+        for x2 in (0.0, 0.35, 0.8):
+            c, d, gam2 = exact_block_entries(cfg.params, -math.log(rho), x2)
+            with localcontext() as ctx:
+                ctx.prec = 40
+                a, ad = c / 4, Decimal(alpha) * d / 4
+                dd = ad + c * gam2 / 4
+                lam_max = (a + dd) / 2 + ((a - dd) ** 2 / 4 + c ** 2 * gam2 / 16).sqrt()
+                worst = min(worst, float(a * ad / lam_max))
+    return worst
 
 
 def closed_form_min(c, d, g_r, g_i, x):
-    """glue._smallest_eigenvalue on the block of exact_min_eig, with the
+    """semiflat._smallest_eigenvalue on the block of exact_min_eig, with the
     entries rounded as semiflat._form_entries rounds them (alpha = 1)."""
     e01, cg = d + c * (g_r * g_r + g_i * g_i), np.hypot(c * g_r, c * g_i)
-    return glue._smallest_eigenvalue(0.25 * c, 0.25 * e01 + x, 0.25 * cg,
-                                     0.25 * c * (0.25 * d + x))
+    return sfm._smallest_eigenvalue(0.25 * c, 0.25 * e01 + x, 0.25 * cg,
+                                    0.25 * c * (0.25 * d + x))
 
 
 def positivity_oracle(cfg, alpha, t, n=200, window=None):
@@ -558,6 +584,33 @@ class TestPositivity:
             t = 1.2 * glue.required_t(cfg, alpha, 0.0) + 1.0
             assert glue.positivity_scan(cfg, alpha, t) == pytest.approx(
                 positivity_oracle(cfg, alpha, t), rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("alpha", [1e-300, 1e-15, 5e-15])
+    def test_margin_within_rounding_bound_fails_closed(self, alpha):
+        # below r, d/4 + X = alpha d/4 is summed from terms of size d/4: the
+        # exact margin is positive and of order alpha, float64 cannot see it
+        cfg = make_cfg()
+        t = 1.2 * glue.required_t(cfg, alpha, 0.0) + 1.0
+        window = (cfg.rho_min, cfg.r)
+        assert 0.0 < rescaled_margin(cfg, alpha, window) < alpha
+        with pytest.raises(NumericalError, match="cannot resolve positivity_margin"):
+            glue.positivity_scan(cfg, alpha, t, window=window)
+        with pytest.raises(NumericalError, match="cannot resolve positivity_margin"):
+            glue.positivity_scan(cfg, alpha, t)
+
+    @pytest.mark.parametrize("alpha", [1e-12, 1e-8, 1e-3])
+    def test_margin_past_rounding_bound_is_resolved(self, alpha):
+        # below r the bound leaves d/4 + X a relative error of at most
+        # POSITIVITY_SUM_ERR (2 - alpha)/alpha, and the margin at most about
+        # twice that; the 40-digit oracle rounds X as the scan does
+        cfg = make_cfg()
+        t = 1.2 * glue.required_t(cfg, alpha, 0.0) + 1.0
+        window = (cfg.rho_min, cfg.r)
+        got = glue.positivity_scan(cfg, alpha, t, window=window)
+        rel = 4.0 * glue.POSITIVITY_SUM_ERR / alpha
+        assert got == pytest.approx(rescaled_margin(cfg, alpha, window), rel=rel, abs=0.0)
+        assert got == pytest.approx(positivity_oracle(cfg, alpha, t, window=window),
+                                    rel=2.0 * rel, abs=0.0)
 
     def test_margin_positive_near_reference(self):
         cfg = make_cfg()

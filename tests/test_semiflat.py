@@ -603,8 +603,8 @@ class TestCurvature:
         assert vals.shape == (10,)
         for ell, ri, val in zip(np.linspace(5.0, 40.0, 10), r, vals):
             h = 1e-2 * min(1.0, 10.0 / ell)
-            riem, g = sf.riemann_fd(lambda qq: sf.riemannian_metric_chart(p, qq),
-                                    np.array([ell, 0.0, 0.0, 0.0]), h)
+            riem, _, g = sf.riemann_fd(lambda qq: sf.riemannian_metric_chart(p, qq),
+                                       np.array([ell, 0.0, 0.0, 0.0]), h)
             ginv = np.linalg.inv(g)
             low = np.einsum("ae,ebcd->abcd", g, riem)
             ref = math.sqrt(np.einsum("abcd,efgh,ae,bf,cg,dh->", low, low,
@@ -679,14 +679,15 @@ class TestFiniteDifferences:
         q = np.array([[0.4, 0.6], [1.3, 0.6], [2.2, -0.1]])
         h = np.array([1e-3, 4e-3, 2e-2])
         gam = sf.christoffel_fd(_sphere_metric, q, h)
-        riem, _ = sf.riemann_fd(_sphere_metric, q, h)
+        riem, gam_q, _ = sf.riemann_fd(_sphere_metric, q, h)
+        assert np.array_equal(gam_q, gam)
         for i in range(len(q)):
             assert np.array_equal(gam[i], sf.christoffel_fd(_sphere_metric, q[i], h[i]))
             assert np.array_equal(riem[i], sf.riemann_fd(_sphere_metric, q[i], h[i])[0])
 
     @pytest.mark.parametrize("theta", [0.5, 1.1, 2.4])
     def test_sphere_gaussian_curvature_is_one(self, theta):
-        riem, g = sf.riemann_fd(_sphere_metric, np.array([theta, 0.3]), self.H)
+        riem, _, g = sf.riemann_fd(_sphere_metric, np.array([theta, 0.3]), self.H)
         low = np.einsum("ae,ebcd->abcd", g, riem)
         assert low[0, 1, 0, 1] / np.linalg.det(g) == pytest.approx(1.0, abs=1e-5)
         assert low[0, 1, 1, 0] / np.linalg.det(g) == pytest.approx(-1.0, abs=1e-5)
@@ -703,7 +704,8 @@ class TestFiniteDifferences:
             gam = sf.christoffel_fd(gf, q, h)
             ref = _christoffel_loops(gf, q, h)
             assert np.max(np.abs(gam - ref)) <= 1e-12 * np.max(np.abs(ref))
-            riem, g = sf.riemann_fd(gf, q, h)
+            riem, gam_q, g = sf.riemann_fd(gf, q, h)
+            assert np.array_equal(gam_q, gam)
             ref = _riemann_loops(gf, q, h)
             assert np.max(np.abs(riem - ref)) <= 1e-12 * np.max(np.abs(ref))
             assert np.array_equal(g, gf(q))

@@ -1,4 +1,5 @@
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -123,6 +124,29 @@ class TestSpecialCondition:
         assert fit.exponent < 0
 
 
+def _intrinsic_curvature_fd(mf):
+    """Gaussian curvature of the induced metric at slag._T from a riemann_fd
+    stencil on the pulled-back metric t -> T^t g(origin + T t) T."""
+    p = mf.params
+    origin, tan = mf.cycle.lift(p.k, mf.ell)
+
+    def induced(tt):
+        return tan.T @ sf.riemannian_metric_chart(p, origin + tt @ tan.T) @ tan
+
+    riem, _, h2 = sf.riemann_fd(induced, slag._T, slag._step(mf.ell))
+    low = np.einsum("ae,ebcd->abcd", h2, riem)
+    return float(low[0, 1, 0, 1]) / float(np.linalg.det(h2))
+
+
+# kappa1 != 0, a non-special b0 and m2 < 0 among the cycles, small to large ell
+_FLAT_GRID = [
+    slag.ModelFiber(sf.ModelParams(k=k, eps=eps, b0=b0, kappa=kappa),
+                    fib.CycleSpec(m1=m1, m2=m2), ell)
+    for k in (1, 3) for eps in (1e-3, 1.0, 1e3) for b0 in (0.0, 0.37)
+    for kappa in ({}, {0: 1.0, 1: 0.6 - 0.2j})
+    for m1, m2 in ((1, 0), (3, -2), (2, 1)) for ell in (0.5, 4.0, 40.0)]
+
+
 class TestSecondFundamentalForm:
     def test_mean_curvature_vanishes(self):
         ff = slag.second_fundamental_form(slag.ModelFiber(STD, C10, 10.0))
@@ -149,6 +173,60 @@ class TestSecondFundamentalForm:
             ff = slag.second_fundamental_form(slag.ModelFiber(p, cycle, ell))
             assert val == pytest.approx(ff.pi_norm, rel=1e-12, abs=0.0)
             assert ri == sf.distance_r(p, ell)
+
+    def test_stencil_gamma_is_christoffel_fd(self):
+        # second_fundamental_form takes Gamma from riemann_fd's stencil; it
+        # must be the bits of a christoffel_fd call of its own
+        for mf in _FLAT_GRID:
+            p = mf.params
+            origin, tan = mf.cycle.lift(p.k, mf.ell)
+            q, h = origin + tan @ slag._T, slag._step(mf.ell)
+            gf = functools.partial(sf.riemannian_metric_chart, p)
+            _, gam, g = sf.riemann_fd(gf, q, h)
+            assert np.array_equal(gam, sf.christoffel_fd(gf, q, h))
+            assert np.array_equal(g, gf(q))
+
+    def test_intrinsic_curvature_pass_is_exactly_zero(self):
+        # the stencil second_fundamental_form no longer runs: K_int = 0 in
+        # closed form, and the pass reads exactly 0.0, so the Gauss residual
+        # |0 - (k_amb + pi_term)| keeps its bits
+        for mf in _FLAT_GRID:
+            assert _intrinsic_curvature_fd(mf) == 0.0
+
+    def test_induced_metric_is_flat_symbolically(self):
+        sp = pytest.importorskip("sympy")
+        t1, t2, ell, s, eps, alpha, k, b0 = sp.symbols(
+            "t1 t2 ell s eps alpha k b0", positive=True)
+        kap2 = sp.Function("kap2")(t2)  # |kappa(e^{-ell + i t2})|^2
+        w = 2 * sp.pi / (k * ell)
+        c, d = w * eps, 2 * kap2 / (eps * w)
+        g_r, g_i = b0 * ell / (2 * sp.pi ** 2), s * t2 / ell
+        # alpha (d |dy|^2 + c |dx - Gamma dy|^2) on dy = -i dt2 and
+        # dx = dt1 + i s dt2: rows Re and Im, columns dt1 and dt2
+        dy = sp.Matrix([[0, 0], [0, -1]])
+        dx = sp.Matrix([[1, 0], [0, s]])
+        gam = sp.Matrix([[g_r, -g_i], [g_i, g_r]])
+        a = dx - gam * dy
+        h = alpha * (d * dy.T * dy + c * a.T * a)
+        big_a = alpha * c
+        assert sp.simplify(h - sp.Matrix([
+            [big_a, -big_a * g_i],
+            [-big_a * g_i, big_a * g_i ** 2 + alpha * (d + c * (g_r + s) ** 2)]])) \
+            == sp.zeros(2, 2)
+        assert not sp.diff(big_a, t2)
+        # Brioschi's formula for E dt1^2 + 2F dt1 dt2 + G dt2^2 with E constant
+        # and F, G functions of t2 alone: K = 0
+        e_, f_, g_ = h[0, 0], h[0, 1], h[1, 1]
+        det = e_ * g_ - f_ ** 2
+        m1 = sp.Matrix([
+            [-sp.diff(e_, t2, t2) / 2 + sp.diff(f_, t1, t2) - sp.diff(g_, t1, t1) / 2,
+             sp.diff(e_, t1) / 2, sp.diff(f_, t1) - sp.diff(e_, t2) / 2],
+            [sp.diff(f_, t2) - sp.diff(g_, t1) / 2, e_, f_],
+            [sp.diff(g_, t2) / 2, f_, g_]])
+        m2 = sp.Matrix([[0, sp.diff(e_, t2) / 2, sp.diff(g_, t1) / 2],
+                        [sp.diff(e_, t2) / 2, e_, f_],
+                        [sp.diff(g_, t1) / 2, f_, g_]])
+        assert sp.simplify((m1.det() - m2.det()) / det ** 2) == 0
 
     def test_one_stuck_point_fails_the_sweep(self):
         # the step 2e-310 at ell = 1e308 leaves ell unchanged; pi_decay
