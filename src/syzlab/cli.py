@@ -118,12 +118,16 @@ def _cmd_semiflat_eval(args):
     q = fib.from_ell(complex(args.x1, args.x2), args.ell, args.theta)
     form = sfm.sf_form_chart(p, q)
     g = sfm.riemannian_metric_chart(p, q)
-    # g's J-invariant block has det (alpha c)(alpha d), which cancels nothing
+    # g is the real form of its J-invariant 2x2 block, so each of the block's
+    # eigenvalues m -+ r comes twice; the block has det (alpha c)(alpha d),
+    # which cancels nothing
     e01, cg_i, cg_r, c, d = sfm._form_entries(p, q[0], q[1], q[3], np.exp)
-    low = float(sfm._smallest_eigenvalue(c, e01, np.hypot(cg_r, cg_i), c * d))
+    b = np.hypot(cg_r, cg_i)
+    low = float(sfm._smallest_eigenvalue(c, e01, b, c * d))
+    high = float(0.5 * (c + e01) + np.hypot(0.5 * (c - e01), b))
     _, rel = sfm.ma_residual(p, q)
     results = {"form": form.tolist(), "metric": g.tolist(),
-               "metric_eigenvalues": np.linalg.eigvalsh(g).tolist()}
+               "metric_eigenvalues": [low, low, high, high]}
     checks = [_tol_check("ma_residual_rel", rel, sfm.MA_TOL),
               _check("metric_positive", low, 0.0, low > 0)]
     return results, checks, None

@@ -48,12 +48,3 @@ def top_coeff_pair(m1: np.ndarray, m2: np.ndarray) -> float:
         + m2[0, 1] * m1[2, 3] - m2[0, 2] * m1[1, 3] + m2[0, 3] * m1[1, 2]
     )
 
-
-def pullback_2form(m: np.ndarray, jac: np.ndarray) -> np.ndarray:
-    """Pull back 2-form matrices of shape (..., 4, 4) under Jacobians jac.
-
-    If phi has Jacobian J = d(target)/d(source), the pullback of omega is
-    J^T M J in source coordinates.
-    """
-    jac = np.asarray(jac)
-    return np.swapaxes(jac, -1, -2) @ np.asarray(m) @ jac

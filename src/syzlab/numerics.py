@@ -85,7 +85,9 @@ def fit_decay(r: np.ndarray, values: np.ndarray, model: str = "power") -> DecayF
     """Fit values(r) ~ C * r^exponent, or C * exp(exponent * r^(2/3)).
 
     The smallest fifth of the samples (keeping at least 3) is discarded so
-    the fit sees the asymptotic regime rather than the near region.
+    the fit sees the asymptotic regime rather than the near region.  The
+    values are computed samples, so a non-positive one (an underflow) is a
+    NumericalError, not a bad input.
     """
     r = np.asarray(r, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -96,7 +98,7 @@ def fit_decay(r: np.ndarray, values: np.ndarray, model: str = "power") -> DecayF
     if np.any(np.diff(r) <= 0):
         raise ValidationError("r must be strictly increasing")
     if np.any(values <= 0):
-        raise ValidationError("values must be positive for a log fit")
+        raise NumericalError("decay samples must be positive for a log fit")
 
     n_drop = min(int(np.floor(0.2 * r.size)), r.size - 3)
     r = r[n_drop:]

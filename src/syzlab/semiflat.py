@@ -23,7 +23,7 @@ import numpy as np
 
 from . import fibration as fib
 from .errors import NumericalError, ValidationError, require_finite
-from .forms import pullback_2form, top_coeff
+from .forms import top_coeff
 from .numerics import DecayFit, fit_decay, quad_grid
 
 TWO_PI = 2.0 * math.pi
@@ -221,40 +221,36 @@ def riemannian_metric_chart(p: ModelParams, q: np.ndarray) -> np.ndarray:
 # translations by sections
 
 
-def translate_pullback(p: ModelParams, s: fib.SectionData, q: np.ndarray) -> np.ndarray:
-    """Pullback T_s^* (alpha * omega_sf) at chart points q of shape (..., 4).
+def translation_defect(p: ModelParams, s: fib.SectionData, q: np.ndarray) -> np.ndarray:
+    """|T_s^* omega - omega|_g at chart points q of shape (..., 4), in closed form.
 
-    T_s(x, y) = (x + eta(y), y) with eta the section value, a function of
-    y = ell + i*theta only, so in the chart the Jacobian is the identity
-    plus the real form of d eta/dy in the (x1, x2) rows.
+    T_s(x, y) = (x + eta(y), y) moves x2 by Im eta and nothing else of the
+    point, so it leaves c and d unchanged and turns a = dx - Gamma dy into
+    a - delta dy, with delta = i Im(eta)/ell - d eta/dy (the real part of
+    Gamma cancels).  In the unitary coframe e1 = sqrt(alpha d) dy,
+    e2 = sqrt(alpha c) a, where omega = (i/2)(e1 ^ e1bar + e2 ^ e2bar), the
+    difference is
+
+        T_s^* omega - omega = (i/2)(t e1 ^ e1bar - beta e1 ^ e2bar
+                                    - conj(beta) e2 ^ e1bar),
+
+    beta = sqrt(c/d) delta, t = |beta|^2 = (c/d)|delta|^2
+    = (W eps)^2 |delta|^2 / (2|kappa|^2).  The coframe is unitary for g, so a
+    form D = (i/2) H_jk e_j ^ e_kbar has |D|_g^2 = (1/2) D_ab D_cd g^ac g^bd
+    = sum |H_jk|^2, and the defect is sqrt(t^2 + 2t) = sqrt(t (2 + t)), free
+    of alpha, b0 and x; t >= 0, so no cancellation can make it imaginary.
     """
     q = np.asarray(q, dtype=float)
-    y = q[..., 0] + 1j * q[..., 1]
-    eta = fib.section_eval_y(s, y)
-    eta_y = fib.section_dy(s, y)
-    target = q.copy()
-    target[..., 2] += eta.real
-    target[..., 3] += eta.imag
-    jac = np.broadcast_to(np.eye(4), q.shape + (4,)).copy()
-    jac[..., 2, 0] = eta_y.real
-    jac[..., 2, 1] = -eta_y.imag
-    jac[..., 3, 0] = eta_y.imag
-    jac[..., 3, 1] = eta_y.real
-    return pullback_2form(sf_form_chart(p, target), jac)
-
-
-def translation_defect(p: ModelParams, s: fib.SectionData, q: np.ndarray) -> np.ndarray:
-    """|T_s^* omega - omega|_g at chart points q of shape (..., 4).
-
-    |d|_g^2 = (1/2) d_ab d_cd g^ac g^bd, the entrywise product of d with
-    ginv @ d @ ginv.
-    """
-    d = translate_pullback(p, s, q) - sf_form_chart(p, q)
-    ginv = np.linalg.inv(riemannian_metric_chart(p, q))
-    val = 0.5 * np.sum(d * (ginv @ d @ ginv), axis=(-2, -1))
-    if (val < -1e-12).any():
-        raise NumericalError("negative squared norm")
-    return np.sqrt(np.maximum(val, 0.0))
+    if not ((q > _LOWER) & (q < np.inf)).all():
+        _reject_chart_point(q)
+    ell = q[..., 0]
+    y = ell + 1j * q[..., 1]
+    delta = 1j * (fib.section_eval_y(s, y).imag / ell) - fib.section_dy(s, y)
+    kap = p.kappa_at(np.exp(-y))
+    w_eps = w_factor(p, ell) * p.eps
+    t = w_eps * w_eps * (delta.real * delta.real + delta.imag * delta.imag) \
+        / (2.0 * (kap.real * kap.real + kap.imag * kap.imag))
+    return np.sqrt(t * (2.0 + t))
 
 
 def distance_r(p: ModelParams, ell: float) -> float:

@@ -236,9 +236,25 @@ class TestExitCodes:
             gam2 = (b0.numerator * ell / (2 * pi ** 2 * b0.denominator)) ** 2 \
                 + (Decimal(inputs["x2"]) / ell) ** 2
             a_, dd = c, d + c * gam2
-            want = (a_ + dd) / 2 - (((a_ - dd) / 2) ** 2 + c * c * gam2).sqrt()
+            r = (((a_ - dd) / 2) ** 2 + c * c * gam2).sqrt()
+            want, high = (a_ + dd) / 2 - r, (a_ + dd) / 2 + r
         assert check["passed"] and check["measured"] == pytest.approx(float(want), rel=1e-14)
-        assert len(report["results"]["metric_eigenvalues"]) == 4
+        # each eigenvalue of the block comes twice in the 4 x 4 metric
+        eig = report["results"]["metric_eigenvalues"]
+        assert eig[:2] == [check["measured"]] * 2 and eig[2] == eig[3]
+        assert eig[2] == pytest.approx(float(high), rel=1e-15)
+
+    @pytest.mark.parametrize("argv", [
+        ["--k", "2", "--ell", "3", "--x2", "0.4", "--b0", "1/4", "--kappa1", "0.5"],
+        ["--k", "1", "--ell", "0.7", "--theta", "1.1", "--alpha", "1.7", "--eps", "0.3"],
+    ])
+    def test_eval_metric_eigenvalues_match_eigvalsh(self, capsys, argv):
+        code, report, _ = run_cli(capsys, "semiflat", "eval", *argv, "--no-timestamp")
+        assert code == 0
+        got = report["results"]["metric_eigenvalues"]
+        want = np.linalg.eigvalsh(np.array(report["results"]["metric"]))
+        assert got == sorted(got)
+        assert np.allclose(got, want, rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("diag,code", [(-1.0, 3), (0.0, 3), (math.inf, 2),
                                            (math.nan, 2)])
@@ -284,6 +300,9 @@ class TestExitCodes:
         # pi * eps overflows, so every distance r is 0 (exit 1 before)
         (["slag", "pi-decay", "--k", "3", "--eps", "1e308"], 2),
         (["slag", "pi-decay", "--k", "1", "--eps", "1e308", "--b0", "0", "--cycle", "1,0"], 2),
+        # decay samples that underflow to 0 (exit 1 before, as if the input were bad)
+        (["semiflat", "curvature", "--k", "1", "--eps", "1e-300"], 2),
+        (["semiflat", "classify-translation", "--k", "1", "--eps", "1e-300", "--h0", "0+1i"], 2),
     ])
     def test_numerical_breakdown_exit_codes(self, capsys, argv, code):
         assert cli.run(argv + ["--no-timestamp"]) == code
@@ -588,6 +607,14 @@ class TestClassifyChecks:
                                   "--k", "1", *argv, "--no-timestamp")
         assert code == 0
         assert "power_decay_exponent" not in {c["name"] for c in report["checks"]}
+
+    def test_translation_defect_free_of_b0(self, capsys):
+        # Gamma's real part b0 ell/(2 pi^2) cancels in the defect (exit 2 before)
+        argv = ["semiflat", "classify-translation", "--k", "1", "--h0", "0+1i", "--no-timestamp"]
+        code, report, _ = run_cli(capsys, *argv, "--b0", "1e9")
+        assert code == 0
+        _, ref, _ = run_cli(capsys, *argv)
+        assert report["results"] == ref["results"] and report["checks"] == ref["checks"]
 
 
 class TestEvalPoint:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from syzlab.errors import ValidationError
+from syzlab.errors import NumericalError, ValidationError
 from syzlab.numerics import (DecayFit, Grid2, find_root, fit_decay, pairwise_sum,
                              quad_periodic)
 
@@ -77,6 +77,12 @@ class TestFitDecay:
     def test_too_few_samples(self):
         with pytest.raises(ValidationError):
             fit_decay(np.array([1.0, 2.0]), np.array([1.0, 0.5]))
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0])
+    def test_non_positive_sample_is_numerical(self, bad):
+        # the samples are computed, so an underflow is no bad input
+        with pytest.raises(NumericalError, match="positive"):
+            fit_decay(np.array([1.0, 2.0, 3.0]), np.array([1.0, bad, 0.5]))
 
     def test_fields(self):
         r = np.array([10.0, 20.0, 40.0, 80.0])
