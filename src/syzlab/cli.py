@@ -193,6 +193,9 @@ def _cmd_semiflat_curvature(args):
                "samples": int(fit.n_samples)}
     ok = -2.15 <= fit.exponent <= -1.85
     checks = [_check("curvature_exponent", fit.exponent, "[-2.15,-1.85]", ok)]
+    if p.kappa_is_one():
+        scale = np.max(np.abs(vals * r * r / sfm.RM_R2 - 1.0))
+        checks.append(_tol_check("curvature_scale", scale, 1e-12))
     return results, checks, (r, vals)
 
 
@@ -231,6 +234,9 @@ def _cmd_slag_pi_decay(args):
     results = {"exponent": fit.exponent, "r_squared": fit.r_squared}
     ok = -1.15 <= fit.exponent <= -0.85
     checks = [_check("pi_exponent", fit.exponent, "[-1.15,-0.85]", ok)]
+    if p.kappa_is_one():
+        scale = np.max(np.abs(vals * r / slag.II_R - 1.0))
+        checks.append(_tol_check("pi_scale", scale, 1e-12))
     return results, checks, (r, vals)
 
 

@@ -114,13 +114,13 @@ def fit_decay(r: np.ndarray, values: np.ndarray, model: str = "power") -> DecayF
     if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
         raise NumericalError("non-finite values in decay fit")
 
-    slope, intercept = np.polyfit(xs, ys, 1)
-    resid = ys - (slope * xs + intercept)
-    ss_tot = np.sum((ys - np.mean(ys)) ** 2)
-    if ss_tot == 0.0:
-        r2 = 1.0
-    else:
-        r2 = 1.0 - np.sum(resid ** 2) / ss_tot
+    # the least-squares line through the centred samples
+    dx = xs - np.mean(xs)
+    dy = ys - np.mean(ys)
+    slope = (dx @ dy) / (dx @ dx)
+    resid = dy - slope * dx
+    ss_tot = dy @ dy
+    r2 = 1.0 if ss_tot == 0.0 else 1.0 - (resid @ resid) / ss_tot
     return DecayFit(model=model, exponent=float(slope),
                     r_squared=float(r2), n_samples=int(r.size))
 

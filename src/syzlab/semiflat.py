@@ -15,7 +15,6 @@ and omega^2 = alpha^2 * Omega ^ Omegabar holds with Omega = kappa dy ^ dx.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -239,6 +238,9 @@ def translation_defect(p: ModelParams, s: fib.SectionData, q: np.ndarray) -> np.
     form D = (i/2) H_jk e_j ^ e_kbar has |D|_g^2 = (1/2) D_ab D_cd g^ac g^bd
     = sum |H_jk|^2, and the defect is sqrt(t^2 + 2t) = sqrt(t (2 + t)), free
     of alpha, b0 and x; t >= 0, so no cancellation can make it imaginary.
+    It is computed as s hypot(sqrt(2), s) with s = sqrt(t) = W eps |delta| /
+    (sqrt(2) |kappa|), which neither underflows nor overflows where the
+    defect itself is a normal float and t or t^2 is not.
     """
     q = np.asarray(q, dtype=float)
     if not ((q > _LOWER) & (q < np.inf)).all():
@@ -247,10 +249,8 @@ def translation_defect(p: ModelParams, s: fib.SectionData, q: np.ndarray) -> np.
     y = ell + 1j * q[..., 1]
     delta = 1j * (fib.section_eval_y(s, y).imag / ell) - fib.section_dy(s, y)
     kap = p.kappa_at(np.exp(-y))
-    w_eps = w_factor(p, ell) * p.eps
-    t = w_eps * w_eps * (delta.real * delta.real + delta.imag * delta.imag) \
-        / (2.0 * (kap.real * kap.real + kap.imag * kap.imag))
-    return np.sqrt(t * (2.0 + t))
+    s = w_factor(p, ell) * p.eps * np.abs(delta) / (math.sqrt(2.0) * np.abs(kap))
+    return s * np.hypot(math.sqrt(2.0), s)
 
 
 def distance_r(p: ModelParams, ell: float) -> float:
@@ -360,7 +360,122 @@ def moduli_dims(k: int) -> tuple[int, int, int]:
 
 
 # ---------------------------------------------------------------------------
-# curvature by finite differences
+# curvature: the exact metric jet, and a finite-difference oracle
+
+# g's entries that vary, as constant 4 x 4 patterns: A at (ell ell) and
+# (theta theta), B = alpha c g_i at (theta x1) and (x1 theta) and -B at
+# (ell x2) and (x2 ell), C = alpha c at (x1 x1) and (x2 x2)
+_PATTERNS = np.array([[1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+                      [0, 0, 0, -1, 0, 0, 1, 0, 0, 1, 0, 0, -1, 0, 0, 0],
+                      [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1]], dtype=float)
+_TINY = 2.0 ** -1022  # the smallest normal float64
+
+
+def metric_jet(p: ModelParams, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(g, dg, ddg) at chart points q of shape (..., 4), in closed form.
+
+    g is riemannian_metric_chart(p, q), dg[..., e, a, b] = d_e g_ab and
+    ddg[..., e, f, a, b] = d_e d_f g_ab.  With a1 = 2 pi alpha eps/k,
+    a2 = alpha k/(pi eps) and K = |kappa(e^-y)|^2, the entries that vary are
+
+        A = a2 K ell + a1 b0^2 ell/(4 pi^4) + a1 x2^2/ell^3,
+        B = a1 x2/ell^2,  C = a1/ell
+
+    (alpha c g_r = alpha eps b0/(pi k) is constant); they are evaluated as
+    A = a2 ell K + C (g_r^2 + g_i^2) and B = C g_i, with C and a2 ell = alpha d/K
+    in the order g takes them, so that a1 and a2 never form on their own.
+    kappa is holomorphic in y = ell + i theta, so with kappa_y = sum -p c_p
+    z^p and kappa_yy = sum p^2 c_p z^p, K_ell = 2 Re(conj(kappa) kappa_y),
+    K_theta = -2 Im(conj(kappa) kappa_y), K_ell,ell and K_theta,theta
+    = 2|kappa_y|^2 +- 2 Re(conj(kappa) kappa_yy) and K_ell,theta
+    = -2 Im(conj(kappa) kappa_yy).
+
+    C, -C_ell = a1/ell^2 and C_ell,ell = 2 a1/ell^3 are non-zero at every
+    point of every model.  Raises NumericalError where the smallest of them
+    falls below float64's normal range (2^-1022), where the jet would
+    round to zeros: C_ell,ell once ell > 2, i.e. ell above
+    (2 a1)^(1/3) 2^(1022/3), about 8.3e102 for alpha = eps = k = 1.
+    """
+    q = np.asarray(q, dtype=float)
+    g = riemannian_metric_chart(p, q)
+    ell, x2 = q[..., 0], q[..., 3]
+    w = w_factor(p, ell)
+    c0 = p.alpha * (w * p.eps)
+    c1 = c0 / ell
+    c2 = 2.0 * c1 / ell
+    smallest = np.minimum(np.minimum(c0, c1), c2)
+    if not (smallest >= _TINY).all():
+        raise NumericalError(
+            f"metric jet term min(C, -C_ell, C_ell,ell) = {np.min(smallest):.3g} is"
+            f" below float64's normal range ({_TINY:.3g})")
+    if p._kappa_terms:
+        z = np.exp(-(ell + 1j * q[..., 1]))
+        kap = kap_y = kap_yy = 0.0j
+        for power, c in p._kappa_terms:
+            term = c * z ** power
+            kap, kap_y, kap_yy = kap + term, kap_y - power * term, kap_yy + power * power * term
+    else:
+        kap, kap_y, kap_yy = 1.0 + 0.0j, 0.0j, 0.0j
+    big_k = kap.real * kap.real + kap.imag * kap.imag
+    ky2 = 2.0 * (kap_y.real * kap_y.real + kap_y.imag * kap_y.imag)
+    kk1, kk2 = 2.0 * np.conj(kap) * kap_y, 2.0 * np.conj(kap) * kap_yy
+    k_l, k_t = kk1.real, -kk1.imag
+    a2_ell = p.alpha * (2.0 / (p.eps * w))
+    g_r = p.b0 * ell / (2.0 * math.pi ** 2)
+    g_i = x2 / ell
+    lead = np.shape(ell)
+    # coefficients of the patterns A, B, C in d_e g and d_e d_f g
+    d1 = np.zeros(lead + (4, 3))
+    d1[..., 0, 0] = a2_ell * (k_l + big_k / ell) + c1 * (g_r * g_r - 3.0 * g_i * g_i)
+    d1[..., 0, 1] = -2.0 * c1 * g_i
+    d1[..., 0, 2] = -c1
+    d1[..., 1, 0] = a2_ell * k_t
+    d1[..., 3, 0] = 2.0 * c1 * g_i
+    d1[..., 3, 1] = c1
+    d2 = np.zeros(lead + (4, 4, 3))
+    d2[..., 0, 0, 0] = a2_ell * (ky2 + kk2.real + 2.0 * k_l / ell) + 6.0 * c2 * g_i * g_i
+    d2[..., 0, 0, 1] = 3.0 * c2 * g_i
+    d2[..., 0, 0, 2] = c2
+    d2[..., 0, 1, 0] = d2[..., 1, 0, 0] = a2_ell * (-kk2.imag + k_t / ell)
+    d2[..., 1, 1, 0] = a2_ell * (ky2 - kk2.real)
+    d2[..., 0, 3, 0] = d2[..., 3, 0, 0] = -3.0 * c2 * g_i
+    d2[..., 0, 3, 1] = d2[..., 3, 0, 1] = -c2
+    d2[..., 3, 3, 0] = c2
+    return g, (d1 @ _PATTERNS).reshape(lead + (4, 4, 4)), \
+        (d2 @ _PATTERNS).reshape(lead + (4, 4, 4, 4))
+
+
+def _christoffel(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
+    """Gamma^a_{bc} = 1/2 g^{ad} X_dbc, X_dbc = d_b g_dc + d_c g_bd - d_d g_bc,
+    from g^-1 (..., n, n) and dg[..., e, a, b] = d_e g_ab; (..., n, n, n)."""
+    n = dg.shape[-1]
+    x = np.swapaxes(dg, -3, -2) + np.swapaxes(dg, -3, -1) - dg
+    return (ginv @ (0.5 * x).reshape(dg.shape[:-3] + (n, n * n))).reshape(dg.shape)
+
+
+def _riemann(gam: np.ndarray, dgam: np.ndarray) -> np.ndarray:
+    """R^a_{bcd} = d_c Gamma^a_{db} - d_d Gamma^a_{cb} + Gamma^a_{ce} Gamma^e_{db}
+    - Gamma^a_{de} Gamma^e_{cb}, from Gamma (..., n, n, n) and
+    dgam[..., e, a, b, c] = d_e Gamma^a_{bc}."""
+    n = gam.shape[-1]
+    lead = gam.shape[:-3]
+    # Gamma^a_{ce} Gamma^e_{db} at [a, c, d, b]
+    sq = (gam.reshape(lead + (n * n, n)) @ gam.reshape(lead + (n, n * n))).reshape(dgam.shape)
+    half = np.einsum("...cadb->...abcd", dgam) + np.einsum("...acdb->...abcd", sq)
+    return half - np.swapaxes(half, -1, -2)
+
+
+def riemann_jet(p: ModelParams, q: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(R^a_{bcd}, Gamma^a_{bc}, g, g^-1) at chart points q of shape (..., 4),
+    from metric_jet.  d_e Gamma^a_{bc} = g^{ad} (1/2 d_e X_dbc - d_e g_dh
+    Gamma^h_{bc}): the Christoffel formula on d_e dg, less g^-1 d_e g Gamma."""
+    g, dg, ddg = metric_jet(p, q)
+    ginv = np.linalg.inv(g)
+    gam = _christoffel(ginv, dg)
+    each_ginv = ginv[..., None, :, :]
+    dgam = _christoffel(each_ginv, ddg) \
+        - (each_ginv @ dg @ gam.reshape(g.shape[:-2] + (1, 4, 16))).reshape(ddg.shape)
+    return _riemann(gam, dgam), gam, g, ginv
 
 
 def _stencil(q: np.ndarray, h: float | np.ndarray) -> np.ndarray:
@@ -383,7 +498,8 @@ def _stencil(q: np.ndarray, h: float | np.ndarray) -> np.ndarray:
 
 
 def christoffel_fd(gf, q: np.ndarray, h: float | np.ndarray) -> np.ndarray:
-    """Christoffel symbols Gamma^a_{bc} of a metric function by central differences.
+    """Christoffel symbols Gamma^a_{bc} of a metric function by central
+    differences: the finite-difference oracle of the jet.
 
     q has shape (..., n), h is one step or one per point, and gf maps
     (..., n) points to (..., n, n) metrics; the whole stencil of every
@@ -393,15 +509,12 @@ def christoffel_fd(gf, q: np.ndarray, h: float | np.ndarray) -> np.ndarray:
     g = gf(_stencil(q, h))
     dg = (g[..., 1:n + 1, :, :] - g[..., n + 1:, :, :]) \
         / (2.0 * np.asarray(h)[..., None, None, None])
-    ginv = np.linalg.inv(g[..., 0, :, :])
-    # Gamma^a_{bc} = 1/2 g^{ad} (d_b g_{dc} + d_c g_{bd} - d_d g_{bc})
-    return 0.5 * np.einsum("...ad,...bdc->...abc", ginv,
-                           dg + np.einsum("...cbd->...bdc", dg)
-                           - np.einsum("...dbc->...bdc", dg))
+    return _christoffel(np.linalg.inv(g[..., 0, :, :]), dg)
 
 
 def riemann_fd(gf, q: np.ndarray, h: float | np.ndarray) -> tuple[np.ndarray, ...]:
-    """(R^a_{bcd}, Gamma^a_{bc}, g) at q by nested central differences.
+    """(R^a_{bcd}, Gamma^a_{bc}, g) at q by nested central differences: the
+    finite-difference oracle of riemann_jet.
 
     h is one step or one per point.  The Christoffel symbols on the
     stencil of q come from one christoffel_fd call, i.e. one gf call on
@@ -414,35 +527,31 @@ def riemann_fd(gf, q: np.ndarray, h: float | np.ndarray) -> tuple[np.ndarray, ..
     dgam = (gam[..., 1:n + 1, :, :, :] - gam[..., n + 1:, :, :, :]) \
         / (2.0 * h[..., None, None, None, None])
     gam = gam[..., 0, :, :, :]
-    # R^a_{bcd} = d_c Gamma^a_{db} - d_d Gamma^a_{cb} + Gamma^a_{ce} Gamma^e_{db} - Gamma^a_{de} Gamma^e_{cb}
-    riem = (np.einsum("...cadb->...abcd", dgam) - np.einsum("...dacb->...abcd", dgam)
-            + np.einsum("...ace,...edb->...abcd", gam, gam)
-            - np.einsum("...ade,...ecb->...abcd", gam, gam))
-    return riem, gam, gf(q)
+    return _riemann(gam, dgam), gam, gf(q)
+
+
+# |Rm|_g r^2 on every point of a model with kappa = 1: |Rm|^2 r^4 = 128/27
+RM_R2 = 8.0 * math.sqrt(6.0) / 9.0
 
 
 def curvature_decay(p: ModelParams) -> tuple[np.ndarray, np.ndarray, DecayFit]:
     """|Rm|_g samples on the zero section at 10 evenly spaced ell from 5 to
     40 against distance r, with a power-law fit.
 
-    All samples are one riemann_fd call.  Each step is scaled to the local
-    injectivity radius, which shrinks like 1/ell in the collapsing fiber
-    directions.
+    All samples are one riemann_jet call.  For kappa = 1, |Rm| r^2 = RM_R2
+    at every point.
     """
     ells = np.linspace(5.0, 40.0, 10)
     q = np.zeros(ells.shape + (4,))
     q[..., 0] = ells
-    h = 1e-2 * np.minimum(1.0, 10.0 / ells)
-    riem, _, g = riemann_fd(functools.partial(riemannian_metric_chart, p), q, h)
-    ginv = np.linalg.inv(g)
+    riem, _, g, ginv = riemann_jet(p, q)
     # |Rm|^2 = R_{abcd} R^{abcd}: lower the first index, raise the other three
-    low = np.einsum("...ae,...ebcd->...abcd", g, riem)
-    up = riem
-    for _ in range(3):
-        up = np.moveaxis(up @ ginv[..., None, None, :, :], -1, -3)
-    val = np.sum(low * up, axis=(-4, -3, -2, -1))
+    low = g @ riem.reshape(-1, 4, 64)
+    up = ginv[:, None, None] @ riem @ ginv[:, None, None]
+    up = ginv[:, None] @ up.reshape(-1, 4, 4, 16)
+    val = np.sum(low * up.reshape(low.shape), axis=(-2, -1))
     if (val < -1e-8).any():
-        raise NumericalError("negative |Rm|^2 from finite differences")
+        raise NumericalError("negative |Rm|^2")
     vals = np.sqrt(np.maximum(val, 0.0))
     r = np.array([distance_r(p, ell) for ell in ells])
     fit = fit_decay(r, vals, model="power")

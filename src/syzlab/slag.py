@@ -9,11 +9,15 @@ alone (d = |kappa(e^{-ell + i t2})|^2 k ell/(pi eps)), so in v = t1 - int
 g_i dt2 the metric is the flat A dt2^2 + B dv^2.  For kappa = 1 and g_r + s
 = 0 (special cycles) it is A dtheta^2 + B dx1^2 with A = alpha*k*ell/(pi*eps)
 and B = alpha*2*pi*eps/(k*ell), so A*B = 2*alpha^2 independently of ell.
+
+The second fundamental form in the ambient metric comes from the exact
+Christoffel symbols and curvature of semiflat.metric_jet.  For kappa = 1 a
+special cycle is minimal, and |II|^2 = pi eps/(alpha k ell^3) = (4/9)/r^2
+at every point, whatever b0 and alpha (tests derive both with sympy).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -118,11 +122,8 @@ class SecondFF:
 
 # cycle parameters (t1, t2) of the point where the second fundamental form is taken
 _T = np.array([0.2, 0.7])
-
-
-def _step(ell: float) -> float:
-    """Finite-difference step of the second fundamental form at radius ell."""
-    return 2e-3 * min(1.0, 10.0 / max(ell, 1.0))
+# |II| r at every point of a special cycle of a model with kappa = 1
+II_R = 2.0 / 3.0
 
 
 def _fundamental_forms(g: np.ndarray, gam: np.ndarray, tan: np.ndarray):
@@ -130,19 +131,23 @@ def _fundamental_forms(g: np.ndarray, gam: np.ndarray, tan: np.ndarray):
 
     g (..., 4, 4) and gam (..., 4, 4, 4) are the ambient metric and its
     Christoffel symbols Gamma^a_{bc} at the points, tan (..., 4, 2) the
-    tangents.  Returns (II (..., 4, 2, 2), |II|^2, |H|^2, induced metric).
+    tangents.  Returns (II (..., 4, 2, 2), |II|^2, |H|^2, induced metric h).
+    With II_n = II[n] as a 2 x 2 matrix, |II|^2 = g_nm <II_n, h^-1 II_m h^-1>
+    and H = <II_n, h^-1>, both Frobenius products.
     """
     tan_t = np.swapaxes(tan, -1, -2)
     hin = tan_t @ g @ tan
     hinv = np.linalg.inv(hin)
     proj_n = np.eye(4) - tan @ hinv @ tan_t @ g
-    # nabla_{T_i} T_j, coordinate-constant tangent components
-    nab = np.einsum("...ci,...bj,...acb->...aij", tan, tan, gam)
-    second = np.einsum("...na,...aij->...nij", proj_n, nab)
-    pi_sq = np.einsum("...nij,...mkl,...ik,...jl,...nm->...",
-                      second, second, hinv, hinv, g)
-    mean = np.einsum("...nij,...ij->...n", second, hinv)
-    h_sq = np.einsum("...n,...nm,...m->...", mean, g, mean)
+    # nabla_{T_i} T_j = Gamma^a_{cb} T^c_i T^b_j, coordinate-constant tangents
+    nab = tan_t[..., None, :, :] @ gam @ tan[..., None, :, :]
+    second = (proj_n @ nab.reshape(nab.shape[:-3] + (4, 4))).reshape(nab.shape)
+    each_hinv = hinv[..., None, :, :]
+    raised = (each_hinv @ second @ each_hinv).reshape(nab.shape[:-3] + (4, 4))
+    flat = second.reshape(raised.shape)
+    pi_sq = np.sum(flat * (g @ raised), axis=(-2, -1))
+    mean = flat @ hinv.reshape(hinv.shape[:-2] + (4, 1))
+    h_sq = (np.swapaxes(mean, -1, -2) @ g @ mean)[..., 0, 0]
     if (pi_sq < -1e-10).any() or (h_sq < -1e-10).any():
         raise NumericalError("negative squared norm in second fundamental form")
     return second, pi_sq, h_sq, hin
@@ -154,12 +159,11 @@ def second_fundamental_form(mf: ModelFiber) -> SecondFF:
     Gauss: K_intrinsic = K_ambient(T1,T2) + (<II_11,II_22> - |II_12|^2)
     after normalizing by the induced area element.  K_intrinsic is 0, as the
     induced metric B (dt1 - g_i dt2)^2 + A(t2) dt2^2, B constant, is flat
-    (module docstring); II and K_ambient share one riemann_fd stencil.
+    (module docstring); II and K_ambient come from one riemann_jet call.
     """
     p = mf.params
     origin, tan = mf.cycle.lift(p.k, mf.ell)
-    riem, gam, g = sf.riemann_fd(functools.partial(sf.riemannian_metric_chart, p),
-                                 origin + tan @ _T, _step(mf.ell))
+    riem, gam, g, _ = sf.riemann_jet(p, origin + tan @ _T)
     second, pi_sq, h_sq, hin = _fundamental_forms(g, gam, tan)
     low = np.einsum("ae,ebcd->abcd", g, riem)
     area_sq = float(np.linalg.det(hin))
@@ -176,16 +180,15 @@ def pi_decay(p: sf.ModelParams, cycle: fib.CycleSpec) -> tuple[np.ndarray, np.nd
     """|II| samples at 10 evenly spaced ell from 5 to 40 against distance
     r, with a power-law fit (expect ~ -1).
 
-    Every sample sits at the point and step second_fundamental_form uses,
-    and all of them are one christoffel_fd call.
+    Every sample sits at the point second_fundamental_form uses, and all
+    of them are one metric_jet call.
     """
     if cycle.fiber:
         raise ValidationError("slag fibers are bad cycles, not torus fibers")
     ells = np.linspace(5.0, 40.0, 10).tolist()
     origin, tan = (np.array(v) for v in zip(*(cycle.lift(p.k, ell) for ell in ells)))
-    h = np.array([_step(ell) for ell in ells])
-    gf, q = functools.partial(sf.riemannian_metric_chart, p), origin + tan @ _T
-    pi_sq = _fundamental_forms(gf(q), sf.christoffel_fd(gf, q, h), tan)[1]
+    g, dg, _ = sf.metric_jet(p, origin + tan @ _T)
+    pi_sq = _fundamental_forms(g, sf._christoffel(np.linalg.inv(g), dg), tan)[1]
     vals = np.sqrt(np.maximum(pi_sq, 0.0))
     r = np.array([sf.distance_r(p, ell) for ell in ells])
     fit = fit_decay(r, vals, model="power")

@@ -277,7 +277,8 @@ class TestExitCodes:
             assert not check["metric_positive"]["passed"]
 
     @pytest.mark.parametrize("argv,code", [
-        # singular metric in the finite-difference layer (LinAlgError)
+        # the Christoffel symbols of a metric with entries near 1e-300 and
+        # 1e300 overflow (FloatingPointError)
         (["slag", "pi-decay", "--k", "1", "--eps", "1e300"], 2),
         (["semiflat", "curvature", "--k", "1", "--eps", "1e300"], 2),
         # the lattice defect of transport by tau is not finite (y1 = |tau| ell
@@ -286,7 +287,7 @@ class TestExitCodes:
         (["slag", "geometry", "--k", "1", "--ell", "1e-320"], 2),
         # the report would hold NaN: strict JSON refuses it before any output
         (["slag", "check", "--k", "1", "--eps", "1e300"], 2),
-        # a step of 2e-310 leaves ell = 1e308 unchanged: no silent 0.0 passes
+        # the metric jet's C_ell,ell = 2 a1/ell^3 underflows: no silent 0.0 passes
         (["slag", "check", "--k", "1", "--ell", "1e308"], 2),
         (["slag", "geometry", "--k", "1", "--ell", "inf"], 1),
         (["slag", "geometry", "--k", "1", "--ell", "nan"], 1),
@@ -302,7 +303,8 @@ class TestExitCodes:
         (["slag", "pi-decay", "--k", "1", "--eps", "1e308", "--b0", "0", "--cycle", "1,0"], 2),
         # decay samples that underflow to 0 (exit 1 before, as if the input were bad)
         (["semiflat", "curvature", "--k", "1", "--eps", "1e-300"], 2),
-        (["semiflat", "classify-translation", "--k", "1", "--eps", "1e-300", "--h0", "0+1i"], 2),
+        # eps itself is subnormal: every distance r overflows
+        (["semiflat", "classify-translation", "--k", "1", "--eps", "1e-320", "--h0", "0+1i"], 2),
     ])
     def test_numerical_breakdown_exit_codes(self, capsys, argv, code):
         assert cli.run(argv + ["--no-timestamp"]) == code
@@ -576,6 +578,31 @@ class TestCommands:
         assert report["results"]["margin"] > 0
 
 
+class TestClosedFormScales:
+    @pytest.mark.parametrize("argv,name", [
+        (["semiflat", "curvature", "--k", "2", "--eps", "0.7", "--b0", "1/4"], "curvature_scale"),
+        (["slag", "pi-decay", "--k", "3", "--eps", "2", "--b0", "-3/4", "--cycle", "2,1"],
+         "pi_scale"),
+    ])
+    def test_scale_checked_when_kappa_is_one(self, capsys, argv, name):
+        code, report, _ = run_cli(capsys, *argv, "--no-timestamp")
+        assert code == 0
+        check = {c["name"]: c for c in report["checks"]}[name]
+        assert check["passed"] and check["tolerance"] == 1e-12
+        assert check["measured"] <= 1e-14
+        code, report, _ = run_cli(capsys, *argv, "--kappa1", "0.5", "--no-timestamp")
+        assert code == 0
+        assert name not in {c["name"] for c in report["checks"]}
+
+    def test_wrong_scale_fails(self, capsys, monkeypatch):
+        monkeypatch.setattr(sfm, "RM_R2", sfm.RM_R2 * (1.0 + 1e-11))
+        code, report, _ = run_cli(capsys, "semiflat", "curvature", "--k", "1",
+                                  "--no-timestamp")
+        assert code == 3
+        check = {c["name"]: c for c in report["checks"]}["curvature_scale"]
+        assert not check["passed"]
+
+
 class TestClassifyChecks:
     def test_power_decay_exponent_checked(self, capsys):
         code, report, _ = run_cli(capsys, "semiflat", "classify-translation",
@@ -607,6 +634,19 @@ class TestClassifyChecks:
                                   "--k", "1", *argv, "--no-timestamp")
         assert code == 0
         assert "power_decay_exponent" not in {c["name"] for c in report["checks"]}
+
+    @pytest.mark.parametrize("eps,code,exponent", [("1e-300", 0, -4.0 / 3.0),
+                                                   ("1e150", 3, -8.0 / 3.0)])
+    def test_translation_defect_at_extreme_eps(self, capsys, eps, code, exponent):
+        # t = (W eps)^2 |delta|^2 / (2|kappa|^2) underflowed or t^2 overflowed
+        # (exit 2 before); the defect itself is a normal float.  At eps = 1e150
+        # the defect is t, not sqrt(2t), over the samples, so the exponent
+        # window fails: a check failure, not a numerical one
+        code_, report, _ = run_cli(capsys, "semiflat", "classify-translation", "--k", "1",
+                                   "--eps", eps, "--h0", "0+1i", "--no-timestamp")
+        assert code_ == code
+        assert report["results"]["variant"] == "power_decay"
+        assert report["results"]["fit"]["exponent"] == pytest.approx(exponent, abs=1e-9)
 
     def test_translation_defect_free_of_b0(self, capsys):
         # Gamma's real part b0 ell/(2 pi^2) cancels in the defect (exit 2 before)

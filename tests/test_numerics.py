@@ -84,6 +84,25 @@ class TestFitDecay:
         with pytest.raises(NumericalError, match="positive"):
             fit_decay(np.array([1.0, 2.0, 3.0]), np.array([1.0, bad, 0.5]))
 
+    @given(st.integers(3, 40), st.floats(-3.0, 3.0), st.floats(0.0, 0.3),
+           st.sampled_from(["power", "stretched_exp"]), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_polyfit(self, n, exponent, noise, model, seed):
+        rng = np.random.default_rng(seed)
+        r = np.cumsum(rng.uniform(0.1, 5.0, n)) + 1.0
+        x = np.log(r) if model == "power" else r ** (2.0 / 3.0)
+        vals = np.exp(exponent * x + noise * rng.standard_normal(n))
+        fit = fit_decay(r, vals, model=model)
+        n_drop = min(int(0.2 * n), n - 3)
+        xs, ys = x[n_drop:], np.log(vals[n_drop:])
+        slope, intercept = np.polyfit(xs, ys, 1)
+        assert fit.exponent == pytest.approx(slope, rel=1e-12, abs=1e-12)
+        ss_res = np.sum((ys - (slope * xs + intercept)) ** 2)
+        ss_tot = np.sum((ys - np.mean(ys)) ** 2)
+        r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+        assert fit.r_squared == pytest.approx(r2, rel=1e-12, abs=1e-12)
+        assert fit.n_samples == n - n_drop
+
     def test_fields(self):
         r = np.array([10.0, 20.0, 40.0, 80.0])
         fit = fit_decay(r, r ** -1.0)

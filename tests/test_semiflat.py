@@ -6,6 +6,8 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from syzlab import fibration as fib
 from syzlab import semiflat as sf
@@ -652,19 +654,19 @@ class TestCurvature:
         r, vals, _ = sf.curvature_decay(p)
         assert vals.shape == (10,)
         for ell, ri, val in zip(np.linspace(5.0, 40.0, 10), r, vals):
-            h = 1e-2 * min(1.0, 10.0 / ell)
-            riem, _, g = sf.riemann_fd(lambda qq: sf.riemannian_metric_chart(p, qq),
-                                       np.array([ell, 0.0, 0.0, 0.0]), h)
-            ginv = np.linalg.inv(g)
-            low = np.einsum("ae,ebcd->abcd", g, riem)
-            ref = math.sqrt(np.einsum("abcd,efgh,ae,bf,cg,dh->", low, low,
-                                      ginv, ginv, ginv, ginv, optimize=True))
-            assert val == pytest.approx(ref, rel=1e-12, abs=0.0)
+            q = np.array([ell, 0.0, 0.0, 0.0])
+            riem, _, g, _ = sf.riemann_jet(p, q)
+            assert val == pytest.approx(_rm_norm(riem, g), rel=1e-12, abs=0.0)
             assert ri == sf.distance_r(p, ell)
+            # the finite-difference oracle, O(h^2) with h <= 1e-2: it agrees to
+            # 8.1e-6 on both models
+            h = 1e-2 * min(1.0, 10.0 / ell)
+            riem, _, g = sf.riemann_fd(lambda qq: sf.riemannian_metric_chart(p, qq), q, h)
+            assert val == pytest.approx(_rm_norm(riem, g), rel=3e-5, abs=0.0)
 
     def test_one_stuck_point_fails_the_sweep(self):
-        # curvature_decay's step rule on a batch with ell = 1e308: the step
-        # 1e-309 there leaves ell unchanged
+        # the oracle's step rule on a batch with ell = 1e308: the step 1e-309
+        # there leaves ell unchanged
         ells = np.array([5.0, 10.0, 1e308])
         q = np.zeros((3, 4))
         q[:, 0] = ells
@@ -672,6 +674,126 @@ class TestCurvature:
         p = sf.ModelParams(k=1)
         with pytest.raises(NumericalError, match="does not move"):
             sf.riemann_fd(lambda qq: sf.riemannian_metric_chart(p, qq), q, h)
+
+
+def _rm_norm(riem, g):
+    """|Rm|_g at one point by a single contraction of R_abcd with R^abcd."""
+    ginv = np.linalg.inv(g)
+    low = np.einsum("ae,ebcd->abcd", g, riem)
+    return math.sqrt(np.einsum("abcd,efgh,ae,bf,cg,dh->", low, low,
+                               ginv, ginv, ginv, ginv, optimize=True))
+
+
+def _sympy_metric(sp, p, coords):
+    """g = alpha (d |dy|^2 + c |dx - Gamma dy|^2) of ModelParams p in sympy,
+    written from the form's definition: Re and Im of a = dx - Gamma dy are
+    u = (-g_r, g_i, 1, 0) and v = (-g_i, -g_r, 0, 1) in (ell, theta, x1, x2),
+    and c_n z^n = c_n e^(-n ell) (cos n theta - i sin n theta) in kappa."""
+    ell, th, _, x2 = coords
+    re_k = im_k = 0
+    for n, c in (p.kappa or {0: 1.0}).items():
+        cr, ci = sp.nsimplify(complex(c).real), sp.nsimplify(complex(c).imag)
+        re_k += sp.exp(-n * ell) * (cr * sp.cos(n * th) + ci * sp.sin(n * th))
+        im_k += sp.exp(-n * ell) * (ci * sp.cos(n * th) - cr * sp.sin(n * th))
+    w = 2 * sp.pi / (p.k * ell)
+    eps, alpha, b0 = (sp.nsimplify(v) for v in (p.eps, p.alpha, p.b0))
+    c, d = w * eps, 2 * (re_k ** 2 + im_k ** 2) / (eps * w)
+    g_r, g_i = b0 * ell / (2 * sp.pi ** 2), x2 / ell
+    u = sp.Matrix([-g_r, g_i, 1, 0])
+    v = sp.Matrix([-g_i, -g_r, 0, 1])
+    return alpha * (d * sp.diag(1, 1, 0, 0) + c * (u * u.T + v * v.T))
+
+
+_JET_MODELS = [
+    sf.ModelParams(k=1, eps=0.8, b0=0.3, alpha=1.7),
+    sf.ModelParams(k=2, eps=1.3, b0=-0.25, alpha=0.6, kappa={0: 1.0, 1: 0.5 - 0.3j}),
+    sf.ModelParams(k=3, eps=0.5, b0=1.0 / 3.0, alpha=2.5, kappa={0: 1.0, 2: 0.3}),
+]
+
+
+class TestMetricJet:
+    @pytest.mark.parametrize("p", _JET_MODELS, ids=["kappa1", "linear", "quadratic"])
+    def test_matches_sympy_derivatives(self, p):
+        sp = pytest.importorskip("sympy")
+        coords = sp.symbols("ell theta x1 x2", real=True)
+        gs = _sympy_metric(sp, p, coords)
+        d1 = [gs.diff(a) for a in coords]
+        d2 = [m.diff(b) for m in d1 for b in coords]
+        f = sp.lambdify(coords, [list(gs), [v for m in d1 for v in m],
+                                 [v for m in d2 for v in m]], "math")
+        rng = np.random.default_rng(23)
+        q = np.column_stack([rng.uniform(0.5, 12.0, 6), rng.uniform(-3.0, 3.0, 6),
+                             rng.uniform(-2.0, 2.0, 6), rng.uniform(-2.0, 2.0, 6)])
+        g, dg, ddg = sf.metric_jet(p, q)
+        assert np.array_equal(g, sf.riemannian_metric_chart(p, q))
+        for i, pt in enumerate(q):
+            for got, want in zip((g[i], dg[i], ddg[i]), f(*pt.tolist())):
+                want = np.array(want, dtype=float).reshape(got.shape)
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("k,eps,b0,alpha", [
+        (1, 1.0, 0.0, 1.0), (2, 0.7, 0.25, 1.0), (3, 2.0, -1.0 / 3.0, 1.5), (1, 0.5, 1.0, 0.3)])
+    def test_rm_norm_sq_r4_is_128_over_27(self, k, eps, b0, alpha):
+        # at every point of a model with kappa = 1, not just the zero section
+        p = sf.ModelParams(k=k, eps=eps, b0=b0, alpha=alpha)
+        rng = np.random.default_rng(k)
+        q = np.column_stack([rng.uniform(1.0, 50.0, 8), rng.uniform(-3.0, 3.0, 8),
+                             rng.uniform(-2.0, 2.0, 8), rng.uniform(-2.0, 2.0, 8)])
+        riem, _, g, _ = sf.riemann_jet(p, q)
+        for i, pt in enumerate(q):
+            r = sf.distance_r(p, pt[0])
+            assert _rm_norm(riem[i], g[i]) ** 2 * r ** 4 == pytest.approx(128.0 / 27.0, rel=1e-12)
+        assert sf.RM_R2 ** 2 == pytest.approx(128.0 / 27.0, rel=1e-15)
+        r, vals, _ = sf.curvature_decay(p)
+        assert np.max(np.abs(vals * r * r / sf.RM_R2 - 1.0)) <= 1e-14
+
+    @pytest.mark.parametrize("p", _JET_MODELS, ids=["kappa1", "linear", "quadratic"])
+    def test_christoffel_and_riemann_match_finite_differences(self, p):
+        rng = np.random.default_rng(7)
+        q = np.column_stack([rng.uniform(2.0, 12.0, 12), rng.uniform(-3.0, 3.0, 12),
+                             rng.uniform(-1.0, 1.0, 12), rng.uniform(-2.0, 2.0, 12)])
+        riem, gam, g, ginv = sf.riemann_jet(p, q)
+        assert np.allclose(ginv @ g, np.eye(4), rtol=0.0, atol=1e-12)
+        riem_fd, gam_fd, g_fd = sf.riemann_fd(
+            lambda qq: sf.riemannian_metric_chart(p, qq), q, 1e-3)
+        assert np.array_equal(g, g_fd)
+        # O(h^2) truncation of the oracle at h = 1e-3
+        for jet, fd, bound in ((gam, gam_fd, 1e-5), (riem, riem_fd, 1e-4)):
+            axes = tuple(range(1, jet.ndim))
+            scale = np.max(np.abs(jet), axis=axes, keepdims=True)
+            assert np.max(np.abs(jet - fd) / scale) <= bound
+
+    def test_single_point_equals_batch_row(self):
+        p = _JET_MODELS[1]
+        q = np.array([[3.0, 0.4, 0.1, -0.5], [7.5, -1.2, 0.3, 1.1]])
+        batch = sf.riemann_jet(p, q)
+        for i in range(2):
+            for whole, one in zip(batch, sf.riemann_jet(p, q[i])):
+                assert np.max(np.abs(whole[i] - one)) <= 1e-15 * np.max(np.abs(one))
+
+    @given(k=st.integers(1, 9), eps=st.floats(1e-3, 1e3), alpha=st.floats(1e-3, 1e3),
+           log_ell=st.one_of(st.floats(95.0, 110.0), st.floats(110.0, 307.0)))
+    @settings(max_examples=60, deadline=None)
+    def test_guard_raises_past_its_bound_and_never_returns_zeros(self, k, eps, alpha, log_ell):
+        # the bound lies between 1e101 and 1e104 here; k ell stays finite, so
+        # g itself is resolved at every drawn point
+        p = sf.ModelParams(k=k, eps=eps, alpha=alpha)
+        ell = 10.0 ** log_ell
+        # C_ell,ell = 2 a1/ell^3 = 2^-1022 at ell = (2 a1)^(1/3) 2^(1022/3)
+        a1 = TWO_PI * alpha * eps / k
+        bound = (2.0 * a1) ** (1.0 / 3.0) * 2.0 ** (1022.0 / 3.0)
+        q = np.array([ell, 0.3, 0.1, 0.2])
+        if ell > bound * (1.0 + 1e-9):
+            with pytest.raises(NumericalError, match="normal range"):
+                sf.metric_jet(p, q)
+            return
+        try:
+            _, dg, ddg = sf.metric_jet(p, q)
+        except NumericalError:
+            assert ell >= bound * (1.0 - 1e-9)
+            return
+        for term in (dg[0, 2, 2], ddg[0, 0, 2, 2], ddg[3, 3, 0, 0]):
+            assert abs(term) >= np.finfo(float).tiny
 
 
 def _sphere_metric(q):

@@ -124,6 +124,11 @@ class TestSpecialCondition:
         assert fit.exponent < 0
 
 
+def _fd_step(ell):
+    """Finite-difference step of the oracle at radius ell."""
+    return 2e-3 * min(1.0, 10.0 / max(ell, 1.0))
+
+
 def _intrinsic_curvature_fd(mf):
     """Gaussian curvature of the induced metric at slag._T from a riemann_fd
     stencil on the pulled-back metric t -> T^t g(origin + T t) T."""
@@ -133,9 +138,24 @@ def _intrinsic_curvature_fd(mf):
     def induced(tt):
         return tan.T @ sf.riemannian_metric_chart(p, origin + tt @ tan.T) @ tan
 
-    riem, _, h2 = sf.riemann_fd(induced, slag._T, slag._step(mf.ell))
+    riem, _, h2 = sf.riemann_fd(induced, slag._T, _fd_step(mf.ell))
     low = np.einsum("ae,ebcd->abcd", h2, riem)
     return float(low[0, 1, 0, 1]) / float(np.linalg.det(h2))
+
+
+def _fundamental_forms_einsum(g, gam, tan):
+    """Reference for slag._fundamental_forms: its einsum contractions."""
+    tan_t = np.swapaxes(tan, -1, -2)
+    hin = tan_t @ g @ tan
+    hinv = np.linalg.inv(hin)
+    proj_n = np.eye(4) - tan @ hinv @ tan_t @ g
+    nab = np.einsum("...ci,...bj,...acb->...aij", tan, tan, gam)
+    second = np.einsum("...na,...aij->...nij", proj_n, nab)
+    pi_sq = np.einsum("...nij,...mkl,...ik,...jl,...nm->...",
+                      second, second, hinv, hinv, g)
+    mean = np.einsum("...nij,...ij->...n", second, hinv)
+    h_sq = np.einsum("...n,...nm,...m->...", mean, g, mean)
+    return second, pi_sq, h_sq, hin
 
 
 # kappa1 != 0, a non-special b0 and m2 < 0 among the cycles, small to large ell
@@ -157,9 +177,10 @@ class TestSecondFundamentalForm:
         assert ff.gauss_residual <= 1e-6
 
     def test_pi_decay_against_r(self):
-        _, _, fit = slag.pi_decay(STD, C10)
+        r, vals, fit = slag.pi_decay(STD, C10)
         assert -1.15 <= fit.exponent <= -0.85
         assert fit.r_squared >= 0.99
+        assert np.max(np.abs(vals * r / slag.II_R - 1.0)) <= 1e-14
 
     @pytest.mark.parametrize("p,cycle", [
         (STD, C10),
@@ -175,19 +196,19 @@ class TestSecondFundamentalForm:
             assert ri == sf.distance_r(p, ell)
 
     def test_stencil_gamma_is_christoffel_fd(self):
-        # second_fundamental_form takes Gamma from riemann_fd's stencil; it
-        # must be the bits of a christoffel_fd call of its own
+        # the finite-difference oracle takes Gamma from riemann_fd's stencil:
+        # it must be the bits of a christoffel_fd call of its own
         for mf in _FLAT_GRID:
             p = mf.params
             origin, tan = mf.cycle.lift(p.k, mf.ell)
-            q, h = origin + tan @ slag._T, slag._step(mf.ell)
+            q, h = origin + tan @ slag._T, _fd_step(mf.ell)
             gf = functools.partial(sf.riemannian_metric_chart, p)
             _, gam, g = sf.riemann_fd(gf, q, h)
             assert np.array_equal(gam, sf.christoffel_fd(gf, q, h))
             assert np.array_equal(g, gf(q))
 
     def test_intrinsic_curvature_pass_is_exactly_zero(self):
-        # the stencil second_fundamental_form no longer runs: K_int = 0 in
+        # the stencil second_fundamental_form does not run: K_int = 0 in
         # closed form, and the pass reads exactly 0.0, so the Gauss residual
         # |0 - (k_amb + pi_term)| keeps its bits
         for mf in _FLAT_GRID:
@@ -229,10 +250,72 @@ class TestSecondFundamentalForm:
         assert sp.simplify((m1.det() - m2.det()) / det ** 2) == 0
 
     def test_one_stuck_point_fails_the_sweep(self):
-        # the step 2e-310 at ell = 1e308 leaves ell unchanged; pi_decay
-        # samples fixed ells, so the step is checked where ell is free
-        with pytest.raises(NumericalError, match="does not move"):
+        # the metric jet's C_ell,ell = 2 a1/ell^3 underflows at ell = 1e308;
+        # pi_decay samples fixed ells, so the guard is checked where ell is free
+        with pytest.raises(NumericalError, match="below float64's normal range"):
             slag.second_fundamental_form(slag.ModelFiber(STD, C10, 1e308))
+
+    @pytest.mark.parametrize("ell", [0.5, 3.0, 4.0, 40.0])
+    def test_mean_curvature_is_rounding_level_at_every_ell(self, ell):
+        # the low-ell cycles the finite-difference stencil failed (|H| 1e-8)
+        for cycle, b0 in ((C10, 0.0), (fib.CycleSpec(m1=2, m2=1), -0.25)):
+            mf = slag.ModelFiber(sf.ModelParams(k=1, eps=0.5, b0=b0), cycle, ell)
+            ff = slag.second_fundamental_form(mf)
+            assert ff.h_norm <= 1e-15 * ff.pi_norm
+            assert ff.pi_norm * sf.distance_r(mf.params, ell) == pytest.approx(slag.II_R,
+                                                                              rel=1e-14)
+
+    @pytest.mark.parametrize("k,eps", [(1, 0.5), (2, 1.0), (3, 2.0)])
+    def test_fundamental_forms_match_einsum_oracle(self, k, eps):
+        # special Lagrangian cycles of the benchmark's ranges, one batch of ells;
+        # H is rounding noise, so it is compared on the scale of |II|^2
+        ells = [3.0, 3.5, 4.0, 6.0, 10.0, 25.0, 40.0]
+        for m1, m2 in ((1, 0), (1, 1), (2, 1)):
+            p = sf.ModelParams(k=k, eps=eps, b0=-k * m2 / (2 * m1))
+            cycle = fib.CycleSpec(m1=m1, m2=m2)
+            origin, tan = (np.array(v) for v in zip(*(cycle.lift(k, ell) for ell in ells)))
+            _, gam, g, _ = sf.riemann_jet(p, origin + tan @ slag._T)
+            second, pi_sq, h_sq, hin = slag._fundamental_forms(g, gam, tan)
+            ref = _fundamental_forms_einsum(g, gam, tan)
+            assert np.max(np.abs(second - ref[0])) <= 1e-15 * np.max(np.abs(ref[0]))
+            assert np.max(np.abs(pi_sq / ref[1] - 1.0)) <= 1e-15
+            assert np.max(np.abs(h_sq - ref[2]) / pi_sq) <= 1e-15
+            assert np.array_equal(hin, ref[3])
+
+    def test_pi_norm_r_is_two_thirds_symbolically(self):
+        # |II|^2 r^2 = 4/9 and H = 0 at every point of every special
+        # Lagrangian cycle of a kappa = 1 model: T2 = -d/dtheta + s d/dx2 with
+        # s = -g_r, for any k, eps, alpha and b0
+        sp = pytest.importorskip("sympy")
+        ell, th, x1, x2 = coords = sp.symbols("ell theta x1 x2", real=True)
+        k, eps, alpha = sp.symbols("k eps alpha", positive=True)
+        b0 = sp.Symbol("b0", real=True)
+        w = 2 * sp.pi / (k * ell)
+        c, d = w * eps, 2 / (eps * w)
+        g_r, g_i = b0 * ell / (2 * sp.pi ** 2), x2 / ell
+        u = sp.Matrix([-g_r, g_i, 1, 0])
+        v = sp.Matrix([-g_i, -g_r, 0, 1])
+        g = alpha * (d * sp.diag(1, 1, 0, 0) + c * (u * u.T + v * v.T))
+        ginv = g.inv().applyfunc(sp.cancel)
+        dg = [g.diff(a) for a in coords]
+        gam = [[[sp.cancel(sum(ginv[a, e] * (dg[b][e, f] + dg[f][b, e] - dg[e][b, f])
+                               for e in range(4)) / 2)
+                 for f in range(4)] for b in range(4)] for a in range(4)]
+        tan = sp.Matrix([[0, 0], [0, -1], [1, 0], [0, -g_r]])
+        hin = (tan.T * g * tan).applyfunc(sp.cancel)
+        hinv = hin.inv().applyfunc(sp.cancel)
+        proj = sp.eye(4) - tan * hinv * tan.T * g
+        nab = [sp.Matrix(2, 2, lambda i, j, a=a: sum(gam[a][f][b] * tan[f, i] * tan[b, j]
+                                                    for b in range(4) for f in range(4)))
+               for a in range(4)]
+        second = [sp.Matrix(2, 2, lambda i, j, n=n: sp.cancel(
+            sum(proj[n, a] * nab[a][i, j] for a in range(4)))) for n in range(4)]
+        pi_sq = sum(g[n, m] * (second[n].T * hinv * second[m] * hinv).trace()
+                    for n in range(4) for m in range(4))
+        r_sq = sp.Rational(4, 9) * alpha * k / (sp.pi * eps) * ell ** 3
+        assert sp.cancel(pi_sq * r_sq) == sp.Rational(4, 9)
+        assert all(sp.cancel((second[n] * hinv).trace()) == 0 for n in range(4))
+        assert slag.II_R == 2.0 / 3.0
 
 
 class TestNoncollapse:
