@@ -157,10 +157,23 @@ def _cmd_semiflat_pair(args):
     return results, [_tol_check("pairing_rel_error", err, 1e-8)], None
 
 
+def _exponent_checks(name: str, fit, centre: float, scaled) -> list[dict]:
+    """`<name>_exponent`: the fitted power within 0.15 of centre; and unless
+    scaled (the samples over their kappa = 1 closed form) is None,
+    `<name>_scale`: scaled within 1e-12 of 1."""
+    lo, hi = centre - 0.15, centre + 0.15
+    checks = [_check(f"{name}_exponent", fit.exponent, f"[{lo:.5g},{hi:.5g}]",
+                     lo <= fit.exponent <= hi)]
+    if scaled is not None:
+        checks.append(_tol_check(f"{name}_scale", np.max(np.abs(scaled - 1.0)), 1e-12))
+    return checks
+
+
 def _cmd_semiflat_classify(args):
-    """A power_decay class checks its exponent within 0.15 (the curvature
-    and pi-decay half-width) of -4/3; the 243 power-decay argv the benchmark
-    can draw measure -1.4064 to -1.3333, at least 0.077 inside."""
+    """The section decides the variant, and the checks say whether the
+    samples agree with it.  The power_decay window is the curvature and pi-decay
+    half-width 0.15 about -4/3: the 243 power-decay argv the benchmark can
+    draw measure -1.4064 to -1.3333, at least 0.077 inside."""
     p = _params_from(args)
     h: dict = {0: complex(parse_complex(args.h0)[0])} if args.h0 else {0: 1.0}
     if args.pole:
@@ -168,22 +181,28 @@ def _cmd_semiflat_classify(args):
     if args.h1:
         h[1] = complex(parse_complex(args.h1)[0])
     s = fib.SectionData(h=h, b=parse_rational(args.section_b))
-    dc = sfm.classify_translation(p, s)
-    results = {"variant": dc.variant}
-    checks = []
-    if dc.fit is not None:
-        results["fit"] = {"model": dc.fit.model, "exponent": dc.fit.exponent,
-                          "r_squared": dc.fit.r_squared}
-        checks.append(_check("fit_r_squared", dc.fit.r_squared, 0.99,
-                             dc.fit.r_squared >= 0.99))
-    if dc.variant == sfm.POWER_DECAY:
-        lo, hi = -4.0 / 3.0 - 0.15, -4.0 / 3.0 + 0.15
-        checks.append(_check("power_decay_exponent", dc.fit.exponent,
-                             f"[{lo:.4f},{hi:.4f}]", lo <= dc.fit.exponent <= hi))
-    if dc.bound is not None:
-        results["bound"] = dc.bound
-    checks.append(_check("variant", dc.variant, None, True))
-    return results, checks, (dc.r, dc.values)
+    variant, r, vals, fit = sfm.classify_translation(p, s)
+    results = {"variant": variant}
+    if fit is not None:
+        results["fit"] = {"model": fit.model, "exponent": fit.exponent,
+                          "r_squared": fit.r_squared}
+        checks = [_check("fit_r_squared", fit.r_squared, 0.99, fit.r_squared >= 0.99)]
+        if variant == sfm.POWER_DECAY:
+            checks += _exponent_checks("power_decay", fit, -4.0 / 3.0, None)
+        else:
+            checks.append(_check("stretched_exponent", fit.exponent, 0.0, fit.exponent < 0))
+    elif variant == sfm.NOT_UNIFORM:
+        growth = float(vals[-1]) / float(vals[0])
+        checks = [_check("pole_growth", growth, 2.0, growth > 2.0)]
+    else:
+        top = results["bound"] = float(np.max(vals))
+        if variant == sfm.BOUNDED_DIFFERENCE:
+            ratio = top / float(np.min(vals))
+            checks = [_check("bounded_ratio", ratio, "<=50, max>=1e-14",
+                             ratio <= 50.0 and top >= 1e-14)]
+        else:
+            checks = [_tol_check("isometry_defect", top, 1e-14)]
+    return results, checks, (r, vals)
 
 
 def _cmd_semiflat_curvature(args):
@@ -191,12 +210,8 @@ def _cmd_semiflat_curvature(args):
     r, vals, fit = sfm.curvature_decay(p)
     results = {"exponent": fit.exponent, "r_squared": fit.r_squared,
                "samples": int(fit.n_samples)}
-    ok = -2.15 <= fit.exponent <= -1.85
-    checks = [_check("curvature_exponent", fit.exponent, "[-2.15,-1.85]", ok)]
-    if p.kappa_is_one():
-        scale = np.max(np.abs(vals * r * r / sfm.RM_R2 - 1.0))
-        checks.append(_tol_check("curvature_scale", scale, 1e-12))
-    return results, checks, (r, vals)
+    scaled = vals * r * r / sfm.RM_R2 if p.kappa_is_one() else None
+    return results, _exponent_checks("curvature", fit, -2.0, scaled), (r, vals)
 
 
 def _cmd_slag_check(args):
@@ -232,12 +247,8 @@ def _cmd_slag_pi_decay(args):
     p = _params_from(args)
     r, vals, fit = slag.pi_decay(p, _cycle_from(args.cycle))
     results = {"exponent": fit.exponent, "r_squared": fit.r_squared}
-    ok = -1.15 <= fit.exponent <= -0.85
-    checks = [_check("pi_exponent", fit.exponent, "[-1.15,-0.85]", ok)]
-    if p.kappa_is_one():
-        scale = np.max(np.abs(vals * r / slag.II_R - 1.0))
-        checks.append(_tol_check("pi_scale", scale, 1e-12))
-    return results, checks, (r, vals)
+    scaled = vals * r / slag.II_R if p.kappa_is_one() else None
+    return results, _exponent_checks("pi", fit, -1.0, scaled), (r, vals)
 
 
 def _cmd_hkrot(args):

@@ -262,26 +262,16 @@ def distance_r(p: ModelParams, ell: float) -> float:
     return r
 
 
-@dataclass(frozen=True)
-class DecayClass:
-    """Classification of |T_s^* omega - omega| as ell -> infinity."""
+def classify_translation(p: ModelParams, s: fib.SectionData):
+    """(variant, r, values, fit) for the decay of the translated-metric defect,
+    sampled at the 12 points ell = 3, 4, ..., 14 with theta = 0 and x = 0.31.
 
-    variant: str
-    fit: DecayFit | None
-    bound: float | None
-    r: np.ndarray
-    values: np.ndarray
-
-
-def classify_translation(p: ModelParams, s: fib.SectionData) -> DecayClass:
-    """Classify the decay of the translated-metric defect, sampled at the 12
-    points ell = 3, 4, ..., 14 with theta = 0 and x = 0.31.
-
-    Structural mapping: pole in h -> not uniform; b != 0 -> bounded
-    difference; b = 0 with Im h(0) != 0 -> power decay ~ r^(-4/3);
-    b = 0 with h(0) real -> stretched-exponential decay.  The numeric
-    samples must corroborate the predicted behaviour or a NumericalError
-    is raised.
+    The section decides the variant: pole in h -> not uniform; b != 0 ->
+    bounded difference; b = 0 with Im h(0) != 0 -> power decay ~ r^(-4/3);
+    otherwise stretched-exponential decay, an exact isometry when h is a
+    real constant and a is real (delta = 0 in translation_defect).  fit is
+    the power-law or stretched-exponential fit of those classes, else None
+    (an isometry has none); the caller checks that the samples agree.
     """
     ells = np.linspace(3.0, 14.0, 12)
     q = np.stack(np.broadcast_arrays(ells, 0.0, 0.31, 0.0), axis=-1)
@@ -289,31 +279,15 @@ def classify_translation(p: ModelParams, s: fib.SectionData) -> DecayClass:
     if not np.all(np.isfinite(vals)):
         raise NumericalError("non-finite translation defect")
     r = np.array([distance_r(p, ell) for ell in ells])
-
     if s.has_pole():
-        if vals[-1] <= 2.0 * vals[0]:
-            raise NumericalError("expected unbounded growth for a pole section")
-        return DecayClass(NOT_UNIFORM, None, None, r, vals)
-
+        return NOT_UNIFORM, r, vals, None
     if complex(s.b) != 0:
-        lo, hi = float(np.min(vals)), float(np.max(vals))
-        if hi > 50.0 * max(lo, 1e-300) or hi < 1e-14:
-            raise NumericalError("expected a bounded, non-decaying defect")
-        return DecayClass(BOUNDED_DIFFERENCE, None, hi, r, vals)
-
+        return BOUNDED_DIFFERENCE, r, vals, None
     if abs(s.h0().imag) > 1e-14:
-        fit = fit_decay(r, vals, model="power")
-        if fit.r_squared < 0.9:
-            raise NumericalError("power-law fit inconsistent (r^2 < 0.9)")
-        return DecayClass(POWER_DECAY, fit, None, r, vals)
-
-    if np.max(vals) < 1e-14:
-        # exact isometry (constant real translation); classify as fast decay
-        return DecayClass(EXP_DECAY, None, float(np.max(vals)), r, vals)
-    fit = fit_decay(r, vals, model="stretched_exp")
-    if fit.r_squared < 0.9 or fit.exponent >= 0:
-        raise NumericalError("stretched-exponential fit inconsistent")
-    return DecayClass(EXP_DECAY, fit, None, r, vals)
+        return POWER_DECAY, r, vals, fit_decay(r, vals, model="power")
+    if complex(s.a).imag == 0 and s.h0().imag == 0 and not any(c for pw, c in s.h.items() if pw):
+        return EXP_DECAY, r, vals, None
+    return EXP_DECAY, r, vals, fit_decay(r, vals, model="stretched_exp")
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +371,6 @@ def metric_jet(p: ModelParams, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     (2 a1)^(1/3) 2^(1022/3), about 8.3e102 for alpha = eps = k = 1.
     """
     q = np.asarray(q, dtype=float)
-    g = riemannian_metric_chart(p, q)
     ell, x2 = q[..., 0], q[..., 3]
     w = w_factor(p, ell)
     c0 = p.alpha * (w * p.eps)
@@ -408,6 +381,8 @@ def metric_jet(p: ModelParams, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
         raise NumericalError(
             f"metric jet term min(C, -C_ell, C_ell,ell) = {np.min(smallest):.3g} is"
             f" below float64's normal range ({_TINY:.3g})")
+    # checked first: past the bound, g's d = 2/(eps w) can itself overflow
+    g = riemannian_metric_chart(p, q)
     if p._kappa_terms:
         z = np.exp(-(ell + 1j * q[..., 1]))
         kap = kap_y = kap_yy = 0.0j

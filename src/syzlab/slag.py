@@ -62,7 +62,10 @@ class FiberGeometry:
 
 
 def fiber_geometry(mf: ModelFiber) -> FiberGeometry:
+    """The flat torus A dtheta^2 + B dx1^2 of a kappa = 1 model (module docstring)."""
     p = mf.params
+    if not p.kappa_is_one():
+        raise ValidationError("no closed-form fiber geometry for non-trivial kappa")
     a = p.alpha * p.k * mf.ell / (math.pi * p.eps)
     b = p.alpha * TWO_PI * p.eps / (p.k * mf.ell)
     lam = min(1.0 / a, 4.0 * math.pi ** 2 / b)
@@ -160,6 +163,11 @@ def second_fundamental_form(mf: ModelFiber) -> SecondFF:
     after normalizing by the induced area element.  K_intrinsic is 0, as the
     induced metric B (dt1 - g_i dt2)^2 + A(t2) dt2^2, B constant, is flat
     (module docstring); II and K_ambient come from one riemann_jet call.
+    Raises NumericalError where a Gauss term falls below float64's normal
+    range (2^-1022) and the check would compare zeros: for kappa = 1 on a
+    special cycle K_ambient = |II|^2/2 = pi eps/(2 alpha k ell^3), so ell
+    above (pi eps/(2 alpha k))^(1/3) 2^(1022/3), about 4.13e102 for alpha =
+    eps = k = 1.
     """
     p = mf.params
     origin, tan = mf.cycle.lift(p.k, mf.ell)
@@ -171,6 +179,11 @@ def second_fundamental_form(mf: ModelFiber) -> SecondFF:
     k_amb = float(np.einsum("abcd,a,b,c,d->", low, t1v, t2v, t1v, t2v)) / area_sq
     pi_term = (float(second[:, 0, 0] @ g @ second[:, 1, 1])
                - float(second[:, 0, 1] @ g @ second[:, 0, 1])) / area_sq
+    smallest = min(abs(k_amb), abs(pi_term))
+    if not smallest >= sf._TINY:
+        raise NumericalError(
+            f"Gauss term min(|K_ambient|, |<II_11,II_22> - |II_12|^2|) = {smallest:.3g}"
+            f" is below float64's normal range ({sf._TINY:.3g})")
     return SecondFF(pi_norm=math.sqrt(max(pi_sq, 0.0)),
                     h_norm=math.sqrt(max(h_sq, 0.0)),
                     gauss_residual=abs(k_amb + pi_term))

@@ -5,6 +5,7 @@ asserts, so a bare `pytest -s tests/test_acceptance.py` doubles as a
 verification report.
 """
 
+import json
 import math
 import random
 import time
@@ -13,6 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from syzlab import calabi as cal
+from syzlab import cli
 from syzlab import fibration as fib
 from syzlab import glue
 from syzlab import mirror
@@ -86,31 +88,43 @@ def test_criterion_2_pairings():
     assert elapsed < 10.0
 
 
-def test_criterion_3_translation_classes():
+def _classify(capsys, *argv) -> tuple[int, dict, dict]:
+    """(exit code, results, checks by name) of a classify-translation report."""
+    code = cli.run(["semiflat", "classify-translation", *argv, "--no-timestamp"])
+    report = json.loads(capsys.readouterr().out)
+    return code, report["results"], {c["name"]: c for c in report["checks"]}
+
+
+def test_criterion_3_translation_classes(capsys):
+    # each report's named checks corroborate its class: pole_growth,
+    # bounded_ratio, fit_r_squared with power_decay_exponent, and
+    # fit_r_squared with stretched_exponent
     start = time.perf_counter()
-    p1 = sf.ModelParams(k=1, eps=1.0)
-    p2 = sf.ModelParams(k=2, eps=1.0)
-    dc_i = sf.classify_translation(p1, fib.SectionData(h={-1: 0.5, 0: 1.0}))
-    dc_ii = sf.classify_translation(p2, fib.SectionData(h={}, b=1.0))
-    dc_iii = sf.classify_translation(p1, fib.SectionData(h={0: 1j, 1: 1.0}))
-    dc_iv = sf.classify_translation(p1, fib.SectionData(h={0: 1.5, 1: 0.3}))
+    runs = [_classify(capsys, "--k", "1", "--pole"),
+            _classify(capsys, "--k", "2", "--section-b", "1"),
+            _classify(capsys, "--k", "1", "--h0", "0+1i", "--h1", "1+0i"),
+            _classify(capsys, "--k", "1", "--h0", "1.5+0i", "--h1", "0.3+0i")]
     elapsed = time.perf_counter() - start
-    exp3 = dc_iii.fit.exponent
-    r2_4 = dc_iv.fit.r_squared
-    ok = (dc_i.variant == sf.NOT_UNIFORM
-          and dc_ii.variant == sf.BOUNDED_DIFFERENCE
-          and dc_iii.variant == sf.POWER_DECAY and -1.5 <= exp3 <= -1.2
-          and dc_iv.variant == sf.EXP_DECAY and r2_4 >= 0.99
+    variants = [res["variant"] for _, res, _ in runs]
+    names = [sorted(checks) for _, _, checks in runs]
+    exp3 = runs[2][1]["fit"]["exponent"]
+    r2_4 = runs[3][1]["fit"]["r_squared"]
+    want_names = [["pole_growth"], ["bounded_ratio"],
+                  ["fit_r_squared", "power_decay_exponent"],
+                  ["fit_r_squared", "stretched_exponent"]]
+    ok = (all(code == 0 for code, _, _ in runs)
+          and variants == [sf.NOT_UNIFORM, sf.BOUNDED_DIFFERENCE, sf.POWER_DECAY, sf.EXP_DECAY]
+          and names == want_names and -1.5 <= exp3 <= -1.2 and r2_4 >= 0.99
           and elapsed < 30.0)
     _report(3, "four translation-defect decay classes", ok,
-            f"variants ({dc_i.variant}, {dc_ii.variant}, {dc_iii.variant}, "
-            f"{dc_iv.variant}), iii exponent {exp3:.3f} in [-1.5,-1.2], "
+            f"variants ({', '.join(variants)}), every named check passes, "
+            f"iii exponent {exp3:.3f} in [-1.5,-1.2], "
             f"iv r^2 {r2_4:.4f} >= 0.99, {elapsed:.2f}s < 30s")
-    assert dc_i.variant == sf.NOT_UNIFORM
-    assert dc_ii.variant == sf.BOUNDED_DIFFERENCE
-    assert dc_iii.variant == sf.POWER_DECAY
+    assert variants == [sf.NOT_UNIFORM, sf.BOUNDED_DIFFERENCE, sf.POWER_DECAY, sf.EXP_DECAY]
+    assert names == want_names
+    for code, _, checks in runs:
+        assert code == 0 and all(c["passed"] for c in checks.values())
     assert -1.5 <= exp3 <= -1.2
-    assert dc_iv.variant == sf.EXP_DECAY
     assert r2_4 >= 0.99
     assert elapsed < 30.0
 

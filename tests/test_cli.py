@@ -305,6 +305,10 @@ class TestExitCodes:
         (["semiflat", "curvature", "--k", "1", "--eps", "1e-300"], 2),
         # eps itself is subnormal: every distance r overflows
         (["semiflat", "classify-translation", "--k", "1", "--eps", "1e-320", "--h0", "0+1i"], 2),
+        # |II|^2 and K_ambient fall below 2^-1022: the Gauss check would
+        # compare zeros (exit 0 with gauss_residual 0.0 before)
+        (["slag", "check", "--k", "1", "--ell", "4.2e102"], 2),
+        (["slag", "check", "--k", "1", "--ell", "8.2e102"], 2),
     ])
     def test_numerical_breakdown_exit_codes(self, capsys, argv, code):
         assert cli.run(argv + ["--no-timestamp"]) == code
@@ -618,14 +622,49 @@ class TestClassifyChecks:
                                                (-1.3, 0), (-1.45, 0)])
     def test_power_decay_window(self, capsys, monkeypatch, exponent, code):
         fit = DecayFit("power", exponent, 0.9999, 9)
-        dc = sfm.DecayClass(sfm.POWER_DECAY, fit, None, np.ones(3), np.ones(3))
-        monkeypatch.setattr(sfm, "classify_translation", lambda p, s: dc)
+        monkeypatch.setattr(sfm, "classify_translation",
+                            lambda p, s: (sfm.POWER_DECAY, np.ones(3), np.ones(3), fit))
         got, report, _ = run_cli(capsys, "semiflat", "classify-translation",
                                  "--k", "1", "--h0", "0+1i", "--no-timestamp")
         assert got == code
         jsonschema.validate(report, SCHEMA)
         check = {c["name"]: c for c in report["checks"]}["power_decay_exponent"]
         assert check["passed"] == (code == 0)
+
+    @pytest.mark.parametrize("argv,defect,name", [
+        (["--pole"], np.ones(12), "pole_growth"),
+        (["--section-b", "1/2"], 2.0 ** np.arange(12), "bounded_ratio"),
+        (["--section-b", "1/2"], np.full(12, 1e-15), "bounded_ratio"),
+        (["--h0", "0+1i"], 1.0 + np.arange(12) % 2, "fit_r_squared"),
+        (["--h0", "1+0i", "--h1", "1+0i"], np.exp(np.arange(12.0)), "stretched_exponent"),
+        (["--h0", "1/2+0i"], np.full(12, 1e-13), "isometry_defect"),
+    ])
+    def test_poisoned_defect_fails_its_check(self, capsys, monkeypatch, argv, defect, name):
+        # each corroboration of the variant is a named check that passes on
+        # the true defect and fails (exit 3, not a raise) on a poisoned one;
+        # no `variant` check passes whatever the samples say
+        argv = ["semiflat", "classify-translation", "--k", "1", *argv, "--no-timestamp"]
+        code, report, _ = run_cli(capsys, *argv)
+        checks = {c["name"]: c for c in report["checks"]}
+        assert code == 0 and checks[name]["passed"] and "variant" not in checks
+        monkeypatch.setattr(sfm, "translation_defect", lambda p, s, q: defect)
+        code, report, _ = run_cli(capsys, *argv)
+        assert code == 3
+        jsonschema.validate(report, SCHEMA)
+        assert not {c["name"]: c for c in report["checks"]}[name]["passed"]
+
+    @pytest.mark.parametrize("argv,name,code", [
+        # a bounded defect below 1e-14 fails its check (a NumericalError before)
+        (["--section-b", "1", "--eps", "1e-300"], "bounded_ratio", 3),
+        # samples below 1e-14 made an isometry (no fit before); the section is
+        # not a real constant, so the samples are fitted
+        (["--h0", "1+0i", "--h1", "1+0i", "--eps", "1e-300"], "stretched_exponent", 0),
+    ])
+    def test_tiny_defect_is_checked_not_assumed(self, capsys, argv, name, code):
+        got, report, _ = run_cli(capsys, "semiflat", "classify-translation", "--k", "1",
+                                 *argv, "--no-timestamp")
+        assert got == code
+        assert {c["name"]: c for c in report["checks"]}[name]["passed"] == (code == 0)
 
     @pytest.mark.parametrize("argv", [["--pole"], ["--section-b", "1/2"],
                                       ["--h0", "1/2+0i"]])

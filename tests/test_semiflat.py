@@ -6,7 +6,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from syzlab import fibration as fib
@@ -581,26 +581,47 @@ class TestTranslatePullback:
 class TestClassifyTranslation:
     def test_pole(self):
         p = sf.ModelParams(k=1, eps=1.0)
-        dc = sf.classify_translation(p, fib.SectionData(h={-1: 0.5, 0: 1.0}))
-        assert dc.variant == sf.NOT_UNIFORM
+        variant, _, vals, fit = sf.classify_translation(p, fib.SectionData(h={-1: 0.5, 0: 1.0}))
+        assert variant == sf.NOT_UNIFORM and fit is None
+        assert vals[-1] > 2.0 * vals[0]
 
     def test_bounded_difference(self):
         p = sf.ModelParams(k=2, eps=1.0)
-        dc = sf.classify_translation(p, fib.SectionData(h={}, b=1.0))
-        assert dc.variant == sf.BOUNDED_DIFFERENCE
-        assert dc.bound is not None and dc.bound > 0
+        variant, _, vals, fit = sf.classify_translation(p, fib.SectionData(h={}, b=1.0))
+        assert variant == sf.BOUNDED_DIFFERENCE and fit is None
+        assert 1e-14 <= np.max(vals) <= 50.0 * np.min(vals)
 
     def test_power_decay(self):
         p = sf.ModelParams(k=1, eps=1.0)
-        dc = sf.classify_translation(p, fib.SectionData(h={0: 1j, 1: 1.0}))
-        assert dc.variant == sf.POWER_DECAY
-        assert -1.5 <= dc.fit.exponent <= -1.2
+        variant, _, _, fit = sf.classify_translation(p, fib.SectionData(h={0: 1j, 1: 1.0}))
+        assert variant == sf.POWER_DECAY
+        assert -1.5 <= fit.exponent <= -1.2
 
     def test_exp_decay(self):
         p = sf.ModelParams(k=1, eps=1.0)
-        dc = sf.classify_translation(p, fib.SectionData(h={0: 1.5, 1: 0.3}))
-        assert dc.variant == sf.EXP_DECAY
-        assert dc.fit.r_squared >= 0.99
+        variant, _, _, fit = sf.classify_translation(p, fib.SectionData(h={0: 1.5, 1: 0.3}))
+        assert variant == sf.EXP_DECAY
+        assert fit.model == "stretched_exp" and fit.r_squared >= 0.99 and fit.exponent < 0
+
+    @pytest.mark.parametrize("s", [fib.SectionData(h={0: 1.5}),
+                                   fib.SectionData(h={0: 0.37, 1: 0.0}),
+                                   fib.SectionData(h={0: 1.5}, a=0.5)])
+    def test_isometry_from_the_section(self, s):
+        # h a real constant and a real: delta = 0, so no fit, and every sample
+        # is 0 (up to rounding Im(a y/2 pi i)/ell against a/2 pi for a != 0)
+        p = sf.ModelParams(k=2, eps=0.7, b0=0.25, kappa={0: 1.0, 1: 0.5})
+        variant, _, vals, fit = sf.classify_translation(p, s)
+        assert variant == sf.EXP_DECAY and fit is None
+        assert np.max(vals) <= (1e-16 if s.a else 0.0)
+
+    @pytest.mark.parametrize("s", [fib.SectionData(h={0: 1.0, 1: 1.0}),
+                                   fib.SectionData(h={0: 1.0}, a=0.5j)])
+    def test_small_defect_is_not_an_isometry(self, s):
+        # every sample below 1e-14 (eps = 1e-300) classified as an isometry
+        # before; the section is not a real constant, so it is fitted
+        variant, _, vals, fit = sf.classify_translation(sf.ModelParams(k=1, eps=1e-300), s)
+        assert variant == sf.EXP_DECAY and np.max(vals) < 1e-14
+        assert fit.model == "stretched_exp"
 
     @pytest.mark.parametrize("kappa1", [0.0, 0.5])
     @pytest.mark.parametrize("s", [
@@ -612,13 +633,13 @@ class TestClassifyTranslation:
     def test_samples_match_per_point_chain_rule(self, s, kappa1):
         p = sf.ModelParams(k=2, eps=0.7, b0=0.25,
                            kappa={0: 1.0, 1: kappa1} if kappa1 else {})
-        dc = sf.classify_translation(p, s)
+        vals = sf.classify_translation(p, s)[2]
         # the real-h0 defect decays like exp(-ell) against O(1) form entries,
         # which the float64 chain rule cancels down to; 40 digits resolve it
         reference = _defect_mp if s.h0().imag == 0 else _defect_reference
         ref = np.array([reference(p, s, _pt(ell, 0.0, 0.31))
                         for ell in np.linspace(3.0, 14.0, 12)])
-        assert np.max(np.abs(dc.values - ref) / ref) <= (1e-14 if reference is _defect_mp
+        assert np.max(np.abs(vals - ref) / ref) <= (1e-14 if reference is _defect_mp
                                                          else 1e-12)
 
 
@@ -773,10 +794,12 @@ class TestMetricJet:
 
     @given(k=st.integers(1, 9), eps=st.floats(1e-3, 1e3), alpha=st.floats(1e-3, 1e3),
            log_ell=st.one_of(st.floats(95.0, 110.0), st.floats(110.0, 307.0)))
+    @example(k=1, eps=1e-3, alpha=1.0, log_ell=306.0)
     @settings(max_examples=60, deadline=None)
     def test_guard_raises_past_its_bound_and_never_returns_zeros(self, k, eps, alpha, log_ell):
-        # the bound lies between 1e101 and 1e104 here; k ell stays finite, so
-        # g itself is resolved at every drawn point
+        # the bound lies between 1e101 and 1e104 here; past it g's
+        # d = 2/(eps w) can overflow (eps = 1e-3, ell = 1e306), so the guard
+        # must raise before g is formed
         p = sf.ModelParams(k=k, eps=eps, alpha=alpha)
         ell = 10.0 ** log_ell
         # C_ell,ell = 2 a1/ell^3 = 2^-1022 at ell = (2 a1)^(1/3) 2^(1022/3)

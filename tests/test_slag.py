@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from syzlab import cli
 from syzlab import fibration as fib
 from syzlab import semiflat as sf
 from syzlab import slag
@@ -69,6 +70,15 @@ class TestFiberGeometry:
         assert gb.volume == pytest.approx(2.0 * ga.volume)
         assert gb.lambda1 == pytest.approx(ga.lambda1 / 2.0)
         assert gb.diameter == pytest.approx(math.sqrt(2.0) * ga.diameter)
+
+    def test_non_trivial_kappa_rejected(self, capsys):
+        # the closed form is the kappa = 1 torus; --kappa1 0.5 printed it
+        # bit for bit before
+        p = sf.ModelParams(k=1, kappa={0: 1.0, 1: 0.5})
+        with pytest.raises(ValidationError, match="kappa"):
+            slag.fiber_geometry(slag.ModelFiber(p, C10, 10.0))
+        assert cli.run(["slag", "geometry", "--k", "1", "--kappa1", "0.5"]) == 1
+        assert "kappa" in capsys.readouterr().err
 
 
 def _check_special_loops(mf, n=32):
@@ -175,6 +185,19 @@ class TestSecondFundamentalForm:
     def test_gauss_equation(self):
         ff = slag.second_fundamental_form(slag.ModelFiber(STD, C10, 10.0))
         assert ff.gauss_residual <= 1e-6
+
+    @pytest.mark.parametrize("ell,fails", [(4.1e102, False), (4.2e102, True),
+                                           (8.2e102, True)])
+    def test_gauss_terms_in_normal_range(self, ell, fails):
+        # K_ambient = |II|^2/2 = pi/(2 ell^3) reaches 2^-1022 at ell about
+        # 4.13e102, below the metric jet's own bound (8.27e102)
+        mf = slag.ModelFiber(STD, C10, ell)
+        if fails:
+            with pytest.raises(NumericalError, match="Gauss term"):
+                slag.second_fundamental_form(mf)
+        else:
+            ff = slag.second_fundamental_form(mf)
+            assert ff.pi_norm ** 2 * ell ** 3 == pytest.approx(math.pi, rel=1e-12)
 
     def test_pi_decay_against_r(self):
         r, vals, fit = slag.pi_decay(STD, C10)
