@@ -374,94 +374,93 @@ def _add_glue(sp):
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser, built once per process: parse_args returns a fresh
-    Namespace and _Parser.error raises, so no state carries between runs."""
+    Namespace and _Parser.error raises, so no state carries between runs.
+
+    `parser.leaves` maps the words of each command, ("semiflat", "eval") or
+    ("hkrot",), to its leaf parser, whose defaults hold the command and
+    subcommand the full parser sets, and () to the full parser itself."""
     parser = _Parser(prog="syzlab", description=__doc__)
     common = _Parser(add_help=False)
     common.add_argument("--csv", type=str, default=None,
                         help="write the decay curve as CSV (columns r,value)")
     common.add_argument("--no-timestamp", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.leaves = {(): parser}
+
+    def leaf(subparsers, handler, *words):
+        sp = subparsers.add_parser(words[-1], parents=[common])
+        sp.set_defaults(handler=handler, **dict(zip(("command", "subcommand"), words)))
+        parser.leaves[words] = sp
+        return sp
 
     p_sf = sub.add_parser("semiflat")
     sf_sub = p_sf.add_subparsers(dest="subcommand", required=True)
 
-    sp = sf_sub.add_parser("eval", parents=[common])
+    sp = leaf(sf_sub, _cmd_semiflat_eval, "semiflat", "eval")
     _add_params(sp)
     sp.add_argument("--ell", type=float, required=True)
     sp.add_argument("--theta", type=float, default=0.0)
     sp.add_argument("--x1", type=float, default=0.0)
     sp.add_argument("--x2", type=float, default=0.0)
-    sp.set_defaults(handler=_cmd_semiflat_eval)
 
-    sp = sf_sub.add_parser("residual", parents=[common])
+    sp = leaf(sf_sub, _cmd_semiflat_residual, "semiflat", "residual")
     _add_params(sp)
     sp.add_argument("--grid", type=_count, default=32)
-    sp.set_defaults(handler=_cmd_semiflat_residual)
 
-    sp = sf_sub.add_parser("pair", parents=[common])
+    sp = leaf(sf_sub, _cmd_semiflat_pair, "semiflat", "pair")
     _add_params(sp)
     sp.add_argument("--cycle", type=str, default="fiber")
     sp.add_argument("--grid", type=_count, default=64)
-    sp.set_defaults(handler=_cmd_semiflat_pair)
 
-    sp = sf_sub.add_parser("classify-translation", parents=[common])
+    sp = leaf(sf_sub, _cmd_semiflat_classify, "semiflat", "classify-translation")
     _add_params(sp, alpha=False)
     sp.add_argument("--pole", action="store_true")
     sp.add_argument("--section-b", type=str, default="0")
     sp.add_argument("--h0", type=str, default=None)
     sp.add_argument("--h1", type=str, default=None)
-    sp.set_defaults(handler=_cmd_semiflat_classify)
 
-    sp = sf_sub.add_parser("curvature", parents=[common])
+    sp = leaf(sf_sub, _cmd_semiflat_curvature, "semiflat", "curvature")
     _add_params(sp, alpha=False)
-    sp.set_defaults(handler=_cmd_semiflat_curvature)
 
     p_slag = sub.add_parser("slag")
     slag_sub = p_slag.add_subparsers(dest="subcommand", required=True)
     for name, handler in (("check", _cmd_slag_check),
                           ("geometry", _cmd_slag_geometry),
                           ("pi-decay", _cmd_slag_pi_decay)):
-        sp = slag_sub.add_parser(name, parents=[common])
+        sp = leaf(slag_sub, handler, "slag", name)
         _add_params(sp, alpha=False)
         sp.add_argument("--cycle", type=str, default="1,0")
         if name != "pi-decay":
             sp.add_argument("--ell", type=float, default=10.0)
-        sp.set_defaults(handler=handler)
 
-    sp = sub.add_parser("hkrot", parents=[common])
+    sp = leaf(sub, _cmd_hkrot, "hkrot")
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--tau", type=str, required=True)
     sp.add_argument("--verify-grid", type=_count, default=5)
-    sp.set_defaults(handler=_cmd_hkrot)
 
     p_glue = sub.add_parser("glue")
     glue_sub = p_glue.add_subparsers(dest="subcommand", required=True)
 
-    sp = glue_sub.add_parser("potential", parents=[common])
+    sp = leaf(glue_sub, _cmd_glue_potential, "glue", "potential")
     _add_params(sp, alpha=False)
     sp.add_argument("--rho", type=float, default=0.3)
-    sp.set_defaults(handler=_cmd_glue_potential)
 
-    sp = glue_sub.add_parser("positivity", parents=[common])
+    sp = leaf(glue_sub, _cmd_glue_positivity, "glue", "positivity")
     _add_glue(sp)
     sp.add_argument("--alpha", type=float, default=2.0)
     sp.add_argument("--t", type=float, default=None)
-    sp.set_defaults(handler=_cmd_glue_positivity)
 
-    sp = glue_sub.add_parser("solve-alpha", parents=[common])
+    sp = leaf(glue_sub, _cmd_glue_solve_alpha, "glue", "solve-alpha")
     _add_glue(sp)
     sp.add_argument("--tprime", type=float, default=1.0)
-    sp.set_defaults(handler=_cmd_glue_solve_alpha)
 
-    sp = sub.add_parser("mirror", parents=[common])
+    sp = leaf(sub, _cmd_mirror, "mirror")
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--tau", type=str, required=True)
     sp.add_argument("--m", type=int, default=1)
-    sp.set_defaults(handler=_cmd_mirror)
 
-    sp = sub.add_parser("dims", parents=[common])
+    sp = leaf(sub, _cmd_dims, "dims")
     sp.add_argument("--k", type=int, required=True)
-    sp.set_defaults(handler=_cmd_dims)
 
     return parser
 
@@ -519,12 +518,25 @@ def _render(args, results: dict, checks: list[dict]) -> str:
         raise NumericalError(f"report holds a non-finite value ({exc})") from None
 
 
+def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+    """argv parsed by the leaf parser its first words name, else (no words,
+    `semiflat` alone, `slag bogus`, `--help`) by the full parser."""
+    argv = _join_negative_values(list(argv))
+    words = next(w for w in (tuple(argv[:2]), tuple(argv[:1]), ()) if w in parser.leaves)
+    return parser.leaves[words].parse_args(argv[len(words):])
+
+
 def run(argv: list[str] | None = None) -> int:
+    """Run one command and print its report; returns the exit code.
+
+    argv is parsed by its command's leaf parser alone, which gives the full
+    parser's Namespace without the two outer levels; the full parser is
+    kept for the rest, argv whose first words name no command."""
     parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = parser.parse_args(_join_negative_values(list(argv)))
+        args = _parse(parser, argv)
         # numpy overflow, invalid and 0-division fail; no NaN reaches a check
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             results, checks, curve = args.handler(args)

@@ -9,8 +9,11 @@ form itself (alpha = 1) on the modeled annulus; the rescaled end is
 
 whose square is alpha * Omega ^ Omegabar exactly.  The interpolation uses
 a cutoff psi, a positivity reserve t * beta and the harmonic matching of u
-on the gluing annulus.  The positivity margin is the smallest eigenvalue of
-each 2 x 2 (x, y) block, taken in closed form.
+on the gluing annulus.  Each radial quantity (ell = -log rho, psi with its
+two derivatives, beta, u_zzbar and u - v) is evaluated once per radius
+array; beta is one smoothstep whose edges depend on the side of r + s.
+The positivity margin is the smallest eigenvalue of each 2 x 2 (x, y)
+block, taken in closed form.
 
 The total mass integral is affine in (alpha, t) jointly: it is a fixed
 combination of three radial quadratures, which a GlueConfig builds once per
@@ -52,34 +55,50 @@ class Cutoffs:
     r: float
     s: float
 
+    @property
+    def edges(self) -> tuple[float, float, float, float]:
+        return self.r, self.r + self.s, self.r + 2.0 * self.s, self.r + 3.0 * self.s
+
+    @functools.cached_property
+    def edge_logs(self) -> list:
+        return [-np.log(e) for e in self.edges]
+
     @staticmethod
-    def _step(rho: np.ndarray, lo: float, hi: float):
-        """Smoothstep from 1 at rho <= lo to 0 at rho >= hi, with d/drho, d2/drho2."""
-        big = -np.log(rho)
-        b_lo = -np.log(lo)
-        b_hi = -np.log(hi)
-        # lam runs 0 -> 1 as big runs b_hi -> b_lo (rho decreasing); the
-        # polynomial and both derivatives are exactly 0 / 1, 0, 0 at the ends
+    def _step(ell, b_lo, b_hi):
+        """(lam, b_lo - b_hi, smoothstep from 1 at ell >= b_lo to 0 at ell <= b_hi)."""
+        # lam runs 0 -> 1 as ell = -log rho runs b_hi -> b_lo; the polynomial
+        # and both derivatives are exactly 0 / 1, 0, 0 at the ends;
+        # minimum(maximum()) is np.clip bit for bit, without its overhead
         denom = b_lo - b_hi
-        lam = np.clip((big - b_hi) / denom, 0.0, 1.0)
-        val = lam ** 3 * (10.0 - 15.0 * lam + 6.0 * lam ** 2)
+        lam = np.minimum(np.maximum((ell - b_hi) / denom, 0.0), 1.0)
+        return lam, denom, lam ** 3 * (10.0 - 15.0 * lam + 6.0 * lam ** 2)
+
+    def _psi(self, rho, ell):
+        """(psi, psi', psi'') at rho, ell = -log rho."""
+        lam, denom, val = self._step(ell, *self.edge_logs[1:3])
         d1 = 30.0 * lam ** 2 * (1.0 - lam) ** 2
         d2 = 60.0 * lam * (1.0 - 3.0 * lam + 2.0 * lam ** 2)
-        # chain rule through lam(big(rho)); d big/d rho = -1/rho
+        # chain rule through lam(ell(rho)); d ell/d rho = -1/rho
         dlam = -1.0 / (denom * rho)
         ddlam = 1.0 / (denom * rho ** 2)
         return val, d1 * dlam, d2 * dlam ** 2 + d1 * ddlam
 
+    def _beta(self, rho, ell):
+        """beta at rho, ell = -log rho: one smoothstep whose edges are r, r+s
+        below r+s and r+2s, r+3s from there on."""
+        # ramp 0 -> 1 as rho goes r -> r+s, down 1 -> 0 as r+2s -> r+3s
+        b = self.edge_logs
+        up = rho < self.r + self.s
+        val = self._step(ell, np.where(up, b[0], b[2]), np.where(up, b[1], b[3]))[2]
+        return np.where(up, 1.0 - val, val)
+
     def psi(self, rho: np.ndarray):
         """(psi, psi', psi'') along the rho array."""
-        return self._step(rho, self.r + self.s, self.r + 2.0 * self.s)
+        return self._psi(rho, -np.log(rho))
 
     def beta(self, rho: np.ndarray) -> np.ndarray:
         """Coefficient of beta in [0, 1] (times i dz ^ dzbar) along rho."""
-        # ramp 0 -> 1 as rho goes r -> r+s, down 1 -> 0 as r+2s -> r+3s
-        up = 1.0 - self._step(rho, self.r, self.r + self.s)[0]
-        down = self._step(rho, self.r + 2.0 * self.s, self.r + 3.0 * self.s)[0]
-        return np.where(rho < self.r + self.s, up, down)
+        return self._beta(rho, -np.log(rho))
 
 
 @dataclass(frozen=True)
@@ -112,8 +131,7 @@ class GlueConfig:
         if self.s <= 0 or not (self.r + 3.0 * self.s < self.rho_max < 1.0):
             raise ValidationError("need r + 3s < rho_max < 1")
         # the cutoffs divide by differences of -log over these edges
-        edges = (self.r, self.r + self.s, self.r + 2.0 * self.s, self.r + 3.0 * self.s)
-        logs = [-np.log(e) for e in edges]
+        edges, logs = self.cutoffs.edges, self.cutoffs.edge_logs
         if not (edges[0] < edges[1] < edges[2] < edges[3]
                 and logs[0] > logs[1] > logs[2] > logs[3]):
             raise ValidationError("s is too small: r, r+s, r+2s and r+3s (or their"
@@ -123,7 +141,7 @@ class GlueConfig:
         if self.v0c <= 0 or self.vomc <= 0:
             raise ValidationError("external volume contributions must be positive")
 
-    @property
+    @functools.cached_property
     def cutoffs(self) -> Cutoffs:
         return Cutoffs(self.r, self.s)
 
@@ -143,18 +161,33 @@ def potential_u(p: sfm.ModelParams, rho: np.ndarray) -> np.ndarray:
         raise ValidationError("rho must satisfy 0 < rho < 1")
     if not p.kappa_is_one():
         raise ValidationError("no closed-form potential for non-trivial kappa")
-    return p.k / (3.0 * math.pi * p.eps) * (-np.log(rho)) ** 3
+    return _potential_u(p, -np.log(rho))
 
 
 def u_zz(p: sfm.ModelParams, rho: np.ndarray) -> np.ndarray:
     """dz dzbar second derivative of the potential, |kappa|^2 k L / (2 pi eps rho^2)."""
-    # kappa on the positive real ray, elementwise in rho
-    kap2 = np.abs(p.kappa_at(rho)) ** 2
-    return kap2 * p.k * (-np.log(rho)) / (TWO_PI * p.eps * rho ** 2)
+    return _u_zz(p, rho, -np.log(rho))
 
 
 def u_prime(p: sfm.ModelParams, rho: np.ndarray) -> np.ndarray:
-    return -(p.k / (math.pi * p.eps)) * (-np.log(rho)) ** 2 / rho
+    return _u_prime(p, rho, -np.log(rho))
+
+
+# the radial kernels at rho and ell = -log rho, for callers that have ell
+
+
+def _potential_u(p: sfm.ModelParams, ell: np.ndarray) -> np.ndarray:
+    return p.k / (3.0 * math.pi * p.eps) * ell ** 3
+
+
+def _u_zz(p: sfm.ModelParams, rho: np.ndarray, ell: np.ndarray) -> np.ndarray:
+    # kappa on the positive real ray, elementwise in rho
+    kap2 = np.abs(p.kappa_at(rho)) ** 2
+    return kap2 * p.k * ell / (TWO_PI * p.eps * rho ** 2)
+
+
+def _u_prime(p: sfm.ModelParams, rho: np.ndarray, ell: np.ndarray) -> np.ndarray:
+    return -(p.k / (math.pi * p.eps)) * ell ** 2 / rho
 
 
 def sup_u_zz(cfg: GlueConfig) -> float:
@@ -173,43 +206,46 @@ def harmonic_match(cfg: GlueConfig) -> tuple[float, float]:
     return a, b
 
 
-def _match_defect(cfg: GlueConfig, rho: np.ndarray):
-    """(u - v, (u - v)') along rho, for the harmonic match v of u."""
+def _match_defect(cfg: GlueConfig, rho: np.ndarray, ell: np.ndarray):
+    """(u - v, (u - v)') along rho, ell = -log rho, for the harmonic match v
+    of u; harmonic_match rejects a non-trivial kappa, as potential_u does."""
     a, b = harmonic_match(cfg)
-    du = potential_u(cfg.params, rho) - (a + b * -np.log(rho))
-    dup = u_prime(cfg.params, rho) + b / rho
+    du = _potential_u(cfg.params, ell) - (a + b * ell)
+    dup = _u_prime(cfg.params, rho, ell) + b / rho
     return du, dup
 
 
 def claim2_scan(cfg: GlueConfig) -> float:
     """Fitted gluing constant sup(s^-2|u-v| + s^-1|(u-v)_z|) / sup u_zzbar,
     each sup over 400 radii."""
-    du, dup = _match_defect(cfg, np.linspace(cfg.r + cfg.s, cfg.r + 2.0 * cfg.s, 400))
+    rho = np.linspace(cfg.r + cfg.s, cfg.r + 2.0 * cfg.s, 400)
+    du, dup = _match_defect(cfg, rho, -np.log(rho))
     lhs = np.max(np.abs(du) / cfg.s ** 2 + 0.5 * np.abs(dup) / cfg.s)
     rhs = np.max(u_zz(cfg.params, np.linspace(cfg.r, cfg.r + 3.0 * cfg.s, 400)))
     return float(lhs / rhs)
 
 
-def _q_parts(cfg: GlueConfig, x: np.ndarray):
-    """(beta, B) along the rho array x, with q = t * beta + (alpha - 1) * B:
-    B is u_zz for rho <= r and the glued bracket where psi is non-zero above."""
+def _q_parts(cfg: GlueConfig, x: np.ndarray, ell: np.ndarray):
+    """(beta, B, psi, u_zz) along the rho array x, ell = -log x, each
+    evaluated once, with q = t * beta + (alpha - 1) * B: B is u_zz for
+    rho <= r and the glued bracket where psi is non-zero above."""
     if not np.all((cfg.rho_min <= x) & (x <= cfg.rho_max)):
         raise ValidationError("rho outside the modeled annulus")
     cut = cfg.cutoffs
-    uzz = u_zz(cfg.params, x)
+    uzz = _u_zz(cfg.params, x, ell)
     bracket = np.zeros_like(x)
-    psi, psi_p, psi_pp = cut.psi(x)
+    psi, psi_p, psi_pp = cut._psi(x, ell)
     glued = (x > cfg.r) & (psi != 0.0)
     if np.any(glued):
-        du, dup = _match_defect(cfg, x)
+        du, dup = _match_defect(cfg, x, ell)
         psi_zz = 0.25 * (psi_pp + psi_p / x)
         bracket = np.where(glued, psi_zz * du + psi * uzz + 0.5 * psi_p * dup, 0.0)
-    return cut.beta(x), np.where(x <= cfg.r, uzz, bracket)
+    return cut._beta(x, ell), np.where(x <= cfg.r, uzz, bracket), psi, uzz
 
 
 def q_coefficient(cfg: GlueConfig, alpha: float, t: float, rho: np.ndarray) -> np.ndarray:
     """dz^dzbar coefficient added to omega_0 by the glued family along rho."""
-    beta, bracket = _q_parts(cfg, rho)
+    beta, bracket = _q_parts(cfg, rho, -np.log(rho))[:2]
     return t * beta + (alpha - 1.0) * bracket
 
 
@@ -252,13 +288,13 @@ def positivity_scan(cfg: GlueConfig, alpha: float, t: float,
     lo, hi = window if window is not None else (cfg.rho_min, cfg.rho_max)
     if not (cfg.rho_min <= lo < hi <= cfg.rho_max):
         raise ValidationError("window must lie inside the modeled annulus")
-    p = cfg.params
     rho = np.geomspace(lo * 1.0001, hi * 0.9999, n)
-    qc = q_coefficient(cfg, alpha, t, rho)
-    psi = cfg.cutoffs.psi(rho)[0]
-    x = ((qc - 0.5 * psi * (alpha - 1.0) * u_zz(p, rho)) * rho ** 2)[:, None]
+    ell = -np.log(rho)
+    beta, bracket, psi, uzz = _q_parts(cfg, rho, ell)
+    qc = t * beta + (alpha - 1.0) * bracket
+    x = ((qc - 0.5 * psi * (alpha - 1.0) * uzz) * rho ** 2)[:, None]
     # n radii (theta = 0) against the fiber heights
-    e01, cg_i, cg_r, c, d = sfm._form_entries(p, -np.log(rho)[:, None], 0.0,
+    e01, cg_i, cg_r, c, d = sfm._form_entries(cfg.params, ell[:, None], 0.0,
                                                _SCAN_X2, np.exp)
     d_x = 0.25 * d + x
     unresolved = np.abs(d_x) < POSITIVITY_SUM_ERR * (0.25 * d + np.abs(x))
@@ -301,15 +337,14 @@ def mass_integral(cfg: GlueConfig, alpha: float, t: float, n: int = 64) -> float
     if n not in cfg._sums:
         p = cfg.params
         nodes, weights = _legendre(n)
-        bounds = np.array(sorted({cfg.r, cfg.r + cfg.s, cfg.r + 2.0 * cfg.s,
-                                  cfg.r + 3.0 * cfg.s, cfg.rho_max}))
+        bounds = np.array(sorted({*cfg.cutoffs.edges, cfg.rho_max}))
         # integrate in ell over each segment
         l_lo, l_hi = -np.log(bounds[1:]), -np.log(bounds[:-1])
         mid = (0.5 * (l_lo + l_hi))[:, None]
         half = (0.5 * (l_hi - l_lo))[:, None]
         ell = mid + half * nodes
         rho = np.exp(-ell)
-        beta, bracket = _q_parts(cfg, rho)
+        beta, bracket = _q_parts(cfg, rho, -np.log(rho))[:2]
         wkl = 4.0 * weights * half * p.k * ell
         lift = rho ** 2 * sfm.w_factor(p, ell) * p.eps * wkl
         cfg._sums[n] = (float(np.sum(wkl)), float(np.sum(lift * beta)),

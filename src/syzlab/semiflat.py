@@ -283,9 +283,9 @@ def classify_translation(p: ModelParams, s: fib.SectionData):
         return NOT_UNIFORM, r, vals, None
     if complex(s.b) != 0:
         return BOUNDED_DIFFERENCE, r, vals, None
-    if abs(s.h0().imag) > 1e-14:
+    if s.h0().imag != 0:
         return POWER_DECAY, r, vals, fit_decay(r, vals, model="power")
-    if complex(s.a).imag == 0 and s.h0().imag == 0 and not any(c for pw, c in s.h.items() if pw):
+    if complex(s.a).imag == 0 and not any(c for pw, c in s.h.items() if pw):
         return EXP_DECAY, r, vals, None
     return EXP_DECAY, r, vals, fit_decay(r, vals, model="stretched_exp")
 

@@ -1,6 +1,7 @@
 import cmath
 import contextlib
 import decimal
+import importlib.util
 import io
 import json
 import math
@@ -695,6 +696,24 @@ class TestClassifyChecks:
         _, ref, _ = run_cli(capsys, *argv)
         assert report["results"] == ref["results"] and report["checks"] == ref["checks"]
 
+    @pytest.mark.parametrize("h0", ["1+1e-14i", "1+1e-15i", "1+1e-100i", "1+1e-300i"])
+    def test_tiny_imaginary_h0_is_power_decay(self, capsys, h0):
+        # any Im h(0) != 0 decays as r^(-4/3); at or below 1e-14 it was taken
+        # for exp_decay and failed fit_r_squared (0.9795, exit 3)
+        code, report, _ = run_cli(capsys, "semiflat", "classify-translation", "--k", "1",
+                                  "--h0", h0, "--no-timestamp")
+        assert code == 0
+        assert report["results"]["variant"] == "power_decay"
+        checks = {c["name"]: c["measured"] for c in report["checks"]}
+        assert checks["fit_r_squared"] == pytest.approx(1.0, abs=1e-12)
+        assert checks["power_decay_exponent"] == pytest.approx(-4.0 / 3.0, abs=1e-12)
+
+    def test_subnormal_imaginary_h0_underflows(self, capsys):
+        code, report, err = run_cli(capsys, "semiflat", "classify-translation", "--k", "1",
+                                    "--h0", "1+5e-324i", "--no-timestamp")
+        assert (code, report) == (2, None)
+        assert "decay samples must be positive" in err
+
 
 class TestEvalPoint:
     def test_point_built_by_from_ell(self, capsys, monkeypatch):
@@ -746,6 +765,64 @@ class TestCachedParser:
                 assert (tmp_path / f"{i}.csv").read_text() == csv
             codes.add(code)
         assert codes == {0, 1, 3}
+
+
+def _tools_module(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestLeafDispatch:
+    """run parses argv with the leaf parser its first words name: the
+    Namespace must equal the full parser's, and argv that name no leaf, or
+    that a leaf rejects, keep the full parser's exit code and stderr."""
+
+    # semiflat eval is in no README example or workload; the negative values
+    # go through _join_negative_values
+    EXTRA = (["semiflat", "eval", "--k", "1", "--ell", "2", "--b0", "-1/4", "--x1", "-0.3"],
+             ["hkrot", "--k", "2", "--tau", "-1/2+2i", "--verify-grid", "2"])
+
+    @staticmethod
+    def _argvs():
+        co = _tools_module("compare_outputs")
+        workloads = co._load_workloads()
+        drawn = [argv for name in workloads.DESIGN["workloads"]
+                 for argv in next(workloads.blocks(name, 0))]
+        return co.readme_examples() + drawn + [list(a) for a in TestLeafDispatch.EXTRA]
+
+    def test_leaf_namespace_equals_full_parse(self, monkeypatch):
+        parser = cli.build_parser()
+        argvs = self._argvs()
+        full = [parser.parse_args(cli._join_negative_values(argv)) for argv in argvs]
+        # the leaf path never reaches the full parser
+        monkeypatch.setattr(parser, "parse_args", None)
+        for argv, want in zip(argvs, full):
+            got = cli._parse(parser, argv)
+            assert got == want and got.handler is want.handler, argv
+        named = {words for argv in argvs for words in parser.leaves
+                 if words and tuple(argv[:len(words)]) == words}
+        assert named == set(parser.leaves) - {()} and len(named) == 14
+
+    @pytest.mark.parametrize("argv,message", [
+        ([], "required: command"),
+        (["semiflat"], "required: subcommand"),
+        (["slag", "bogus", "--k", "1"], "invalid choice: 'bogus'"),
+        (["glue", "positivity", "--k", "1", "--s", "0.02", "--v0c", "1", "--vomc", "0.2"],
+         "required: --r"),
+        (["dims"], "required: --k"),
+    ])
+    def test_no_leaf_keeps_the_full_parsers_error(self, capsys, argv, message):
+        parser = cli.build_parser()
+        with pytest.raises(ValidationError) as exc:
+            parser.parse_args(argv)
+        usage = io.StringIO()
+        parser.print_usage(usage)
+        code, report, err = run_cli(capsys, *argv)
+        assert (code, report) == (1, None)
+        assert err == f"error: {exc.value}\n{usage.getvalue()}"
+        assert message in err
 
 
 class TestCsv:

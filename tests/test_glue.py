@@ -86,7 +86,7 @@ def q_presplit(cfg, alpha, t, rho):
     psi, psi_p, psi_pp = cut.psi(x)
     glued = (x > cfg.r) & (psi != 0.0)
     if np.any(glued):
-        du, dup = glue._match_defect(cfg, x)
+        du, dup = glue._match_defect(cfg, x, -np.log(x))
         psi_zz = 0.25 * (psi_pp + psi_p / x)
         bracket = psi_zz * du + psi * uzz + 0.5 * psi_p * dup
         q = np.where(glued, q + (alpha - 1.0) * bracket, q)
@@ -323,6 +323,105 @@ class TestCutoffs:
         assert cut.beta(0.14) == 1.0
         assert 0.0 < cut.beta(0.11) < 1.0
         assert 0.0 < cut.beta(0.15) < 1.0
+
+
+def step_oracle(rho, lo, hi):
+    """glue.Cutoffs._step as written before one cutoff pass per radius array:
+    smoothstep from 1 at rho <= lo to 0 at rho >= hi, with d/drho, d2/drho2."""
+    big = -np.log(rho)
+    b_lo = -np.log(lo)
+    b_hi = -np.log(hi)
+    denom = b_lo - b_hi
+    lam = np.clip((big - b_hi) / denom, 0.0, 1.0)
+    val = lam ** 3 * (10.0 - 15.0 * lam + 6.0 * lam ** 2)
+    d1 = 30.0 * lam ** 2 * (1.0 - lam) ** 2
+    d2 = 60.0 * lam * (1.0 - 3.0 * lam + 2.0 * lam ** 2)
+    dlam = -1.0 / (denom * rho)
+    ddlam = 1.0 / (denom * rho ** 2)
+    return val, d1 * dlam, d2 * dlam ** 2 + d1 * ddlam
+
+
+def psi_oracle(r, s, rho):
+    return step_oracle(rho, r + s, r + 2.0 * s)
+
+
+def beta_oracle(r, s, rho):
+    up = 1.0 - step_oracle(rho, r, r + s)[0]
+    down = step_oracle(rho, r + 2.0 * s, r + 3.0 * s)[0]
+    return np.where(rho < r + s, up, down)
+
+
+def margin_oracle(cfg, alpha, t, n=200, window=None):
+    """glue.positivity_scan's margin as written before one pass per radius
+    array, on the cutoff oracles, without its validation and rounding bound."""
+    p, r, s = cfg.params, cfg.r, cfg.s
+    lo, hi = window if window is not None else (cfg.rho_min, cfg.rho_max)
+    rho = np.geomspace(lo * 1.0001, hi * 0.9999, n)
+    uzz = glue.u_zz(p, rho)
+    bracket = np.zeros_like(rho)
+    psi, psi_p, psi_pp = psi_oracle(r, s, rho)
+    glued = (rho > r) & (psi != 0.0)
+    if np.any(glued):
+        a, b = glue.harmonic_match(cfg)
+        du = glue.potential_u(p, rho) - (a + b * -np.log(rho))
+        dup = glue.u_prime(p, rho) + b / rho
+        psi_zz = 0.25 * (psi_pp + psi_p / rho)
+        bracket = np.where(glued, psi_zz * du + psi * uzz + 0.5 * psi_p * dup, 0.0)
+    qc = t * beta_oracle(r, s, rho) + (alpha - 1.0) * np.where(rho <= r, uzz, bracket)
+    psi = psi_oracle(r, s, rho)[0]
+    x = ((qc - 0.5 * psi * (alpha - 1.0) * glue.u_zz(p, rho)) * rho ** 2)[:, None]
+    e01, cg_i, cg_r, c, d = sfm._form_entries(p, -np.log(rho)[:, None], 0.0,
+                                               glue._SCAN_X2, np.exp)
+    a = 0.25 * c
+    return float(np.min(sfm._smallest_eigenvalue(a, 0.25 * e01 + x, 0.25 * np.hypot(cg_r, cg_i),
+                                                 a * (0.25 * d + x))))
+
+
+class TestCutoffBits:
+    """One cutoff pass per radius array keeps every bit of the old cutoffs,
+    evaluated separately for psi and for each side of beta."""
+
+    @staticmethod
+    def _radii(r, s):
+        edges = [r, r + s, r + 2.0 * s, r + 3.0 * s]
+        return edges, np.concatenate([np.geomspace(0.9 * r, 1.1 * edges[3], 997),
+                                      np.array(edges)])
+
+    @pytest.mark.parametrize("r,s", [(0.1, 0.02), (0.2, 0.1), (0.05, 0.01),
+                                     (0.15, 0.05), (0.3, 1e-3)])
+    def test_psi_and_beta_bitwise(self, r, s):
+        edges, rho = self._radii(r, s)
+        # the grid straddles each edge, and the edges themselves are included
+        assert all(rho.min() < e < rho[:-4].max() for e in edges)
+        cut = glue.Cutoffs(r, s)
+        for got, want in zip((*cut.psi(rho), cut.beta(rho)),
+                             (*psi_oracle(r, s, rho), beta_oracle(r, s, rho))):
+            assert got.tobytes() == want.tobytes()
+        at_edges = np.array(edges)
+        assert cut.beta(at_edges).tolist() == [0.0, 1.0, 1.0, 0.0]
+        assert cut.psi(at_edges)[0].tolist() == [1.0, 1.0, 0.0, 0.0]
+
+    def test_positivity_margin_bitwise(self):
+        for kw, alpha, _ in REF_CASES:
+            cfg = make_cfg(**kw)
+            t = 1.2 * glue.required_t(cfg, alpha, 0.0) + 1.0
+            edges = self._radii(cfg.r, cfg.s)[0]
+            for window in (None, (cfg.rho_min, edges[1]), (edges[0], edges[3]),
+                           (edges[1], edges[2]), (edges[2], cfg.rho_max)):
+                for n in (7, 200):
+                    got = glue.positivity_scan(cfg, alpha, t, n=n, window=window)
+                    assert got == margin_oracle(cfg, alpha, t, n=n, window=window)
+
+    def test_positivity_margin_bitwise_with_kappa(self):
+        # kappa != 1 has no potential, so only windows without the glued
+        # bracket: below r (u_zz carries |kappa|^2) and past r+2s (beta only)
+        for kappa in ({0: 1.0, 1: 0.5}, {0: 1.0, 2: 0.3}, {0: 1.0, 1: -0.4j}):
+            cfg = make_cfg(kappa=kappa)
+            for alpha in (0.3, 1.5, 4.0):
+                t = 1.2 * glue.required_t(cfg, alpha, 0.0) + 1.0
+                for window in ((cfg.rho_min, cfg.r), (cfg.r + 2.0 * cfg.s, cfg.rho_max)):
+                    got = glue.positivity_scan(cfg, alpha, t, window=window)
+                    assert got == margin_oracle(cfg, alpha, t, window=window)
 
 
 class TestHarmonicMatch:
