@@ -378,7 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     `parser.leaves` maps the words of each command, ("semiflat", "eval") or
     ("hkrot",), to its leaf parser, whose defaults hold the command and
-    subcommand the full parser sets, and () to the full parser itself."""
+    subcommand the full parser sets, and () to the full parser itself.  Each
+    leaf's `flags` is its _FlagTable; the full parser's is None."""
     parser = _Parser(prog="syzlab", description=__doc__)
     common = _Parser(add_help=False)
     common.add_argument("--csv", type=str, default=None,
@@ -462,7 +463,64 @@ def build_parser() -> argparse.ArgumentParser:
     sp = leaf(sub, _cmd_dims, "dims")
     sp.add_argument("--k", type=int, required=True)
 
+    for words, sp in parser.leaves.items():
+        sp.flags = _FlagTable(sp) if words else None
     return parser
+
+
+class _FlagTable:
+    """A leaf's store and store_true actions by their exact spellings, with
+    the Namespace defaults and the required actions argparse gives that leaf.
+
+    read() takes argv only when every token is an exact spelling, or
+    `--flag=value`, of an action not seen before, each value converts
+    through the action's own type, and a value in its own token does not
+    start with `-`.  Anything
+    else (an abbreviation, a repeat, a missing value, a failed conversion, a
+    missing required flag, -h, --) returns None, and the leaf's parse_args
+    reads that argv: argparse stays the only grammar and the only author of
+    help and error text."""
+
+    def __init__(self, sp: argparse.ArgumentParser):
+        # one value, or none; the help action stays out: only argparse prints help
+        self.actions = {flag: a for flag, a in sp._option_string_actions.items()
+                        if a.choices is None and (type(a) is argparse._StoreTrueAction or (
+                            type(a) is argparse._StoreAction and a.nargs is None))}
+        # argparse converts a string default through the action's type, and
+        # an action's default wins over the parser's
+        self.defaults = {a.dest: (a.type or str)(a.default) if isinstance(a.default, str)
+                         else a.default for a in sp._actions
+                         if argparse.SUPPRESS not in (a.dest, a.default)}
+        for dest, value in sp._defaults.items():
+            self.defaults.setdefault(dest, value)
+        self.required = {a for a in sp._actions if a.required}
+        self.value_flags = {flag for flag, a in self.actions.items() if a.nargs is None}
+
+    def read(self, argv: list[str]) -> argparse.Namespace | None:
+        values, seen = dict(self.defaults), set()
+        tokens = iter(argv)
+        for token in tokens:
+            flag, eq, text = token.partition("=")
+            action = self.actions.get(flag)
+            if action is None or action in seen:
+                return None
+            seen.add(action)
+            if action.nargs == 0:
+                if eq:
+                    return None
+                values[action.dest] = action.const
+                continue
+            if not eq:
+                text = next(tokens, "-")
+                if text.startswith("-"):
+                    return None
+            try:
+                values[action.dest] = (action.type or str)(text)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+        if not self.required <= seen:
+            return None
+        return argparse.Namespace(**values)
 
 
 def _echo_inputs(args) -> dict:
@@ -486,16 +544,29 @@ def _write_csv(path: str, curve) -> None:
 _VALUE_FLAGS = {"--b0", "--tau", "--h0", "--h1", "--section-b", "--cycle"}
 
 
-def _join_negative_values(argv: list[str]) -> list[str]:
-    """Fold `--tau -1/2+2i` into `--tau=-1/2+2i` so argparse accepts it."""
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _join_negative_values(argv: list[str], value_flags: set[str]) -> list[str]:
+    """Fold `--tau -1/2+2i` into `--tau=-1/2+2i` so argparse accepts it, and
+    `--x1 -1e-3` into `--x1=-1e-3` where --x1 is one of value_flags, the
+    flags that take a value: argparse takes `-0.001` for a value but not
+    `-1e-3`."""
     out = []
     skip = False
     for i, a in enumerate(argv):
         if skip:
             skip = False
             continue
-        if a in _VALUE_FLAGS and i + 1 < len(argv) and argv[i + 1].startswith("-"):
-            out.append(a + "=" + argv[i + 1])
+        nxt = argv[i + 1] if i + 1 < len(argv) else ""
+        if nxt.startswith("-") and (
+                a in _VALUE_FLAGS or (a in value_flags and _is_float(nxt))):
+            out.append(a + "=" + nxt)
             skip = True
         else:
             out.append(a)
@@ -513,24 +584,63 @@ def _render(args, results: dict, checks: list[dict]) -> str:
         report["timestamp"] = datetime.datetime.now(
             datetime.timezone.utc).isoformat()
     try:
-        return json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+        return _json(report, "\n")
     except ValueError as exc:
         raise NumericalError(f"report holds a non-finite value ({exc})") from None
 
 
+_STRING = json.encoder.encode_basestring_ascii
+
+
+def _json(value, pad: str) -> str:
+    """value as json.dumps(value, indent=2, sort_keys=True, allow_nan=False)
+    writes it, byte for byte, without the pure-Python encoder that json runs
+    for an indent; pad is the newline and indent of value's line."""
+    if isinstance(value, str):
+        return _STRING(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        return float.__repr__(value)
+    # None, True and False before int: bool is an int
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = pad + "  "
+    if isinstance(value, (list, tuple)):
+        ends, items = "[]", [_json(v, inner) for v in value]
+    elif isinstance(value, dict):
+        ends, items = "{}", [f"{_STRING(k)}: {_json(v, inner)}" for k, v in sorted(value.items())]
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if not items:
+        return ends
+    return ends[0] + inner + ("," + inner).join(items) + pad + ends[1]
+
+
 def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
-    """argv parsed by the leaf parser its first words name, else (no words,
+    """argv read through the flag table of the leaf its first words name, or
+    parsed by that leaf's parser where the table declines, else (no words,
     `semiflat` alone, `slag bogus`, `--help`) by the full parser."""
-    argv = _join_negative_values(list(argv))
     words = next(w for w in (tuple(argv[:2]), tuple(argv[:1]), ()) if w in parser.leaves)
-    return parser.leaves[words].parse_args(argv[len(words):])
+    leaf = parser.leaves[words]
+    if leaf.flags is None:
+        return leaf.parse_args(_join_negative_values(argv, set()))
+    rest = _join_negative_values(argv[len(words):], leaf.flags.value_flags)
+    return leaf.flags.read(rest) or leaf.parse_args(rest)
 
 
 def run(argv: list[str] | None = None) -> int:
     """Run one command and print its report; returns the exit code.
 
-    argv is parsed by its command's leaf parser alone, which gives the full
-    parser's Namespace without the two outer levels; the full parser is
+    argv is read through its command's flag table, or parsed by the
+    command's leaf parser where the table declines; either gives the full
+    parser's Namespace without the two outer levels.  The full parser is
     kept for the rest, argv whose first words name no command."""
     parser = build_parser()
     if argv is None:

@@ -92,14 +92,6 @@ class Cutoffs:
         val = self._step(ell, np.where(up, b[0], b[2]), np.where(up, b[1], b[3]))[2]
         return np.where(up, 1.0 - val, val)
 
-    def psi(self, rho: np.ndarray):
-        """(psi, psi', psi'') along the rho array."""
-        return self._psi(rho, -np.log(rho))
-
-    def beta(self, rho: np.ndarray) -> np.ndarray:
-        """Coefficient of beta in [0, 1] (times i dz ^ dzbar) along rho."""
-        return self._beta(rho, -np.log(rho))
-
 
 @dataclass(frozen=True)
 class GlueConfig:
@@ -167,10 +159,6 @@ def potential_u(p: sfm.ModelParams, rho: np.ndarray) -> np.ndarray:
 def u_zz(p: sfm.ModelParams, rho: np.ndarray) -> np.ndarray:
     """dz dzbar second derivative of the potential, |kappa|^2 k L / (2 pi eps rho^2)."""
     return _u_zz(p, rho, -np.log(rho))
-
-
-def u_prime(p: sfm.ModelParams, rho: np.ndarray) -> np.ndarray:
-    return _u_prime(p, rho, -np.log(rho))
 
 
 # the radial kernels at rho and ell = -log rho, for callers that have ell

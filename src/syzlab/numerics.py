@@ -7,6 +7,7 @@ caller thinks it has.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,7 +136,7 @@ def find_root(f, a: float, b: float) -> float:
     if not (b > a):
         raise ValidationError("bracket must satisfy a < b")
     fa, fb = f(a), f(b)
-    if not (np.isfinite(fa) and np.isfinite(fb)):
+    if not (math.isfinite(fa) and math.isfinite(fb)):
         raise NumericalError("non-finite bracket values")
     if fa == 0.0:
         return float(a)
@@ -155,7 +156,7 @@ def find_root(f, a: float, b: float) -> float:
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         fm = f(mid)
-        if not np.isfinite(fm):
+        if not math.isfinite(fm):
             raise NumericalError("non-finite value during bisection")
         if fm == 0.0:
             return float(mid)

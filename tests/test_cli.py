@@ -1,3 +1,4 @@
+import argparse
 import cmath
 import contextlib
 import decimal
@@ -775,9 +776,10 @@ def _tools_module(name):
 
 
 class TestLeafDispatch:
-    """run parses argv with the leaf parser its first words name: the
-    Namespace must equal the full parser's, and argv that name no leaf, or
-    that a leaf rejects, keep the full parser's exit code and stderr."""
+    """run reads argv through the flag table of the leaf its first words
+    name: the Namespace must equal the full parser's, and argv that name no
+    leaf, or that a leaf rejects, keep the full parser's exit code and
+    stderr."""
 
     # semiflat eval is in no README example or workload; the negative values
     # go through _join_negative_values
@@ -795,9 +797,11 @@ class TestLeafDispatch:
     def test_leaf_namespace_equals_full_parse(self, monkeypatch):
         parser = cli.build_parser()
         argvs = self._argvs()
-        full = [parser.parse_args(cli._join_negative_values(argv)) for argv in argvs]
-        # the leaf path never reaches the full parser
-        monkeypatch.setattr(parser, "parse_args", None)
+        full = [parser.parse_args(cli._join_negative_values(argv, set())) for argv in argvs]
+        # every one is read by its leaf's flag table: neither the full parser
+        # nor a leaf parser is reached
+        for leaf in parser.leaves.values():
+            monkeypatch.setattr(leaf, "parse_args", None)
         for argv, want in zip(argvs, full):
             got = cli._parse(parser, argv)
             assert got == want and got.handler is want.handler, argv
@@ -823,6 +827,185 @@ class TestLeafDispatch:
         assert (code, report) == (1, None)
         assert err == f"error: {exc.value}\n{usage.getvalue()}"
         assert message in err
+
+
+LEAF_WORDS = sorted(w for w in cli.build_parser().leaves if w)
+# values for any flag: good and bad ints, floats and strings, negative ones
+# in both float spellings, and tokens that look like flags
+_FLAG_VALUES = ("1", "2", "0", "5", "0.5", "1e-3", "-1", "-0.3", "-1e-3", "-inf",
+                "nan", "x", "", "1/4", "-1/4", "1,0", "fiber", "0+1i", "-h", "--k")
+# values that each type converts, drawn most of the time
+_GOOD_VALUES = {int: ("1", "2", "-3"), float: ("0.5", "2", "-0.3", "-1e-3", "1E2"),
+                None: ("1/4", "-1/4", "fiber", "1,0", "0+1i"), str: ("1/4", "-1/4", "1,0"),
+                cli._count: ("1", "3")}
+
+
+@st.composite
+def _leaf_argv(draw, flags: cli._FlagTable) -> list[str]:
+    """argv for one leaf: its required flags, each maybe dropped, and a few
+    more of its flags, spelled exactly, abbreviated or as `--flag=value`,
+    with stray tokens (-h, --help, --, a bare value) mixed in."""
+    spellings = sorted(flags.actions) + ["-h", "--help"]
+    chosen = [f for f in sorted(flags.actions) if flags.actions[f] in flags.required
+              and draw(st.integers(0, 19)) < 19]
+    chosen += draw(st.lists(st.sampled_from(spellings), max_size=3, unique=draw(st.booleans())))
+    argv = []
+    for flag in draw(st.permutations(chosen)):
+        form = draw(st.sampled_from(("exact",) * 6 + ("abbrev", "eq")))
+        if form == "abbrev" and len(flag) > 3:
+            flag = flag[:draw(st.integers(3, len(flag) - 1))]
+        action = flags.actions.get(flag)
+        good = () if action is None or draw(st.integers(0, 3)) == 3 else _GOOD_VALUES[action.type]
+        value = draw(st.sampled_from(good or _FLAG_VALUES))
+        if flag in flags.value_flags and form == "eq":
+            argv.append(f"{flag}={value}")
+        elif flag in flags.value_flags or flag not in flags.actions:
+            argv += [flag, value] if draw(st.integers(0, 9)) < 9 else [flag]
+        else:
+            argv.append(flag)
+    if draw(st.integers(0, 9)) == 9:
+        argv.insert(draw(st.integers(0, len(argv))),
+                    draw(st.sampled_from(("--", "-h", "--help", "x"))))
+    return argv
+
+
+class TestFlagTable:
+    """A leaf's flag table reads argv without argparse, or returns None and
+    leaves it to the leaf's parse_args; whatever it reads, parse_args would
+    read to the same Namespace."""
+
+    @given(data=st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_none_or_the_leaf_parsers_namespace(self, data):
+        leaf = cli.build_parser().leaves[data.draw(st.sampled_from(LEAF_WORDS))]
+        argv = data.draw(_leaf_argv(leaf.flags))
+        argv = cli._join_negative_values(argv, leaf.flags.value_flags)
+        got = leaf.flags.read(argv)
+        if got is not None:
+            want = leaf.parse_args(argv)
+            # by repr, so that a nan value (--s nan) compares equal to itself
+            assert repr(sorted(vars(got).items())) == repr(sorted(vars(want).items())), argv
+            assert got.handler is want.handler, argv
+
+    GLUE = ["--k", "1", "--r", "0.2", "--s", "0.1", "--v0c", "40", "--vomc", "62"]
+
+    @pytest.mark.parametrize("words,argv", [
+        (("glue", "solve-alpha"), GLUE + ["--tp", "2"]),          # abbreviation
+        (("dims",), ["--k", "1", "--k", "2"]),                    # repeat
+        (("dims",), ["--k", "1", "--k=2"]),
+        (("dims",), ["--k", "1", "--help"]),
+        (("dims",), ["-h"]),
+        (("dims",), ["--k", "1", "--csv"]),                       # missing value
+        (("dims",), ["--k", "1", "--"]),
+        (("dims",), ["--", "--k", "1"]),
+        (("dims",), ["--k", "x"]),                                # bad value
+        (("semiflat", "pair"), ["--k", "1", "--grid", "0"]),
+        (("dims",), []),                                          # missing required
+        (("dims",), ["--k", "1", "--no-timestamp=1"]),
+        (("dims",), ["--k", "1", "2"]),
+        (("semiflat", "classify-translation"), ["--k", "1", "--pole", "-1"]),
+    ])
+    def test_declines_and_argparse_decides(self, words, argv):
+        parser = cli.build_parser()
+        leaf = parser.leaves[words]
+        folded = cli._join_negative_values(argv, leaf.flags.value_flags)
+        assert leaf.flags.read(folded) is None
+        try:
+            want = leaf.parse_args(folded)
+        except (ValidationError, SystemExit) as exc:
+            want = type(exc)
+        try:
+            got = cli._parse(parser, [*words, *argv])
+        except (ValidationError, SystemExit) as exc:
+            got = type(exc)
+        assert got == want
+
+    def test_equals_form_is_read(self, monkeypatch):
+        parser = cli.build_parser()
+        leaf = parser.leaves[("glue", "solve-alpha")]
+        want = leaf.parse_args(self.GLUE + ["--tprime", "2"])
+        monkeypatch.setattr(leaf, "parse_args", None)
+        argv = ["glue", "solve-alpha", *self.GLUE, "--tprime=2", "--no-timestamp"]
+        assert cli._parse(parser, argv) == argparse.Namespace(**{**vars(want), "no_timestamp": True})
+
+    @pytest.mark.parametrize("words,flag", [(("semiflat", "eval"), "--x1"),
+                                            (("glue", "positivity"), "--alpha"),
+                                            (("semiflat", "curvature"), "--kappa1")])
+    def test_exponent_spelling_of_a_negative_real(self, capsys, words, flag):
+        base = {("semiflat", "eval"): ["--k", "1", "--ell", "2"],
+                ("glue", "positivity"): ["--k", "1", "--r", "0.1", "--s", "0.02",
+                                         "--v0c", "1", "--vomc", "0.2"],
+                ("semiflat", "curvature"): ["--k", "1"]}[words]
+        parser = cli.build_parser()
+        outputs = set()
+        for value in ([flag, "-0.001"], [flag, "-1e-3"], [f"{flag}=-1e-3"], [flag, "-1E-3"]):
+            argv = [*words, *base, *value, "--no-timestamp"]
+            assert getattr(cli._parse(parser, argv), flag[2:]) == -0.001
+            code = cli.run(argv)
+            outputs.add((code, *capsys.readouterr()))
+        assert len(outputs) == 1
+
+    def test_never_folds_after_a_store_true_flag(self, capsys):
+        code, report, err = run_cli(capsys, "semiflat", "classify-translation",
+                                    "--k", "1", "--pole", "-1")
+        assert (code, report) == (1, None)
+        assert err.startswith("error: unrecognized arguments: -1\n")
+
+
+_JSON_STRINGS = st.one_of(st.text(), st.sampled_from(
+    ['"', "\\", "\x00", "\x1f\x7f", "\u2028", "é", "\ud800", "💡", "a\"b\\c\n"]))
+_JSON_FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                         st.sampled_from([-0.0, 5e-324, 1e308, 0.1 + 0.2]))
+_JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), _JSON_FLOATS, _JSON_STRINGS),
+    lambda kids: st.one_of(st.lists(kids, max_size=4), st.lists(kids, max_size=4).map(tuple),
+                           st.dictionaries(_JSON_STRINGS, kids, max_size=4)),
+    max_leaves=20)
+
+
+def _dumps(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True, allow_nan=False)
+
+
+class TestRender:
+    """The report writer gives json.dumps(indent=2, sort_keys=True,
+    allow_nan=False) byte for byte, and its errors."""
+
+    @given(results=st.dictionaries(_JSON_STRINGS, _JSON_VALUES, max_size=5),
+           checks=st.lists(_JSON_VALUES, max_size=3), subcommand=st.sampled_from([None, "eval"]))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_json_dumps(self, results, checks, subcommand):
+        args = argparse.Namespace(command="semiflat", subcommand=subcommand, k=1, b0="-1/4",
+                                  handler=None, csv=None, no_timestamp=True)
+        report = {"command": "semiflat" + (f" {subcommand}" if subcommand else ""),
+                  "inputs": cli._echo_inputs(args), "results": results, "checks": checks,
+                  "version": cli.__version__}
+        assert cli._render(args, results, checks) == _dumps(report)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, np.float64("nan"),
+                                       [1.0, {"a": -math.inf}]])
+    def test_non_finite_raises_jsons_error(self, value):
+        with pytest.raises(ValueError) as want:
+            _dumps(value)
+        with pytest.raises(ValueError) as got:
+            cli._json(value, "\n")
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("value", [object(), np.int64(1), np.bool_(True), {1j}])
+    def test_other_types_raise_type_error(self, value):
+        with pytest.raises(TypeError):
+            _dumps(value)
+        with pytest.raises(TypeError):
+            cli._json(value, "\n")
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_report_is_two(self, capsys, monkeypatch, value):
+        # no flag reaches this: every input is validated before its handler
+        monkeypatch.setattr(sfm, "moduli_dims", lambda k: (value, 11 - k, 10 - k))
+        code, report, err = run_cli(capsys, "dims", "--k", "1", "--no-timestamp")
+        assert (code, report) == (2, None)
+        assert err == ("numerical failure: report holds a non-finite value (Out of range"
+                       f" float values are not JSON compliant: {value!r})\n")
 
 
 class TestCsv:

@@ -82,8 +82,8 @@ def q_presplit(cfg, alpha, t, rho):
     x = np.atleast_1d(np.asarray(rho, dtype=float))
     cut = cfg.cutoffs
     uzz = glue.u_zz(cfg.params, x)
-    q = t * cut.beta(x)
-    psi, psi_p, psi_pp = cut.psi(x)
+    q = t * cut._beta(x, -np.log(x))
+    psi, psi_p, psi_pp = cut._psi(x, -np.log(x))
     glued = (x > cfg.r) & (psi != 0.0)
     if np.any(glued):
         du, dup = glue._match_defect(cfg, x, -np.log(x))
@@ -282,7 +282,7 @@ class TestPotential:
             h = 1e-4 * rho
             fd = (glue.potential_u(cfg.params, rho + h)
                   - glue.potential_u(cfg.params, rho - h)) / (2.0 * h)
-            assert glue.u_prime(cfg.params, rho) == pytest.approx(fd, rel=1e-7)
+            assert glue._u_prime(cfg.params, rho, -np.log(rho)) == pytest.approx(fd, rel=1e-7)
 
     def test_u_zz_matches_radial_laplacian(self):
         # u_zzbar = (u'' + u'/rho) / 4 for radial u
@@ -310,19 +310,19 @@ class TestPotential:
 class TestCutoffs:
     def test_psi_plateaus(self):
         cut = glue.Cutoffs(r=0.1, s=0.02)
-        assert cut.psi(0.11) == (1.0, 0.0, 0.0)
-        assert cut.psi(0.15) == (0.0, 0.0, 0.0)
-        mid = cut.psi(0.13)[0]
+        assert cut._psi(0.11, -np.log(0.11)) == (1.0, 0.0, 0.0)
+        assert cut._psi(0.15, -np.log(0.15)) == (0.0, 0.0, 0.0)
+        mid = cut._psi(0.13, -np.log(0.13))[0]
         assert 0.0 < mid < 1.0
 
     def test_beta_support_and_plateau(self):
         cut = glue.Cutoffs(r=0.1, s=0.02)
-        assert cut.beta(0.1) == 0.0
-        assert cut.beta(0.161) == 0.0
-        assert cut.beta(0.12) == 1.0
-        assert cut.beta(0.14) == 1.0
-        assert 0.0 < cut.beta(0.11) < 1.0
-        assert 0.0 < cut.beta(0.15) < 1.0
+        assert cut._beta(0.1, -np.log(0.1)) == 0.0
+        assert cut._beta(0.161, -np.log(0.161)) == 0.0
+        assert cut._beta(0.12, -np.log(0.12)) == 1.0
+        assert cut._beta(0.14, -np.log(0.14)) == 1.0
+        assert 0.0 < cut._beta(0.11, -np.log(0.11)) < 1.0
+        assert 0.0 < cut._beta(0.15, -np.log(0.15)) < 1.0
 
 
 def step_oracle(rho, lo, hi):
@@ -364,7 +364,7 @@ def margin_oracle(cfg, alpha, t, n=200, window=None):
     if np.any(glued):
         a, b = glue.harmonic_match(cfg)
         du = glue.potential_u(p, rho) - (a + b * -np.log(rho))
-        dup = glue.u_prime(p, rho) + b / rho
+        dup = glue._u_prime(p, rho, -np.log(rho)) + b / rho
         psi_zz = 0.25 * (psi_pp + psi_p / rho)
         bracket = np.where(glued, psi_zz * du + psi * uzz + 0.5 * psi_p * dup, 0.0)
     qc = t * beta_oracle(r, s, rho) + (alpha - 1.0) * np.where(rho <= r, uzz, bracket)
@@ -394,12 +394,12 @@ class TestCutoffBits:
         # the grid straddles each edge, and the edges themselves are included
         assert all(rho.min() < e < rho[:-4].max() for e in edges)
         cut = glue.Cutoffs(r, s)
-        for got, want in zip((*cut.psi(rho), cut.beta(rho)),
+        for got, want in zip((*cut._psi(rho, -np.log(rho)), cut._beta(rho, -np.log(rho))),
                              (*psi_oracle(r, s, rho), beta_oracle(r, s, rho))):
             assert got.tobytes() == want.tobytes()
         at_edges = np.array(edges)
-        assert cut.beta(at_edges).tolist() == [0.0, 1.0, 1.0, 0.0]
-        assert cut.psi(at_edges)[0].tolist() == [1.0, 1.0, 0.0, 0.0]
+        assert cut._beta(at_edges, -np.log(at_edges)).tolist() == [0.0, 1.0, 1.0, 0.0]
+        assert cut._psi(at_edges, -np.log(at_edges))[0].tolist() == [1.0, 1.0, 0.0, 0.0]
 
     def test_positivity_margin_bitwise(self):
         for kw, alpha, _ in REF_CASES:
@@ -466,7 +466,7 @@ class TestArrayKernels:
         rho = np.geomspace(0.02, 0.8, 12).reshape(3, 4)
         assert glue.q_coefficient(cfg, 2.0, 3.0, rho).shape == (3, 4)
         assert glue.u_zz(cfg.params, rho).shape == (3, 4)
-        assert all(v.shape == (3, 4) for v in cfg.cutoffs.psi(rho))
+        assert all(v.shape == (3, 4) for v in cfg.cutoffs._psi(rho, -np.log(rho)))
 
     @pytest.mark.parametrize("outside", [0.005, 0.95, math.nan])
     def test_any_out_of_annulus_element_rejected(self, outside):
@@ -607,7 +607,7 @@ class TestGluedForm:
         cfg = make_cfg()
         # psi vanishes past r + 2s, leaving only the beta bump
         rho = 0.145
-        expect = 3.0 * cfg.cutoffs.beta(rho)
+        expect = 3.0 * cfg.cutoffs._beta(rho, -np.log(rho))
         assert 0.0 < expect < 3.0
         assert glue.q_coefficient(cfg, 2.0, 3.0, rho) == pytest.approx(expect)
         assert glue.q_coefficient(cfg, 2.0, 3.0, 0.5) == 0.0
@@ -615,7 +615,7 @@ class TestGluedForm:
     def test_alpha_one_kills_correction(self):
         cfg = make_cfg()
         for rho in (0.05, 0.11, 0.125, 0.145, 0.5):
-            beta_only = 3.0 * cfg.cutoffs.beta(rho)
+            beta_only = 3.0 * cfg.cutoffs._beta(rho, -np.log(rho))
             assert glue.q_coefficient(cfg, 1.0, 3.0, rho) == pytest.approx(
                 beta_only)
 
