@@ -349,173 +349,121 @@ def _cmd_dims(args):
 
 
 # ---------------------------------------------------------------------------
-# argument grammar
+# argument grammar: each command's flags, declared once as (spelling, type,
+# default[, help]) in help order; the default _REQUIRED makes a flag required
+# and the type bool makes it store_true.  Only a str flag has a str default,
+# so every default is its own converted value.
 
+_REQUIRED = object()
+_COMMON = (("--csv", str, None, "write the decay curve as CSV (columns r,value)"),
+           ("--no-timestamp", bool, False))
+_K = (("--k", int, _REQUIRED),)
+_TAU = _K + (("--tau", str, _REQUIRED),)
+_PARAMS = _K + (("--eps", float, 1.0), ("--b0", str, "0"), ("--kappa1", float, 0.0))
+_ALPHA = _PARAMS + (("--alpha", float, 1.0),)
+_GLUE = _PARAMS + (("--r", float, _REQUIRED), ("--s", float, _REQUIRED),
+                   ("--rho-min", float, 1e-4), ("--rho-max", float, 0.9),
+                   ("--v0c", float, _REQUIRED), ("--vomc", float, _REQUIRED))
+_SLAG = _PARAMS + (("--cycle", str, "1,0"),)
 
-def _add_params(sp, alpha=True):
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--eps", type=float, default=1.0)
-    sp.add_argument("--b0", type=str, default="0")
-    sp.add_argument("--kappa1", type=float, default=0.0)
-    if alpha:
-        sp.add_argument("--alpha", type=float, default=1.0)
-
-
-def _add_glue(sp):
-    _add_params(sp, alpha=False)
-    sp.add_argument("--r", type=float, required=True)
-    sp.add_argument("--s", type=float, required=True)
-    sp.add_argument("--rho-min", type=float, default=1e-4)
-    sp.add_argument("--rho-max", type=float, default=0.9)
-    sp.add_argument("--v0c", type=float, required=True)
-    sp.add_argument("--vomc", type=float, required=True)
+# the words of each command, in help order, to its handler and flags
+_LEAVES = {
+    ("semiflat", "eval"): (_cmd_semiflat_eval, _ALPHA + (
+        ("--ell", float, _REQUIRED), ("--theta", float, 0.0),
+        ("--x1", float, 0.0), ("--x2", float, 0.0))),
+    ("semiflat", "residual"): (_cmd_semiflat_residual, _ALPHA + (("--grid", _count, 32),)),
+    ("semiflat", "pair"): (_cmd_semiflat_pair, _ALPHA + (
+        ("--cycle", str, "fiber"), ("--grid", _count, 64))),
+    ("semiflat", "classify-translation"): (_cmd_semiflat_classify, _PARAMS + (
+        ("--pole", bool, False), ("--section-b", str, "0"),
+        ("--h0", str, None), ("--h1", str, None))),
+    ("semiflat", "curvature"): (_cmd_semiflat_curvature, _PARAMS),
+    ("slag", "check"): (_cmd_slag_check, _SLAG + (("--ell", float, 10.0),)),
+    ("slag", "geometry"): (_cmd_slag_geometry, _SLAG + (("--ell", float, 10.0),)),
+    ("slag", "pi-decay"): (_cmd_slag_pi_decay, _SLAG),
+    ("hkrot",): (_cmd_hkrot, _TAU + (("--verify-grid", _count, 5),)),
+    ("glue", "potential"): (_cmd_glue_potential, _PARAMS + (("--rho", float, 0.3),)),
+    ("glue", "positivity"): (_cmd_glue_positivity, _GLUE + (
+        ("--alpha", float, 2.0), ("--t", float, None))),
+    ("glue", "solve-alpha"): (_cmd_glue_solve_alpha, _GLUE + (("--tprime", float, 1.0),)),
+    ("mirror",): (_cmd_mirror, _TAU + (("--m", int, 1),)),
+    ("dims",): (_cmd_dims, _K),
+}
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The parser, built once per process: parse_args returns a fresh
-    Namespace and _Parser.error raises, so no state carries between runs.
+    """The parser, built once per process from _LEAVES: parse_args returns a
+    fresh Namespace and _Parser.error raises, so no state carries between runs.
 
     `parser.leaves` maps the words of each command, ("semiflat", "eval") or
     ("hkrot",), to its leaf parser, whose defaults hold the command and
     subcommand the full parser sets, and () to the full parser itself.  Each
-    leaf's `flags` is its _FlagTable; the full parser's is None."""
+    leaf's `flags` is its _FlagTable, built from the same flags."""
     parser = _Parser(prog="syzlab", description=__doc__)
-    common = _Parser(add_help=False)
-    common.add_argument("--csv", type=str, default=None,
-                        help="write the decay curve as CSV (columns r,value)")
-    common.add_argument("--no-timestamp", action="store_true")
-    sub = parser.add_subparsers(dest="command", required=True)
     parser.leaves = {(): parser}
-
-    def leaf(subparsers, handler, *words):
-        sp = subparsers.add_parser(words[-1], parents=[common])
-        sp.set_defaults(handler=handler, **dict(zip(("command", "subcommand"), words)))
+    groups = {(): parser.add_subparsers(dest="command", required=True)}
+    for words, (handler, flags) in _LEAVES.items():
+        if words[:-1] not in groups:
+            groups[words[:-1]] = groups[()].add_parser(words[0]).add_subparsers(
+                dest="subcommand", required=True)
+        sp = groups[words[:-1]].add_parser(words[-1])
+        fixed = dict(zip(("command", "subcommand"), words), handler=handler)
+        sp.set_defaults(**fixed)
+        for spelling, kind, default, *doc in _COMMON + flags:
+            required = default is _REQUIRED
+            how = {"action": "store_true"} if kind is bool else {"type": kind, "required": required}
+            sp.add_argument(spelling, default=None if required else default,
+                            help=doc[0] if doc else None, **how)
+        sp.flags = _FlagTable(_COMMON + flags, fixed)
         parser.leaves[words] = sp
-        return sp
-
-    p_sf = sub.add_parser("semiflat")
-    sf_sub = p_sf.add_subparsers(dest="subcommand", required=True)
-
-    sp = leaf(sf_sub, _cmd_semiflat_eval, "semiflat", "eval")
-    _add_params(sp)
-    sp.add_argument("--ell", type=float, required=True)
-    sp.add_argument("--theta", type=float, default=0.0)
-    sp.add_argument("--x1", type=float, default=0.0)
-    sp.add_argument("--x2", type=float, default=0.0)
-
-    sp = leaf(sf_sub, _cmd_semiflat_residual, "semiflat", "residual")
-    _add_params(sp)
-    sp.add_argument("--grid", type=_count, default=32)
-
-    sp = leaf(sf_sub, _cmd_semiflat_pair, "semiflat", "pair")
-    _add_params(sp)
-    sp.add_argument("--cycle", type=str, default="fiber")
-    sp.add_argument("--grid", type=_count, default=64)
-
-    sp = leaf(sf_sub, _cmd_semiflat_classify, "semiflat", "classify-translation")
-    _add_params(sp, alpha=False)
-    sp.add_argument("--pole", action="store_true")
-    sp.add_argument("--section-b", type=str, default="0")
-    sp.add_argument("--h0", type=str, default=None)
-    sp.add_argument("--h1", type=str, default=None)
-
-    sp = leaf(sf_sub, _cmd_semiflat_curvature, "semiflat", "curvature")
-    _add_params(sp, alpha=False)
-
-    p_slag = sub.add_parser("slag")
-    slag_sub = p_slag.add_subparsers(dest="subcommand", required=True)
-    for name, handler in (("check", _cmd_slag_check),
-                          ("geometry", _cmd_slag_geometry),
-                          ("pi-decay", _cmd_slag_pi_decay)):
-        sp = leaf(slag_sub, handler, "slag", name)
-        _add_params(sp, alpha=False)
-        sp.add_argument("--cycle", type=str, default="1,0")
-        if name != "pi-decay":
-            sp.add_argument("--ell", type=float, default=10.0)
-
-    sp = leaf(sub, _cmd_hkrot, "hkrot")
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--tau", type=str, required=True)
-    sp.add_argument("--verify-grid", type=_count, default=5)
-
-    p_glue = sub.add_parser("glue")
-    glue_sub = p_glue.add_subparsers(dest="subcommand", required=True)
-
-    sp = leaf(glue_sub, _cmd_glue_potential, "glue", "potential")
-    _add_params(sp, alpha=False)
-    sp.add_argument("--rho", type=float, default=0.3)
-
-    sp = leaf(glue_sub, _cmd_glue_positivity, "glue", "positivity")
-    _add_glue(sp)
-    sp.add_argument("--alpha", type=float, default=2.0)
-    sp.add_argument("--t", type=float, default=None)
-
-    sp = leaf(glue_sub, _cmd_glue_solve_alpha, "glue", "solve-alpha")
-    _add_glue(sp)
-    sp.add_argument("--tprime", type=float, default=1.0)
-
-    sp = leaf(sub, _cmd_mirror, "mirror")
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--tau", type=str, required=True)
-    sp.add_argument("--m", type=int, default=1)
-
-    sp = leaf(sub, _cmd_dims, "dims")
-    sp.add_argument("--k", type=int, required=True)
-
-    for words, sp in parser.leaves.items():
-        sp.flags = _FlagTable(sp) if words else None
     return parser
 
 
 class _FlagTable:
-    """A leaf's store and store_true actions by their exact spellings, with
-    the Namespace defaults and the required actions argparse gives that leaf.
+    """A leaf's flags by their exact spellings, with its Namespace defaults
+    and required flags.  read() takes argv only when every token is an exact
+    spelling, or `--flag=value`, of a flag not seen before, each value
+    converts through the flag's type, and a value in its own token does not
+    start with `-`.  Anything else (an abbreviation, a repeat, a missing
+    value, a failed conversion, a missing required flag, -h, --) returns
+    None, and the leaf's parse_args reads that argv: argparse stays the only
+    author of help and error text."""
 
-    read() takes argv only when every token is an exact spelling, or
-    `--flag=value`, of an action not seen before, each value converts
-    through the action's own type, and a value in its own token does not
-    start with `-`.  Anything
-    else (an abbreviation, a repeat, a missing value, a failed conversion, a
-    missing required flag, -h, --) returns None, and the leaf's parse_args
-    reads that argv: argparse stays the only grammar and the only author of
-    help and error text."""
-
-    def __init__(self, sp: argparse.ArgumentParser):
-        # one value, or none; the help action stays out: only argparse prints help
-        self.actions = {flag: a for flag, a in sp._option_string_actions.items()
-                        if a.choices is None and (type(a) is argparse._StoreTrueAction or (
-                            type(a) is argparse._StoreAction and a.nargs is None))}
-        # argparse converts a string default through the action's type, and
-        # an action's default wins over the parser's
-        self.defaults = {a.dest: (a.type or str)(a.default) if isinstance(a.default, str)
-                         else a.default for a in sp._actions
-                         if argparse.SUPPRESS not in (a.dest, a.default)}
-        for dest, value in sp._defaults.items():
-            self.defaults.setdefault(dest, value)
-        self.required = {a for a in sp._actions if a.required}
-        self.value_flags = {flag for flag, a in self.actions.items() if a.nargs is None}
+    def __init__(self, flags: tuple, fixed: dict):
+        self.spellings, self.defaults, self.required = {}, dict(fixed), set()
+        for spelling, kind, default, *_ in flags:
+            # argparse's dest: --rho-min is rho_min
+            dest = spelling[2:].replace("-", "_")
+            self.spellings[spelling] = dest, kind
+            if default is _REQUIRED:
+                self.required.add(spelling)
+            else:
+                self.defaults[dest] = default
+        self.value_flags = {spelling for spelling, (_, kind) in self.spellings.items()
+                            if kind is not bool}
 
     def read(self, argv: list[str]) -> argparse.Namespace | None:
         values, seen = dict(self.defaults), set()
         tokens = iter(argv)
         for token in tokens:
             flag, eq, text = token.partition("=")
-            action = self.actions.get(flag)
-            if action is None or action in seen:
+            entry = self.spellings.get(flag)
+            if entry is None or flag in seen:
                 return None
-            seen.add(action)
-            if action.nargs == 0:
+            seen.add(flag)
+            dest, kind = entry
+            if kind is bool:
                 if eq:
                     return None
-                values[action.dest] = action.const
+                values[dest] = True
                 continue
             if not eq:
                 text = next(tokens, "-")
                 if text.startswith("-"):
                     return None
             try:
-                values[action.dest] = (action.type or str)(text)
+                values[dest] = kind(text)
             except (argparse.ArgumentTypeError, TypeError, ValueError):
                 return None
         if not self.required <= seen:
@@ -535,13 +483,18 @@ def _echo_inputs(args) -> dict:
 
 def _write_csv(path: str, curve) -> None:
     r, vals = curve
-    with open(path, "w") as fh:
-        fh.write("r,value\n")
-        for ri, vi in zip(np.asarray(r), np.asarray(vals)):
-            fh.write(f"{float(ri)!r},{float(vi)!r}\n")
+    try:
+        with open(path, "w") as fh:
+            fh.write("r,value\n")
+            for ri, vi in zip(np.asarray(r), np.asarray(vals)):
+                fh.write(f"{float(ri)!r},{float(vi)!r}\n")
+    except OSError as exc:
+        raise ValidationError(f"cannot write --csv {path!r}: {exc.strerror or exc}") from None
 
 
-_VALUE_FLAGS = {"--b0", "--tau", "--h0", "--h1", "--section-b", "--cycle"}
+# the commands' string flags (not --csv), whose values argparse may take for flags
+_VALUE_FLAGS = {spelling for _, flags in _LEAVES.values()
+                for spelling, kind, _ in flags if kind is str}
 
 
 def _is_float(text: str) -> bool:
@@ -629,7 +582,7 @@ def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespa
     `semiflat` alone, `slag bogus`, `--help`) by the full parser."""
     words = next(w for w in (tuple(argv[:2]), tuple(argv[:1]), ()) if w in parser.leaves)
     leaf = parser.leaves[words]
-    if leaf.flags is None:
+    if not words:
         return leaf.parse_args(_join_negative_values(argv, set()))
     rest = _join_negative_values(argv[len(words):], leaf.flags.value_flags)
     return leaf.flags.read(rest) or leaf.parse_args(rest)

@@ -836,7 +836,7 @@ _FLAG_VALUES = ("1", "2", "0", "5", "0.5", "1e-3", "-1", "-0.3", "-1e-3", "-inf"
                 "nan", "x", "", "1/4", "-1/4", "1,0", "fiber", "0+1i", "-h", "--k")
 # values that each type converts, drawn most of the time
 _GOOD_VALUES = {int: ("1", "2", "-3"), float: ("0.5", "2", "-0.3", "-1e-3", "1E2"),
-                None: ("1/4", "-1/4", "fiber", "1,0", "0+1i"), str: ("1/4", "-1/4", "1,0"),
+                bool: ("1/4", "-1/4", "fiber", "1,0", "0+1i"), str: ("1/4", "-1/4", "1,0"),
                 cli._count: ("1", "3")}
 
 
@@ -845,21 +845,20 @@ def _leaf_argv(draw, flags: cli._FlagTable) -> list[str]:
     """argv for one leaf: its required flags, each maybe dropped, and a few
     more of its flags, spelled exactly, abbreviated or as `--flag=value`,
     with stray tokens (-h, --help, --, a bare value) mixed in."""
-    spellings = sorted(flags.actions) + ["-h", "--help"]
-    chosen = [f for f in sorted(flags.actions) if flags.actions[f] in flags.required
-              and draw(st.integers(0, 19)) < 19]
+    spellings = sorted(flags.spellings) + ["-h", "--help"]
+    chosen = [f for f in sorted(flags.required) if draw(st.integers(0, 19)) < 19]
     chosen += draw(st.lists(st.sampled_from(spellings), max_size=3, unique=draw(st.booleans())))
     argv = []
     for flag in draw(st.permutations(chosen)):
         form = draw(st.sampled_from(("exact",) * 6 + ("abbrev", "eq")))
         if form == "abbrev" and len(flag) > 3:
             flag = flag[:draw(st.integers(3, len(flag) - 1))]
-        action = flags.actions.get(flag)
-        good = () if action is None or draw(st.integers(0, 3)) == 3 else _GOOD_VALUES[action.type]
+        entry = flags.spellings.get(flag)
+        good = () if entry is None or draw(st.integers(0, 3)) == 3 else _GOOD_VALUES[entry[1]]
         value = draw(st.sampled_from(good or _FLAG_VALUES))
         if flag in flags.value_flags and form == "eq":
             argv.append(f"{flag}={value}")
-        elif flag in flags.value_flags or flag not in flags.actions:
+        elif flag in flags.value_flags or flag not in flags.spellings:
             argv += [flag, value] if draw(st.integers(0, 9)) < 9 else [flag]
         else:
             argv.append(flag)
@@ -1028,6 +1027,17 @@ class TestCsv:
                                "--csv", str(tmp_path / "x.csv"))
         assert code == 1
         assert "decay curve" in err
+
+    @pytest.mark.parametrize("where,reason", [(".", "Is a directory"),
+                                              ("missing/x.csv", "No such file or directory")])
+    def test_unwritable_path_is_one(self, capsys, tmp_path, where, reason):
+        path = str(tmp_path / where)
+        code, report, err = run_cli(capsys, "semiflat", "curvature", "--k", "1",
+                                    "--csv", path)
+        assert (code, report) == (1, None)
+        usage = io.StringIO()
+        cli.build_parser().print_usage(usage)
+        assert err == f"error: cannot write --csv {path!r}: {reason}\n{usage.getvalue()}"
 
 
 def _reject_constant(name):

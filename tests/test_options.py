@@ -14,7 +14,6 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "syzlab"
 
 SETTINGS = {
     "calabi.CalabiModel.tau_exact",
-    "cli._add_params(alpha)",
     "cli._params_from(alpha)",
     "cli.run(argv)",
     "fibration.CycleSpec.fiber",
