@@ -16,10 +16,11 @@ The positivity margin is the smallest eigenvalue of each 2 x 2 (x, y)
 block, taken in closed form.
 
 The total mass integral is affine in (alpha, t) jointly: it is a fixed
-combination of three radial quadratures, which a GlueConfig builds once per
-node count and keeps.  The reserve t(alpha) is affine on each side of
-alpha = 1, so the scale equation I(alpha, t(alpha)) = 0 has at most one
-root on each side and need not have a unique one: the configuration
+combination of three radial quadratures.  A GlueConfig keeps them per node
+count, and one radial pass builds them for both rules of solve-alpha,
+n = 64 and its refinement n = 128.  The reserve t(alpha) is affine on each
+side of alpha = 1, so the scale equation I(alpha, t(alpha)) = 0 has at
+most one root on each side and need not have a unique one: the configuration
 r = 0.2, s = 0.1, v0c = 40, vomc = 62 has I(1) < 0 < I(2) and roots near
 0.8693 and 1.798.  solve_alpha returns the smallest root, from the first
 doubling bracket above alpha = 1e-3 or, when both roots fall between two
@@ -110,7 +111,8 @@ class GlueConfig:
     rho_max: float
     v0c: float
     vomc: float
-    # (S_1, S_t, S_a) of mass_integral per node count n
+    # (S_1, S_t, S_a) of mass_integral per node count n, built in one
+    # radial pass for every rule a call lacks
     _sums: dict = field(default_factory=dict, init=False, repr=False,
                         compare=False)
 
@@ -239,7 +241,9 @@ def q_coefficient(cfg: GlueConfig, alpha: float, t: float, rho: np.ndarray) -> n
 
 def required_t(cfg: GlueConfig, alpha: float, t_prime: float = 1.0) -> float:
     """Positivity reserve C(r,s) t' + C0 |alpha - 1| sup u_zzbar."""
-    require_finite(alpha=alpha, t_prime=t_prime)
+    # about 50 calls per solve_alpha: require_finite only words the error
+    if not (math.isfinite(alpha) and math.isfinite(t_prime)):
+        require_finite(alpha=alpha, t_prime=t_prime)
     return C0_RS * t_prime + C0 * abs(alpha - 1.0) * cfg._sup_u_zz
 
 
@@ -303,6 +307,10 @@ def _legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
+# solve-alpha's rule and its refinement, built together
+_SOLVE_RULES = (64, 128)
+
+
 def mass_integral(cfg: GlueConfig, alpha: float, t: float, n: int = 64) -> float:
     """I(alpha, t) = int omega_alpha(t)^2 - alpha Omega ^ Omegabar.
 
@@ -316,27 +324,36 @@ def mass_integral(cfg: GlueConfig, alpha: float, t: float, n: int = 64) -> float
         S_1 = sum 4 W k ell,   S_t = sum 4 rho^2 w eps beta W k ell,
         S_a = sum 4 rho^2 w eps B W k ell.
 
-    The sums are free of alpha and t: cfg keeps them per n from the first
-    call that builds them (a build that raises keeps nothing).
+    The sums are free of alpha and t: cfg keeps them per n.  The first
+    call builds n and every rule of _SOLVE_RULES that cfg lacks in one
+    radial pass, each rule's array flattened and laid end to end; each
+    rule's sums reduce its own contiguous slice, so they have the bits of
+    a build of that rule alone (a build that raises keeps nothing).
     """
-    require_finite(alpha=alpha, t=t)
+    # about 50 calls per solve_alpha: require_finite only words the error
+    if not (math.isfinite(alpha) and math.isfinite(t)):
+        require_finite(alpha=alpha, t=t)
     if alpha <= 0:
         raise ValidationError("alpha must be positive")
     if n not in cfg._sums:
         p = cfg.params
-        nodes, weights = _legendre(n)
+        ns = sorted({n, *_SOLVE_RULES} - cfg._sums.keys())
         bounds = np.array(sorted({*cfg.cutoffs.edges, cfg.rho_max}))
         # integrate in ell over each segment
         l_lo, l_hi = -np.log(bounds[1:]), -np.log(bounds[:-1])
         mid = (0.5 * (l_lo + l_hi))[:, None]
         half = (0.5 * (l_hi - l_lo))[:, None]
-        ell = mid + half * nodes
+        rules = [_legendre(m) for m in ns]
+        ell = np.concatenate([(mid + half * nodes).ravel() for nodes, _ in rules])
+        w_half = np.concatenate([(4.0 * weights * half).ravel() for _, weights in rules])
         rho = np.exp(-ell)
         beta, bracket = _q_parts(cfg, rho, -np.log(rho))[:2]
-        wkl = 4.0 * weights * half * p.k * ell
+        wkl = w_half * p.k * ell
         lift = rho ** 2 * sfm.w_factor(p, ell) * p.eps * wkl
-        cfg._sums[n] = (float(np.sum(wkl)), float(np.sum(lift * beta)),
-                        float(np.sum(lift * bracket)))
+        terms = (wkl, lift * beta, lift * bracket)
+        cuts = np.cumsum([mid.size * m for m in ns])
+        for m, lo, hi in zip(ns, [0, *cuts], cuts):
+            cfg._sums[m] = tuple(float(np.sum(a[lo:hi])) for a in terms)
     s_1, s_t, s_a = cfg._sums[n]
     return ((1.0 - alpha) * s_1 + t * s_t + (alpha - 1.0) * s_a
             + cfg.v0c - alpha * cfg.vomc)
@@ -363,8 +380,14 @@ def solve_alpha(cfg: GlueConfig, t_prime: float = 1.0, n: int = 64) -> AlphaSolv
     doubling point is negative but the kink is: f(1) < 0 then brackets the
     smaller root with the last doubling point below 1.  Otherwise
     NumericalError is raised.
+
+    t' must be positive, so that t(alpha) lies above positivity_scan's
+    threshold required_t(alpha, 0); NumericalError is raised where the
+    reserve C(r,s) t' rounds away at the root.
     """
     require_finite(t_prime=t_prime)
+    if t_prime <= 0:
+        raise ValidationError(f"tprime must be positive, got {t_prime}")
 
     def t_of(alpha):
         return required_t(cfg, alpha, t_prime)
@@ -393,5 +416,10 @@ def solve_alpha(cfg: GlueConfig, t_prime: float = 1.0, n: int = 64) -> AlphaSolv
     if fa <= 0:
         a, fa = lo, f_lo
     root = find_root(f, a, hi)
-    return AlphaSolve(alpha_star=root, t_at_root=t_of(root),
+    t_root = t_of(root)
+    if t_root <= required_t(cfg, root, 0.0):
+        raise NumericalError(f"the reserve C(r,s) t' = {C0_RS * t_prime:.3g} is lost in"
+                             f" rounding: t = {t_root!r} at alpha = {root!r} is not above"
+                             " positivity's threshold")
+    return AlphaSolve(alpha_star=root, t_at_root=t_root,
                       bracket=(a, hi), values=(fa, f_hi))

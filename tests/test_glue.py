@@ -3,6 +3,8 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from syzlab import glue
 from syzlab import semiflat as sfm
@@ -768,17 +770,57 @@ def count_matches(monkeypatch):
     return calls
 
 
+def single_rule_sums(cfg, n):
+    """(S_1, S_t, S_a) of rule n alone, each a sum over one (segments, n)
+    array: the bitwise reference for the sums glue.mass_integral keeps."""
+    p = cfg.params
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    bounds = np.array(sorted({*cfg.cutoffs.edges, cfg.rho_max}))
+    l_lo, l_hi = -np.log(bounds[1:]), -np.log(bounds[:-1])
+    mid = (0.5 * (l_lo + l_hi))[:, None]
+    half = (0.5 * (l_hi - l_lo))[:, None]
+    ell = mid + half * nodes
+    rho = np.exp(-ell)
+    beta, bracket = glue._q_parts(cfg, rho, -np.log(rho))[:2]
+    wkl = 4.0 * weights * half * p.k * ell
+    lift = rho ** 2 * sfm.w_factor(p, ell) * p.eps * wkl
+    return float(np.sum(wkl)), float(np.sum(lift * beta)), float(np.sum(lift * bracket))
+
+
 class TestRadialSums:
     def test_built_once_per_node_count(self, monkeypatch):
+        # the first solve builds both of solve-alpha's rules in one pass
         calls = count_matches(monkeypatch)
         cfg = make_cfg(**ROOT_CFG)
         first = glue.solve_alpha(cfg)
-        assert len(calls) == 1
+        assert len(calls) == 1 and set(cfg._sums) == {64, 128}
         assert glue.solve_alpha(cfg) == first
+        glue.solve_alpha(cfg, n=128)
+        glue.solve_alpha(cfg, n=128)
         assert len(calls) == 1
-        glue.solve_alpha(cfg, n=128)
-        glue.solve_alpha(cfg, n=128)
+        glue.mass_integral(cfg, 2.0, 3.0, n=16)
         assert len(calls) == 2
+
+    def test_one_pass_matches_single_rule_bitwise(self):
+        # n = 16 is built in one pass with both solver rules
+        for kw, alpha, t in REF_CASES:
+            cfg = make_cfg(**kw)
+            glue.mass_integral(cfg, alpha, t, n=16)
+            assert set(cfg._sums) == {16, 64, 128}
+            for n in (16, 64, 128):
+                assert cfg._sums[n] == single_rule_sums(cfg, n)
+
+    @given(k=st.integers(1, 6), eps=st.floats(1e-3, 10.0), r=st.floats(0.02, 0.5),
+           s_frac=st.floats(1e-3, 1.0), min_frac=st.floats(1e-6, 0.99))
+    @settings(max_examples=60, deadline=None)
+    def test_one_pass_matches_single_rule_sweep(self, k, eps, r, s_frac, min_frac):
+        cfg = glue.GlueConfig(params=sfm.ModelParams(k=k, eps=eps), r=r,
+                              s=s_frac * (0.95 - r) / 3.0, rho_min=min_frac * r,
+                              rho_max=0.97, v0c=40.0, vomc=62.0)
+        glue.mass_integral(cfg, 1.0, 1.0)
+        assert set(cfg._sums) == set(glue._SOLVE_RULES)
+        for n in glue._SOLVE_RULES:
+            assert cfg._sums[n] == single_rule_sums(cfg, n)
 
     def test_equal_config_builds_its_own(self, monkeypatch):
         calls = count_matches(monkeypatch)
@@ -843,6 +885,18 @@ class TestSolveAlpha:
         for bad in (math.nan, math.inf):
             with pytest.raises(ValidationError, match="finite"):
                 glue.solve_alpha(make_cfg(**ROOT_CFG), t_prime=bad)
+
+    @pytest.mark.parametrize("t_prime, error, match", [
+        (0.0, ValidationError, "tprime must be positive"),
+        (-1.0, ValidationError, "tprime must be positive"),
+        # C(r,s) t' is below half an ulp of t(alpha), about 7.3
+        (1e-300, NumericalError, "lost in rounding"),
+    ])
+    def test_reserve_below_positivity_threshold_rejected(self, t_prime, error, match):
+        # each t' gave t_at_root <= required_t(alpha_star, 0), which
+        # positivity_scan rejects
+        with pytest.raises(error, match=match):
+            glue.solve_alpha(make_cfg(**ROOT_CFG), t_prime=t_prime)
 
     def test_no_root_reported(self):
         # reserve slope keeps the integral positive for all alpha here
