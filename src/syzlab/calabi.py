@@ -29,12 +29,13 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
 
 from . import semiflat as sfm
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .forms import wedge_11
 
 TWO_PI = 2.0 * math.pi
@@ -49,7 +50,9 @@ class CalabiModel:
     """Calabi model data: degree k and modulus tau in the fundamental domain.
 
     tau_exact optionally carries (Re tau, Im tau) as Fractions, which makes
-    the rationality decision of rotate exact.
+    the rationality decision of rotate exact.  a_tau, b_tau and c_tau are
+    computed by their first use and stored on the instance; like _rotation
+    they are not fields, so ==, hash and repr do not see them.
     """
 
     k: int
@@ -72,15 +75,15 @@ class CalabiModel:
         if self.tau_exact and abs(complex(*map(float, self.tau_exact)) - t) > 1e-12:
             raise ValidationError("tau_exact disagrees with tau")
 
-    @property
+    @cached_property
     def a_tau(self) -> float:
         return self.tau.imag / abs(self.tau)
 
-    @property
+    @cached_property
     def b_tau(self) -> float:
         return -self.tau.real / abs(self.tau)
 
-    @property
+    @cached_property
     def c_tau(self) -> float:
         return math.sqrt(TWO_PI * self.k / self.tau.imag)
 
@@ -195,11 +198,14 @@ class RotationResult:
 
 def rotate(m: CalabiModel) -> RotationResult:
     """The semi-flat data of m, computed by the first call for this model
-    instance and stored on it; a call that raises stores nothing."""
+    instance and stored on it; a call that raises stores nothing.
+    NumericalError where k pi Im tau overflows, though alpha is small."""
     if m._rotation is not None:
         return m._rotation
     t = complex(m.tau)
     alpha = math.sqrt(m.k * math.pi * t.imag) / abs(t)
+    if not math.isfinite(alpha):
+        raise NumericalError(f"alpha = sqrt(k pi Im tau)/|tau| is {alpha}: k pi Im tau overflows")
     eps = TWO_PI * abs(t) * m.c_tau
     # -Re tau/|tau|^2 as b_tau/|tau|: the square of |tau| overflows past 1.3e154
     ratio_float = m.b_tau / abs(t)
@@ -301,10 +307,11 @@ def verify_rotation(m: CalabiModel, pt) -> float:
     the rotated semi-flat form; NaN propagates."""
     rot = rotate(m)
     q_sf, pushed = _pushed_omega_tau(m, pt)
-    target = sfm.sf_form_chart(rot.params, q_sf).tolist()
-    want = [target[i][j] for i, j in _UPPER]
+    e01, cg_i, cg_r, c = sfm.sf_form_point(rot.params, *q_sf)
+    # entries _UPPER of sf_form_chart(rot.params, q_sf)
+    want = (e01, cg_i, -cg_r, cg_r, cg_i, c)
     diffs = [abs(p - w) for p, w in zip(pushed, want)]
-    scale = max(max(abs(w) for w in want), 1e-300)
+    scale = max(abs(e01), abs(cg_i), abs(cg_r), abs(c), 1e-300)
     # the builtin max drops NaN; a NaN difference makes the sum NaN
     total = sum(diffs)
     return (max(diffs) if total == total else total) / scale

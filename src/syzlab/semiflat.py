@@ -39,6 +39,7 @@ _DX = np.array([0.0, 0.0, 1.0, 1.0j])
 # strict lower bounds of a valid chart point: ell > 0, the rest finite
 _LOWER = np.array([0.0, -np.inf, -np.inf, -np.inf])
 _INF = math.inf
+_TWO_PI_SQ = 2.0 * math.pi ** 2
 
 
 @dataclass(frozen=True)
@@ -99,7 +100,7 @@ def _form_entries(p: ModelParams, ell, th, x2, exp):
     w = w_factor(p, ell)
     c = w * p.eps
     d = 2.0 * kap2 / (p.eps * w)
-    g_r = p.b0 * ell / (2.0 * math.pi ** 2)
+    g_r = p.b0 * ell / _TWO_PI_SQ
     g_i = x2 / ell
     a = p.alpha
     # alpha scales each finished entry, a * (c * g_i) and not (a * c) * g_i,
@@ -122,6 +123,28 @@ def _reject_chart_point(q: np.ndarray):
     raise ValidationError("chart point must have ell > 0")
 
 
+def sf_form_point(p: ModelParams, ell: float, th: float, x1: float,
+                  x2: float) -> tuple[float, float, float, float]:
+    """Entries 01, 02, 12 and 23 (e01, c*g_i, c*g_r, c) of sf_form_chart at
+    one chart point, on Python floats: they cost less per operation than
+    numpy scalars and round the same.  Only a result that overflows or
+    divides by zero is redone (and returned) on numpy scalars, so that
+    np.errstate governs it as it governs a batch."""
+    if not (0.0 < ell < _INF and -_INF < th < _INF
+            and -_INF < x1 < _INF and -_INF < x2 < _INF):
+        _reject_chart_point(np.array([ell, th, x1, x2]))
+    try:
+        e01, cg_i, cg_r, c, _ = _form_entries(p, ell, th, x2, cmath.exp)
+    except ZeroDivisionError:
+        e01 = c = _INF
+    # |c*g_i| and |c*g_r| are at most max(c, e01), which are finite if
+    # their sum is (a finite sum that overflows only takes the slow path)
+    if not math.isfinite(e01 + c):
+        e01, cg_i, cg_r, c, _ = _form_entries(p, np.float64(ell), np.float64(th),
+                                              np.float64(x2), np.exp)
+    return e01, cg_i, cg_r, c
+
+
 def sf_form_chart(p: ModelParams, q: np.ndarray) -> np.ndarray:
     """Metric 2-form alpha * omega_sf at chart points q of shape (..., 4).
 
@@ -129,27 +152,14 @@ def sf_form_chart(p: ModelParams, q: np.ndarray) -> np.ndarray:
     d = 2|kappa|^2/(eps*W), the entries 01, 02, 03, 12, 13, 23 are
     alpha times d + c|Gamma|^2, c*g_i, -c*g_r, c*g_r, c*g_i and c: the
     closed form of d*(i/2) dy^dybar + c*(i/2) a^abar with a = dx - Gamma dy.
-    A single point runs these formulas on Python floats, which cost less
-    per operation than numpy scalars and round the same; only a result
-    that overflows or divides by zero is redone on numpy scalars, so that
-    np.errstate governs it as it governs a batch.
+    A single point goes through sf_form_point, on Python floats.
     """
     q = np.asarray(q, dtype=float)
     if q.shape[-1:] != (4,):
         raise ValidationError("chart points must have shape (..., 4)")
     if q.ndim == 1:
         ell, th, x1, x2 = q.tolist()
-        if not (0.0 < ell < _INF and -_INF < th < _INF
-                and -_INF < x1 < _INF and -_INF < x2 < _INF):
-            _reject_chart_point(q)
-        try:
-            e01, cg_i, cg_r, c, _ = _form_entries(p, ell, th, x2, cmath.exp)
-        except ZeroDivisionError:
-            e01 = c = _INF
-        # |c*g_i| and |c*g_r| are at most max(c, e01), which are finite if
-        # their sum is (a finite sum that overflows only takes the slow path)
-        if not math.isfinite(e01 + c):
-            e01, cg_i, cg_r, c, _ = _form_entries(p, q[0], q[1], q[3], np.exp)
+        e01, cg_i, cg_r, c = sf_form_point(p, ell, th, x1, x2)
         z = 0.0 * c
         # one flat list of 16 floats converts faster than 4 nested rows
         return np.array([z, e01, cg_i, -cg_r, -e01, z, cg_r, cg_i,
@@ -396,7 +406,7 @@ def metric_jet(p: ModelParams, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     kk1, kk2 = 2.0 * np.conj(kap) * kap_y, 2.0 * np.conj(kap) * kap_yy
     k_l, k_t = kk1.real, -kk1.imag
     a2_ell = p.alpha * (2.0 / (p.eps * w))
-    g_r = p.b0 * ell / (2.0 * math.pi ** 2)
+    g_r = p.b0 * ell / _TWO_PI_SQ
     g_i = x2 / ell
     lead = np.shape(ell)
     # coefficients of the patterns A, B, C in d_e g and d_e d_f g

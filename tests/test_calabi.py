@@ -1,15 +1,20 @@
 import dataclasses
+import itertools
+import json
 import math
+import pathlib
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from syzlab import calabi as cal
+from syzlab import cli
 from syzlab import semiflat as sf
-from syzlab.errors import ValidationError
+from syzlab.errors import NumericalError, ValidationError
 from syzlab.forms import top_coeff, top_coeff_pair, wedge_11
 
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 TWO_PI = 2.0 * math.pi
 
 MODELS = [
@@ -181,6 +186,13 @@ class TestRotate:
         assert rot.sf_class == cal.STANDARD and rot.b0 == 0.0
         assert math.isfinite(rot.alpha) and math.isfinite(rot.eps)
 
+    def test_alpha_overflow_is_numerical(self):
+        # k pi Im tau = 3.1e308 overflows, though alpha is about 1.8e-146
+        model = cal.CalabiModel(k=10 ** 8, tau=1e300j)
+        with pytest.raises(NumericalError, match="alpha"):
+            cal.rotate(model)
+        assert model._rotation is None
+
     @pytest.mark.parametrize("part", ["real", "imag"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_tau_rejected(self, part, value):
@@ -297,6 +309,60 @@ class TestClosedFormPushForward:
 
         monkeypatch.setattr(cal, "_pushed_omega_tau", poisoned)
         assert math.isnan(cal.verify_rotation(MODELS[1], pt))
+
+
+def _parent_verify_rotation(m, pt):
+    """verify_rotation as it read the target before sf_form_point: the whole
+    sf_form_chart matrix at q_sf, turned into lists and read at _UPPER."""
+    rot = cal.rotate(m)
+    q_sf, pushed = cal._pushed_omega_tau(m, pt)
+    target = sf.sf_form_chart(rot.params, q_sf).tolist()
+    want = [target[i][j] for i, j in cal._UPPER]
+    diffs = [abs(p - w) for p, w in zip(pushed, want)]
+    scale = max(max(abs(w) for w in want), 1e-300)
+    total = sum(diffs)
+    return (max(diffs) if total == total else total) / scale
+
+
+def _hkrot_models():
+    """Every (k, tau) the benchmark's hkrot range draws, parsed as the CLI
+    parses --tau, then MODELS."""
+    ranges = json.loads((ROOT / "bench" / "design.json").read_text())["ranges"]["hkrot"]
+    models = []
+    for k, re_s, im_s in itertools.product(ranges["k"], ranges["tau_re"], ranges["tau_im"]):
+        tau, exact = cli.parse_complex(f"{re_s}+{im_s}i")
+        models.append(cal.CalabiModel(k=k, tau=tau, tau_exact=exact))
+    assert len(models) == 64
+    return models + MODELS
+
+
+# the 75 points of an hkrot report at the default --verify-grid 5
+_HKROT_GRID = [(ell, psi, xi1, 0.2) for ell in np.linspace(1.0, 3.0, 5).tolist()
+               for xi1 in np.linspace(0.0, 0.6, 5).tolist() for psi in (0.0, 1.0, 2.5)]
+
+
+class TestVerifyRotationBitwise:
+    def test_matches_full_matrix_target(self):
+        for model in _hkrot_models():
+            got = [cal.verify_rotation(model, pt) for pt in _HKROT_GRID]
+            want = [_parent_verify_rotation(model, pt) for pt in _HKROT_GRID]
+            assert got == want, model
+
+    def test_tau_constants_are_cached_outside_the_fields(self):
+        for model in _hkrot_models():
+            fresh = cal.CalabiModel(k=model.k, tau=model.tau, tau_exact=model.tau_exact)
+            before = (repr(fresh), hash(fresh), dataclasses.astuple(fresh))
+            t = fresh.tau
+            assert fresh.a_tau == t.imag / abs(t)
+            assert fresh.b_tau == -t.real / abs(t)
+            assert fresh.c_tau == math.sqrt(TWO_PI * fresh.k / t.imag)
+            assert {"a_tau", "b_tau", "c_tau"} <= vars(fresh).keys()
+            assert (repr(fresh), hash(fresh), dataclasses.astuple(fresh)) == before
+            assert fresh == model == dataclasses.replace(fresh)
+            # replace builds a new instance: no stored constant carries over
+            other = dataclasses.replace(fresh, k=fresh.k + 1)
+            assert not {"a_tau", "b_tau", "c_tau"} & vars(other).keys()
+            assert other.c_tau == math.sqrt(TWO_PI * (fresh.k + 1) / t.imag)
 
 
 class TestRotateOnce:

@@ -311,6 +311,9 @@ class TestExitCodes:
         # compare zeros (exit 0 with gauss_residual 0.0 before)
         (["slag", "check", "--k", "1", "--ell", "4.2e102"], 2),
         (["slag", "check", "--k", "1", "--ell", "8.2e102"], 2),
+        # k pi Im tau overflows in rotate's alpha, which is about 1.8e-146
+        # (exit 1 before, as if the input were bad)
+        (["hkrot", "--k", "100000000", "--tau", "0+1e300i"], 2),
     ])
     def test_numerical_breakdown_exit_codes(self, capsys, argv, code):
         assert cli.run(argv + ["--no-timestamp"]) == code
