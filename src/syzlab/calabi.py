@@ -199,7 +199,7 @@ class RotationResult:
 def rotate(m: CalabiModel) -> RotationResult:
     """The semi-flat data of m, computed by the first call for this model
     instance and stored on it; a call that raises stores nothing.
-    NumericalError where k pi Im tau overflows, though alpha is small."""
+    NumericalError where k pi Im tau or eps/alpha overflows."""
     if m._rotation is not None:
         return m._rotation
     t = complex(m.tau)
@@ -220,6 +220,8 @@ def rotate(m: CalabiModel) -> RotationResult:
     if ratio is not None:
         winding = (ratio.denominator, -ratio.numerator)
         b0 = float(Fraction(m.k) * ratio / 2)
+    if not math.isfinite(eps / alpha):
+        raise NumericalError(f"eps/alpha = {eps / alpha}: 2 pi sqrt(2) |tau|^2/Im tau overflows")
     params = sfm.ModelParams(k=m.k, eps=eps / alpha, b0=b0, alpha=alpha)
     rot = RotationResult(alpha=alpha, eps=eps, b0=b0, sf_class=cls,
                          exact=exact, winding=winding, params=params)

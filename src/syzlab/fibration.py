@@ -122,7 +122,7 @@ class CycleSpec:
         """The n x n periodic parameter grid: t1 in [0, 1), t2 over one period."""
         return Grid2(n, 1.0 if self.fiber else TWO_PI * self.m1)
 
-    def lift(self, k: int, ell: float) -> tuple[np.ndarray, np.ndarray]:
+    def lift(self, k: float, ell: float) -> tuple[np.ndarray, np.ndarray]:
         """(origin, frame): the cycle at base radius e^{-ell} in the chart.
 
         The chart point (ell, theta, x1, x2) at parameters t = (t1, t2) on

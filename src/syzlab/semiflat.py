@@ -84,6 +84,21 @@ class ModelParams:
     def kappa_is_one(self) -> bool:
         return all(c == 0 for p, c in self.kappa.items() if p != 0)
 
+    def is_normal(self) -> bool:
+        return (self.k, self.eps, self.alpha) == (1, 1.0, 1.0)
+
+
+def normal_form(p: ModelParams) -> tuple[ModelParams, float]:
+    """(p1, s): p1 has k = eps = alpha = 1, p's kappa and b0' = lambda b0, lambda = eps/k.
+    As c = 2 pi lambda/ell and d = |kappa|^2 ell/(pi lambda), g = (alpha/lambda) Phi^* g1
+    under Phi(x) = lambda x: curvature norms of p are s = eps/(k alpha) times p1's, and
+    |II| and |H| sqrt(s) times those of Phi's image.  NumericalError where b0' overflows."""
+    lam = p.eps / p.k
+    b0 = lam * p.b0
+    if not math.isfinite(b0):
+        raise NumericalError(f"normal-form b0 = (eps/k) b0 = {b0} overflows")
+    return ModelParams(k=1, b0=b0, kappa=p.kappa), lam / p.alpha
+
 
 def w_factor(p: ModelParams, ell: float) -> float:
     return TWO_PI / (p.k * ell)
@@ -264,9 +279,9 @@ def translation_defect(p: ModelParams, s: fib.SectionData, q: np.ndarray) -> np.
 
 
 def distance_r(p: ModelParams, ell: float) -> float:
-    """Leading-order metric distance from the I_k fiber, r ~ c * ell^(3/2);
-    NumericalError where r rounds to 0 or inf (pi * eps overflows past 5.7e307)."""
-    r = (2.0 / 3.0) * math.sqrt(p.alpha * p.k / (math.pi * p.eps)) * ell ** 1.5
+    """Leading-order metric distance from the I_k fiber, r = (2/3) sqrt(alpha/lambda)
+    ell^(3/2)/sqrt(pi), lambda = eps/k; NumericalError where r rounds to 0 or inf."""
+    r = (2.0 / 3.0) * math.sqrt(p.alpha / (p.eps / p.k)) / math.sqrt(math.pi) * ell ** 1.5
     if not 0.0 < r < _INF:
         raise NumericalError(f"distance r = {r} from the I_k fiber is not resolved in float64")
     return r
@@ -346,52 +361,36 @@ def moduli_dims(k: int) -> tuple[int, int, int]:
 # ---------------------------------------------------------------------------
 # curvature: the exact metric jet, and a finite-difference oracle
 
-# g's entries that vary, as constant 4 x 4 patterns: A at (ell ell) and
-# (theta theta), B = alpha c g_i at (theta x1) and (x1 theta) and -B at
-# (ell x2) and (x2 ell), C = alpha c at (x1 x1) and (x2 x2)
+# g's entries that vary, as constant 4 x 4 patterns: A at (ell ell) and (theta theta), B = c g_i
+# at (theta x1) and (x1 theta) and -B at (ell x2) and (x2 ell), C = c at (x1 x1) and (x2 x2)
 _PATTERNS = np.array([[1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
                       [0, 0, 0, -1, 0, 0, 1, 0, 0, 1, 0, 0, -1, 0, 0, 0],
                       [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1]], dtype=float)
-_TINY = 2.0 ** -1022  # the smallest normal float64
+_ELL_MAX = (16.0 * math.pi) ** (1.0 / 3.0) * 2.0 ** 340  # (4 pi)^(1/3) 2^(1022/3)
 
 
 def metric_jet(p: ModelParams, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(g, dg, ddg) at chart points q of shape (..., 4), in closed form.
+    """(g, dg, ddg) of a normal-form model at chart points q of shape (..., 4), in
+    closed form; any other model raises ValidationError.
 
-    g is riemannian_metric_chart(p, q), dg[..., e, a, b] = d_e g_ab and
-    ddg[..., e, f, a, b] = d_e d_f g_ab.  With a1 = 2 pi alpha eps/k,
-    a2 = alpha k/(pi eps) and K = |kappa(e^-y)|^2, the entries that vary are
-
-        A = a2 K ell + a1 b0^2 ell/(4 pi^4) + a1 x2^2/ell^3,
-        B = a1 x2/ell^2,  C = a1/ell
-
-    (alpha c g_r = alpha eps b0/(pi k) is constant); they are evaluated as
-    A = a2 ell K + C (g_r^2 + g_i^2) and B = C g_i, with C and a2 ell = alpha d/K
-    in the order g takes them, so that a1 and a2 never form on their own.
-    kappa is holomorphic in y = ell + i theta, so with kappa_y = sum -p c_p
-    z^p and kappa_yy = sum p^2 c_p z^p, K_ell = 2 Re(conj(kappa) kappa_y),
-    K_theta = -2 Im(conj(kappa) kappa_y), K_ell,ell and K_theta,theta
-    = 2|kappa_y|^2 +- 2 Re(conj(kappa) kappa_yy) and K_ell,theta
+    g is riemannian_metric_chart(p, q), dg[..., e, a, b] = d_e g_ab and ddg[..., e, f, a, b]
+    = d_e d_f g_ab.  The entries that vary are A = d + C (g_r^2 + g_i^2), B = C g_i and
+    C = 2 pi/ell, with d/K = ell/pi taken as 2/C, K = |kappa(e^-y)|^2.  kappa is holomorphic
+    in y = ell + i theta, so with kappa_y = sum -p c_p z^p and kappa_yy = sum p^2 c_p z^p,
+    K_ell = 2 Re(conj(kappa) kappa_y), K_theta = -2 Im(conj(kappa) kappa_y), K_ell,ell and
+    K_theta,theta = 2|kappa_y|^2 +- 2 Re(conj(kappa) kappa_yy) and K_ell,theta
     = -2 Im(conj(kappa) kappa_yy).
 
-    C, -C_ell = a1/ell^2 and C_ell,ell = 2 a1/ell^3 are non-zero at every
-    point of every model.  Raises NumericalError where the smallest of them
-    falls below float64's normal range (2^-1022), where the jet would
-    round to zeros: C_ell,ell once ell > 2, i.e. ell above
-    (2 a1)^(1/3) 2^(1022/3), about 8.3e102 for alpha = eps = k = 1.
+    C_ell,ell = 4 pi/ell^3, the smallest non-zero term past ell = 2, leaves float64's
+    normal range past ell = (4 pi)^(1/3) 2^(1022/3) = 8.27e102: NumericalError there.
     """
+    if not p.is_normal():
+        raise ValidationError("the metric jet takes a normal-form model (k = eps = alpha = 1)")
     q = np.asarray(q, dtype=float)
     ell, x2 = q[..., 0], q[..., 3]
-    w = w_factor(p, ell)
-    c0 = p.alpha * (w * p.eps)
-    c1 = c0 / ell
-    c2 = 2.0 * c1 / ell
-    smallest = np.minimum(np.minimum(c0, c1), c2)
-    if not (smallest >= _TINY).all():
-        raise NumericalError(
-            f"metric jet term min(C, -C_ell, C_ell,ell) = {np.min(smallest):.3g} is"
-            f" below float64's normal range ({_TINY:.3g})")
-    # checked first: past the bound, g's d = 2/(eps w) can itself overflow
+    if (ell > _ELL_MAX).any():
+        raise NumericalError(f"metric jet term C_ell,ell = 4 pi/ell^3 is below float64's"
+                             f" normal range past ell = {_ELL_MAX:.3g}")
     g = riemannian_metric_chart(p, q)
     if p._kappa_terms:
         z = np.exp(-(ell + 1j * q[..., 1]))
@@ -405,24 +404,25 @@ def metric_jet(p: ModelParams, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     ky2 = 2.0 * (kap_y.real * kap_y.real + kap_y.imag * kap_y.imag)
     kk1, kk2 = 2.0 * np.conj(kap) * kap_y, 2.0 * np.conj(kap) * kap_yy
     k_l, k_t = kk1.real, -kk1.imag
-    a2_ell = p.alpha * (2.0 / (p.eps * w))
-    g_r = p.b0 * ell / _TWO_PI_SQ
-    g_i = x2 / ell
+    c0 = TWO_PI / ell
+    c1, d_k = c0 / ell, 2.0 / c0
+    c2 = 2.0 * c1 / ell
+    g_r, g_i = p.b0 * ell / _TWO_PI_SQ, x2 / ell
     lead = np.shape(ell)
     # coefficients of the patterns A, B, C in d_e g and d_e d_f g
     d1 = np.zeros(lead + (4, 3))
-    d1[..., 0, 0] = a2_ell * (k_l + big_k / ell) + c1 * (g_r * g_r - 3.0 * g_i * g_i)
+    d1[..., 0, 0] = d_k * (k_l + big_k / ell) + c1 * (g_r * g_r - 3.0 * g_i * g_i)
     d1[..., 0, 1] = -2.0 * c1 * g_i
     d1[..., 0, 2] = -c1
-    d1[..., 1, 0] = a2_ell * k_t
+    d1[..., 1, 0] = d_k * k_t
     d1[..., 3, 0] = 2.0 * c1 * g_i
     d1[..., 3, 1] = c1
     d2 = np.zeros(lead + (4, 4, 3))
-    d2[..., 0, 0, 0] = a2_ell * (ky2 + kk2.real + 2.0 * k_l / ell) + 6.0 * c2 * g_i * g_i
+    d2[..., 0, 0, 0] = d_k * (ky2 + kk2.real + 2.0 * k_l / ell) + 6.0 * c2 * g_i * g_i
     d2[..., 0, 0, 1] = 3.0 * c2 * g_i
     d2[..., 0, 0, 2] = c2
-    d2[..., 0, 1, 0] = d2[..., 1, 0, 0] = a2_ell * (-kk2.imag + k_t / ell)
-    d2[..., 1, 1, 0] = a2_ell * (ky2 - kk2.real)
+    d2[..., 0, 1, 0] = d2[..., 1, 0, 0] = d_k * (-kk2.imag + k_t / ell)
+    d2[..., 1, 1, 0] = d_k * (ky2 - kk2.real)
     d2[..., 0, 3, 0] = d2[..., 3, 0, 0] = -3.0 * c2 * g_i
     d2[..., 0, 3, 1] = d2[..., 3, 0, 1] = -c2
     d2[..., 3, 3, 0] = c2
@@ -523,13 +523,14 @@ def curvature_decay(p: ModelParams) -> tuple[np.ndarray, np.ndarray, DecayFit]:
     """|Rm|_g samples on the zero section at 10 evenly spaced ell from 5 to
     40 against distance r, with a power-law fit.
 
-    All samples are one riemann_jet call.  For kappa = 1, |Rm| r^2 = RM_R2
-    at every point.
+    All samples are one riemann_jet call on p's normal form, scaled by s
+    (normal_form).  For kappa = 1, |Rm| r^2 = RM_R2 at every point.
     """
+    p1, s = normal_form(p)
     ells = np.linspace(5.0, 40.0, 10)
     q = np.zeros(ells.shape + (4,))
     q[..., 0] = ells
-    riem, _, g, ginv = riemann_jet(p, q)
+    riem, _, g, ginv = riemann_jet(p1, q)
     # |Rm|^2 = R_{abcd} R^{abcd}: lower the first index, raise the other three
     low = g @ riem.reshape(-1, 4, 64)
     up = ginv[:, None, None] @ riem @ ginv[:, None, None]
@@ -537,7 +538,7 @@ def curvature_decay(p: ModelParams) -> tuple[np.ndarray, np.ndarray, DecayFit]:
     val = np.sum(low * up.reshape(low.shape), axis=(-2, -1))
     if (val < -1e-8).any():
         raise NumericalError("negative |Rm|^2")
-    vals = np.sqrt(np.maximum(val, 0.0))
+    vals = s * np.sqrt(np.maximum(val, 0.0))
     r = np.array([distance_r(p, ell) for ell in ells])
     fit = fit_decay(r, vals, model="power")
     return r, vals, fit

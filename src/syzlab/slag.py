@@ -162,16 +162,15 @@ def second_fundamental_form(mf: ModelFiber) -> SecondFF:
     Gauss: K_intrinsic = K_ambient(T1,T2) + (<II_11,II_22> - |II_12|^2)
     after normalizing by the induced area element.  K_intrinsic is 0, as the
     induced metric B (dt1 - g_i dt2)^2 + A(t2) dt2^2, B constant, is flat
-    (module docstring); II and K_ambient come from one riemann_jet call.
-    Raises NumericalError where a Gauss term falls below float64's normal
-    range (2^-1022) and the check would compare zeros: for kappa = 1 on a
-    special cycle K_ambient = |II|^2/2 = pi eps/(2 alpha k ell^3), so ell
-    above (pi eps/(2 alpha k))^(1/3) 2^(1022/3), about 4.13e102 for alpha =
-    eps = k = 1.
+    (module docstring); II and K_ambient come from one riemann_jet call on the normal
+    form, with x2-slopes in eps for k (Phi's image of the cycle up to x1, on which nothing
+    depends), scaled by sqrt(s) and s.  Raises NumericalError where a normal-form Gauss
+    term leaves float64's normal range (2^-1022) and the check would compare zeros:
+    K_ambient = |II|^2/2 = pi/(2 ell^3) on a kappa = 1 special cycle, past ell = 4.13e102.
     """
-    p = mf.params
-    origin, tan = mf.cycle.lift(p.k, mf.ell)
-    riem, gam, g, _ = sf.riemann_jet(p, origin + tan @ _T)
+    p1, s = sf.normal_form(mf.params)
+    origin, tan = mf.cycle.lift(mf.params.eps, mf.ell)
+    riem, gam, g, _ = sf.riemann_jet(p1, origin + tan @ _T)
     second, pi_sq, h_sq, hin = _fundamental_forms(g, gam, tan)
     low = np.einsum("ae,ebcd->abcd", g, riem)
     area_sq = float(np.linalg.det(hin))
@@ -180,29 +179,29 @@ def second_fundamental_form(mf: ModelFiber) -> SecondFF:
     pi_term = (float(second[:, 0, 0] @ g @ second[:, 1, 1])
                - float(second[:, 0, 1] @ g @ second[:, 0, 1])) / area_sq
     smallest = min(abs(k_amb), abs(pi_term))
-    if not smallest >= sf._TINY:
+    if not smallest >= np.finfo(float).tiny:
         raise NumericalError(
             f"Gauss term min(|K_ambient|, |<II_11,II_22> - |II_12|^2|) = {smallest:.3g}"
-            f" is below float64's normal range ({sf._TINY:.3g})")
-    return SecondFF(pi_norm=math.sqrt(max(pi_sq, 0.0)),
-                    h_norm=math.sqrt(max(h_sq, 0.0)),
-                    gauss_residual=abs(k_amb + pi_term))
+            f" is below float64's normal range ({np.finfo(float).tiny:.3g})")
+    return SecondFF(pi_norm=math.sqrt(s) * math.sqrt(max(pi_sq, 0.0)),
+                    h_norm=math.sqrt(s) * math.sqrt(max(h_sq, 0.0)),
+                    gauss_residual=s * abs(k_amb + pi_term))
 
 
 def pi_decay(p: sf.ModelParams, cycle: fib.CycleSpec) -> tuple[np.ndarray, np.ndarray, DecayFit]:
     """|II| samples at 10 evenly spaced ell from 5 to 40 against distance
     r, with a power-law fit (expect ~ -1).
 
-    Every sample sits at the point second_fundamental_form uses, and all
-    of them are one metric_jet call.
+    Every sample sits where second_fundamental_form takes |II|; all are one metric_jet call.
     """
     if cycle.fiber:
         raise ValidationError("slag fibers are bad cycles, not torus fibers")
+    p1, s = sf.normal_form(p)
     ells = np.linspace(5.0, 40.0, 10).tolist()
-    origin, tan = (np.array(v) for v in zip(*(cycle.lift(p.k, ell) for ell in ells)))
-    g, dg, _ = sf.metric_jet(p, origin + tan @ _T)
+    origin, tan = (np.array(v) for v in zip(*(cycle.lift(p.eps, ell) for ell in ells)))
+    g, dg, _ = sf.metric_jet(p1, origin + tan @ _T)
     pi_sq = _fundamental_forms(g, sf._christoffel(np.linalg.inv(g), dg), tan)[1]
-    vals = np.sqrt(np.maximum(pi_sq, 0.0))
+    vals = math.sqrt(s) * np.sqrt(np.maximum(pi_sq, 0.0))
     r = np.array([sf.distance_r(p, ell) for ell in ells])
     fit = fit_decay(r, vals, model="power")
     return r, vals, fit

@@ -193,6 +193,15 @@ class TestRotate:
             cal.rotate(model)
         assert model._rotation is None
 
+    def test_eps_over_alpha_overflow_is_numerical(self):
+        # eps/alpha = 2 pi sqrt(2) |tau|^2/Im tau overflows past Im tau of
+        # about 2e307, though eps and alpha are finite (exit 1 before)
+        model = cal.CalabiModel(k=1, tau=5e307j)
+        with pytest.raises(NumericalError, match="eps/alpha"):
+            cal.rotate(model)
+        assert model._rotation is None
+        assert cli.run(["hkrot", "--k", "1", "--tau", "0+5e307i", "--no-timestamp"]) == 2
+
     @pytest.mark.parametrize("part", ["real", "imag"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_tau_rejected(self, part, value):

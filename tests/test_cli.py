@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from syzlab import calabi, cli
+from syzlab import calabi, cli, slag
 from syzlab import fibration as fib
 from syzlab import semiflat as sfm
 from syzlab.numerics import DecayFit
@@ -279,17 +279,17 @@ class TestExitCodes:
             assert not check["metric_positive"]["passed"]
 
     @pytest.mark.parametrize("argv,code", [
-        # the Christoffel symbols of a metric with entries near 1e-300 and
-        # 1e300 overflow (FloatingPointError)
-        (["slag", "pi-decay", "--k", "1", "--eps", "1e300"], 2),
-        (["semiflat", "curvature", "--k", "1", "--eps", "1e300"], 2),
+        # the normal-form metric's c |Gamma|^2 overflows at b0 = 1e200
+        # (FloatingPointError)
+        (["slag", "pi-decay", "--k", "1", "--b0", "1e200"], 2),
+        (["semiflat", "curvature", "--k", "1", "--b0", "1e200"], 2),
         # the lattice defect of transport by tau is not finite (y1 = |tau| ell
         # / c overflows); ZeroDivisionError in fiber_geometry
         (["hkrot", "--k", "1", "--tau", "0+1e300i"], 2),
         (["slag", "geometry", "--k", "1", "--ell", "1e-320"], 2),
-        # the report would hold NaN: strict JSON refuses it before any output
-        (["slag", "check", "--k", "1", "--eps", "1e300"], 2),
-        # the metric jet's C_ell,ell = 2 a1/ell^3 underflows: no silent 0.0 passes
+        # check_special's form overflows (FloatingPointError)
+        (["slag", "check", "--k", "1", "--b0", "1e200"], 2),
+        # past the metric jet's bound C_ell,ell = 4 pi/ell^3 underflows: no silent 0.0 passes
         (["slag", "check", "--k", "1", "--ell", "1e308"], 2),
         (["slag", "geometry", "--k", "1", "--ell", "inf"], 1),
         (["slag", "geometry", "--k", "1", "--ell", "nan"], 1),
@@ -300,11 +300,11 @@ class TestExitCodes:
         (["semiflat", "eval", "--k", "1", "--ell", "2", "--x2", "1e20"], 2),
         (["semiflat", "residual", "--k", "1", "--grid", "8", "--b0", "1e9"], 2),
         (["semiflat", "residual", "--k", "1", "--grid", "8", "--eps", "1e9"], 2),
-        # pi * eps overflows, so every distance r is 0 (exit 1 before)
-        (["slag", "pi-decay", "--k", "3", "--eps", "1e308"], 2),
-        (["slag", "pi-decay", "--k", "1", "--eps", "1e308", "--b0", "0", "--cycle", "1,0"], 2),
+        # eps/k is subnormal, so every distance r overflows
+        (["slag", "pi-decay", "--k", "3", "--eps", "1e-320"], 2),
+        (["slag", "pi-decay", "--k", "1", "--eps", "5e-324", "--b0", "0", "--cycle", "1,0"], 2),
         # decay samples that underflow to 0 (exit 1 before, as if the input were bad)
-        (["semiflat", "curvature", "--k", "1", "--eps", "1e-300"], 2),
+        (["semiflat", "classify-translation", "--k", "1", "--h0", "1+5e-324i"], 2),
         # eps itself is subnormal: every distance r overflows
         (["semiflat", "classify-translation", "--k", "1", "--eps", "1e-320", "--h0", "0+1i"], 2),
         # |II|^2 and K_ambient fall below 2^-1022: the Gauss check would
@@ -346,7 +346,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv", [
         ["slag", "geometry", "--k", "1", "--ell", "1e-320"],
-        ["slag", "check", "--k", "1", "--eps", "1e300"],
+        ["slag", "check", "--k", "1", "--b0", "1e200"],
         ["semiflat", "residual", "--k", "1", "--eps", "1e300", "--grid", "2"],
     ])
     def test_floating_point_error_is_two_without_warnings(self, capsys, argv):
@@ -602,6 +602,35 @@ class TestClosedFormScales:
         code, report, _ = run_cli(capsys, *argv, "--kappa1", "0.5", "--no-timestamp")
         assert code == 0
         assert name not in {c["name"] for c in report["checks"]}
+
+    @pytest.mark.parametrize("argv", [
+        ["semiflat", "curvature", "--k", "1", "--eps", "1e-300"],
+        ["semiflat", "curvature", "--k", "1", "--eps", "1e200"],
+        ["semiflat", "curvature", "--k", "1", "--eps", "1e300"],
+        ["slag", "pi-decay", "--k", "1", "--eps", "1e300"],
+        ["slag", "pi-decay", "--k", "1", "--b0", "0", "--eps", "1e-300"],
+        ["slag", "pi-decay", "--k", "1", "--b0", "0", "--eps", "1e-200"],
+        ["slag", "pi-decay", "--k", "1", "--b0", "0", "--eps", "1e200"],
+        ["slag", "pi-decay", "--k", "1", "--b0", "0", "--eps", "1e300"],
+        ["slag", "pi-decay", "--k", "3", "--eps", "1e308"],
+        ["slag", "pi-decay", "--k", "1", "--eps", "1e308", "--b0", "0", "--cycle", "1,0"],
+        ["slag", "check", "--k", "1", "--eps", "1e200"],
+        ["slag", "check", "--k", "1", "--eps", "1e300"],
+    ])
+    def test_float_range_of_eps_passes(self, capsys, argv):
+        # the normal form scaled by eps/(k alpha) (exit 2 or 3 before: the
+        # jet's entries spread from 1e-300 to 1e300, and pi * eps overflowed)
+        code, report, err = run_cli(capsys, *argv, "--no-timestamp")
+        assert code == 0 and err == ""
+        checks = {c["name"]: c for c in report["checks"]}
+        if argv[0] == "slag" and argv[1] == "check":
+            p = sfm.ModelParams(k=1, eps=float(argv[-1]))
+            measured = abs(report["results"]["second_ff_norm"] * sfm.distance_r(p, 10.0)
+                           / slag.II_R - 1.0)
+        else:
+            measured = checks["curvature_scale" if argv[0] == "semiflat" else "pi_scale"][
+                "measured"]
+        assert measured <= 1e-12
 
     def test_wrong_scale_fails(self, capsys, monkeypatch):
         monkeypatch.setattr(sfm, "RM_R2", sfm.RM_R2 * (1.0 + 1e-11))

@@ -1,0 +1,44 @@
+"""Negative controls: each check must pass on the exact model and fail once a
+named closed-form term is scaled by (1 + delta).
+
+A row holds one argv, the check it reads and the term it perturbs.  It
+passes at delta = 0, fails at delta = 1e-9, and records its detection
+threshold: the smallest power of ten that flips the check (it does not flip
+at a tenth of it).  A check that no delta flips would be an identity.
+"""
+
+import contextlib
+import io
+import json
+
+import pytest
+
+from syzlab import cli
+from syzlab import semiflat as sf
+from syzlab import slag
+
+# (check, argv, module, term, threshold); eps over float64's range, where the
+# reports go through the normal form and its scale
+_ROWS = [(check, words + ["--k", "1", "--eps", eps], module, term, 1e-12)
+         for check, words, module, term in (
+             ("curvature_scale", ["semiflat", "curvature"], sf, "RM_R2"),
+             ("pi_scale", ["slag", "pi-decay"], slag, "II_R"))
+         for eps in ("1e-300", "1", "1e300")]
+
+
+def _check(argv, name):
+    """(exit code, the named check of the report)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.run(argv + ["--no-timestamp"])
+    return code, {c["name"]: c for c in json.loads(out.getvalue())["checks"]}[name]
+
+
+@pytest.mark.parametrize("name,argv,module,term,threshold", _ROWS,
+                         ids=[f"{row[0]}-{row[1][-1]}" for row in _ROWS])
+def test_check_fails_on_a_scaled_term(monkeypatch, name, argv, module, term, threshold):
+    exact = getattr(module, term)
+    for delta, code in ((0.0, 0), (threshold / 10.0, 0), (threshold, 3), (1e-9, 3)):
+        monkeypatch.setattr(module, term, exact * (1.0 + delta))
+        got, check = _check(argv, name)
+        assert (got, check["passed"]) == (code, code == 0), delta

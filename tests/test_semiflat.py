@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -674,13 +675,14 @@ class TestCurvature:
     def test_batched_sweep_matches_per_point_evaluation(self, p):
         r, vals, _ = sf.curvature_decay(p)
         assert vals.shape == (10,)
+        p1, s = sf.normal_form(p)
         for ell, ri, val in zip(np.linspace(5.0, 40.0, 10), r, vals):
             q = np.array([ell, 0.0, 0.0, 0.0])
-            riem, _, g, _ = sf.riemann_jet(p, q)
-            assert val == pytest.approx(_rm_norm(riem, g), rel=1e-12, abs=0.0)
+            riem, _, g, _ = sf.riemann_jet(p1, q)
+            assert val == pytest.approx(s * _rm_norm(riem, g), rel=1e-12, abs=0.0)
             assert ri == sf.distance_r(p, ell)
-            # the finite-difference oracle, O(h^2) with h <= 1e-2: it agrees to
-            # 8.1e-6 on both models
+            # the finite-difference oracle on p itself, O(h^2) with h <= 1e-2:
+            # it agrees to 8.1e-6 on both models
             h = 1e-2 * min(1.0, 10.0 / ell)
             riem, _, g = sf.riemann_fd(lambda qq: sf.riemannian_metric_chart(p, qq), q, h)
             assert val == pytest.approx(_rm_norm(riem, g), rel=3e-5, abs=0.0)
@@ -725,11 +727,12 @@ def _sympy_metric(sp, p, coords):
     return alpha * (d * sp.diag(1, 1, 0, 0) + c * (u * u.T + v * v.T))
 
 
-_JET_MODELS = [
+# the normal forms of three models: the jet takes no other
+_JET_MODELS = [sf.normal_form(p)[0] for p in (
     sf.ModelParams(k=1, eps=0.8, b0=0.3, alpha=1.7),
     sf.ModelParams(k=2, eps=1.3, b0=-0.25, alpha=0.6, kappa={0: 1.0, 1: 0.5 - 0.3j}),
     sf.ModelParams(k=3, eps=0.5, b0=1.0 / 3.0, alpha=2.5, kappa={0: 1.0, 2: 0.3}),
-]
+)]
 
 
 class TestMetricJet:
@@ -755,15 +758,18 @@ class TestMetricJet:
     @pytest.mark.parametrize("k,eps,b0,alpha", [
         (1, 1.0, 0.0, 1.0), (2, 0.7, 0.25, 1.0), (3, 2.0, -1.0 / 3.0, 1.5), (1, 0.5, 1.0, 0.3)])
     def test_rm_norm_sq_r4_is_128_over_27(self, k, eps, b0, alpha):
-        # at every point of a model with kappa = 1, not just the zero section
+        # at every point of a model with kappa = 1, not just the zero section:
+        # |Rm| of p at q is s |Rm| of its normal form at Phi(q)
         p = sf.ModelParams(k=k, eps=eps, b0=b0, alpha=alpha)
+        p1, s = sf.normal_form(p)
         rng = np.random.default_rng(k)
         q = np.column_stack([rng.uniform(1.0, 50.0, 8), rng.uniform(-3.0, 3.0, 8),
                              rng.uniform(-2.0, 2.0, 8), rng.uniform(-2.0, 2.0, 8)])
-        riem, _, g, _ = sf.riemann_jet(p, q)
+        riem, _, g, _ = sf.riemann_jet(p1, q * [1.0, 1.0, eps / k, eps / k])
         for i, pt in enumerate(q):
             r = sf.distance_r(p, pt[0])
-            assert _rm_norm(riem[i], g[i]) ** 2 * r ** 4 == pytest.approx(128.0 / 27.0, rel=1e-12)
+            assert (s * _rm_norm(riem[i], g[i])) ** 2 * r ** 4 == pytest.approx(128.0 / 27.0,
+                                                                               rel=1e-12)
         assert sf.RM_R2 ** 2 == pytest.approx(128.0 / 27.0, rel=1e-15)
         r, vals, _ = sf.curvature_decay(p)
         assert np.max(np.abs(vals * r * r / sf.RM_R2 - 1.0)) <= 1e-14
@@ -792,19 +798,15 @@ class TestMetricJet:
             for whole, one in zip(batch, sf.riemann_jet(p, q[i])):
                 assert np.max(np.abs(whole[i] - one)) <= 1e-15 * np.max(np.abs(one))
 
-    @given(k=st.integers(1, 9), eps=st.floats(1e-3, 1e3), alpha=st.floats(1e-3, 1e3),
-           log_ell=st.one_of(st.floats(95.0, 110.0), st.floats(110.0, 307.0)))
-    @example(k=1, eps=1e-3, alpha=1.0, log_ell=306.0)
+    @given(log_ell=st.one_of(st.floats(100.0, 105.0), st.floats(105.0, 308.0)))
+    @example(log_ell=308.0)
     @settings(max_examples=60, deadline=None)
-    def test_guard_raises_past_its_bound_and_never_returns_zeros(self, k, eps, alpha, log_ell):
-        # the bound lies between 1e101 and 1e104 here; past it g's
-        # d = 2/(eps w) can overflow (eps = 1e-3, ell = 1e306), so the guard
-        # must raise before g is formed
-        p = sf.ModelParams(k=k, eps=eps, alpha=alpha)
+    def test_guard_raises_past_its_bound_and_never_returns_zeros(self, log_ell):
+        # C_ell,ell = 4 pi/ell^3 = 2^-1022 at ell = (4 pi)^(1/3) 2^(1022/3),
+        # the one bound of the normal-form jet
+        p = sf.ModelParams(k=1, b0=0.3)
         ell = 10.0 ** log_ell
-        # C_ell,ell = 2 a1/ell^3 = 2^-1022 at ell = (2 a1)^(1/3) 2^(1022/3)
-        a1 = TWO_PI * alpha * eps / k
-        bound = (2.0 * a1) ** (1.0 / 3.0) * 2.0 ** (1022.0 / 3.0)
+        bound = (4.0 * math.pi) ** (1.0 / 3.0) * 2.0 ** (1022.0 / 3.0)
         q = np.array([ell, 0.3, 0.1, 0.2])
         if ell > bound * (1.0 + 1e-9):
             with pytest.raises(NumericalError, match="normal range"):
@@ -817,6 +819,104 @@ class TestMetricJet:
             return
         for term in (dg[0, 2, 2], ddg[0, 0, 2, 2], ddg[3, 3, 0, 0]):
             assert abs(term) >= np.finfo(float).tiny
+
+    @pytest.mark.parametrize("p", [sf.ModelParams(k=2), sf.ModelParams(k=1, eps=0.5),
+                                   sf.ModelParams(k=1, alpha=2.0)])
+    def test_rejects_a_model_not_in_normal_form(self, p):
+        q = np.array([5.0, 0.3, 0.1, 0.2])
+        for jet in (sf.metric_jet, sf.riemann_jet):
+            with pytest.raises(ValidationError, match="normal-form"):
+                jet(p, q)
+
+
+def _plane_forms(sp, g, gam, tan):
+    """(|II|^2, |H|^2) in sympy of the plane with chart tangents tan through a
+    point where the metric is g and Gamma^a_bc = gam[a][b][c]."""
+    hinv = (tan.T * g * tan).inv().applyfunc(sp.cancel)
+    proj = (sp.eye(4) - tan * hinv * tan.T * g).applyfunc(sp.cancel)
+    second = [sp.Matrix(2, 2, lambda i, j, n=n: sp.cancel(sum(
+        proj[n, a] * gam[a][f][b] * tan[f, i] * tan[b, j]
+        for a, b, f in itertools.product(range(4), repeat=3)))) for n in range(4)]
+    raised = [(hinv * second[n] * hinv).applyfunc(sp.cancel) for n in range(4)]
+    pi_sq = sum(g[n, q] * sp.cancel(sum(second[n][i, j] * raised[q][i, j]
+                                        for i, j in itertools.product(range(2), repeat=2)))
+                for n, q in itertools.product(range(4), repeat=2))
+    mean = sp.Matrix([sp.cancel((second[n] * hinv).trace()) for n in range(4)])
+    return sp.cancel(pi_sq), sp.cancel((mean.T * g * mean)[0, 0])
+
+
+class TestNormalForm:
+    def test_fields_and_scale(self):
+        p = sf.ModelParams(k=3, eps=0.7, b0=0.25, alpha=1.5, kappa={0: 1.0, 1: 0.5})
+        p1, s = sf.normal_form(p)
+        assert p1 == sf.ModelParams(k=1, b0=0.7 / 3 * 0.25, kappa={0: 1.0, 1: 0.5})
+        assert s == 0.7 / 3 / 1.5
+        assert sf.normal_form(p1) == (p1, 1.0)
+
+    def test_overflowing_b0_is_numerical(self):
+        with pytest.raises(NumericalError, match="normal-form b0"):
+            sf.normal_form(sf.ModelParams(k=1, eps=1e300, b0=1e10))
+
+    def test_homothety_and_scale_factors_symbolically(self):
+        # g = (alpha/lambda) Phi^* g1 for any kappa; then, for kappa = 1, |Rm|
+        # scales by s = eps/(k alpha) and a plane's sectional curvature K, |II|
+        # and |H| by s, sqrt(s) and sqrt(s) (squares compared), at x2 = 0
+        sp = pytest.importorskip("sympy")
+        ell, th, x1, x2 = coords = sp.symbols("ell theta x1 x2", real=True)
+        k, eps, alpha = sp.symbols("k eps alpha", positive=True)
+        b0, m = sp.symbols("b0 m", real=True)
+        lam, s = eps / k, eps / (k * alpha)
+
+        def metric(k, eps, alpha, b0, x2, kap2=1):
+            w = 2 * sp.pi / (k * ell)
+            c, d = w * eps, 2 * kap2 / (eps * w)
+            g_r, g_i = b0 * ell / (2 * sp.pi ** 2), x2 / ell
+            u, v = sp.Matrix([-g_r, g_i, 1, 0]), sp.Matrix([-g_i, -g_r, 0, 1])
+            return alpha * (d * sp.diag(1, 1, 0, 0) + c * (u * u.T + v * v.T))
+
+        kap2 = sp.Function("K")(ell, th)  # |kappa(e^-y)|^2
+        jac = sp.diag(1, 1, lam, lam)
+        g1 = metric(1, 1, 1, lam * b0, lam * x2, kap2)
+        assert sp.simplify(metric(k, eps, alpha, b0, x2, kap2)
+                           - alpha / lam * jac.T * g1 * jac) == sp.zeros(4, 4)
+        g = metric(k, eps, alpha, b0, x2)
+        ginv = g.inv().applyfunc(sp.cancel)
+        dg = [g.diff(a) for a in coords]
+        gam = [[[sp.cancel(sum(ginv[a, e] * (dg[b][e, f] + dg[f][b, e] - dg[e][b, f])
+                               for e in range(4)) / 2) for f in range(4)] for b in range(4)]
+               for a in range(4)]
+        at = {x2: 0}
+        dgam = [[[[sp.diff(gam[a][b][f], coords[c]).subs(at) for f in range(4)]
+                  for b in range(4)] for a in range(4)] for c in range(4)]
+        gam = [[[v.subs(at) for v in row] for row in mat] for mat in gam]
+        g, ginv = g.subs(at), ginv.subs(at)
+        riem = {(a, b, c, d): sp.cancel(dgam[c][a][d][b] - dgam[d][a][c][b] + sum(
+            gam[a][c][e] * gam[e][d][b] - gam[a][d][e] * gam[e][c][b] for e in range(4)))
+            for a, b, c, d in itertools.product(range(4), repeat=4)}
+        low = {key: sum(g[key[0], e] * riem[(e,) + key[1:]] for e in range(4)) for key in riem}
+        rm_sq = sp.cancel(sum(
+            low[a, b, c, d] * ginv[b, p] * ginv[c, q] * ginv[d, r] * riem[a, p, q, r]
+            for a, b, c, d, p, q, r in itertools.product(range(4), repeat=7)
+            if riem[a, p, q, r] != 0 and low[a, b, c, d] != 0))
+        # a cycle's plane: x1 and -theta + m x2, whose image under Phi has slope lambda m
+        tan = sp.Matrix([[0, 0], [0, -1], [1, 0], [0, m]])
+        t1, t2 = tan[:, 0], tan[:, 1]
+        k_amb = sp.cancel(sum(low[a, b, c, d] * t1[a] * t2[b] * t1[c] * t2[d]
+                              for a, b, c, d in itertools.product(range(4), repeat=4))
+                          / (tan.T * g * tan).det())
+        pi_sq = _plane_forms(sp, g, gam, tan)[0]
+        # H vanishes on that plane; tilted by d/dell it does not (b0 = 0 keeps it short)
+        zero = {b0: 0}
+        h_sq = _plane_forms(sp, g.subs(zero), [[[v.subs(zero) for v in row] for row in mat]
+                                               for mat in gam],
+                            sp.Matrix([[0, 1], [0, -1], [1, 0], [0, m]]))[1]
+        assert h_sq != 0
+        normal = {k: 1, eps: 1, alpha: 1, b0: lam * b0, m: lam * m}
+        for value, power in ((rm_sq, 2), (k_amb, 1), (pi_sq, 1), (h_sq, 1)):
+            assert sp.cancel(value - s ** power * value.subs(normal, simultaneous=True)) == 0
+        # |Rm| r^2 = RM_R2 with r = (2/3) sqrt(pi/s)/pi ell^(3/2)
+        assert sp.cancel(rm_sq * ell ** 6 / (24 * sp.pi ** 2 * s ** 2)) == 1
+        assert sf.RM_R2 ** 2 == pytest.approx(24.0 * (2.0 / 3.0) ** 4, rel=1e-15)
 
 
 def _sphere_metric(q):

@@ -199,6 +199,17 @@ class TestSecondFundamentalForm:
             ff = slag.second_fundamental_form(mf)
             assert ff.pi_norm ** 2 * ell ** 3 == pytest.approx(math.pi, rel=1e-12)
 
+    @pytest.mark.parametrize("k,eps", [(2, 0.5), (1, 1e-300), (3, 1e300)])
+    def test_gauss_bound_depends_on_ell_alone(self, k, eps):
+        # the Gauss terms are taken on the normal form, so the bound is the
+        # one of STD whatever k and eps (it moved with eps/k before)
+        p = sf.ModelParams(k=k, eps=eps)
+        ff = slag.second_fundamental_form(slag.ModelFiber(p, C10, 4.1e102))
+        assert ff.pi_norm * sf.distance_r(p, 4.1e102) == pytest.approx(slag.II_R, rel=1e-12)
+        for ell, match in ((4.2e102, "Gauss term"), (8.4e102, "metric jet")):
+            with pytest.raises(NumericalError, match=match):
+                slag.second_fundamental_form(slag.ModelFiber(p, C10, ell))
+
     def test_pi_decay_against_r(self):
         r, vals, fit = slag.pi_decay(STD, C10)
         assert -1.15 <= fit.exponent <= -0.85
@@ -273,7 +284,7 @@ class TestSecondFundamentalForm:
         assert sp.simplify((m1.det() - m2.det()) / det ** 2) == 0
 
     def test_one_stuck_point_fails_the_sweep(self):
-        # the metric jet's C_ell,ell = 2 a1/ell^3 underflows at ell = 1e308;
+        # the metric jet's C_ell,ell = 4 pi/ell^3 underflows at ell = 1e308;
         # pi_decay samples fixed ells, so the guard is checked where ell is free
         with pytest.raises(NumericalError, match="below float64's normal range"):
             slag.second_fundamental_form(slag.ModelFiber(STD, C10, 1e308))
@@ -292,11 +303,12 @@ class TestSecondFundamentalForm:
     def test_fundamental_forms_match_einsum_oracle(self, k, eps):
         # special Lagrangian cycles of the benchmark's ranges, one batch of ells;
         # H is rounding noise, so it is compared on the scale of |II|^2
+        # (on their normal forms, with the lift second_fundamental_form takes)
         ells = [3.0, 3.5, 4.0, 6.0, 10.0, 25.0, 40.0]
         for m1, m2 in ((1, 0), (1, 1), (2, 1)):
-            p = sf.ModelParams(k=k, eps=eps, b0=-k * m2 / (2 * m1))
+            p = sf.normal_form(sf.ModelParams(k=k, eps=eps, b0=-k * m2 / (2 * m1)))[0]
             cycle = fib.CycleSpec(m1=m1, m2=m2)
-            origin, tan = (np.array(v) for v in zip(*(cycle.lift(k, ell) for ell in ells)))
+            origin, tan = (np.array(v) for v in zip(*(cycle.lift(eps, ell) for ell in ells)))
             _, gam, g, _ = sf.riemann_jet(p, origin + tan @ slag._T)
             second, pi_sq, h_sq, hin = slag._fundamental_forms(g, gam, tan)
             ref = _fundamental_forms_einsum(g, gam, tan)

@@ -1,0 +1,104 @@
+"""Metamorphic rows from the model's exact symmetries.
+
+Each row runs a report and its transform through `cli.run` and checks the
+relation between them that a symmetry of the model predicts, so no closed
+form written beside the code is needed:
+
+- b0 -> -b0 with C_{m1,m2} -> C_{m1,-m2} negates `semiflat pair`'s
+  quadrature pairing bit for bit, as it negates the closed form
+  (2 m1 b0/k + m2) eps alpha.
+- The homothety of `semiflat.normal_form`: a model with (k, eps, alpha, b0)
+  is (alpha/lambda) Phi^* of its normal form (k = eps = alpha = 1, b0' =
+  lambda b0), lambda = eps/k, Phi(x) = lambda x.  Curvature norms and
+  Gauss terms scale by s = eps/(k alpha), |II| and |H| by sqrt(s), and r by
+  1/sqrt(s).  The reports at (k, eps) are the normal form's samples times
+  the scale, bit for bit; r and the fitted exponent agree to rounding.
+  A cycle C_{m1,m2} maps onto the normal form's C_{m1,m2} only where its
+  x2-slope k m2/m1 becomes eps m2/m1, i.e. for m2 = 0 or eps = 1.
+"""
+
+import contextlib
+import csv
+import io
+import itertools
+import json
+import math
+
+import pytest
+
+from syzlab import cli
+
+
+def _run(*argv, csv_path=None):
+    """(exit code, results, curve) of one report; curve is the (r, value)
+    rows of --csv when csv_path is given."""
+    extra = ["--csv", str(csv_path)] if csv_path is not None else []
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.run(list(argv) + extra + ["--no-timestamp"])
+    curve = None
+    if csv_path is not None:
+        with open(csv_path) as fh:
+            curve = [(float(r), float(v)) for r, v in itertools.islice(csv.reader(fh), 1, None)]
+    return code, json.loads(out.getvalue())["results"], curve
+
+
+_CYCLES = ((1, 0), (1, 1), (2, 1), (3, -2))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_pairing_is_odd_under_b0_and_m2(k):
+    # 72 configurations per k: 216 over k = 1..3
+    for eps, b0, (m1, m2), kappa1 in itertools.product(
+            ("0.5", "1", "2"), ("1/4", "1/3", "0.7"), _CYCLES, ("0", "0.3")):
+        common = ["semiflat", "pair", "--k", str(k), "--eps", eps, "--kappa1", kappa1,
+                  "--grid", "32"]
+        code, plus, _ = _run(*common, "--b0", b0, "--cycle", f"{m1},{m2}")
+        code_minus, minus, _ = _run(*common, "--b0", "-" + b0, "--cycle", f"{m1},{-m2}")
+        assert code == code_minus == 0
+        assert plus["pairing"] == -minus["pairing"], (eps, b0, m1, m2, kappa1)
+
+
+# (k, eps, b0, kappa1, cycle): eps over the float range; m2 != 0 only at eps = 1
+_HOMOTHETY = [(1, 0.5, 0.25, 0.0, "1,0"), (2, 0.7, 0.25, 0.0, "1,0"),
+              (3, 2.0, -1.0 / 3.0, 0.3, "1,0"), (2, 1e-300, 0.7, 0.0, "1,0"),
+              (3, 1e300, 1e-300, 0.3, "1,0"), (3, 1.0, -0.75, 0.0, "2,1"),
+              (2, 1.0, 0.5, 0.3, "1,-1")]
+
+
+def _pair_of_argv(words, k, eps, b0, kappa1, cycle):
+    """The argv at (k, eps, b0) and at its normal form, and s = eps/k."""
+    lam = eps / k
+    tail = ["--kappa1", repr(kappa1)] + (["--cycle", cycle] if words[0] == "slag" else [])
+    general = [*words, "--k", str(k), "--eps", repr(eps), "--b0", repr(b0), *tail]
+    normal = [*words, "--k", "1", "--b0", repr(lam * b0), *tail]
+    return general, normal, lam
+
+
+@pytest.mark.parametrize("words", [("semiflat", "curvature"), ("slag", "pi-decay")])
+@pytest.mark.parametrize("k,eps,b0,kappa1,cycle", _HOMOTHETY)
+def test_decay_report_is_its_normal_form_scaled(tmp_path, words, k, eps, b0, kappa1, cycle):
+    general, normal, s = _pair_of_argv(words, k, eps, b0, kappa1, cycle)
+    code, res, curve = _run(*general, csv_path=tmp_path / "general.csv")
+    code1, res1, curve1 = _run(*normal, csv_path=tmp_path / "normal.csv")
+    assert code == code1 == 0
+    # |Rm| scales by s and |II| by sqrt(s), bit for bit; r by 1/sqrt(s), to
+    # a few rounding errors of its four operations
+    scale = s if words[0] == "semiflat" else math.sqrt(s)
+    for (r, val), (r1, val1) in zip(curve, curve1):
+        assert val == scale * val1
+        assert r * math.sqrt(s) == pytest.approx(r1, rel=1e-15, abs=0.0)
+    # log-log slope of the same points moved by constant offsets
+    assert res["exponent"] == pytest.approx(res1["exponent"], rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("k,eps,b0,kappa1,cycle", _HOMOTHETY)
+@pytest.mark.parametrize("ell", ["0.5", "10", "40"])
+def test_slag_check_is_its_normal_form_scaled(k, eps, b0, kappa1, cycle, ell):
+    general, normal, s = _pair_of_argv(("slag", "check"), k, eps, b0, kappa1, cycle)
+    code, res, _ = _run(*general, "--ell", ell)
+    code1, res1, _ = _run(*normal, "--ell", ell)
+    assert {code, code1} <= {0, 3}
+    assert res["second_ff_norm"] == math.sqrt(s) * res1["second_ff_norm"]
+    assert res["mean_curvature"] == math.sqrt(s) * res1["mean_curvature"]
+    assert res["gauss_residual"] == s * res1["gauss_residual"]
