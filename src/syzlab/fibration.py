@@ -122,8 +122,9 @@ class CycleSpec:
         """The n x n periodic parameter grid: t1 in [0, 1), t2 over one period."""
         return Grid2(n, 1.0 if self.fiber else TWO_PI * self.m1)
 
-    def lift(self, k: float, ell: float) -> tuple[np.ndarray, np.ndarray]:
-        """(origin, frame): the cycle at base radius e^{-ell} in the chart.
+    def lift(self, k: float, ell: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(origin, frame): the cycle at base radius e^{-ell} in the chart, or
+        at each of an array of ell (origin (..., 4), frame (..., 4, 2)).
 
         The chart point (ell, theta, x1, x2) at parameters t = (t1, t2) on
         grid(n) is origin + frame @ t; the 4 x 2 frame holds the constant
@@ -132,12 +133,15 @@ class CycleSpec:
         x2-slope k*ell/(2*pi)); for C_{m1,m2} it lifts around the base
         circle (theta-slope -1, x2-slope (m2/m1) (k/(2*pi)) ell/(2*pi)).
         """
+        ell = np.asarray(ell, dtype=float)
+        origin, frame = np.zeros(ell.shape + (4,)), np.zeros(ell.shape + (4, 2))
+        origin[..., 0], frame[..., 2, 0] = ell, 1.0
         if self.fiber:
-            th, x2 = 0.0, k * ell / TWO_PI
+            frame[..., 3, 1] = k * ell / TWO_PI
         else:
-            th, x2 = -1.0, (self.m2 / self.m1) * (k / TWO_PI) * ell / TWO_PI
-        return np.array([ell, 0.0, 0.0, 0.0]), np.array([[0.0, 0.0], [0.0, th],
-                                                         [1.0, 0.0], [0.0, x2]])
+            frame[..., 1, 1] = -1.0
+            frame[..., 3, 1] = (self.m2 / self.m1) * (k / TWO_PI) * ell / TWO_PI
+        return origin, frame
 
     def lift_grid(self, k: int, ell: float, n: int):
         """(q, t_a, t_b): the lift's chart points at every node of grid(n),

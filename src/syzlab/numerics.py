@@ -96,12 +96,13 @@ def fit_decay(r: np.ndarray, values: np.ndarray, model: str = "power") -> DecayF
         raise ValidationError("r and values must be 1-d arrays of equal length")
     if r.size < 3:
         raise ValidationError("need at least 3 samples")
-    if np.any(np.diff(r) <= 0):
+    # <= rather than a negated >: a NaN in r passes here and fails as non-finite below
+    if (r[1:] <= r[:-1]).any():
         raise ValidationError("r must be strictly increasing")
-    if np.any(values <= 0):
+    if (values <= 0).any():
         raise NumericalError("decay samples must be positive for a log fit")
 
-    n_drop = min(int(np.floor(0.2 * r.size)), r.size - 3)
+    n_drop = min(int(0.2 * r.size), r.size - 3)
     r = r[n_drop:]
     values = values[n_drop:]
 
@@ -112,12 +113,12 @@ def fit_decay(r: np.ndarray, values: np.ndarray, model: str = "power") -> DecayF
     else:
         raise ValidationError(f"unknown decay model {model!r}")
     ys = np.log(values)
-    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
         raise NumericalError("non-finite values in decay fit")
 
-    # the least-squares line through the centred samples
-    dx = xs - np.mean(xs)
-    dy = ys - np.mean(ys)
+    # the least-squares line through the centred samples; sum()/size has np.mean's bits
+    dx = xs - xs.sum() / xs.size
+    dy = ys - ys.sum() / ys.size
     slope = (dx @ dy) / (dx @ dx)
     resid = dy - slope * dx
     ss_tot = dy @ dy

@@ -361,21 +361,27 @@ def moduli_dims(k: int) -> tuple[int, int, int]:
 # ---------------------------------------------------------------------------
 # curvature: the exact metric jet, and a finite-difference oracle
 
-# g's entries that vary, as constant 4 x 4 patterns: A at (ell ell) and (theta theta), B = c g_i
-# at (theta x1) and (x1 theta) and -B at (ell x2) and (x2 ell), C = c at (x1 x1) and (x2 x2)
+# g's entries, as constant 4 x 4 patterns: A at (ell ell) and (theta theta), B = c g_i at
+# (theta x1) and (x1 theta) and -B at (ell x2) and (x2 ell), C = c at (x1 x1) and (x2 x2),
+# -E at (ell x1), (x1 ell), (theta x2) and (x2 theta); E = c g_r = b0/pi is constant
 _PATTERNS = np.array([[1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
                       [0, 0, 0, -1, 0, 0, 1, 0, 0, 1, 0, 0, -1, 0, 0, 0],
-                      [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1]], dtype=float)
+                      [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1],
+                      [0, 0, -1, 0, 0, 0, 0, -1, -1, 0, 0, 0, 0, -1, 0, 0]], dtype=float)
+_D_PATTERNS = _PATTERNS[:3]
 _ELL_MAX = (16.0 * math.pi) ** (1.0 / 3.0) * 2.0 ** 340  # (4 pi)^(1/3) 2^(1022/3)
+# strict upper bounds of a jet point: ell <= _ELL_MAX, the rest finite
+_JET_UPPER = np.array([np.nextafter(_ELL_MAX, np.inf), np.inf, np.inf, np.inf])
 
 
 def metric_jet(p: ModelParams, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(g, dg, ddg) of a normal-form model at chart points q of shape (..., 4), in
     closed form; any other model raises ValidationError.
 
-    g is riemannian_metric_chart(p, q), dg[..., e, a, b] = d_e g_ab and ddg[..., e, f, a, b]
-    = d_e d_f g_ab.  The entries that vary are A = d + C (g_r^2 + g_i^2), B = C g_i and
-    C = 2 pi/ell, with d/K = ell/pi taken as 2/C, K = |kappa(e^-y)|^2.  kappa is holomorphic
+    g has the bits of riemannian_metric_chart(p, q), dg[..., e, a, b] = d_e g_ab and
+    ddg[..., e, f, a, b] = d_e d_f g_ab.  g's entries are A = d + C (g_r^2 + g_i^2), B = C g_i,
+    C = 2 pi/ell and E = C g_r, with d = 2K/C rounded as sf_form_chart rounds it and d/K = ell/pi
+    taken as 2/C in the derivatives, K = |kappa(e^-y)|^2.  kappa is holomorphic
     in y = ell + i theta, so with kappa_y = sum -p c_p z^p and kappa_yy = sum p^2 c_p z^p,
     K_ell = 2 Re(conj(kappa) kappa_y), K_theta = -2 Im(conj(kappa) kappa_y), K_ell,ell and
     K_theta,theta = 2|kappa_y|^2 +- 2 Re(conj(kappa) kappa_yy) and K_ell,theta
@@ -388,27 +394,29 @@ def metric_jet(p: ModelParams, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
         raise ValidationError("the metric jet takes a normal-form model (k = eps = alpha = 1)")
     q = np.asarray(q, dtype=float)
     ell, x2 = q[..., 0], q[..., 3]
-    if (ell > _ELL_MAX).any():
-        raise NumericalError(f"metric jet term C_ell,ell = 4 pi/ell^3 is below float64's"
-                             f" normal range past ell = {_ELL_MAX:.3g}")
-    g = riemannian_metric_chart(p, q)
-    if p._kappa_terms:
+    if not ((q > _LOWER) & (q < _JET_UPPER)).all():
+        if (ell > _ELL_MAX).any():
+            raise NumericalError(f"metric jet term C_ell,ell = 4 pi/ell^3 is below float64's"
+                                 f" normal range past ell = {_ELL_MAX:.3g}")
+        _reject_chart_point(q)
+    # kappa(0) = 1 exactly (ModelParams checks it): that term adds exactly (1, 0, 0)
+    kap, kap_y, kap_yy = 1.0 + 0.0j, 0.0j, 0.0j
+    if len(p._kappa_terms) > 1:
         z = np.exp(-(ell + 1j * q[..., 1]))
-        kap = kap_y = kap_yy = 0.0j
-        for power, c in p._kappa_terms:
+        for power, c in p._kappa_terms[1:]:
             term = c * z ** power
             kap, kap_y, kap_yy = kap + term, kap_y - power * term, kap_yy + power * power * term
-    else:
-        kap, kap_y, kap_yy = 1.0 + 0.0j, 0.0j, 0.0j
     big_k = kap.real * kap.real + kap.imag * kap.imag
     ky2 = 2.0 * (kap_y.real * kap_y.real + kap_y.imag * kap_y.imag)
-    kk1, kk2 = 2.0 * np.conj(kap) * kap_y, 2.0 * np.conj(kap) * kap_yy
+    two_conj = 2.0 * np.conj(kap)
+    kk1, kk2 = two_conj * kap_y, two_conj * kap_yy
     k_l, k_t = kk1.real, -kk1.imag
     c0 = TWO_PI / ell
     c1, d_k = c0 / ell, 2.0 / c0
     c2 = 2.0 * c1 / ell
     g_r, g_i = p.b0 * ell / _TWO_PI_SQ, x2 / ell
     lead = np.shape(ell)
+    coef = np.array([2.0 * big_k / c0 + c0 * (g_r * g_r + g_i * g_i), c0 * g_i, c0, c0 * g_r])
     # coefficients of the patterns A, B, C in d_e g and d_e d_f g
     d1 = np.zeros(lead + (4, 3))
     d1[..., 0, 0] = d_k * (k_l + big_k / ell) + c1 * (g_r * g_r - 3.0 * g_i * g_i)
@@ -426,8 +434,10 @@ def metric_jet(p: ModelParams, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     d2[..., 0, 3, 0] = d2[..., 3, 0, 0] = -3.0 * c2 * g_i
     d2[..., 0, 3, 1] = d2[..., 3, 0, 1] = -c2
     d2[..., 3, 3, 0] = c2
-    return g, (d1 @ _PATTERNS).reshape(lead + (4, 4, 4)), \
-        (d2 @ _PATTERNS).reshape(lead + (4, 4, 4, 4))
+    # each entry of g is one exact product and zeros, whatever order the matmul sums in
+    g = (coef.reshape(4, -1).T @ _PATTERNS + 0.0).reshape(lead + (4, 4))
+    return g, (d1 @ _D_PATTERNS).reshape(lead + (4, 4, 4)), \
+        (d2 @ _D_PATTERNS).reshape(lead + (4, 4, 4, 4))
 
 
 def _christoffel(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
@@ -517,6 +527,8 @@ def riemann_fd(gf, q: np.ndarray, h: float | np.ndarray) -> tuple[np.ndarray, ..
 
 # |Rm|_g r^2 on every point of a model with kappa = 1: |Rm|^2 r^4 = 128/27
 RM_R2 = 8.0 * math.sqrt(6.0) / 9.0
+# the ell of the curvature and |II| decay samples
+DECAY_ELLS = np.linspace(5.0, 40.0, 10)
 
 
 def curvature_decay(p: ModelParams) -> tuple[np.ndarray, np.ndarray, DecayFit]:
@@ -527,9 +539,8 @@ def curvature_decay(p: ModelParams) -> tuple[np.ndarray, np.ndarray, DecayFit]:
     (normal_form).  For kappa = 1, |Rm| r^2 = RM_R2 at every point.
     """
     p1, s = normal_form(p)
-    ells = np.linspace(5.0, 40.0, 10)
-    q = np.zeros(ells.shape + (4,))
-    q[..., 0] = ells
+    q = np.zeros(DECAY_ELLS.shape + (4,))
+    q[..., 0] = DECAY_ELLS
     riem, _, g, ginv = riemann_jet(p1, q)
     # |Rm|^2 = R_{abcd} R^{abcd}: lower the first index, raise the other three
     low = g @ riem.reshape(-1, 4, 64)
@@ -539,6 +550,6 @@ def curvature_decay(p: ModelParams) -> tuple[np.ndarray, np.ndarray, DecayFit]:
     if (val < -1e-8).any():
         raise NumericalError("negative |Rm|^2")
     vals = s * np.sqrt(np.maximum(val, 0.0))
-    r = np.array([distance_r(p, ell) for ell in ells])
+    r = np.array([distance_r(p, ell) for ell in DECAY_ELLS.tolist()])
     fit = fit_decay(r, vals, model="power")
     return r, vals, fit

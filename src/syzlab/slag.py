@@ -66,13 +66,14 @@ def fiber_geometry(mf: ModelFiber) -> FiberGeometry:
     p = mf.params
     if not p.kappa_is_one():
         raise ValidationError("no closed-form fiber geometry for non-trivial kappa")
-    a = p.alpha * p.k * mf.ell / (math.pi * p.eps)
-    b = p.alpha * TWO_PI * p.eps / (p.k * mf.ell)
-    lam = min(1.0 / a, 4.0 * math.pi ** 2 / b)
+    # lambda = eps/k formed first: pi eps and 2 pi eps overflow for eps of a valid model
+    lam = p.eps / p.k
+    a = p.alpha / lam * mf.ell / math.pi
+    b = TWO_PI * p.alpha * (lam / mf.ell)
     vol = TWO_PI * math.sqrt(a * b) * mf.cycle.m1
     diam = max(math.pi * math.sqrt(a), 0.5 * math.sqrt(b))
-    return FiberGeometry(a_coef=a, b_coef=b, lambda1=lam, volume=vol,
-                         diameter=diam, noncollapse_kappa=math.sqrt(2.0),
+    return FiberGeometry(a_coef=a, b_coef=b, lambda1=min(1.0 / a, 4.0 * math.pi ** 2 / b),
+                         volume=vol, diameter=diam, noncollapse_kappa=math.sqrt(2.0),
                          noncollapse_scale=math.sqrt(b))
 
 
@@ -82,20 +83,16 @@ def lambda1_rayleigh(a: float, b: float) -> float:
     A five-point finite-difference Laplacian on 64 nodes per side of the
     flat rectangular torus with side lengths (2*pi*sqrt(a), sqrt(b)) is
     applied to the two fundamental modes; the smaller quotient estimates
-    lambda_1.
+    lambda_1.  A side of length L has the quotient of the unit circle over
+    L^2, so no step h = L/64 is squared (h^2 under- or overflows first).
     """
     if a <= 0 or b <= 0:
         raise ValidationError("need positive coefficients")
     n = 64
-    best = math.inf
-    for length in (TWO_PI * math.sqrt(a), math.sqrt(b)):
-        h = length / n
-        s = np.arange(n) * h
-        u = np.cos(TWO_PI * s / length)
-        lap = (np.roll(u, 1) - 2.0 * u + np.roll(u, -1)) / h ** 2
-        quot = -(u @ lap) / (u @ u)
-        best = min(best, float(quot))
-    return best
+    u = np.cos(TWO_PI * np.arange(n) / n)
+    lap = (np.roll(u, 1) - 2.0 * u + np.roll(u, -1)) * n ** 2
+    quot = float(-(u @ lap) / (u @ u))
+    return min(quot / (TWO_PI * math.sqrt(a)) ** 2, quot / math.sqrt(b) ** 2)
 
 
 def check_special(mf: ModelFiber) -> tuple[float, float]:
@@ -197,12 +194,12 @@ def pi_decay(p: sf.ModelParams, cycle: fib.CycleSpec) -> tuple[np.ndarray, np.nd
     if cycle.fiber:
         raise ValidationError("slag fibers are bad cycles, not torus fibers")
     p1, s = sf.normal_form(p)
-    ells = np.linspace(5.0, 40.0, 10).tolist()
-    origin, tan = (np.array(v) for v in zip(*(cycle.lift(p.eps, ell) for ell in ells)))
+    origin, tan = cycle.lift(p.eps, sf.DECAY_ELLS)
     g, dg, _ = sf.metric_jet(p1, origin + tan @ _T)
     pi_sq = _fundamental_forms(g, sf._christoffel(np.linalg.inv(g), dg), tan)[1]
     vals = math.sqrt(s) * np.sqrt(np.maximum(pi_sq, 0.0))
-    r = np.array([sf.distance_r(p, ell) for ell in ells])
+    # r per ell: numpy's array ** 1.5 rounds some ell apart from the scalar power
+    r = np.array([sf.distance_r(p, ell) for ell in sf.DECAY_ELLS.tolist()])
     fit = fit_decay(r, vals, model="power")
     return r, vals, fit
 

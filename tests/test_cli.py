@@ -284,7 +284,7 @@ class TestExitCodes:
         (["slag", "pi-decay", "--k", "1", "--b0", "1e200"], 2),
         (["semiflat", "curvature", "--k", "1", "--b0", "1e200"], 2),
         # the lattice defect of transport by tau is not finite (y1 = |tau| ell
-        # / c overflows); ZeroDivisionError in fiber_geometry
+        # / c overflows); the closed-form lambda1 rounds to 0 (ZeroDivisionError)
         (["hkrot", "--k", "1", "--tau", "0+1e300i"], 2),
         (["slag", "geometry", "--k", "1", "--ell", "1e-320"], 2),
         # check_special's form overflows (FloatingPointError)

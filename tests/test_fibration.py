@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from syzlab import fibration as fib
 from syzlab.errors import ValidationError
@@ -90,6 +92,17 @@ class TestLift:
         # bitwise, the sign of a zero included
         assert q.tobytes() == ref.tobytes()
         assert np.array_equal(t_a, frame[:, 0]) and np.array_equal(t_b, frame[:, 1])
+
+    @pytest.mark.parametrize("c", CYCLES)
+    @given(k=st.floats(1e-3, 1e3), ells=st.lists(st.floats(1e-3, 1e103), min_size=1, max_size=10))
+    @settings(max_examples=40, deadline=None)
+    def test_lift_over_an_array_stacks_the_scalar_lifts(self, c, k, ells):
+        origin, frame = c.lift(k, np.array(ells))
+        each = [c.lift(k, ell) for ell in ells]
+        # bitwise, the sign of a zero included
+        assert origin.shape == (len(ells), 4) and frame.shape == (len(ells), 4, 2)
+        assert origin.tobytes() == np.array([o for o, _ in each]).tobytes()
+        assert frame.tobytes() == np.array([f for _, f in each]).tobytes()
 
     def test_lift_grid_rejects_small_grid(self):
         with pytest.raises(ValidationError):

@@ -42,3 +42,23 @@ def test_check_fails_on_a_scaled_term(monkeypatch, name, argv, module, term, thr
         monkeypatch.setattr(module, term, exact * (1.0 + delta))
         got, check = _check(argv, name)
         assert (got, check["passed"]) == (code, code == 0), delta
+
+
+# the C = 2 pi/ell row of the metric jet's g patterns, dg and ddg left exact:
+# the checks read the g that the jet builds from its own coefficients
+_JET_ROWS = [(check, words + ["--k", "1", "--eps", eps], 1e-11)
+             for check, words in (("curvature_scale", ["semiflat", "curvature"]),
+                                  ("pi_scale", ["slag", "pi-decay"]))
+             for eps in ("1e-300", "1", "1e300")]
+
+
+@pytest.mark.parametrize("name,argv,threshold", _JET_ROWS,
+                         ids=[f"{row[0]}-{row[1][-1]}" for row in _JET_ROWS])
+def test_check_fails_on_a_scaled_jet_metric(monkeypatch, name, argv, threshold):
+    exact = sf._PATTERNS
+    for delta, code in ((0.0, 0), (threshold / 10.0, 0), (threshold, 3), (1e-9, 3)):
+        patterns = exact.copy()
+        patterns[2] *= 1.0 + delta
+        monkeypatch.setattr(sf, "_PATTERNS", patterns)
+        got, check = _check(argv, name)
+        assert (got, check["passed"]) == (code, code == 0), delta

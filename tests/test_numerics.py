@@ -103,6 +103,36 @@ class TestFitDecay:
         assert fit.r_squared == pytest.approx(r2, rel=1e-12, abs=1e-12)
         assert fit.n_samples == n - n_drop
 
+    # each bad sample's exception class and message: the CLI maps
+    # ValidationError to exit 1 and NumericalError to exit 2
+    @pytest.mark.parametrize("r,values,model,error,message", [
+        ([1.0, 2.0, 2.0, 3.0], [1.0, 0.5, 0.4, 0.3], "power", ValidationError,
+         "r must be strictly increasing"),
+        ([1.0, 3.0, 2.0], [1.0, 0.5, 0.4], "power", ValidationError,
+         "r must be strictly increasing"),
+        # NaN compares false, so it passes the increasing check and its log fails
+        ([1.0, math.nan, 3.0, 4.0], [1.0, 0.5, 0.4, 0.3], "power", NumericalError,
+         "non-finite values in decay fit"),
+        ([1.0, 2.0, 3.0, 4.0], [1.0, math.nan, 0.4, 0.3], "power", NumericalError,
+         "non-finite values in decay fit"),
+        ([1.0, 2.0, 3.0, 4.0], [1.0, 0.5, math.inf, 0.3], "power", NumericalError,
+         "non-finite values in decay fit"),
+        ([1.0, 2.0, 3.0, 4.0], [1.0, 0.5, 0.0, 0.3], "power", NumericalError,
+         "decay samples must be positive for a log fit"),
+        ([1.0, 2.0, 3.0, 4.0], [1.0, 0.5, 0.4], "power", ValidationError,
+         "r and values must be 1-d arrays of equal length"),
+        ([[1.0, 2.0, 3.0]], [[1.0, 0.5, 0.4]], "power", ValidationError,
+         "r and values must be 1-d arrays of equal length"),
+        ([1.0, 2.0, 3.0, 4.0], [1.0, 0.5, 0.4, 0.3], "exp", ValidationError,
+         "unknown decay model 'exp'"),
+    ], ids=["equal-r", "decreasing-r", "nan-r", "nan-value", "inf-value", "zero-value",
+            "shape-mismatch", "two-d", "unknown-model"])
+    def test_failure_modes(self, r, values, model, error, message):
+        with pytest.raises(error) as info:
+            fit_decay(np.array(r), np.array(values), model=model)
+        assert type(info.value) is error
+        assert str(info.value) == message
+
     def test_fields(self):
         r = np.array([10.0, 20.0, 40.0, 80.0])
         fit = fit_decay(r, r ** -1.0)

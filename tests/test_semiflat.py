@@ -749,11 +749,29 @@ class TestMetricJet:
         q = np.column_stack([rng.uniform(0.5, 12.0, 6), rng.uniform(-3.0, 3.0, 6),
                              rng.uniform(-2.0, 2.0, 6), rng.uniform(-2.0, 2.0, 6)])
         g, dg, ddg = sf.metric_jet(p, q)
-        assert np.array_equal(g, sf.riemannian_metric_chart(p, q))
         for i, pt in enumerate(q):
             for got, want in zip((g[i], dg[i], ddg[i]), f(*pt.tolist())):
                 want = np.array(want, dtype=float).reshape(got.shape)
                 assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @given(b0=st.floats(-1e3, 1e3), degree=st.integers(0, 2),
+           coeffs=st.tuples(st.complex_numbers(max_magnitude=10.0),
+                            st.complex_numbers(max_magnitude=10.0)),
+           points=st.lists(st.tuples(st.floats(-3.0, math.log10(sf._ELL_MAX)),
+                                     st.floats(-1e3, 1e3), st.floats(-1e3, 1e3),
+                                     st.floats(-1e3, 1e3)), min_size=1, max_size=3),
+           single=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_g_is_riemannian_metric_chart_bitwise(self, b0, degree, coeffs, points, single):
+        # the jet assembles g from its own coefficients; kappa has constant, linear
+        # and quadratic terms, and one point takes sf_form_chart's Python-float path
+        kappa = {0: 1.0, **dict(zip((1, 2), coeffs[:degree]))} if degree else {}
+        p = sf.ModelParams(k=1, b0=b0, kappa=kappa)
+        q = np.array([[min(10.0 ** e, sf._ELL_MAX), th, x1, x2] for e, th, x1, x2 in points])
+        q = q[0] if single else q
+        g, want = sf.metric_jet(p, q)[0], sf.riemannian_metric_chart(p, q)
+        # bitwise, the sign of a zero included
+        assert g.shape == want.shape and g.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("k,eps,b0,alpha", [
         (1, 1.0, 0.0, 1.0), (2, 0.7, 0.25, 1.0), (3, 2.0, -1.0 / 3.0, 1.5), (1, 0.5, 1.0, 0.3)])

@@ -48,6 +48,17 @@ class TestFiberGeometry:
             num = slag.lambda1_rayleigh(geom.a_coef, geom.b_coef)
             assert abs(num - geom.lambda1) / geom.lambda1 <= 0.02
 
+    @pytest.mark.parametrize("eps", [1e308, 1e307, 1e-300])
+    def test_float_range_ends(self, eps):
+        # lambda = eps/k comes before pi eps, which overflows past eps = 5.7e307,
+        # and the Rayleigh quotient squares no step h = L/64 (h^2 leaves float range)
+        geom = slag.fiber_geometry(slag.ModelFiber(sf.ModelParams(k=1, eps=eps), C10, 10.0))
+        assert geom.a_coef * geom.b_coef == pytest.approx(2.0, rel=1e-15)
+        assert geom.lambda1 == pytest.approx(min(math.pi * eps / 10.0, 20.0 * math.pi / eps),
+                                             rel=1e-15)
+        num = slag.lambda1_rayleigh(geom.a_coef, geom.b_coef)
+        assert abs(num - geom.lambda1) / geom.lambda1 <= 0.02
+
     def test_lambda1_decay_in_ell(self):
         ells = np.linspace(5.0, 80.0, 8)
         vals = np.array([slag.fiber_geometry(
@@ -308,7 +319,7 @@ class TestSecondFundamentalForm:
         for m1, m2 in ((1, 0), (1, 1), (2, 1)):
             p = sf.normal_form(sf.ModelParams(k=k, eps=eps, b0=-k * m2 / (2 * m1)))[0]
             cycle = fib.CycleSpec(m1=m1, m2=m2)
-            origin, tan = (np.array(v) for v in zip(*(cycle.lift(eps, ell) for ell in ells)))
+            origin, tan = cycle.lift(eps, np.array(ells))
             _, gam, g, _ = sf.riemann_jet(p, origin + tan @ slag._T)
             second, pi_sq, h_sq, hin = slag._fundamental_forms(g, gam, tan)
             ref = _fundamental_forms_einsum(g, gam, tan)
