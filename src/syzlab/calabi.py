@@ -50,9 +50,9 @@ class CalabiModel:
     """Calabi model data: degree k and modulus tau in the fundamental domain.
 
     tau_exact optionally carries (Re tau, Im tau) as Fractions, which makes
-    the rationality decision of rotate exact.  a_tau, b_tau and c_tau are
-    computed by their first use and stored on the instance; like _rotation
-    they are not fields, so ==, hash and repr do not see them.
+    the rationality decision of rotate exact.  a_tau, b_tau, c_tau and chart
+    are computed by their first use and stored on the instance; like
+    _rotation they are not fields, so ==, hash and repr do not see them.
     """
 
     k: int
@@ -87,6 +87,14 @@ class CalabiModel:
     def c_tau(self) -> float:
         return math.sqrt(TWO_PI * self.k / self.tau.imag)
 
+    @cached_property
+    def chart(self) -> tuple:
+        """sf_coordinates' (a, b, c, c1, r, s, 2 pi a, c^2, c^2/2): a_tau, b_tau, c_tau,
+        c1 = 2 pi |tau|/(Im tau c) = 1/s and r = Re tau/Im tau."""
+        a, b, c, t = self.a_tau, self.b_tau, self.c_tau, self.tau
+        c1 = TWO_PI * abs(t) / (t.imag * c)
+        return a, b, c, c1, t.real / t.imag, 1.0 / c1, TWO_PI * a, c * c, 0.5 * c ** 2
+
 
 def _coframe(m: CalabiModel, pt) -> np.ndarray:
     """E: rows (d ell, theta, d xi1, d xi2) in the coordinate coframe
@@ -118,8 +126,8 @@ def hk_triple(m: CalabiModel, pt) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def holomorphic_form_j(m: CalabiModel, pt) -> np.ndarray:
     """Omega_J = i (taubar/|tau|) c (dphi/2 - ell dl + i dpsi) ^ (dxi1 + i dxi2)."""
-    c2 = m.c_tau ** 2
-    u = np.array([-pt[0], 1.0j, 0.5 * c2 * pt[2], 0.5 * c2 * pt[3]], dtype=complex)
+    h = m.chart[-1]
+    u = np.array([-pt[0], 1.0j, h * pt[2], h * pt[3]], dtype=complex)
     v = np.array([0.0, 0.0, 1.0, 1.0j], dtype=complex)
     phase = 1j * np.conj(complex(m.tau)) / abs(m.tau)
     return phase * m.c_tau * wedge_11(u, v)
@@ -245,24 +253,17 @@ def sf_coordinates(m: CalabiModel, pt) -> tuple[list, tuple]:
     is solved row by row: rows (d ell, d psi, d xi1, d xi2), columns the
     chart coordinates.
     """
-    t = complex(m.tau)
-    a, b, c = m.a_tau, m.b_tau, m.c_tau
-    c2 = c * c
+    a, b, c, c1, r, s, two_pi_a, c2, _ = m.chart
     ell, psi, xi1, xi2 = pt
-
-    c1 = TWO_PI * abs(t) / (t.imag * c)
-    r = t.real / t.imag
     # (c2 xi2) xi2 stays finite where xi2 ** 2 overflows: transport by tau
     # moves xi2 by Im tau
     q_sf = [c1 * ell,
             TWO_PI * xi1 - TWO_PI * r * xi2,
             (a * psi + 0.5 * b * ell ** 2 - 0.5 * a * c2 * xi1 * xi2
-             - 0.5 * b * c2 * xi2 * xi2) / (TWO_PI * a),
-            c * ell * xi2 / (TWO_PI * a)]
-
-    s = 1.0 / c1
+             - 0.5 * b * c2 * xi2 * xi2) / two_pi_a,
+            c * ell * xi2 / two_pi_a]
     y0 = -xi2 * s / ell
-    y3 = TWO_PI * a / (c * ell)
+    y3 = two_pi_a / (c * ell)
     w = 0.5 * c2 * (xi1 + r * xi2) + c2 * b * xi2 / a
     jinv = ((s, 0.0, 0.0, 0.0),
             (w * y0 - b * ell * s / a, 0.5 * c2 * xi2 / TWO_PI, TWO_PI, w * y3),
@@ -280,10 +281,7 @@ def _tau_coefficients(m: CalabiModel, ell: float) -> tuple[float, float, float, 
     return ac * ell, bc * ell, -bc, ac
 
 
-_UPPER = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-
-
-def _pushed_omega_tau(m: CalabiModel, pt) -> tuple[list, list]:
+def _pushed_omega_tau(m: CalabiModel, pt) -> tuple[list, tuple]:
     """Chart point q_sf and the upper entries (01, 02, 03, 12, 13, 23) of
     omega_tau pushed to the semi-flat chart, on Python floats.
 
@@ -291,32 +289,34 @@ def _pushed_omega_tau(m: CalabiModel, pt) -> tuple[list, list]:
     theta, d xi1, d xi2) over the chart coordinates.  As A01 = A23 = 0,
     omega_tau is d ell ^ P + theta ^ Q with P = A02 d xi1 + A03 d xi2 and
     Q = A12 d xi1 + A13 d xi2, so entry ij is
-    dl_i P_j - P_i dl_j + th_i Q_j - Q_i th_j.
+    dl_i P_j - P_i dl_j + th_i Q_j - Q_i th_j.  J^-1 has dl = (s, 0, 0, 0), d xi1 =
+    (x0, x1, 0, x3) and d xi2 = (y0, 0, 0, y3), so P_2 = Q_2 = 0, th_2 = 2 pi, and
+    each entry keeps the products that are not zero by structure, in the dense order.
     """
-    q_sf, (dl, dpsi, dx1, dx2) = sf_coordinates(m, pt)
-    h = 0.5 * m.c_tau ** 2
+    q_sf, ((s, _, _, _), (p0, p1, _, p3), (x0, x1, _, x3), (y0, _, _, y3)) = sf_coordinates(m, pt)
+    h = m.chart[-1]
     u, v = h * pt[3], h * pt[2]
-    th = [p + u * x - v * y for p, x, y in zip(dpsi, dx1, dx2)]
     a02, a03, a12, a13 = _tau_coefficients(m, pt[0])
-    pp = [a02 * x + a03 * y for x, y in zip(dx1, dx2)]
-    qq = [a12 * x + a13 * y for x, y in zip(dx1, dx2)]
-    return q_sf, [dl[i] * pp[j] - pp[i] * dl[j] + th[i] * qq[j] - qq[i] * th[j]
-                  for i, j in _UPPER]
+    th0, th1, th3 = p0 + u * x0 - v * y0, p1 + u * x1, p3 + u * x3 - v * y3
+    pp1, pp3 = a02 * x1, a02 * x3 + a03 * y3
+    qq0, qq1, qq3 = a12 * x0 + a13 * y0, a12 * x1, a12 * x3 + a13 * y3
+    return q_sf, (s * pp1 + th0 * qq1 - qq0 * th1, -(qq0 * TWO_PI),
+                  s * pp3 + th0 * qq3 - qq0 * th3, -(qq1 * TWO_PI),
+                  th1 * qq3 - qq1 * th3, TWO_PI * qq3)
 
 
 def verify_rotation(m: CalabiModel, pt) -> float:
     """Relative defect between omega_tau pushed to the semi-flat chart and
     the rotated semi-flat form; NaN propagates."""
-    rot = rotate(m)
-    q_sf, pushed = _pushed_omega_tau(m, pt)
-    e01, cg_i, cg_r, c = sfm.sf_form_point(rot.params, *q_sf)
-    # entries _UPPER of sf_form_chart(rot.params, q_sf)
-    want = (e01, cg_i, -cg_r, cg_r, cg_i, c)
-    diffs = [abs(p - w) for p, w in zip(pushed, want)]
+    q_sf, (p01, p02, p03, p12, p13, p23) = _pushed_omega_tau(m, pt)
+    # sf_form_chart(params, q_sf) has upper entries e01, cg_i, -cg_r, cg_r, cg_i, c
+    e01, cg_i, cg_r, c = sfm.sf_form_point(rotate(m).params, *q_sf)
+    d01, d02, d03 = abs(p01 - e01), abs(p02 - cg_i), abs(p03 + cg_r)
+    d12, d13, d23 = abs(p12 - cg_r), abs(p13 - cg_i), abs(p23 - c)
     scale = max(abs(e01), abs(cg_i), abs(cg_r), abs(c), 1e-300)
     # the builtin max drops NaN; a NaN difference makes the sum NaN
-    total = sum(diffs)
-    return (max(diffs) if total == total else total) / scale
+    total = d01 + d02 + d03 + d12 + d13 + d23
+    return (max(d01, d02, d03, d12, d13, d23) if total == total else total) / scale
 
 
 # ---------------------------------------------------------------------------
@@ -330,9 +330,8 @@ def transport(m: CalabiModel, pt, gamma: complex) -> tuple:
     exp((k pi / Im tau)(conj(gamma) xi + |gamma|^2 / 2)); ell is invariant
     and psi shifts by the argument of the cocycle.
     """
-    t = complex(m.tau)
     ell, psi, xi1, xi2 = pt
-    dpsi = (m.k * math.pi / t.imag) * (np.conj(gamma) * complex(xi1, xi2)).imag
+    dpsi = (m.k * math.pi / m.tau.imag) * (np.conj(gamma) * complex(xi1, xi2)).imag
     return ell, psi + dpsi, xi1 + complex(gamma).real, xi2 + complex(gamma).imag
 
 

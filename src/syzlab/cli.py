@@ -256,12 +256,10 @@ def _cmd_hkrot(args):
     model = calabi.CalabiModel(k=args.k, tau=tau, tau_exact=tau_exact)
     rot = calabi.rotate(model)
     n = args.verify_grid
-    residuals = []
     # Python floats: the per-point arithmetic stays off numpy scalars
-    for ell in np.linspace(1.0, 3.0, n).tolist():
-        for xi1 in np.linspace(0.0, 0.6, n).tolist():
-            for psi in (0.0, 1.0, 2.5):
-                residuals.append(calabi.verify_rotation(model, (ell, psi, xi1, 0.2)))
+    ells, xi1s = np.linspace(1.0, 3.0, n).tolist(), np.linspace(0.0, 0.6, n).tolist()
+    residuals = [calabi.verify_rotation(model, (ell, psi, xi1, 0.2))
+                 for ell in ells for xi1 in xi1s for psi in (0.0, 1.0, 2.5)]
     defect = calabi.lattice_defects(model, (1.7, 0.4, 0.2, 0.3))
     # np.max carries a NaN through; the builtin max drops it
     worst = float(np.max(residuals))

@@ -143,12 +143,13 @@ class CycleSpec:
             frame[..., 3, 1] = (self.m2 / self.m1) * (k / TWO_PI) * ell / TWO_PI
         return origin, frame
 
-    def lift_grid(self, k: int, ell: float, n: int):
+    def lift_grid(self, k: float, ell: float, n: int):
         """(q, t_a, t_b): the lift's chart points at every node of grid(n),
         shape (n, n, 4) with t1 along the first axis, and its tangents."""
         grid = self.grid(n)
         origin, frame = self.lift(k, ell)
-        t = np.stack(np.meshgrid(grid.nodes1(), grid.nodes2(), indexing="ij"), axis=-1)
+        t = np.empty((n, n, 2))
+        t[..., 0], t[..., 1] = grid.nodes1()[:, None], grid.nodes2()
         # in place: origin + (t @ frame.T) would hold a second (n, n, 4) array
         q = t @ frame.T
         q += origin

@@ -81,6 +81,10 @@ class ModelParams:
             kap = kap + c * z ** power
         return kap
 
+    def kappa_of_y(self, ell, theta):
+        """kappa(e^-y) at y = ell + i theta, elementwise; 1, forming no y, if kappa has no terms."""
+        return self.kappa_at(np.exp(-(ell + 1j * theta))) if self._kappa_terms else 1.0 + 0.0j
+
     def kappa_is_one(self) -> bool:
         return all(c == 0 for p, c in self.kappa.items() if p != 0)
 
@@ -192,8 +196,7 @@ def holomorphic_volume_top(p: ModelParams, q: np.ndarray) -> np.ndarray:
     """Chart-volume coefficient of Omega ^ Omegabar, Omega = kappa dy ^ dx,
     at chart points q of shape (..., 4)."""
     q = np.asarray(q, dtype=float)
-    kap = p.kappa_at(np.exp(-(q[..., 0] + 1j * q[..., 1])))
-    return 4.0 * np.abs(kap) ** 2
+    return 4.0 * np.abs(p.kappa_of_y(q[..., 0], q[..., 1])) ** 2
 
 
 # relative tolerance of the Monge-Ampere checks
@@ -270,11 +273,10 @@ def translation_defect(p: ModelParams, s: fib.SectionData, q: np.ndarray) -> np.
     q = np.asarray(q, dtype=float)
     if not ((q > _LOWER) & (q < np.inf)).all():
         _reject_chart_point(q)
-    ell = q[..., 0]
-    y = ell + 1j * q[..., 1]
+    ell, th = q[..., 0], q[..., 1]
+    y = ell + 1j * th
     delta = 1j * (fib.section_eval_y(s, y).imag / ell) - fib.section_dy(s, y)
-    kap = p.kappa_at(np.exp(-y))
-    s = w_factor(p, ell) * p.eps * np.abs(delta) / (math.sqrt(2.0) * np.abs(kap))
+    s = w_factor(p, ell) * p.eps * np.abs(delta) / (math.sqrt(2.0) * np.abs(p.kappa_of_y(ell, th)))
     return s * np.hypot(math.sqrt(2.0), s)
 
 

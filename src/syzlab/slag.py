@@ -100,15 +100,15 @@ def check_special(mf: ModelFiber) -> tuple[float, float]:
 
     The phase defect is |Im(e^{-i pi/2} Omega)| restricted, which vanishes
     exactly for kappa = 1; for the Lagrangian condition the cycle must
-    satisfy 2*b0/k = -m2/m1.  The sup runs over the 32 x 32 parameter grid.
+    satisfy 2*b0/k = -m2/m1.  The sup runs over the 32 x 32 grid of the lift in eps on the
+    normal form: Phi_* t_a = lambda t_a' and Phi_* t_b = t_b', so omega = (alpha/lambda) Phi^*
+    omega_1 restricts to alpha times its restriction and Omega = (1/lambda) Phi^* Omega_1 to its.
     """
     p = mf.params
-    q, t_a, t_b = mf.cycle.lift_grid(p.k, mf.ell, 32)
-    sup_omega = np.max(np.abs(t_a @ sf.sf_form_chart(p, q) @ t_b))
-    kap = p.kappa_at(np.exp(-(q[..., 0] + 1j * q[..., 1])))
-    val = kap * (t_a @ wedge_11(sf._DY, sf._DX) @ t_b)
-    sup_phase = np.max(np.abs((-1j * val).imag))
-    return float(sup_omega), float(sup_phase)
+    q, t_a, t_b = mf.cycle.lift_grid(p.eps, mf.ell, 32)
+    sup_omega = np.max(np.abs(t_a @ sf.sf_form_chart(sf.normal_form(p)[0], q) @ t_b))
+    val = p.kappa_of_y(q[..., 0], q[..., 1]) * (t_a @ wedge_11(sf._DY, sf._DX) @ t_b)
+    return p.alpha * float(sup_omega), float(np.max(np.abs((-1j * val).imag)))
 
 
 @dataclass(frozen=True)

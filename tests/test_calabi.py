@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from syzlab import calabi as cal
 from syzlab import cli
@@ -314,23 +316,50 @@ class TestClosedFormPushForward:
 
         def poisoned(m, p):
             q_sf, pushed = real(m, p)
-            return q_sf, pushed[:-1] + [math.nan]
+            return q_sf, pushed[:-1] + (math.nan,)
 
         monkeypatch.setattr(cal, "_pushed_omega_tau", poisoned)
         assert math.isnan(cal.verify_rotation(MODELS[1], pt))
 
 
+_UPPER = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+
+
+def _dense_pushed_omega_tau(m, pt):
+    """The push-forward over every entry of sf_coordinates' inverse Jacobian,
+    zeros included, as _pushed_omega_tau computed it before it dropped the
+    products that are zero by structure."""
+    q_sf, (dl, dpsi, dx1, dx2) = cal.sf_coordinates(m, pt)
+    h = 0.5 * m.c_tau ** 2
+    u, v = h * pt[3], h * pt[2]
+    th = [p + u * x - v * y for p, x, y in zip(dpsi, dx1, dx2)]
+    a02, a03, a12, a13 = cal._tau_coefficients(m, pt[0])
+    pp = [a02 * x + a03 * y for x, y in zip(dx1, dx2)]
+    qq = [a12 * x + a13 * y for x, y in zip(dx1, dx2)]
+    return q_sf, [dl[i] * pp[j] - pp[i] * dl[j] + th[i] * qq[j] - qq[i] * th[j]
+                  for i, j in _UPPER]
+
+
 def _parent_verify_rotation(m, pt):
-    """verify_rotation as it read the target before sf_form_point: the whole
-    sf_form_chart matrix at q_sf, turned into lists and read at _UPPER."""
+    """verify_rotation on the dense push-forward, with its target read as the
+    whole sf_form_chart matrix at q_sf, turned into lists and read at _UPPER."""
     rot = cal.rotate(m)
-    q_sf, pushed = cal._pushed_omega_tau(m, pt)
+    q_sf, pushed = _dense_pushed_omega_tau(m, pt)
     target = sf.sf_form_chart(rot.params, q_sf).tolist()
-    want = [target[i][j] for i, j in cal._UPPER]
+    want = [target[i][j] for i, j in _UPPER]
     diffs = [abs(p - w) for p, w in zip(pushed, want)]
     scale = max(max(abs(w) for w in want), 1e-300)
     total = sum(diffs)
     return (max(diffs) if total == total else total) / scale
+
+
+def _outcome(verify, m, pt):
+    """The bits of verify(m, pt), NaN as one value, or the exception it raises."""
+    try:
+        value = verify(m, pt)
+    except (ArithmeticError, ValueError, RuntimeWarning) as exc:
+        return type(exc), str(exc)
+    return "nan" if value != value else value.hex()
 
 
 def _hkrot_models():
@@ -350,12 +379,30 @@ _HKROT_GRID = [(ell, psi, xi1, 0.2) for ell in np.linspace(1.0, 3.0, 5).tolist()
                for xi1 in np.linspace(0.0, 0.6, 5).tolist() for psi in (0.0, 1.0, 2.5)]
 
 
+_HKROT_MODELS = _hkrot_models()
+# |coordinate| from 1e-150 to 1e150, either sign: squares and products of
+# them overflow and cancel, so the residual reaches inf and NaN
+_COORD = st.builds(lambda e, neg: -10.0 ** e if neg else 10.0 ** e,
+                   st.floats(-150.0, 150.0), st.booleans())
+
+
 class TestVerifyRotationBitwise:
     def test_matches_full_matrix_target(self):
-        for model in _hkrot_models():
+        for model in _HKROT_MODELS:
             got = [cal.verify_rotation(model, pt) for pt in _HKROT_GRID]
             want = [_parent_verify_rotation(model, pt) for pt in _HKROT_GRID]
             assert got == want, model
+            # each pushed entry, not only the largest difference
+            for pt in _HKROT_GRID:
+                q_sf, pushed = cal._pushed_omega_tau(model, pt)
+                assert (q_sf, list(pushed)) == _dense_pushed_omega_tau(model, pt), (model, pt)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from(_HKROT_MODELS), _COORD, _COORD, _COORD, _COORD)
+    def test_matches_dense_push_forward_over_float_range(self, model, ell, psi, xi1, xi2):
+        pt = (ell, psi, xi1, xi2)
+        assert (_outcome(cal.verify_rotation, model, pt)
+                == _outcome(_parent_verify_rotation, model, pt))
 
     def test_tau_constants_are_cached_outside_the_fields(self):
         for model in _hkrot_models():
@@ -365,12 +412,17 @@ class TestVerifyRotationBitwise:
             assert fresh.a_tau == t.imag / abs(t)
             assert fresh.b_tau == -t.real / abs(t)
             assert fresh.c_tau == math.sqrt(TWO_PI * fresh.k / t.imag)
-            assert {"a_tau", "b_tau", "c_tau"} <= vars(fresh).keys()
+            # the expressions sf_coordinates and the push-forward evaluated per point
+            c1 = TWO_PI * abs(t) / (t.imag * fresh.c_tau)
+            a, b, c = fresh.a_tau, fresh.b_tau, fresh.c_tau
+            assert fresh.chart == (a, b, c, c1, t.real / t.imag, 1.0 / c1, TWO_PI * a, c * c,
+                                   0.5 * c ** 2)
+            assert {"a_tau", "b_tau", "c_tau", "chart"} <= vars(fresh).keys()
             assert (repr(fresh), hash(fresh), dataclasses.astuple(fresh)) == before
             assert fresh == model == dataclasses.replace(fresh)
             # replace builds a new instance: no stored constant carries over
             other = dataclasses.replace(fresh, k=fresh.k + 1)
-            assert not {"a_tau", "b_tau", "c_tau"} & vars(other).keys()
+            assert not {"a_tau", "b_tau", "c_tau", "chart"} & vars(other).keys()
             assert other.c_tau == math.sqrt(TWO_PI * (fresh.k + 1) / t.imag)
 
 

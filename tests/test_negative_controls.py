@@ -2,9 +2,10 @@
 named closed-form term is scaled by (1 + delta).
 
 A row holds one argv, the check it reads and the term it perturbs.  It
-passes at delta = 0, fails at delta = 1e-9, and records its detection
-threshold: the smallest power of ten that flips the check (it does not flip
-at a tenth of it).  A check that no delta flips would be an identity.
+passes at delta = 0 and records its detection threshold: the smallest power
+of ten that flips the check (it does not flip at a tenth of it).  The
+semi-flat rows also fail at delta = 1e-9.  A check that no delta flips
+would be an identity.
 """
 
 import contextlib
@@ -13,6 +14,7 @@ import json
 
 import pytest
 
+from syzlab import calabi as cal
 from syzlab import cli
 from syzlab import semiflat as sf
 from syzlab import slag
@@ -60,5 +62,37 @@ def test_check_fails_on_a_scaled_jet_metric(monkeypatch, name, argv, threshold):
         patterns = exact.copy()
         patterns[2] *= 1.0 + delta
         monkeypatch.setattr(sf, "_PATTERNS", patterns)
+        got, check = _check(argv, name)
+        assert (got, check["passed"]) == (code, code == 0), delta
+
+
+def _scaled_tau_coefficient(real, delta):
+    """_tau_coefficients with A13 = a_tau c, non-zero for every tau, times (1 + delta)."""
+    return lambda m, ell: real(m, ell)[:3] + (real(m, ell)[3] * (1.0 + delta),)
+
+
+def _scaled_psi_shift(real, delta):
+    """transport with the cocycle's shift of psi times (1 + delta)."""
+    def transport(m, pt, gamma):
+        ell, psi, xi1, xi2 = real(m, pt, gamma)
+        return ell, pt[1] + (psi - pt[1]) * (1.0 + delta), xi1, xi2
+    return transport
+
+
+# (check, README argv, patched calabi function, its scaled replacement, threshold)
+_HKROT_ROWS = [(check, ["hkrot", "--k", k, "--tau", tau], term, scaled, threshold)
+               for k, tau, rotation in (("1", "0+1i", 1e-8), ("2", "-1/2+2i", 1e-7))
+               for check, term, scaled, threshold in (
+                   ("rotation_residual", "_tau_coefficients", _scaled_tau_coefficient,
+                    rotation),
+                   ("lattice_defect", "transport", _scaled_psi_shift, 1e-9))]
+
+
+@pytest.mark.parametrize("name,argv,term,scaled,threshold", _HKROT_ROWS,
+                         ids=[f"{row[0]}-{row[1][-1]}" for row in _HKROT_ROWS])
+def test_hkrot_check_fails_on_a_scaled_term(monkeypatch, name, argv, term, scaled, threshold):
+    exact = getattr(cal, term)
+    for delta, code in ((0.0, 0), (threshold / 10.0, 0), (threshold, 3)):
+        monkeypatch.setattr(cal, term, scaled(exact, delta))
         got, check = _check(argv, name)
         assert (got, check["passed"]) == (code, code == 0), delta

@@ -14,7 +14,10 @@ form written beside the code is needed:
   1/sqrt(s).  The reports at (k, eps) are the normal form's samples times
   the scale, bit for bit; r and the fitted exponent agree to rounding.
   A cycle C_{m1,m2} maps onto the normal form's C_{m1,m2} only where its
-  x2-slope k m2/m1 becomes eps m2/m1, i.e. for m2 = 0 or eps = 1.
+  x2-slope k m2/m1 becomes eps m2/m1, i.e. for m2 = 0 or eps = 1.  There
+  `slag check`'s restriction of omega (alpha times the normal form's, and
+  alpha = 1 on the command line) and its phase defect are the normal
+  form's, bit for bit.
 """
 
 import contextlib
@@ -99,6 +102,19 @@ def test_slag_check_is_its_normal_form_scaled(k, eps, b0, kappa1, cycle, ell):
     code, res, _ = _run(*general, "--ell", ell)
     code1, res1, _ = _run(*normal, "--ell", ell)
     assert {code, code1} <= {0, 3}
+    assert res["sup_omega_restriction"] == res1["sup_omega_restriction"]
+    assert res["sup_phase_defect"] == res1["sup_phase_defect"]
     assert res["second_ff_norm"] == math.sqrt(s) * res1["second_ff_norm"]
     assert res["mean_curvature"] == math.sqrt(s) * res1["mean_curvature"]
     assert res["gauss_residual"] == s * res1["gauss_residual"]
+
+
+# ell far out at eps = 1e-300, where the model's own d = |kappa|^2 k ell/(pi eps)
+# overflows and only its normal form can be evaluated
+@pytest.mark.parametrize("kappa1,ell", [(0.0, "1e10"), (0.3, "4.1e102")])
+def test_slag_check_far_out_is_its_normal_form(kappa1, ell):
+    general, normal, _ = _pair_of_argv(("slag", "check"), 1, 1e-300, 0.7, kappa1, "1,0")
+    (code, res, _), (code1, res1, _) = _run(*general, "--ell", ell), _run(*normal, "--ell", ell)
+    assert code == code1 == 0
+    assert res["sup_omega_restriction"] == res1["sup_omega_restriction"]
+    assert res["sup_phase_defect"] == res1["sup_phase_defect"]
