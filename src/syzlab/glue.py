@@ -218,15 +218,14 @@ def claim2_scan(cfg: GlueConfig) -> float:
 def _q_parts(cfg: GlueConfig, x: np.ndarray, ell: np.ndarray):
     """(beta, B, psi, u_zz) along the rho array x, ell = -log x, each
     evaluated once, with q = t * beta + (alpha - 1) * B: B is u_zz for
-    rho <= r and the glued bracket where psi is non-zero above."""
-    if not np.all((cfg.rho_min <= x) & (x <= cfg.rho_max)):
-        raise ValidationError("rho outside the modeled annulus")
+    rho <= r and the glued bracket where psi is non-zero above; x lies in
+    the modeled annulus."""
     cut = cfg.cutoffs
     uzz = _u_zz(cfg.params, x, ell)
     bracket = np.zeros_like(x)
     psi, psi_p, psi_pp = cut._psi(x, ell)
     glued = (x > cfg.r) & (psi != 0.0)
-    if np.any(glued):
+    if glued.any():
         du, dup = _match_defect(cfg, x, ell)
         psi_zz = 0.25 * (psi_pp + psi_p / x)
         bracket = np.where(glued, psi_zz * du + psi * uzz + 0.5 * psi_p * dup, 0.0)
@@ -235,6 +234,8 @@ def _q_parts(cfg: GlueConfig, x: np.ndarray, ell: np.ndarray):
 
 def q_coefficient(cfg: GlueConfig, alpha: float, t: float, rho: np.ndarray) -> np.ndarray:
     """dz^dzbar coefficient added to omega_0 by the glued family along rho."""
+    if not np.all((cfg.rho_min <= rho) & (rho <= cfg.rho_max)):
+        raise ValidationError("rho outside the modeled annulus")
     beta, bracket = _q_parts(cfg, rho, -np.log(rho))[:2]
     return t * beta + (alpha - 1.0) * bracket
 
@@ -245,6 +246,14 @@ def required_t(cfg: GlueConfig, alpha: float, t_prime: float = 1.0) -> float:
     if not (math.isfinite(alpha) and math.isfinite(t_prime)):
         require_finite(alpha=alpha, t_prime=t_prime)
     return C0_RS * t_prime + C0 * abs(alpha - 1.0) * cfg._sup_u_zz
+
+
+def _log_grid(lo: float, hi: float, n: int) -> np.ndarray:
+    """np.geomspace(lo, hi, n) bit for bit for lo, hi > 0, without its sign,
+    dtype and zero handling: 10 ** linspace of log10, the ends set exactly."""
+    rho = 10.0 ** np.linspace(np.log10(lo), np.log10(hi), n)
+    rho[-1], rho[0] = hi, lo
+    return rho
 
 
 # fiber heights Im(x) at which positivity_scan tests each radius
@@ -258,10 +267,11 @@ def positivity_scan(cfg: GlueConfig, alpha: float, t: float,
     """Minimum eigenvalue margin of omega_alpha(t) - (omega_0 + psi i ddbar u_alpha)/2.
 
     window restricts the radial scan (defaults to the whole modeled
-    annulus).  Raises a validation error when t is at or below the
-    reserve threshold.  The (x, y) block at each of the n radii and fiber
-    heights is (1/4)[[c, -c conj(Gamma)], [-c Gamma, d + c|Gamma|^2]] +
-    diag(0, X); its determinant (c/4)(d/4 + X) never forms the cancelling
+    annulus) to n radii from 1.0001 lo to 0.9999 hi (_log_grid).  Raises a
+    validation error when t is at or below the reserve threshold.  The
+    (x, y) block at each radius and fiber height, from the reference model
+    (alpha = 1), is (1/4)[[c, -c conj(Gamma)], [-c Gamma, d + c|Gamma|^2]]
+    + diag(0, X); its determinant (c/4)(d/4 + X) never forms the cancelling
     c|Gamma|^2 terms, which reach 4e3 where the margin is about 1e-4.
 
     The margin has the sign of d/4 + X, rounded to within POSITIVITY_SUM_ERR
@@ -280,7 +290,11 @@ def positivity_scan(cfg: GlueConfig, alpha: float, t: float,
     lo, hi = window if window is not None else (cfg.rho_min, cfg.rho_max)
     if not (cfg.rho_min <= lo < hi <= cfg.rho_max):
         raise ValidationError("window must lie inside the modeled annulus")
-    rho = np.geomspace(lo * 1.0001, hi * 0.9999, n)
+    lo, hi = lo * 1.0001, hi * 0.9999
+    # a window narrower than 1e-4 reverses the grid and may leave the annulus
+    if not (cfg.rho_min <= hi and lo <= cfg.rho_max):
+        raise ValidationError("rho outside the modeled annulus")
+    rho = _log_grid(lo, hi, n)
     ell = -np.log(rho)
     beta, bracket, psi, uzz = _q_parts(cfg, rho, ell)
     qc = t * beta + (alpha - 1.0) * bracket
@@ -294,8 +308,8 @@ def positivity_scan(cfg: GlueConfig, alpha: float, t: float,
         raise NumericalError("float64 cannot resolve positivity_margin: d/4 + X ="
                              f" {d_x[unresolved][0]:.3g} is within its rounding bound")
     a = 0.25 * c
-    return float(np.min(sfm._smallest_eigenvalue(a, 0.25 * e01 + x, 0.25 * np.hypot(cg_r, cg_i),
-                                                 a * d_x)))
+    return float(sfm._smallest_eigenvalue(a, 0.25 * e01 + x, 0.25 * np.hypot(cg_r, cg_i),
+                                          a * d_x).min())
 
 
 @functools.lru_cache(maxsize=8)

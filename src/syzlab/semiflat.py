@@ -121,11 +121,14 @@ def _form_entries(p: ModelParams, ell, th, x2, exp):
     d = 2.0 * kap2 / (p.eps * w)
     g_r = p.b0 * ell / _TWO_PI_SQ
     g_i = x2 / ell
+    e01 = d + c * (g_r * g_r + g_i * g_i)
     a = p.alpha
+    if a == 1.0:
+        # 1.0 * x is x: glue's reference model skips five products
+        return e01, c * g_i, c * g_r, c, d
     # alpha scales each finished entry, a * (c * g_i) and not (a * c) * g_i,
     # which keeps the bits of scaling the whole matrix by alpha
-    return (a * (d + c * (g_r * g_r + g_i * g_i)), a * (c * g_i), a * (c * g_r), a * c,
-            a * d)
+    return a * e01, a * (c * g_i), a * (c * g_r), a * c, a * d
 
 
 def _smallest_eigenvalue(a, dd, b, det):

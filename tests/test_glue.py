@@ -3,7 +3,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from syzlab import glue
@@ -414,6 +414,15 @@ class TestCutoffBits:
                     got = glue.positivity_scan(cfg, alpha, t, n=n, window=window)
                     assert got == margin_oracle(cfg, alpha, t, n=n, window=window)
 
+    @given(lo=st.floats(5e-324, 1.0, exclude_max=True),
+           hi=st.floats(5e-324, 1.0, exclude_max=True),
+           n=st.sampled_from([1, 2, 7, 200]))
+    @example(lo=5e-324, hi=0.9 * 0.9999, n=200)
+    @settings(max_examples=300, deadline=None)
+    def test_log_grid_is_geomspace_bitwise(self, lo, hi, n):
+        # the scan's radii; a window narrower than 1e-4 reverses them
+        assert glue._log_grid(lo, hi, n).tobytes() == np.geomspace(lo, hi, n).tobytes()
+
     def test_positivity_margin_bitwise_with_kappa(self):
         # kappa != 1 has no potential, so only windows without the glued
         # bracket: below r (u_zz carries |kappa|^2) and past r+2s (beta only)
@@ -722,6 +731,10 @@ class TestPositivity:
         cfg = make_cfg()
         with pytest.raises(ValidationError):
             glue.positivity_scan(cfg, 1.0, 5.0, window=(0.001, 0.5))
+        # inside the annulus, but 1.0001 lo and 0.9999 hi are not
+        for window in ((0.01, 0.010001), (0.89999, 0.9)):
+            with pytest.raises(ValidationError, match="rho outside the modeled annulus"):
+                glue.positivity_scan(cfg, 1.1, 50.0, window=window)
 
     def test_margin_monotone_in_t_on_bump(self):
         cfg = make_cfg()

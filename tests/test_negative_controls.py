@@ -5,7 +5,7 @@ A row holds one argv, the check it reads and the term it perturbs.  It
 passes at delta = 0 and records its detection threshold: the smallest power
 of ten that flips the check (it does not flip at a tenth of it).  The
 semi-flat rows also fail at delta = 1e-9.  A check that no delta flips
-would be an identity.
+would be an identity; positivity_margin is one on its README argv.
 """
 
 import contextlib
@@ -15,7 +15,7 @@ import json
 import pytest
 
 from syzlab import calabi as cal
-from syzlab import cli
+from syzlab import cli, glue
 from syzlab import semiflat as sf
 from syzlab import slag
 
@@ -96,3 +96,78 @@ def test_hkrot_check_fails_on_a_scaled_term(monkeypatch, name, argv, term, scale
         monkeypatch.setattr(cal, term, scaled(exact, delta))
         got, check = _check(argv, name)
         assert (got, check["passed"]) == (code, code == 0), delta
+
+
+def _scaled_refinement_rule(real, delta):
+    """_legendre with the weights of solve-alpha's refinement rule n = 128 times
+    (1 + delta) and the n = 64 rule exact, so that the two roots part."""
+    def legendre(n):
+        nodes, weights = real(n)
+        return nodes, (weights * (1.0 + delta) if n == 128 else weights)
+    return legendre
+
+
+def _scaled_constant(real, delta):
+    return real * (1.0 + delta)
+
+
+_SOLVE = ["glue", "solve-alpha", "--k", "1", "--r", "0.2", "--s", "0.1", "--v0c", "40",
+          "--vomc", "62"]
+# (check, argv, patched glue name, its scaled replacement, threshold): the
+# README argv, and a scale-equation draw for each check; glue.TWO_PI enters
+# only u_zz's closed form, which u_zz_fd_rel sets against fourth-order stencils
+_GLUE_ROWS = [
+    ("refinement_drift", _SOLVE, "_legendre", _scaled_refinement_rule, 1e-5),
+    ("refinement_drift", ["glue", "solve-alpha", "--k", "3", "--eps", "2", "--r", "0.15",
+                          "--s", "0.05", "--rho-min", "0.01", "--v0c", "50", "--vomc", "75",
+                          "--tprime", "0.5"], "_legendre", _scaled_refinement_rule, 1e-4),
+    *(("u_zz_fd_rel", ["glue", "potential", "--k", "1", "--rho", rho], "TWO_PI",
+       _scaled_constant, 1e-7) for rho in ("0.3", "0.05", "0.85"))]
+
+
+@pytest.mark.parametrize("name,argv,term,scaled,threshold", _GLUE_ROWS,
+                         ids=[f"{row[0]}-{row[1][3]}-{row[1][-1]}" for row in _GLUE_ROWS])
+def test_glue_check_fails_on_a_scaled_term(monkeypatch, name, argv, term, scaled, threshold):
+    exact = getattr(glue, term)
+    for delta, code in ((0.0, 0), (threshold / 10.0, 0), (threshold, 3)):
+        monkeypatch.setattr(glue, term, scaled(exact, delta))
+        got, check = _check(argv, name)
+        assert (got, check["passed"]) == (code, code == 0), delta
+
+
+def _scaled_output(real, delta):
+    """real with its result, or each part of a tuple result, times (1 + delta)."""
+    def scaled(*args):
+        out = real(*args)
+        if isinstance(out, tuple):
+            return tuple(v * (1.0 + delta) for v in out)
+        return out * (1.0 + delta)
+    return scaled
+
+
+_POSITIVITY = ["glue", "positivity", "--k", "1", "--r", "0.1", "--s", "0.02", "--v0c", "1",
+               "--vomc", "0.2"]
+
+
+# positivity_margin is an identity on these argv, as on every benchmark draw:
+# its minimum sits at rho = 0.9 * 0.9999 and x2 = 0.8, past r + 3s, where the
+# glued terms are 0 and the block is the unglued one.  No glue term scaled by
+# up to 10 % moves a bit of it; psi scaled by 1.5 first flips it, at alpha 0.3.
+@pytest.mark.parametrize("extra", [["--alpha", "1.5"], ["--alpha", "0.3"],
+                                   ["--alpha", "1.5", "--t", "146.5872"]],
+                         ids=["alpha1.5", "alpha0.3", "t146.5872"])
+@pytest.mark.parametrize("owner,term,scaled",
+                         [(glue, "TWO_PI", _scaled_constant),
+                          (glue.Cutoffs, "_beta", _scaled_output),
+                          (glue.Cutoffs, "_psi", _scaled_output),
+                          (glue, "_match_defect", _scaled_output)],
+                         ids=["u_zz", "beta", "psi", "match_defect"])
+def test_positivity_margin_unmoved_by_scaled_glue_terms(monkeypatch, extra, owner, term,
+                                                        scaled):
+    argv = _POSITIVITY + extra
+    code, exact_check = _check(argv, "positivity_margin")
+    assert code == 0 and exact_check["measured"] == 0.00014334859607245725
+    exact = getattr(owner, term)
+    for delta in (1e-12, 1e-6, 1e-2, 1e-1):
+        monkeypatch.setattr(owner, term, scaled(exact, delta))
+        assert _check(argv, "positivity_margin") == (0, exact_check), delta

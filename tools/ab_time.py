@@ -7,17 +7,17 @@ does, and imports the parent's package and the working tree's under two
 package names in this one interpreter.  Each ARGV is one quoted command
 line (`"hkrot --k 1 --tau 0+1i"`).  For each, both trees' `cli.run` take
 one untimed call, then N passes of M calls each, the order of the two
-trees alternating from pass to pass (parent first in even passes), with
-stdout and stderr sent to os.devnull.  It prints, per ARGV and tree, the
-exit code and the median and best of the passes' mean time per call, and
-the working tree's median over the parent's.  Only the standard library,
-numpy (through syzlab) and git are used.
+trees alternating from pass to pass (parent first in even passes); each
+call goes through cli_capture.run_captured with stdout and stderr sent to
+os.devnull.  It prints, per ARGV and tree, the exit code and the median and
+best of the passes' mean time per call, and the working tree's median over
+the parent's.  Only the standard library, numpy (through syzlab) and git
+are used.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import importlib
 import importlib.util
 import os
@@ -29,6 +29,7 @@ import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
+from cli_capture import run_captured  # noqa: E402
 from compare_outputs import ROOT, extract_src  # noqa: E402
 
 
@@ -48,16 +49,15 @@ def time_passes(runs, argv: list[str], passes: int, number: int):
     """(exit codes, per-pass mean seconds per call) of each run(argv),
     the order of the runs reversed in every odd pass."""
     times = [[] for _ in runs]
-    with open(os.devnull, "w") as sink, \
-            contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
-        codes = [run(argv) for run in runs]
+    with open(os.devnull, "w") as sink:
+        codes = [run_captured(run, argv, sink)[0] for run in runs]
         for i in range(passes):
             order = range(len(runs)) if i % 2 == 0 else reversed(range(len(runs)))
             for side in order:
                 run = runs[side]
                 t0 = time.perf_counter()
                 for _ in range(number):
-                    run(argv)
+                    run_captured(run, argv, sink)
                 times[side].append((time.perf_counter() - t0) / number)
     return codes, times
 

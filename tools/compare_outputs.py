@@ -45,26 +45,15 @@ BLOCKS = 6
 SEEDS = (0, 7)
 
 # Runs in the child: reads a JSON list of argv on stdin and writes one
-# [exit code, stdout, stderr] per argv as JSON; an exception that escapes
-# cli.run is recorded in place of the exit code.
+# [exit code, stdout, stderr] per argv as JSON (cli_capture.run_captured).
 _RUNNER = r"""
-import contextlib, io, json, os, sys, warnings
+import json, os, sys, warnings
 import syzlab, syzlab.cli
+from cli_capture import run_captured
 if not os.path.realpath(syzlab.__file__).startswith(os.path.realpath(sys.argv[1])):
     sys.exit(f"imported syzlab from {syzlab.__file__}, not from {sys.argv[1]}")
 warnings.simplefilter("always")
-results = []
-for argv in json.load(sys.stdin):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = syzlab.cli.run(argv)
-        except SystemExit as exc:
-            code = exc.code
-        except BaseException as exc:
-            code = f"uncaught {type(exc).__name__}: {exc}"
-    results.append([code, out.getvalue(), err.getvalue()])
-json.dump(results, sys.stdout)
+json.dump([run_captured(syzlab.cli.run, argv) for argv in json.load(sys.stdin)], sys.stdout)
 """
 
 
@@ -107,7 +96,8 @@ def run_tree(src: Path, argvs: list[list[str]]) -> list[list]:
     """[exit code, stdout, stderr] of each argv, run on the package under src
     in a fresh interpreter whose working directory is a temporary one."""
     src = Path(src).resolve()
-    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(ROOT / "tools")]),
+               PYTHONDONTWRITEBYTECODE="1")
     with tempfile.TemporaryDirectory() as cwd:
         proc = subprocess.run([sys.executable, "-c", _RUNNER, str(src)], cwd=cwd, env=env,
                               input=json.dumps(argvs), capture_output=True, text=True)
