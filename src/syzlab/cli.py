@@ -258,8 +258,8 @@ def _cmd_hkrot(args):
     n = args.verify_grid
     # Python floats: the per-point arithmetic stays off numpy scalars
     ells, xi1s = np.linspace(1.0, 3.0, n).tolist(), np.linspace(0.0, 0.6, n).tolist()
-    residuals = [calabi.verify_rotation(model, (ell, psi, xi1, 0.2))
-                 for ell in ells for xi1 in xi1s for psi in (0.0, 1.0, 2.5)]
+    residuals = [calabi.verify_rotation(model, (ell, 0.0, xi1, xi2))
+                 for ell in ells for xi1 in xi1s for xi2 in (0.2, 0.45, 0.7)]
     defect = calabi.lattice_defects(model, (1.7, 0.4, 0.2, 0.3))
     # np.max carries a NaN through; the builtin max drops it
     worst = float(np.max(residuals))

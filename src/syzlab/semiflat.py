@@ -33,9 +33,6 @@ BOUNDED_DIFFERENCE = "bounded_difference"
 POWER_DECAY = "power_decay"
 EXP_DECAY = "exp_decay"
 
-_DY = np.array([1.0, 1.0j, 0.0, 0.0])
-_DX = np.array([0.0, 0.0, 1.0, 1.0j])
-
 # strict lower bounds of a valid chart point: ell > 0, the rest finite
 _LOWER = np.array([0.0, -np.inf, -np.inf, -np.inf])
 _INF = math.inf

@@ -26,7 +26,6 @@ import numpy as np
 from . import fibration as fib
 from . import semiflat as sf
 from .errors import NumericalError, ValidationError, require_finite
-from .forms import wedge_11
 from .numerics import DecayFit, fit_decay
 
 TWO_PI = 2.0 * math.pi
@@ -98,17 +97,19 @@ def lambda1_rayleigh(a: float, b: float) -> float:
 def check_special(mf: ModelFiber) -> tuple[float, float]:
     """(sup |omega restriction|, sup calibration-phase defect) over the cycle.
 
-    The phase defect is |Im(e^{-i pi/2} Omega)| restricted, which vanishes
-    exactly for kappa = 1; for the Lagrangian condition the cycle must
-    satisfy 2*b0/k = -m2/m1.  The sup runs over the 32 x 32 grid of the lift in eps on the
-    normal form: Phi_* t_a = lambda t_a' and Phi_* t_b = t_b', so omega = (alpha/lambda) Phi^*
-    omega_1 restricts to alpha times its restriction and Omega = (1/lambda) Phi^* Omega_1 to its.
+    t_a = d/dx1 moves x1 alone, on which nothing depends, so both sups run over the 32 base
+    angles t1 = 0, theta = -t2, x2 = s t2 of the lift in eps on the normal form (omega
+    restricts to alpha times its restriction there, Omega to its).  With t_b = -d/dtheta +
+    s d/dx2, omega(t_a, t_b) = c g_r + c s, zero exactly when 2*b0/k = -m2/m1, and
+    Omega(t_a, t_b) = i kappa: the phase defect |Im(e^{-i pi/2} Omega)| is |Im kappa|.
     """
     p = mf.params
-    q, t_a, t_b = mf.cycle.lift_grid(p.eps, mf.ell, 32)
-    sup_omega = np.max(np.abs(t_a @ sf.sf_form_chart(sf.normal_form(p)[0], q) @ t_b))
-    val = p.kappa_of_y(q[..., 0], q[..., 1]) * (t_a @ wedge_11(sf._DY, sf._DX) @ t_b)
-    return p.alpha * float(sup_omega), float(np.max(np.abs((-1j * val).imag)))
+    origin, frame = mf.cycle.lift(p.eps, mf.ell)
+    # a matmul, as lift_grid's: an overflow of x2 = s t2 raises the same error
+    ell, theta, _, x2 = (origin + mf.cycle.grid(32).nodes2()[:, None] @ frame[:, 1:].T).T
+    _, _, cg_r, c, _ = sf._form_entries(sf.normal_form(p)[0], ell, theta, x2, np.exp)
+    sup_phase = np.max(np.abs(p.kappa_of_y(ell, theta).imag))
+    return p.alpha * float(np.max(np.abs(cg_r + c * frame[3, 1]))), float(sup_phase)
 
 
 @dataclass(frozen=True)

@@ -375,8 +375,8 @@ def _hkrot_models():
 
 
 # the 75 points of an hkrot report at the default --verify-grid 5
-_HKROT_GRID = [(ell, psi, xi1, 0.2) for ell in np.linspace(1.0, 3.0, 5).tolist()
-               for xi1 in np.linspace(0.0, 0.6, 5).tolist() for psi in (0.0, 1.0, 2.5)]
+_HKROT_GRID = [(ell, 0.0, xi1, xi2) for ell in np.linspace(1.0, 3.0, 5).tolist()
+               for xi1 in np.linspace(0.0, 0.6, 5).tolist() for xi2 in (0.2, 0.45, 0.7)]
 
 
 _HKROT_MODELS = _hkrot_models()

@@ -5,7 +5,8 @@ A row holds one argv, the check it reads and the term it perturbs.  It
 passes at delta = 0 and records its detection threshold: the smallest power
 of ten that flips the check (it does not flip at a tenth of it).  The
 semi-flat rows also fail at delta = 1e-9.  A check that no delta flips
-would be an identity; positivity_margin is one on its README argv.
+would be an identity; positivity_margin is one on its README argv, and
+gauss_equation is one under every scaled row of the metric jet's patterns.
 """
 
 import contextlib
@@ -171,3 +172,59 @@ def test_positivity_margin_unmoved_by_scaled_glue_terms(monkeypatch, extra, owne
     for delta in (1e-12, 1e-6, 1e-2, 1e-1):
         monkeypatch.setattr(owner, term, scaled(exact, delta))
         assert _check(argv, "positivity_margin") == (0, exact_check), delta
+
+
+def _scaled_row(row):
+    """A replacement for a pattern array with its row `row` times (1 + delta)."""
+    def scaled(real, delta):
+        patterns = real.copy()
+        patterns[row] *= 1.0 + delta
+        return patterns
+    return scaled
+
+
+def _scaled_second(real, delta):
+    """_fundamental_forms with its II array times (1 + delta), the rest exact."""
+    def forms(*args):
+        second, *rest = real(*args)
+        return (second * (1.0 + delta), *rest)
+    return forms
+
+
+_SLAG = ["slag", "check", "--k", "1", "--ell", "10"]
+# (check, argv, owner, patched name, its scaled replacement, threshold).
+# lagrangian reads c g_r + c s with g_r = b0 ell/(2 pi^2), so its rows have
+# b0 != 0: at b0 = 0, g_r = 0 and no scaling of 2 pi^2 moves it.  mean_curvature
+# scales the C = 2 pi/ell row of g, dg and ddg left exact.  gauss_equation
+# flips only at 1e-3: its residual grows as 2 delta times Gauss terms of about
+# 1.6e-3 against an absolute tolerance of 1e-6.
+_SLAG_ROWS = [
+    *(("lagrangian", argv, sf, "_TWO_PI_SQ", _scaled_constant, 1e-9) for argv in (
+        ["slag", "check", "--k", "2", "--b0", "-1", "--cycle", "1,1", "--ell", "10"],
+        ["slag", "check", "--k", "3", "--eps", "2", "--b0", "-3/4", "--cycle", "2,1",
+         "--ell", "15"])),
+    ("mean_curvature", _SLAG, sf, "_PATTERNS", _scaled_row(2), 1e-6),
+    ("gauss_equation", _SLAG, slag, "_fundamental_forms", _scaled_second, 1e-3)]
+
+
+@pytest.mark.parametrize("name,argv,owner,term,scaled,threshold", _SLAG_ROWS,
+                         ids=[f"{row[0]}-{row[1][3]}" for row in _SLAG_ROWS])
+def test_slag_check_fails_on_a_scaled_term(monkeypatch, name, argv, owner, term, scaled,
+                                           threshold):
+    exact = getattr(owner, term)
+    for delta, passed in ((0.0, True), (threshold / 10.0, True), (threshold, False)):
+        monkeypatch.setattr(owner, term, scaled(exact, delta))
+        got, check = _check(argv, name)
+        assert check["passed"] is passed and (got == 3) is not passed, delta
+
+
+# gauss_equation is an identity under the jet: with any pattern row of g, dg or
+# ddg scaled by up to 10 %, II and K_ambient come from one jet and the residual
+# stays 0.0 (at most 2.2e-19), while |II| moves by up to 7 %
+@pytest.mark.parametrize("term,row", [("_PATTERNS", row) for row in range(4)]
+                         + [("_D_PATTERNS", row) for row in range(3)])
+def test_gauss_equation_unmoved_by_scaled_jet_patterns(monkeypatch, term, row):
+    exact = getattr(sf, term)
+    for delta in (1e-6, 1e-3, 1e-1):
+        monkeypatch.setattr(sf, term, _scaled_row(row)(exact, delta))
+        assert _check(_SLAG, "gauss_equation")[1]["passed"], delta

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from syzlab import cli
 from syzlab import fibration as fib
@@ -92,6 +94,11 @@ class TestFiberGeometry:
         assert "kappa" in capsys.readouterr().err
 
 
+# dy and dx as complex covectors of the chart (ell, theta, x1, x2)
+_DY = np.array([1.0, 1.0j, 0.0, 0.0])
+_DX = np.array([0.0, 0.0, 1.0, 1.0j])
+
+
 def _check_special_loops(mf, n=32):
     """Reference for check_special: one single-point form per grid node."""
     p = mf.params
@@ -103,9 +110,50 @@ def _check_special_loops(mf, n=32):
         for t2 in grid.nodes2():
             q = origin + frame @ [t1, t2]
             sup_omega = max(sup_omega, abs(float(t_a @ sf.sf_form_chart(p, q) @ t_b)))
-            om = p.kappa_at(cmath.exp(-(q[0] + 1j * q[1]))) * wedge_11(sf._DY, sf._DX)
+            om = p.kappa_at(cmath.exp(-(q[0] + 1j * q[1]))) * wedge_11(_DY, _DX)
             sup_phase = max(sup_phase, abs((-1j * complex(t_a @ om @ t_b)).imag))
     return sup_omega, sup_phase
+
+
+def _check_special_grid(mf):
+    """Oracle of check_special: both sups over the full 32 x 32 grid of the lift
+    in eps, from 4 x 4 forms of the normal form contracted with the tangents."""
+    p = mf.params
+    q, t_a, t_b = mf.cycle.lift_grid(p.eps, mf.ell, 32)
+    sup_omega = np.max(np.abs(t_a @ sf.sf_form_chart(sf.normal_form(p)[0], q) @ t_b))
+    val = p.kappa_of_y(q[..., 0], q[..., 1]) * (t_a @ wedge_11(_DY, _DX) @ t_b)
+    return p.alpha * float(sup_omega), float(np.max(np.abs((-1j * val).imag)))
+
+
+def _special_outcome(check, mf):
+    """The bits of check(mf), NaN as one value, or the exception it raises, under
+    the CLI's np.errstate."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            values = check(mf)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+    return tuple("nan" if v != v else v.hex() for v in values)
+
+
+def _power(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+_SIGNED = st.one_of(st.just(0.0), st.builds(lambda x, neg: -x if neg else x,
+                                            _power(-300.0, 200.0), st.booleans()))
+# kappa = 1, 1 + kappa1 z, 1 + 0.3 z^2 and a complex coefficient
+_KAPPA = st.one_of(st.just({}), st.floats(-50.0, 50.0).map(lambda c: {0: 1.0, 1: c}),
+                   st.just({0: 1.0, 2: 0.3}),
+                   st.builds(lambda re, im: {0: 1.0, 1: complex(re, im)},
+                             st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)))
+_SPECIAL_FIBERS = st.builds(
+    lambda k, eps, b0, alpha, kappa, cycle, ell: slag.ModelFiber(
+        sf.ModelParams(k=k, eps=eps, b0=b0, alpha=alpha, kappa=kappa),
+        fib.CycleSpec(*cycle), ell),
+    st.integers(1, 12), _power(-300.0, 300.0), _SIGNED, _power(-3.0, 3.0), _KAPPA,
+    st.sampled_from([(1, 0), (1, 1), (2, 1), (3, -2), (3, 1), (1, -1)]),
+    _power(math.log10(0.5), 308.0))
 
 
 class TestSpecialCondition:
@@ -121,6 +169,14 @@ class TestSpecialCondition:
         ref = _check_special_loops(mf)
         assert ref[0] > 1e-3 or ref[1] > 1e-3
         assert got == pytest.approx(ref, rel=1e-12, abs=1e-300)
+
+    @settings(max_examples=400, deadline=None)
+    @given(_SPECIAL_FIBERS)
+    def test_base_angles_match_full_grid_bitwise(self, mf):
+        # t_a moves x1 alone, on which nothing depends: the 32 base angles give
+        # the grid's bits, and the exceptions it raises
+        assert _special_outcome(slag.check_special, mf) == _special_outcome(
+            _check_special_grid, mf)
 
     def test_standard_bad_cycle(self):
         sup_om, sup_ph = slag.check_special(slag.ModelFiber(STD, C10, 10.0))

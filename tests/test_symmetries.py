@@ -18,6 +18,11 @@ form written beside the code is needed:
   `slag check`'s restriction of omega (alpha times the normal form's, and
   alpha = 1 on the command line) and its phase defect are the normal
   form's, bit for bit.
+- The model depends on x1 nowhere: `semiflat eval` at any finite x1 gives
+  the results it gives at x1 = 0, and `calabi.verify_rotation`, whose psi
+  moves only the semi-flat x1, returns at any psi the bits it returns at
+  psi = 0.  `slag check` takes its sups on the cycle's base angles alone,
+  and `hkrot` samples xi2, not psi, for the same reason.
 """
 
 import contextlib
@@ -28,7 +33,10 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from syzlab import calabi as cal
 from syzlab import cli
 
 
@@ -118,3 +126,41 @@ def test_slag_check_far_out_is_its_normal_form(kappa1, ell):
     assert code == code1 == 0
     assert res["sup_omega_restriction"] == res1["sup_omega_restriction"]
     assert res["sup_phase_defect"] == res1["sup_phase_defect"]
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_EVAL = (["semiflat", "eval", "--k", "1", "--ell", "2"],
+         ["semiflat", "eval", "--k", "3", "--eps", "0.5", "--b0", "0.3", "--kappa1", "0.4",
+          "--ell", "5", "--theta", "1", "--x2", "0.3"],
+         ["semiflat", "eval", "--k", "2", "--alpha", "1.5", "--ell", "0.7", "--x2", "-2"])
+
+
+def _report_results(argv):
+    """(exit code, the JSON text of the report's results)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.run(argv + ["--no-timestamp"])
+    return code, json.dumps(json.loads(out.getvalue())["results"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(_EVAL), _FINITE)
+def test_semiflat_eval_does_not_depend_on_x1(words, x1):
+    # the JSON text: 0.0 and -0.0 differ there, as in the bits
+    assert _report_results(words + ["--x1", repr(x1)]) == _report_results(words + ["--x1", "0"])
+
+
+_ROTATION_MODELS = [cal.CalabiModel(k=k, tau=tau, tau_exact=exact)
+                    for k, text in ((1, "0+1i"), (2, "-1/2+2i"), (3, "1/3+1i"),
+                                    (100000000, "0+1i"), (5, "0.3+0.97i"))
+                    for tau, exact in [cli.parse_complex(text)]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_ROTATION_MODELS), st.floats(0.5, 5.0), _FINITE,
+       st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+def test_verify_rotation_does_not_depend_on_psi(model, ell, psi, xi1, xi2):
+    # psi moves only the chart's x1, with |x1| at most about |psi|/(2 pi), finite
+    got = cal.verify_rotation(model, (ell, psi, xi1, xi2))
+    want = cal.verify_rotation(model, (ell, 0.0, xi1, xi2))
+    assert got.hex() == want.hex()
