@@ -12,6 +12,7 @@ import datetime
 import functools
 import json
 import math
+import operator
 import re
 import sys
 from fractions import Fraction
@@ -72,14 +73,38 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-def _check(name: str, measured, tolerance, passed: bool) -> dict:
-    return {"name": name, "passed": bool(passed),
-            "measured": measured, "tolerance": tolerance}
+def _window(centre: float) -> tuple[str, object]:
+    lo, hi = centre - 0.15, centre + 0.15
+    return f"[{lo:.5g},{hi:.5g}]", lambda measured, _: lo <= measured <= hi
 
 
-def _tol_check(name: str, measured: float, tolerance: float) -> dict:
-    return _check(name, float(measured), float(tolerance),
-                  abs(measured) <= tolerance)
+# Every check, by command: its name to the tolerance its report prints and its pass
+# rule(measured, tolerance, *context), context from the handler.  A bare float is the
+# tolerance of |measured| <= tolerance, _window(c) is c +- 0.15; no rule passes a NaN.
+_CHECKS = {
+    "ma_residual_rel": sfm.MA_TOL, "metric_positive": (0.0, operator.gt),
+    "monge_ampere_rel": sfm.MA_TOL, "pairing_rel_error": 1e-8,
+    "fit_r_squared": (0.99, operator.ge), "stretched_exponent": (0.0, operator.lt),
+    # the benchmark's 243 power-decay argv measure -1.4064 to -1.3333, 0.077 or more inside
+    "power_decay_exponent": _window(-4.0 / 3.0), "pole_growth": (2.0, operator.gt),
+    "bounded_ratio": ("<=50, max>=1e-14", lambda ratio, _, top: ratio <= 50.0 and top >= 1e-14),
+    "isometry_defect": 1e-14, "curvature_exponent": _window(-2.0), "curvature_scale": 1e-12,
+    "lagrangian": 1e-10, "gauss_equation": 1e-6, "mean_curvature": 1e-8,
+    "lambda1_rel_error": 0.02, "pi_exponent": _window(-1.0), "pi_scale": 1e-12,
+    "rotation_residual": 1e-8, "lattice_defect": 1e-10, "u_zz_fd_rel": 1e-8,
+    "positivity_margin": (0.0, operator.gt), "refinement_drift": 1e-6,
+    # measured is the text of the context, the bracket values f(lo) and f(hi)
+    "sign_change": (None, lambda _, __, f_lo, f_hi: f_lo > 0 > f_hi),
+    "volume_product": ("1", operator.eq), "volume_product_minus_one": 1e-12,
+    "dims": (None, lambda dims, _, k: dims == [10 - k, 11 - k, 10 - k])}
+
+
+def _check(name: str, measured, *context) -> dict:
+    """The report entry of check `name` of _CHECKS on measured and context."""
+    row = _CHECKS[name]
+    tolerance, rule = row if isinstance(row, tuple) else (row, None)
+    passed = abs(measured) <= tolerance if rule is None else rule(measured, tolerance, *context)
+    return {"name": name, "passed": bool(passed), "measured": measured, "tolerance": tolerance}
 
 
 def _params_from(args, alpha: float | None = None) -> sfm.ModelParams:
@@ -128,8 +153,7 @@ def _cmd_semiflat_eval(args):
     _, rel = sfm.ma_residual(p, q)
     results = {"form": form.tolist(), "metric": g.tolist(),
                "metric_eigenvalues": [low, low, high, high]}
-    checks = [_tol_check("ma_residual_rel", rel, sfm.MA_TOL),
-              _check("metric_positive", low, 0.0, low > 0)]
+    checks = [_check("ma_residual_rel", float(rel)), _check("metric_positive", low)]
     return results, checks, None
 
 
@@ -144,7 +168,7 @@ def _cmd_semiflat_residual(args):
     # np.max carries a NaN residual through; the builtin max drops it
     worst = float(np.max(rels))
     results = {"max_rel_residual": worst, "samples": args.grid ** 2}
-    return results, [_tol_check("monge_ampere_rel", worst, sfm.MA_TOL)], None
+    return results, [_check("monge_ampere_rel", worst)], None
 
 
 def _cmd_semiflat_pair(args):
@@ -154,26 +178,11 @@ def _cmd_semiflat_pair(args):
     closed = sfm.pair_closed_form(p, c)
     err = abs(numeric - closed) / max(abs(closed), 1.0)
     results = {"pairing": numeric, "closed_form": closed, "cycle": args.cycle}
-    return results, [_tol_check("pairing_rel_error", err, 1e-8)], None
-
-
-def _exponent_checks(name: str, fit, centre: float, scaled) -> list[dict]:
-    """`<name>_exponent`: the fitted power within 0.15 of centre; and unless
-    scaled (the samples over their kappa = 1 closed form) is None,
-    `<name>_scale`: scaled within 1e-12 of 1."""
-    lo, hi = centre - 0.15, centre + 0.15
-    checks = [_check(f"{name}_exponent", fit.exponent, f"[{lo:.5g},{hi:.5g}]",
-                     lo <= fit.exponent <= hi)]
-    if scaled is not None:
-        checks.append(_tol_check(f"{name}_scale", np.max(np.abs(scaled - 1.0)), 1e-12))
-    return checks
+    return results, [_check("pairing_rel_error", err)], None
 
 
 def _cmd_semiflat_classify(args):
-    """The section decides the variant, and the checks say whether the
-    samples agree with it.  The power_decay window is the curvature and pi-decay
-    half-width 0.15 about -4/3: the 243 power-decay argv the benchmark can
-    draw measure -1.4064 to -1.3333, at least 0.077 inside."""
+    """The section decides the variant; the checks say whether the samples agree."""
     p = _params_from(args)
     h: dict = {0: complex(parse_complex(args.h0)[0])} if args.h0 else {0: 1.0}
     if args.pole:
@@ -186,22 +195,17 @@ def _cmd_semiflat_classify(args):
     if fit is not None:
         results["fit"] = {"model": fit.model, "exponent": fit.exponent,
                           "r_squared": fit.r_squared}
-        checks = [_check("fit_r_squared", fit.r_squared, 0.99, fit.r_squared >= 0.99)]
-        if variant == sfm.POWER_DECAY:
-            checks += _exponent_checks("power_decay", fit, -4.0 / 3.0, None)
-        else:
-            checks.append(_check("stretched_exponent", fit.exponent, 0.0, fit.exponent < 0))
+        exponent = ("power_decay_exponent" if variant == sfm.POWER_DECAY
+                    else "stretched_exponent")
+        checks = [_check("fit_r_squared", fit.r_squared), _check(exponent, fit.exponent)]
     elif variant == sfm.NOT_UNIFORM:
-        growth = float(vals[-1]) / float(vals[0])
-        checks = [_check("pole_growth", growth, 2.0, growth > 2.0)]
+        checks = [_check("pole_growth", float(vals[-1]) / float(vals[0]))]
     else:
         top = results["bound"] = float(np.max(vals))
         if variant == sfm.BOUNDED_DIFFERENCE:
-            ratio = top / float(np.min(vals))
-            checks = [_check("bounded_ratio", ratio, "<=50, max>=1e-14",
-                             ratio <= 50.0 and top >= 1e-14)]
+            checks = [_check("bounded_ratio", top / float(np.min(vals)), top)]
         else:
-            checks = [_tol_check("isometry_defect", top, 1e-14)]
+            checks = [_check("isometry_defect", top)]
     return results, checks, (r, vals)
 
 
@@ -210,8 +214,11 @@ def _cmd_semiflat_curvature(args):
     r, vals, fit = sfm.curvature_decay(p)
     results = {"exponent": fit.exponent, "r_squared": fit.r_squared,
                "samples": int(fit.n_samples)}
-    scaled = vals * r * r / sfm.RM_R2 if p.kappa_is_one() else None
-    return results, _exponent_checks("curvature", fit, -2.0, scaled), (r, vals)
+    checks = [_check("curvature_exponent", fit.exponent)]
+    if p.kappa_is_one():
+        scale = float(np.max(np.abs(vals * r * r / sfm.RM_R2 - 1.0)))
+        checks.append(_check("curvature_scale", scale))
+    return results, checks, (r, vals)
 
 
 def _cmd_slag_check(args):
@@ -224,10 +231,9 @@ def _cmd_slag_check(args):
                "second_ff_norm": ff.pi_norm,
                "mean_curvature": ff.h_norm,
                "gauss_residual": ff.gauss_residual}
-    checks = [_tol_check("lagrangian", sup_omega, 1e-10),
-              _tol_check("gauss_equation", ff.gauss_residual, 1e-6)]
+    checks = [_check("lagrangian", sup_omega), _check("gauss_equation", ff.gauss_residual)]
     if p.kappa_is_one():
-        checks.append(_tol_check("mean_curvature", ff.h_norm, 1e-8))
+        checks.append(_check("mean_curvature", ff.h_norm))
     return results, checks, None
 
 
@@ -240,15 +246,18 @@ def _cmd_slag_geometry(args):
     results = {"lambda1": geom.lambda1, "lambda1_numeric": num,
                "volume": geom.volume, "diameter": geom.diameter,
                "noncollapse_scale": geom.noncollapse_scale}
-    return results, [_check("lambda1_rel_error", rel, 0.02, rel <= 0.02)], None
+    return results, [_check("lambda1_rel_error", rel)], None
 
 
 def _cmd_slag_pi_decay(args):
     p = _params_from(args)
     r, vals, fit = slag.pi_decay(p, _cycle_from(args.cycle))
     results = {"exponent": fit.exponent, "r_squared": fit.r_squared}
-    scaled = vals * r / slag.II_R if p.kappa_is_one() else None
-    return results, _exponent_checks("pi", fit, -1.0, scaled), (r, vals)
+    checks = [_check("pi_exponent", fit.exponent)]
+    if p.kappa_is_one():
+        scale = float(np.max(np.abs(vals * r / slag.II_R - 1.0)))
+        checks.append(_check("pi_scale", scale))
+    return results, checks, (r, vals)
 
 
 def _cmd_hkrot(args):
@@ -271,8 +280,7 @@ def _cmd_hkrot(args):
                "winding": list(rot.winding) if rot.winding else None,
                "max_rotation_residual": worst,
                "lattice_defects": defect}
-    checks = [_tol_check("rotation_residual", worst, 1e-8),
-              _tol_check("lattice_defect", worst_defect, 1e-10)]
+    checks = [_check("rotation_residual", worst), _check("lattice_defect", worst_defect)]
     return results, checks, None
 
 
@@ -296,7 +304,7 @@ def _cmd_glue_potential(args):
     closed = glue.u_zz(p, np.array([args.rho])).item()
     results = {"u": u, "u_zz": closed, "u_zz_fd": fd}
     err = abs(fd - closed) / abs(closed)
-    return results, [_tol_check("u_zz_fd_rel", err, 1e-8)], None
+    return results, [_check("u_zz_fd_rel", err)], None
 
 
 def _cmd_glue_positivity(args):
@@ -305,7 +313,7 @@ def _cmd_glue_positivity(args):
     t = args.t if args.t is not None else 1.2 * t_req + 1.0
     margin = glue.positivity_scan(cfg, args.alpha, t)
     results = {"margin": margin, "t": t, "required_t": t_req}
-    return results, [_check("positivity_margin", margin, 0.0, margin > 0)], None
+    return results, [_check("positivity_margin", margin)], None
 
 
 def _cmd_glue_solve_alpha(args):
@@ -316,9 +324,8 @@ def _cmd_glue_solve_alpha(args):
     results = {"alpha_star": sol.alpha_star, "t_at_root": sol.t_at_root,
                "bracket": list(sol.bracket), "bracket_values": list(sol.values),
                "refined_alpha_star": fine.alpha_star}
-    checks = [_check("sign_change", f"{sol.values[0]:+.3e}/{sol.values[1]:+.3e}",
-                     None, sol.values[0] > 0 > sol.values[1]),
-              _tol_check("refinement_drift", drift, 1e-6)]
+    checks = [_check("sign_change", f"{sol.values[0]:+.3e}/{sol.values[1]:+.3e}", *sol.values),
+              _check("refinement_drift", drift)]
     return results, checks, None
 
 
@@ -330,11 +337,9 @@ def _cmd_mirror(args):
                "sf_class": data.sf_class, "exact": data.exact}
     if data.product_exact is not None:
         results["product_exact"] = str(data.product_exact)
-        checks = [_check("volume_product", str(data.product_exact), "1",
-                         data.product_exact == 1)]
+        checks = [_check("volume_product", results["product_exact"])]
     else:
-        checks = [_tol_check("volume_product_minus_one",
-                             data.product - 1.0, 1e-12)]
+        checks = [_check("volume_product_minus_one", data.product - 1.0)]
     return results, checks, None
 
 
@@ -342,8 +347,7 @@ def _cmd_dims(args):
     dims = sfm.moduli_dims(args.k)
     results = {"semiflat_family": dims[0], "h2_de_rham": dims[1],
                "hyperkahler_family": dims[2]}
-    ok = dims == (10 - args.k, 11 - args.k, 10 - args.k)
-    return results, [_check("dims", list(dims), None, ok)], None
+    return results, [_check("dims", list(dims), args.k)], None
 
 
 # ---------------------------------------------------------------------------

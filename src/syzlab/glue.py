@@ -140,9 +140,9 @@ class GlueConfig:
         return Cutoffs(self.r, self.s)
 
     @functools.cached_property
-    def _sup_u_zz(self) -> float:
-        # required_t reads it on every evaluation of the scale equation
-        return sup_u_zz(self)
+    def sup_u_zz(self) -> float:
+        """Sup of u_zzbar over the gluing annulus [r, r+3s], attained at r."""
+        return u_zz(self.params, np.array([self.r])).item()
 
 
 def potential_u(p: sfm.ModelParams, rho: np.ndarray) -> np.ndarray:
@@ -178,11 +178,6 @@ def _u_zz(p: sfm.ModelParams, rho: np.ndarray, ell: np.ndarray) -> np.ndarray:
 
 def _u_prime(p: sfm.ModelParams, rho: np.ndarray, ell: np.ndarray) -> np.ndarray:
     return -(p.k / (math.pi * p.eps)) * ell ** 2 / rho
-
-
-def sup_u_zz(cfg: GlueConfig) -> float:
-    """Sup of u_zzbar over the gluing annulus [r, r+3s] (attained at r)."""
-    return u_zz(cfg.params, np.array([cfg.r])).item()
 
 
 def harmonic_match(cfg: GlueConfig) -> tuple[float, float]:
@@ -245,7 +240,7 @@ def required_t(cfg: GlueConfig, alpha: float, t_prime: float = 1.0) -> float:
     # about 50 calls per solve_alpha: require_finite only words the error
     if not (math.isfinite(alpha) and math.isfinite(t_prime)):
         require_finite(alpha=alpha, t_prime=t_prime)
-    return C0_RS * t_prime + C0 * abs(alpha - 1.0) * cfg._sup_u_zz
+    return C0_RS * t_prime + C0 * abs(alpha - 1.0) * cfg.sup_u_zz
 
 
 def _log_grid(lo: float, hi: float, n: int) -> np.ndarray:

@@ -28,8 +28,8 @@ class MirrorData:
     product: float
     sf_class: str
     exact: bool
-    alpha_q_exact: Fraction | None = None
-    product_exact: Fraction | None = None
+    alpha_q_exact: Fraction | None
+    product_exact: Fraction | None
 
 
 def mirror_map(k: int, tau: complex, m: int,

@@ -299,7 +299,7 @@ class TestPotential:
 
     def test_sup_attained_at_inner_radius(self):
         cfg = make_cfg()
-        sup = glue.sup_u_zz(cfg)
+        sup = cfg.sup_u_zz
         for rho in np.linspace(cfg.r, cfg.r + 3 * cfg.s, 50):
             assert glue.u_zz(cfg.params, rho) <= sup * (1 + 1e-12)
 

@@ -29,8 +29,6 @@ SETTINGS = {
     "glue.required_t(t_prime)",
     "glue.solve_alpha(n)",
     "glue.solve_alpha(t_prime)",
-    "mirror.MirrorData.alpha_q_exact",
-    "mirror.MirrorData.product_exact",
     "mirror.mirror_map(tau_exact)",
     "numerics.fit_decay(model)",
     "semiflat.ModelParams.alpha",

@@ -5,7 +5,7 @@
 
 runs `bench/run.py --workload <name> --seed <seed> --seconds <seconds>
 --trace 0` in pairs, one run at a time: the parent's `bench/` and `src/`
-from `git archive`, as compare_outputs.py takes them, and a copy of the
+from `git archive` through compare_outputs.extract_src, and a copy of the
 working tree's.  Every run gets a fresh directory, and the side that goes
 first alternates (parent first in even pairs).  It prints one line per run
 to stderr and the `workloads` section of a BENCH_<n>.json to stdout: per
@@ -24,18 +24,18 @@ seed.  Only the standard library and git are used.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import shutil
 import statistics
 import subprocess
 import sys
-import tarfile
 import tempfile
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from compare_outputs import ROOT, extract_src  # noqa: E402
+
 SIDES = ("parent", "change")
 TREES = ("bench", "src")
 _IGNORE = shutil.ignore_patterns("__pycache__", "*.pyc")
@@ -50,14 +50,11 @@ def better_sides() -> dict[str, str]:
 def place(side: str, rev: str, into: Path) -> None:
     """Put the side's bench/ and src/ under into: the parent's by git archive,
     the change's copied from the working tree."""
-    if side == "change":
-        for tree in TREES:
-            shutil.copytree(ROOT / tree, into / tree, ignore=_IGNORE)
+    if side == "parent":
+        extract_src(rev, into, TREES)
         return
-    archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev, *TREES],
-                             capture_output=True, check=True).stdout
-    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-        tar.extractall(into, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
+    for tree in TREES:
+        shutil.copytree(ROOT / tree, into / tree, ignore=_IGNORE)
 
 
 def run_once(side: str, rev: str, workload: str, seed: int, seconds: float) -> dict:

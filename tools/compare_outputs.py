@@ -186,8 +186,10 @@ def report(diffs, total: int) -> None:
         print(f"  {command} {field}: {len(rels)} argv, largest rel {largest}")
 
 
-def extract_src(rev: str, into: Path) -> Path:
-    archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev, "src"],
+def extract_src(rev: str, into: Path, trees=("src",)) -> Path:
+    """Extract the trees of rev, src/ alone by default, under into with git
+    archive; returns into/src."""
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev, *trees],
                              capture_output=True, check=True).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(into, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
