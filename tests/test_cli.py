@@ -402,6 +402,19 @@ def _residual_reference(p, q):
     return abs(lhs - rhs) / rhs
 
 
+# the R4 sequence's phi, the real root of x^5 = x + 1, and the residual's box
+R4_PHI = 1.1673039782614187
+RESIDUAL_LO, RESIDUAL_HI = (0.5, -1.0, -1.0, 0.0), (50.0, 1.0, 1.0, 2.0 * math.pi)
+
+
+def _r4_samples(n):
+    """The residual's first n samples in Python floats, rows ell, x1, x2, theta:
+    sample i is lo + (hi - lo) frac(i r) with r_j = 1/phi^j."""
+    r = [1.0 / R4_PHI ** j for j in range(1, 5)]
+    return [[lo + (hi - lo) * (i * rj - math.floor(i * rj))
+             for lo, hi, rj in zip(RESIDUAL_LO, RESIDUAL_HI, r)] for i in range(1, n + 1)]
+
+
 class TestResidualSampling:
     def test_one_call_on_the_per_sample_draws(self, capsys, monkeypatch):
         seen = []
@@ -413,17 +426,34 @@ class TestResidualSampling:
                                   "--no-timestamp")
         assert code == 0
         assert len(seen) == 1
-        # sample by sample, the draws are ell, Re x, Im x, theta
-        rng = np.random.default_rng(20260826)
-        want = []
-        for _ in range(32 ** 2):
-            ell = rng.uniform(0.5, 50.0)
-            x1, x2 = rng.uniform(-1, 1), rng.uniform(-1, 1)
-            want.append([ell, rng.uniform(0.0, 2.0 * math.pi), x1, x2])
+        # sample by sample, the chart point is ell, theta, Re x, Im x
+        want = [[ell, theta, x1, x2] for ell, x1, x2, theta in _r4_samples(32 ** 2)]
         assert np.array_equal(seen[0], np.array(want))
         p = sfm.ModelParams(k=2, eps=0.7, b0=0.25, kappa={0: 1.0, 1: 0.5})
         ref = max(_residual_reference(p, q) for q in seen[0])
         assert abs(report["results"]["max_rel_residual"] - ref) <= 2e-15
+
+    def test_phi_is_the_real_root_of_x5_x_1_correctly_rounded(self):
+        import mpmath
+        with mpmath.workdps(40):
+            root = mpmath.findroot(lambda x: x ** 5 - x - 1, 1.17)
+            assert abs(root ** 5 - root - 1) < mpmath.mpf(10) ** -38
+            # the literal is the float nearest the root
+            assert float(root) == R4_PHI
+
+    def test_samples_in_the_box_and_even_per_axis(self):
+        samples = _r4_samples(32 ** 2)
+        for axis, (lo, hi) in enumerate(zip(RESIDUAL_LO, RESIDUAL_HI)):
+            values = [s[axis] for s in samples]
+            assert all(lo <= v < hi for v in values)
+            bins = [0] * 32
+            for v in values:
+                bins[int(32 * (v - lo) / (hi - lo))] += 1
+            # each of the 32 bins of each axis holds within 6 of its mean 32
+            # (it holds 26 to 38); 1,024 independent uniform draws spread
+            # binomially, sd 5.6, and each of 200 seeds of numpy's generator
+            # put some bin further out, 12 to 16 for the seed used before
+            assert max(abs(b - 32) for b in bins) <= 6, (axis, bins)
 
     def test_drawable_configs_far_below_the_cancellation_bound(self, capsys, monkeypatch):
         # every residual config the benchmark can draw keeps rho = c|Gamma|^2/d
@@ -449,6 +479,27 @@ class TestResidualSampling:
                             / (p.alpha ** 2 * sfm.holomorphic_volume_top(p, q))
                         worst = max(worst, float(np.max(rho)))
         assert 100.0 < worst <= 0.01 * sfm.MA_RHO_MAX
+
+    # a count whose (n^2, 4) float64 array numpy cannot describe is a
+    # validation error, not numpy's uncaught ValueError
+    @pytest.mark.parametrize("argv", [
+        ["semiflat", "residual", "--k", "1", "--grid", "3037000500"],
+        ["semiflat", "pair", "--k", "1", "--grid", "10000000000"],
+        ["hkrot", "--k", "1", "--tau", "0+1i", "--verify-grid", "100000000000000000000"],
+        ["semiflat", "residual", "--k", "1", "--grid", str(math.isqrt(sys.maxsize // 32) + 1)],
+    ], ids=["residual", "pair", "hkrot", "residual-bound"])
+    def test_count_too_large_to_describe_is_one(self, capsys, argv):
+        code, report, err = run_cli(capsys, *argv, "--no-timestamp")
+        assert code == 1
+        assert report is None
+        error, usage = err.splitlines()
+        assert error.startswith("error: argument --") and usage.startswith("usage:")
+        assert f"must be at most {math.isqrt(sys.maxsize // 32)}" in error
+
+    def test_largest_count_is_accepted(self):
+        n = math.isqrt(sys.maxsize // 32)
+        assert 32 * n * n <= sys.maxsize < 32 * (n + 1) ** 2
+        assert cli._count(str(n)) == n
 
     def test_sample_array_too_large_is_two(self, capsys, monkeypatch):
         # all samples go to one call, so a huge --grid fails on allocation;

@@ -1,5 +1,7 @@
 import ast
+import os
 import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -22,3 +24,54 @@ def test_numpy_is_the_only_runtime_dependency(path):
     third_party = {n for n in _absolute_imports(path)
                    if n not in sys.stdlib_module_names}
     assert third_party <= {"numpy"}, f"{path.name} imports {sorted(third_party)}"
+
+
+def _names_numpy_random(tree: ast.AST) -> bool:
+    """Whether tree reads np.random or numpy.random, or imports numpy.random."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "random" \
+                and isinstance(node.value, ast.Name) and node.value.id in {"np", "numpy"}:
+            return True
+        if isinstance(node, ast.Import) and any(
+                a.name.startswith("numpy.random") for a in node.names):
+            return True
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and (
+                node.module.startswith("numpy.random")
+                or (node.module == "numpy" and any(a.name == "random" for a in node.names))):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("source", ["np.random.default_rng(1)", "numpy.random.random()",
+                                    "import numpy.random", "from numpy.random import rand",
+                                    "from numpy import random"])
+def test_numpy_random_is_recognised(source):
+    assert _names_numpy_random(ast.parse(source))
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_names_numpy_random(path):
+    # import numpy leaves numpy.random unloaded; loading it adds about 6 MB to peak RSS
+    assert not _names_numpy_random(ast.parse(path.read_text(), filename=str(path)))
+
+
+_README_RUN = """
+import sys
+from compare_outputs import readme_examples
+from syzlab import cli
+for argv in readme_examples():
+    argv = [sys.argv[1] if a.endswith(".csv") else a for a in argv]
+    assert cli.run(argv + ["--no-timestamp"]) == 0, argv
+print("numpy.random" in sys.modules, file=sys.stderr)
+"""
+
+
+def test_no_readme_example_imports_numpy_random(tmp_path):
+    root = SRC.parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src"), str(root / "tools")]
+        + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    run = subprocess.run([sys.executable, "-c", _README_RUN, str(tmp_path / "decay.csv")],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stderr == "False\n"

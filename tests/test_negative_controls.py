@@ -40,14 +40,17 @@ def _scaled_constant(real, delta):
 # have b0 != 0.  The Monge-Ampere checks scale the right-hand side
 # alpha^2 Omega^Omegabar, so their measure reads delta/(1 + delta) plus the
 # rounding of one ulp; at delta = 1e-10, the tolerance itself, that rounding
-# decides the flip, so their rows flip first at 1e-9.  Among residual's 1,024
-# default samples some sample always rounds over at 1e-10, so its row draws one.
+# decides the flip, so their rows flip first at 1e-9 on argv where 1e-10 does
+# not.  Among residual's 1,024 default samples some sample always rounds over
+# at 1e-10, so its rows take one sample, the first R4 point; at --k 3 and
+# alpha 0.3 that point rounds over too unless --eps 2.
 _SEMIFLAT_ROWS = [
     *(("pairing_rel_error", argv, "_TWO_PI_SQ", _scaled_constant, 1e-7) for argv in (
         ["semiflat", "pair", "--k", "2", "--b0", "-1/4", "--cycle", "2,1"],
         ["semiflat", "pair", "--k", "3", "--eps", "2", "--b0", "0.7", "--cycle", "1,0"])),
-    ("monge_ampere_rel", ["semiflat", "residual", "--k", "3", "--grid", "1", "--alpha", "0.3"],
-     "holomorphic_volume_top", _scaled_output, 1e-9),
+    *(("monge_ampere_rel", ["semiflat", "residual", "--k", *k, "--grid", "1",
+                            "--alpha", "0.3"], "holomorphic_volume_top", _scaled_output, 1e-9)
+      for k in (["1"], ["2"], ["3", "--eps", "2"])),
     ("ma_residual_rel", ["semiflat", "eval", "--k", "2", "--ell", "5", "--b0", "1/4",
                          "--alpha", "0.3"], "holomorphic_volume_top", _scaled_output, 1e-9)]
 
@@ -226,14 +229,19 @@ _SLAG = ["slag", "check", "--k", "1", "--ell", "10"]
 # b0 != 0: at b0 = 0, g_r = 0 and no scaling of 2 pi^2 moves it.  mean_curvature
 # scales the C = 2 pi/ell row of g, dg and ddg left exact.  gauss_equation
 # flips only at 1e-3: its residual grows as 2 delta times Gauss terms of about
-# 1.6e-3 against an absolute tolerance of 1e-6.
+# 1.6e-3 against an absolute tolerance of 1e-6.  lambda1_rel_error scales the
+# Rayleigh estimate, whose relative error is delta against a tolerance of 2e-2.
 _SLAG_ROWS = [
     *(("lagrangian", argv, sf, "_TWO_PI_SQ", _scaled_constant, 1e-9) for argv in (
         ["slag", "check", "--k", "2", "--b0", "-1", "--cycle", "1,1", "--ell", "10"],
         ["slag", "check", "--k", "3", "--eps", "2", "--b0", "-3/4", "--cycle", "2,1",
          "--ell", "15"])),
     ("mean_curvature", _SLAG, sf, "_PATTERNS", _scaled_row(2), 1e-6),
-    ("gauss_equation", _SLAG, slag, "_fundamental_forms", _scaled_second, 1e-3)]
+    ("gauss_equation", _SLAG, slag, "_fundamental_forms", _scaled_second, 1e-3),
+    *(("lambda1_rel_error", ["slag", "geometry", *argv], slag, "lambda1_rayleigh",
+       _scaled_output, 1e-1) for argv in (
+        ["--k", "1"], ["--k", "2", "--eps", "0.5", "--b0", "1/4"],
+        ["--k", "3", "--eps", "2", "--cycle", "2,1", "--ell", "30"]))]
 
 
 @pytest.mark.parametrize("name,argv,owner,term,scaled,threshold", _SLAG_ROWS,
@@ -264,7 +272,7 @@ def test_gauss_equation_unmoved_by_scaled_jet_patterns(monkeypatch, term, row):
 _NO_ROW_YET = {"dims", "sign_change", "volume_product", "volume_product_minus_one",
                "bounded_ratio", "fit_r_squared", "isometry_defect", "pole_growth",
                "power_decay_exponent", "stretched_exponent", "curvature_exponent",
-               "pi_exponent", "metric_positive", "lambda1_rel_error"}
+               "pi_exponent", "metric_positive"}
 
 
 def test_every_check_has_a_row_or_is_listed():
