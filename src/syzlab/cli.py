@@ -118,8 +118,8 @@ def _params_from(args, alpha: float | None = None) -> sfm.ModelParams:
 
 def _count(text: str) -> int:
     """A sample count: an integer from 1 to 2^29 - 1 on a 64-bit build, the
-    largest n whose (n^2, 4) float64 array (residual's samples, pair's lift)
-    numpy can describe; a smaller count too large to allocate is exit 2."""
+    largest n whose (n^2, 4) float64 array (residual's samples) numpy can
+    describe; a smaller count too large to allocate is exit 2."""
     n = int(text)
     if n < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
@@ -182,7 +182,7 @@ def _cmd_semiflat_residual(args):
 def _cmd_semiflat_pair(args):
     p = _params_from(args)
     c = _cycle_from(args.cycle)
-    numeric = sfm.pair_cycle(p, c, n=args.grid)
+    numeric = sfm.pair_cycle(p, c)
     closed = sfm.pair_closed_form(p, c)
     err = abs(numeric - closed) / max(abs(closed), 1.0)
     results = {"pairing": numeric, "closed_form": closed, "cycle": args.cycle}
@@ -382,8 +382,7 @@ _LEAVES = {
         ("--ell", float, _REQUIRED), ("--theta", float, 0.0),
         ("--x1", float, 0.0), ("--x2", float, 0.0))),
     ("semiflat", "residual"): (_cmd_semiflat_residual, _ALPHA + (("--grid", _count, 32),)),
-    ("semiflat", "pair"): (_cmd_semiflat_pair, _ALPHA + (
-        ("--cycle", str, "fiber"), ("--grid", _count, 64))),
+    ("semiflat", "pair"): (_cmd_semiflat_pair, _ALPHA + (("--cycle", str, "fiber"),)),
     ("semiflat", "classify-translation"): (_cmd_semiflat_classify, _PARAMS + (
         ("--pole", bool, False), ("--section-b", str, "0"),
         ("--h0", str, None), ("--h1", str, None))),

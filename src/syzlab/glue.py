@@ -257,12 +257,11 @@ POSITIVITY_SUM_ERR = 32.0 * 2.0 ** -53
 
 
 def positivity_scan(cfg: GlueConfig, alpha: float, t: float,
-                    n: int = 200,
                     window: tuple[float, float] | None = None) -> float:
     """Minimum eigenvalue margin of omega_alpha(t) - (omega_0 + psi i ddbar u_alpha)/2.
 
     window restricts the radial scan (defaults to the whole modeled
-    annulus) to n radii from 1.0001 lo to 0.9999 hi (_log_grid).  Raises a
+    annulus) to 200 radii from 1.0001 lo to 0.9999 hi (_log_grid).  Raises a
     validation error when t is at or below the reserve threshold.  The
     (x, y) block at each radius and fiber height, from the reference model
     (alpha = 1), is (1/4)[[c, -c conj(Gamma)], [-c Gamma, d + c|Gamma|^2]]
@@ -289,12 +288,12 @@ def positivity_scan(cfg: GlueConfig, alpha: float, t: float,
     # a window narrower than 1e-4 reverses the grid and may leave the annulus
     if not (cfg.rho_min <= hi and lo <= cfg.rho_max):
         raise ValidationError("rho outside the modeled annulus")
-    rho = _log_grid(lo, hi, n)
+    rho = _log_grid(lo, hi, 200)
     ell = -np.log(rho)
     beta, bracket, psi, uzz = _q_parts(cfg, rho, ell)
     qc = t * beta + (alpha - 1.0) * bracket
     x = ((qc - 0.5 * psi * (alpha - 1.0) * uzz) * rho ** 2)[:, None]
-    # n radii (theta = 0) against the fiber heights
+    # the radii (theta = 0) against the fiber heights
     e01, cg_i, cg_r, c, d = sfm._form_entries(cfg.params, ell[:, None], 0.0,
                                                _SCAN_X2, np.exp)
     d_x = 0.25 * d + x

@@ -328,29 +328,21 @@ def pair_closed_form(p: ModelParams, c: fib.CycleSpec) -> float:
     return (c.m1 * 2.0 * p.b0 / p.k + c.m2) * p.eps * p.alpha
 
 
-def pair_cycle(p: ModelParams, c: fib.CycleSpec, n: int = 64) -> float:
-    """Pairing by quadrature of the restricted form over the cycle on c.grid(n),
+def pair_cycle(p: ModelParams, c: fib.CycleSpec) -> float:
+    """Pairing by quadrature of the restricted form over the cycle on c.grid(64),
     at base radius e^{-2*pi}.
 
-    The form is evaluated one node at a time and contracted with the
-    tangents as t_a . omega . t_b once per block of whole grid rows of at
-    most 4,096 nodes (one row if it is longer), which gives the bits of one
-    contraction over all nodes.  A single point and a batch of
-    sf_form_chart agree bitwise, so one batched call per block would give
+    The form is evaluated one node at a time into one (4096, 4, 4) buffer and
+    contracted with the tangents as t_a . omega . t_b once.  A single point
+    and a batch of sf_form_chart agree bitwise, so one batched call would give
     the same pairing at about a hundredth of the cost; the loop stays while
     the benchmark counts kernel calls rather than points.
     """
-    q, t_a, t_b = c.lift_grid(p.k, TWO_PI, n)
-    rows = max(1, 4096 // n)
-    forms = np.empty((min(rows, n) * n, 4, 4))
-    vals = np.empty((n, n))
-    for r0 in range(0, n, rows):
-        block = q[r0:r0 + rows].reshape(-1, 4)
-        for i, pt in enumerate(block):
-            forms[i] = sf_form_chart(p, pt)
-        vals[r0:r0 + rows] = ((t_a @ forms[:len(block)]) @ t_b).reshape(-1, n)
-    del q, forms  # before quad_grid copies vals
-    return float(quad_grid(vals, c.grid(n)))
+    q, t_a, t_b = c.lift_grid(p.k, TWO_PI, 64)
+    forms = np.empty((4096, 4, 4))
+    for i, pt in enumerate(q.reshape(-1, 4)):
+        forms[i] = sf_form_chart(p, pt)
+    return float(quad_grid(((t_a @ forms) @ t_b).reshape(64, 64), c.grid(64)))
 
 
 def moduli_dims(k: int) -> tuple[int, int, int]:

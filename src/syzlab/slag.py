@@ -97,19 +97,21 @@ def lambda1_rayleigh(a: float, b: float) -> float:
 def check_special(mf: ModelFiber) -> tuple[float, float]:
     """(sup |omega restriction|, sup calibration-phase defect) over the cycle.
 
-    t_a = d/dx1 moves x1 alone, on which nothing depends, so both sups run over the 32 base
-    angles t1 = 0, theta = -t2, x2 = s t2 of the lift in eps on the normal form (omega
-    restricts to alpha times its restriction there, Omega to its).  With t_b = -d/dtheta +
-    s d/dx2, omega(t_a, t_b) = c g_r + c s, zero exactly when 2*b0/k = -m2/m1, and
-    Omega(t_a, t_b) = i kappa: the phase defect |Im(e^{-i pi/2} Omega)| is |Im kappa|.
+    On the lift in eps of the normal form (omega restricts to alpha times its
+    restriction there, Omega to its), t_a = d/dx1 and t_b = -d/dtheta + s d/dx2
+    give omega(t_a, t_b) = c g_r + c s, zero exactly when 2*b0/k = -m2/m1, and
+    Omega(t_a, t_b) = i kappa: the phase defect |Im(e^{-i pi/2} Omega)| is
+    |Im kappa|.  c = 2 pi/ell and c g_r = b0'/pi depend on ell alone, which the
+    lift fixes, so the first sup is read at the lift's origin; kappa varies
+    with theta = -t2, so the second runs over 32 base angles.
     """
     p = mf.params
-    origin, frame = mf.cycle.lift(p.eps, mf.ell)
-    # a matmul, as lift_grid's: an overflow of x2 = s t2 raises the same error
-    ell, theta, _, x2 = (origin + mf.cycle.grid(32).nodes2()[:, None] @ frame[:, 1:].T).T
-    _, _, cg_r, c, _ = sf._form_entries(sf.normal_form(p)[0], ell, theta, x2, np.exp)
-    sup_phase = np.max(np.abs(p.kappa_of_y(ell, theta).imag))
-    return p.alpha * float(np.max(np.abs(cg_r + c * frame[3, 1]))), float(sup_phase)
+    s = mf.cycle.lift(p.eps, mf.ell)[1][3, 1]
+    # one node as an array: numpy words its overflow as on arrays, not "scalar multiply"
+    _, _, cg_r, c, _ = sf._form_entries(sf.normal_form(p)[0], np.array([mf.ell]), 0.0, 0.0,
+                                        np.exp)
+    sup_phase = np.max(np.abs(p.kappa_of_y(mf.ell, -mf.cycle.grid(32).nodes2()).imag))
+    return p.alpha * float(np.abs(cg_r + c * s)[0]), float(sup_phase)
 
 
 @dataclass(frozen=True)

@@ -484,10 +484,9 @@ class TestResidualSampling:
     # validation error, not numpy's uncaught ValueError
     @pytest.mark.parametrize("argv", [
         ["semiflat", "residual", "--k", "1", "--grid", "3037000500"],
-        ["semiflat", "pair", "--k", "1", "--grid", "10000000000"],
         ["hkrot", "--k", "1", "--tau", "0+1i", "--verify-grid", "100000000000000000000"],
         ["semiflat", "residual", "--k", "1", "--grid", str(math.isqrt(sys.maxsize // 32) + 1)],
-    ], ids=["residual", "pair", "hkrot", "residual-bound"])
+    ], ids=["residual", "hkrot", "residual-bound"])
     def test_count_too_large_to_describe_is_one(self, capsys, argv):
         code, report, err = run_cli(capsys, *argv, "--no-timestamp")
         assert code == 1
@@ -600,9 +599,17 @@ class TestCommands:
     def test_pair_negative_b0(self, capsys):
         code, report, _ = run_cli(
             capsys, "semiflat", "pair", "--k", "2", "--b0", "-1/4",
-            "--cycle", "2,1", "--grid", "16", "--no-timestamp")
+            "--cycle", "2,1", "--no-timestamp")
         assert code == 0
         assert all(c["passed"] for c in report["checks"])
+        assert "grid" not in report["inputs"]
+
+    @pytest.mark.parametrize("count", ["0", "8", "64", "10000000000"])
+    def test_pair_takes_no_grid(self, capsys, count):
+        # the pairing is one 64 x 64 rule: --grid is an unknown flag, exit 1
+        code, report, err = run_cli(capsys, "semiflat", "pair", "--k", "1", "--grid", count)
+        assert (code, report) == (1, None)
+        assert err.startswith(f"error: unrecognized arguments: --grid {count}\n")
 
     def test_mirror_exact_product(self, capsys):
         code, report, _ = run_cli(capsys, "mirror", "--k", "4",
@@ -981,7 +988,7 @@ class TestFlagTable:
         (("dims",), ["--k", "1", "--"]),
         (("dims",), ["--", "--k", "1"]),
         (("dims",), ["--k", "x"]),                                # bad value
-        (("semiflat", "pair"), ["--k", "1", "--grid", "0"]),
+        (("semiflat", "pair"), ["--k", "1", "--grid", "0"]),      # unknown flag
         (("dims",), []),                                          # missing required
         (("dims",), ["--k", "1", "--no-timestamp=1"]),
         (("dims",), ["--k", "1", "2"]),
@@ -1153,7 +1160,7 @@ _GATE_VALUES = st.one_of(
 _GATE_COMMANDS = [
     (["semiflat", "eval", "--k", "1", "--ell", "2"],
      ["--ell", "--theta", "--x1", "--x2", "--eps", "--b0", "--alpha", "--kappa1"]),
-    (["semiflat", "pair", "--k", "2", "--cycle", "2,1", "--grid", "8"],
+    (["semiflat", "pair", "--k", "2", "--cycle", "2,1"],
      ["--eps", "--b0", "--alpha", "--kappa1"]),
     (["semiflat", "residual", "--k", "1", "--grid", "8"],
      ["--eps", "--b0", "--alpha", "--kappa1"]),

@@ -410,9 +410,8 @@ class TestCutoffBits:
             edges = self._radii(cfg.r, cfg.s)[0]
             for window in (None, (cfg.rho_min, edges[1]), (edges[0], edges[3]),
                            (edges[1], edges[2]), (edges[2], cfg.rho_max)):
-                for n in (7, 200):
-                    got = glue.positivity_scan(cfg, alpha, t, n=n, window=window)
-                    assert got == margin_oracle(cfg, alpha, t, n=n, window=window)
+                got = glue.positivity_scan(cfg, alpha, t, window=window)
+                assert got == margin_oracle(cfg, alpha, t, window=window)
 
     @given(lo=st.floats(5e-324, 1.0, exclude_max=True),
            hi=st.floats(5e-324, 1.0, exclude_max=True),
@@ -666,8 +665,8 @@ class TestPositivity:
         cfg = make_cfg(kappa={0: 1.0, 1: 0.5})
         t = 1.2 * glue.required_t(cfg, 1.1) + 1.0
         window = (cfg.r + 2.0 * cfg.s, cfg.rho_max)
-        want = positivity_oracle(cfg, 1.1, t, n=40, window=window)
-        got = glue.positivity_scan(cfg, 1.1, t, n=40, window=window)
+        want = positivity_oracle(cfg, 1.1, t, window=window)
+        got = glue.positivity_scan(cfg, 1.1, t, window=window)
         assert got == pytest.approx(want, rel=1e-14)
 
     def test_kappa_enters_as_modulus_squared(self):
@@ -676,10 +675,10 @@ class TestPositivity:
         cfg = make_cfg(kappa={0: 1.0, 1: 0.3 + 0.4j})
         t = 1.2 * glue.required_t(cfg, 1.1) + 1.0
         window = (cfg.r + 2.0 * cfg.s, cfg.rho_max)
-        got = glue.positivity_scan(cfg, 1.1, t, n=40, window=window)
-        assert got == pytest.approx(positivity_oracle(cfg, 1.1, t, n=40, window=window),
+        got = glue.positivity_scan(cfg, 1.1, t, window=window)
+        assert got == pytest.approx(positivity_oracle(cfg, 1.1, t, window=window),
                                     rel=1e-14)
-        without = positivity_oracle(make_cfg(), 1.1, t, n=40, window=window)
+        without = positivity_oracle(make_cfg(), 1.1, t, window=window)
         assert abs(got - without) > 1e-6 * abs(got)
 
     def test_no_cancellation_at_large_gamma(self):

@@ -24,7 +24,6 @@ SETTINGS = {
     "fibration.SectionData.h",
     "fibration.from_ell(theta)",
     "glue.mass_integral(n)",
-    "glue.positivity_scan(n)",
     "glue.positivity_scan(window)",
     "glue.required_t(t_prime)",
     "glue.solve_alpha(n)",
@@ -35,7 +34,6 @@ SETTINGS = {
     "semiflat.ModelParams.b0",
     "semiflat.ModelParams.eps",
     "semiflat.ModelParams.kappa",
-    "semiflat.pair_cycle(n)",
 }
 
 

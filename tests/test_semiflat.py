@@ -1,7 +1,6 @@
 import cmath
 import itertools
 import math
-import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -393,11 +392,6 @@ class TestPairings:
         assert sf.pair_cycle(p, fib.CycleSpec(m1=1, m2=1)) == pytest.approx(
             want, rel=1e-8)
 
-    def test_grid_too_small(self):
-        p = sf.ModelParams(k=1, eps=1.0)
-        with pytest.raises(ValidationError):
-            sf.pair_cycle(p, fib.FIBER, n=3)
-
     @pytest.mark.parametrize("seed", range(6))
     def test_equals_one_batched_kernel_call(self, seed):
         # drawable benchmark configs: the per-node loop is one batched call
@@ -421,41 +415,11 @@ class TestPairings:
         (fib.CycleSpec(m1=2, m2=1), "0x1.d1eb851eb851ep-2"),
     ])
     def test_quadrature_bits_pinned(self, cycle, bits, kappa1):
-        # recorded before the single-point float path of sf_form_chart; the
-        # (1, 1) value since the contraction over all nodes at once, which
-        # rounds it onto pair_closed_form's float (one ulp below before)
+        # recorded on the 64 x 64 rule when pair_cycle still took a grid size;
+        # each is pair_closed_form's float
         kappa = {0: 1.0, 1: kappa1} if kappa1 else {}
         p = sf.ModelParams(k=2, eps=0.7, b0=-0.25, alpha=1.3, kappa=kappa)
-        assert sf.pair_cycle(p, cycle, n=16).hex() == bits
-
-    def test_row_block_bits_pinned(self):
-        # n = 100 contracts three blocks of 40, 40 and 20 rows; recorded
-        # when all nodes were contracted at once
-        p = sf.ModelParams(k=2, eps=0.7, b0=-0.25, alpha=1.3, kappa={0: 1.0, 1: 0.6})
-        assert sf.pair_cycle(p, fib.CycleSpec(m1=1, m2=1), n=100).hex() \
-            == "0x1.5d70a3d70a3d8p-1"
-
-    @pytest.mark.parametrize("n", [65, 100, 130])
-    def test_row_blocks_equal_one_contraction(self, n):
-        p = sf.ModelParams(k=3, eps=0.5, b0=1.0 / 3.0, kappa={0: 1.0, 1: 0.3})
-        for c in (fib.FIBER, fib.CycleSpec(m1=1, m2=1), fib.CycleSpec(m1=2, m2=1)):
-            q, t_a, t_b = c.lift_grid(p.k, TWO_PI, n)
-            forms = sf.sf_form_chart(p, q).reshape(-1, 4, 4)
-            want = quad_grid(((t_a @ forms) @ t_b).reshape(n, n), c.grid(n))
-            assert sf.pair_cycle(p, c, n=n).hex() == want.hex()
-
-    def test_forms_held_in_row_blocks(self):
-        # all 256^2 forms at once would take 8.4 MB
-        p = sf.ModelParams(k=1, eps=1.0)
-        c = fib.CycleSpec(m1=1, m2=1)
-        sf.pair_cycle(p, c, n=16)
-        tracemalloc.start()
-        try:
-            sf.pair_cycle(p, c, n=256)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4e6
+        assert sf.pair_cycle(p, cycle).hex() == bits
 
 
 def _pullback_reference(p, s, q):

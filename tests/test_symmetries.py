@@ -62,8 +62,7 @@ def test_pairing_is_odd_under_b0_and_m2(k):
     # 72 configurations per k: 216 over k = 1..3
     for eps, b0, (m1, m2), kappa1 in itertools.product(
             ("0.5", "1", "2"), ("1/4", "1/3", "0.7"), _CYCLES, ("0", "0.3")):
-        common = ["semiflat", "pair", "--k", str(k), "--eps", eps, "--kappa1", kappa1,
-                  "--grid", "32"]
+        common = ["semiflat", "pair", "--k", str(k), "--eps", eps, "--kappa1", kappa1]
         code, plus, _ = _run(*common, "--b0", b0, "--cycle", f"{m1},{m2}")
         code_minus, minus, _ = _run(*common, "--b0", "-" + b0, "--cycle", f"{m1},{-m2}")
         assert code == code_minus == 0
