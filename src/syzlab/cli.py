@@ -116,19 +116,6 @@ def _params_from(args, alpha: float | None = None) -> sfm.ModelParams:
                            alpha=alpha, kappa=kappa)
 
 
-def _count(text: str) -> int:
-    """A sample count: an integer from 1 to 2^29 - 1 on a 64-bit build, the
-    largest n whose (n^2, 4) float64 array (residual's samples) numpy can
-    describe; a smaller count too large to allocate is exit 2."""
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
-    if 32 * n * n > sys.maxsize:
-        raise argparse.ArgumentTypeError(
-            f"must be at most {math.isqrt(sys.maxsize // 32)}, got {n}")
-    return n
-
-
 def _cycle_from(text: str) -> fib.CycleSpec:
     if text.lower() == "fiber":
         return fib.FIBER
@@ -167,7 +154,7 @@ def _cmd_semiflat_residual(args):
     # sample i = 1..n is the R4 point frac(i r), r_j = 1/phi^j with phi the real
     # root of x^5 = x + 1 (Roberts 2018), in the order ell, x1, x2, theta, each
     # scaled as lo + (hi - lo) * u: an even cover of the box, with no seed
-    n = args.grid ** 2
+    n = 1024
     u = np.outer(np.arange(1.0, n + 1.0), 1.0 / 1.1673039782614187 ** np.arange(1.0, 5.0))
     u -= np.floor(u)
     lo, hi = np.array([0.5, -1.0, -1.0, 0.0]), np.array([50.0, 1.0, 1.0, 2.0 * math.pi])
@@ -268,15 +255,17 @@ def _cmd_slag_pi_decay(args):
     return results, checks, (r, vals)
 
 
+# hkrot's 75 points (ell, psi, xi1, xi2), psi = 0 as it moves only the chart's x1;
+# Python floats, so that the per-point arithmetic stays off numpy scalars
+_HKROT_POINTS = tuple((ell, 0.0, xi1, xi2) for ell in np.linspace(1.0, 3.0, 5).tolist()
+                      for xi1 in np.linspace(0.0, 0.6, 5).tolist() for xi2 in (0.2, 0.45, 0.7))
+
+
 def _cmd_hkrot(args):
     tau, tau_exact = parse_complex(args.tau)
     model = calabi.CalabiModel(k=args.k, tau=tau, tau_exact=tau_exact)
     rot = calabi.rotate(model)
-    n = args.verify_grid
-    # Python floats: the per-point arithmetic stays off numpy scalars
-    ells, xi1s = np.linspace(1.0, 3.0, n).tolist(), np.linspace(0.0, 0.6, n).tolist()
-    residuals = [calabi.verify_rotation(model, (ell, 0.0, xi1, xi2))
-                 for ell in ells for xi1 in xi1s for xi2 in (0.2, 0.45, 0.7)]
+    residuals = [calabi.verify_rotation(model, pt) for pt in _HKROT_POINTS]
     defect = calabi.lattice_defects(model, (1.7, 0.4, 0.2, 0.3))
     # np.max carries a NaN through; the builtin max drops it
     worst = float(np.max(residuals))
@@ -381,7 +370,7 @@ _LEAVES = {
     ("semiflat", "eval"): (_cmd_semiflat_eval, _ALPHA + (
         ("--ell", float, _REQUIRED), ("--theta", float, 0.0),
         ("--x1", float, 0.0), ("--x2", float, 0.0))),
-    ("semiflat", "residual"): (_cmd_semiflat_residual, _ALPHA + (("--grid", _count, 32),)),
+    ("semiflat", "residual"): (_cmd_semiflat_residual, _ALPHA),
     ("semiflat", "pair"): (_cmd_semiflat_pair, _ALPHA + (("--cycle", str, "fiber"),)),
     ("semiflat", "classify-translation"): (_cmd_semiflat_classify, _PARAMS + (
         ("--pole", bool, False), ("--section-b", str, "0"),
@@ -390,7 +379,7 @@ _LEAVES = {
     ("slag", "check"): (_cmd_slag_check, _SLAG + (("--ell", float, 10.0),)),
     ("slag", "geometry"): (_cmd_slag_geometry, _SLAG + (("--ell", float, 10.0),)),
     ("slag", "pi-decay"): (_cmd_slag_pi_decay, _SLAG),
-    ("hkrot",): (_cmd_hkrot, _TAU + (("--verify-grid", _count, 5),)),
+    ("hkrot",): (_cmd_hkrot, _TAU),
     ("glue", "potential"): (_cmd_glue_potential, _PARAMS + (("--rho", float, 0.3),)),
     ("glue", "positivity"): (_cmd_glue_positivity, _GLUE + (
         ("--alpha", float, 2.0), ("--t", float, None))),
@@ -473,7 +462,7 @@ class _FlagTable:
                     return None
             try:
                 values[dest] = kind(text)
-            except (argparse.ArgumentTypeError, TypeError, ValueError):
+            except (TypeError, ValueError):
                 return None
         if not self.required <= seen:
             return None
@@ -623,8 +612,8 @@ def run(argv: list[str] | None = None) -> int:
         return 1
     except (ArithmeticError, np.linalg.LinAlgError, MemoryError) as exc:
         # ArithmeticError covers NumericalError, overflow, zero division
-        # and numpy's FloatingPointError; a sample array too large to
-        # allocate (semiflat residual --grid 100000) raises MemoryError
+        # and numpy's FloatingPointError; an array too large to allocate
+        # raises MemoryError
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     sys.stdout.write(text + "\n")

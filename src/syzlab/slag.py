@@ -83,7 +83,8 @@ def lambda1_rayleigh(a: float, b: float) -> float:
     flat rectangular torus with side lengths (2*pi*sqrt(a), sqrt(b)) is
     applied to the two fundamental modes; the smaller quotient estimates
     lambda_1.  A side of length L has the quotient of the unit circle over
-    L^2, so no step h = L/64 is squared (h^2 under- or overflows first).
+    L^2, divided by L twice: neither h = L/64 nor L is squared, as L^2
+    overflows while the quotient is still a normal float.
     """
     if a <= 0 or b <= 0:
         raise ValidationError("need positive coefficients")
@@ -91,7 +92,8 @@ def lambda1_rayleigh(a: float, b: float) -> float:
     u = np.cos(TWO_PI * np.arange(n) / n)
     lap = (np.roll(u, 1) - 2.0 * u + np.roll(u, -1)) * n ** 2
     quot = float(-(u @ lap) / (u @ u))
-    return min(quot / (TWO_PI * math.sqrt(a)) ** 2, quot / math.sqrt(b) ** 2)
+    side_a, side_b = TWO_PI * math.sqrt(a), math.sqrt(b)
+    return min(quot / side_a / side_a, quot / side_b / side_b)
 
 
 def check_special(mf: ModelFiber) -> tuple[float, float]:

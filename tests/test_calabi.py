@@ -374,7 +374,7 @@ def _hkrot_models():
     return models + MODELS
 
 
-# the 75 points of an hkrot report at the default --verify-grid 5
+# the 75 points of an hkrot report, written out apart from cli._HKROT_POINTS
 _HKROT_GRID = [(ell, 0.0, xi1, xi2) for ell in np.linspace(1.0, 3.0, 5).tolist()
                for xi1 in np.linspace(0.0, 0.6, 5).tolist() for xi2 in (0.2, 0.45, 0.7)]
 
@@ -387,6 +387,11 @@ _COORD = st.builds(lambda e, neg: -10.0 ** e if neg else 10.0 ** e,
 
 
 class TestVerifyRotationBitwise:
+    def test_grid_is_the_reports_points(self):
+        # so the bitwise rows below cover every point an hkrot report checks
+        assert len(_HKROT_GRID) == 75
+        assert cli._HKROT_POINTS == tuple(_HKROT_GRID)
+
     def test_matches_full_matrix_target(self):
         for model in _HKROT_MODELS:
             got = [cal.verify_rotation(model, pt) for pt in _HKROT_GRID]

@@ -94,8 +94,7 @@ class TestParsing:
 class TestReports:
     def test_schema_and_exit_zero(self, capsys):
         code, report, _ = run_cli(
-            capsys, "semiflat", "residual", "--k", "1", "--grid", "8",
-            "--no-timestamp")
+            capsys, "semiflat", "residual", "--k", "1", "--no-timestamp")
         assert code == 0
         jsonschema.validate(report, SCHEMA)
         assert report["command"] == "semiflat residual"
@@ -182,6 +181,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv", [
         ["semiflat", "residual", "--k", "1", "--eps", "inf"],
+        # sample counts are fixed: a count flag is unknown
         ["semiflat", "residual", "--k", "1", "--grid", "0"],
         ["hkrot", "--k", "1", "--tau", "0+1i", "--verify-grid", "0"],
         ["semiflat", "eval", "--k", "1", "--ell", "nan"],
@@ -294,12 +294,12 @@ class TestExitCodes:
         (["slag", "geometry", "--k", "1", "--ell", "inf"], 1),
         (["slag", "geometry", "--k", "1", "--ell", "nan"], 1),
         # every Monge-Ampere residual is NaN: the reduction must keep it
-        (["semiflat", "residual", "--k", "1", "--eps", "1e300", "--grid", "2"], 2),
+        (["semiflat", "residual", "--k", "1", "--eps", "1e300"], 2),
         # float64 cannot resolve omega^2 on these exact solutions (exit 3 before)
         (["semiflat", "eval", "--k", "1", "--ell", "2", "--b0", "1e9"], 2),
         (["semiflat", "eval", "--k", "1", "--ell", "2", "--x2", "1e20"], 2),
-        (["semiflat", "residual", "--k", "1", "--grid", "8", "--b0", "1e9"], 2),
-        (["semiflat", "residual", "--k", "1", "--grid", "8", "--eps", "1e9"], 2),
+        (["semiflat", "residual", "--k", "1", "--b0", "1e9"], 2),
+        (["semiflat", "residual", "--k", "1", "--eps", "1e9"], 2),
         # eps/k is subnormal, so every distance r overflows
         (["slag", "pi-decay", "--k", "3", "--eps", "1e-320"], 2),
         (["slag", "pi-decay", "--k", "1", "--eps", "5e-324", "--b0", "0", "--cycle", "1,0"], 2),
@@ -347,7 +347,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["slag", "geometry", "--k", "1", "--ell", "1e-320"],
         ["slag", "check", "--k", "1", "--b0", "1e200"],
-        ["semiflat", "residual", "--k", "1", "--eps", "1e300", "--grid", "2"],
+        ["semiflat", "residual", "--k", "1", "--eps", "1e300"],
     ])
     def test_floating_point_error_is_two_without_warnings(self, capsys, argv):
         with warnings.catch_warnings():
@@ -480,29 +480,9 @@ class TestResidualSampling:
                         worst = max(worst, float(np.max(rho)))
         assert 100.0 < worst <= 0.01 * sfm.MA_RHO_MAX
 
-    # a count whose (n^2, 4) float64 array numpy cannot describe is a
-    # validation error, not numpy's uncaught ValueError
-    @pytest.mark.parametrize("argv", [
-        ["semiflat", "residual", "--k", "1", "--grid", "3037000500"],
-        ["hkrot", "--k", "1", "--tau", "0+1i", "--verify-grid", "100000000000000000000"],
-        ["semiflat", "residual", "--k", "1", "--grid", str(math.isqrt(sys.maxsize // 32) + 1)],
-    ], ids=["residual", "hkrot", "residual-bound"])
-    def test_count_too_large_to_describe_is_one(self, capsys, argv):
-        code, report, err = run_cli(capsys, *argv, "--no-timestamp")
-        assert code == 1
-        assert report is None
-        error, usage = err.splitlines()
-        assert error.startswith("error: argument --") and usage.startswith("usage:")
-        assert f"must be at most {math.isqrt(sys.maxsize // 32)}" in error
-
-    def test_largest_count_is_accepted(self):
-        n = math.isqrt(sys.maxsize // 32)
-        assert 32 * n * n <= sys.maxsize < 32 * (n + 1) ** 2
-        assert cli._count(str(n)) == n
-
     def test_sample_array_too_large_is_two(self, capsys, monkeypatch):
-        # all samples go to one call, so a huge --grid fails on allocation;
-        # the failure is simulated, since a real one would need the memory
+        # all samples go to one call, so an allocation failure is one
+        # MemoryError; it is simulated, since a real one would need the memory
         def no_memory(p, q):
             raise MemoryError("Unable to allocate 298. GiB")
 
@@ -572,9 +552,9 @@ class TestHkrotFailsClosed:
                 return real(m, pt)
 
             monkeypatch.setattr(calabi, name, wrapped)
-        code, _, _ = run_cli(capsys, *self.ARGV, "--verify-grid", "3")
+        code, _, _ = run_cli(capsys, *self.ARGV)
         assert code == 0
-        assert len(seen) == 3 * 3 * 3 + 1
+        assert len(seen) == 5 * 5 * 3 + 1
         assert all(type(x) is float for pt in seen for x in pt)
 
 
@@ -610,6 +590,18 @@ class TestCommands:
         code, report, err = run_cli(capsys, "semiflat", "pair", "--k", "1", "--grid", count)
         assert (code, report) == (1, None)
         assert err.startswith(f"error: unrecognized arguments: --grid {count}\n")
+
+    @pytest.mark.parametrize("words,flag", [
+        (["semiflat", "residual", "--k", "1"], "--grid"),
+        (["hkrot", "--k", "1", "--tau", "0+1i"], "--verify-grid"),
+    ], ids=["residual", "hkrot"])
+    @pytest.mark.parametrize("count", ["0", "5", "32", "10000000000"])
+    def test_sample_counts_take_no_flag(self, capsys, words, flag, count):
+        # residual takes 1,024 R4 points and hkrot 75 fixed points: a count
+        # flag is an unknown flag, exit 1
+        code, report, err = run_cli(capsys, *words, flag, count)
+        assert (code, report) == (1, None)
+        assert err.startswith(f"error: unrecognized arguments: {flag} {count}\n")
 
     def test_mirror_exact_product(self, capsys):
         code, report, _ = run_cli(capsys, "mirror", "--k", "4",
@@ -825,9 +817,9 @@ class TestEvalPoint:
 class TestCachedParser:
     # one process, one parser: every report must equal a fresh process's
     ARGV = (
-        ["semiflat", "residual", "--k", "1", "--grid", "4"],
+        ["semiflat", "residual", "--k", "2", "--alpha", "0.3"],
         ["semiflat", "residual", "--k", "1"],
-        ["semiflat", "residual", "--k", "1", "--grid", "2"],
+        ["semiflat", "residual", "--k", "1", "--eps", "2"],
         ["semiflat", "eval", "--k", "1", "--ell", "2.0", "--bogus", "1"],
         ["slag", "check", "--k", "1", "--cycle", "1,1"],
         ["slag", "pi-decay", "--k", "1", "--cycle", "1,0", "--csv", "{csv}"],
@@ -874,7 +866,7 @@ class TestLeafDispatch:
     # semiflat eval is in no README example or workload; the negative values
     # go through _join_negative_values
     EXTRA = (["semiflat", "eval", "--k", "1", "--ell", "2", "--b0", "-1/4", "--x1", "-0.3"],
-             ["hkrot", "--k", "2", "--tau", "-1/2+2i", "--verify-grid", "2"])
+             ["hkrot", "--k", "2", "--tau", "-1/2+2i"])
 
     @staticmethod
     def _argvs():
@@ -926,8 +918,7 @@ _FLAG_VALUES = ("1", "2", "0", "5", "0.5", "1e-3", "-1", "-0.3", "-1e-3", "-inf"
                 "nan", "x", "", "1/4", "-1/4", "1,0", "fiber", "0+1i", "-h", "--k")
 # values that each type converts, drawn most of the time
 _GOOD_VALUES = {int: ("1", "2", "-3"), float: ("0.5", "2", "-0.3", "-1e-3", "1E2"),
-                bool: ("1/4", "-1/4", "fiber", "1,0", "0+1i"), str: ("1/4", "-1/4", "1,0"),
-                cli._count: ("1", "3")}
+                bool: ("1/4", "-1/4", "fiber", "1,0", "0+1i"), str: ("1/4", "-1/4", "1,0")}
 
 
 @st.composite
@@ -1162,7 +1153,7 @@ _GATE_COMMANDS = [
      ["--ell", "--theta", "--x1", "--x2", "--eps", "--b0", "--alpha", "--kappa1"]),
     (["semiflat", "pair", "--k", "2", "--cycle", "2,1"],
      ["--eps", "--b0", "--alpha", "--kappa1"]),
-    (["semiflat", "residual", "--k", "1", "--grid", "8"],
+    (["semiflat", "residual", "--k", "1"],
      ["--eps", "--b0", "--alpha", "--kappa1"]),
     (["slag", "check", "--k", "1"], ["--ell", "--eps", "--b0", "--kappa1"]),
     (["hkrot", "--k", "1"], ["tau"]),

@@ -61,6 +61,16 @@ class TestFiberGeometry:
         num = slag.lambda1_rayleigh(geom.a_coef, geom.b_coef)
         assert abs(num - geom.lambda1) / geom.lambda1 <= 0.02
 
+    @pytest.mark.parametrize("eps,ell", [(1e-300, 1e8), (1.0, 2e307), (1e-307, 10.0)])
+    def test_side_square_past_float_range(self, eps, ell):
+        # the side 2 pi sqrt(a) squares past float range while lambda1 = 1/a is
+        # a normal float: the quotient divides by the side twice instead
+        geom = slag.fiber_geometry(slag.ModelFiber(sf.ModelParams(k=1, eps=eps), C10, ell))
+        assert 4.0 * math.pi ** 2 * geom.a_coef == math.inf
+        assert geom.lambda1 == 1.0 / geom.a_coef > 2.2250738585072014e-308
+        num = slag.lambda1_rayleigh(geom.a_coef, geom.b_coef)
+        assert abs(num - geom.lambda1) / geom.lambda1 <= 0.02
+
     def test_lambda1_decay_in_ell(self):
         ells = np.linspace(5.0, 80.0, 8)
         vals = np.array([slag.fiber_geometry(

@@ -7,6 +7,10 @@ form written beside the code is needed:
 - b0 -> -b0 with C_{m1,m2} -> C_{m1,-m2} negates `semiflat pair`'s
   quadrature pairing bit for bit, as it negates the closed form
   (2 m1 b0/k + m2) eps alpha.
+- alpha -> 2^j alpha multiplies the Kahler form by 2^j and leaves Omega
+  alone: `semiflat pair`'s pairing and closed form, and `semiflat eval`'s
+  form, metric and metric eigenvalues, scale by 2^j bit for bit, and eval's
+  Monge-Ampere residual, whose two sides both scale by 4^j, keeps its bits.
 - The homothety of `semiflat.normal_form`: a model with (k, eps, alpha, b0)
   is (alpha/lambda) Phi^* of its normal form (k = eps = alpha = 1, b0' =
   lambda b0), lambda = eps/k, Phi(x) = lambda x.  Curvature norms and
@@ -40,18 +44,25 @@ from syzlab import calabi as cal
 from syzlab import cli
 
 
+def _report(*argv):
+    """(exit code, results, check measures by name) of one report."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.run(list(argv) + ["--no-timestamp"])
+    report = json.loads(out.getvalue())
+    return code, report["results"], {c["name"]: c["measured"] for c in report["checks"]}
+
+
 def _run(*argv, csv_path=None):
     """(exit code, results, curve) of one report; curve is the (r, value)
     rows of --csv when csv_path is given."""
     extra = ["--csv", str(csv_path)] if csv_path is not None else []
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = cli.run(list(argv) + extra + ["--no-timestamp"])
+    code, results, _ = _report(*argv, *extra)
     curve = None
     if csv_path is not None:
         with open(csv_path) as fh:
             curve = [(float(r), float(v)) for r, v in itertools.islice(csv.reader(fh), 1, None)]
-    return code, json.loads(out.getvalue())["results"], curve
+    return code, results, curve
 
 
 _CYCLES = ((1, 0), (1, 1), (2, 1), (3, -2))
@@ -67,6 +78,45 @@ def test_pairing_is_odd_under_b0_and_m2(k):
         code_minus, minus, _ = _run(*common, "--b0", "-" + b0, "--cycle", f"{m1},{-m2}")
         assert code == code_minus == 0
         assert plus["pairing"] == -minus["pairing"], (eps, b0, m1, m2, kappa1)
+
+
+def _scaled(value, j):
+    """value, a number or nested lists of them, times 2^j."""
+    if isinstance(value, list):
+        return [_scaled(v, j) for v in value]
+    return math.ldexp(value, j)
+
+
+# 12 configs, each at alpha = 0.3 2^j for j = -3 and 5: 24 scaled pair reports
+@pytest.mark.parametrize("k,eps,kappa1", [("1", "0.5", "0"), ("3", "2", "0.3")])
+@pytest.mark.parametrize("b0", ["-1/4", "0.7"])
+@pytest.mark.parametrize("cycle", ["fiber", "2,1", "3,-2"])
+def test_pairing_scales_with_alpha(k, eps, kappa1, b0, cycle):
+    common = ["semiflat", "pair", "--k", k, "--eps", eps, "--kappa1", kappa1, "--b0", b0,
+              "--cycle", cycle]
+    code, base, _ = _report(*common, "--alpha", "0.3")
+    assert code == 0
+    for j in (-3, 5):
+        code_j, res, _ = _report(*common, "--alpha", repr(math.ldexp(0.3, j)))
+        assert code_j == 0
+        for key in ("pairing", "closed_form"):
+            assert res[key] == _scaled(base[key], j), (key, j)
+
+
+@pytest.mark.parametrize("k,b0", [("1", "0"), ("3", "1/4")])
+@pytest.mark.parametrize("kappa1", ["0", "0.3"])
+@pytest.mark.parametrize("point", [["--ell", "0.7"],
+                                   ["--ell", "5", "--theta", "1", "--x2", "0.3"]])
+def test_semiflat_eval_scales_with_alpha(k, b0, kappa1, point):
+    common = ["semiflat", "eval", "--k", k, "--b0", b0, "--kappa1", kappa1, *point]
+    code, base, measured = _report(*common, "--alpha", "0.3")
+    assert code == 0
+    for j in (-4, 2):
+        code_j, res, measured_j = _report(*common, "--alpha", repr(math.ldexp(0.3, j)))
+        assert code_j == 0
+        for key in ("form", "metric", "metric_eigenvalues"):
+            assert res[key] == _scaled(base[key], j), (key, j)
+        assert measured_j["ma_residual_rel"] == measured["ma_residual_rel"], j
 
 
 # (k, eps, b0, kappa1, cycle): eps over the float range; m2 != 0 only at eps = 1
@@ -136,10 +186,8 @@ _EVAL = (["semiflat", "eval", "--k", "1", "--ell", "2"],
 
 def _report_results(argv):
     """(exit code, the JSON text of the report's results)."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = cli.run(argv + ["--no-timestamp"])
-    return code, json.dumps(json.loads(out.getvalue())["results"])
+    code, results, _ = _report(*argv)
+    return code, json.dumps(results)
 
 
 @settings(max_examples=150, deadline=None)
