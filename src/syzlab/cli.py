@@ -28,44 +28,46 @@ _RATIONAL = re.compile(r"^[+-]?\d+(/\d+)?$")
 _PART = r"(?:[^+-]|(?<=[eE])[+-])"
 _COMPLEX = re.compile(rf"^(?:(?P<re>[+-]?{_PART}+)(?<![eE])(?=[+-]))?"
                       rf"(?P<sign>[+-]?)(?P<im>{_PART}*)i$")
+# tau = a/b + (c/d)i with D-digit integers has -Re tau/|tau|^2 = -a b d^2/(a^2 d^2 + b^2 c^2),
+# at most 4D + 1 digits in hkrot's winding: D = 1,000 keeps it in the 4,300-digit str(int) limit
+_DIGITS = 1000
 
 
-def parse_complex(text: str) -> tuple[complex, tuple[Fraction, Fraction] | None]:
-    """Parse `a+bi` or `bi` with decimal, exponent (`1e-1`) or rational
-    (`p/q`) components.
-
-    Returns (value, exact) where exact carries Fractions when both parts
-    are written as integers or ratios (exact rational mode); a missing
-    real part is the integer 0.  A part too large for a float is rejected.
-    """
-    m = _COMPLEX.match(text.strip().replace(" ", ""))
-    if not m:
-        raise ValidationError(f"cannot parse complex literal {text!r}; use a+bi")
-    re_s = m.group("re") or "0"
-    im_s = m.group("im") or "1"
-    if m.group("sign") == "-":
-        im_s = "-" + im_s
+def _real(text: str, kind: str) -> tuple[float, Fraction | None]:
+    """(finite float, exact) of a real literal, named kind in errors: exact is a Fraction of
+    integer and `p/q` text, else None, and float() reads every other spelling unexpanded."""
+    rational = _RATIONAL.match(text)
+    if rational and max(map(len, re.findall(r"\d+", text))) > _DIGITS:
+        raise ValidationError(f"{kind} has an integer of more than {_DIGITS} digits")
     try:
-        val = complex(float(Fraction(re_s)), float(Fraction(im_s)))
+        exact = Fraction(text) if rational else None
+        val = float(exact if rational else text)
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise ValidationError(f"cannot parse complex literal {text!r}: {exc}")
-    exact = None
-    if _RATIONAL.match(re_s) and _RATIONAL.match(im_s):
-        exact = (Fraction(re_s), Fraction(im_s))
+        raise ValidationError(f"cannot parse {kind}: {exc}")
+    if not math.isfinite(val):
+        raise ValidationError(f"{kind} is not finite")
     return val, exact
 
 
+def parse_complex(text: str) -> tuple[complex, tuple[Fraction, Fraction] | None]:
+    """Parse `a+bi` or `bi`, each part read by _real, as (value, exact): exact holds both
+    parts as Fractions (exact rational mode) when both are integers or `p/q`, else None;
+    a decimal or exponent (`1e-1`) part is a float, never expanded, and a missing real
+    part is the integer 0."""
+    m = _COMPLEX.match(text.strip().replace(" ", ""))
+    if not m:
+        raise ValidationError(f"cannot parse complex literal {text!r}; use a+bi")
+    im_s = m.group("sign") + (m.group("im") or "1")
+    kind = f"complex literal {text!r}"
+    (re_f, re_x), (im_f, im_x) = _real(m.group("re") or "0", kind), _real(im_s, kind)
+    return complex(re_f, im_f), None if re_x is None or im_x is None else (re_x, im_x)
+
+
 def parse_rational(text: str) -> float:
-    """Parse a real flag, a decimal, exponent or `p/q` literal, as a finite
-    float."""
+    """Parse a real flag, an integer, `p/q`, decimal or exponent literal, as a finite float
+    by _real's rule: every spelling but integers and `p/q` is read by float()."""
     text = text.strip()
-    try:
-        val = float(Fraction(text)) if _RATIONAL.match(text) else float(text)
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise ValidationError(f"cannot parse real literal {text!r}: {exc}")
-    if not math.isfinite(val):
-        raise ValidationError(f"real literal {text!r} is not finite")
-    return val
+    return _real(text, f"real literal {text!r}")[0]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -470,13 +472,9 @@ class _FlagTable:
 
 
 def _echo_inputs(args) -> dict:
-    skip = {"handler", "csv", "no_timestamp"}
-    out = {}
-    for key, val in sorted(vars(args).items()):
-        if key in skip:
-            continue
-        out[key] = val if isinstance(val, (int, float, str, bool, type(None))) else str(val)
-    return out
+    return {key: val if isinstance(val, (int, float, str, bool, type(None))) else str(val)
+            for key, val in sorted(vars(args).items())
+            if key not in {"handler", "csv", "no_timestamp"}}
 
 
 def _write_csv(path: str, curve) -> None:

@@ -280,12 +280,15 @@ def translation_defect(p: ModelParams, s: fib.SectionData, q: np.ndarray) -> np.
     return s * np.hypot(math.sqrt(2.0), s)
 
 
-def distance_r(p: ModelParams, ell: float) -> float:
-    """Leading-order metric distance from the I_k fiber, r = (2/3) sqrt(alpha/lambda)
-    ell^(3/2)/sqrt(pi), lambda = eps/k; NumericalError where r rounds to 0 or inf."""
+def distance_r(p: ModelParams, ell) -> np.ndarray:
+    """Leading-order metric distance from the I_k fiber at each ell, r = (2/3) sqrt(alpha/lambda)
+    ell^(3/2)/sqrt(pi), lambda = eps/k; NumericalError where an r rounds to 0 or inf."""
+    ell = np.asarray(ell, dtype=float)
     r = (2.0 / 3.0) * math.sqrt(p.alpha / (p.eps / p.k)) / math.sqrt(math.pi) * ell ** 1.5
-    if not 0.0 < r < _INF:
-        raise NumericalError(f"distance r = {r} from the I_k fiber is not resolved in float64")
+    resolved = (r > 0.0) & (r < _INF)
+    if not resolved.all():
+        raise NumericalError(f"distance r = {r[~resolved].flat[0]} from the I_k fiber is not"
+                             " resolved in float64")
     return r
 
 
@@ -305,7 +308,7 @@ def classify_translation(p: ModelParams, s: fib.SectionData):
     vals = translation_defect(p, s, q)
     if not np.all(np.isfinite(vals)):
         raise NumericalError("non-finite translation defect")
-    r = np.array([distance_r(p, ell) for ell in ells])
+    r = distance_r(p, ells)
     if s.has_pole():
         return NOT_UNIFORM, r, vals, None
     if complex(s.b) != 0:
@@ -544,6 +547,6 @@ def curvature_decay(p: ModelParams) -> tuple[np.ndarray, np.ndarray, DecayFit]:
     if (val < -1e-8).any():
         raise NumericalError("negative |Rm|^2")
     vals = s * np.sqrt(np.maximum(val, 0.0))
-    r = np.array([distance_r(p, ell) for ell in DECAY_ELLS.tolist()])
+    r = distance_r(p, DECAY_ELLS)
     fit = fit_decay(r, vals, model="power")
     return r, vals, fit

@@ -203,8 +203,7 @@ def pi_decay(p: sf.ModelParams, cycle: fib.CycleSpec) -> tuple[np.ndarray, np.nd
     g, dg, _ = sf.metric_jet(p1, origin + tan @ _T)
     pi_sq = _fundamental_forms(g, sf._christoffel(np.linalg.inv(g), dg), tan)[1]
     vals = math.sqrt(s) * np.sqrt(np.maximum(pi_sq, 0.0))
-    # r per ell: numpy's array ** 1.5 rounds some ell apart from the scalar power
-    r = np.array([sf.distance_r(p, ell) for ell in sf.DECAY_ELLS.tolist()])
+    r = sf.distance_r(p, sf.DECAY_ELLS)
     fit = fit_decay(r, vals, model="power")
     return r, vals, fit
 

@@ -12,6 +12,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 import warnings
 from decimal import Decimal
 from fractions import Fraction
@@ -89,6 +90,40 @@ class TestParsing:
         for text in ("1e400", "-1e400", "inf", "nan", "1" + "0" * 400):
             with pytest.raises(ValidationError):
                 cli.parse_rational(text)
+
+    @pytest.mark.parametrize("parse,text,want", [
+        (cli.parse_complex, "0+1e999999999i", None),
+        (cli.parse_complex, "1e-999999999+1i", (1j, None)),
+        (cli.parse_complex, "0e-999999999+1i", (1j, None)),
+        (cli.parse_rational, "1e999999999", None)])
+    def test_extreme_exponent_is_not_expanded(self, parse, text, want):
+        # float() reads exponent text; a Fraction of it would build 10^999999999 first
+        start = time.perf_counter()
+        if want is None:
+            with pytest.raises(ValidationError, match="is not finite"):
+                parse(text)
+        else:
+            assert parse(text) == want
+        assert time.perf_counter() - start < 0.1
+
+    @pytest.mark.parametrize("digits,code", [(cli._DIGITS, 0), (cli._DIGITS + 1, 1),
+                                             (2101, 1)])
+    def test_exact_integer_length_bound(self, capsys, digits, code):
+        # tau = 1/N + (N/M) i with D-digit N and M: the winding has up to 4D + 1 digits,
+        # past the 4,300-digit int-to-str limit at D = 2,101
+        n, m = "3" + "1" * (digits - 1), "2" + "1" * (digits - 1)
+        tau = f"1/{n}+{n}/{m}i"
+        got, report, err = run_cli(capsys, "hkrot", "--k", "1", "--tau", tau, "--no-timestamp")
+        assert got == code
+        if code == 0:
+            assert report["results"]["exact"]
+            q, p = report["results"]["winding"]
+            assert Fraction(-p, q) == -Fraction(1, int(n)) / (
+                Fraction(1, int(n)) ** 2 + Fraction(int(n), int(m)) ** 2)
+        else:
+            assert report is None
+            assert err.startswith(f"error: complex literal {tau!r} has an integer of more "
+                                  f"than {cli._DIGITS} digits\n")
 
 
 class TestReports:
@@ -575,6 +610,18 @@ class TestCommands:
                                   "--tau", "-1/2+2i", "--no-timestamp")
         assert code == 0
         assert report["results"]["sf_class"] == "quasi_regular"
+
+    @pytest.mark.parametrize("k,tau,winding,b0", [
+        ("3", "-1/2+0.8660254037844386i", [2, -1], 0.75),
+        ("1", "0.5+0.8660254037844386i", [2, 1], -0.25)])
+    def test_hexagonal_torus_in_float_mode(self, capsys, k, tau, winding, b0):
+        # tau = e^(2 pi i/3) or e^(pi i/3): Im tau = sqrt(3)/2 has no exact literal, so float
+        # mode classifies -Re tau/|tau|^2 = -+1/2 by its best fraction with denominator <= 1e6
+        code, report, _ = run_cli(capsys, "hkrot", "--k", k, "--tau", tau, "--no-timestamp")
+        assert code == 0
+        res = report["results"]
+        assert (res["sf_class"], res["exact"]) == ("quasi_regular", False)
+        assert (res["winding"], res["b0"]) == (winding, b0)
 
     def test_pair_negative_b0(self, capsys):
         code, report, _ = run_cli(

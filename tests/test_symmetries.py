@@ -22,6 +22,10 @@ form written beside the code is needed:
   `slag check`'s restriction of omega (alpha times the normal form's, and
   alpha = 1 on the command line) and its phase defect are the normal
   form's, bit for bit.
+- tau -> -conj(tau) mirrors the Calabi model's lattice: `hkrot` keeps alpha,
+  eps and the class and negates b0 = -k Re tau/(2 |tau|^2) and the winding's
+  p, bit for bit on every exact modulus the benchmark draws (b0 = 0 is +0.0
+  on both sides, as exact mode rounds the Fraction 0).
 - The model depends on x1 nowhere: `semiflat eval` at any finite x1 gives
   the results it gives at x1 = 0, and `calabi.verify_rotation`, whose psi
   moves only the semi-flat x1, returns at any psi the bits it returns at
@@ -35,6 +39,8 @@ import io
 import itertools
 import json
 import math
+import pathlib
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -211,3 +217,21 @@ def test_verify_rotation_does_not_depend_on_psi(model, ell, psi, xi1, xi2):
     got = cal.verify_rotation(model, (ell, psi, xi1, xi2))
     want = cal.verify_rotation(model, (ell, 0.0, xi1, xi2))
     assert got.hex() == want.hex()
+
+
+_HKROT = json.loads((pathlib.Path(__file__).resolve().parents[1] / "bench" / "design.json")
+                    .read_text())["ranges"]["hkrot"]
+
+
+@pytest.mark.parametrize("k", _HKROT["k"])
+def test_hkrot_under_tau_to_minus_conjugate(k):
+    # 16 moduli per k: the benchmark's 64 exact (k, tau)
+    for re_s, im_s in itertools.product(_HKROT["tau_re"], _HKROT["tau_im"]):
+        common = ["hkrot", "--k", str(k), "--tau"]
+        code, res, _ = _report(*common, f"{re_s}+{im_s}i")
+        code_m, res_m, _ = _report(*common, f"{-Fraction(re_s)}+{im_s}i")
+        assert code == code_m == 0
+        assert (res_m["alpha"], res_m["eps"]) == (res["alpha"], res["eps"]), (re_s, im_s)
+        assert res_m["b0"] == -res["b0"] and res_m["sf_class"] == res["sf_class"], (re_s, im_s)
+        q, p = res["winding"]
+        assert res_m["winding"] == [q, -p], (re_s, im_s)
