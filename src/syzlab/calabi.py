@@ -292,16 +292,17 @@ def _pushed_omega_tau(m: CalabiModel, pt) -> tuple[list, tuple]:
     dl_i P_j - P_i dl_j + th_i Q_j - Q_i th_j.  J^-1 has dl = (s, 0, 0, 0), d xi1 =
     (x0, x1, 0, x3) and d xi2 = (y0, 0, 0, y3), so P_2 = Q_2 = 0, th_2 = 2 pi, and
     each entry keeps the products that are not zero by structure, in the dense order.
+    P_3 = A02 x3 + A03 y3 = c ell y3 (a r + b), as x3 = r y3, is zero too: a r =
+    Re tau/|tau| = -b, so entry 03 leaves out its float sum, which is rounding alone.
     """
     q_sf, ((s, _, _, _), (p0, p1, _, p3), (x0, x1, _, x3), (y0, _, _, y3)) = sf_coordinates(m, pt)
     h = m.chart[-1]
     u, v = h * pt[3], h * pt[2]
-    a02, a03, a12, a13 = _tau_coefficients(m, pt[0])
+    a02, _, a12, a13 = _tau_coefficients(m, pt[0])
     th0, th1, th3 = p0 + u * x0 - v * y0, p1 + u * x1, p3 + u * x3 - v * y3
-    pp1, pp3 = a02 * x1, a02 * x3 + a03 * y3
     qq0, qq1, qq3 = a12 * x0 + a13 * y0, a12 * x1, a12 * x3 + a13 * y3
-    return q_sf, (s * pp1 + th0 * qq1 - qq0 * th1, -(qq0 * TWO_PI),
-                  s * pp3 + th0 * qq3 - qq0 * th3, -(qq1 * TWO_PI),
+    return q_sf, (s * (a02 * x1) + th0 * qq1 - qq0 * th1, -(qq0 * TWO_PI),
+                  th0 * qq3 - qq0 * th3, -(qq1 * TWO_PI),
                   th1 * qq3 - qq1 * th3, TWO_PI * qq3)
 
 

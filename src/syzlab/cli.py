@@ -33,19 +33,24 @@ _COMPLEX = re.compile(rf"^(?:(?P<re>[+-]?{_PART}+)(?<![eE])(?=[+-]))?"
 _DIGITS = 1000
 
 
+class _LiteralError(ValidationError, argparse.ArgumentTypeError):
+    """A literal _real rejects; from a flag's type, argparse words it `argument --flag: ...`."""
+
+
 def _real(text: str, kind: str) -> tuple[float, Fraction | None]:
     """(finite float, exact) of a real literal, named kind in errors: exact is a Fraction of
     integer and `p/q` text, else None, and float() reads every other spelling unexpanded."""
     rational = _RATIONAL.match(text)
-    if rational and max(map(len, re.findall(r"\d+", text))) > _DIGITS:
-        raise ValidationError(f"{kind} has an integer of more than {_DIGITS} digits")
+    if rational and len(text) > _DIGITS and max(map(len, re.findall(r"\d+", text))) > _DIGITS:
+        raise _LiteralError(f"{kind} has an integer of more than {_DIGITS} digits")
     try:
-        exact = Fraction(text) if rational else None
+        # from ints: Fraction's own text parser costs more than the rest of _real
+        exact = Fraction(*map(int, text.split("/"))) if rational else None
         val = float(exact if rational else text)
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise ValidationError(f"cannot parse {kind}: {exc}")
+        raise _LiteralError(f"cannot parse {kind}: {exc}")
     if not math.isfinite(val):
-        raise ValidationError(f"{kind} is not finite")
+        raise _LiteralError(f"{kind} is not finite; a real must be finite")
     return val, exact
 
 
@@ -111,11 +116,10 @@ def _check(name: str, measured, *context) -> dict:
 
 def _params_from(args, alpha: float | None = None) -> sfm.ModelParams:
     """Model parameters from the flags; alpha defaults to --alpha, else 1."""
-    kappa = {0: 1.0, 1: args.kappa1} if getattr(args, "kappa1", 0.0) else {}
+    kappa = {0: 1.0, 1: args.kappa1} if args.kappa1 else {}
     if alpha is None:
         alpha = getattr(args, "alpha", 1.0)
-    return sfm.ModelParams(k=args.k, eps=args.eps, b0=parse_rational(args.b0),
-                           alpha=alpha, kappa=kappa)
+    return sfm.ModelParams(k=args.k, eps=args.eps, b0=args.b0, alpha=alpha, kappa=kappa)
 
 
 def _cycle_from(text: str) -> fib.CycleSpec:
@@ -181,12 +185,12 @@ def _cmd_semiflat_pair(args):
 def _cmd_semiflat_classify(args):
     """The section decides the variant; the checks say whether the samples agree."""
     p = _params_from(args)
-    h: dict = {0: complex(parse_complex(args.h0)[0])} if args.h0 else {0: 1.0}
+    h: dict = {0: parse_complex(args.h0)[0]} if args.h0 else {0: 1.0}
     if args.pole:
         h[-1] = 0.5
     if args.h1:
-        h[1] = complex(parse_complex(args.h1)[0])
-    s = fib.SectionData(h=h, b=parse_rational(args.section_b))
+        h[1] = parse_complex(args.h1)[0]
+    s = fib.SectionData(h=h, b=args.section_b)
     variant, r, vals, fit = sfm.classify_translation(p, s)
     results = {"variant": variant}
     if fit is not None:
@@ -222,13 +226,17 @@ def _cmd_slag_check(args):
     p = _params_from(args)
     mf = slag.ModelFiber(p, _cycle_from(args.cycle), args.ell)
     sup_omega, sup_phase = slag.check_special(mf)
+    # |c g_r + c s| / (|c g_r| + |c s|), which no eps scales away; 0/0 (C_{1,0}, b0 = 0) is 0
+    cg_r, cs = mf.omega_terms
+    size = float((np.abs(cg_r) + np.abs(cs))[0])
+    lagrangian = float(np.abs(cg_r + cs)[0]) / size if size else 0.0
     ff = slag.second_fundamental_form(mf)
     results = {"sup_omega_restriction": sup_omega,
                "sup_phase_defect": sup_phase,
                "second_ff_norm": ff.pi_norm,
                "mean_curvature": ff.h_norm,
                "gauss_residual": ff.gauss_residual}
-    checks = [_check("lagrangian", sup_omega), _check("gauss_equation", ff.gauss_residual)]
+    checks = [_check("lagrangian", lagrangian), _check("gauss_equation", ff.gauss_residual)]
     if p.kappa_is_one():
         checks.append(_check("mean_curvature", ff.h_norm))
     return results, checks, None
@@ -293,7 +301,9 @@ def _glue_config(args) -> glue.GlueConfig:
 
 def _cmd_glue_potential(args):
     p = _params_from(args)
-    # fourth-order stencils keep roundoff below the 1e-8 comparison
+    # fourth-order stencils at h = 1e-3 rho: each u_j rounds by about 2^-53 u, which upp's
+    # weights (64/12 over h^2, times 1/4) carry into fd as 2^-53 u / (0.75 h^2), or
+    # 2^-53 ell^2 / 1.125e-6 ~ 1e-10 ell^2 of u_zz = 1.5 u / (ell rho)^2, ell = -log rho
     h = 1e-3 * args.rho
     u, um2, um1, up1, up2 = glue.potential_u(
         p, args.rho + h * np.array([0.0, -2.0, -1.0, 1.0, 2.0])).tolist()
@@ -303,6 +313,10 @@ def _cmd_glue_potential(args):
     closed = glue.u_zz(p, np.array([args.rho])).item()
     results = {"u": u, "u_zz": closed, "u_zz_fd": fd}
     err = abs(fd - closed) / abs(closed)
+    rounding = 2.0 ** -53 * abs(u) / (0.75 * h * h * abs(closed))
+    if rounding >= _CHECKS["u_zz_fd_rel"]:
+        raise NumericalError(f"u_zz_fd_rel cannot be resolved: the stencils' rounding, "
+                             f"{rounding:.2g} of u_zz, reaches its tolerance")
     return results, [_check("u_zz_fd_rel", err)], None
 
 
@@ -360,32 +374,33 @@ _COMMON = (("--csv", str, None, "write the decay curve as CSV (columns r,value)"
            ("--no-timestamp", bool, False))
 _K = (("--k", int, _REQUIRED),)
 _TAU = _K + (("--tau", str, _REQUIRED),)
-_PARAMS = _K + (("--eps", float, 1.0), ("--b0", str, "0"), ("--kappa1", float, 0.0))
-_ALPHA = _PARAMS + (("--alpha", float, 1.0),)
-_GLUE = _PARAMS + (("--r", float, _REQUIRED), ("--s", float, _REQUIRED),
-                   ("--rho-min", float, 1e-4), ("--rho-max", float, 0.9),
-                   ("--v0c", float, _REQUIRED), ("--vomc", float, _REQUIRED))
+_REAL = parse_rational  # the type of every real flag
+_PARAMS = _K + (("--eps", _REAL, 1.0), ("--b0", _REAL, 0.0), ("--kappa1", _REAL, 0.0))
+_ALPHA = _PARAMS + (("--alpha", _REAL, 1.0),)
+_GLUE = _PARAMS + (("--r", _REAL, _REQUIRED), ("--s", _REAL, _REQUIRED),
+                   ("--rho-min", _REAL, 1e-4), ("--rho-max", _REAL, 0.9),
+                   ("--v0c", _REAL, _REQUIRED), ("--vomc", _REAL, _REQUIRED))
 _SLAG = _PARAMS + (("--cycle", str, "1,0"),)
 
 # the words of each command, in help order, to its handler and flags
 _LEAVES = {
     ("semiflat", "eval"): (_cmd_semiflat_eval, _ALPHA + (
-        ("--ell", float, _REQUIRED), ("--theta", float, 0.0),
-        ("--x1", float, 0.0), ("--x2", float, 0.0))),
+        ("--ell", _REAL, _REQUIRED), ("--theta", _REAL, 0.0),
+        ("--x1", _REAL, 0.0), ("--x2", _REAL, 0.0))),
     ("semiflat", "residual"): (_cmd_semiflat_residual, _ALPHA),
     ("semiflat", "pair"): (_cmd_semiflat_pair, _ALPHA + (("--cycle", str, "fiber"),)),
     ("semiflat", "classify-translation"): (_cmd_semiflat_classify, _PARAMS + (
-        ("--pole", bool, False), ("--section-b", str, "0"),
+        ("--pole", bool, False), ("--section-b", _REAL, 0.0),
         ("--h0", str, None), ("--h1", str, None))),
     ("semiflat", "curvature"): (_cmd_semiflat_curvature, _PARAMS),
-    ("slag", "check"): (_cmd_slag_check, _SLAG + (("--ell", float, 10.0),)),
-    ("slag", "geometry"): (_cmd_slag_geometry, _SLAG + (("--ell", float, 10.0),)),
+    ("slag", "check"): (_cmd_slag_check, _SLAG + (("--ell", _REAL, 10.0),)),
+    ("slag", "geometry"): (_cmd_slag_geometry, _SLAG + (("--ell", _REAL, 10.0),)),
     ("slag", "pi-decay"): (_cmd_slag_pi_decay, _SLAG),
     ("hkrot",): (_cmd_hkrot, _TAU),
-    ("glue", "potential"): (_cmd_glue_potential, _PARAMS + (("--rho", float, 0.3),)),
+    ("glue", "potential"): (_cmd_glue_potential, _PARAMS + (("--rho", _REAL, 0.3),)),
     ("glue", "positivity"): (_cmd_glue_positivity, _GLUE + (
-        ("--alpha", float, 2.0), ("--t", float, None))),
-    ("glue", "solve-alpha"): (_cmd_glue_solve_alpha, _GLUE + (("--tprime", float, 1.0),)),
+        ("--alpha", _REAL, 2.0), ("--t", _REAL, None))),
+    ("glue", "solve-alpha"): (_cmd_glue_solve_alpha, _GLUE + (("--tprime", _REAL, 1.0),)),
     ("mirror",): (_cmd_mirror, _TAU + (("--m", int, 1),)),
     ("dims",): (_cmd_dims, _K),
 }
@@ -440,8 +455,6 @@ class _FlagTable:
                 self.required.add(spelling)
             else:
                 self.defaults[dest] = default
-        self.value_flags = {spelling for spelling, (_, kind) in self.spellings.items()
-                            if kind is not bool}
 
     def read(self, argv: list[str]) -> argparse.Namespace | None:
         values, seen = dict(self.defaults), set()
@@ -472,8 +485,7 @@ class _FlagTable:
 
 
 def _echo_inputs(args) -> dict:
-    return {key: val if isinstance(val, (int, float, str, bool, type(None))) else str(val)
-            for key, val in sorted(vars(args).items())
+    return {key: val for key, val in sorted(vars(args).items())
             if key not in {"handler", "csv", "no_timestamp"}}
 
 
@@ -488,35 +500,19 @@ def _write_csv(path: str, curve) -> None:
         raise ValidationError(f"cannot write --csv {path!r}: {exc.strerror or exc}") from None
 
 
-# the commands' string flags (not --csv), whose values argparse may take for flags
-_VALUE_FLAGS = {spelling for _, flags in _LEAVES.values()
-                for spelling, kind, _ in flags if kind is str}
+# the commands' flags that take a value; --csv, a path, is not one
+_FOLDED = {spelling for _, flags in _LEAVES.values() for spelling, kind, _ in flags
+           if kind is not bool}
 
 
-def _is_float(text: str) -> bool:
-    try:
-        float(text)
-    except ValueError:
-        return False
-    return True
-
-
-def _join_negative_values(argv: list[str], value_flags: set[str]) -> list[str]:
-    """Fold `--tau -1/2+2i` into `--tau=-1/2+2i` so argparse accepts it, and
-    `--x1 -1e-3` into `--x1=-1e-3` where --x1 is one of value_flags, the
-    flags that take a value: argparse takes `-0.001` for a value but not
-    `-1e-3`."""
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """Fold `--x1 -1/4` into `--x1=-1/4` where --x1 is one of _FOLDED, so
+    that the flag's type reads the value: argparse takes `-0.001` for a
+    value but `-1e-3`, `-1/4` and `-1/2+2i` for flags."""
     out = []
-    skip = False
-    for i, a in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        nxt = argv[i + 1] if i + 1 < len(argv) else ""
-        if nxt.startswith("-") and (
-                a in _VALUE_FLAGS or (a in value_flags and _is_float(nxt))):
-            out.append(a + "=" + nxt)
-            skip = True
+    for a in argv:
+        if out and out[-1] in _FOLDED and a.startswith("-"):
+            out[-1] += "=" + a
         else:
             out.append(a)
     return out
@@ -578,10 +574,8 @@ def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespa
     `semiflat` alone, `slag bogus`, `--help`) by the full parser."""
     words = next(w for w in (tuple(argv[:2]), tuple(argv[:1]), ()) if w in parser.leaves)
     leaf = parser.leaves[words]
-    if not words:
-        return leaf.parse_args(_join_negative_values(argv, set()))
-    rest = _join_negative_values(argv[len(words):], leaf.flags.value_flags)
-    return leaf.flags.read(rest) or leaf.parse_args(rest)
+    rest = _join_negative_values(argv[len(words):])
+    return (words and leaf.flags.read(rest)) or leaf.parse_args(rest)
 
 
 def run(argv: list[str] | None = None) -> int:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -45,6 +46,19 @@ class ModelFiber:
             raise ValidationError("ell must be positive")
         if self.cycle.fiber:
             raise ValidationError("slag fibers are bad cycles, not torus fibers")
+
+    @cached_property
+    def omega_terms(self) -> tuple[np.ndarray, np.ndarray]:
+        """(c g_r, c s) as one-node arrays: on the lift in eps of the normal form,
+        t_a = d/dx1 and t_b = -d/dtheta + s d/dx2 give omega(t_a, t_b) = c g_r + c s,
+        zero exactly when 2*b0/k = -m2/m1.  c = 2 pi/ell and c g_r = b0'/pi depend
+        on ell alone, which the lift fixes, so both are read at its origin."""
+        p = self.params
+        s = self.cycle.lift(p.eps, self.ell)[1][3, 1]
+        # one node as an array: numpy words its overflow as on arrays, not "scalar multiply"
+        _, _, cg_r, c, _ = sf._form_entries(sf.normal_form(p)[0], np.array([self.ell]), 0.0,
+                                            0.0, np.exp)
+        return cg_r, c * s
 
 
 @dataclass(frozen=True)
@@ -97,23 +111,13 @@ def lambda1_rayleigh(a: float, b: float) -> float:
 
 
 def check_special(mf: ModelFiber) -> tuple[float, float]:
-    """(sup |omega restriction|, sup calibration-phase defect) over the cycle.
-
-    On the lift in eps of the normal form (omega restricts to alpha times its
-    restriction there, Omega to its), t_a = d/dx1 and t_b = -d/dtheta + s d/dx2
-    give omega(t_a, t_b) = c g_r + c s, zero exactly when 2*b0/k = -m2/m1, and
-    Omega(t_a, t_b) = i kappa: the phase defect |Im(e^{-i pi/2} Omega)| is
-    |Im kappa|.  c = 2 pi/ell and c g_r = b0'/pi depend on ell alone, which the
-    lift fixes, so the first sup is read at the lift's origin; kappa varies
-    with theta = -t2, so the second runs over 32 base angles.
-    """
+    """(sup |omega restriction|, sup calibration-phase defect) over the cycle:
+    alpha |c g_r + c s| of omega_terms, the same at every point, and, as Omega
+    restricts to i kappa, |Im kappa| over 32 base angles theta = -t2."""
     p = mf.params
-    s = mf.cycle.lift(p.eps, mf.ell)[1][3, 1]
-    # one node as an array: numpy words its overflow as on arrays, not "scalar multiply"
-    _, _, cg_r, c, _ = sf._form_entries(sf.normal_form(p)[0], np.array([mf.ell]), 0.0, 0.0,
-                                        np.exp)
+    cg_r, cs = mf.omega_terms
     sup_phase = np.max(np.abs(p.kappa_of_y(mf.ell, -mf.cycle.grid(32).nodes2()).imag))
-    return p.alpha * float(np.abs(cg_r + c * s)[0]), float(sup_phase)
+    return p.alpha * float(np.abs(cg_r + cs)[0]), float(sup_phase)
 
 
 @dataclass(frozen=True)

@@ -328,13 +328,14 @@ _UPPER = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 def _dense_pushed_omega_tau(m, pt):
     """The push-forward over every entry of sf_coordinates' inverse Jacobian,
     zeros included, as _pushed_omega_tau computed it before it dropped the
-    products that are zero by structure."""
+    products that are zero by structure, with P_3 = c ell y3 (a r + b), zero
+    in exact arithmetic, left out as _pushed_omega_tau leaves it out."""
     q_sf, (dl, dpsi, dx1, dx2) = cal.sf_coordinates(m, pt)
     h = 0.5 * m.c_tau ** 2
     u, v = h * pt[3], h * pt[2]
     th = [p + u * x - v * y for p, x, y in zip(dpsi, dx1, dx2)]
     a02, a03, a12, a13 = cal._tau_coefficients(m, pt[0])
-    pp = [a02 * x + a03 * y for x, y in zip(dx1, dx2)]
+    pp = [a02 * x + a03 * y for x, y in zip(dx1[:3], dx2[:3])] + [0.0]
     qq = [a12 * x + a13 * y for x, y in zip(dx1, dx2)]
     return q_sf, [dl[i] * pp[j] - pp[i] * dl[j] + th[i] * qq[j] - qq[i] * th[j]
                   for i, j in _UPPER]

@@ -926,7 +926,7 @@ class TestLeafDispatch:
     def test_leaf_namespace_equals_full_parse(self, monkeypatch):
         parser = cli.build_parser()
         argvs = self._argvs()
-        full = [parser.parse_args(cli._join_negative_values(argv, set())) for argv in argvs]
+        full = [parser.parse_args(cli._join_negative_values(argv)) for argv in argvs]
         # every one is read by its leaf's flag table: neither the full parser
         # nor a leaf parser is reached
         for leaf in parser.leaves.values():
@@ -964,7 +964,8 @@ LEAF_WORDS = sorted(w for w in cli.build_parser().leaves if w)
 _FLAG_VALUES = ("1", "2", "0", "5", "0.5", "1e-3", "-1", "-0.3", "-1e-3", "-inf",
                 "nan", "x", "", "1/4", "-1/4", "1,0", "fiber", "0+1i", "-h", "--k")
 # values that each type converts, drawn most of the time
-_GOOD_VALUES = {int: ("1", "2", "-3"), float: ("0.5", "2", "-0.3", "-1e-3", "1E2"),
+_GOOD_VALUES = {int: ("1", "2", "-3"),
+                cli.parse_rational: ("0.5", "2", "-0.3", "-1e-3", "1E2", "1/4", "-1/4"),
                 bool: ("1/4", "-1/4", "fiber", "1,0", "0+1i"), str: ("1/4", "-1/4", "1,0")}
 
 
@@ -974,6 +975,7 @@ def _leaf_argv(draw, flags: cli._FlagTable) -> list[str]:
     more of its flags, spelled exactly, abbreviated or as `--flag=value`,
     with stray tokens (-h, --help, --, a bare value) mixed in."""
     spellings = sorted(flags.spellings) + ["-h", "--help"]
+    value_flags = {flag for flag, (_, kind) in flags.spellings.items() if kind is not bool}
     chosen = [f for f in sorted(flags.required) if draw(st.integers(0, 19)) < 19]
     chosen += draw(st.lists(st.sampled_from(spellings), max_size=3, unique=draw(st.booleans())))
     argv = []
@@ -984,9 +986,9 @@ def _leaf_argv(draw, flags: cli._FlagTable) -> list[str]:
         entry = flags.spellings.get(flag)
         good = () if entry is None or draw(st.integers(0, 3)) == 3 else _GOOD_VALUES[entry[1]]
         value = draw(st.sampled_from(good or _FLAG_VALUES))
-        if flag in flags.value_flags and form == "eq":
+        if flag in value_flags and form == "eq":
             argv.append(f"{flag}={value}")
-        elif flag in flags.value_flags or flag not in flags.spellings:
+        elif flag in value_flags or flag not in flags.spellings:
             argv += [flag, value] if draw(st.integers(0, 9)) < 9 else [flag]
         else:
             argv.append(flag)
@@ -1006,7 +1008,7 @@ class TestFlagTable:
     def test_none_or_the_leaf_parsers_namespace(self, data):
         leaf = cli.build_parser().leaves[data.draw(st.sampled_from(LEAF_WORDS))]
         argv = data.draw(_leaf_argv(leaf.flags))
-        argv = cli._join_negative_values(argv, leaf.flags.value_flags)
+        argv = cli._join_negative_values(argv)
         got = leaf.flags.read(argv)
         if got is not None:
             want = leaf.parse_args(argv)
@@ -1035,7 +1037,7 @@ class TestFlagTable:
     def test_declines_and_argparse_decides(self, words, argv):
         parser = cli.build_parser()
         leaf = parser.leaves[words]
-        folded = cli._join_negative_values(argv, leaf.flags.value_flags)
+        folded = cli._join_negative_values(argv)
         assert leaf.flags.read(folded) is None
         try:
             want = leaf.parse_args(folded)
@@ -1077,6 +1079,110 @@ class TestFlagTable:
                                     "--k", "1", "--pole", "-1")
         assert (code, report) == (1, None)
         assert err.startswith("error: unrecognized arguments: -1\n")
+
+
+# a value for each required flag, so that any leaf runs with one real flag set
+_REQUIRED_VALUES = {"--k": "1", "--tau": "0+1i", "--ell": "2", "--r": "0.1", "--s": "0.02",
+                    "--v0c": "1", "--vomc": "0.2"}
+# every (command words, real flag) of the grammar: a new real flag is covered here
+_REAL_FLAGS = [(words, flag) for words, (_, flags) in cli._LEAVES.items()
+               for flag, kind, _ in flags if kind is cli.parse_rational]
+_REAL_IDS = [" ".join(words) + " " + flag for words, flag in _REAL_FLAGS]
+
+
+def _with_flag(words, flag, value):
+    """argv of the command words with its required flags and flag set to value."""
+    argv = [*words]
+    for spelling, _, default in cli._LEAVES[words][1]:
+        if default is cli._REQUIRED and spelling != flag:
+            argv += [spelling, _REQUIRED_VALUES[spelling]]
+    return argv + [flag, value, "--no-timestamp"]
+
+
+class TestRealFlags:
+    """Every real flag reads its value through cli._real at parse time: one
+    rule for every spelling, and argparse's error, with _real's words, for a
+    literal it rejects."""
+
+    def test_no_flag_is_read_by_float(self):
+        assert {flag for _, flag in _REAL_FLAGS} >= {
+            "--eps", "--b0", "--kappa1", "--alpha", "--r", "--s", "--rho-min", "--rho-max",
+            "--v0c", "--vomc", "--ell", "--theta", "--x1", "--x2", "--rho", "--t", "--tprime",
+            "--section-b"}
+        assert all(kind is not float for _, flags in cli._LEAVES.values() for _, kind, _ in flags)
+
+    @pytest.mark.parametrize("words,flag", _REAL_FLAGS, ids=_REAL_IDS)
+    def test_spellings_of_one_value_give_one_report(self, capsys, words, flag):
+        parser = cli.build_parser()
+        outputs = set()
+        for text in ("1/2", "0.5", "5e-1"):
+            argv = _with_flag(words, flag, text)
+            assert getattr(cli._parse(parser, argv), flag[2:].replace("-", "_")) == 0.5
+            outputs.add((cli.run(argv), *capsys.readouterr()))
+        assert len(outputs) == 1
+
+    @pytest.mark.parametrize("words,flag", _REAL_FLAGS, ids=_REAL_IDS)
+    def test_negative_value_in_its_own_token(self, words, flag):
+        parser = cli.build_parser()
+        for text, want in (("-1/4", -0.25), ("-1e-3", -0.001)):
+            argv = _with_flag(words, flag, text)
+            assert getattr(cli._parse(parser, argv), flag[2:].replace("-", "_")) == want
+
+    @pytest.mark.parametrize("words,flag", _REAL_FLAGS, ids=_REAL_IDS)
+    def test_rejected_literal_is_one(self, capsys, words, flag):
+        for text in ("1/0", "abc", "nan", "inf", "1e400", "1" * (cli._DIGITS + 1)):
+            with pytest.raises(ValidationError) as exc:
+                cli.parse_rational(text)
+            assert cli.run(_with_flag(words, flag, text)) == 1
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith(f"error: argument {flag}: {exc.value}\n")
+
+
+class TestPotentialRounding:
+    """glue potential's fourth-order stencils at h = 1e-3 rho round to about
+    2^-53 ell^2 / 1.125e-6 of u_zz, ell = -log rho; where that reaches
+    u_zz_fd_rel's tolerance the report fails closed."""
+
+    @staticmethod
+    def _bound(ell):
+        return 2.0 ** -53 * ell ** 2 / 1.125e-6
+
+    @pytest.mark.parametrize("k,eps", [(1, "1"), (3, "0.7")])
+    def test_bound_against_exact_u_zz(self, capsys, k, eps):
+        import mpmath
+        ratios = []
+        # up to ell = 10, where the bound is 9.9e-9, just inside the tolerance
+        for ell in np.linspace(1.0, 10.0, 37).tolist():
+            rho = math.exp(-ell)
+            code, report, _ = run_cli(capsys, "glue", "potential", "--k", str(k), "--eps", eps,
+                                      "--rho", repr(rho), "--no-timestamp")
+            assert code in (0, 3)
+            with mpmath.workdps(40):
+                big_l = -mpmath.log(mpmath.mpf(rho))
+                exact = k * big_l / (2 * mpmath.pi * mpmath.mpf(float(eps)) * mpmath.mpf(rho) ** 2)
+                err = abs(mpmath.mpf(report["results"]["u_zz_fd"]) - exact) / exact
+            ratios.append(float(err) / self._bound(float(big_l)))
+        # the stencils' error stays within a small factor of the bound, and reaches it
+        assert 0.5 <= max(ratios) <= 3.0
+
+    @pytest.mark.parametrize("k,rho", [("1", "1e-10"), ("100000000", "1e-7")])
+    def test_unresolvable_is_two(self, capsys, k, rho):
+        # the bound reads 5.2e-8 and 2.6e-8 (u_zz_fd_rel 6.0e-8, exit 3 before)
+        code, report, err = run_cli(capsys, "glue", "potential", "--k", k, "--rho", rho,
+                                    "--no-timestamp")
+        assert (code, report) == (2, None)
+        assert err.startswith("numerical failure: u_zz_fd_rel cannot be resolved")
+
+    def test_benchmark_range_is_reported(self, capsys):
+        # the benchmark draws rho from [0.05, 0.85]: ell <= 3.0 and the bound <= 8.9e-10
+        ranges = json.loads((ROOT / "bench" / "design.json").read_text())["ranges"]
+        lo, hi = ranges["glue potential"]["rho"]["uniform"]
+        assert self._bound(-math.log(lo)) < 1e-9
+        for rho in (lo, hi):
+            code, report, _ = run_cli(capsys, "glue", "potential", "--k", "1", "--rho", repr(rho),
+                                      "--no-timestamp")
+            assert code == 0 and report["checks"][0]["measured"] < 1e-9
 
 
 _JSON_STRINGS = st.one_of(st.text(), st.sampled_from(

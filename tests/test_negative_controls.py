@@ -225,8 +225,10 @@ def _scaled_second(real, delta):
 
 _SLAG = ["slag", "check", "--k", "1", "--ell", "10"]
 # (check, argv, owner, patched name, its scaled replacement, threshold).
-# lagrangian reads c g_r + c s with g_r = b0 ell/(2 pi^2), so its rows have
-# b0 != 0: at b0 = 0, g_r = 0 and no scaling of 2 pi^2 moves it.  mean_curvature
+# lagrangian reads |c g_r + c s| / (|c g_r| + |c s|) with g_r = b0 ell/(2 pi^2),
+# so its rows have b0 != 0: at b0 = 0, g_r = 0 and no scaling of 2 pi^2 moves
+# it.  Scaled by 1 + delta it reads delta/2 on both rows (5.0e-11 at 1e-10,
+# 5.0e-10 at 1e-9), so they flip at 1e-9 against its 1e-10.  mean_curvature
 # scales the C = 2 pi/ell row of g, dg and ddg left exact.  gauss_equation
 # flips only at 1e-3: its residual grows as 2 delta times Gauss terms of about
 # 1.6e-3 against an absolute tolerance of 1e-6.  lambda1_rel_error scales the

@@ -173,12 +173,13 @@ def test_slag_check_is_its_normal_form_scaled(k, eps, b0, kappa1, cycle, ell):
 
 
 # ell far out at eps = 1e-300, where the model's own d = |kappa|^2 k ell/(pi eps)
-# overflows and only its normal form can be evaluated
+# overflows and only its normal form can be evaluated; C_{1,0} at b0 != 0 is not
+# Lagrangian, and the relative lagrangian check reads 1 on both (exit 3)
 @pytest.mark.parametrize("kappa1,ell", [(0.0, "1e10"), (0.3, "4.1e102")])
 def test_slag_check_far_out_is_its_normal_form(kappa1, ell):
     general, normal, _ = _pair_of_argv(("slag", "check"), 1, 1e-300, 0.7, kappa1, "1,0")
     (code, res, _), (code1, res1, _) = _run(*general, "--ell", ell), _run(*normal, "--ell", ell)
-    assert code == code1 == 0
+    assert code == code1 == 3
     assert res["sup_omega_restriction"] == res1["sup_omega_restriction"]
     assert res["sup_phase_defect"] == res1["sup_phase_defect"]
 
