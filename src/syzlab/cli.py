@@ -8,6 +8,7 @@ the timestamp is suppressed with --no-timestamp.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import functools
 import json
@@ -17,11 +18,8 @@ import re
 import sys
 from fractions import Fraction
 
-import numpy as np
-
-from . import __version__, calabi, fibration as fib, glue, mirror
-from . import semiflat as sfm, slag
-from .errors import NumericalError, ValidationError
+from . import __version__, moduli
+from .errors import MA_TOL, NumericalError, ValidationError
 
 _RATIONAL = re.compile(r"^[+-]?\d+(/\d+)?$")
 # a component is a run without signs, except the sign of an exponent (1e-3)
@@ -37,21 +35,27 @@ class _LiteralError(ValidationError, argparse.ArgumentTypeError):
     """A literal _real rejects; from a flag's type, argparse words it `argument --flag: ...`."""
 
 
-def _real(text: str, kind: str) -> tuple[float, Fraction | None]:
-    """(finite float, exact) of a real literal, named kind in errors: exact is a Fraction of
-    integer and `p/q` text, else None, and float() reads every other spelling unexpanded."""
+def _real(text: str, kind: str, literal: str) -> tuple[float, tuple[int, int] | None]:
+    """(finite float, (p, q)) of a real literal: (p, q) are the integers of `p/q` text, q = 1
+    for integer text, else None, and float() reads every other spelling unexpanded.  An error
+    names the literal as `kind 'literal'`, literal the whole text that text is part of."""
     rational = _RATIONAL.match(text)
     if rational and len(text) > _DIGITS and max(map(len, re.findall(r"\d+", text))) > _DIGITS:
-        raise _LiteralError(f"{kind} has an integer of more than {_DIGITS} digits")
+        raise _LiteralError(f"{kind} {literal!r} has an integer of more than {_DIGITS} digits")
+    ratio = None
     try:
-        # from ints: Fraction's own text parser costs more than the rest of _real
-        exact = Fraction(*map(int, text.split("/"))) if rational else None
-        val = float(exact if rational else text)
+        if rational:
+            p, _, q = text.partition("/")
+            ratio = int(p), int(q or 1)
+            # Fraction.__float__'s own correctly rounded division; Fraction words q = 0
+            val = ratio[0] / ratio[1] if ratio[1] else float(Fraction(*ratio))
+        else:
+            val = float(text)
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise _LiteralError(f"cannot parse {kind}: {exc}")
+        raise _LiteralError(f"cannot parse {kind} {literal!r}: {exc}")
     if not math.isfinite(val):
-        raise _LiteralError(f"{kind} is not finite; a real must be finite")
-    return val, exact
+        raise _LiteralError(f"{kind} {literal!r} is not finite; a real must be finite")
+    return val, ratio
 
 
 def parse_complex(text: str) -> tuple[complex, tuple[Fraction, Fraction] | None]:
@@ -63,16 +67,17 @@ def parse_complex(text: str) -> tuple[complex, tuple[Fraction, Fraction] | None]
     if not m:
         raise ValidationError(f"cannot parse complex literal {text!r}; use a+bi")
     im_s = m.group("sign") + (m.group("im") or "1")
-    kind = f"complex literal {text!r}"
-    (re_f, re_x), (im_f, im_x) = _real(m.group("re") or "0", kind), _real(im_s, kind)
-    return complex(re_f, im_f), None if re_x is None or im_x is None else (re_x, im_x)
+    (re_f, re_x), (im_f, im_x) = (_real(part, "complex literal", text)
+                                  for part in (m.group("re") or "0", im_s))
+    exact = None if re_x is None or im_x is None else (Fraction(*re_x), Fraction(*im_x))
+    return complex(re_f, im_f), exact
 
 
 def parse_rational(text: str) -> float:
     """Parse a real flag, an integer, `p/q`, decimal or exponent literal, as a finite float
     by _real's rule: every spelling but integers and `p/q` is read by float()."""
     text = text.strip()
-    return _real(text, f"real literal {text!r}")[0]
+    return _real(text, "real literal", text)[0]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -89,8 +94,8 @@ def _window(centre: float) -> tuple[str, object]:
 # rule(measured, tolerance, *context), context from the handler.  A bare float is the
 # tolerance of |measured| <= tolerance, _window(c) is c +- 0.15; no rule passes a NaN.
 _CHECKS = {
-    "ma_residual_rel": sfm.MA_TOL, "metric_positive": (0.0, operator.gt),
-    "monge_ampere_rel": sfm.MA_TOL, "pairing_rel_error": 1e-8,
+    "ma_residual_rel": MA_TOL, "metric_positive": (0.0, operator.gt),
+    "monge_ampere_rel": MA_TOL, "pairing_rel_error": 1e-8,
     "fit_r_squared": (0.99, operator.ge), "stretched_exponent": (0.0, operator.lt),
     # the benchmark's 243 power-decay argv measure -1.4064 to -1.3333, 0.077 or more inside
     "power_decay_exponent": _window(-4.0 / 3.0), "pole_growth": (2.0, operator.gt),
@@ -265,10 +270,11 @@ def _cmd_slag_pi_decay(args):
     return results, checks, (r, vals)
 
 
-# hkrot's 75 points (ell, psi, xi1, xi2), psi = 0 as it moves only the chart's x1;
-# Python floats, so that the per-point arithmetic stays off numpy scalars
-_HKROT_POINTS = tuple((ell, 0.0, xi1, xi2) for ell in np.linspace(1.0, 3.0, 5).tolist()
-                      for xi1 in np.linspace(0.0, 0.6, 5).tolist() for xi2 in (0.2, 0.45, 0.7))
+# hkrot's 75 points (ell, psi, xi1, xi2), psi = 0 as it moves only the chart's x1, with ell
+# and xi1 as np.linspace(1, 3, 5) and np.linspace(0, 0.6, 5) give them; Python floats, so
+# that the per-point arithmetic stays off numpy scalars
+_HKROT_POINTS = tuple((1.0 + 0.5 * i, 0.0, xi1, xi2) for i in range(5)
+                      for xi1 in (0.0, 0.15, 0.3, 0.15 * 3, 0.6) for xi2 in (0.2, 0.45, 0.7))
 
 
 def _cmd_hkrot(args):
@@ -357,7 +363,7 @@ def _cmd_mirror(args):
 
 
 def _cmd_dims(args):
-    dims = sfm.moduli_dims(args.k)
+    dims = moduli.moduli_dims(args.k)
     results = {"semiflat_family": dims[0], "h2_de_rham": dims[1],
                "hyperkahler_family": dims[2]}
     return results, [_check("dims", list(dims), args.k)], None
@@ -578,6 +584,31 @@ def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespa
     return (words and leaf.flags.read(rest)) or leaf.parse_args(rest)
 
 
+# what a handler raises on a numerical failure: ArithmeticError covers NumericalError,
+# overflow, zero division and numpy's FloatingPointError, and an array too large to allocate
+# raises MemoryError; _load_models adds numpy's LinAlgError
+_NUMERICAL = (ArithmeticError, MemoryError)
+
+
+@functools.cache
+def _load_models() -> None:
+    """Bind numpy and the model modules that the handlers read, once, before the first
+    report that needs them: importing the CLI, --help, argv errors and dims load none."""
+    global np, calabi, fib, glue, mirror, sfm, slag, _NUMERICAL
+    import numpy as np
+    from . import calabi, fibration as fib, glue, mirror, semiflat as sfm, slag
+    _NUMERICAL += (np.linalg.LinAlgError,)
+
+
+def _errstate(handler):
+    """The context handler runs in: numpy overflow, invalid and 0-division raise, so no NaN
+    reaches a check.  dims is integer arithmetic and runs without numpy."""
+    if handler is _cmd_dims:
+        return contextlib.nullcontext()
+    _load_models()
+    return np.errstate(over="raise", invalid="raise", divide="raise")
+
+
 def run(argv: list[str] | None = None) -> int:
     """Run one command and print its report; returns the exit code.
 
@@ -590,8 +621,7 @@ def run(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     try:
         args = _parse(parser, argv)
-        # numpy overflow, invalid and 0-division fail; no NaN reaches a check
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
+        with _errstate(args.handler):
             results, checks, curve = args.handler(args)
         if args.csv is not None and curve is None:
             raise ValidationError("this command produces no decay curve")
@@ -602,10 +632,7 @@ def run(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return 1
-    except (ArithmeticError, np.linalg.LinAlgError, MemoryError) as exc:
-        # ArithmeticError covers NumericalError, overflow, zero division
-        # and numpy's FloatingPointError; an array too large to allocate
-        # raises MemoryError
+    except _NUMERICAL as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     sys.stdout.write(text + "\n")

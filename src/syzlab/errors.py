@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""Exception types and the Monge-Ampere tolerance shared across the package.
 
 Two failure modes are kept distinct so callers (and the CLI exit codes)
 can tell bad input apart from a numerical breakdown; a geometric check
@@ -6,6 +6,10 @@ that honestly fails is reported, not raised.
 """
 
 import math
+
+# relative tolerance of the Monge-Ampere checks, kept here so that the CLI's check table
+# reads it without loading numpy
+MA_TOL = 1e-10
 
 
 class ValidationError(ValueError):

@@ -21,8 +21,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fibration as fib
-from .errors import NumericalError, ValidationError, require_finite
+from .errors import MA_TOL, NumericalError, ValidationError, require_finite
 from .forms import top_coeff
+from .moduli import moduli_dims  # re-exported as semiflat.moduli_dims
 from .numerics import DecayFit, fit_decay, quad_grid
 
 TWO_PI = 2.0 * math.pi
@@ -199,8 +200,6 @@ def holomorphic_volume_top(p: ModelParams, q: np.ndarray) -> np.ndarray:
     return 4.0 * np.abs(p.kappa_of_y(q[..., 0], q[..., 1])) ** 2
 
 
-# relative tolerance of the Monge-Ampere checks
-MA_TOL = 1e-10
 # omega^2 = 2 Pf = 2 alpha^2 (c (d + c|Gamma|^2) - c^2 g_i^2 - c^2 g_r^2)
 # cancels down to 2 alpha^2 c d: its terms are 1 + 2 rho times the result,
 # rho = c|Gamma|^2 / d.  Rounding the entries and the Pfaffian leaves a
@@ -346,13 +345,6 @@ def pair_cycle(p: ModelParams, c: fib.CycleSpec) -> float:
     for i, pt in enumerate(q.reshape(-1, 4)):
         forms[i] = sf_form_chart(p, pt)
     return float(quad_grid(((t_a @ forms) @ t_b).reshape(64, 64), c.grid(64)))
-
-
-def moduli_dims(k: int) -> tuple[int, int, int]:
-    """(dim of semi-flat family, dim H^2_dR, dim of hyperkahler family)."""
-    if not (1 <= k <= 9):
-        raise ValidationError("k must lie in 1..9")
-    return (10 - k, 11 - k, 10 - k)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from syzlab import calabi, cli, slag
+from syzlab import calabi, cli, moduli, slag
 from syzlab import fibration as fib
 from syzlab import semiflat as sfm
 from syzlab.numerics import DecayFit
@@ -592,6 +592,13 @@ class TestHkrotFailsClosed:
         assert len(seen) == 5 * 5 * 3 + 1
         assert all(type(x) is float for pt in seen for x in pt)
 
+    def test_points_are_linspaces_bits(self):
+        # cli writes the grid without numpy; it must keep np.linspace's bits, sign of 0 too
+        want = [(ell, 0.0, xi1, xi2) for ell in np.linspace(1.0, 3.0, 5).tolist()
+                for xi1 in np.linspace(0.0, 0.6, 5).tolist() for xi2 in (0.2, 0.45, 0.7)]
+        assert [[x.hex() for x in pt] for pt in cli._HKROT_POINTS] == \
+            [[x.hex() for x in pt] for pt in want]
+
 
 class TestCommands:
     def test_hkrot_square_example(self, capsys):
@@ -872,6 +879,11 @@ class TestCachedParser:
         ["slag", "pi-decay", "--k", "1", "--cycle", "1,0", "--csv", "{csv}"],
         ["hkrot", "--k", "1", "--tau", "-1/2+2i"],
         ["hkrot", "--k", "1", "--tau", "2i"],
+        # the models load after the parse: a usage error, a literal _real rejects and
+        # --help (SystemExit passes every except clause of run) all come before them
+        ["semiflat", "pair", "--k", "1", "--bogus", "1"],
+        ["hkrot", "--k", "1", "--tau", "0+1e9999999i"],
+        ["dims", "--help"],
     )
 
     def test_reports_match_fresh_processes(self, capsys, monkeypatch, tmp_path):
@@ -883,7 +895,10 @@ class TestCachedParser:
         for i, template in enumerate(self.ARGV):
             argv = [a.format(csv=tmp_path / f"{i}.csv") for a in template]
             argv.append("--no-timestamp")
-            code = cli.run(argv)
+            try:
+                code = cli.run(argv)
+            except SystemExit as exc:
+                code = exc.code
             captured = capsys.readouterr()
             csv = (tmp_path / f"{i}.csv").read_text() if "--csv" in argv else None
             fresh = subprocess.run([sys.executable, "-m", "syzlab.cli", *argv],
@@ -1234,7 +1249,7 @@ class TestRender:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_report_is_two(self, capsys, monkeypatch, value):
         # no flag reaches this: every input is validated before its handler
-        monkeypatch.setattr(sfm, "moduli_dims", lambda k: (value, 11 - k, 10 - k))
+        monkeypatch.setattr(moduli, "moduli_dims", lambda k: (value, 11 - k, 10 - k))
         code, report, err = run_cli(capsys, "dims", "--k", "1", "--no-timestamp")
         assert (code, report) == (2, None)
         assert err == ("numerical failure: report holds a non-finite value (Out of range"

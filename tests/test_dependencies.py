@@ -75,3 +75,35 @@ def test_no_readme_example_imports_numpy_random(tmp_path):
                          capture_output=True, text=True, env=env, timeout=120)
     assert run.returncode == 0, run.stderr
     assert run.stderr == "False\n"
+
+
+_LAZY_RUN = """
+import sys
+import syzlab.cli as cli
+cli.build_parser()
+loaded = sorted(m for m in sys.modules if m == "numpy" or m.startswith("syzlab."))
+assert loaded == ["syzlab.cli", "syzlab.errors", "syzlab.moduli"], loaded
+assert cli.run(["semiflat", "pair", "--k", "1", "--bogus", "1"]) == 1
+try:
+    cli.run(["dims", "--help"])
+except SystemExit as exc:
+    help_code = exc.code
+assert help_code == 0 and "numpy" not in sys.modules
+assert cli.run(["dims", "--k", "3", "--no-timestamp"]) == 0
+assert "numpy" not in sys.modules
+import syzlab
+assert callable(syzlab.calabi.rotate)
+print("ok", file=sys.stderr)
+"""
+
+
+def test_cli_import_argv_errors_and_dims_load_no_numpy():
+    # importing the CLI, building its parser, rejecting argv and dims need no numpy and no
+    # model: of the package, only the numpy-free cli, errors and moduli load
+    root = SRC.parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    run = subprocess.run([sys.executable, "-c", _LAZY_RUN], capture_output=True, text=True,
+                         env=env, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stderr.endswith("ok\n"), run.stderr
