@@ -16,7 +16,6 @@ import math
 import operator
 import re
 import sys
-from fractions import Fraction
 
 from . import __version__, moduli
 from .errors import MA_TOL, NumericalError, ValidationError
@@ -47,8 +46,9 @@ def _real(text: str, kind: str, literal: str) -> tuple[float, tuple[int, int] | 
         if rational:
             p, _, q = text.partition("/")
             ratio = int(p), int(q or 1)
-            # Fraction.__float__'s own correctly rounded division; Fraction words q = 0
-            val = ratio[0] / ratio[1] if ratio[1] else float(Fraction(*ratio))
+            if not ratio[1]:
+                raise ZeroDivisionError(f"Fraction({ratio[0]}, 0)")  # as Fraction words it
+            val = ratio[0] / ratio[1]
         else:
             val = float(text)
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
@@ -58,7 +58,7 @@ def _real(text: str, kind: str, literal: str) -> tuple[float, tuple[int, int] | 
     return val, ratio
 
 
-def parse_complex(text: str) -> tuple[complex, tuple[Fraction, Fraction] | None]:
+def parse_complex(text: str) -> tuple[complex, tuple | None]:
     """Parse `a+bi` or `bi`, each part read by _real, as (value, exact): exact holds both
     parts as Fractions (exact rational mode) when both are integers or `p/q`, else None;
     a decimal or exponent (`1e-1`) part is a float, never expanded, and a missing real
@@ -69,6 +69,7 @@ def parse_complex(text: str) -> tuple[complex, tuple[Fraction, Fraction] | None]
     im_s = m.group("sign") + (m.group("im") or "1")
     (re_f, re_x), (im_f, im_x) = (_real(part, "complex literal", text)
                                   for part in (m.group("re") or "0", im_s))
+    from fractions import Fraction  # not at import: a handler has loaded it with the models
     exact = None if re_x is None or im_x is None else (Fraction(*re_x), Fraction(*im_x))
     return complex(re_f, im_f), exact
 

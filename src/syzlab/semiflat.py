@@ -86,20 +86,23 @@ class ModelParams:
     def kappa_is_one(self) -> bool:
         return all(c == 0 for p, c in self.kappa.items() if p != 0)
 
-    def is_normal(self) -> bool:
-        return (self.k, self.eps, self.alpha) == (1, 1.0, 1.0)
-
 
 def normal_form(p: ModelParams) -> tuple[ModelParams, float]:
-    """(p1, s): p1 has k = eps = alpha = 1, p's kappa and b0' = lambda b0, lambda = eps/k.
-    As c = 2 pi lambda/ell and d = |kappa|^2 ell/(pi lambda), g = (alpha/lambda) Phi^* g1
-    under Phi(x) = lambda x: curvature norms of p are s = eps/(k alpha) times p1's, and
-    |II| and |H| sqrt(s) times those of Phi's image.  NumericalError where b0' overflows."""
-    lam = p.eps / p.k
-    b0 = lam * p.b0
+    """(p1, s): p1 has k = eps = alpha = 1, b0 = 0 and p's kappa.  As c = 2 pi lambda/ell and
+    d = |kappa|^2 ell/(pi lambda), lambda = eps/k, g = (alpha/lambda) Phi^* Psi^* g1 (Phi(x) =
+    lambda x, Psi twist_slope's isometry): |Rm| and Gauss terms scale by s = eps/(k alpha),
+    |II| and |H| by sqrt(s)."""
+    return ModelParams(k=1, kappa=p.kappa), p.eps / p.k / p.alpha
+
+
+def twist_slope(p: ModelParams, ell):
+    """g_r' = b0' ell/(2 pi^2), b0' = (eps/k) b0, at ell or an array: the x2-slope that the
+    isometry Psi(x) = x - b0' y^2/(4 pi^2) onto b0 = 0 adds to a lift -d/dtheta + s d/dx2, up
+    to x1, as dx - Gamma dy = dx' - i (x2'/ell) dy.  NumericalError where b0' overflows."""
+    b0 = p.eps / p.k * p.b0
     if not math.isfinite(b0):
         raise NumericalError(f"normal-form b0 = (eps/k) b0 = {b0} overflows")
-    return ModelParams(k=1, b0=b0, kappa=p.kappa), lam / p.alpha
+    return b0 * ell / _TWO_PI_SQ
 
 
 def w_factor(p: ModelParams, ell: float) -> float:
@@ -350,14 +353,12 @@ def pair_cycle(p: ModelParams, c: fib.CycleSpec) -> float:
 # ---------------------------------------------------------------------------
 # curvature: the exact metric jet, and a finite-difference oracle
 
-# g's entries, as constant 4 x 4 patterns: A at (ell ell) and (theta theta), B = c g_i at
-# (theta x1) and (x1 theta) and -B at (ell x2) and (x2 ell), C = c at (x1 x1) and (x2 x2),
-# -E at (ell x1), (x1 ell), (theta x2) and (x2 theta); E = c g_r = b0/pi is constant
+# g's entries as 4 x 4 patterns, read by dg and ddg as _D_PATTERNS: A at (ell ell), (theta theta);
+# B = c g_i at (theta x1), (x1 theta), -B at (ell x2), (x2 ell); C = c at (x1 x1), (x2 x2)
 _PATTERNS = np.array([[1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
                       [0, 0, 0, -1, 0, 0, 1, 0, 0, 1, 0, 0, -1, 0, 0, 0],
-                      [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1],
-                      [0, 0, -1, 0, 0, 0, 0, -1, -1, 0, 0, 0, 0, -1, 0, 0]], dtype=float)
-_D_PATTERNS = _PATTERNS[:3]
+                      [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1]], dtype=float)
+_D_PATTERNS = _PATTERNS
 _ELL_MAX = (16.0 * math.pi) ** (1.0 / 3.0) * 2.0 ** 340  # (4 pi)^(1/3) 2^(1022/3)
 # strict upper bounds of a jet point: ell <= _ELL_MAX, the rest finite
 _JET_UPPER = np.array([np.nextafter(_ELL_MAX, np.inf), np.inf, np.inf, np.inf])
@@ -365,11 +366,12 @@ _JET_UPPER = np.array([np.nextafter(_ELL_MAX, np.inf), np.inf, np.inf, np.inf])
 
 def metric_jet(p: ModelParams, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(g, dg, ddg) of a normal-form model at chart points q of shape (..., 4), in
-    closed form; any other model raises ValidationError.
+    closed form; any other model raises ValidationError, b0 != 0 too: b0 is the isometry
+    x -> x - b0 y^2/(4 pi^2) onto b0 = 0 (twist_slope), which curvature and |II| read.
 
     g has the bits of riemannian_metric_chart(p, q), dg[..., e, a, b] = d_e g_ab and
-    ddg[..., e, f, a, b] = d_e d_f g_ab.  g's entries are A = d + C (g_r^2 + g_i^2), B = C g_i,
-    C = 2 pi/ell and E = C g_r, with d = 2K/C rounded as sf_form_chart rounds it and d/K = ell/pi
+    ddg[..., e, f, a, b] = d_e d_f g_ab.  g's entries are A = d + C g_i^2, B = C g_i and
+    C = 2 pi/ell, with d = 2K/C rounded as sf_form_chart rounds it and d/K = ell/pi
     taken as 2/C in the derivatives, K = |kappa(e^-y)|^2.  kappa is holomorphic
     in y = ell + i theta, so with kappa_y = sum -p c_p z^p and kappa_yy = sum p^2 c_p z^p,
     K_ell = 2 Re(conj(kappa) kappa_y), K_theta = -2 Im(conj(kappa) kappa_y), K_ell,ell and
@@ -379,8 +381,8 @@ def metric_jet(p: ModelParams, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     C_ell,ell = 4 pi/ell^3, the smallest non-zero term past ell = 2, leaves float64's
     normal range past ell = (4 pi)^(1/3) 2^(1022/3) = 8.27e102: NumericalError there.
     """
-    if not p.is_normal():
-        raise ValidationError("the metric jet takes a normal-form model (k = eps = alpha = 1)")
+    if (p.k, p.eps, p.b0, p.alpha) != (1, 1.0, 0.0, 1.0):
+        raise ValidationError("metric jet takes a normal-form model (k = eps = alpha = 1, b0 = 0)")
     q = np.asarray(q, dtype=float)
     ell, x2 = q[..., 0], q[..., 3]
     if not ((q > _LOWER) & (q < _JET_UPPER)).all():
@@ -402,13 +404,12 @@ def metric_jet(p: ModelParams, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     k_l, k_t = kk1.real, -kk1.imag
     c0 = TWO_PI / ell
     c1, d_k = c0 / ell, 2.0 / c0
-    c2 = 2.0 * c1 / ell
-    g_r, g_i = p.b0 * ell / _TWO_PI_SQ, x2 / ell
+    c2, g_i = 2.0 * c1 / ell, x2 / ell
     lead = np.shape(ell)
-    coef = np.array([2.0 * big_k / c0 + c0 * (g_r * g_r + g_i * g_i), c0 * g_i, c0, c0 * g_r])
+    coef = np.array([2.0 * big_k / c0 + c0 * (g_i * g_i), c0 * g_i, c0])
     # coefficients of the patterns A, B, C in d_e g and d_e d_f g
     d1 = np.zeros(lead + (4, 3))
-    d1[..., 0, 0] = d_k * (k_l + big_k / ell) + c1 * (g_r * g_r - 3.0 * g_i * g_i)
+    d1[..., 0, 0] = d_k * (k_l + big_k / ell) - c1 * (3.0 * g_i * g_i)
     d1[..., 0, 1] = -2.0 * c1 * g_i
     d1[..., 0, 2] = -c1
     d1[..., 1, 0] = d_k * k_t
@@ -424,7 +425,7 @@ def metric_jet(p: ModelParams, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     d2[..., 0, 3, 1] = d2[..., 3, 0, 1] = -c2
     d2[..., 3, 3, 0] = c2
     # each entry of g is one exact product and zeros, whatever order the matmul sums in
-    g = (coef.reshape(4, -1).T @ _PATTERNS + 0.0).reshape(lead + (4, 4))
+    g = (coef.reshape(3, -1).T @ _PATTERNS + 0.0).reshape(lead + (4, 4))
     return g, (d1 @ _D_PATTERNS).reshape(lead + (4, 4, 4)), \
         (d2 @ _D_PATTERNS).reshape(lead + (4, 4, 4, 4))
 
@@ -521,12 +522,9 @@ DECAY_ELLS = np.linspace(5.0, 40.0, 10)
 
 
 def curvature_decay(p: ModelParams) -> tuple[np.ndarray, np.ndarray, DecayFit]:
-    """|Rm|_g samples on the zero section at 10 evenly spaced ell from 5 to
-    40 against distance r, with a power-law fit.
-
-    All samples are one riemann_jet call on p's normal form, scaled by s
-    (normal_form).  For kappa = 1, |Rm| r^2 = RM_R2 at every point.
-    """
+    """|Rm|_g samples on the zero section at DECAY_ELLS against distance r, with a power-law
+    fit: one riemann_jet call on p's b0 = 0 normal form, scaled by s (normal_form), as the
+    isometry of twist_slope fixes x2 = 0 at theta = 0.  For kappa = 1, |Rm| r^2 = RM_R2."""
     p1, s = normal_form(p)
     q = np.zeros(DECAY_ELLS.shape + (4,))
     q[..., 0] = DECAY_ELLS

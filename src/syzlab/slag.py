@@ -10,9 +10,9 @@ g_i dt2 the metric is the flat A dt2^2 + B dv^2.  For kappa = 1 and g_r + s
 = 0 (special cycles) it is A dtheta^2 + B dx1^2 with A = alpha*k*ell/(pi*eps)
 and B = alpha*2*pi*eps/(k*ell), so A*B = 2*alpha^2 independently of ell.
 
-The second fundamental form in the ambient metric comes from the exact
-Christoffel symbols and curvature of semiflat.metric_jet.  For kappa = 1 a
-special cycle is minimal, and |II|^2 = pi eps/(alpha k ell^3) = (4/9)/r^2
+II comes from semiflat.metric_jet on the b0 = 0 normal form, at the lift of slope s + g_r'
+onto which x -> x - b0' y^2/(4 pi^2) maps the lift in eps up to x1 (semiflat.twist_slope).
+For kappa = 1 a special cycle is minimal, and |II|^2 = pi eps/(alpha k ell^3) = (4/9)/r^2
 at every point, whatever b0 and alpha (tests derive both with sympy).
 """
 
@@ -49,16 +49,15 @@ class ModelFiber:
 
     @cached_property
     def omega_terms(self) -> tuple[np.ndarray, np.ndarray]:
-        """(c g_r, c s) as one-node arrays: on the lift in eps of the normal form,
-        t_a = d/dx1 and t_b = -d/dtheta + s d/dx2 give omega(t_a, t_b) = c g_r + c s,
-        zero exactly when 2*b0/k = -m2/m1.  c = 2 pi/ell and c g_r = b0'/pi depend
+        """(c g_r', c s) as one-node arrays: on the lift in eps of the normal form,
+        t_a = d/dx1 and t_b = -d/dtheta + s d/dx2 give omega(t_a, t_b) = c g_r' + c s,
+        zero exactly when 2*b0/k = -m2/m1.  c = 2 pi/ell and c g_r' = b0'/pi depend
         on ell alone, which the lift fixes, so both are read at its origin."""
-        p = self.params
-        s = self.cycle.lift(p.eps, self.ell)[1][3, 1]
+        s = self.cycle.lift(self.params.eps, self.ell)[1][3, 1]
         # one node as an array: numpy words its overflow as on arrays, not "scalar multiply"
-        _, _, cg_r, c, _ = sf._form_entries(sf.normal_form(p)[0], np.array([self.ell]), 0.0,
-                                            0.0, np.exp)
-        return cg_r, c * s
+        ell = np.array([self.ell])
+        g_r, c = sf.twist_slope(self.params, ell), TWO_PI / ell
+        return c * g_r, c * s
 
 
 @dataclass(frozen=True)
@@ -168,14 +167,15 @@ def second_fundamental_form(mf: ModelFiber) -> SecondFF:
     Gauss: K_intrinsic = K_ambient(T1,T2) + (<II_11,II_22> - |II_12|^2)
     after normalizing by the induced area element.  K_intrinsic is 0, as the
     induced metric B (dt1 - g_i dt2)^2 + A(t2) dt2^2, B constant, is flat
-    (module docstring); II and K_ambient come from one riemann_jet call on the normal
-    form, with x2-slopes in eps for k (Phi's image of the cycle up to x1, on which nothing
-    depends), scaled by sqrt(s) and s.  Raises NumericalError where a normal-form Gauss
-    term leaves float64's normal range (2^-1022) and the check would compare zeros:
-    K_ambient = |II|^2/2 = pi/(2 ell^3) on a kappa = 1 special cycle, past ell = 4.13e102.
+    (module docstring); II and K_ambient come from one riemann_jet call at the cycle's
+    image on the b0 = 0 normal form, scaled by sqrt(s) and s: the residual catches a defect
+    between II and K_ambient, not a wrong metric.  Raises NumericalError where a Gauss term
+    leaves float64's normal range (2^-1022) and the check would compare zeros: K_ambient =
+    |II|^2/2 = pi/(2 ell^3) on a kappa = 1 special cycle, past ell = 4.13e102.
     """
     p1, s = sf.normal_form(mf.params)
     origin, tan = mf.cycle.lift(mf.params.eps, mf.ell)
+    tan[3, 1] += sf.twist_slope(mf.params, mf.ell)
     riem, gam, g, _ = sf.riemann_jet(p1, origin + tan @ _T)
     second, pi_sq, h_sq, hin = _fundamental_forms(g, gam, tan)
     low = np.einsum("ae,ebcd->abcd", g, riem)
@@ -204,6 +204,7 @@ def pi_decay(p: sf.ModelParams, cycle: fib.CycleSpec) -> tuple[np.ndarray, np.nd
         raise ValidationError("slag fibers are bad cycles, not torus fibers")
     p1, s = sf.normal_form(p)
     origin, tan = cycle.lift(p.eps, sf.DECAY_ELLS)
+    tan[..., 3, 1] += sf.twist_slope(p, sf.DECAY_ELLS)
     g, dg, _ = sf.metric_jet(p1, origin + tan @ _T)
     pi_sq = _fundamental_forms(g, sf._christoffel(np.linalg.inv(g), dg), tan)[1]
     vals = math.sqrt(s) * np.sqrt(np.maximum(pi_sq, 0.0))

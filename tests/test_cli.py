@@ -314,15 +314,16 @@ class TestExitCodes:
             assert not check["metric_positive"]["passed"]
 
     @pytest.mark.parametrize("argv,code", [
-        # the normal-form metric's c |Gamma|^2 overflows at b0 = 1e200
-        # (FloatingPointError)
+        # the isometry onto b0 = 0 lifts the cycle to x2 = 0.7 b0 ell/(2 pi^2), where the
+        # jet's C g_i^2 overflows at b0 = 1e200 (FloatingPointError); b0' = (eps/k) b0
+        # overflows in the isometry's slope (semiflat curvature at b0 = 1e200 exits 0)
         (["slag", "pi-decay", "--k", "1", "--b0", "1e200"], 2),
-        (["semiflat", "curvature", "--k", "1", "--b0", "1e200"], 2),
+        (["slag", "pi-decay", "--k", "1", "--eps", "1e300", "--b0", "1e10"], 2),
         # the lattice defect of transport by tau is not finite (y1 = |tau| ell
         # / c overflows); the closed-form lambda1 rounds to 0 (ZeroDivisionError)
         (["hkrot", "--k", "1", "--tau", "0+1e300i"], 2),
         (["slag", "geometry", "--k", "1", "--ell", "1e-320"], 2),
-        # check_special's form overflows (FloatingPointError)
+        # the jet's C g_i^2 overflows on the isometry's image (FloatingPointError)
         (["slag", "check", "--k", "1", "--b0", "1e200"], 2),
         # past the metric jet's bound C_ell,ell = 4 pi/ell^3 underflows: no silent 0.0 passes
         (["slag", "check", "--k", "1", "--ell", "1e308"], 2),
@@ -356,6 +357,20 @@ class TestExitCodes:
         assert out == ""
         assert "Traceback" not in err
         assert ("numerical failure" if code == 2 else "must be finite") in err
+
+    @pytest.mark.parametrize("argv", [
+        ["semiflat", "curvature", "--k", "1", "--b0", "100"],
+        ["semiflat", "curvature", "--k", "9", "--b0", "1e5"],
+        ["semiflat", "curvature", "--k", "1", "--b0", "1e200"],
+        ["semiflat", "curvature", "--k", "1", "--eps", "1e300", "--b0", "1e10"],
+        ["slag", "pi-decay", "--k", "1", "--b0", "1000", "--cycle", "1,0"],
+        ["slag", "pi-decay", "--k", "1", "--b0", "1000", "--cycle", "2,1"]])
+    def test_b0_reaches_the_scale_checks_through_the_isometry(self, capsys, argv):
+        # exit 3 (scales 2.4e-11 to 9.1) or 2 while the metric jet held b0
+        code, report, _ = run_cli(capsys, *argv, "--no-timestamp")
+        assert code == 0
+        scale = next(c for c in report["checks"] if c["name"].endswith("_scale"))
+        assert scale["measured"] <= 2e-13
 
     def test_huge_modulus_mirror_passes(self, capsys):
         # rotate never forms |tau|^2, which overflows past 1.3e154

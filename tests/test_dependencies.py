@@ -83,6 +83,8 @@ import syzlab.cli as cli
 cli.build_parser()
 loaded = sorted(m for m in sys.modules if m == "numpy" or m.startswith("syzlab."))
 assert loaded == ["syzlab.cli", "syzlab.errors", "syzlab.moduli"], loaded
+# fractions (with decimal and numbers) loads where hkrot builds an exact tau, not at import
+assert "fractions" not in sys.modules
 assert cli.run(["semiflat", "pair", "--k", "1", "--bogus", "1"]) == 1
 try:
     cli.run(["dims", "--help"])
@@ -98,8 +100,8 @@ print("ok", file=sys.stderr)
 
 
 def test_cli_import_argv_errors_and_dims_load_no_numpy():
-    # importing the CLI, building its parser, rejecting argv and dims need no numpy and no
-    # model: of the package, only the numpy-free cli, errors and moduli load
+    # importing the CLI, building its parser, rejecting argv and dims need no numpy, no
+    # fractions and no model: of the package, only the numpy-free cli, errors and moduli load
     root = SRC.parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(root / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))

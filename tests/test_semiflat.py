@@ -1,4 +1,5 @@
 import cmath
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from syzlab import fibration as fib
 from syzlab import semiflat as sf
+from syzlab import slag
 from syzlab.errors import NumericalError, ValidationError
 from syzlab.forms import i_half_a_wedge_abar, top_coeff
 from syzlab.numerics import quad_grid
@@ -718,7 +720,7 @@ class TestMetricJet:
                 want = np.array(want, dtype=float).reshape(got.shape)
                 assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
-    @given(b0=st.floats(-1e3, 1e3), degree=st.integers(0, 2),
+    @given(degree=st.integers(0, 2),
            coeffs=st.tuples(st.complex_numbers(max_magnitude=10.0),
                             st.complex_numbers(max_magnitude=10.0)),
            points=st.lists(st.tuples(st.floats(-3.0, math.log10(sf._ELL_MAX)),
@@ -726,11 +728,12 @@ class TestMetricJet:
                                      st.floats(-1e3, 1e3)), min_size=1, max_size=3),
            single=st.booleans())
     @settings(max_examples=200, deadline=None)
-    def test_g_is_riemannian_metric_chart_bitwise(self, b0, degree, coeffs, points, single):
+    def test_g_is_riemannian_metric_chart_bitwise(self, degree, coeffs, points, single):
         # the jet assembles g from its own coefficients; kappa has constant, linear
-        # and quadratic terms, and one point takes sf_form_chart's Python-float path
+        # and quadratic terms, and one point takes sf_form_chart's Python-float path.
+        # The jet takes b0 = 0 alone: test_b0_is_the_twist_isometry carries b0 != 0
         kappa = {0: 1.0, **dict(zip((1, 2), coeffs[:degree]))} if degree else {}
-        p = sf.ModelParams(k=1, b0=b0, kappa=kappa)
+        p = sf.ModelParams(k=1, kappa=kappa)
         q = np.array([[min(10.0 ** e, sf._ELL_MAX), th, x1, x2] for e, th, x1, x2 in points])
         q = q[0] if single else q
         g, want = sf.metric_jet(p, q)[0], sf.riemannian_metric_chart(p, q)
@@ -786,7 +789,7 @@ class TestMetricJet:
     def test_guard_raises_past_its_bound_and_never_returns_zeros(self, log_ell):
         # C_ell,ell = 4 pi/ell^3 = 2^-1022 at ell = (4 pi)^(1/3) 2^(1022/3),
         # the one bound of the normal-form jet
-        p = sf.ModelParams(k=1, b0=0.3)
+        p = sf.ModelParams(k=1)
         ell = 10.0 ** log_ell
         bound = (4.0 * math.pi) ** (1.0 / 3.0) * 2.0 ** (1022.0 / 3.0)
         q = np.array([ell, 0.3, 0.1, 0.2])
@@ -803,7 +806,7 @@ class TestMetricJet:
             assert abs(term) >= np.finfo(float).tiny
 
     @pytest.mark.parametrize("p", [sf.ModelParams(k=2), sf.ModelParams(k=1, eps=0.5),
-                                   sf.ModelParams(k=1, alpha=2.0)])
+                                   sf.ModelParams(k=1, alpha=2.0), sf.ModelParams(k=1, b0=0.5)])
     def test_rejects_a_model_not_in_normal_form(self, p):
         q = np.array([5.0, 0.3, 0.1, 0.2])
         for jet in (sf.metric_jet, sf.riemann_jet):
@@ -830,14 +833,19 @@ def _plane_forms(sp, g, gam, tan):
 class TestNormalForm:
     def test_fields_and_scale(self):
         p = sf.ModelParams(k=3, eps=0.7, b0=0.25, alpha=1.5, kappa={0: 1.0, 1: 0.5})
+        # b0 leaves through twist_slope's isometry: the normal form has b0 = 0
         p1, s = sf.normal_form(p)
-        assert p1 == sf.ModelParams(k=1, b0=0.7 / 3 * 0.25, kappa={0: 1.0, 1: 0.5})
+        assert p1 == sf.ModelParams(k=1, kappa={0: 1.0, 1: 0.5})
         assert s == 0.7 / 3 / 1.5
         assert sf.normal_form(p1) == (p1, 1.0)
+        assert sf.twist_slope(p, 2.0) == 0.7 / 3 * 0.25 * 2.0 / (2.0 * math.pi ** 2)
 
     def test_overflowing_b0_is_numerical(self):
+        # b0' = (eps/k) b0 overflows in the slope of the isometry, not in the normal form
+        p = sf.ModelParams(k=1, eps=1e300, b0=1e10)
+        assert sf.normal_form(p) == (sf.ModelParams(k=1), 1e300)
         with pytest.raises(NumericalError, match="normal-form b0"):
-            sf.normal_form(sf.ModelParams(k=1, eps=1e300, b0=1e10))
+            sf.twist_slope(p, 5.0)
 
     def test_homothety_and_scale_factors_symbolically(self):
         # g = (alpha/lambda) Phi^* g1 for any kappa; then, for kappa = 1, |Rm|
@@ -899,6 +907,70 @@ class TestNormalForm:
         # |Rm| r^2 = RM_R2 with r = (2/3) sqrt(pi/s)/pi ell^(3/2)
         assert sp.cancel(rm_sq * ell ** 6 / (24 * sp.pi ** 2 * s ** 2)) == 1
         assert sf.RM_R2 ** 2 == pytest.approx(24.0 * (2.0 / 3.0) ** 4, rel=1e-15)
+
+
+def _twisted(b0, q):
+    """The isometry x -> x - b0 y^2/(4 pi^2) of twist_slope at chart points q (..., 4)."""
+    ell, th = q[..., 0], q[..., 1]
+    return np.stack([ell, th, q[..., 2] - b0 * (ell * ell - th * th) / (4.0 * math.pi ** 2),
+                     q[..., 3] - b0 * ell * th / (2.0 * math.pi ** 2)], axis=-1)
+
+
+class TestTwistIsometry:
+    def test_pullback_of_b0_zero_is_the_b0_form_symbolically(self):
+        # omega = alpha ((i/2) d dy ^ dybar + (i/2) c a ^ abar), a = dx - Gamma dy, with
+        # k, eps, alpha, b0 and |kappa|^2 symbolic: Phi^* omega_0 = omega_b0 under
+        # Phi(x) = x - b0 y^2/(4 pi^2), and Phi adds b0 ell/(2 pi^2) to the x2-slope
+        # of -d/dtheta + s d/dx2
+        sp = pytest.importorskip("sympy")
+        ell, th, x1, x2 = coords = sp.symbols("ell theta x1 x2", real=True)
+        k, eps, alpha = sp.symbols("k eps alpha", positive=True)
+        b0, s = sp.symbols("b0 s", real=True)
+        kap2 = sp.Function("K", positive=True)(ell, th)  # |kappa(e^-y)|^2
+        dy, dx = sp.Matrix([1, sp.I, 0, 0]), sp.Matrix([0, 0, 1, sp.I])
+
+        def omega(b0, x2):
+            w = 2 * sp.pi / (k * ell)
+            c, d = w * eps, 2 * kap2 / (eps * w)
+            a = dx - (sp.I * x2 / ell + b0 * ell / (2 * sp.pi ** 2)) * dy
+            wedge = lambda u: u * u.conjugate().T - u.conjugate() * u.T  # noqa: E731
+            return alpha * sp.I / 2 * (d * wedge(dy) + c * wedge(a))
+
+        y2 = sp.expand((ell + sp.I * th) ** 2)
+        phi = sp.Matrix([ell, th, x1 - b0 * sp.re(y2) / (4 * sp.pi ** 2),
+                         x2 - b0 * sp.im(y2) / (4 * sp.pi ** 2)])
+        jac = phi.jacobian(coords)
+        pulled = jac.T * omega(0, phi[3]) * jac
+        assert (pulled - omega(b0, x2)).applyfunc(sp.simplify) == sp.zeros(4, 4)
+        assert sp.simplify((jac * sp.Matrix([0, -1, 0, s]))[3] - s
+                           - b0 * ell / (2 * sp.pi ** 2)) == 0
+        assert sf.twist_slope(sf.ModelParams(k=1, b0=0.3), 5.0) == 0.3 * 5.0 / (2 * math.pi ** 2)
+
+    @pytest.mark.parametrize("b0", [-1e3, -10.0, -0.3, 0.25, 7.0, 10.0, 1e3])
+    def test_b0_is_the_twist_isometry(self, b0):
+        # the finite-difference oracle takes the b0 model itself, untwisted; the jet
+        # takes b0 = 0 at the isometry's image.  |II| at 1e-5 over b0 in +-1e3; |Rm|
+        # at the curvature sweep's 3e-5 where central differences resolve it, |b0| <= 10
+        # (the b0 metric's third derivatives grow as b0^2: at b0 = 100 the best step
+        # leaves 1e-3, while the jet at b0 = 0 is exact)
+        kappa = {0: 1.0, 1: 0.5 - 0.3j}
+        p = sf.ModelParams(k=1, b0=b0, kappa=kappa)
+        gf = functools.partial(sf.riemannian_metric_chart, p)
+        if abs(b0) <= 10.0:
+            q = np.array([[3.0, 0.4, 0.1, -0.5], [7.5, -1.2, 0.3, 1.1], [20.0, 2.0, -0.7, 0.2]])
+            riem, _, g, _ = sf.riemann_jet(sf.ModelParams(k=1, kappa=kappa), _twisted(b0, q))
+            for i, pt in enumerate(q):
+                riem_fd, _, g_fd = sf.riemann_fd(gf, pt, 1e-2 * min(1.0, 10.0 / pt[0]))
+                assert _rm_norm(riem_fd, g_fd) == pytest.approx(_rm_norm(riem[i], g[i]),
+                                                                rel=3e-5, abs=0.0)
+        for cycle, ell in itertools.product((fib.CycleSpec(1, 0), fib.CycleSpec(2, 1),
+                                             fib.CycleSpec(3, -2)), (0.5, 4.0, 40.0)):
+            origin, tan = cycle.lift(1.0, ell)
+            q = origin + tan @ slag._T
+            gam = sf.christoffel_fd(gf, q, 2e-3 * min(1.0, 10.0 / max(ell, 1.0)))
+            pi_fd = math.sqrt(slag._fundamental_forms(gf(q), gam, tan)[1])
+            jet = slag.second_fundamental_form(slag.ModelFiber(p, cycle, ell)).pi_norm
+            assert pi_fd == pytest.approx(jet, rel=1e-5, abs=0.0)
 
 
 def _sphere_metric(q):

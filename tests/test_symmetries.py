@@ -13,7 +13,8 @@ form written beside the code is needed:
   Monge-Ampere residual, whose two sides both scale by 4^j, keeps its bits.
 - The homothety of `semiflat.normal_form`: a model with (k, eps, alpha, b0)
   is (alpha/lambda) Phi^* of its normal form (k = eps = alpha = 1, b0' =
-  lambda b0), lambda = eps/k, Phi(x) = lambda x.  Curvature norms and
+  lambda b0, which `normal_form` carries on to b0 = 0 by the isometry below),
+  lambda = eps/k, Phi(x) = lambda x.  Curvature norms and
   Gauss terms scale by s = eps/(k alpha), |II| and |H| by sqrt(s), and r by
   1/sqrt(s).  The reports at (k, eps) are the normal form's samples times
   the scale, bit for bit; r and the fitted exponent agree to rounding.
@@ -22,6 +23,11 @@ form written beside the code is needed:
   `slag check`'s restriction of omega (alpha times the normal form's, and
   alpha = 1 on the command line) and its phase defect are the normal
   form's, bit for bit.
+- b0 is the isometry x -> x - b0' y^2/(4 pi^2) onto b0 = 0 (b0' = (eps/k) b0),
+  which adds b0' ell/(2 pi^2) to a lift's x2-slope and fixes the zero section:
+  `semiflat curvature` keeps the bits of b0 = 0, and `slag pi-decay` and
+  `slag check` agree to 1e-13 under (b0, C_{m1,m2}) -> (b0 + k/2,
+  C_{m1,m2-m1}), which leaves the image's slope as it is.
 - tau -> -conj(tau) mirrors the Calabi model's lattice: `hkrot` keeps alpha,
   eps and the class and negates b0 = -k Re tau/(2 |tau|^2) and the winding's
   p, bit for bit on every exact modulus the benchmark draws (b0 = 0 is +0.0
@@ -182,6 +188,53 @@ def test_slag_check_far_out_is_its_normal_form(kappa1, ell):
     assert code == code1 == 3
     assert res["sup_omega_restriction"] == res1["sup_omega_restriction"]
     assert res["sup_phase_defect"] == res1["sup_phase_defect"]
+
+
+@pytest.mark.parametrize("k", ["1", "9"])
+@pytest.mark.parametrize("kappa1", ["0", "0.5"])
+@pytest.mark.parametrize("b0", ["1/4", "100", "1e5"])
+def test_curvature_does_not_depend_on_b0(tmp_path, k, kappa1, b0):
+    # b0 is the isometry x -> x - b0' y^2/(4 pi^2) onto b0 = 0, which fixes the zero
+    # section's x2 = 0: the curve and the fit keep the bits of b0 = 0
+    common = ["semiflat", "curvature", "--k", k, "--kappa1", kappa1]
+    code, res, curve = _run(*common, "--b0", b0, csv_path=tmp_path / "b0.csv")
+    code0, res0, curve0 = _run(*common, csv_path=tmp_path / "zero.csv")
+    assert code == code0 == 0
+    assert (res, curve) == (res0, curve0)
+
+
+def _rel(a, b):
+    return abs(a - b) / abs(b)
+
+
+# (k, b0): b0 + k/2 adds eps ell/(4 pi^2) to the isometry's x2-slope b0' ell/(2 pi^2)
+# and C_{m1,m2-m1} takes it from the lift's, so the image on b0 = 0 is one surface.
+# The slopes' sums round apart by an ulp or so; |II| of a slope-s' lift, taken at
+# x2 = 0.7 s' where A = d + C g_i^2 cancels about g_i^2 ulps, moves some 2e-13 then
+# at b0' = b0/k = 1000, so the rows stop at b0' about 333.  Each row read 1e-13 to
+# 2e-12 while the jet held b0
+_B0_SHIFT = [(1, Fraction(300)), (3, Fraction(1000)), (9, Fraction(1000))]
+
+
+@pytest.mark.parametrize("k,b0", _B0_SHIFT, ids=[f"k{k}-b0_{b0}" for k, b0 in _B0_SHIFT])
+def test_slag_reports_under_b0_plus_half_k(tmp_path, k, b0):
+    for (m1, m2), kappa1 in itertools.product(_CYCLES, ("0", "0.5")):
+        common = ["--k", str(k), "--kappa1", kappa1]
+        argv = ("--b0", str(b0), "--cycle", f"{m1},{m2}")
+        shifted = ("--b0", str(b0 + Fraction(k, 2)), "--cycle", f"{m1},{m2 - m1}")
+        code, res, curve = _run("slag", "pi-decay", *common, *argv, csv_path=tmp_path / "a.csv")
+        code1, res1, curve1 = _run("slag", "pi-decay", *common, *shifted,
+                                   csv_path=tmp_path / "b.csv")
+        assert code == code1 == 0
+        assert res["exponent"] == pytest.approx(res1["exponent"], rel=1e-13, abs=0.0)
+        for (r, val), (r1, val1) in zip(curve, curve1):
+            assert r == r1 and _rel(val, val1) <= 1e-13, (m1, m2, kappa1, r)
+        for ell in ("5", "10", "40"):
+            (_, res, _), (_, res1, _) = (_run("slag", "check", *common, *tail, "--ell", ell)
+                                         for tail in (argv, shifted))
+            assert _rel(res["second_ff_norm"], res1["second_ff_norm"]) <= 1e-13, (m1, m2, ell)
+            assert _rel(res["sup_omega_restriction"], res1["sup_omega_restriction"]) <= 1e-13
+            assert res["sup_phase_defect"] == res1["sup_phase_defect"]
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
