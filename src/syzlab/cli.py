@@ -242,9 +242,9 @@ def _cmd_slag_check(args):
                "second_ff_norm": ff.pi_norm,
                "mean_curvature": ff.h_norm,
                "gauss_residual": ff.gauss_residual}
-    checks = [_check("lagrangian", lagrangian), _check("gauss_equation", ff.gauss_residual)]
+    checks = [_check("lagrangian", lagrangian), _check("gauss_equation", ff.gauss_rel)]
     if p.kappa_is_one():
-        checks.append(_check("mean_curvature", ff.h_norm))
+        checks.append(_check("mean_curvature", ff.h_rel))
     return results, checks, None
 
 

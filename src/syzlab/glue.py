@@ -256,13 +256,12 @@ _SCAN_X2 = np.array([0.0, 0.35, 0.8])
 POSITIVITY_SUM_ERR = 32.0 * 2.0 ** -53
 
 
-def positivity_scan(cfg: GlueConfig, alpha: float, t: float,
-                    window: tuple[float, float] | None = None) -> float:
+def positivity_scan(cfg: GlueConfig, alpha: float, t: float) -> float:
     """Minimum eigenvalue margin of omega_alpha(t) - (omega_0 + psi i ddbar u_alpha)/2.
 
-    window restricts the radial scan (defaults to the whole modeled
-    annulus) to 200 radii from 1.0001 lo to 0.9999 hi (_log_grid).  Raises a
-    validation error when t is at or below the reserve threshold.  The
+    The scan takes 200 radii from 1.0001 rho_min to 0.9999 rho_max
+    (_log_grid).  Raises a validation error when t is at or below the
+    reserve threshold, or when those radii leave the annulus.  The
     (x, y) block at each radius and fiber height, from the reference model
     (alpha = 1), is (1/4)[[c, -c conj(Gamma)], [-c Gamma, d + c|Gamma|^2]]
     + diag(0, X); its determinant (c/4)(d/4 + X) never forms the cancelling
@@ -281,11 +280,8 @@ def positivity_scan(cfg: GlueConfig, alpha: float, t: float,
     if t <= t_req:
         raise ValidationError(
             f"t = {t} too small for positivity; need t > {t_req:.6g}")
-    lo, hi = window if window is not None else (cfg.rho_min, cfg.rho_max)
-    if not (cfg.rho_min <= lo < hi <= cfg.rho_max):
-        raise ValidationError("window must lie inside the modeled annulus")
-    lo, hi = lo * 1.0001, hi * 0.9999
-    # a window narrower than 1e-4 reverses the grid and may leave the annulus
+    lo, hi = cfg.rho_min * 1.0001, cfg.rho_max * 0.9999
+    # an annulus narrower than 1e-4 (rho_max/rho_min < 1.0001) reverses the grid and leaves it
     if not (cfg.rho_min <= hi and lo <= cfg.rho_max):
         raise ValidationError("rho outside the modeled annulus")
     rho = _log_grid(lo, hi, 200)

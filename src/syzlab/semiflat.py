@@ -360,19 +360,20 @@ _PATTERNS = np.array([[1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
                       [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1]], dtype=float)
 _D_PATTERNS = _PATTERNS
 _ELL_MAX = (16.0 * math.pi) ** (1.0 / 3.0) * 2.0 ** 340  # (4 pi)^(1/3) 2^(1022/3)
-# strict upper bounds of a jet point: ell <= _ELL_MAX, the rest finite
-_JET_UPPER = np.array([np.nextafter(_ELL_MAX, np.inf), np.inf, np.inf, np.inf])
 
 
-def metric_jet(p: ModelParams, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(g, dg, ddg) of a normal-form model at chart points q of shape (..., 4), in
-    closed form; any other model raises ValidationError, b0 != 0 too: b0 is the isometry
-    x -> x - b0 y^2/(4 pi^2) onto b0 = 0 (twist_slope), which curvature and |II| read.
+def metric_jet(p: ModelParams, ell, theta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(g, dg, ddg) of a normal-form model at the chart points (ell, theta, x1, 0), for ell and
+    theta broadcast together, in closed form; any other model raises ValidationError.  Two
+    isometries carry every point there: x -> x - b0 y^2/(4 pi^2) onto b0 = 0 (twist_slope),
+    and on b0 = 0 x -> x + i a y, which keeps dx - i (x2/ell) dy, moves x2 by a ell and x1 by
+    -a theta, and, linear in the chart, keeps every plane through d/dx1 without d/dell.  So
+    |Rm|, and |II|, |H| and K_ambient of a lift's plane, depend on (ell, theta) alone.
 
-    g has the bits of riemannian_metric_chart(p, q), dg[..., e, a, b] = d_e g_ab and
+    g has the bits of riemannian_metric_chart there, dg[..., e, a, b] = d_e g_ab and
     ddg[..., e, f, a, b] = d_e d_f g_ab.  g's entries are A = d + C g_i^2, B = C g_i and
-    C = 2 pi/ell, with d = 2K/C rounded as sf_form_chart rounds it and d/K = ell/pi
-    taken as 2/C in the derivatives, K = |kappa(e^-y)|^2.  kappa is holomorphic
+    C = 2 pi/ell at g_i = x2/ell = 0, with d = 2K/C rounded as sf_form_chart rounds it and
+    d/K = ell/pi taken as 2/C in the derivatives, K = |kappa(e^-y)|^2.  kappa is holomorphic
     in y = ell + i theta, so with kappa_y = sum -p c_p z^p and kappa_yy = sum p^2 c_p z^p,
     K_ell = 2 Re(conj(kappa) kappa_y), K_theta = -2 Im(conj(kappa) kappa_y), K_ell,ell and
     K_theta,theta = 2|kappa_y|^2 +- 2 Re(conj(kappa) kappa_yy) and K_ell,theta
@@ -383,17 +384,16 @@ def metric_jet(p: ModelParams, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     """
     if (p.k, p.eps, p.b0, p.alpha) != (1, 1.0, 0.0, 1.0):
         raise ValidationError("metric jet takes a normal-form model (k = eps = alpha = 1, b0 = 0)")
-    q = np.asarray(q, dtype=float)
-    ell, x2 = q[..., 0], q[..., 3]
-    if not ((q > _LOWER) & (q < _JET_UPPER)).all():
+    ell, theta = np.asarray(ell, dtype=float), np.asarray(theta, dtype=float)
+    if not (((ell > 0.0) & (ell <= _ELL_MAX)).all() and np.isfinite(theta).all()):
         if (ell > _ELL_MAX).any():
             raise NumericalError(f"metric jet term C_ell,ell = 4 pi/ell^3 is below float64's"
                                  f" normal range past ell = {_ELL_MAX:.3g}")
-        _reject_chart_point(q)
+        _reject_chart_point(np.append(ell, theta))
     # kappa(0) = 1 exactly (ModelParams checks it): that term adds exactly (1, 0, 0)
     kap, kap_y, kap_yy = 1.0 + 0.0j, 0.0j, 0.0j
     if len(p._kappa_terms) > 1:
-        z = np.exp(-(ell + 1j * q[..., 1]))
+        z = np.exp(-(ell + 1j * theta))
         for power, c in p._kappa_terms[1:]:
             term = c * z ** power
             kap, kap_y, kap_yy = kap + term, kap_y - power * term, kap_yy + power * power * term
@@ -404,29 +404,26 @@ def metric_jet(p: ModelParams, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     k_l, k_t = kk1.real, -kk1.imag
     c0 = TWO_PI / ell
     c1, d_k = c0 / ell, 2.0 / c0
-    c2, g_i = 2.0 * c1 / ell, x2 / ell
-    lead = np.shape(ell)
-    coef = np.array([2.0 * big_k / c0 + c0 * (g_i * g_i), c0 * g_i, c0])
-    # coefficients of the patterns A, B, C in d_e g and d_e d_f g
+    c2 = 2.0 * c1 / ell
+    lead = np.broadcast(ell, theta).shape
+    # coefficients of the patterns A, B, C in g, d_e g and d_e d_f g
+    coef = np.zeros(lead + (3,))
+    coef[..., 0], coef[..., 2] = 2.0 * big_k / c0, c0
     d1 = np.zeros(lead + (4, 3))
-    d1[..., 0, 0] = d_k * (k_l + big_k / ell) - c1 * (3.0 * g_i * g_i)
-    d1[..., 0, 1] = -2.0 * c1 * g_i
+    d1[..., 0, 0] = d_k * (k_l + big_k / ell)
     d1[..., 0, 2] = -c1
     d1[..., 1, 0] = d_k * k_t
-    d1[..., 3, 0] = 2.0 * c1 * g_i
     d1[..., 3, 1] = c1
     d2 = np.zeros(lead + (4, 4, 3))
-    d2[..., 0, 0, 0] = d_k * (ky2 + kk2.real + 2.0 * k_l / ell) + 6.0 * c2 * g_i * g_i
-    d2[..., 0, 0, 1] = 3.0 * c2 * g_i
+    d2[..., 0, 0, 0] = d_k * (ky2 + kk2.real + 2.0 * k_l / ell)
     d2[..., 0, 0, 2] = c2
     d2[..., 0, 1, 0] = d2[..., 1, 0, 0] = d_k * (-kk2.imag + k_t / ell)
     d2[..., 1, 1, 0] = d_k * (ky2 - kk2.real)
-    d2[..., 0, 3, 0] = d2[..., 3, 0, 0] = -3.0 * c2 * g_i
     d2[..., 0, 3, 1] = d2[..., 3, 0, 1] = -c2
     d2[..., 3, 3, 0] = c2
     # each entry of g is one exact product and zeros, whatever order the matmul sums in
-    g = (coef.reshape(3, -1).T @ _PATTERNS + 0.0).reshape(lead + (4, 4))
-    return g, (d1 @ _D_PATTERNS).reshape(lead + (4, 4, 4)), \
+    return (coef @ _PATTERNS + 0.0).reshape(lead + (4, 4)), \
+        (d1 @ _D_PATTERNS).reshape(lead + (4, 4, 4)), \
         (d2 @ _D_PATTERNS).reshape(lead + (4, 4, 4, 4))
 
 
@@ -450,11 +447,11 @@ def _riemann(gam: np.ndarray, dgam: np.ndarray) -> np.ndarray:
     return half - np.swapaxes(half, -1, -2)
 
 
-def riemann_jet(p: ModelParams, q: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(R^a_{bcd}, Gamma^a_{bc}, g, g^-1) at chart points q of shape (..., 4),
-    from metric_jet.  d_e Gamma^a_{bc} = g^{ad} (1/2 d_e X_dbc - d_e g_dh
-    Gamma^h_{bc}): the Christoffel formula on d_e dg, less g^-1 d_e g Gamma."""
-    g, dg, ddg = metric_jet(p, q)
+def riemann_jet(p: ModelParams, ell, theta) -> tuple[np.ndarray, ...]:
+    """(R^a_{bcd}, Gamma^a_{bc}, g, g^-1) at the base points (ell, theta) of metric_jet.
+    d_e Gamma^a_{bc} = g^{ad} (1/2 d_e X_dbc - d_e g_dh Gamma^h_{bc}): the Christoffel
+    formula on d_e dg, less g^-1 d_e g Gamma."""
+    g, dg, ddg = metric_jet(p, ell, theta)
     ginv = np.linalg.inv(g)
     gam = _christoffel(ginv, dg)
     each_ginv = ginv[..., None, :, :]
@@ -523,12 +520,10 @@ DECAY_ELLS = np.linspace(5.0, 40.0, 10)
 
 def curvature_decay(p: ModelParams) -> tuple[np.ndarray, np.ndarray, DecayFit]:
     """|Rm|_g samples on the zero section at DECAY_ELLS against distance r, with a power-law
-    fit: one riemann_jet call on p's b0 = 0 normal form, scaled by s (normal_form), as the
-    isometry of twist_slope fixes x2 = 0 at theta = 0.  For kappa = 1, |Rm| r^2 = RM_R2."""
+    fit: one riemann_jet call on p's b0 = 0 normal form at theta = 0, scaled by s
+    (normal_form).  For kappa = 1, |Rm| r^2 = RM_R2."""
     p1, s = normal_form(p)
-    q = np.zeros(DECAY_ELLS.shape + (4,))
-    q[..., 0] = DECAY_ELLS
-    riem, _, g, ginv = riemann_jet(p1, q)
+    riem, _, g, ginv = riemann_jet(p1, DECAY_ELLS, 0.0)
     # |Rm|^2 = R_{abcd} R^{abcd}: lower the first index, raise the other three
     low = g @ riem.reshape(-1, 4, 64)
     up = ginv[:, None, None] @ riem @ ginv[:, None, None]

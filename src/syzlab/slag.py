@@ -10,10 +10,12 @@ g_i dt2 the metric is the flat A dt2^2 + B dv^2.  For kappa = 1 and g_r + s
 = 0 (special cycles) it is A dtheta^2 + B dx1^2 with A = alpha*k*ell/(pi*eps)
 and B = alpha*2*pi*eps/(k*ell), so A*B = 2*alpha^2 independently of ell.
 
-II comes from semiflat.metric_jet on the b0 = 0 normal form, at the lift of slope s + g_r'
-onto which x -> x - b0' y^2/(4 pi^2) maps the lift in eps up to x1 (semiflat.twist_slope).
-For kappa = 1 a special cycle is minimal, and |II|^2 = pi eps/(alpha k ell^3) = (4/9)/r^2
-at every point, whatever b0 and alpha (tests derive both with sympy).
+II comes from semiflat.metric_jet on the b0 = 0 normal form at (ell, theta, x1, 0), for the
+plane of slope s + g_r' onto which x -> x - b0' y^2/(4 pi^2) maps the lift in eps up to x1
+(semiflat.twist_slope); x -> x + i a y then moves x2 to 0 and keeps that plane.  So |II|,
+|H|, K_ambient and |Rm| depend only on (ell, theta) and the plane.  For kappa = 1 a special
+cycle is minimal, and |II|^2 = pi eps/(alpha k ell^3) = (4/9)/r^2 at every point, whatever
+b0 and alpha (tests derive both with sympy).
 """
 
 from __future__ import annotations
@@ -121,15 +123,18 @@ def check_special(mf: ModelFiber) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class SecondFF:
-    """Second-fundamental-form data of the embedded fiber at one point."""
+    """Second-fundamental-form data of the embedded fiber at one point; h_rel = |H|/|II| and
+    gauss_rel = |K_ambient + Pi| / (|K_ambient| + |Pi|) are free of the scale s."""
 
     pi_norm: float
     h_norm: float
     gauss_residual: float
+    h_rel: float
+    gauss_rel: float
 
 
-# cycle parameters (t1, t2) of the point where the second fundamental form is taken
-_T = np.array([0.2, 0.7])
+# base angle theta = -t2 of the point where the second fundamental form is taken
+_THETA = -0.7
 # |II| r at every point of a special cycle of a model with kappa = 1
 II_R = 2.0 / 3.0
 
@@ -162,9 +167,9 @@ def _fundamental_forms(g: np.ndarray, gam: np.ndarray, tan: np.ndarray):
 
 
 def second_fundamental_form(mf: ModelFiber) -> SecondFF:
-    """|II|, |H| and a Gauss-equation residual at the cycle point _T.
+    """|II|, |H| and a Gauss-equation residual at the cycle's point over theta = _THETA.
 
-    Gauss: K_intrinsic = K_ambient(T1,T2) + (<II_11,II_22> - |II_12|^2)
+    Gauss: K_intrinsic = K_ambient(T1,T2) + Pi, Pi = <II_11,II_22> - |II_12|^2,
     after normalizing by the induced area element.  K_intrinsic is 0, as the
     induced metric B (dt1 - g_i dt2)^2 + A(t2) dt2^2, B constant, is flat
     (module docstring); II and K_ambient come from one riemann_jet call at the cycle's
@@ -174,9 +179,9 @@ def second_fundamental_form(mf: ModelFiber) -> SecondFF:
     |II|^2/2 = pi/(2 ell^3) on a kappa = 1 special cycle, past ell = 4.13e102.
     """
     p1, s = sf.normal_form(mf.params)
-    origin, tan = mf.cycle.lift(mf.params.eps, mf.ell)
+    tan = mf.cycle.lift(mf.params.eps, mf.ell)[1]
     tan[3, 1] += sf.twist_slope(mf.params, mf.ell)
-    riem, gam, g, _ = sf.riemann_jet(p1, origin + tan @ _T)
+    riem, gam, g, _ = sf.riemann_jet(p1, mf.ell, _THETA)
     second, pi_sq, h_sq, hin = _fundamental_forms(g, gam, tan)
     low = np.einsum("ae,ebcd->abcd", g, riem)
     area_sq = float(np.linalg.det(hin))
@@ -189,9 +194,11 @@ def second_fundamental_form(mf: ModelFiber) -> SecondFF:
         raise NumericalError(
             f"Gauss term min(|K_ambient|, |<II_11,II_22> - |II_12|^2|) = {smallest:.3g}"
             f" is below float64's normal range ({np.finfo(float).tiny:.3g})")
-    return SecondFF(pi_norm=math.sqrt(s) * math.sqrt(max(pi_sq, 0.0)),
-                    h_norm=math.sqrt(s) * math.sqrt(max(h_sq, 0.0)),
-                    gauss_residual=s * abs(k_amb + pi_term))
+    gauss, pi_sq, h_sq = abs(k_amb + pi_term), max(float(pi_sq), 0.0), max(float(h_sq), 0.0)
+    # II = 0 has H = 0: 0/0 is 0
+    return SecondFF(pi_norm=math.sqrt(s) * math.sqrt(pi_sq), h_norm=math.sqrt(s) * math.sqrt(h_sq),
+                    gauss_residual=s * gauss, h_rel=math.sqrt(h_sq / pi_sq) if pi_sq else 0.0,
+                    gauss_rel=gauss / (abs(k_amb) + abs(pi_term)))
 
 
 def pi_decay(p: sf.ModelParams, cycle: fib.CycleSpec) -> tuple[np.ndarray, np.ndarray, DecayFit]:
@@ -203,9 +210,9 @@ def pi_decay(p: sf.ModelParams, cycle: fib.CycleSpec) -> tuple[np.ndarray, np.nd
     if cycle.fiber:
         raise ValidationError("slag fibers are bad cycles, not torus fibers")
     p1, s = sf.normal_form(p)
-    origin, tan = cycle.lift(p.eps, sf.DECAY_ELLS)
+    tan = cycle.lift(p.eps, sf.DECAY_ELLS)[1]
     tan[..., 3, 1] += sf.twist_slope(p, sf.DECAY_ELLS)
-    g, dg, _ = sf.metric_jet(p1, origin + tan @ _T)
+    g, dg, _ = sf.metric_jet(p1, sf.DECAY_ELLS, _THETA)
     pi_sq = _fundamental_forms(g, sf._christoffel(np.linalg.inv(g), dg), tan)[1]
     vals = math.sqrt(s) * np.sqrt(np.maximum(pi_sq, 0.0))
     r = sf.distance_r(p, sf.DECAY_ELLS)

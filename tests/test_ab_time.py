@@ -5,6 +5,7 @@ import importlib.util
 import pathlib
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -31,3 +32,19 @@ def test_head_against_working_tree(capsys):
     # the two trees are separate packages, neither of them `syzlab`
     parent, change = (sys.modules[f"syzlab_ab_{side}.cli"] for side in ("parent", "change"))
     assert parent.run is not change.run
+
+
+@pytest.mark.skipif(not _in_git_checkout(), reason="needs the repository's git history")
+def test_parent_tree_outlives_the_timing(capsys, monkeypatch):
+    # a report that needs numpy loads the parent's model modules on its first call, from
+    # the extracted tree; one whose exit codes differ between the trees makes main exit 1
+    assert ab.main(["--parent", "HEAD", "--passes", "1", "--number", "1",
+                    "semiflat eval --k 1 --ell 2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[3].split()[:4] == ["parent", "HEAD", "exit", "0"]
+    assert lines[4].split()[:4] == ["working", "tree", "exit", "0"]
+    real = ab.load_cli
+    monkeypatch.setattr(ab, "load_cli", lambda src, name: types.SimpleNamespace(
+        run=lambda argv: 2) if name == "syzlab_ab_change" else real(src, name))
+    assert ab.main(["--parent", "HEAD", "--passes", "1", "--number", "1", "dims --k 2"]) == 1
+    assert "exit codes differ" in capsys.readouterr().out

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from syzlab import glue
+from syzlab import cli, glue
 from syzlab import semiflat as sfm
 from syzlab.errors import NumericalError, ValidationError
 
@@ -174,6 +174,21 @@ def rescaled_margin(cfg, alpha, window, n=200):
                 lam_max = (a + dd) / 2 + ((a - dd) ** 2 / 4 + c ** 2 * gam2 / 16).sqrt()
                 worst = min(worst, float(a * ad / lam_max))
     return worst
+
+
+_LOG_GRID = glue._log_grid
+
+
+def scan_on(cfg, alpha, t, window=None):
+    """positivity_scan with its 200 radii taken from 1.0001 lo to 0.9999 hi of window =
+    (lo, hi), as it takes them on its annulus: the minimum over one region, which the
+    annulus' minimum (past r + 3s on these configs) hides.  None scans the annulus."""
+    if window is None:
+        return glue.positivity_scan(cfg, alpha, t)
+    lo, hi = window
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(glue, "_log_grid", lambda *_: _LOG_GRID(lo * 1.0001, hi * 0.9999, 200))
+        return glue.positivity_scan(cfg, alpha, t)
 
 
 def closed_form_min(c, d, g_r, g_i, x):
@@ -410,7 +425,7 @@ class TestCutoffBits:
             edges = self._radii(cfg.r, cfg.s)[0]
             for window in (None, (cfg.rho_min, edges[1]), (edges[0], edges[3]),
                            (edges[1], edges[2]), (edges[2], cfg.rho_max)):
-                got = glue.positivity_scan(cfg, alpha, t, window=window)
+                got = scan_on(cfg, alpha, t, window)
                 assert got == margin_oracle(cfg, alpha, t, window=window)
 
     @given(lo=st.floats(5e-324, 1.0, exclude_max=True),
@@ -419,7 +434,7 @@ class TestCutoffBits:
     @example(lo=5e-324, hi=0.9 * 0.9999, n=200)
     @settings(max_examples=300, deadline=None)
     def test_log_grid_is_geomspace_bitwise(self, lo, hi, n):
-        # the scan's radii; a window narrower than 1e-4 reverses them
+        # the scan's radii; an annulus narrower than 1e-4 reverses them
         assert glue._log_grid(lo, hi, n).tobytes() == np.geomspace(lo, hi, n).tobytes()
 
     def test_positivity_margin_bitwise_with_kappa(self):
@@ -430,7 +445,7 @@ class TestCutoffBits:
             for alpha in (0.3, 1.5, 4.0):
                 t = 1.2 * glue.required_t(cfg, alpha, 0.0) + 1.0
                 for window in ((cfg.rho_min, cfg.r), (cfg.r + 2.0 * cfg.s, cfg.rho_max)):
-                    got = glue.positivity_scan(cfg, alpha, t, window=window)
+                    got = scan_on(cfg, alpha, t, window)
                     assert got == margin_oracle(cfg, alpha, t, window=window)
 
 
@@ -528,7 +543,7 @@ class TestArrayKernels:
             t = 1.2 * glue.required_t(cfg, alpha, 0.0) + 1.0
             for window in (None, (cfg.rho_min, cfg.r), (cfg.r, cfg.r + 3.0 * cfg.s)):
                 ref = positivity_oracle(cfg, alpha, t, window=window)
-                assert glue.positivity_scan(cfg, alpha, t, window=window) == \
+                assert scan_on(cfg, alpha, t, window) == \
                     pytest.approx(ref, rel=1e-14, abs=0.0)
 
     def test_legendre_cache_read_only(self):
@@ -658,7 +673,7 @@ class TestPositivity:
         with pytest.raises(ValidationError, match="non-trivial kappa"):
             glue.positivity_scan(cfg, 1.1, t)
         outer = (cfg.r + 2.0 * cfg.s, cfg.rho_max)
-        assert math.isfinite(glue.positivity_scan(cfg, 1.1, t, window=outer))
+        assert math.isfinite(scan_on(cfg, 1.1, t, outer))
 
     def test_kappa_matches_hermitian_matrix_outside_psi_region(self):
         # per-radius reference: the exact eigenvalue of the Hermitian block
@@ -666,7 +681,7 @@ class TestPositivity:
         t = 1.2 * glue.required_t(cfg, 1.1) + 1.0
         window = (cfg.r + 2.0 * cfg.s, cfg.rho_max)
         want = positivity_oracle(cfg, 1.1, t, window=window)
-        got = glue.positivity_scan(cfg, 1.1, t, window=window)
+        got = scan_on(cfg, 1.1, t, window)
         assert got == pytest.approx(want, rel=1e-14)
 
     def test_kappa_enters_as_modulus_squared(self):
@@ -675,7 +690,7 @@ class TestPositivity:
         cfg = make_cfg(kappa={0: 1.0, 1: 0.3 + 0.4j})
         t = 1.2 * glue.required_t(cfg, 1.1) + 1.0
         window = (cfg.r + 2.0 * cfg.s, cfg.rho_max)
-        got = glue.positivity_scan(cfg, 1.1, t, window=window)
+        got = scan_on(cfg, 1.1, t, window)
         assert got == pytest.approx(positivity_oracle(cfg, 1.1, t, window=window),
                                     rel=1e-14)
         without = positivity_oracle(make_cfg(), 1.1, t, window=window)
@@ -703,7 +718,7 @@ class TestPositivity:
         window = (cfg.rho_min, cfg.r)
         assert 0.0 < rescaled_margin(cfg, alpha, window) < alpha
         with pytest.raises(NumericalError, match="cannot resolve positivity_margin"):
-            glue.positivity_scan(cfg, alpha, t, window=window)
+            scan_on(cfg, alpha, t, window)
         with pytest.raises(NumericalError, match="cannot resolve positivity_margin"):
             glue.positivity_scan(cfg, alpha, t)
 
@@ -715,7 +730,7 @@ class TestPositivity:
         cfg = make_cfg()
         t = 1.2 * glue.required_t(cfg, alpha, 0.0) + 1.0
         window = (cfg.rho_min, cfg.r)
-        got = glue.positivity_scan(cfg, alpha, t, window=window)
+        got = scan_on(cfg, alpha, t, window)
         rel = 4.0 * glue.POSITIVITY_SUM_ERR / alpha
         assert got == pytest.approx(rescaled_margin(cfg, alpha, window), rel=rel, abs=0.0)
         assert got == pytest.approx(positivity_oracle(cfg, alpha, t, window=window),
@@ -726,21 +741,25 @@ class TestPositivity:
         t = 1.2 * glue.required_t(cfg, 1.1) + 1.0
         assert glue.positivity_scan(cfg, 1.1, t) > 0
 
-    def test_window_validation(self):
-        cfg = make_cfg()
-        with pytest.raises(ValidationError):
-            glue.positivity_scan(cfg, 1.0, 5.0, window=(0.001, 0.5))
-        # inside the annulus, but 1.0001 lo and 0.9999 hi are not
-        for window in ((0.01, 0.010001), (0.89999, 0.9)):
+    def test_scan_grid_must_stay_in_the_annulus(self, capsys):
+        # GlueConfig takes rho_max/rho_min < 1.0001 (s = 1e-9 fits r + 3s inside), but
+        # 1.0001 rho_min and 0.9999 rho_max then leave the annulus, from the CLI too
+        for rho_min, rho_max in ((0.49999, 0.50001), (0.4999999, 0.5000001)):
+            cfg = make_cfg(r=0.5, s=1e-9, rho_min=rho_min, rho_max=rho_max)
             with pytest.raises(ValidationError, match="rho outside the modeled annulus"):
-                glue.positivity_scan(cfg, 1.1, 50.0, window=window)
+                glue.positivity_scan(cfg, 1.1, 1e9)
+            argv = ["glue", "positivity", "--k", "1", "--r", "0.5", "--s", "1e-9", "--rho-min",
+                    repr(rho_min), "--rho-max", repr(rho_max), "--v0c", "1", "--vomc", "0.2",
+                    "--alpha", "1.1", "--no-timestamp"]
+            assert cli.run(argv) == 1
+            assert "rho outside the modeled annulus" in capsys.readouterr().err
 
     def test_margin_monotone_in_t_on_bump(self):
         cfg = make_cfg()
         t = 1.2 * glue.required_t(cfg, 1.1) + 1.0
         win = (cfg.r + cfg.s, cfg.r + 2.0 * cfg.s)
-        m1 = glue.positivity_scan(cfg, 1.1, t, window=win)
-        m2 = glue.positivity_scan(cfg, 1.1, 10.0 * t, window=win)
+        m1 = scan_on(cfg, 1.1, t, win)
+        m2 = scan_on(cfg, 1.1, 10.0 * t, win)
         assert m2 > m1
 
 

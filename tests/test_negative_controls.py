@@ -96,15 +96,15 @@ def test_check_fails_on_a_scaled_term(monkeypatch, name, argv, module, term, thr
 # the C = 2 pi/ell row of the metric jet's g patterns, dg and ddg left exact:
 # the checks read the g that the jet builds from its own coefficients.  The
 # --b0 1000 rows read b0 through the isometry onto b0 = 0 (they exited 3 at
-# delta = 0 while the jet held b0); there the lift's x2-slope b0 ell/(2 pi^2)
-# tilts the fiber towards x2, so |II| r moves about 500 delta and pi_scale
-# flips at 1e-14
+# delta = 0 while the jet held b0).  |II| is taken at x2 = 0, where the lift's
+# x2-slope b0 ell/(2 pi^2) puts no g_i^2 term in A, so |II| r moves by about
+# delta (1.0002e-12 at 1e-12) and pi_scale flips at 1e-12, as at b0 = 0
 _JET_ROWS = [*((check, words + ["--k", "1", "--eps", eps], 1e-11)
                for check, words in (("curvature_scale", ["semiflat", "curvature"]),
                                     ("pi_scale", ["slag", "pi-decay"]))
                for eps in ("1e-300", "1", "1e300")),
              ("curvature_scale", ["semiflat", "curvature", "--k", "1", "--b0", "1000"], 1e-11),
-             ("pi_scale", ["slag", "pi-decay", "--k", "1", "--b0", "1000"], 1e-14)]
+             ("pi_scale", ["slag", "pi-decay", "--k", "1", "--b0", "1000"], 1e-12)]
 
 
 @pytest.mark.parametrize("name,argv,threshold", _JET_ROWS,
@@ -235,17 +235,19 @@ _SLAG = ["slag", "check", "--k", "1", "--ell", "10"]
 # so its rows have b0 != 0: at b0 = 0, g_r = 0 and no scaling of 2 pi^2 moves
 # it.  Scaled by 1 + delta it reads delta/2 on both rows (5.0e-11 at 1e-10,
 # 5.0e-10 at 1e-9), so they flip at 1e-9 against its 1e-10.  mean_curvature
-# scales the C = 2 pi/ell row of g, dg and ddg left exact.  gauss_equation
-# flips only at 1e-3: its residual grows as 2 delta times Gauss terms of about
-# 1.6e-3 against an absolute tolerance of 1e-6.  lambda1_rel_error scales the
-# Rayleigh estimate, whose relative error is delta against a tolerance of 2e-2.
+# scales the C = 2 pi/ell row of g, dg and ddg left exact: |H|/|II| reads about
+# delta/2 (5.0e-8 at 1e-7) against 1e-8, so it flips at 1e-7.  gauss_equation
+# reads |K_ambient + Pi| / (|K_ambient| + |Pi|), which II scaled by 1 + delta
+# moves to delta (1 - delta/2): 9.999995e-7 at 1e-6, so it flips at 1e-5
+# against 1e-6.  lambda1_rel_error scales the Rayleigh estimate, whose relative
+# error is delta against a tolerance of 2e-2.
 _SLAG_ROWS = [
     *(("lagrangian", argv, sf, "_TWO_PI_SQ", _scaled_constant, 1e-9) for argv in (
         ["slag", "check", "--k", "2", "--b0", "-1", "--cycle", "1,1", "--ell", "10"],
         ["slag", "check", "--k", "3", "--eps", "2", "--b0", "-3/4", "--cycle", "2,1",
          "--ell", "15"])),
-    ("mean_curvature", _SLAG, sf, "_PATTERNS", _scaled_row(2), 1e-6),
-    ("gauss_equation", _SLAG, slag, "_fundamental_forms", _scaled_second, 1e-3),
+    ("mean_curvature", _SLAG, sf, "_PATTERNS", _scaled_row(2), 1e-7),
+    ("gauss_equation", _SLAG, slag, "_fundamental_forms", _scaled_second, 1e-5),
     *(("lambda1_rel_error", ["slag", "geometry", *argv], slag, "lambda1_rayleigh",
        _scaled_output, 1e-1) for argv in (
         ["--k", "1"], ["--k", "2", "--eps", "0.5", "--b0", "1/4"],
@@ -265,7 +267,7 @@ def test_slag_check_fails_on_a_scaled_term(monkeypatch, name, argv, owner, term,
 
 # gauss_equation is an identity under the jet: with any pattern row of g, dg or
 # ddg scaled by up to 10 %, II and K_ambient come from one jet and the residual
-# stays 0.0 (at most 2.2e-19), while |II| moves by up to 7 %
+# stays at most 6.9e-17 of the Gauss terms, while |II| moves by up to 7 %
 @pytest.mark.parametrize("term,row", [("_PATTERNS", row) for row in range(3)]
                          + [("_D_PATTERNS", row) for row in range(3)])
 def test_gauss_equation_unmoved_by_scaled_jet_patterns(monkeypatch, term, row):

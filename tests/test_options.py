@@ -24,7 +24,6 @@ SETTINGS = {
     "fibration.SectionData.h",
     "fibration.from_ell(theta)",
     "glue.mass_integral(n)",
-    "glue.positivity_scan(window)",
     "glue.required_t(t_prime)",
     "glue.solve_alpha(n)",
     "glue.solve_alpha(t_prime)",

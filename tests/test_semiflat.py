@@ -644,7 +644,7 @@ class TestCurvature:
         p1, s = sf.normal_form(p)
         for ell, ri, val in zip(np.linspace(5.0, 40.0, 10), r, vals):
             q = np.array([ell, 0.0, 0.0, 0.0])
-            riem, _, g, _ = sf.riemann_jet(p1, q)
+            riem, _, g, _ = sf.riemann_jet(p1, ell, 0.0)
             assert val == pytest.approx(s * _rm_norm(riem, g), rel=1e-12, abs=0.0)
             assert ri == sf.distance_r(p, ell)
             # the finite-difference oracle on p itself, O(h^2) with h <= 1e-2:
@@ -711,10 +711,11 @@ class TestMetricJet:
         d2 = [m.diff(b) for m in d1 for b in coords]
         f = sp.lambdify(coords, [list(gs), [v for m in d1 for v in m],
                                  [v for m in d2 for v in m]], "math")
+        # the jet's points (ell, theta, x1, 0), x1 drawn: g is free of it
         rng = np.random.default_rng(23)
         q = np.column_stack([rng.uniform(0.5, 12.0, 6), rng.uniform(-3.0, 3.0, 6),
-                             rng.uniform(-2.0, 2.0, 6), rng.uniform(-2.0, 2.0, 6)])
-        g, dg, ddg = sf.metric_jet(p, q)
+                             rng.uniform(-2.0, 2.0, 6), np.zeros(6)])
+        g, dg, ddg = sf.metric_jet(p, q[:, 0], q[:, 1])
         for i, pt in enumerate(q):
             for got, want in zip((g[i], dg[i], ddg[i]), f(*pt.tolist())):
                 want = np.array(want, dtype=float).reshape(got.shape)
@@ -724,19 +725,20 @@ class TestMetricJet:
            coeffs=st.tuples(st.complex_numbers(max_magnitude=10.0),
                             st.complex_numbers(max_magnitude=10.0)),
            points=st.lists(st.tuples(st.floats(-3.0, math.log10(sf._ELL_MAX)),
-                                     st.floats(-1e3, 1e3), st.floats(-1e3, 1e3),
-                                     st.floats(-1e3, 1e3)), min_size=1, max_size=3),
+                                     st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+                           min_size=1, max_size=3),
            single=st.booleans())
     @settings(max_examples=200, deadline=None)
     def test_g_is_riemannian_metric_chart_bitwise(self, degree, coeffs, points, single):
         # the jet assembles g from its own coefficients; kappa has constant, linear
         # and quadratic terms, and one point takes sf_form_chart's Python-float path.
-        # The jet takes b0 = 0 alone: test_b0_is_the_twist_isometry carries b0 != 0
+        # The jet takes b0 = 0 and x2 = 0 alone: TestTwistIsometry and TestShearIsometry
+        # carry b0 != 0 and x2 != 0
         kappa = {0: 1.0, **dict(zip((1, 2), coeffs[:degree]))} if degree else {}
         p = sf.ModelParams(k=1, kappa=kappa)
-        q = np.array([[min(10.0 ** e, sf._ELL_MAX), th, x1, x2] for e, th, x1, x2 in points])
+        q = np.array([[min(10.0 ** e, sf._ELL_MAX), th, x1, 0.0] for e, th, x1 in points])
         q = q[0] if single else q
-        g, want = sf.metric_jet(p, q)[0], sf.riemannian_metric_chart(p, q)
+        g, want = sf.metric_jet(p, q[..., 0], q[..., 1])[0], sf.riemannian_metric_chart(p, q)
         # bitwise, the sign of a zero included
         assert g.shape == want.shape and g.tobytes() == want.tobytes()
 
@@ -744,13 +746,12 @@ class TestMetricJet:
         (1, 1.0, 0.0, 1.0), (2, 0.7, 0.25, 1.0), (3, 2.0, -1.0 / 3.0, 1.5), (1, 0.5, 1.0, 0.3)])
     def test_rm_norm_sq_r4_is_128_over_27(self, k, eps, b0, alpha):
         # at every point of a model with kappa = 1, not just the zero section:
-        # |Rm| of p at q is s |Rm| of its normal form at Phi(q)
+        # |Rm| of p at q is s |Rm| of its normal form at the base point of q
         p = sf.ModelParams(k=k, eps=eps, b0=b0, alpha=alpha)
         p1, s = sf.normal_form(p)
         rng = np.random.default_rng(k)
-        q = np.column_stack([rng.uniform(1.0, 50.0, 8), rng.uniform(-3.0, 3.0, 8),
-                             rng.uniform(-2.0, 2.0, 8), rng.uniform(-2.0, 2.0, 8)])
-        riem, _, g, _ = sf.riemann_jet(p1, q * [1.0, 1.0, eps / k, eps / k])
+        q = np.column_stack([rng.uniform(1.0, 50.0, 8), rng.uniform(-3.0, 3.0, 8)])
+        riem, _, g, _ = sf.riemann_jet(p1, q[:, 0], q[:, 1])
         for i, pt in enumerate(q):
             r = sf.distance_r(p, pt[0])
             assert (s * _rm_norm(riem[i], g[i])) ** 2 * r ** 4 == pytest.approx(128.0 / 27.0,
@@ -763,8 +764,8 @@ class TestMetricJet:
     def test_christoffel_and_riemann_match_finite_differences(self, p):
         rng = np.random.default_rng(7)
         q = np.column_stack([rng.uniform(2.0, 12.0, 12), rng.uniform(-3.0, 3.0, 12),
-                             rng.uniform(-1.0, 1.0, 12), rng.uniform(-2.0, 2.0, 12)])
-        riem, gam, g, ginv = sf.riemann_jet(p, q)
+                             rng.uniform(-1.0, 1.0, 12), np.zeros(12)])
+        riem, gam, g, ginv = sf.riemann_jet(p, q[:, 0], q[:, 1])
         assert np.allclose(ginv @ g, np.eye(4), rtol=0.0, atol=1e-12)
         riem_fd, gam_fd, g_fd = sf.riemann_fd(
             lambda qq: sf.riemannian_metric_chart(p, qq), q, 1e-3)
@@ -777,11 +778,30 @@ class TestMetricJet:
 
     def test_single_point_equals_batch_row(self):
         p = _JET_MODELS[1]
-        q = np.array([[3.0, 0.4, 0.1, -0.5], [7.5, -1.2, 0.3, 1.1]])
-        batch = sf.riemann_jet(p, q)
+        ell, theta = np.array([3.0, 7.5]), np.array([0.4, -1.2])
+        batch = sf.riemann_jet(p, ell, theta)
         for i in range(2):
-            for whole, one in zip(batch, sf.riemann_jet(p, q[i])):
+            for whole, one in zip(batch, sf.riemann_jet(p, ell[i], theta[i])):
                 assert np.max(np.abs(whole[i] - one)) <= 1e-15 * np.max(np.abs(one))
+
+    @pytest.mark.parametrize("p", _JET_MODELS, ids=["kappa1", "linear", "quadratic"])
+    def test_base_points_broadcast_together(self, p):
+        ell, theta = np.array([[3.0], [7.5]]), np.array([0.4, -1.2, 0.0])
+        grid = np.broadcast_arrays(ell, theta)
+        for jet in (sf.metric_jet, sf.riemann_jet):
+            for got, want in zip(jet(p, ell, theta), jet(p, *grid)):
+                assert got.shape == grid[0].shape + want.shape[2:]
+                assert got.tobytes() == want.tobytes()
+        for got, want in zip(sf.metric_jet(p, ell[:, 0], 0.0),
+                             sf.metric_jet(p, ell[:, 0], np.zeros(2))):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("ell,theta,match", [
+        (0.0, 0.3, "ell > 0"), (-1.0, 0.3, "ell > 0"), (math.nan, 0.3, "finite"),
+        (5.0, math.inf, "finite"), (np.array([5.0, 6.0]), np.array([0.1, math.nan]), "finite")])
+    def test_rejects_a_base_point_off_the_chart(self, ell, theta, match):
+        with pytest.raises(ValidationError, match=match):
+            sf.metric_jet(sf.ModelParams(k=1), ell, theta)
 
     @given(log_ell=st.one_of(st.floats(100.0, 105.0), st.floats(105.0, 308.0)))
     @example(log_ell=308.0)
@@ -792,13 +812,12 @@ class TestMetricJet:
         p = sf.ModelParams(k=1)
         ell = 10.0 ** log_ell
         bound = (4.0 * math.pi) ** (1.0 / 3.0) * 2.0 ** (1022.0 / 3.0)
-        q = np.array([ell, 0.3, 0.1, 0.2])
         if ell > bound * (1.0 + 1e-9):
             with pytest.raises(NumericalError, match="normal range"):
-                sf.metric_jet(p, q)
+                sf.metric_jet(p, ell, 0.3)
             return
         try:
-            _, dg, ddg = sf.metric_jet(p, q)
+            _, dg, ddg = sf.metric_jet(p, ell, 0.3)
         except NumericalError:
             assert ell >= bound * (1.0 - 1e-9)
             return
@@ -808,10 +827,9 @@ class TestMetricJet:
     @pytest.mark.parametrize("p", [sf.ModelParams(k=2), sf.ModelParams(k=1, eps=0.5),
                                    sf.ModelParams(k=1, alpha=2.0), sf.ModelParams(k=1, b0=0.5)])
     def test_rejects_a_model_not_in_normal_form(self, p):
-        q = np.array([5.0, 0.3, 0.1, 0.2])
         for jet in (sf.metric_jet, sf.riemann_jet):
             with pytest.raises(ValidationError, match="normal-form"):
-                jet(p, q)
+                jet(p, 5.0, 0.3)
 
 
 def _plane_forms(sp, g, gam, tan):
@@ -909,39 +927,39 @@ class TestNormalForm:
         assert sf.RM_R2 ** 2 == pytest.approx(24.0 * (2.0 / 3.0) ** 4, rel=1e-15)
 
 
-def _twisted(b0, q):
-    """The isometry x -> x - b0 y^2/(4 pi^2) of twist_slope at chart points q (..., 4)."""
-    ell, th = q[..., 0], q[..., 1]
-    return np.stack([ell, th, q[..., 2] - b0 * (ell * ell - th * th) / (4.0 * math.pi ** 2),
-                     q[..., 3] - b0 * ell * th / (2.0 * math.pi ** 2)], axis=-1)
+def _sympy_omega(sp, coords, b0, x2):
+    """omega = alpha ((i/2) d dy ^ dybar + (i/2) c a ^ abar), a = dx - Gamma dy, as a 4 x 4
+    sympy matrix, with k, eps, alpha and |kappa(e^-y)|^2 symbolic."""
+    ell, th = coords[:2]
+    k, eps, alpha = sp.symbols("k eps alpha", positive=True)
+    kap2 = sp.Function("K", positive=True)(ell, th)
+    dy, dx = sp.Matrix([1, sp.I, 0, 0]), sp.Matrix([0, 0, 1, sp.I])
+    w = 2 * sp.pi / (k * ell)
+    c, d = w * eps, 2 * kap2 / (eps * w)
+    a = dx - (sp.I * x2 / ell + b0 * ell / (2 * sp.pi ** 2)) * dy
+    wedge = lambda u: u * u.conjugate().T - u.conjugate() * u.T  # noqa: E731
+    return alpha * sp.I / 2 * (d * wedge(dy) + c * wedge(a))
+
+
+# (t1, t2) of the lift's point over slag._THETA, where slag takes |II|
+_T_II = np.array([0.2, -slag._THETA])
 
 
 class TestTwistIsometry:
     def test_pullback_of_b0_zero_is_the_b0_form_symbolically(self):
-        # omega = alpha ((i/2) d dy ^ dybar + (i/2) c a ^ abar), a = dx - Gamma dy, with
-        # k, eps, alpha, b0 and |kappa|^2 symbolic: Phi^* omega_0 = omega_b0 under
-        # Phi(x) = x - b0 y^2/(4 pi^2), and Phi adds b0 ell/(2 pi^2) to the x2-slope
-        # of -d/dtheta + s d/dx2
+        # Phi(x) = x - b0 y^2/(4 pi^2) pulls omega_0 back to omega_b0, with k, eps, alpha,
+        # b0 and |kappa|^2 symbolic, and adds b0 ell/(2 pi^2) to the x2-slope of
+        # -d/dtheta + s d/dx2
         sp = pytest.importorskip("sympy")
         ell, th, x1, x2 = coords = sp.symbols("ell theta x1 x2", real=True)
-        k, eps, alpha = sp.symbols("k eps alpha", positive=True)
         b0, s = sp.symbols("b0 s", real=True)
-        kap2 = sp.Function("K", positive=True)(ell, th)  # |kappa(e^-y)|^2
-        dy, dx = sp.Matrix([1, sp.I, 0, 0]), sp.Matrix([0, 0, 1, sp.I])
-
-        def omega(b0, x2):
-            w = 2 * sp.pi / (k * ell)
-            c, d = w * eps, 2 * kap2 / (eps * w)
-            a = dx - (sp.I * x2 / ell + b0 * ell / (2 * sp.pi ** 2)) * dy
-            wedge = lambda u: u * u.conjugate().T - u.conjugate() * u.T  # noqa: E731
-            return alpha * sp.I / 2 * (d * wedge(dy) + c * wedge(a))
-
         y2 = sp.expand((ell + sp.I * th) ** 2)
         phi = sp.Matrix([ell, th, x1 - b0 * sp.re(y2) / (4 * sp.pi ** 2),
                          x2 - b0 * sp.im(y2) / (4 * sp.pi ** 2)])
         jac = phi.jacobian(coords)
-        pulled = jac.T * omega(0, phi[3]) * jac
-        assert (pulled - omega(b0, x2)).applyfunc(sp.simplify) == sp.zeros(4, 4)
+        pulled = jac.T * _sympy_omega(sp, coords, 0, phi[3]) * jac
+        assert (pulled - _sympy_omega(sp, coords, b0, x2)).applyfunc(sp.simplify) \
+            == sp.zeros(4, 4)
         assert sp.simplify((jac * sp.Matrix([0, -1, 0, s]))[3] - s
                            - b0 * ell / (2 * sp.pi ** 2)) == 0
         assert sf.twist_slope(sf.ModelParams(k=1, b0=0.3), 5.0) == 0.3 * 5.0 / (2 * math.pi ** 2)
@@ -949,16 +967,16 @@ class TestTwistIsometry:
     @pytest.mark.parametrize("b0", [-1e3, -10.0, -0.3, 0.25, 7.0, 10.0, 1e3])
     def test_b0_is_the_twist_isometry(self, b0):
         # the finite-difference oracle takes the b0 model itself, untwisted; the jet
-        # takes b0 = 0 at the isometry's image.  |II| at 1e-5 over b0 in +-1e3; |Rm|
-        # at the curvature sweep's 3e-5 where central differences resolve it, |b0| <= 10
-        # (the b0 metric's third derivatives grow as b0^2: at b0 = 100 the best step
-        # leaves 1e-3, while the jet at b0 = 0 is exact)
+        # takes b0 = 0 at the base point.  |II| at 1e-5 over b0 in +-1e3; |Rm| at the
+        # curvature sweep's 3e-5 where central differences resolve it, |b0| <= 10 (the
+        # b0 metric's third derivatives grow as b0^2: at b0 = 100 the best step leaves
+        # 1e-3, while the jet at b0 = 0 is exact)
         kappa = {0: 1.0, 1: 0.5 - 0.3j}
         p = sf.ModelParams(k=1, b0=b0, kappa=kappa)
         gf = functools.partial(sf.riemannian_metric_chart, p)
         if abs(b0) <= 10.0:
             q = np.array([[3.0, 0.4, 0.1, -0.5], [7.5, -1.2, 0.3, 1.1], [20.0, 2.0, -0.7, 0.2]])
-            riem, _, g, _ = sf.riemann_jet(sf.ModelParams(k=1, kappa=kappa), _twisted(b0, q))
+            riem, _, g, _ = sf.riemann_jet(sf.ModelParams(k=1, kappa=kappa), q[:, 0], q[:, 1])
             for i, pt in enumerate(q):
                 riem_fd, _, g_fd = sf.riemann_fd(gf, pt, 1e-2 * min(1.0, 10.0 / pt[0]))
                 assert _rm_norm(riem_fd, g_fd) == pytest.approx(_rm_norm(riem[i], g[i]),
@@ -966,11 +984,49 @@ class TestTwistIsometry:
         for cycle, ell in itertools.product((fib.CycleSpec(1, 0), fib.CycleSpec(2, 1),
                                              fib.CycleSpec(3, -2)), (0.5, 4.0, 40.0)):
             origin, tan = cycle.lift(1.0, ell)
-            q = origin + tan @ slag._T
+            q = origin + tan @ _T_II
             gam = sf.christoffel_fd(gf, q, 2e-3 * min(1.0, 10.0 / max(ell, 1.0)))
             pi_fd = math.sqrt(slag._fundamental_forms(gf(q), gam, tan)[1])
             jet = slag.second_fundamental_form(slag.ModelFiber(p, cycle, ell)).pi_norm
             assert pi_fd == pytest.approx(jet, rel=1e-5, abs=0.0)
+
+
+class TestShearIsometry:
+    def test_pullback_of_omega_is_omega_symbolically(self):
+        # on b0 = 0, Phi(x) = x + i a y moves x1 by -a theta and x2 by a ell, and
+        # Phi^* omega = omega with k, eps, alpha, a and |kappa|^2 symbolic; Phi is linear
+        # in the chart, fixes d/dx1 and d/dx2, and moves -d/dtheta + s d/dx2 by a d/dx1,
+        # so it keeps every plane that contains d/dx1 and no d/dell
+        sp = pytest.importorskip("sympy")
+        ell, th, x1, x2 = coords = sp.symbols("ell theta x1 x2", real=True)
+        a, s = sp.symbols("a s", real=True)
+        phi = sp.Matrix([ell, th, x1 - a * th, x2 + a * ell])
+        jac = phi.jacobian(coords)
+        pulled = jac.T * _sympy_omega(sp, coords, 0, phi[3]) * jac
+        assert (pulled - _sympy_omega(sp, coords, 0, x2)).applyfunc(sp.simplify) \
+            == sp.zeros(4, 4)
+        assert jac * sp.Matrix([0, -1, 0, s]) == sp.Matrix([0, -1, a, s])
+        assert jac[:, 2:] == sp.eye(4)[:, 2:]
+
+    @pytest.mark.parametrize("kappa", [{}, {0: 1.0, 1: 0.5 - 0.3j}])
+    def test_jet_at_x2_zero_is_the_oracle_at_x2(self, kappa):
+        # the finite-difference oracle on riemannian_metric_chart at x2 != 0, the jet at
+        # the base point: |Rm| at the curvature sweep's 3e-5 and the |II| of span(d/dx1,
+        # -d/dtheta + s d/dx2) at 1e-5, the fd tolerances of test_b0_is_the_twist_isometry
+        p = sf.ModelParams(k=1, kappa=kappa)
+        gf = functools.partial(sf.riemannian_metric_chart, p)
+        q = np.array([[3.0, 0.4, 0.1, -2.5], [7.5, -1.2, 0.3, 6.0], [20.0, 2.0, -0.7, -15.0]])
+        riem, gam, g, _ = sf.riemann_jet(p, q[:, 0], q[:, 1])
+        for i, pt in enumerate(q):
+            riem_fd, _, g_fd = sf.riemann_fd(gf, pt, 1e-2 * min(1.0, 10.0 / pt[0]))
+            assert _rm_norm(riem_fd, g_fd) == pytest.approx(_rm_norm(riem[i], g[i]),
+                                                            rel=3e-5, abs=0.0)
+            for slope in (0.0, 0.4, -3.0):
+                tan = np.array([[0.0, 0.0], [0.0, -1.0], [1.0, 0.0], [0.0, slope]])
+                gam_fd = sf.christoffel_fd(gf, pt, 2e-3 * min(1.0, 10.0 / pt[0]))
+                pi_fd = slag._fundamental_forms(gf(pt), gam_fd, tan)[1]
+                pi_jet = slag._fundamental_forms(g[i], gam[i], tan)[1]
+                assert math.sqrt(pi_fd) == pytest.approx(math.sqrt(pi_jet), rel=1e-5, abs=0.0)
 
 
 def _sphere_metric(q):

@@ -236,13 +236,17 @@ class TestSpecialCondition:
         assert fit.exponent < 0
 
 
+# (t1, t2) of the lift's point over slag._THETA, where slag takes |II|
+_T_II = np.array([0.2, -slag._THETA])
+
+
 def _fd_step(ell):
     """Finite-difference step of the oracle at radius ell."""
     return 2e-3 * min(1.0, 10.0 / max(ell, 1.0))
 
 
 def _intrinsic_curvature_fd(mf):
-    """Gaussian curvature of the induced metric at slag._T from a riemann_fd
+    """Gaussian curvature of the induced metric at _T_II from a riemann_fd
     stencil on the pulled-back metric t -> T^t g(origin + T t) T."""
     p = mf.params
     origin, tan = mf.cycle.lift(p.k, mf.ell)
@@ -250,7 +254,7 @@ def _intrinsic_curvature_fd(mf):
     def induced(tt):
         return tan.T @ sf.riemannian_metric_chart(p, origin + tt @ tan.T) @ tan
 
-    riem, _, h2 = sf.riemann_fd(induced, slag._T, _fd_step(mf.ell))
+    riem, _, h2 = sf.riemann_fd(induced, _T_II, _fd_step(mf.ell))
     low = np.einsum("ae,ebcd->abcd", h2, riem)
     return float(low[0, 1, 0, 1]) / float(np.linalg.det(h2))
 
@@ -337,7 +341,7 @@ class TestSecondFundamentalForm:
         for mf in _FLAT_GRID:
             p = mf.params
             origin, tan = mf.cycle.lift(p.k, mf.ell)
-            q, h = origin + tan @ slag._T, _fd_step(mf.ell)
+            q, h = origin + tan @ _T_II, _fd_step(mf.ell)
             gf = functools.partial(sf.riemannian_metric_chart, p)
             _, gam, g = sf.riemann_fd(gf, q, h)
             assert np.array_equal(gam, sf.christoffel_fd(gf, q, h))
@@ -405,14 +409,15 @@ class TestSecondFundamentalForm:
     def test_fundamental_forms_match_einsum_oracle(self, k, eps):
         # special Lagrangian cycles of the benchmark's ranges, one batch of ells;
         # H is rounding noise, so it is compared on the scale of |II|^2
-        # (on their b0 = 0 normal forms, with the twisted lift second_fundamental_form takes)
+        # (on their b0 = 0 normal forms at the base points, with the twisted lift's
+        # tangents, as second_fundamental_form takes them)
         ells = np.array([3.0, 3.5, 4.0, 6.0, 10.0, 25.0, 40.0])
         for m1, m2 in ((1, 0), (1, 1), (2, 1)):
             p = sf.ModelParams(k=k, eps=eps, b0=-k * m2 / (2 * m1))
             cycle = fib.CycleSpec(m1=m1, m2=m2)
-            origin, tan = cycle.lift(eps, ells)
+            tan = cycle.lift(eps, ells)[1]
             tan[..., 3, 1] += sf.twist_slope(p, ells)
-            _, gam, g, _ = sf.riemann_jet(sf.normal_form(p)[0], origin + tan @ slag._T)
+            _, gam, g, _ = sf.riemann_jet(sf.normal_form(p)[0], ells, slag._THETA)
             second, pi_sq, h_sq, hin = slag._fundamental_forms(g, gam, tan)
             ref = _fundamental_forms_einsum(g, gam, tan)
             assert np.max(np.abs(second - ref[0])) <= 1e-15 * np.max(np.abs(ref[0]))

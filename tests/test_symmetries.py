@@ -209,11 +209,10 @@ def _rel(a, b):
 
 # (k, b0): b0 + k/2 adds eps ell/(4 pi^2) to the isometry's x2-slope b0' ell/(2 pi^2)
 # and C_{m1,m2-m1} takes it from the lift's, so the image on b0 = 0 is one surface.
-# The slopes' sums round apart by an ulp or so; |II| of a slope-s' lift, taken at
-# x2 = 0.7 s' where A = d + C g_i^2 cancels about g_i^2 ulps, moves some 2e-13 then
-# at b0' = b0/k = 1000, so the rows stop at b0' about 333.  Each row read 1e-13 to
-# 2e-12 while the jet held b0
-_B0_SHIFT = [(1, Fraction(300)), (3, Fraction(1000)), (9, Fraction(1000))]
+# The slopes' sums round apart by an ulp or so, and |II| is taken at x2 = 0, where
+# g_i = 0 and A = d + C g_i^2 cancels nothing, so the rows reach b0' = b0/k = 1e6
+_B0_SHIFT = [(1, Fraction(300)), (3, Fraction(1000)), (9, Fraction(1000)),
+             (1, Fraction(3000)), (1, Fraction(10 ** 6))]
 
 
 @pytest.mark.parametrize("k,b0", _B0_SHIFT, ids=[f"k{k}-b0_{b0}" for k, b0 in _B0_SHIFT])

@@ -11,8 +11,8 @@ trees alternating from pass to pass (parent first in even passes); each
 call goes through cli_capture.run_captured with stdout and stderr sent to
 os.devnull.  It prints, per ARGV and tree, the exit code and the median and
 best of the passes' mean time per call, and the working tree's median over
-the parent's.  Only the standard library, numpy (through syzlab) and git
-are used.
+the parent's, and exits 1 if the two trees' exit codes differ on some ARGV.
+Only the standard library, numpy (through syzlab) and git are used.
 """
 
 from __future__ import annotations
@@ -34,8 +34,10 @@ from compare_outputs import ROOT, extract_src  # noqa: E402
 
 
 def load_cli(src: Path, name: str):
-    """The cli module of the syzlab package under src, imported as the
+    """The cli module of the syzlab package under src, imported afresh as the
     top-level package `name` so that two trees can share a process."""
+    for stale in [key for key in sys.modules if key.split(".")[0] == name]:
+        del sys.modules[stale]
     pkg = Path(src) / "syzlab"
     spec = importlib.util.spec_from_file_location(
         name, pkg / "__init__.py", submodule_search_locations=[str(pkg)])
@@ -71,21 +73,27 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.passes < 1 or args.number < 1:
         parser.error("--passes and --number must be positive")
+    sides = (f"parent {args.parent}", "working tree")
+    status = 0
+    # the parent's tree stays until timing ends: its cli loads the model modules on the
+    # first report that needs numpy
     with tempfile.TemporaryDirectory() as tmp:
         parent = load_cli(extract_src(args.parent, Path(tmp)), "syzlab_ab_parent")
-    change = load_cli(ROOT / "src", "syzlab_ab_change")
-    sides = (f"parent {args.parent}", "working tree")
-    print(f"{args.passes} passes of {args.number} calls, per-call times in us")
-    for line in args.argv:
-        codes, times = time_passes((parent.run, change.run), shlex.split(line),
-                                   args.passes, args.number)
-        print(f"\n{line}")
-        for side, code, t in zip(sides, codes, times):
-            print(f"  {side:<{max(map(len, sides))}}  exit {code}"
-                  f"  median {1e6 * statistics.median(t):9.1f}  best {1e6 * min(t):9.1f}")
-        ratio = statistics.median(times[1]) / statistics.median(times[0])
-        print(f"  working tree / parent median: {ratio:.3f}")
-    return 0
+        change = load_cli(ROOT / "src", "syzlab_ab_change")
+        print(f"{args.passes} passes of {args.number} calls, per-call times in us")
+        for line in args.argv:
+            codes, times = time_passes((parent.run, change.run), shlex.split(line),
+                                       args.passes, args.number)
+            print(f"\n{line}")
+            for side, code, t in zip(sides, codes, times):
+                print(f"  {side:<{max(map(len, sides))}}  exit {code}"
+                      f"  median {1e6 * statistics.median(t):9.1f}  best {1e6 * min(t):9.1f}")
+            ratio = statistics.median(times[1]) / statistics.median(times[0])
+            print(f"  working tree / parent median: {ratio:.3f}")
+            if codes[0] != codes[1]:
+                print("  exit codes differ: the times compare different work")
+                status = 1
+    return status
 
 
 if __name__ == "__main__":
