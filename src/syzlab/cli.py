@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import datetime
 import functools
 import json
 import math
@@ -413,32 +412,58 @@ _LEAVES = {
 }
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The parser, built once per process from _LEAVES: parse_args returns a
-    fresh Namespace and _Parser.error raises, so no state carries between runs.
+# the Namespace values a command's words set: its command, subcommand and handler
+_FIXED = {words: dict(zip(("command", "subcommand"), words), handler=handler)
+          for words, (handler, _) in _LEAVES.items()}
 
-    `parser.leaves` maps the words of each command, ("semiflat", "eval") or
-    ("hkrot",), to its leaf parser, whose defaults hold the command and
-    subcommand the full parser sets, and () to the full parser itself.  Each
-    leaf's `flags` is its _FlagTable, built from the same flags."""
+
+@functools.cache
+def _tree() -> dict:
+    """The argparse parsers, built once from _LEAVES on the first argv argparse must
+    read: each command's words to its leaf parser, whose defaults hold the command and
+    subcommand the full parser sets, and () to the full parser."""
     parser = _Parser(prog="syzlab", description=__doc__)
-    parser.leaves = {(): parser}
+    tree = {(): parser}
     groups = {(): parser.add_subparsers(dest="command", required=True)}
-    for words, (handler, flags) in _LEAVES.items():
+    for words, (_, flags) in _LEAVES.items():
         if words[:-1] not in groups:
             groups[words[:-1]] = groups[()].add_parser(words[0]).add_subparsers(
                 dest="subcommand", required=True)
-        sp = groups[words[:-1]].add_parser(words[-1])
-        fixed = dict(zip(("command", "subcommand"), words), handler=handler)
-        sp.set_defaults(**fixed)
+        sp = tree[words] = groups[words[:-1]].add_parser(words[-1])
+        sp.set_defaults(**_FIXED[words])
         for spelling, kind, default, *doc in _COMMON + flags:
             required = default is _REQUIRED
             how = {"action": "store_true"} if kind is bool else {"type": kind, "required": required}
             sp.add_argument(spelling, default=None if required else default,
                             help=doc[0] if doc else None, **how)
-        sp.flags = _FlagTable(_COMMON + flags, fixed)
-        parser.leaves[words] = sp
+    return tree
+
+
+class _Command:
+    """A command's parser, () the full one: its _FlagTable, and argparse's
+    parse_args and print_usage through _tree()."""
+
+    def __init__(self, words: tuple, flags: _FlagTable | None):
+        self.words, self.flags = words, flags
+
+    def parse_args(self, argv: list[str]) -> argparse.Namespace:
+        return _tree()[self.words].parse_args(argv)
+
+    def print_usage(self, file) -> None:
+        _tree()[self.words].print_usage(file)
+
+
+@functools.cache
+def build_parser() -> _Command:
+    """The full parser, built once per process from _LEAVES: parse_args returns a
+    fresh Namespace and _Parser.error raises, so no state carries between runs.
+
+    `parser.leaves` maps the words of each command, ("semiflat", "eval") or ("hkrot",),
+    to its _Command and () to the full parser itself; no argparse parser is built here."""
+    parser = _Command((), None)
+    parser.leaves = {(): parser}
+    for words, (_, flags) in _LEAVES.items():
+        parser.leaves[words] = _Command(words, _FlagTable(_COMMON + flags, _FIXED[words]))
     return parser
 
 
@@ -533,8 +558,8 @@ def _render(args, results: dict, checks: list[dict]) -> str:
     report = {"command": command, "inputs": _echo_inputs(args),
               "results": results, "checks": checks, "version": __version__}
     if not args.no_timestamp:
-        report["timestamp"] = datetime.datetime.now(
-            datetime.timezone.utc).isoformat()
+        import datetime  # not at import: a --no-timestamp report never loads it
+        report["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
     try:
         return _json(report, "\n")
     except ValueError as exc:

@@ -1046,6 +1046,19 @@ class TestFlagTable:
             assert repr(sorted(vars(got).items())) == repr(sorted(vars(want).items())), argv
             assert got.handler is want.handler, argv
 
+    @pytest.mark.parametrize("words", LEAF_WORDS, ids=" ".join)
+    def test_leaf_parser_matches_its_table(self, words):
+        # the table reads every valid argv and the lazily built leaf parser
+        # the rest: the same spellings, types, defaults and required flags
+        flags, leaf = cli.build_parser().leaves[words].flags, cli._tree()[words]
+        actions = [a for a in leaf._actions if a.dest != "help"]
+        assert all(len(a.option_strings) == 1 for a in actions)
+        assert {a.option_strings[0]: (a.dest, bool if isinstance(
+            a, argparse._StoreTrueAction) else a.type) for a in actions} == flags.spellings
+        assert {a.option_strings[0] for a in actions if a.required} == flags.required
+        assert {**leaf._defaults, **{a.dest: a.default for a in actions if not a.required}} \
+            == flags.defaults
+
     GLUE = ["--k", "1", "--r", "0.2", "--s", "0.1", "--v0c", "40", "--vomc", "62"]
 
     @pytest.mark.parametrize("words,argv", [

@@ -78,34 +78,68 @@ def test_no_readme_example_imports_numpy_random(tmp_path):
 
 
 _LAZY_RUN = """
-import sys
+import contextlib, gc, io, sys
 import syzlab.cli as cli
 cli.build_parser()
 loaded = sorted(m for m in sys.modules if m == "numpy" or m.startswith("syzlab."))
 assert loaded == ["syzlab.cli", "syzlab.errors", "syzlab.moduli"], loaded
 # fractions (with decimal and numbers) loads where hkrot builds an exact tau, not at import
 assert "fractions" not in sys.modules
-assert cli.run(["semiflat", "pair", "--k", "1", "--bogus", "1"]) == 1
-try:
-    cli.run(["dims", "--help"])
-except SystemExit as exc:
-    help_code = exc.code
-assert help_code == 0 and "numpy" not in sys.modules
-assert cli.run(["dims", "--k", "3", "--no-timestamp"]) == 0
-assert "numpy" not in sys.modules
+
+
+def parsers():
+    return sum(isinstance(o, cli.argparse.ArgumentParser) for o in gc.get_objects())
+
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.run(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+# a valid argv is read by its flag table: no argparse parser exists, and a
+# --no-timestamp report never loads datetime
+assert run(["dims", "--k", "3", "--no-timestamp"])[0] == 0
+assert parsers() == 0, parsers()
+assert "datetime" not in sys.modules and "numpy" not in sys.modules
+# help and a usage error build the tree once: the full parser, its three
+# groups and the 14 commands, whose text is argparse's
+assert run(["dims", "--help"]) == (0, sys.argv[1], "")
+assert parsers() == 18, parsers()
+assert run(["dims"]) == (1, "", sys.argv[2])
+assert run(["semiflat", "pair", "--k", "1", "--bogus", "1"])[0] == 1
+assert parsers() == 18 and "numpy" not in sys.modules
 import syzlab
 assert callable(syzlab.calabi.rotate)
 print("ok", file=sys.stderr)
 """
 
+# dims --help at 80 columns, and the error and full usage of dims without --k
+_DIMS_HELP = """usage: syzlab dims [-h] [--csv CSV] [--no-timestamp] --k K
+
+options:
+  -h, --help      show this help message and exit
+  --csv CSV       write the decay curve as CSV (columns r,value)
+  --no-timestamp
+  --k K
+"""
+_DIMS_NO_K = """error: the following arguments are required: --k
+usage: syzlab [-h] {semiflat,slag,hkrot,glue,mirror,dims} ...
+"""
+
 
 def test_cli_import_argv_errors_and_dims_load_no_numpy():
     # importing the CLI, building its parser, rejecting argv and dims need no numpy, no
-    # fractions and no model: of the package, only the numpy-free cli, errors and moduli load
+    # fractions and no model: of the package, only the numpy-free cli, errors and moduli
+    # load.  A valid argv builds no argparse parser; help and usage errors build them all
     root = SRC.parents[1]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, COLUMNS="80", PYTHONPATH=os.pathsep.join(
         [str(root / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    run = subprocess.run([sys.executable, "-c", _LAZY_RUN], capture_output=True, text=True,
-                         env=env, timeout=60)
+    run = subprocess.run([sys.executable, "-c", _LAZY_RUN, _DIMS_HELP, _DIMS_NO_K],
+                         capture_output=True, text=True, env=env, timeout=60)
     assert run.returncode == 0, run.stderr
     assert run.stderr.endswith("ok\n"), run.stderr

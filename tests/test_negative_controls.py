@@ -6,8 +6,9 @@ passes at delta = 0 and records its detection threshold: the smallest power
 of ten that flips the check (it does not flip at a tenth of it).  The
 curvature and pi-decay scale rows also fail at delta = 1e-9.  A check that
 no delta flips would be an identity; positivity_margin is one on its README
-argv, and gauss_equation is one under every scaled row of the metric jet's
-patterns.  _NO_ROW_YET names the checks that have no row.
+argv, metric_positive is one wherever it reads a verdict, and gauss_equation
+is one under every scaled row of the metric jet's patterns.  _NO_ROW_YET
+names the checks that have no row.
 """
 
 import contextlib
@@ -18,6 +19,7 @@ import pytest
 
 from syzlab import calabi as cal
 from syzlab import cli, glue
+from syzlab import fibration as fib
 from syzlab import semiflat as sf
 from syzlab import slag
 
@@ -35,7 +37,12 @@ def _scaled_constant(real, delta):
     return real * (1.0 + delta)
 
 
-# (check, argv, patched semiflat name, its scaled replacement, threshold).
+def _turned_output(real, delta):
+    """real with its complex result times (1 + i delta): a real factor keeps a real value real."""
+    return lambda *args: real(*args) * (1.0 + 1j * delta)
+
+
+# (check, argv, owner, patched name, its scaled replacement, threshold).
 # pairing_rel_error reads 2 pi^2 through g_r = b0 ell/(2 pi^2), so its rows
 # have b0 != 0.  The Monge-Ampere checks scale the right-hand side
 # alpha^2 Omega^Omegabar, so their measure reads delta/(1 + delta) plus the
@@ -44,24 +51,31 @@ def _scaled_constant(real, delta):
 # (the worst sample reads 1.0000025e-10 to 1.0000642e-10), while 1e-11 stays
 # below it (at most 1.00065e-11), so residual's rows flip at 1e-10.  eval's
 # one point need not round over at 1e-10, so its row flips first at 1e-9.
+# isometry_defect is read where the section is a real constant, so that the
+# translation moves no x2: the section's value turned by 1 + i delta moves x2
+# by h0 delta and reads about 0.26 delta (k = 1, h0 = 0.37) and 0.70 delta
+# (k = 3, eps = 2, h0 = -1.5) against 1e-14, so both rows flip at 1e-13.
 _SEMIFLAT_ROWS = [
-    *(("pairing_rel_error", argv, "_TWO_PI_SQ", _scaled_constant, 1e-7) for argv in (
+    *(("pairing_rel_error", argv, sf, "_TWO_PI_SQ", _scaled_constant, 1e-7) for argv in (
         ["semiflat", "pair", "--k", "2", "--b0", "-1/4", "--cycle", "2,1"],
         ["semiflat", "pair", "--k", "3", "--eps", "2", "--b0", "0.7", "--cycle", "1,0"])),
     *(("monge_ampere_rel", ["semiflat", "residual", "--k", *k, "--alpha", "0.3"],
-       "holomorphic_volume_top", _scaled_output, 1e-10)
+       sf, "holomorphic_volume_top", _scaled_output, 1e-10)
       for k in (["1"], ["2"], ["3", "--eps", "2"])),
     ("ma_residual_rel", ["semiflat", "eval", "--k", "2", "--ell", "5", "--b0", "1/4",
-                         "--alpha", "0.3"], "holomorphic_volume_top", _scaled_output, 1e-9)]
+                         "--alpha", "0.3"], sf, "holomorphic_volume_top", _scaled_output, 1e-9),
+    *(("isometry_defect", ["semiflat", "classify-translation", "--k", *argv], fib,
+       "section_eval_y", _turned_output, 1e-13)
+      for argv in (["1", "--h0", "0.37+0i"], ["3", "--eps", "2", "--h0", "-1.5+0i"]))]
 
 
-@pytest.mark.parametrize("name,argv,term,scaled,threshold", _SEMIFLAT_ROWS,
+@pytest.mark.parametrize("name,argv,owner,term,scaled,threshold", _SEMIFLAT_ROWS,
                          ids=[f"{row[0]}-{row[1][3]}" for row in _SEMIFLAT_ROWS])
-def test_semiflat_check_fails_on_a_scaled_term(monkeypatch, name, argv, term, scaled,
+def test_semiflat_check_fails_on_a_scaled_term(monkeypatch, name, argv, owner, term, scaled,
                                                threshold):
-    exact = getattr(sf, term)
+    exact = getattr(owner, term)
     for delta, code in ((0.0, 0), (threshold / 10.0, 0), (threshold, 3)):
-        monkeypatch.setattr(sf, term, scaled(exact, delta))
+        monkeypatch.setattr(owner, term, scaled(exact, delta))
         got, check = _check(argv, name)
         assert (got, check["passed"]) == (code, code == 0), delta
 
@@ -212,6 +226,30 @@ def test_positivity_margin_unmoved_by_scaled_glue_terms(monkeypatch, extra, owne
         assert _check(argv, "positivity_margin") == (0, exact_check), delta
 
 
+# metric_positive is an identity wherever it reads a verdict: it reads the
+# block's smallest eigenvalue as c d / (m + r), and c d = 2 alpha^2 |kappa|^2
+# however c, d or Gamma is scaled.  A term scaled by 1 + delta moves it, but
+# never to 0; a term dropped (delta = -1) leaves c d = 0, and the report
+# divides by zero before any verdict (exit 2).
+@pytest.mark.parametrize("owner,term,scaled",
+                         [(sf, "w_factor", _scaled_output), (sf, "_TWO_PI_SQ", _scaled_constant),
+                          (sf.ModelParams, "kappa_at", _scaled_output)],
+                         ids=["w_factor", "two_pi_sq", "kappa"])
+def test_metric_positive_holds_under_scaled_terms(monkeypatch, owner, term, scaled):
+    argv = ["semiflat", "eval", "--k", "2", "--ell", "5", "--b0", "1/4", "--kappa1", "0.5",
+            "--x2", "0.3", "--alpha", "0.3"]
+    code, exact_check = _check(argv, "metric_positive")
+    assert code == 0 and exact_check["passed"]
+    exact = getattr(owner, term)
+    for delta in (1e-6, 1e-1, -0.9, 10.0):
+        monkeypatch.setattr(owner, term, scaled(exact, delta))
+        check = _check(argv, "metric_positive")[1]
+        assert check["passed"] and check["measured"] != exact_check["measured"], delta
+    monkeypatch.setattr(owner, term, scaled(exact, -1.0))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.run(argv) == 2
+
+
 def _scaled_row(row):
     """A replacement for a pattern array with its row `row` times (1 + delta)."""
     def scaled(real, delta):
@@ -280,13 +318,13 @@ def test_gauss_equation_unmoved_by_scaled_jet_patterns(monkeypatch, term, row):
 # the checks no row above perturbs yet: exact identities, fits and
 # classifications whose controls need a term that moves them
 _NO_ROW_YET = {"dims", "sign_change", "volume_product", "volume_product_minus_one",
-               "bounded_ratio", "fit_r_squared", "isometry_defect", "pole_growth",
-               "power_decay_exponent", "stretched_exponent", "curvature_exponent",
-               "pi_exponent", "metric_positive"}
+               "bounded_ratio", "fit_r_squared", "pole_growth", "power_decay_exponent",
+               "stretched_exponent", "curvature_exponent", "pi_exponent"}
 
 
 def test_every_check_has_a_row_or_is_listed():
+    identities = {"positivity_margin", "metric_positive"}
     rows = {row[0] for rows in (_ROWS, _JET_ROWS, _SEMIFLAT_ROWS, _HKROT_ROWS, _GLUE_ROWS,
-                                _SLAG_ROWS) for row in rows} | {"positivity_margin"}
+                                _SLAG_ROWS) for row in rows} | identities
     assert rows.isdisjoint(_NO_ROW_YET)
     assert rows | _NO_ROW_YET == set(cli._CHECKS)
