@@ -362,6 +362,32 @@ _D_PATTERNS = _PATTERNS
 _ELL_MAX = (16.0 * math.pi) ** (1.0 / 3.0) * 2.0 ** 340  # (4 pi)^(1/3) 2^(1022/3)
 
 
+def _kappa_jet(p: ModelParams, ell, theta):
+    """(kappa, kappa_y, kappa_yy) at y = ell + i theta, elementwise: kappa_y = sum -p c_p z^p
+    and kappa_yy = sum p^2 c_p z^p, z = e^-y.  kappa(0) = 1 exactly (ModelParams checks it):
+    that term adds exactly (1, 0, 0)."""
+    kap, kap_y, kap_yy = 1.0 + 0.0j, 0.0j, 0.0j
+    if len(p._kappa_terms) > 1:
+        z = np.exp(-(ell + 1j * theta))
+        for power, c in p._kappa_terms[1:]:
+            term = c * z ** power
+            kap, kap_y, kap_yy = kap + term, kap_y - power * term, kap_yy + power * power * term
+    return kap, kap_y, kap_yy
+
+
+def kappa_log_jet(p: ModelParams, ell, theta):
+    """(K, w) = (|kappa|^2, ell kappa_y/kappa) at y = ell + i theta, elementwise: what the
+    closed forms of |Rm| and |II| read of kappa.  NumericalError where kappa vanishes (K = 0),
+    as the metric's d = K ell/pi does there."""
+    kap, kap_y, _ = _kappa_jet(p, ell, theta)
+    big_k = kap.real * kap.real + kap.imag * kap.imag
+    if not np.all(big_k > 0.0):
+        ell0 = np.broadcast_to(ell, np.shape(big_k))[big_k == 0.0].flat[0]
+        raise NumericalError(f"K = |kappa(e^-y)|^2 = 0 at ell = {ell0:.17g}: the metric"
+                             " degenerates")
+    return big_k, ell * kap_y / kap
+
+
 def metric_jet(p: ModelParams, ell, theta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(g, dg, ddg) of a normal-form model at the chart points (ell, theta, x1, 0), for ell and
     theta broadcast together, in closed form; any other model raises ValidationError.  Two
@@ -374,10 +400,9 @@ def metric_jet(p: ModelParams, ell, theta) -> tuple[np.ndarray, np.ndarray, np.n
     ddg[..., e, f, a, b] = d_e d_f g_ab.  g's entries are A = d + C g_i^2, B = C g_i and
     C = 2 pi/ell at g_i = x2/ell = 0, with d = 2K/C rounded as sf_form_chart rounds it and
     d/K = ell/pi taken as 2/C in the derivatives, K = |kappa(e^-y)|^2.  kappa is holomorphic
-    in y = ell + i theta, so with kappa_y = sum -p c_p z^p and kappa_yy = sum p^2 c_p z^p,
-    K_ell = 2 Re(conj(kappa) kappa_y), K_theta = -2 Im(conj(kappa) kappa_y), K_ell,ell and
-    K_theta,theta = 2|kappa_y|^2 +- 2 Re(conj(kappa) kappa_yy) and K_ell,theta
-    = -2 Im(conj(kappa) kappa_yy).
+    in y = ell + i theta, so with kappa_y and kappa_yy of _kappa_jet, K_ell = 2 Re(conj(kappa)
+    kappa_y), K_theta = -2 Im(conj(kappa) kappa_y), K_ell,ell and K_theta,theta = 2|kappa_y|^2
+    +- 2 Re(conj(kappa) kappa_yy) and K_ell,theta = -2 Im(conj(kappa) kappa_yy).
 
     C_ell,ell = 4 pi/ell^3, the smallest non-zero term past ell = 2, leaves float64's
     normal range past ell = (4 pi)^(1/3) 2^(1022/3) = 8.27e102: NumericalError there.
@@ -390,13 +415,7 @@ def metric_jet(p: ModelParams, ell, theta) -> tuple[np.ndarray, np.ndarray, np.n
             raise NumericalError(f"metric jet term C_ell,ell = 4 pi/ell^3 is below float64's"
                                  f" normal range past ell = {_ELL_MAX:.3g}")
         _reject_chart_point(np.append(ell, theta))
-    # kappa(0) = 1 exactly (ModelParams checks it): that term adds exactly (1, 0, 0)
-    kap, kap_y, kap_yy = 1.0 + 0.0j, 0.0j, 0.0j
-    if len(p._kappa_terms) > 1:
-        z = np.exp(-(ell + 1j * theta))
-        for power, c in p._kappa_terms[1:]:
-            term = c * z ** power
-            kap, kap_y, kap_yy = kap + term, kap_y - power * term, kap_yy + power * power * term
+    kap, kap_y, kap_yy = _kappa_jet(p, ell, theta)
     big_k = kap.real * kap.real + kap.imag * kap.imag
     ky2 = 2.0 * (kap_y.real * kap_y.real + kap_y.imag * kap_y.imag)
     two_conj = 2.0 * np.conj(kap)
@@ -516,22 +535,33 @@ def riemann_fd(gf, q: np.ndarray, h: float | np.ndarray) -> tuple[np.ndarray, ..
 RM_R2 = 8.0 * math.sqrt(6.0) / 9.0
 # the ell of the curvature and |II| decay samples
 DECAY_ELLS = np.linspace(5.0, 40.0, 10)
+# the constant term of the |Rm| radicand 2|w|^2 + 6 Re w + 6
+_RM_CONSTANT = 6.0
+
+
+def rm_norm(p: ModelParams, ell, theta):
+    """|Rm|_g at the base points (ell, theta) of metric_jet on the normal form of p's kappa (p's
+    k, eps, b0 and alpha are not read), in closed form: (2 pi/(ell^3 K)) sqrt(2|w|^2 + 6 Re w
+    + 6), with K and w of kappa_log_jet.
+
+    |Rm|^2 = R_abcd R^abcd of riemann_jet reads the 2-jet of K.  In log K it is the square of
+    the above plus pi^2 L (ell^2 L - 2)/(K^2 ell^4), L = Delta log K.  kappa is holomorphic and
+    non-vanishing, so log K = 2 Re log kappa is harmonic and L = 0.  The rest reads only
+    (log K)_ell = 2 Re(kappa_y/kappa) and (log K)_theta = -2 Im(kappa_y/kappa); tests derive
+    it with sympy.  The radicand is 2|w + 3/2|^2 + 3/2 >= 3/2, which no rounding makes
+    negative.  For kappa = 1, |Rm| = 2 pi sqrt(6)/ell^3 and |Rm| r^2 = RM_R2.
+    """
+    big_k, w = kappa_log_jet(p, ell, theta)
+    radicand = 2.0 * (w.real * w.real + w.imag * w.imag) + 6.0 * w.real + _RM_CONSTANT
+    return TWO_PI / (ell ** 3 * big_k) * np.sqrt(radicand)
 
 
 def curvature_decay(p: ModelParams) -> tuple[np.ndarray, np.ndarray, DecayFit]:
     """|Rm|_g samples on the zero section at DECAY_ELLS against distance r, with a power-law
-    fit: one riemann_jet call on p's b0 = 0 normal form at theta = 0, scaled by s
-    (normal_form).  For kappa = 1, |Rm| r^2 = RM_R2."""
+    fit: rm_norm at theta = 0, the |Rm| of p's normal form, scaled by s (normal_form).  For
+    kappa = 1, |Rm| r^2 = RM_R2."""
     p1, s = normal_form(p)
-    riem, _, g, ginv = riemann_jet(p1, DECAY_ELLS, 0.0)
-    # |Rm|^2 = R_{abcd} R^{abcd}: lower the first index, raise the other three
-    low = g @ riem.reshape(-1, 4, 64)
-    up = ginv[:, None, None] @ riem @ ginv[:, None, None]
-    up = ginv[:, None] @ up.reshape(-1, 4, 4, 16)
-    val = np.sum(low * up.reshape(low.shape), axis=(-2, -1))
-    if (val < -1e-8).any():
-        raise NumericalError("negative |Rm|^2")
-    vals = s * np.sqrt(np.maximum(val, 0.0))
+    vals = s * rm_norm(p1, DECAY_ELLS, 0.0)
     r = distance_r(p, DECAY_ELLS)
     fit = fit_decay(r, vals, model="power")
     return r, vals, fit

@@ -15,7 +15,9 @@ plane of slope s + g_r' onto which x -> x - b0' y^2/(4 pi^2) maps the lift in ep
 (semiflat.twist_slope); x -> x + i a y then moves x2 to 0 and keeps that plane.  So |II|,
 |H|, K_ambient and |Rm| depend only on (ell, theta) and the plane.  For kappa = 1 a special
 cycle is minimal, and |II|^2 = pi eps/(alpha k ell^3) = (4/9)/r^2 at every point, whatever
-b0 and alpha (tests derive both with sympy).
+b0 and alpha (tests derive both with sympy).  second_fundamental_form builds II, H and the
+Gauss terms from semiflat.riemann_jet; pi_decay reads |II| alone, in closed form from kappa's
+log-derivative (pi_norm_sq).
 """
 
 from __future__ import annotations
@@ -201,20 +203,43 @@ def second_fundamental_form(mf: ModelFiber) -> SecondFF:
                     gauss_rel=gauss / (abs(k_amb) + abs(pi_term)))
 
 
+# the constant term of the |II|^2 bracket of pi_norm_sq
+_II_CONSTANT = 3.0
+
+
+def pi_norm_sq(p: sf.ModelParams, ell, theta, slope):
+    """|II|^2 at the base points (ell, theta) of metric_jet on the normal form of p's kappa, of
+    the plane of T1 = d/dx1 and T2 = -d/dtheta + slope d/dx2, in closed form:
+
+        |II|^2 = (pi/(4 K ell^3)) ((q/(1 + sigma) + 1)^2 + 3 + p^2 sigma/(1 + sigma)^3),
+
+    q = 2 Re w, p = -2 Im w, with K and w of semiflat.kappa_log_jet, and sigma = 2 pi^2
+    slope^2/(ell^2 K) = c slope^2/d, T2's squared length along d/dx2 over that along
+    d/dtheta.  sigma is formed from the induced metric's terms, so it overflows where they
+    do.  II reads the Christoffel symbols, so the 1-jet of K: q = ell (log K)_ell and p = ell
+    (log K)_theta (tests derive it with sympy).  The bracket is at least 3.  For kappa = 1,
+    |II|^2 = pi/ell^3 at every slope.
+    """
+    big_k, w = sf.kappa_log_jet(p, ell, theta)
+    q, p_im = 2.0 * w.real, -2.0 * w.imag
+    sigma = TWO_PI / ell * slope * slope / (big_k * ell / math.pi)
+    t = 1.0 / (1.0 + sigma)
+    bracket = (q * t + 1.0) ** 2 + _II_CONSTANT + p_im * p_im * sigma * t ** 3
+    return math.pi / (4.0 * big_k * ell ** 3) * bracket
+
+
 def pi_decay(p: sf.ModelParams, cycle: fib.CycleSpec) -> tuple[np.ndarray, np.ndarray, DecayFit]:
     """|II| samples at 10 evenly spaced ell from 5 to 40 against distance
     r, with a power-law fit (expect ~ -1).
 
-    Every sample sits where second_fundamental_form takes |II|; all are one metric_jet call.
+    Every sample sits where second_fundamental_form takes |II|: pi_norm_sq on p's normal form
+    at theta = _THETA, of the slope of the lift in eps plus twist_slope, scaled by sqrt(s).
     """
     if cycle.fiber:
         raise ValidationError("slag fibers are bad cycles, not torus fibers")
     p1, s = sf.normal_form(p)
-    tan = cycle.lift(p.eps, sf.DECAY_ELLS)[1]
-    tan[..., 3, 1] += sf.twist_slope(p, sf.DECAY_ELLS)
-    g, dg, _ = sf.metric_jet(p1, sf.DECAY_ELLS, _THETA)
-    pi_sq = _fundamental_forms(g, sf._christoffel(np.linalg.inv(g), dg), tan)[1]
-    vals = math.sqrt(s) * np.sqrt(np.maximum(pi_sq, 0.0))
+    slope = cycle.lift(p.eps, sf.DECAY_ELLS)[1][..., 3, 1] + sf.twist_slope(p, sf.DECAY_ELLS)
+    vals = math.sqrt(s) * np.sqrt(pi_norm_sq(p1, sf.DECAY_ELLS, _THETA, slope))
     r = sf.distance_r(p, sf.DECAY_ELLS)
     fit = fit_decay(r, vals, model="power")
     return r, vals, fit

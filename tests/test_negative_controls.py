@@ -3,8 +3,11 @@ named closed-form term is scaled by (1 + delta).
 
 A row holds one argv, the check it reads and the term it perturbs.  It
 passes at delta = 0 and records its detection threshold: the smallest power
-of ten that flips the check (it does not flip at a tenth of it).  The
-curvature and pi-decay scale rows also fail at delta = 1e-9.  A check that
+of ten that flips the check (it does not flip at a tenth of it); two rows
+whose flip rounding decides take one step past it.  The curvature and
+pi-decay scale rows also fail at delta = 1e-9.  The decay-exponent rows tilt
+the samples by r^delta instead and record the delta at which the exponent
+leaves its window.  A check that
 no delta flips would be an identity; positivity_margin is one on its README
 argv, metric_positive is one wherever it reads a verdict, and gauss_equation
 is one under every scaled row of the metric jet's patterns.  _NO_ROW_YET
@@ -80,9 +83,14 @@ def test_semiflat_check_fails_on_a_scaled_term(monkeypatch, name, argv, owner, t
         assert (got, check["passed"]) == (code, code == 0), delta
 
 
-# (check, argv, module, term, threshold); eps over float64's range, where the
-# reports go through the normal form and its scale
-_ROWS = [(check, words + ["--k", "1", "--eps", eps], module, term, 1e-12)
+# (check, argv, module, term, threshold, flip step); eps over float64's range, where
+# the reports go through the normal form and its scale.  The measure reads about
+# delta - e, e the exact model's own rounding, so at delta = 1e-12 the flip is
+# decided by e's sign.  The pi_scale rows at eps = 1 and 1e300 read 9.99978e-13
+# there, so they take the step 1.001e-12 (1.00098e-12); every other row flips at
+# 1e-12 itself (1.0002e-12 to 1.00042e-12)
+_ROWS = [(check, words + ["--k", "1", "--eps", eps], module, term, 1e-12,
+          1.001e-12 if (check, eps) in {("pi_scale", "1"), ("pi_scale", "1e300")} else 1e-12)
          for check, words, module, term in (
              ("curvature_scale", ["semiflat", "curvature"], sf, "RM_R2"),
              ("pi_scale", ["slag", "pi-decay"], slag, "II_R"))
@@ -97,9 +105,62 @@ def _check(argv, name):
     return code, {c["name"]: c for c in json.loads(out.getvalue())["checks"]}[name]
 
 
-@pytest.mark.parametrize("name,argv,module,term,threshold", _ROWS,
+@pytest.mark.parametrize("name,argv,module,term,threshold,flip", _ROWS,
                          ids=[f"{row[0]}-{row[1][-1]}" for row in _ROWS])
-def test_check_fails_on_a_scaled_term(monkeypatch, name, argv, module, term, threshold):
+def test_check_fails_on_a_scaled_term(monkeypatch, name, argv, module, term, threshold, flip):
+    exact = getattr(module, term)
+    for delta, code in ((0.0, 0), (threshold / 10.0, 0), (flip, 3), (1e-9, 3)):
+        monkeypatch.setattr(module, term, exact * (1.0 + delta))
+        got, check = _check(argv, name)
+        assert (got, check["passed"]) == (code, code == 0), delta
+
+
+# the argv of the closed-form rows: eps over float64's range, and b0 = 1000, which
+# reaches |II| as the slope b0 ell/(2 pi^2) of a non-special plane (sigma != 0)
+_DECAY_ARGV = [*((check, words + ["--k", "1", "--eps", eps])
+                 for check, words in (("curvature_scale", ["semiflat", "curvature"]),
+                                      ("pi_scale", ["slag", "pi-decay"]))
+                 for eps in ("1e-300", "1", "1e300")),
+               ("curvature_scale", ["semiflat", "curvature", "--k", "1", "--b0", "1000"]),
+               ("pi_scale", ["slag", "pi-decay", "--k", "1", "--b0", "1000"])]
+# K = |kappa|^2 as kappa_log_jet hands it to both closed forms, w left exact:
+# |Rm| moves by delta (1.0002e-12 to 1.0004e-12 at 1e-12) and flips at 1e-12,
+# |II| by delta/2 (5.0016e-13 at 1e-12) and flips at 1e-11
+_JET_ROWS = [(check, argv, 1e-12 if check == "curvature_scale" else 1e-11)
+             for check, argv in _DECAY_ARGV]
+
+
+def _scaled_big_k(real, delta):
+    """kappa_log_jet with its K times (1 + delta), w exact."""
+    def log_jet(*args):
+        big_k, w = real(*args)
+        return big_k * (1.0 + delta), w
+    return log_jet
+
+
+@pytest.mark.parametrize("name,argv,threshold", _JET_ROWS,
+                         ids=[f"{row[0]}-{row[1][-1]}" for row in _JET_ROWS])
+def test_check_fails_on_a_scaled_jet_metric(monkeypatch, name, argv, threshold):
+    exact = sf.kappa_log_jet
+    for delta, code in ((0.0, 0), (threshold / 10.0, 0), (threshold, 3), (1e-9, 3)):
+        monkeypatch.setattr(sf, "kappa_log_jet", _scaled_big_k(exact, delta))
+        got, check = _check(argv, name)
+        assert (got, check["passed"]) == (code, code == 0), delta
+
+
+# the constant of each bracket: 6 of the |Rm| radicand 2|w|^2 + 6 Re w + 6, which
+# moves |Rm| by delta/2 at kappa = 1 (5.0027e-13 to 5.0049e-13 at 1e-12), and 3 of
+# the |II|^2 bracket, which moves |II| by 3 delta/8 (3.7526e-13 at 1e-12): both
+# flip at 1e-11
+_CONSTANT_ROWS = [(check, argv, *((sf, "_RM_CONSTANT") if check == "curvature_scale"
+                                  else (slag, "_II_CONSTANT")), 1e-11)
+                  for check, argv in _DECAY_ARGV]
+
+
+@pytest.mark.parametrize("name,argv,module,term,threshold", _CONSTANT_ROWS,
+                         ids=[f"{row[0]}-{row[1][-1]}" for row in _CONSTANT_ROWS])
+def test_check_fails_on_a_scaled_bracket_constant(monkeypatch, name, argv, module, term,
+                                                  threshold):
     exact = getattr(module, term)
     for delta, code in ((0.0, 0), (threshold / 10.0, 0), (threshold, 3), (1e-9, 3)):
         monkeypatch.setattr(module, term, exact * (1.0 + delta))
@@ -107,28 +168,33 @@ def test_check_fails_on_a_scaled_term(monkeypatch, name, argv, module, term, thr
         assert (got, check["passed"]) == (code, code == 0), delta
 
 
-# the C = 2 pi/ell row of the metric jet's g patterns, dg and ddg left exact:
-# the checks read the g that the jet builds from its own coefficients.  The
-# --b0 1000 rows read b0 through the isometry onto b0 = 0 (they exited 3 at
-# delta = 0 while the jet held b0).  |II| is taken at x2 = 0, where the lift's
-# x2-slope b0 ell/(2 pi^2) puts no g_i^2 term in A, so |II| r moves by about
-# delta (1.0002e-12 at 1e-12) and pi_scale flips at 1e-12, as at b0 = 0
-_JET_ROWS = [*((check, words + ["--k", "1", "--eps", eps], 1e-11)
-               for check, words in (("curvature_scale", ["semiflat", "curvature"]),
-                                    ("pi_scale", ["slag", "pi-decay"]))
-               for eps in ("1e-300", "1", "1e300")),
-             ("curvature_scale", ["semiflat", "curvature", "--k", "1", "--b0", "1000"], 1e-11),
-             ("pi_scale", ["slag", "pi-decay", "--k", "1", "--b0", "1000"], 1e-12)]
+def _tilted_fit(real, delta):
+    """fit_decay on the samples times r^delta: a decay rate raised by delta."""
+    return lambda r, values, model="power": real(r, values * r ** delta, model)
 
 
-@pytest.mark.parametrize("name,argv,threshold", _JET_ROWS,
-                         ids=[f"{row[0]}-{row[1][-1]}" for row in _JET_ROWS])
-def test_check_fails_on_a_scaled_jet_metric(monkeypatch, name, argv, threshold):
-    exact = sf._PATTERNS
-    for delta, code in ((0.0, 0), (threshold / 10.0, 0), (threshold, 3), (1e-9, 3)):
-        patterns = exact.copy()
-        patterns[2] *= 1.0 + delta
-        monkeypatch.setattr(sf, "_PATTERNS", patterns)
+# (check, argv, module whose fit_decay is tilted, the delta at which the check flips
+# upward and downward).  The exponent windows are centre +- 0.15, so a check flips at
+# +-0.15 less the fit's bias: about 1e-15 at kappa = 1, and -8.76e-6 (|Rm|) and
+# -5.90e-6 (|II|) at kappa1 = 0.9.  The rows hold the flips as measured, to 7 digits,
+# and each side passes 1e-5 inside its flip and fails 1e-5 outside it
+_EXPONENT_ROWS = [
+    ("curvature_exponent", ["semiflat", "curvature", "--k", "1"], sf, (0.15, -0.15)),
+    ("curvature_exponent", ["semiflat", "curvature", "--k", "1", "--kappa1", "0.9"], sf,
+     (0.1499912, -0.1500088)),
+    ("pi_exponent", ["slag", "pi-decay", "--k", "1"], slag, (0.15, -0.15)),
+    ("pi_exponent", ["slag", "pi-decay", "--k", "1", "--kappa1", "0.9"], slag,
+     (0.1499941, -0.1500059))]
+
+
+@pytest.mark.parametrize("name,argv,module,flips", _EXPONENT_ROWS,
+                         ids=[f"{row[0]}-{row[1][-1]}" for row in _EXPONENT_ROWS])
+def test_exponent_check_fails_on_a_tilted_decay(monkeypatch, name, argv, module, flips):
+    exact = module.fit_decay
+    steps = [(0.0, 0)] + [(flip * (1.0 + side), code) for flip in flips
+                          for side, code in ((-1e-5, 0), (1e-5, 3))]
+    for delta, code in steps:
+        monkeypatch.setattr(module, "fit_decay", _tilted_fit(exact, delta))
         got, check = _check(argv, name)
         assert (got, check["passed"]) == (code, code == 0), delta
 
@@ -319,12 +385,12 @@ def test_gauss_equation_unmoved_by_scaled_jet_patterns(monkeypatch, term, row):
 # classifications whose controls need a term that moves them
 _NO_ROW_YET = {"dims", "sign_change", "volume_product", "volume_product_minus_one",
                "bounded_ratio", "fit_r_squared", "pole_growth", "power_decay_exponent",
-               "stretched_exponent", "curvature_exponent", "pi_exponent"}
+               "stretched_exponent"}
 
 
 def test_every_check_has_a_row_or_is_listed():
     identities = {"positivity_margin", "metric_positive"}
-    rows = {row[0] for rows in (_ROWS, _JET_ROWS, _SEMIFLAT_ROWS, _HKROT_ROWS, _GLUE_ROWS,
-                                _SLAG_ROWS) for row in rows} | identities
+    rows = {row[0] for rows in (_ROWS, _JET_ROWS, _CONSTANT_ROWS, _EXPONENT_ROWS, _SEMIFLAT_ROWS,
+                                _HKROT_ROWS, _GLUE_ROWS, _SLAG_ROWS) for row in rows} | identities
     assert rows.isdisjoint(_NO_ROW_YET)
     assert rows | _NO_ROW_YET == set(cli._CHECKS)

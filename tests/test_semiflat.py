@@ -832,6 +832,119 @@ class TestMetricJet:
                 jet(p, 5.0, 0.3)
 
 
+def _kappa_draw(rng):
+    """kappa = 1 plus one to three complex terms of powers 1-4, magnitudes 0.1-10."""
+    powers = rng.choice(np.arange(1, 5), size=rng.integers(1, 4), replace=False)
+    return {0: 1.0, **{int(n): complex(*rng.normal(size=2)) * 10.0 ** rng.uniform(-1.0, 1.0)
+                       for n in powers}}
+
+
+class TestDecayClosedForms:
+    def test_rm_and_pi_norms_are_derived_from_the_metric_symbolically(self):
+        # metric_jet's g (k = eps = alpha = 1, b0 = 0) at (ell0, 0, x1, 0).  R_abcd reads the
+        # 2-jet of g and II its 1-jet, so K's Taylor polynomial to second order stands in
+        # for K; theta0 = 0 loses nothing, as only K reads theta.  kappa holomorphic makes
+        # log K = 2 Re log kappa, whose jet is 2 Re(v dy + u dy^2/2) with v = kappa_y/kappa
+        # and u = (log kappa)_yy: harmonic, so Delta log K = 0.  u drops out of both forms.
+        # About 0.8 s once sympy is imported, the Riemann tensor contracted over its nonzeros
+        sp = pytest.importorskip("sympy")
+        ell, th, x1, x2 = coords = sp.symbols("ell theta x1 x2", real=True)
+        ell0, big_k = sp.symbols("ell0 K", positive=True)
+        vr, vi, ur, ui, slope = sp.symbols("vr vi ur ui slope", real=True)
+        dy = ell - ell0 + sp.I * th
+        log_k = 2 * sp.re(sp.expand((vr + sp.I * vi) * dy + (ur + sp.I * ui) * dy ** 2 / 2))
+        c, d = 2 * sp.pi / ell, big_k * (1 + log_k + log_k ** 2 / 2) * ell / sp.pi
+        u, v = sp.Matrix([0, x2 / ell, 1, 0]), sp.Matrix([-x2 / ell, 0, 0, 1])
+        g = d * sp.diag(1, 1, 0, 0) + c * (u * u.T + v * v.T)
+        at = {ell: ell0, th: 0, x2: 0}
+        dg = [g.diff(a) for a in coords]
+        ddg = [[m.diff(b).subs(at) for b in coords] for m in dg]
+        dg = [m.subs(at) for m in dg]
+        g = g.subs(at)
+        ginv = g.inv()
+        # Gamma^a_bc, and R_abcd = (g_ad,bc + g_bc,ad - g_ac,bd - g_bd,ac)/2
+        # + g_ef (Gamma^e_bc Gamma^f_ad - Gamma^e_bd Gamma^f_ac)
+        low = [[[(dg[b][e, f] + dg[f][b, e] - dg[e][b, f]) / 2 for f in range(4)]
+                for b in range(4)] for e in range(4)]
+        gam = [[[sum(ginv[a, e] * low[e][b][f] for e in range(4)) for f in range(4)]
+                for b in range(4)] for a in range(4)]
+        quads = list(itertools.product(range(4), repeat=4))
+        riem = {(a, b, e, f): (ddg[b][e][a, f] + ddg[a][f][b, e] - ddg[b][f][a, e]
+                               - ddg[a][e][b, f]) / 2
+                + sum(g[m, n] * (gam[m][b][e] * gam[n][a][f] - gam[m][b][f] * gam[n][a][e])
+                      for m, n in itertools.product(range(4), repeat=2))
+                for a, b, e, f in quads}
+        riem = {key: val for key, val in riem.items() if val != 0}
+        rm_sq = sum(val * riem[other] * ginv[key[0], other[0]] * ginv[key[1], other[1]]
+                    * ginv[key[2], other[2]] * ginv[key[3], other[3]]
+                    for key, val in riem.items() for other in riem
+                    if all(ginv[i, j] != 0 for i, j in zip(key, other)))
+        w = ell0 * (vr + sp.I * vi)
+        q, p_im = 2 * sp.re(w), -2 * sp.im(w)
+        want = (2 * sp.pi / (ell0 ** 3 * big_k)) ** 2 * (2 * sp.Abs(w) ** 2 + 6 * sp.re(w) + 6)
+        assert sp.simplify(sp.expand(rm_sq - want)) == 0
+        # II_ij = the normal part of Gamma^a_bc T_i^b T_j^c; |II|^2 = h^ik h^jl <II_ij, II_kl>
+        tan = sp.Matrix([[0, 0], [0, -1], [1, 0], [0, slope]])
+        hinv = (tan.T * g * tan).inv()
+        proj = sp.eye(4) - tan * hinv * tan.T * g
+        second = [[proj * sp.Matrix([sum(gam[a][b][f] * tan[b, i] * tan[f, j]
+                                         for b, f in itertools.product(range(4), repeat=2))
+                                     for a in range(4)]) for j in range(2)] for i in range(2)]
+        pi_sq = sum(hinv[i, k] * hinv[j, n] * (second[i][j].T * g * second[k][n])[0]
+                    for i, j, k, n in itertools.product(range(2), repeat=4))
+        sigma = 2 * sp.pi ** 2 * slope ** 2 / (ell0 ** 2 * big_k)
+        want = sp.pi / (4 * big_k * ell0 ** 3) * (
+            (q / (1 + sigma) + 1) ** 2 + 3 + p_im ** 2 * sigma / (1 + sigma) ** 3)
+        assert sp.simplify(sp.together(pi_sq - want)) == 0
+
+    def test_closed_forms_match_the_jet(self):
+        # against riemann_jet's R and slag._fundamental_forms on its Christoffel symbols,
+        # which build both from g and its derivatives; kappa as _kappa_draw, planes of
+        # drawn slope (none special where kappa != 1)
+        rng = np.random.default_rng(47)
+        for _ in range(40):
+            p = sf.ModelParams(k=1, kappa=_kappa_draw(rng))
+            ell, theta = rng.uniform(0.3, 50.0, 16), rng.uniform(-math.pi, math.pi, 16)
+            slope = rng.normal(size=16) * 10.0 ** rng.uniform(-2.0, 2.0, 16)
+            riem, gam, g, ginv = sf.riemann_jet(p, ell, theta)
+            low = np.einsum("...ae,...ebcd->...abcd", g, riem)
+            rm = np.sqrt(np.einsum("...abcd,...efgh,...ae,...bf,...cg,...dh->...", low, low,
+                                   ginv, ginv, ginv, ginv, optimize=True))
+            assert np.max(np.abs(sf.rm_norm(p, ell, theta) / rm - 1.0)) <= 1e-12
+            tan = np.zeros((16, 4, 2))
+            tan[:, 2, 0], tan[:, 1, 1], tan[:, 3, 1] = 1.0, -1.0, slope
+            pi_sq = slag._fundamental_forms(g, gam, tan)[1]
+            assert np.max(np.abs(slag.pi_norm_sq(p, ell, theta, slope) / pi_sq - 1.0)) <= 1e-12
+
+    def test_kappa_one_is_the_constants(self):
+        ell = np.array([0.3, 5.0, 40.0, 40.0])
+        p = sf.ModelParams(k=1)
+        rm = sf.rm_norm(p, ell, 0.5)
+        pi_sq = slag.pi_norm_sq(p, ell, 0.5, np.array([0.0, 3.0, 1e3, 1e150]))
+        assert np.max(np.abs(rm * ell ** 3 / (TWO_PI * math.sqrt(6.0)) - 1.0)) <= 1e-15
+        assert np.max(np.abs(pi_sq * ell ** 3 / math.pi - 1.0)) <= 1e-15
+
+    def test_steep_plane_is_the_limit(self):
+        # sigma -> inf leaves the bracket 1 + 3, |II|^2 = pi/(K ell^3)
+        rng = np.random.default_rng(3)
+        p = sf.ModelParams(k=1, kappa=_kappa_draw(rng))
+        ell, theta = np.array([0.5, 5.0, 40.0]), np.array([-2.0, 0.1, 3.0])
+        big_k = sf.kappa_log_jet(p, ell, theta)[0]
+        with np.errstate(over="raise"):
+            pi_sq = slag.pi_norm_sq(p, ell, theta, 1e150)
+        assert np.max(np.abs(pi_sq * big_k * ell ** 3 / math.pi - 1.0)) <= 1e-15
+
+    @pytest.mark.parametrize("decay", [sf.curvature_decay, sf.rm_norm, slag.pi_norm_sq])
+    def test_vanishing_kappa_is_a_named_numerical_error(self, decay):
+        # kappa = 1 - e^5 z vanishes at y = 5, the first decay sample, where the metric's
+        # d = K ell/pi is 0: named as K = 0 before w = ell kappa_y/kappa divides by it
+        p = sf.ModelParams(k=1, kappa={0: 1.0, 1: -math.exp(5.0)})
+        args = {sf.curvature_decay: (p,), sf.rm_norm: (p, sf.DECAY_ELLS, 0.0),
+                slag.pi_norm_sq: (p, sf.DECAY_ELLS, 0.0, 0.1)}[decay]
+        with pytest.raises(NumericalError, match=r"K = \|kappa\(e\^-y\)\|\^2 = 0 at ell = 5:"):
+            decay(*args)
+
+
 def _plane_forms(sp, g, gam, tan):
     """(|II|^2, |H|^2) in sympy of the plane with chart tangents tan through a
     point where the metric is g and Gamma^a_bc = gam[a][b][c]."""
