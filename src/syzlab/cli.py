@@ -208,10 +208,9 @@ def _cmd_semiflat_classify(args):
         checks = [_check("pole_growth", float(vals[-1]) / float(vals[0]))]
     else:
         top = results["bound"] = float(np.max(vals))
-        if variant == sfm.BOUNDED_DIFFERENCE:
-            checks = [_check("bounded_ratio", top / float(np.min(vals)), top)]
-        else:
-            checks = [_check("isometry_defect", top)]
+        unit = top / (p.eps / p.k)  # the floors read the defect per unit eps/k
+        checks = [_check("bounded_ratio", top / float(np.min(vals)), unit)
+                  if variant == sfm.BOUNDED_DIFFERENCE else _check("isometry_defect", unit)]
     return results, checks, (r, vals)
 
 

@@ -12,8 +12,8 @@ a cutoff psi, a positivity reserve t * beta and the harmonic matching of u
 on the gluing annulus.  Each radial quantity (ell = -log rho, psi with its
 two derivatives, beta, u_zzbar and u - v) is evaluated once per radius
 array; beta is one smoothstep whose edges depend on the side of r + s.
-The positivity margin is the smallest eigenvalue of each 2 x 2 (x, y)
-block, taken in closed form.
+The positivity margin reads each radius on the zero section with b0 = 0,
+where the 2 x 2 (x, y) block is diagonal.
 
 The total mass integral is affine in (alpha, t) jointly: it is a fixed
 combination of three radial quadratures.  A GlueConfig keeps them per node
@@ -22,16 +22,14 @@ n = 64 and its refinement n = 128.  The reserve t(alpha) is affine on each
 side of alpha = 1, so the scale equation I(alpha, t(alpha)) = 0 has at
 most one root on each side and need not have a unique one: the configuration
 r = 0.2, s = 0.1, v0c = 40, vomc = 62 has I(1) < 0 < I(2) and roots near
-0.8693 and 1.798.  solve_alpha returns the smallest root, from the first
-doubling bracket above alpha = 1e-3 or, when both roots fall between two
-doubling points, from the bracket that ends at the kink alpha = 1.
+0.8693 and 1.798.  solve_alpha returns the smallest root.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -251,8 +249,6 @@ def _log_grid(lo: float, hi: float, n: int) -> np.ndarray:
     return rho
 
 
-# fiber heights Im(x) at which positivity_scan tests each radius
-_SCAN_X2 = np.array([0.0, 0.35, 0.8])
 POSITIVITY_SUM_ERR = 32.0 * 2.0 ** -53
 
 
@@ -261,11 +257,11 @@ def positivity_scan(cfg: GlueConfig, alpha: float, t: float) -> float:
 
     The scan takes 200 radii from 1.0001 rho_min to 0.9999 rho_max
     (_log_grid).  Raises a validation error when t is at or below the
-    reserve threshold, or when those radii leave the annulus.  The
-    (x, y) block at each radius and fiber height, from the reference model
-    (alpha = 1), is (1/4)[[c, -c conj(Gamma)], [-c Gamma, d + c|Gamma|^2]]
-    + diag(0, X); its determinant (c/4)(d/4 + X) never forms the cancelling
-    c|Gamma|^2 terms, which reach 4e3 where the margin is about 1e-4.
+    reserve threshold, or when those radii leave the annulus.  b0 (the
+    isometry of semiflat.twist_slope) and x2 (x -> x + i a y) are carried
+    by isometries of omega_0 that fix the base, where the glued terms live,
+    to Gamma = 0: there the (x, y) block is diag(c/4, d/4 + X), congruent
+    to the chart's block, and the margin is the least min(c/4, d/4 + X).
 
     The margin has the sign of d/4 + X, rounded to within POSITIVITY_SUM_ERR
     = 32u times |d/4| + |X|, u = 2^-53: d rounds 4 times, X 7 times on each
@@ -288,18 +284,14 @@ def positivity_scan(cfg: GlueConfig, alpha: float, t: float) -> float:
     ell = -np.log(rho)
     beta, bracket, psi, uzz = _q_parts(cfg, rho, ell)
     qc = t * beta + (alpha - 1.0) * bracket
-    x = ((qc - 0.5 * psi * (alpha - 1.0) * uzz) * rho ** 2)[:, None]
-    # the radii (theta = 0) against the fiber heights
-    e01, cg_i, cg_r, c, d = sfm._form_entries(cfg.params, ell[:, None], 0.0,
-                                               _SCAN_X2, np.exp)
+    x = (qc - 0.5 * psi * (alpha - 1.0) * uzz) * rho ** 2
+    c, d = sfm._form_entries(replace(cfg.params, b0=0.0), ell, 0.0, 0.0, np.exp)[3:]
     d_x = 0.25 * d + x
     unresolved = np.abs(d_x) < POSITIVITY_SUM_ERR * (0.25 * d + np.abs(x))
     if unresolved.any():
         raise NumericalError("float64 cannot resolve positivity_margin: d/4 + X ="
                              f" {d_x[unresolved][0]:.3g} is within its rounding bound")
-    a = 0.25 * c
-    return float(sfm._smallest_eigenvalue(a, 0.25 * e01 + x, 0.25 * np.hypot(cg_r, cg_i),
-                                          a * d_x).min())
+    return float(np.minimum(0.25 * c, d_x).min())
 
 
 @functools.lru_cache(maxsize=8)

@@ -250,35 +250,32 @@ def riemannian_metric_chart(p: ModelParams, q: np.ndarray) -> np.ndarray:
 # translations by sections
 
 
-def translation_defect(p: ModelParams, s: fib.SectionData, q: np.ndarray) -> np.ndarray:
-    """|T_s^* omega - omega|_g at chart points q of shape (..., 4), in closed form.
+def translation_defect(p: ModelParams, s: fib.SectionData, ell, theta) -> np.ndarray:
+    """|T_s^* omega - omega|_g at the base points (ell, theta), broadcast, in closed form.
 
-    T_s(x, y) = (x + eta(y), y) moves x2 by Im eta and nothing else of the
-    point, so it leaves c and d unchanged and turns a = dx - Gamma dy into
-    a - delta dy, with delta = i Im(eta)/ell - d eta/dy (the real part of
-    Gamma cancels).  In the unitary coframe e1 = sqrt(alpha d) dy,
-    e2 = sqrt(alpha c) a, where omega = (i/2)(e1 ^ e1bar + e2 ^ e2bar), the
-    difference is
+    T_s(x, y) = (x + eta(y), y) moves x2 by Im eta and nothing else of the point, so it
+    leaves c and d unchanged and turns a = dx - Gamma dy into a - delta dy, with delta =
+    i Im(eta)/ell - d eta/dy (the real part of Gamma cancels).  In the unitary coframe
+    e1 = sqrt(alpha d) dy, e2 = sqrt(alpha c) a, where omega = (i/2)(e1 ^ e1bar + e2 ^ e2bar),
+    the difference is
 
-        T_s^* omega - omega = (i/2)(t e1 ^ e1bar - beta e1 ^ e2bar
-                                    - conj(beta) e2 ^ e1bar),
+        T_s^* omega - omega = (i/2)(t e1 ^ e1bar - beta e1 ^ e2bar - conj(beta) e2 ^ e1bar),
 
-    beta = sqrt(c/d) delta, t = |beta|^2 = (c/d)|delta|^2
-    = (W eps)^2 |delta|^2 / (2|kappa|^2).  The coframe is unitary for g, so a
-    form D = (i/2) H_jk e_j ^ e_kbar has |D|_g^2 = (1/2) D_ab D_cd g^ac g^bd
-    = sum |H_jk|^2, and the defect is sqrt(t^2 + 2t) = sqrt(t (2 + t)), free
-    of alpha, b0 and x; t >= 0, so no cancellation can make it imaginary.
-    It is computed as s hypot(sqrt(2), s) with s = sqrt(t) = W eps |delta| /
-    (sqrt(2) |kappa|), which neither underflows nor overflows where the
-    defect itself is a normal float and t or t^2 is not.
+    beta = sqrt(c/d) delta, t = |beta|^2 = (c/d)|delta|^2 = (W eps)^2 |delta|^2 / (2|kappa|^2).
+    The coframe is unitary for g, so a form D = (i/2) H_jk e_j ^ e_kbar has |D|_g^2 = (1/2)
+    D_ab D_cd g^ac g^bd = sum |H_jk|^2, and the defect is sqrt(t^2 + 2t) = sqrt(t (2 + t)),
+    free of alpha, b0 and x; t >= 0, so no cancellation can make it imaginary.  It is computed
+    as s hypot(sqrt(2), s) with s = sqrt(t) = W eps |delta| / (sqrt(2) |kappa|), which neither
+    underflows nor overflows where the defect itself is a normal float and t or t^2 is not.
+    W eps = 2 pi (eps/k)/ell and delta is linear: eta has the defect of (eps/k) eta at k = eps = 1.
     """
-    q = np.asarray(q, dtype=float)
-    if not ((q > _LOWER) & (q < np.inf)).all():
-        _reject_chart_point(q)
-    ell, th = q[..., 0], q[..., 1]
-    y = ell + 1j * th
+    ell, theta = np.asarray(ell, dtype=float), np.asarray(theta, dtype=float)
+    if not (((ell > 0.0) & (ell < np.inf)).all() and np.isfinite(theta).all()):
+        _reject_chart_point(np.append(ell, theta))
+    y = ell + 1j * theta
     delta = 1j * (fib.section_eval_y(s, y).imag / ell) - fib.section_dy(s, y)
-    s = w_factor(p, ell) * p.eps * np.abs(delta) / (math.sqrt(2.0) * np.abs(p.kappa_of_y(ell, th)))
+    s = w_factor(p, ell) * p.eps * np.abs(delta) \
+        / (math.sqrt(2.0) * np.abs(p.kappa_of_y(ell, theta)))
     return s * np.hypot(math.sqrt(2.0), s)
 
 
@@ -295,31 +292,39 @@ def distance_r(p: ModelParams, ell) -> np.ndarray:
 
 
 def classify_translation(p: ModelParams, s: fib.SectionData):
-    """(variant, r, values, fit) for the decay of the translated-metric defect,
-    sampled at the 12 points ell = 3, 4, ..., 14 with theta = 0 and x = 0.31.
+    """(variant, r, values, fit) for the decay of the translated-metric defect at 12 base
+    points (ell, 0), with lambda = eps/k.
 
-    The section decides the variant: pole in h -> not uniform; b != 0 ->
-    bounded difference; b = 0 with Im h(0) != 0 -> power decay ~ r^(-4/3);
-    otherwise stretched-exponential decay, an exact isometry when h is a
-    real constant and a is real (delta = 0 in translation_defect).  fit is
-    the power-law or stretched-exponential fit of those classes, else None
-    (an isometry has none); the caller checks that the samples agree.
+    The section decides the variant: pole in h -> not uniform; b != 0 -> bounded difference;
+    b = 0 with Im h(0) != 0 -> power decay ~ r^(-4/3); otherwise stretched-exponential decay,
+    an exact isometry when h is a real constant and a is real (delta = 0 in
+    translation_defect).  fit is the power-law or stretched-exponential fit of those classes,
+    else None (an isometry has none); the caller checks that the samples agree.
+
+    The window ell = 3, 4, ..., 14 follows the normal-form section.  The power class has s =
+    pi sqrt(2) lambda |Im h(0)|/ell^2 + O(e^-ell) (translation_defect), so the window scaled
+    by sqrt(max(lambda |Im h(0)|, 1)) reads the s of lambda |Im h(0)| = 1; in the stretched
+    class lambda h_1 e^-y leads delta, and the window shifted by log(max(lambda |h_1|, 1))
+    reads the lambda |h_1| e^-ell of lambda |h_1| = 1.
     """
-    ells = np.linspace(3.0, 14.0, 12)
-    q = np.stack(np.broadcast_arrays(ells, 0.0, 0.31, 0.0), axis=-1)
-    vals = translation_defect(p, s, q)
+    lam, ells, model = p.eps / p.k, np.linspace(3.0, 14.0, 12), None
+    if s.has_pole():
+        variant = NOT_UNIFORM
+    elif complex(s.b) != 0:
+        variant = BOUNDED_DIFFERENCE
+    elif s.h0().imag != 0:
+        variant, model = POWER_DECAY, "power"
+        ells = math.sqrt(max(lam * abs(s.h0().imag), 1.0)) * ells
+    else:
+        variant = EXP_DECAY
+        if complex(s.a).imag != 0 or any(c for pw, c in s.h.items() if pw):
+            model = "stretched_exp"
+            ells = ells + math.log(max(lam * abs(complex(s.h.get(1, 0.0))), 1.0))
+    r = distance_r(p, ells)  # NumericalError first where ell leaves float64's range
+    vals = translation_defect(p, s, ells, 0.0)
     if not np.all(np.isfinite(vals)):
         raise NumericalError("non-finite translation defect")
-    r = distance_r(p, ells)
-    if s.has_pole():
-        return NOT_UNIFORM, r, vals, None
-    if complex(s.b) != 0:
-        return BOUNDED_DIFFERENCE, r, vals, None
-    if s.h0().imag != 0:
-        return POWER_DECAY, r, vals, fit_decay(r, vals, model="power")
-    if complex(s.a).imag == 0 and not any(c for pw, c in s.h.items() if pw):
-        return EXP_DECAY, r, vals, None
-    return EXP_DECAY, r, vals, fit_decay(r, vals, model="stretched_exp")
+    return variant, r, vals, fit_decay(r, vals, model=model) if model else None
 
 
 # ---------------------------------------------------------------------------

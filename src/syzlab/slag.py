@@ -13,11 +13,11 @@ and B = alpha*2*pi*eps/(k*ell), so A*B = 2*alpha^2 independently of ell.
 II comes from semiflat.metric_jet on the b0 = 0 normal form at (ell, theta, x1, 0), for the
 plane of slope s + g_r' onto which x -> x - b0' y^2/(4 pi^2) maps the lift in eps up to x1
 (semiflat.twist_slope); x -> x + i a y then moves x2 to 0 and keeps that plane.  So |II|,
-|H|, K_ambient and |Rm| depend only on (ell, theta) and the plane.  For kappa = 1 a special
-cycle is minimal, and |II|^2 = pi eps/(alpha k ell^3) = (4/9)/r^2 at every point, whatever
-b0 and alpha (tests derive both with sympy).  second_fundamental_form builds II, H and the
-Gauss terms from semiflat.riemann_jet; pi_decay reads |II| alone, in closed form from kappa's
-log-derivative (pi_norm_sq).
+|H|, K_ambient and |Rm| depend only on (ell, theta) and the plane.  For kappa = 1 every lift
+plane is minimal, special or not, and |II|^2 = pi eps/(alpha k ell^3) = (4/9)/r^2 at every
+point, whatever b0 and alpha (tests derive these in closed form).  second_fundamental_form
+builds II, H and the Gauss terms from semiflat.riemann_jet; pi_decay reads |II| alone, in
+closed form from kappa's log-derivative (pi_norm_sq).
 """
 
 from __future__ import annotations
@@ -215,16 +215,18 @@ def pi_norm_sq(p: sf.ModelParams, ell, theta, slope):
 
     q = 2 Re w, p = -2 Im w, with K and w of semiflat.kappa_log_jet, and sigma = 2 pi^2
     slope^2/(ell^2 K) = c slope^2/d, T2's squared length along d/dx2 over that along
-    d/dtheta.  sigma is formed from the induced metric's terms, so it overflows where they
-    do.  II reads the Christoffel symbols, so the 1-jet of K: q = ell (log K)_ell and p = ell
-    (log K)_theta (tests derive it with sympy).  The bracket is at least 3.  For kappa = 1,
-    |II|^2 = pi/ell^3 at every slope.
+    d/dtheta.  sigma = (a/b)^2 with a = sqrt(2) pi slope and b = ell sqrt(K), so 1/(1 + sigma)
+    = (b/h)^2 and sigma/(1 + sigma) = (a/h)^2, h = hypot(a, b): neither overflows.  II reads
+    the Christoffel symbols, so the 1-jet of K: q = ell (log K)_ell and p = ell (log K)_theta
+    (tests derive it with sympy).  The bracket is at least 3.  For kappa = 1, |II|^2 =
+    pi/ell^3 at every slope.
     """
     big_k, w = sf.kappa_log_jet(p, ell, theta)
     q, p_im = 2.0 * w.real, -2.0 * w.imag
-    sigma = TWO_PI / ell * slope * slope / (big_k * ell / math.pi)
-    t = 1.0 / (1.0 + sigma)
-    bracket = (q * t + 1.0) ** 2 + _II_CONSTANT + p_im * p_im * sigma * t ** 3
+    a, b = math.sqrt(2.0) * math.pi * slope, ell * np.sqrt(big_k)
+    h = np.hypot(a, b)
+    t = (b / h) ** 2
+    bracket = (q * t + 1.0) ** 2 + _II_CONSTANT + p_im * p_im * (a / h) ** 2 * t * t
     return math.pi / (4.0 * big_k * ell ** 3) * bracket
 
 

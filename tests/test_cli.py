@@ -314,10 +314,9 @@ class TestExitCodes:
             assert not check["metric_positive"]["passed"]
 
     @pytest.mark.parametrize("argv,code", [
-        # the isometry onto b0 = 0 lifts the cycle to x2 = 0.7 b0 ell/(2 pi^2), where the
-        # jet's C g_i^2 overflows at b0 = 1e200 (FloatingPointError); b0' = (eps/k) b0
-        # overflows in the isometry's slope (semiflat curvature at b0 = 1e200 exits 0)
-        (["slag", "pi-decay", "--k", "1", "--b0", "1e200"], 2),
+        # b0' = (eps/k) b0 overflows in the isometry's slope (twist_slope); below that |II|
+        # is finite at every b0, as pi_norm_sq forms no sigma (b0 = 1e200 exited 2 on it)
+        (["slag", "pi-decay", "--k", "1", "--b0", "1e308", "--eps", "2"], 2),
         (["slag", "pi-decay", "--k", "1", "--eps", "1e300", "--b0", "1e10"], 2),
         # the lattice defect of transport by tau is not finite (y1 = |tau| ell
         # / c overflows); the closed-form lambda1 rounds to 0 (ZeroDivisionError)
@@ -800,15 +799,16 @@ class TestClassifyChecks:
         code, report, _ = run_cli(capsys, *argv)
         checks = {c["name"]: c for c in report["checks"]}
         assert code == 0 and checks[name]["passed"] and "variant" not in checks
-        monkeypatch.setattr(sfm, "translation_defect", lambda p, s, q: defect)
+        monkeypatch.setattr(sfm, "translation_defect", lambda p, s, ell, theta: defect)
         code, report, _ = run_cli(capsys, *argv)
         assert code == 3
         jsonschema.validate(report, SCHEMA)
         assert not {c["name"]: c for c in report["checks"]}[name]["passed"]
 
     @pytest.mark.parametrize("argv,name,code", [
-        # a bounded defect below 1e-14 fails its check (a NumericalError before)
-        (["--section-b", "1", "--eps", "1e-300"], "bounded_ratio", 3),
+        # a bounded defect below 1e-14 per unit eps/k fails its check (a NumericalError
+        # before); b = 1 passes at every eps (exit 3 at eps <= 1e-14 on an absolute floor)
+        (["--section-b", "1e-15", "--eps", "1e-300"], "bounded_ratio", 3),
         # samples below 1e-14 made an isometry (no fit before); the section is
         # not a real constant, so the samples are fitted
         (["--h0", "1+0i", "--h1", "1+0i", "--eps", "1e-300"], "stretched_exponent", 0),
@@ -828,17 +828,42 @@ class TestClassifyChecks:
         assert "power_decay_exponent" not in {c["name"] for c in report["checks"]}
 
     @pytest.mark.parametrize("eps,code,exponent", [("1e-300", 0, -4.0 / 3.0),
-                                                   ("1e150", 3, -8.0 / 3.0)])
+                                                   ("1e150", 0, -1.3374939393669663)])
     def test_translation_defect_at_extreme_eps(self, capsys, eps, code, exponent):
         # t = (W eps)^2 |delta|^2 / (2|kappa|^2) underflowed or t^2 overflowed
         # (exit 2 before); the defect itself is a normal float.  At eps = 1e150
-        # the defect is t, not sqrt(2t), over the samples, so the exponent
-        # window fails: a check failure, not a numerical one
+        # the window scaled by sqrt(eps) reads the samples of eps = 1; on the
+        # fixed window the defect was t, not sqrt(2t), and the exponent -8/3
+        # failed its window (exit 3)
         code_, report, _ = run_cli(capsys, "semiflat", "classify-translation", "--k", "1",
                                    "--eps", eps, "--h0", "0+1i", "--no-timestamp")
         assert code_ == code
         assert report["results"]["variant"] == "power_decay"
         assert report["results"]["fit"]["exponent"] == pytest.approx(exponent, abs=1e-9)
+
+    @pytest.mark.parametrize("argv", [
+        ["--pole"], ["--section-b", "1"], ["--h0", "0+1i"], ["--h0", "0+2i", "--h1", "1+0i"],
+        ["--kappa1", "0.6", "--h0", "0+1i", "--h1", "1+0i"], ["--h0", "1.5+0i", "--h1", "0.3+0i"],
+        ["--h0", "1+0i", "--h1", "1+0i"], ["--h0", "0.37+0i"]],
+        ids=["pole", "bounded", "power", "power_h1", "power_kappa", "stretched", "stretched_h1",
+             "isometry"])
+    def test_verdict_free_of_the_scale(self, capsys, argv):
+        # the verdict reads the normal-form section eps/k eta (k = 1 here): at every eps
+        # from 1e-300 to 1e150 it is that of eps = 1, or float64 fails (exit 2); the fixed
+        # window and the absolute floor exited 3 at eps = 7, 1e150 and 1e-15, and eps = 1e6
+        # read fit_r_squared 0.987 on the stretched section
+        words = ["semiflat", "classify-translation", "--k", "1", *argv]
+        code, ref, _ = run_cli(capsys, *words, "--no-timestamp")
+        assert code == 0
+        verdict = [(c["name"], c["passed"]) for c in ref["checks"]]
+        for eps in [*(f"1e{e}" for e in range(-300, 151, 10)), "7", "5", "1e-15", "1e4", "1e6"]:
+            got, report, err = run_cli(capsys, *words, "--eps", eps, "--no-timestamp")
+            if got == 2:
+                assert report is None and "numerical failure" in err, eps
+                continue
+            assert got == 0, eps
+            assert report["results"]["variant"] == ref["results"]["variant"]
+            assert [(c["name"], c["passed"]) for c in report["checks"]] == verdict, eps
 
     def test_translation_defect_free_of_b0(self, capsys):
         # Gamma's real part b0 ell/(2 pi^2) cancels in the defect (exit 2 before)

@@ -116,7 +116,7 @@ def mass_integral_loop(cfg, alpha, t, n=64):
     return total + cfg.v0c - alpha * cfg.vomc
 
 
-# pi to 40 significant digits, for the exact block eigenvalue
+# pi to 40 significant digits, for the exact block entries and eigenvalue
 PI_40 = Decimal("3.141592653589793238462643383279502884197")
 
 
@@ -131,12 +131,12 @@ def exact_min_eig(c, d, gam2, x):
         return float((a + dd) / 2 - half_gap)
 
 
-def exact_block_entries(p, ell, x2):
-    """(c, d, |Gamma|^2) of the positivity block at theta = 0, from the
-    floats ell and x2, in 40-digit decimals."""
+def exact_c_d(p, ell):
+    """(c, d) of the positivity block at theta = 0, from the float ell, in
+    40-digit decimals; neither reads b0 or the fiber height."""
     with localcontext() as ctx:
         ctx.prec = 40
-        ell, x2 = Decimal(ell), Decimal(x2)
+        ell = Decimal(ell)
         rho = (-ell).exp()
         kap_re, kap_im = Decimal(0 if p.kappa else 1), Decimal(0)
         for power, coeff in p.kappa.items():
@@ -144,35 +144,31 @@ def exact_block_entries(p, ell, x2):
             kap_re += Decimal(coeff.real) * rho ** power
             kap_im += Decimal(coeff.imag) * rho ** power
         w = 2 * PI_40 / (p.k * ell)
-        c = w * Decimal(p.eps)
-        d = 2 * (kap_re ** 2 + kap_im ** 2) / (Decimal(p.eps) * w)
-        gam2 = (Decimal(p.b0) * ell / (2 * PI_40 ** 2)) ** 2 + (x2 / ell) ** 2
-        return c, d, gam2
+        return w * Decimal(p.eps), 2 * (kap_re ** 2 + kap_im ** 2) / (Decimal(p.eps) * w)
 
 
-def exact_block_min(p, ell, x2, x):
-    """exact_min_eig of the positivity block at theta = 0, from the floats
-    ell, x2 and x."""
-    return exact_min_eig(*exact_block_entries(p, ell, x2), Decimal(x))
+def exact_margin(p, ell, x):
+    """min(c/4, d/4 + x), the smaller entry of the diagonal (x, y) block at the
+    image with Gamma = 0, from the floats ell and x, in 40-digit decimals."""
+    c, d = exact_c_d(p, ell)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        return float(min(c / 4, d / 4 + Decimal(x)))
 
 
 def rescaled_margin(cfg, alpha, window, n=200):
     """positivity_scan's margin on a window below r, where the glued block
     is the semi-flat one with d scaled by alpha (X = (alpha - 1) d/4 in
-    exact arithmetic): per block det / lambda_max in 40-digit decimals,
-    which cancels nothing, so it resolves a margin of order alpha = 1e-300."""
+    exact arithmetic): min(c/4, alpha d/4) in 40-digit decimals, which
+    cancels nothing, so it resolves a margin of order alpha = 1e-300."""
     lo, hi = window
     assert hi <= cfg.r
     worst = math.inf
     for rho in np.geomspace(lo * 1.0001, hi * 0.9999, n).tolist():
-        for x2 in (0.0, 0.35, 0.8):
-            c, d, gam2 = exact_block_entries(cfg.params, -math.log(rho), x2)
-            with localcontext() as ctx:
-                ctx.prec = 40
-                a, ad = c / 4, Decimal(alpha) * d / 4
-                dd = ad + c * gam2 / 4
-                lam_max = (a + dd) / 2 + ((a - dd) ** 2 / 4 + c ** 2 * gam2 / 16).sqrt()
-                worst = min(worst, float(a * ad / lam_max))
+        c, d = exact_c_d(cfg.params, -math.log(rho))
+        with localcontext() as ctx:
+            ctx.prec = 40
+            worst = min(worst, float(min(c / 4, Decimal(alpha) * d / 4)))
     return worst
 
 
@@ -199,21 +195,22 @@ def closed_form_min(c, d, g_r, g_i, x):
                                     0.25 * c * (0.25 * d + x))
 
 
+def glued_x(cfg, alpha, t, rho):
+    """X = (q - psi (alpha - 1) u_zz/2) rho^2 at one radius from the scalar
+    references (the array kernels where kappa != 1)."""
+    p = cfg.params
+    qc = q_reference(cfg, alpha, t, rho) if p.kappa_is_one() else \
+        glue.q_coefficient(cfg, alpha, t, np.array([rho])).item()
+    psi = smoothstep_ref(rho, cfg.r + cfg.s, cfg.r + 2.0 * cfg.s)[0]
+    return (qc - 0.5 * psi * (alpha - 1.0) * u_zz_ref(cfg, rho)) * rho ** 2
+
+
 def positivity_oracle(cfg, alpha, t, n=200, window=None):
     """Per-radius reference for glue.positivity_scan: X from the scalar
-    references, the block's smallest eigenvalue from exact_block_min."""
+    references, the diagonal block's smaller entry from exact_margin."""
     lo, hi = window if window is not None else (cfg.rho_min, cfg.rho_max)
-    p = cfg.params
-    worst = math.inf
-    for rho in np.geomspace(lo * 1.0001, hi * 0.9999, n).tolist():
-        qc = q_reference(cfg, alpha, t, rho) if p.kappa_is_one() else \
-            glue.q_coefficient(cfg, alpha, t, np.array([rho])).item()
-        psi = smoothstep_ref(rho, cfg.r + cfg.s, cfg.r + 2.0 * cfg.s)[0]
-        half_term = 0.5 * psi * (alpha - 1.0) * u_zz_ref(cfg, rho)
-        for x2 in (0.0, 0.35, 0.8):
-            worst = min(worst, exact_block_min(p, -math.log(rho), x2,
-                                               (qc - half_term) * rho ** 2))
-    return worst
+    return min(exact_margin(cfg.params, -math.log(rho), glued_x(cfg, alpha, t, rho))
+               for rho in np.geomspace(lo * 1.0001, hi * 0.9999, n).tolist())
 
 
 def readme_f(cfg, alpha):
@@ -370,7 +367,8 @@ def beta_oracle(r, s, rho):
 
 def margin_oracle(cfg, alpha, t, n=200, window=None):
     """glue.positivity_scan's margin as written before one pass per radius
-    array, on the cutoff oracles, without its validation and rounding bound."""
+    array, on the cutoff oracles, without its validation and rounding bound;
+    cfg has b0 = 0."""
     p, r, s = cfg.params, cfg.r, cfg.s
     lo, hi = window if window is not None else (cfg.rho_min, cfg.rho_max)
     rho = np.geomspace(lo * 1.0001, hi * 0.9999, n)
@@ -386,12 +384,9 @@ def margin_oracle(cfg, alpha, t, n=200, window=None):
         bracket = np.where(glued, psi_zz * du + psi * uzz + 0.5 * psi_p * dup, 0.0)
     qc = t * beta_oracle(r, s, rho) + (alpha - 1.0) * np.where(rho <= r, uzz, bracket)
     psi = psi_oracle(r, s, rho)[0]
-    x = ((qc - 0.5 * psi * (alpha - 1.0) * glue.u_zz(p, rho)) * rho ** 2)[:, None]
-    e01, cg_i, cg_r, c, d = sfm._form_entries(p, -np.log(rho)[:, None], 0.0,
-                                               glue._SCAN_X2, np.exp)
-    a = 0.25 * c
-    return float(np.min(sfm._smallest_eigenvalue(a, 0.25 * e01 + x, 0.25 * np.hypot(cg_r, cg_i),
-                                                 a * (0.25 * d + x))))
+    x = (qc - 0.5 * psi * (alpha - 1.0) * glue.u_zz(p, rho)) * rho ** 2
+    c, d = sfm._form_entries(p, -np.log(rho), 0.0, 0.0, np.exp)[3:]
+    return float(np.min(np.minimum(0.25 * c, 0.25 * d + x)))
 
 
 class TestCutoffBits:
@@ -536,7 +531,7 @@ class TestArrayKernels:
             assert got.tobytes() == q_presplit(cfg, alpha, t, rho).tobytes()
 
     def test_positivity_matches_loop(self):
-        # against the exact block eigenvalue, over the whole annulus and on
+        # against the 40-digit min(c/4, d/4 + X), over the whole annulus and on
         # the windows below r and across the gluing annulus, where X != 0
         for kw, alpha, _ in REF_CASES:
             cfg = make_cfg(**kw)
@@ -558,6 +553,9 @@ class TestArrayKernels:
 
 
 class TestSmallestEigenvalue:
+    """semiflat._smallest_eigenvalue, which semiflat eval's metric_positive reads; the
+    positivity scan reads its diagonal block's entries instead."""
+
     def test_backward_error_against_eigvalsh(self):
         # the scale is the block's Frobenius norm with its yy entry replaced
         # by (d + c|Gamma|^2)/4 + |x|, the size of the terms it is summed
@@ -591,7 +589,7 @@ class TestSmallestEigenvalue:
 
     @pytest.mark.parametrize("c,d,g_r,g_i,x,m_sign,sign", [
         (2.0, 0.7, 0.3, -1.2, 0.05, 1, 1),
-        (59.8, 0.0335, 0.0, 7.6, 0.0, 1, 1),     # the margin near rho_max
+        (59.8, 0.0335, 0.0, 7.6, 0.0, 1, 1),     # a chart block near rho_max, x2 = 0.8
         (3.0, 1.0, 0.5, 0.5, -0.4, 1, -1),
         (1.0, 0.5, 2.0, 0.1, -50.0, -1, -1),
         (1e-3, 2.0, 1e3, -1e2, -1e4, -1, -1),    # large |Gamma|
@@ -676,7 +674,7 @@ class TestPositivity:
         assert math.isfinite(scan_on(cfg, 1.1, t, outer))
 
     def test_kappa_matches_hermitian_matrix_outside_psi_region(self):
-        # per-radius reference: the exact eigenvalue of the Hermitian block
+        # per-radius reference: the 40-digit entries of the diagonal block
         cfg = make_cfg(kappa={0: 1.0, 1: 0.5})
         t = 1.2 * glue.required_t(cfg, 1.1) + 1.0
         window = (cfg.r + 2.0 * cfg.s, cfg.rho_max)
@@ -697,17 +695,44 @@ class TestPositivity:
         assert abs(got - without) > 1e-6 * abs(got)
 
     def test_no_cancellation_at_large_gamma(self):
-        # b0 = 1e4 puts c|Gamma|^2 / d = b0^2 eps^2 / (2 pi^2 k^2) = 5.1e6
-        # at every radius: the yy entry is 5e6 times d/4, and the closed
-        # form's determinant (c/4)(d/4 + X) never subtracts the difference
-        p = sfm.ModelParams(k=1, b0=1e4)
+        # b0 = 1e6 put c|Gamma|^2 / d = b0^2 eps^2 / (2 pi^2 k^2) = 5.1e10 into the
+        # chart's yy entry (margin 6.7e-12 at alpha 2); read at the image with
+        # Gamma = 0 the margin never forms Gamma, and it is that of b0 = 0, bit for bit
+        margins = set()
+        for b0 in (0.0, 0.25, 1e6):
+            p = sfm.ModelParams(k=1, b0=b0)
+            cfg = glue.GlueConfig(params=p, r=0.1, s=0.02, rho_min=1e-4, rho_max=0.9,
+                                  v0c=1.0, vomc=0.2)
+            for alpha in (0.3, 2.0):
+                t = 1.2 * glue.required_t(cfg, alpha, 0.0) + 1.0
+                got = glue.positivity_scan(cfg, alpha, t)
+                assert got == pytest.approx(positivity_oracle(cfg, alpha, t), rel=1e-14, abs=0.0)
+                margins.add((alpha, got))
+        assert len(margins) == 2
+
+    @pytest.mark.parametrize("b0", [0.0, 0.25, 1e4])
+    def test_chart_block_has_the_margins_sign(self, b0):
+        # at a fiber height x2 and twist b0 the chart's block (1/4)[[c, -c conj(Gamma)],
+        # [-c Gamma, d + c|Gamma|^2]] + diag(0, X) is congruent to diag(c/4, d/4 + X),
+        # with the same determinant (c/4)(d/4 + X): its smallest eigenvalue has the sign
+        # of the margin's entry d/4 + X at every radius, on both sides of 0
+        p = sfm.ModelParams(k=1, b0=b0)
         cfg = glue.GlueConfig(params=p, r=0.1, s=0.02, rho_min=0.01, rho_max=0.9,
                               v0c=1.0, vomc=0.2)
-        assert p.b0 ** 2 / (2.0 * math.pi ** 2) >= 1e6
-        for alpha in (0.3, 2.0):
-            t = 1.2 * glue.required_t(cfg, alpha, 0.0) + 1.0
-            assert glue.positivity_scan(cfg, alpha, t) == pytest.approx(
-                positivity_oracle(cfg, alpha, t), rel=1e-14, abs=0.0)
+        signs = set()
+        for rho in np.geomspace(0.0101, 0.8999, 40).tolist():
+            ell = -math.log(rho)
+            c, d = exact_c_d(p, ell)
+            for x in (glued_x(cfg, 2.0, 400.0, rho), -0.3 * float(d), -0.2 * float(d)):
+                with localcontext() as ctx:
+                    ctx.prec = 40
+                    sign = math.copysign(1, d / 4 + Decimal(x))
+                    for x2 in (0.0, 0.35, 0.8, 3.0):
+                        gam2 = (Decimal(b0) * Decimal(ell) / (2 * PI_40 ** 2)) ** 2 \
+                            + (Decimal(x2) / Decimal(ell)) ** 2
+                        assert math.copysign(1, exact_min_eig(c, d, gam2, Decimal(x))) == sign
+                signs.add(sign)
+        assert signs == {1, -1}
 
     @pytest.mark.parametrize("alpha", [1e-300, 1e-15, 5e-15])
     def test_margin_within_rounding_bound_fails_closed(self, alpha):

@@ -56,8 +56,9 @@ def _turned_output(real, delta):
 # one point need not round over at 1e-10, so its row flips first at 1e-9.
 # isometry_defect is read where the section is a real constant, so that the
 # translation moves no x2: the section's value turned by 1 + i delta moves x2
-# by h0 delta and reads about 0.26 delta (k = 1, h0 = 0.37) and 0.70 delta
-# (k = 3, eps = 2, h0 = -1.5) against 1e-14, so both rows flip at 1e-13.
+# by h0 delta, and the defect per unit eps/k reads about 2 pi |h0| delta/9:
+# 0.26 delta (k = 1, h0 = 0.37) against 1e-14 flips at 1e-13, and 1.05 delta
+# (k = 3, eps = 2, h0 = -1.5) at 1e-14.
 _SEMIFLAT_ROWS = [
     *(("pairing_rel_error", argv, sf, "_TWO_PI_SQ", _scaled_constant, 1e-7) for argv in (
         ["semiflat", "pair", "--k", "2", "--b0", "-1/4", "--cycle", "2,1"],
@@ -68,8 +69,9 @@ _SEMIFLAT_ROWS = [
     ("ma_residual_rel", ["semiflat", "eval", "--k", "2", "--ell", "5", "--b0", "1/4",
                          "--alpha", "0.3"], sf, "holomorphic_volume_top", _scaled_output, 1e-9),
     *(("isometry_defect", ["semiflat", "classify-translation", "--k", *argv], fib,
-       "section_eval_y", _turned_output, 1e-13)
-      for argv in (["1", "--h0", "0.37+0i"], ["3", "--eps", "2", "--h0", "-1.5+0i"]))]
+       "section_eval_y", _turned_output, threshold)
+      for argv, threshold in ((["1", "--h0", "0.37+0i"], 1e-13),
+                              (["3", "--eps", "2", "--h0", "-1.5+0i"], 1e-14)))]
 
 
 @pytest.mark.parametrize("name,argv,owner,term,scaled,threshold", _SEMIFLAT_ROWS,
@@ -80,6 +82,23 @@ def test_semiflat_check_fails_on_a_scaled_term(monkeypatch, name, argv, owner, t
     for delta, code in ((0.0, 0), (threshold / 10.0, 0), (threshold, 3)):
         monkeypatch.setattr(owner, term, scaled(exact, delta))
         got, check = _check(argv, name)
+        assert (got, check["passed"]) == (code, code == 0), delta
+
+
+# the floors of isometry_defect and bounded_ratio read the defect per unit eps/k, so
+# each flips at one delta at eps = 1 and at eps = 1e-300, where an absolute floor read
+# 1e-300 times it and never flipped: isometry_defect as its row above, and
+# bounded_ratio's max >= 1e-14 where the section's b = delta makes a defect of delta/pi
+@pytest.mark.parametrize("eps", ["1", "1e-300"])
+def test_floors_flip_at_one_delta_per_unit_scale(monkeypatch, eps):
+    argv = ["semiflat", "classify-translation", "--k", "1", "--eps", eps]
+    for b, code in (("1e-13", 0), ("1e-14", 3)):
+        got, check = _check(argv + ["--section-b", b], "bounded_ratio")
+        assert (got, check["passed"]) == (code, code == 0), b
+    exact = fib.section_eval_y
+    for delta, code in ((0.0, 0), (1e-14, 0), (1e-13, 3)):
+        monkeypatch.setattr(fib, "section_eval_y", _turned_output(exact, delta))
+        got, check = _check(argv + ["--h0", "0.37+0i"], "isometry_defect")
         assert (got, check["passed"]) == (code, code == 0), delta
 
 
@@ -269,9 +288,9 @@ _POSITIVITY = ["glue", "positivity", "--k", "1", "--r", "0.1", "--s", "0.02", "-
 
 
 # positivity_margin is an identity on these argv, as on every benchmark draw:
-# its minimum sits at rho = 0.9 * 0.9999 and x2 = 0.8, past r + 3s, where the
-# glued terms are 0 and the block is the unglued one.  No glue term scaled by
-# up to 10 % moves a bit of it; psi scaled by 1.5 first flips it, at alpha 0.3.
+# its minimum is d/4 at rho = 0.9 * 0.9999, past r + 3s, where the glued terms
+# are 0 and the block is the unglued one.  No glue term scaled by up to 10 %
+# moves a bit of it; psi scaled by 1.5 first flips it, at alpha 0.3.
 @pytest.mark.parametrize("extra", [["--alpha", "1.5"], ["--alpha", "0.3"],
                                    ["--alpha", "1.5", "--t", "146.5872"]],
                          ids=["alpha1.5", "alpha0.3", "t146.5872"])
@@ -285,7 +304,7 @@ def test_positivity_margin_unmoved_by_scaled_glue_terms(monkeypatch, extra, owne
                                                         scaled):
     argv = _POSITIVITY + extra
     code, exact_check = _check(argv, "positivity_margin")
-    assert code == 0 and exact_check["measured"] == 0.00014334859607245725
+    assert code == 0 and exact_check["measured"] == 0.008392281581895528
     exact = getattr(owner, term)
     for delta in (1e-12, 1e-6, 1e-2, 1e-1):
         monkeypatch.setattr(owner, term, scaled(exact, delta))
@@ -384,13 +403,15 @@ def test_gauss_equation_unmoved_by_scaled_jet_patterns(monkeypatch, term, row):
 # the checks no row above perturbs yet: exact identities, fits and
 # classifications whose controls need a term that moves them
 _NO_ROW_YET = {"dims", "sign_change", "volume_product", "volume_product_minus_one",
-               "bounded_ratio", "fit_r_squared", "pole_growth", "power_decay_exponent",
+               "fit_r_squared", "pole_growth", "power_decay_exponent",
                "stretched_exponent"}
 
 
 def test_every_check_has_a_row_or_is_listed():
     identities = {"positivity_margin", "metric_positive"}
+    floors = {"bounded_ratio"}  # test_floors_flip_at_one_delta_per_unit_scale
     rows = {row[0] for rows in (_ROWS, _JET_ROWS, _CONSTANT_ROWS, _EXPONENT_ROWS, _SEMIFLAT_ROWS,
-                                _HKROT_ROWS, _GLUE_ROWS, _SLAG_ROWS) for row in rows} | identities
+                                _HKROT_ROWS, _GLUE_ROWS, _SLAG_ROWS) for row in rows} | identities \
+        | floors
     assert rows.isdisjoint(_NO_ROW_YET)
     assert rows | _NO_ROW_YET == set(cli._CHECKS)

@@ -481,25 +481,36 @@ def _defect_mp(p, s, q):
                                      for j in range(4)) / 2))
 
 
+def _base(q):
+    """(ell, theta) of chart points q of shape (..., 4)."""
+    return q[..., 0], q[..., 1]
+
+
+def _scaled_section(s, lam):
+    """lam times the section s, term by term."""
+    return fib.SectionData(h={pw: lam * complex(c) for pw, c in s.h.items()},
+                           a=lam * complex(s.a), b=lam * complex(s.b))
+
+
 class TestTranslatePullback:
     """translation_defect, the closed form of |T_s^* omega - omega|_g."""
 
     def test_identity(self):
         p = sf.ModelParams(k=1, eps=1.0)
-        q = _pt(2.0, 0.5, 0.3, 0.7)
-        assert sf.translation_defect(p, fib.SectionData(h={}), q) == 0.0
+        assert sf.translation_defect(p, fib.SectionData(h={}), 2.0, 0.5) == 0.0
 
     def test_real_constant_isometry(self):
         p = sf.ModelParams(k=2, eps=0.7, b0=0.25, kappa={0: 1.0, 1: 0.5})
         q = _chart_points(np.random.default_rng(5), (4,))
         s = fib.SectionData(h={0: 0.37})
-        assert np.all(sf.translation_defect(p, s, q) == 0.0)
+        assert np.all(sf.translation_defect(p, s, *_base(q)) == 0.0)
 
     def test_chain_rule_oracle(self):
+        # the per-point oracle reads the whole chart point, x included
         p = sf.ModelParams(k=2, eps=0.8, b0=0.25, alpha=1.7, kappa={0: 1.0, 1: 0.5})
         q = _chart_points(np.random.default_rng(3), (3, 5))
         s = fib.SectionData(h={0: 0.3 + 0.2j, 1: 0.1}, a=0.5, b=0.25)
-        vals = sf.translation_defect(p, s, q)
+        vals = sf.translation_defect(p, s, *_base(q))
         assert vals.shape == (3, 5)
         for i in range(3):
             for j in range(5):
@@ -513,36 +524,61 @@ class TestTranslatePullback:
         q = _chart_points(np.random.default_rng(7), (6,))
         s = fib.SectionData(h={0: -0.1 + 0.8j, 1: 0.3}, b=0.5)
         sc = fib.SectionData(h={0: 0.9 + 0.8j, 1: 0.3}, b=0.5)
-        assert np.allclose(sf.translation_defect(p, sc, q), sf.translation_defect(p, s, q),
-                           rtol=1e-14, atol=0.0)
+        assert np.allclose(sf.translation_defect(p, sc, *_base(q)),
+                           sf.translation_defect(p, s, *_base(q)), rtol=1e-14, atol=0.0)
 
     def test_branch_descent(self):
         # h with integral (a+b, 2b/k): the defect agrees on y and y + 2*pi*i,
         # which lie over the same z
         p = sf.ModelParams(k=2, eps=1.0)
         s = fib.SectionData(h={0: 0.2, 1: 0.4}, a=Fraction(0), b=Fraction(1))
-        q = _pt(-math.log(0.1), -0.9, 0.3, 0.2)
-        d0 = sf.translation_defect(p, s, q)
-        d1 = sf.translation_defect(p, s, q + np.array([0.0, TWO_PI, 0.0, 0.0]))
+        ell = -math.log(0.1)
+        d0 = sf.translation_defect(p, s, ell, -0.9)
+        d1 = sf.translation_defect(p, s, ell, -0.9 + TWO_PI)
         assert d0 > 0.0 and d1 == pytest.approx(d0, rel=1e-14, abs=0.0)
 
     def test_free_of_b0_alpha_and_x(self):
         q = _chart_points(np.random.default_rng(11), (5,))
         s = fib.SectionData(h={0: 0.5 + 1j, 1: 0.3}, a=0.25, b=0.5)
-        want = sf.translation_defect(sf.ModelParams(k=2, eps=0.7), s, q)
+        want = sf.translation_defect(sf.ModelParams(k=2, eps=0.7), s, *_base(q))
         for b0, alpha in ((0.25, 1.0), (-1.0 / 3.0, 1.7), (1e9, 1.0)):
-            got = sf.translation_defect(sf.ModelParams(k=2, eps=0.7, b0=b0, alpha=alpha), s, q)
+            got = sf.translation_defect(sf.ModelParams(k=2, eps=0.7, b0=b0, alpha=alpha), s,
+                                        *_base(q))
             assert np.array_equal(got, want)
-        moved = q + np.array([0.0, 0.0, 0.6, -0.4])
-        assert np.array_equal(sf.translation_defect(sf.ModelParams(k=2, eps=0.7), s, moved),
-                              want)
+        # the base points carry no x: the chain rule at x and at x moved agrees with them
+        p = sf.ModelParams(k=2, eps=0.7)
+        for pt, value in zip(q, want):
+            for moved in (pt, pt + np.array([0.0, 0.0, 0.6, -0.4])):
+                assert _defect_reference(p, s, moved) == pytest.approx(value, rel=1e-12,
+                                                                       abs=0.0)
+
+    def test_scales_as_the_normal_form_section(self):
+        # delta is linear in eta and W eps = 2 pi (eps/k)/ell: eta on (k, eps) has the
+        # defect of (eps/k) eta on k = eps = 1, whatever b0, alpha and kappa
+        rng = np.random.default_rng(48)
+        worst = 0.0
+        for _ in range(300):
+            k, eps = int(rng.integers(1, 10)), 10.0 ** rng.uniform(-3.0, 3.0)
+            kappa = {0: 1.0, 1: complex(*rng.uniform(-0.5, 0.5, 2))}
+            p = sf.ModelParams(k=k, eps=eps, b0=rng.uniform(-3.0, 3.0),
+                               alpha=10.0 ** rng.uniform(-1.0, 1.0), kappa=kappa)
+            s = fib.SectionData(h={0: complex(*rng.normal(size=2)),
+                                   1: complex(*rng.normal(size=2))},
+                                a=complex(*rng.normal(size=2)), b=complex(*rng.normal(size=2)))
+            ell, theta = rng.uniform(0.5, 40.0, 8), rng.uniform(-7.0, 7.0, 8)
+            want = sf.translation_defect(p, s, ell, theta)
+            got = sf.translation_defect(sf.ModelParams(k=1, kappa=kappa),
+                                        _scaled_section(s, eps / k), ell, theta)
+            worst = max(worst, float(np.max(np.abs(got / want - 1.0))))
+        assert worst <= 1e-14
 
     def test_rejects_bad_chart_points(self):
         p = sf.ModelParams(k=1)
         s = fib.SectionData(h={0: 1j})
-        for q in ([0.0, 0.0, 0.0, 0.0], [2.0, 0.0, np.nan, 0.0], [2.0, np.inf, 0.0, 0.0]):
+        for ell, theta in ((0.0, 0.0), (-1.0, 0.0), (np.nan, 0.0), (np.inf, 0.0),
+                           (2.0, np.inf), (2.0, np.nan)):
             with pytest.raises(ValidationError):
-                sf.translation_defect(p, s, np.array(q))
+                sf.translation_defect(p, s, ell, theta)
 
 
 class TestClassifyTranslation:
@@ -569,6 +605,27 @@ class TestClassifyTranslation:
         variant, _, _, fit = sf.classify_translation(p, fib.SectionData(h={0: 1.5, 1: 0.3}))
         assert variant == sf.EXP_DECAY
         assert fit.model == "stretched_exp" and fit.r_squared >= 0.99 and fit.exponent < 0
+
+    @pytest.mark.parametrize("eps", [7.0, 1e6, 1e100])
+    def test_power_window_reads_the_unit_section(self, eps):
+        # the window scaled by sqrt(eps |Im h(0)|) = sqrt(eps) reads the samples of eps = 1
+        s = fib.SectionData(h={0: 1j})
+        _, r1, want, fit1 = sf.classify_translation(sf.ModelParams(k=1), s)
+        _, r, got, fit = sf.classify_translation(sf.ModelParams(k=1, eps=eps), s)
+        assert np.allclose(got, want, rtol=1e-14, atol=0.0)
+        assert fit.exponent == pytest.approx(fit1.exponent, abs=1e-12)
+        assert np.allclose(r / r1, eps ** 0.25, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("eps", [1.0, 1e4, 1e6, 1e100])
+    def test_stretched_window_follows_h1(self, eps):
+        # shifted by log(eps |h_1|), the samples start where eps |h_1| e^-ell is that of
+        # eps |h_1| = 1 (fit_r_squared 0.987 at eps = 1e6 on the fixed window)
+        s = fib.SectionData(h={0: 1.5, 1: 0.3})
+        p = sf.ModelParams(k=1, eps=eps)
+        _, r, _, fit = sf.classify_translation(p, s)
+        ells = np.linspace(3.0, 14.0, 12) + max(0.0, math.log(0.3 * eps))
+        assert np.allclose(sf.distance_r(p, ells), r, rtol=1e-15, atol=0.0)
+        assert fit.r_squared >= 0.999 and fit.exponent < 0.0
 
     @pytest.mark.parametrize("s", [fib.SectionData(h={0: 1.5}),
                                    fib.SectionData(h={0: 0.37, 1: 0.0}),
@@ -915,6 +972,37 @@ class TestDecayClosedForms:
             tan[:, 2, 0], tan[:, 1, 1], tan[:, 3, 1] = 1.0, -1.0, slope
             pi_sq = slag._fundamental_forms(g, gam, tan)[1]
             assert np.max(np.abs(slag.pi_norm_sq(p, ell, theta, slope) / pi_sq - 1.0)) <= 1e-12
+
+    def test_gauss_terms_and_mean_curvature_in_closed_form(self):
+        # what slag check reads of the jet, for the plane of d/dx1 and -d/dtheta + slope d/dx2:
+        # K_ambient = -Pi = (pi/(4 K ell^3)) (2 + q/(1 + sigma)) and |H|^2 = (pi/(4 K ell^3))
+        # (q^2 + sigma (q^2 + p^2))/(1 + sigma)^3, q, p and sigma as in pi_norm_sq.  So at
+        # kappa = 1 (q = p = 0) every lift plane is minimal, special or not
+        rng = np.random.default_rng(48)
+        for kappa in [{}, *(_kappa_draw(rng) for _ in range(40))]:
+            p = sf.ModelParams(k=1, kappa=kappa)
+            ell, theta = rng.uniform(0.3, 50.0, 16), rng.uniform(-math.pi, math.pi, 16)
+            slope = rng.normal(size=16) * 10.0 ** rng.uniform(-2.0, 2.0, 16)
+            riem, gam, g, _ = sf.riemann_jet(p, ell, theta)
+            tan = np.zeros((16, 4, 2))
+            tan[:, 2, 0], tan[:, 1, 1], tan[:, 3, 1] = 1.0, -1.0, slope
+            second, pi_sq, h_sq, hin = slag._fundamental_forms(g, gam, tan)
+            area_sq = np.linalg.det(hin)
+            t1, t2 = tan[..., 0], tan[..., 1]
+            k_amb = np.einsum("...ae,...ebcd,...a,...b,...c,...d->...", g, riem, t1, t2, t1,
+                              t2) / area_sq
+            pi_term = (np.einsum("...a,...ab,...b->...", second[..., 0, 0], g, second[..., 1, 1])
+                       - np.einsum("...a,...ab,...b->...", second[..., 0, 1], g,
+                                   second[..., 0, 1])) / area_sq
+            big_k, w = sf.kappa_log_jet(p, ell, theta)
+            q, p_im = 2.0 * w.real, -2.0 * w.imag
+            sigma = 2.0 * math.pi ** 2 * slope ** 2 / (ell ** 2 * big_k)
+            unit = math.pi / (4.0 * big_k * ell ** 3)
+            want = unit * (2.0 + q / (1.0 + sigma))
+            assert np.max(np.abs(k_amb / want - 1.0)) <= 1e-14
+            assert np.max(np.abs(-pi_term / want - 1.0)) <= 1e-14
+            want = unit * (q * q + sigma * (q * q + p_im * p_im)) / (1.0 + sigma) ** 3
+            assert np.max(np.abs(h_sq - want) / pi_sq) <= 1e-15
 
     def test_kappa_one_is_the_constants(self):
         ell = np.array([0.3, 5.0, 40.0, 40.0])

@@ -25,9 +25,9 @@ form written beside the code is needed:
   form's, bit for bit.
 - b0 is the isometry x -> x - b0' y^2/(4 pi^2) onto b0 = 0 (b0' = (eps/k) b0),
   which adds b0' ell/(2 pi^2) to a lift's x2-slope and fixes the zero section:
-  `semiflat curvature` keeps the bits of b0 = 0, and `slag pi-decay` and
-  `slag check` agree to 1e-13 under (b0, C_{m1,m2}) -> (b0 + k/2,
-  C_{m1,m2-m1}), which leaves the image's slope as it is.
+  `semiflat curvature` and `glue positivity` keep the bits of b0 = 0, and
+  `slag pi-decay` and `slag check` agree to 1e-13 under (b0, C_{m1,m2}) ->
+  (b0 + k/2, C_{m1,m2-m1}), which leaves the image's slope as it is.
 - tau -> -conj(tau) mirrors the Calabi model's lattice: `hkrot` keeps alpha,
   eps and the class and negates b0 = -k Re tau/(2 |tau|^2) and the winding's
   p, bit for bit on every exact modulus the benchmark draws (b0 = 0 is +0.0
@@ -201,6 +201,17 @@ def test_curvature_does_not_depend_on_b0(tmp_path, k, kappa1, b0):
     code0, res0, curve0 = _run(*common, csv_path=tmp_path / "zero.csv")
     assert code == code0 == 0
     assert (res, curve) == (res0, curve0)
+
+
+@pytest.mark.parametrize("b0", ["1/4", "1e6"])
+@pytest.mark.parametrize("extra", [["--k", "1"], ["--k", "1", "--alpha", "0.3"],
+                                   ["--k", "3", "--eps", "2"]], ids=["k1", "alpha0.3", "k3"])
+def test_positivity_does_not_depend_on_b0(b0, extra):
+    # the glued terms are base forms, and the b0 isometry fixes the base: the margin is
+    # read at Gamma = 0, with the bits of b0 = 0 (6.7e-12 at b0 = 1e6 in the chart)
+    common = ["glue", "positivity", "--r", "0.1", "--s", "0.02", "--v0c", "1", "--vomc", "0.2",
+              *extra]
+    assert _report(*common, "--b0", b0) == _report(*common)
 
 
 def _rel(a, b):
