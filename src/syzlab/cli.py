@@ -148,11 +148,11 @@ def _cmd_semiflat_eval(args):
     g = sfm.riemannian_metric_chart(p, q)
     # g is the real form of its J-invariant 2x2 block, so each of the block's
     # eigenvalues m -+ r comes twice; the block has det (alpha c)(alpha d),
-    # which cancels nothing
+    # which cancels nothing, and m >= 0, so m - r is read as det / (m + r)
     e01, cg_i, cg_r, c, d = sfm._form_entries(p, q[0], q[1], q[3], np.exp)
-    b = np.hypot(cg_r, cg_i)
-    low = float(sfm._smallest_eigenvalue(c, e01, b, c * d))
-    high = float(0.5 * (c + e01) + np.hypot(0.5 * (c - e01), b))
+    b, det = np.hypot(cg_r, cg_i), c * d
+    m_plus_r = 0.5 * (c + e01) + np.hypot(0.5 * (c - e01), b)
+    low, high = float(det / m_plus_r), float(m_plus_r)
     _, rel = sfm.ma_residual(p, q)
     results = {"form": form.tolist(), "metric": g.tolist(),
                "metric_eigenvalues": [low, low, high, high]}
@@ -571,13 +571,21 @@ _STRING = json.encoder.encode_basestring_ascii
 def _json(value, pad: str) -> str:
     """value as json.dumps(value, indent=2, sort_keys=True, allow_nan=False)
     writes it, byte for byte, without the pure-Python encoder that json runs
-    for an indent; pad is the newline and indent of value's line."""
-    if isinstance(value, str):
-        return _STRING(value)
+    for an indent; pad is the newline and indent of value's line.  Types are
+    tested in the order reports hold them."""
     if isinstance(value, float):
         if not math.isfinite(value):
             raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
         return float.__repr__(value)
+    if isinstance(value, str):
+        return _STRING(value)
+    inner = pad + "  "
+    if isinstance(value, (list, tuple)):
+        items = [_json(v, inner) for v in value]
+        return f"[{inner}{f',{inner}'.join(items)}{pad}]" if items else "[]"
+    if isinstance(value, dict):
+        items = [f"{_STRING(k)}: {_json(v, inner)}" for k, v in sorted(value.items())]
+        return f"{{{inner}{f',{inner}'.join(items)}{pad}}}" if items else "{}"
     # None, True and False before int: bool is an int
     if value is None:
         return "null"
@@ -587,16 +595,7 @@ def _json(value, pad: str) -> str:
         return "false"
     if isinstance(value, int):
         return int.__repr__(value)
-    inner = pad + "  "
-    if isinstance(value, (list, tuple)):
-        ends, items = "[]", [_json(v, inner) for v in value]
-    elif isinstance(value, dict):
-        ends, items = "{}", [f"{_STRING(k)}: {_json(v, inner)}" for k, v in sorted(value.items())]
-    else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-    if not items:
-        return ends
-    return ends[0] + inner + ("," + inner).join(items) + pad + ends[1]
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:

@@ -83,19 +83,19 @@ class SectionData:
         return complex(self.h.get(0, 0.0))
 
 
-def section_eval_y(s: SectionData, y):
-    """Section value at y = -log z on the universal cover; y may be an array."""
-    if np.any(np.real(y) <= 0):
-        raise ValidationError("need Re y > 0")
-    w = 2j * math.pi
-    return s.h_at(np.exp(-y)) - complex(s.a) * y / w + complex(s.b) * y * y / (w * w)
+_W = 2j * math.pi
 
 
-def section_dy(s: SectionData, y):
-    """d/dy of the section along the universal cover; y may be an array."""
-    z = np.exp(-y)
-    w = 2j * math.pi
-    return -z * s.h_prime_at(z) - complex(s.a) / w + 2.0 * complex(s.b) * y / (w * w)
+def section_jet(s: SectionData, y, z):
+    """(eta, d eta/dy) of the section at y = -log z, given z = e^-y; elementwise over arrays.
+    The log terms of a and b are added where they are non-zero."""
+    eta, eta_y = s.h_at(z), -z * s.h_prime_at(z)
+    if s.a:
+        eta, eta_y = eta - complex(s.a) * y / _W, eta_y - complex(s.a) / _W
+    if s.b:
+        eta = eta + complex(s.b) * y * y / (_W * _W)
+        eta_y = eta_y + 2.0 * complex(s.b) * y / (_W * _W)
+    return eta, eta_y
 
 
 @dataclass(frozen=True)
@@ -136,12 +136,16 @@ class CycleSpec:
         ell = np.asarray(ell, dtype=float)
         origin, frame = np.zeros(ell.shape + (4,)), np.zeros(ell.shape + (4, 2))
         origin[..., 0], frame[..., 2, 0] = ell, 1.0
-        if self.fiber:
-            frame[..., 3, 1] = k * ell / TWO_PI
-        else:
+        if not self.fiber:
             frame[..., 1, 1] = -1.0
-            frame[..., 3, 1] = (self.m2 / self.m1) * (k / TWO_PI) * ell / TWO_PI
+        frame[..., 3, 1] = self.x2_slope(k, ell)
         return origin, frame
+
+    def x2_slope(self, k: float, ell: np.ndarray) -> np.ndarray:
+        """The x2-slope of lift's t2 tangent, frame[..., 3, 1], at an array of ell."""
+        if self.fiber:
+            return k * ell / TWO_PI
+        return (self.m2 / self.m1) * (k / TWO_PI) * ell / TWO_PI
 
     def lift_grid(self, k: float, ell: float, n: int):
         """(q, t_a, t_b): the lift's chart points at every node of grid(n),

@@ -88,7 +88,8 @@ def fit_decay(r: np.ndarray, values: np.ndarray, model: str = "power") -> DecayF
     The smallest fifth of the samples (keeping at least 3) is discarded so
     the fit sees the asymptotic regime rather than the near region.  The
     values are computed samples, so a non-positive one (an underflow) is a
-    NumericalError, not a bad input.
+    NumericalError, not a bad input, and so is a NaN or infinity among the
+    fitted coordinates, read off the two sums that the centring takes.
     """
     r = np.asarray(r, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -113,12 +114,14 @@ def fit_decay(r: np.ndarray, values: np.ndarray, model: str = "power") -> DecayF
     else:
         raise ValidationError(f"unknown decay model {model!r}")
     ys = np.log(values)
-    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+    # a sum is finite exactly when its terms are: |log| <= 745, r^(2/3) <= 3.3e205, inf - inf = NaN
+    sx, sy = xs.sum(), ys.sum()
+    if not (math.isfinite(sx) and math.isfinite(sy)):
         raise NumericalError("non-finite values in decay fit")
 
     # the least-squares line through the centred samples; sum()/size has np.mean's bits
-    dx = xs - xs.sum() / xs.size
-    dy = ys - ys.sum() / ys.size
+    dx = xs - sx / xs.size
+    dy = ys - sy / ys.size
     slope = (dx @ dy) / (dx @ dx)
     resid = dy - slope * dx
     ss_tot = dy @ dy

@@ -58,17 +58,21 @@ class ModelParams:
     def __post_init__(self):
         if self.k < 1:
             raise ValidationError("k must be a positive integer")
-        require_finite(eps=self.eps, b0=self.b0, alpha=self.alpha)
-        if not all(cmath.isfinite(complex(c)) for c in self.kappa.values()):
+        # one or two models per report: require_finite only words the error
+        if not (math.isfinite(self.eps) and math.isfinite(self.b0) and math.isfinite(self.alpha)):
+            require_finite(eps=self.eps, b0=self.b0, alpha=self.alpha)
+        # kappa = 1, the common model, has no terms to check
+        kappa = self.kappa
+        if kappa and not all(cmath.isfinite(complex(c)) for c in kappa.values()):
             raise ValidationError("kappa coefficients must be finite")
         if not (self.eps > 0 and self.alpha > 0):
             raise ValidationError("eps and alpha must be positive")
-        if self.kappa and complex(self.kappa.get(0, 0)) != 1.0 + 0.0j:
+        if kappa and complex(kappa.get(0, 0)) != 1.0 + 0.0j:
             raise ValidationError("kappa must satisfy kappa(0) = 1")
-        if any(p < 0 for p in self.kappa):
+        if kappa and any(p < 0 for p in kappa):
             raise ValidationError("kappa must be polynomial (no poles)")
         object.__setattr__(self, "_kappa_terms",
-                           tuple((p, complex(c)) for p, c in sorted(self.kappa.items())))
+                           tuple((p, complex(c)) for p, c in sorted(kappa.items())) if kappa else ())
 
     def kappa_at(self, z):
         """kappa(z) at a complex z, or elementwise over an array of z."""
@@ -130,14 +134,6 @@ def _form_entries(p: ModelParams, ell, th, x2, exp):
     # alpha scales each finished entry, a * (c * g_i) and not (a * c) * g_i,
     # which keeps the bits of scaling the whole matrix by alpha
     return a * e01, a * (c * g_i), a * (c * g_r), a * c, a * d
-
-
-def _smallest_eigenvalue(a, dd, b, det):
-    """Smallest eigenvalue m - r of the Hermitian [[a, B], [conj(B), dd]], |B| = b,
-    elementwise: det / (m + r) where m = (a + dd)/2 >= 0, as accurate as det."""
-    m = 0.5 * (a + dd)
-    r = np.hypot(0.5 * (a - dd), b)
-    return np.where(m >= 0.0, det / (m + r), m - r)
 
 
 def _reject_chart_point(q: np.ndarray):
@@ -268,14 +264,16 @@ def translation_defect(p: ModelParams, s: fib.SectionData, ell, theta) -> np.nda
     as s hypot(sqrt(2), s) with s = sqrt(t) = W eps |delta| / (sqrt(2) |kappa|), which neither
     underflows nor overflows where the defect itself is a normal float and t or t^2 is not.
     W eps = 2 pi (eps/k)/ell and delta is linear: eta has the defect of (eps/k) eta at k = eps = 1.
+    One z = e^-y feeds eta and eta_y (fibration.section_jet) and kappa.
     """
     ell, theta = np.asarray(ell, dtype=float), np.asarray(theta, dtype=float)
     if not (((ell > 0.0) & (ell < np.inf)).all() and np.isfinite(theta).all()):
         _reject_chart_point(np.append(ell, theta))
     y = ell + 1j * theta
-    delta = 1j * (fib.section_eval_y(s, y).imag / ell) - fib.section_dy(s, y)
-    s = w_factor(p, ell) * p.eps * np.abs(delta) \
-        / (math.sqrt(2.0) * np.abs(p.kappa_of_y(ell, theta)))
+    z = np.exp(-y)
+    eta, eta_y = fib.section_jet(s, y, z)
+    delta = 1j * (eta.imag / ell) - eta_y
+    s = w_factor(p, ell) * p.eps * np.abs(delta) / (math.sqrt(2.0) * np.abs(p.kappa_at(z)))
     return s * np.hypot(math.sqrt(2.0), s)
 
 
@@ -307,7 +305,7 @@ def classify_translation(p: ModelParams, s: fib.SectionData):
     class lambda h_1 e^-y leads delta, and the window shifted by log(max(lambda |h_1|, 1))
     reads the lambda |h_1| e^-ell of lambda |h_1| = 1.
     """
-    lam, ells, model = p.eps / p.k, np.linspace(3.0, 14.0, 12), None
+    lam, ells, model = p.eps / p.k, TRANSLATION_ELLS, None
     if s.has_pole():
         variant = NOT_UNIFORM
     elif complex(s.b) != 0:
@@ -382,8 +380,11 @@ def _kappa_jet(p: ModelParams, ell, theta):
 
 def kappa_log_jet(p: ModelParams, ell, theta):
     """(K, w) = (|kappa|^2, ell kappa_y/kappa) at y = ell + i theta, elementwise: what the
-    closed forms of |Rm| and |II| read of kappa.  NumericalError where kappa vanishes (K = 0),
-    as the metric's d = K ell/pi does there."""
+    closed forms of |Rm| and |II| read of kappa; the scalars 1.0 and 0j where kappa has no term
+    past kappa(0) = 1.  NumericalError where kappa vanishes (K = 0), as the metric's d = K
+    ell/pi does there."""
+    if len(p._kappa_terms) <= 1:
+        return 1.0, 0j
     kap, kap_y, _ = _kappa_jet(p, ell, theta)
     big_k = kap.real * kap.real + kap.imag * kap.imag
     if not np.all(big_k > 0.0):
@@ -540,6 +541,8 @@ def riemann_fd(gf, q: np.ndarray, h: float | np.ndarray) -> tuple[np.ndarray, ..
 RM_R2 = 8.0 * math.sqrt(6.0) / 9.0
 # the ell of the curvature and |II| decay samples
 DECAY_ELLS = np.linspace(5.0, 40.0, 10)
+# the ell of the translation-defect samples, before classify_translation scales or shifts them
+TRANSLATION_ELLS = np.linspace(3.0, 14.0, 12)
 # the constant term of the |Rm| radicand 2|w|^2 + 6 Re w + 6
 _RM_CONSTANT = 6.0
 

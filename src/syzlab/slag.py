@@ -57,9 +57,9 @@ class ModelFiber:
         t_a = d/dx1 and t_b = -d/dtheta + s d/dx2 give omega(t_a, t_b) = c g_r' + c s,
         zero exactly when 2*b0/k = -m2/m1.  c = 2 pi/ell and c g_r' = b0'/pi depend
         on ell alone, which the lift fixes, so both are read at its origin."""
-        s = self.cycle.lift(self.params.eps, self.ell)[1][3, 1]
         # one node as an array: numpy words its overflow as on arrays, not "scalar multiply"
         ell = np.array([self.ell])
+        s = self.cycle.x2_slope(self.params.eps, ell)
         g_r, c = sf.twist_slope(self.params, ell), TWO_PI / ell
         return c * g_r, c * s
 
@@ -240,7 +240,7 @@ def pi_decay(p: sf.ModelParams, cycle: fib.CycleSpec) -> tuple[np.ndarray, np.nd
     if cycle.fiber:
         raise ValidationError("slag fibers are bad cycles, not torus fibers")
     p1, s = sf.normal_form(p)
-    slope = cycle.lift(p.eps, sf.DECAY_ELLS)[1][..., 3, 1] + sf.twist_slope(p, sf.DECAY_ELLS)
+    slope = cycle.x2_slope(p.eps, sf.DECAY_ELLS) + sf.twist_slope(p, sf.DECAY_ELLS)
     vals = math.sqrt(s) * np.sqrt(pi_norm_sq(p1, sf.DECAY_ELLS, _THETA, slope))
     r = sf.distance_r(p, sf.DECAY_ELLS)
     fit = fit_decay(r, vals, model="power")

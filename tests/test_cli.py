@@ -1257,8 +1257,10 @@ _JSON_STRINGS = st.one_of(st.text(), st.sampled_from(
     ['"', "\\", "\x00", "\x1f\x7f", "\u2028", "é", "\ud800", "💡", "a\"b\\c\n"]))
 _JSON_FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
                          st.sampled_from([-0.0, 5e-324, 1e308, 0.1 + 0.2]))
+# np.float64 is a float subclass, as bool is an int subclass: both go with their base type
 _JSON_VALUES = st.recursive(
-    st.one_of(st.none(), st.booleans(), st.integers(), _JSON_FLOATS, _JSON_STRINGS),
+    st.one_of(st.none(), st.booleans(), st.integers(), _JSON_FLOATS,
+              _JSON_FLOATS.map(np.float64), _JSON_STRINGS),
     lambda kids: st.one_of(st.lists(kids, max_size=4), st.lists(kids, max_size=4).map(tuple),
                            st.dictionaries(_JSON_STRINGS, kids, max_size=4)),
     max_leaves=20)

@@ -104,6 +104,17 @@ class TestLift:
         assert origin.tobytes() == np.array([o for o, _ in each]).tobytes()
         assert frame.tobytes() == np.array([f for _, f in each]).tobytes()
 
+    @pytest.mark.parametrize("c", CYCLES + [fib.CycleSpec(m1=5, m2=3)])
+    @pytest.mark.parametrize("k", [1, 2.5, 1e300])
+    def test_x2_slope_is_the_lifts_column(self, c, k):
+        # bitwise the lift's frame[..., 3, 1], and the formula written out, k ell/(2 pi) or
+        # (m2/m1)(k/(2 pi)) ell/(2 pi), which a change to x2_slope cannot carry with it
+        ell = np.array([1e-3, 0.7, 5.0, 13.0, 40.0, 1e8])
+        got = c.x2_slope(k, ell)
+        assert got.tobytes() == c.lift(k, ell)[1][..., 3, 1].tobytes()
+        want = k * ell / TWO_PI if c.fiber else (c.m2 / c.m1) * (k / TWO_PI) * ell / TWO_PI
+        assert got.tobytes() == want.tobytes()
+
     def test_lift_grid_rejects_small_grid(self):
         with pytest.raises(ValidationError):
             fib.FIBER.lift_grid(1, 2.0, 3)

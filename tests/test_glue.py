@@ -187,12 +187,22 @@ def scan_on(cfg, alpha, t, window=None):
         return glue.positivity_scan(cfg, alpha, t)
 
 
-def closed_form_min(c, d, g_r, g_i, x):
-    """semiflat._smallest_eigenvalue on the block of exact_min_eig, with the
-    entries rounded as semiflat._form_entries rounds them (alpha = 1)."""
-    e01, cg = d + c * (g_r * g_r + g_i * g_i), np.hypot(c * g_r, c * g_i)
-    return sfm._smallest_eigenvalue(0.25 * c, 0.25 * e01 + x, 0.25 * cg,
-                                    0.25 * c * (0.25 * d + x))
+def min_eig_block(c, d, g_r, g_i, x):
+    """(block, scale): the block of exact_min_eig elementwise, shape (..., 2, 2), with the entries
+    rounded as semiflat._form_entries rounds them (alpha = 1), and the block's Frobenius norm
+    with its yy entry replaced by (d + c|Gamma|^2)/4 + |x|, the size of the terms it is summed
+    from: where x cancels them, the rounded block's own norm falls far below their rounding
+    error."""
+    c, d, g_r, g_i, x = np.broadcast_arrays(c, d, g_r, g_i, x)
+    e01 = d + c * (g_r * g_r + g_i * g_i)
+    block = np.empty(c.shape + (2, 2), dtype=complex)
+    block[..., 0, 0] = 0.25 * c
+    block[..., 1, 0] = -0.25 * (c * g_r + 1j * (c * g_i))
+    block[..., 0, 1] = np.conj(block[..., 1, 0])
+    block[..., 1, 1] = 0.25 * e01 + x
+    scale = np.sqrt(block[..., 0, 0].real ** 2 + 2.0 * np.abs(block[..., 1, 0]) ** 2
+                    + (0.25 * e01 + np.abs(x)) ** 2)
+    return block, scale
 
 
 def glued_x(cfg, alpha, t, rho):
@@ -553,38 +563,26 @@ class TestArrayKernels:
 
 
 class TestSmallestEigenvalue:
-    """semiflat._smallest_eigenvalue, which semiflat eval's metric_positive reads; the
-    positivity scan reads its diagonal block's entries instead."""
+    """exact_min_eig, the 40-digit reference of the block's smaller eigenvalue, against
+    np.linalg.eigvalsh on both signs of m, the block's mean diagonal entry: semiflat eval,
+    whose m is never negative, reads det/(m + r) (tests/test_cli.py)."""
 
     def test_backward_error_against_eigvalsh(self):
-        # the scale is the block's Frobenius norm with its yy entry replaced
-        # by (d + c|Gamma|^2)/4 + |x|, the size of the terms it is summed
-        # from: where x cancels them, the rounded block's own norm falls far
-        # below their rounding error.  On these draws the closed form is
-        # within 2.0u times the scale of the 40-digit value, eigvalsh 13.4u
+        # on these draws eigvalsh is within 13.4u times the scale of the 40-digit value
         u = 2.0 ** -53
         rng = np.random.default_rng(20)
         size = 5000
         c, d = 10.0 ** rng.uniform(-3, 3, (2, size))
         g_r, g_i = 10.0 ** rng.uniform(-3, 3, (2, size)) * rng.choice([-1, 1], (2, size))
         x = rng.uniform(-1.0, 1.0, size) * (c + d) * (1.0 + g_r ** 2 + g_i ** 2)
-        e01 = d + c * (g_r * g_r + g_i * g_i)
-        block = np.empty((size, 2, 2), dtype=complex)
-        block[:, 0, 0] = 0.25 * c
-        block[:, 1, 0] = -0.25 * (c * g_r + 1j * (c * g_i))
-        block[:, 0, 1] = np.conj(block[:, 1, 0])
-        block[:, 1, 1] = 0.25 * e01 + x
-        scale = np.sqrt(block[:, 0, 0].real ** 2 + 2.0 * np.abs(block[:, 1, 0]) ** 2
-                        + (0.25 * e01 + np.abs(x)) ** 2)
-        got = closed_form_min(c, d, g_r, g_i, x)
+        block, scale = min_eig_block(c, d, g_r, g_i, x)
         exact = np.array([exact_min_eig(*map(Decimal, (ci, di)),
                                         Decimal(gr) ** 2 + Decimal(gi) ** 2, Decimal(xi))
                           for ci, di, gr, gi, xi in zip(c, d, g_r, g_i, x)])
-        assert np.all(np.abs(got - exact) <= 4.0 * u * scale)
         ref = np.linalg.eigvalsh(block)[:, 0]
-        assert np.all(np.abs(got - ref) <= 16.0 * u * scale)
-        # both branches and both signs of the margin are drawn
-        m = 0.125 * (c + e01) + 0.5 * x
+        assert np.all(np.abs(ref - exact) <= 16.0 * u * scale)
+        # both signs of m and both signs of the margin are drawn
+        m = 0.125 * (c + d + c * (g_r * g_r + g_i * g_i)) + 0.5 * x
         assert np.any(m < 0) and np.any((m >= 0) & (exact < 0)) and np.any(exact > 0)
 
     @pytest.mark.parametrize("c,d,g_r,g_i,x,m_sign,sign", [
@@ -595,13 +593,14 @@ class TestSmallestEigenvalue:
         (1e-3, 2.0, 1e3, -1e2, -1e4, -1, -1),    # large |Gamma|
     ])
     def test_both_branches_against_exact(self, c, d, g_r, g_i, x, m_sign, sign):
-        # m_sign picks the branch (det / (m + r) or m - r), sign the margin's
+        # m_sign is the sign of m, sign the margin's
         m = 0.125 * (c + d + c * (g_r ** 2 + g_i ** 2)) + 0.5 * x
         assert math.copysign(1.0, m) == m_sign
         want = exact_min_eig(Decimal(c), Decimal(d),
                              Decimal(g_r) ** 2 + Decimal(g_i) ** 2, Decimal(x))
         assert math.copysign(1.0, want) == sign
-        assert closed_form_min(c, d, g_r, g_i, x) == pytest.approx(want, rel=1e-14, abs=0.0)
+        block, scale = min_eig_block(c, d, g_r, g_i, x)
+        assert abs(np.linalg.eigvalsh(block)[0] - want) <= 16.0 * 2.0 ** -53 * scale
 
 
 class TestClaim2:

@@ -40,9 +40,13 @@ def _scaled_constant(real, delta):
     return real * (1.0 + delta)
 
 
-def _turned_output(real, delta):
-    """real with its complex result times (1 + i delta): a real factor keeps a real value real."""
-    return lambda *args: real(*args) * (1.0 + 1j * delta)
+def _turned_value(real, delta):
+    """fibration.section_jet with the section's value, not its derivative, times (1 + i delta):
+    a real factor keeps a real value real."""
+    def turned(*args):
+        eta, eta_y = real(*args)
+        return eta * (1.0 + 1j * delta), eta_y
+    return turned
 
 
 # (check, argv, owner, patched name, its scaled replacement, threshold).
@@ -69,7 +73,7 @@ _SEMIFLAT_ROWS = [
     ("ma_residual_rel", ["semiflat", "eval", "--k", "2", "--ell", "5", "--b0", "1/4",
                          "--alpha", "0.3"], sf, "holomorphic_volume_top", _scaled_output, 1e-9),
     *(("isometry_defect", ["semiflat", "classify-translation", "--k", *argv], fib,
-       "section_eval_y", _turned_output, threshold)
+       "section_jet", _turned_value, threshold)
       for argv, threshold in ((["1", "--h0", "0.37+0i"], 1e-13),
                               (["3", "--eps", "2", "--h0", "-1.5+0i"], 1e-14)))]
 
@@ -95,9 +99,9 @@ def test_floors_flip_at_one_delta_per_unit_scale(monkeypatch, eps):
     for b, code in (("1e-13", 0), ("1e-14", 3)):
         got, check = _check(argv + ["--section-b", b], "bounded_ratio")
         assert (got, check["passed"]) == (code, code == 0), b
-    exact = fib.section_eval_y
+    exact = fib.section_jet
     for delta, code in ((0.0, 0), (1e-14, 0), (1e-13, 3)):
-        monkeypatch.setattr(fib, "section_eval_y", _turned_output(exact, delta))
+        monkeypatch.setattr(fib, "section_jet", _turned_value(exact, delta))
         got, check = _check(argv + ["--h0", "0.37+0i"], "isometry_defect")
         assert (got, check["passed"]) == (code, code == 0), delta
 

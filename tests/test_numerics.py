@@ -117,6 +117,25 @@ class TestFitDecay:
          "non-finite values in decay fit"),
         ([1.0, 2.0, 3.0, 4.0], [1.0, 0.5, math.inf, 0.3], "power", NumericalError,
          "non-finite values in decay fit"),
+        # a NaN or an infinity among the fitted coordinates, log r or r^(2/3) and log values,
+        # caught from the centring's two sums, +inf in one and -inf in the other included
+        *(([1.0, 2.0, 3.0, bad], [1.0, 0.5, 0.4, 0.3], model, NumericalError,
+           "non-finite values in decay fit")
+          for bad in (math.nan, math.inf) for model in ("power", "stretched_exp")),
+        ([0.0, 1.0, 2.0, 3.0], [1.0, 0.5, 0.4, 0.3], "power", NumericalError,
+         "non-finite values in decay fit"),
+        ([-1.0, 1.0, 2.0, 3.0], [1.0, 0.5, 0.4, 0.3], "stretched_exp", NumericalError,
+         "non-finite values in decay fit"),
+        ([0.0, 1.0, 2.0, math.inf], [1.0, 0.5, 0.4, 0.3], "power", NumericalError,
+         "non-finite values in decay fit"),
+        ([1.0, 2.0, 3.0, 4.0], [1.0, 0.5, 0.4, math.nan], "stretched_exp", NumericalError,
+         "non-finite values in decay fit"),
+        ([1.0, 2.0, 3.0, 4.0], [math.inf, 0.5, 0.4, 0.3], "stretched_exp", NumericalError,
+         "non-finite values in decay fit"),
+        ([0.0, 1.0, 2.0, 3.0], [1.0, 0.5, 0.4, math.inf], "power", NumericalError,
+         "non-finite values in decay fit"),
+        ([1.0, 2.0, 3.0, math.inf], [1.0, 0.5, math.inf, math.nan], "stretched_exp",
+         NumericalError, "non-finite values in decay fit"),
         ([1.0, 2.0, 3.0, 4.0], [1.0, 0.5, 0.0, 0.3], "power", NumericalError,
          "decay samples must be positive for a log fit"),
         ([1.0, 2.0, 3.0, 4.0], [1.0, 0.5, 0.4], "power", ValidationError,
@@ -125,10 +144,14 @@ class TestFitDecay:
          "r and values must be 1-d arrays of equal length"),
         ([1.0, 2.0, 3.0, 4.0], [1.0, 0.5, 0.4, 0.3], "exp", ValidationError,
          "unknown decay model 'exp'"),
-    ], ids=["equal-r", "decreasing-r", "nan-r", "nan-value", "inf-value", "zero-value",
-            "shape-mismatch", "two-d", "unknown-model"])
+    ], ids=["equal-r", "decreasing-r", "nan-r", "nan-value", "inf-value",
+            "nan-last-r", "nan-last-r23", "inf-last-r", "inf-last-r23", "zero-r", "negative-r23",
+            "zero-and-inf-r", "nan-value-r23", "inf-value-r23", "zero-r-inf-value",
+            "inf-r23-inf-and-nan-value", "zero-value", "shape-mismatch", "two-d",
+            "unknown-model"])
     def test_failure_modes(self, r, values, model, error, message):
-        with pytest.raises(error) as info:
+        # log(0) and a negative r's r^(2/3) warn before the fit reads them
+        with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(error) as info:
             fit_decay(np.array(r), np.array(values), model=model)
         assert type(info.value) is error
         assert str(info.value) == message

@@ -424,11 +424,38 @@ class TestPairings:
         assert sf.pair_cycle(p, cycle).hex() == bits
 
 
+def section_eval_y(s, y):
+    """Section value at y = -log z on the universal cover, each term formed; y may be an
+    array."""
+    if np.any(np.real(y) <= 0):
+        raise ValidationError("need Re y > 0")
+    w = 2j * math.pi
+    return s.h_at(np.exp(-y)) - complex(s.a) * y / w + complex(s.b) * y * y / (w * w)
+
+
+def section_dy(s, y):
+    """d/dy of the section along the universal cover, each term formed; y may be an array."""
+    z = np.exp(-y)
+    w = 2j * math.pi
+    return -z * s.h_prime_at(z) - complex(s.a) / w + 2.0 * complex(s.b) * y / (w * w)
+
+
+def two_call_defect(p, s, ell, theta):
+    """translation_defect's closed form with eta, eta_y and kappa each evaluated on its own
+    e^-y: the oracle of the one-z evaluation."""
+    ell, theta = np.asarray(ell, dtype=float), np.asarray(theta, dtype=float)
+    y = ell + 1j * theta
+    delta = 1j * (section_eval_y(s, y).imag / ell) - section_dy(s, y)
+    s = sf.w_factor(p, ell) * p.eps * np.abs(delta) \
+        / (math.sqrt(2.0) * np.abs(p.kappa_of_y(ell, theta)))
+    return s * np.hypot(math.sqrt(2.0), s)
+
+
 def _pullback_reference(p, s, q):
     """Per-point T_s^* omega at one chart point by the chain rule."""
     y = complex(q[0], q[1])
-    eta = complex(fib.section_eval_y(s, y))
-    eta_y = complex(fib.section_dy(s, y))
+    eta = complex(section_eval_y(s, y))
+    eta_y = complex(section_dy(s, y))
     target = q + np.array([0.0, 0.0, eta.real, eta.imag])
     jac = np.eye(4)
     jac[2, 0], jac[2, 1] = eta_y.real, -eta_y.imag
@@ -571,6 +598,32 @@ class TestTranslatePullback:
                                         _scaled_section(s, eps / k), ell, theta)
             worst = max(worst, float(np.max(np.abs(got / want - 1.0))))
         assert worst <= 1e-14
+
+    @pytest.mark.parametrize("s", [
+        fib.SectionData(h={0: 1j}),
+        fib.SectionData(h={0: 0.37}),
+        fib.SectionData(h={-1: 0.5, 0: 1.0, 1: 1.0}),
+        fib.SectionData(h={0: 1.0 + 2.0j, 1: 1j}, b=0.5),
+        fib.SectionData(h={0: 0.5, 1: 1j}, a=-0.25j),
+        fib.SectionData(h={0: 0.3 - 0.2j, 1: -0.4, 2: 0.1j}, a=0.7, b=-1.0 + 0.5j),
+        fib.SectionData(h={}, a=Fraction(1, 3), b=Fraction(0)),
+    ], ids=["power", "isometry", "pole", "b", "a", "all", "fraction"])
+    @pytest.mark.parametrize("kappa", [{}, {0: 1.0, 1: 0.3}, {0: 1.0, 1: -0.5 + 0.2j, 3: 0.1}],
+                             ids=["one", "kappa1", "kappa13"])
+    def test_one_z_has_the_bits_of_the_two_call_form(self, s, kappa):
+        # one e^-y for eta, eta_y and kappa, and no zero log term: the same bits as each
+        # evaluated on its own e^-y, at random base points past and below ell = 1
+        rng = np.random.default_rng(49)
+        ell = np.concatenate((rng.uniform(0.05, 1.0, 20), rng.uniform(1.0, 60.0, 20)))
+        theta = rng.uniform(-7.0, 7.0, 40)
+        for p in (sf.ModelParams(k=1, kappa=kappa), sf.ModelParams(k=3, eps=2.0, kappa=kappa)):
+            got, want = sf.translation_defect(p, s, ell, theta), two_call_defect(p, s, ell, theta)
+            assert np.array_equal(got, want)
+            assert sf.translation_defect(p, s, ell[7], theta[7]) == want[7]
+        y = ell + 1j * theta
+        eta, eta_y = fib.section_jet(s, y, np.exp(-y))
+        assert np.array_equal(eta, section_eval_y(s, y))
+        assert np.array_equal(eta_y, section_dy(s, y))
 
     def test_rejects_bad_chart_points(self):
         p = sf.ModelParams(k=1)
@@ -1011,6 +1064,21 @@ class TestDecayClosedForms:
         pi_sq = slag.pi_norm_sq(p, ell, 0.5, np.array([0.0, 3.0, 1e3, 1e150]))
         assert np.max(np.abs(rm * ell ** 3 / (TWO_PI * math.sqrt(6.0)) - 1.0)) <= 1e-15
         assert np.max(np.abs(pi_sq * ell ** 3 / math.pi - 1.0)) <= 1e-15
+
+    def test_kappa_one_scalars_have_the_bits_of_the_arrays(self):
+        # kappa_log_jet's (1.0, 0j) at kappa = 1 broadcast with the bits of kappa = 1 + 0 z,
+        # which takes the array path, at the decay samples and at drawn points and slopes
+        rng = np.random.default_rng(49)
+        one, zero_term = sf.ModelParams(k=1), sf.ModelParams(k=1, kappa={0: 1.0, 1: 0.0})
+        assert sf.kappa_log_jet(one, sf.DECAY_ELLS, 0.0) == (1.0, 0j)
+        ells = [(sf.DECAY_ELLS, 0.0), (sf.DECAY_ELLS, slag._THETA),
+                (rng.uniform(0.3, 1e3, 64), rng.uniform(-7.0, 7.0, 64))]
+        for ell, theta in ells:
+            assert np.array_equal(sf.rm_norm(one, ell, theta), sf.rm_norm(zero_term, ell, theta))
+            for slope in (rng.normal(size=np.shape(ell)) * 10.0 ** rng.uniform(-3.0, 3.0),
+                          0.0, 1e150):
+                assert np.array_equal(slag.pi_norm_sq(one, ell, theta, slope),
+                                      slag.pi_norm_sq(zero_term, ell, theta, slope))
 
     def test_steep_plane_is_the_limit(self):
         # sigma -> inf leaves the bracket 1 + 3, |II|^2 = pi/(K ell^3)
