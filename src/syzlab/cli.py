@@ -516,7 +516,7 @@ class _FlagTable:
 
 
 def _echo_inputs(args) -> dict:
-    return {key: val for key, val in sorted(vars(args).items())
+    return {key: val for key, val in vars(args).items()
             if key not in {"handler", "csv", "no_timestamp"}}
 
 
@@ -550,51 +550,63 @@ def _join_negative_values(argv: list[str]) -> list[str]:
 
 
 def _render(args, results: dict, checks: list[dict]) -> str:
-    """The report as strict JSON; a non-finite value is a NumericalError."""
+    """The report as strict JSON, keys in sorted order; a non-finite value is a NumericalError."""
     command = args.command
     if getattr(args, "subcommand", None):
         command += " " + args.subcommand
-    report = {"command": command, "inputs": _echo_inputs(args),
-              "results": results, "checks": checks, "version": __version__}
+    stamp = ""
     if not args.no_timestamp:
         import datetime  # not at import: a --no-timestamp report never loads it
-        report["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
+        stamp = f'\n  "timestamp": "{datetime.datetime.now(datetime.timezone.utc).isoformat()}",'
     try:
-        return _json(report, "\n")
+        return (f'{{\n  "checks": {_json(checks, _PAD)},\n  "command": {_STRING(command)},'
+                f'\n  "inputs": {_json(_echo_inputs(args), _PAD)},'
+                f'\n  "results": {_json(results, _PAD)},{stamp}'
+                f'\n  "version": {_STRING(__version__)}\n}}')
     except ValueError as exc:
         raise NumericalError(f"report holds a non-finite value ({exc})") from None
 
 
 _STRING = json.encoder.encode_basestring_ascii
+_PAD = "\n  "  # the newline and indent of a top-level value's line
+
+
+def _float(value: float) -> str:
+    if not math.isfinite(value):
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+    return float.__repr__(value)
+
+
+# a container's items of exactly these types, written without a call to _json
+_SCALARS = {float: _float, str: _STRING, int: int.__repr__,
+            bool: lambda v: "true" if v else "false", type(None): lambda _: "null"}
 
 
 def _json(value, pad: str) -> str:
     """value as json.dumps(value, indent=2, sort_keys=True, allow_nan=False)
     writes it, byte for byte, without the pure-Python encoder that json runs
-    for an indent; pad is the newline and indent of value's line.  Types are
-    tested in the order reports hold them."""
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
-        return float.__repr__(value)
-    if isinstance(value, str):
-        return _STRING(value)
+    for an indent; pad is the newline and indent of value's line.  Loops, not
+    comprehensions: before CPython 3.12 each comprehension is a function call."""
     inner = pad + "  "
-    if isinstance(value, (list, tuple)):
-        items = [_json(v, inner) for v in value]
-        return f"[{inner}{f',{inner}'.join(items)}{pad}]" if items else "[]"
     if isinstance(value, dict):
-        items = [f"{_STRING(k)}: {_json(v, inner)}" for k, v in sorted(value.items())]
+        items = []
+        for key in sorted(value):
+            v = value[key]
+            f = _SCALARS.get(type(v))
+            items.append(f"{_STRING(key)}: {f(v) if f else _json(v, inner)}")
         return f"{{{inner}{f',{inner}'.join(items)}{pad}}}" if items else "{}"
-    # None, True and False before int: bool is an int
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
+    if isinstance(value, (list, tuple)):
+        items = []
+        for v in value:
+            f = _SCALARS.get(type(v))
+            items.append(f(v) if f else _json(v, inner))
+        return f"[{inner}{f',{inner}'.join(items)}{pad}]" if items else "[]"
+    if f := _SCALARS.get(type(value)):
+        return f(value)
+    # a subclass is written as its base: np.float64 as a float (bool, an int, has none)
+    for base in (float, str, int):
+        if isinstance(value, base):
+            return _SCALARS[base](value)
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 

@@ -52,7 +52,7 @@ class ModelParams:
     b0: float = 0.0
     alpha: float = 1.0
     kappa: dict = field(default_factory=dict)
-    # (power, complex coefficient) of kappa in increasing power, built once
+    # (power, complex coefficient) of kappa's non-zero terms past kappa(0) = 1, built once
     _kappa_terms: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -71,14 +71,12 @@ class ModelParams:
             raise ValidationError("kappa must satisfy kappa(0) = 1")
         if kappa and any(p < 0 for p in kappa):
             raise ValidationError("kappa must be polynomial (no poles)")
-        object.__setattr__(self, "_kappa_terms",
-                           tuple((p, complex(c)) for p, c in sorted(kappa.items())) if kappa else ())
+        object.__setattr__(self, "_kappa_terms", tuple(
+            (p, complex(c)) for p, c in sorted(kappa.items()) if p and c) if kappa else ())
 
     def kappa_at(self, z):
         """kappa(z) at a complex z, or elementwise over an array of z."""
-        if not self._kappa_terms:
-            return 1.0 + 0.0j
-        kap = 0j
+        kap = 1.0 + 0.0j
         for power, c in self._kappa_terms:
             kap = kap + c * z ** power
         return kap
@@ -88,7 +86,7 @@ class ModelParams:
         return self.kappa_at(np.exp(-(ell + 1j * theta))) if self._kappa_terms else 1.0 + 0.0j
 
     def kappa_is_one(self) -> bool:
-        return all(c == 0 for p, c in self.kappa.items() if p != 0)
+        return not self._kappa_terms
 
 
 def normal_form(p: ModelParams) -> tuple[ModelParams, float]:
@@ -117,7 +115,7 @@ def _form_entries(p: ModelParams, ell, th, x2, exp):
     """alpha times (d + c|Gamma|^2, c*g_i, c*g_r, c, d) of sf_form_chart, on
     floats or arrays."""
     kap2 = 1.0
-    if p.kappa:
+    if p._kappa_terms:
         kap = p.kappa_at(exp(-(ell + 1j * th)))
         # products, not abs(): numpy scalars and arrays round abs() differently
         kap2 = kap.real * kap.real + kap.imag * kap.imag
@@ -370,9 +368,9 @@ def _kappa_jet(p: ModelParams, ell, theta):
     and kappa_yy = sum p^2 c_p z^p, z = e^-y.  kappa(0) = 1 exactly (ModelParams checks it):
     that term adds exactly (1, 0, 0)."""
     kap, kap_y, kap_yy = 1.0 + 0.0j, 0.0j, 0.0j
-    if len(p._kappa_terms) > 1:
+    if p._kappa_terms:
         z = np.exp(-(ell + 1j * theta))
-        for power, c in p._kappa_terms[1:]:
+        for power, c in p._kappa_terms:
             term = c * z ** power
             kap, kap_y, kap_yy = kap + term, kap_y - power * term, kap_yy + power * power * term
     return kap, kap_y, kap_yy
@@ -380,10 +378,10 @@ def _kappa_jet(p: ModelParams, ell, theta):
 
 def kappa_log_jet(p: ModelParams, ell, theta):
     """(K, w) = (|kappa|^2, ell kappa_y/kappa) at y = ell + i theta, elementwise: what the
-    closed forms of |Rm| and |II| read of kappa; the scalars 1.0 and 0j where kappa has no term
-    past kappa(0) = 1.  NumericalError where kappa vanishes (K = 0), as the metric's d = K
-    ell/pi does there."""
-    if len(p._kappa_terms) <= 1:
+    closed forms of |Rm| and |II| read of kappa; the scalars 1.0 and 0j where kappa has no
+    non-zero term past kappa(0) = 1.  NumericalError where kappa vanishes (K = 0), as the
+    metric's d = K ell/pi does there."""
+    if not p._kappa_terms:
         return 1.0, 0j
     kap, kap_y, _ = _kappa_jet(p, ell, theta)
     big_k = kap.real * kap.real + kap.imag * kap.imag

@@ -218,10 +218,13 @@ def pi_norm_sq(p: sf.ModelParams, ell, theta, slope):
     d/dtheta.  sigma = (a/b)^2 with a = sqrt(2) pi slope and b = ell sqrt(K), so 1/(1 + sigma)
     = (b/h)^2 and sigma/(1 + sigma) = (a/h)^2, h = hypot(a, b): neither overflows.  II reads
     the Christoffel symbols, so the 1-jet of K: q = ell (log K)_ell and p = ell (log K)_theta
-    (tests derive it with sympy).  The bracket is at least 3.  For kappa = 1, |II|^2 =
-    pi/ell^3 at every slope.
+    (tests derive it with sympy).  The bracket is at least 3.  For kappa = 1 (K = 1, w = 0) it
+    is 1 + 3 wherever it is finite, so |II|^2 = pi/ell^3 at every slope, read at ell's shape
+    without forming the bracket's other terms.
     """
     big_k, w = sf.kappa_log_jet(p, ell, theta)
+    if not p._kappa_terms:
+        return math.pi / (4.0 * big_k * ell ** 3) * (1.0 + _II_CONSTANT)
     q, p_im = 2.0 * w.real, -2.0 * w.imag
     a, b = math.sqrt(2.0) * math.pi * slope, ell * np.sqrt(big_k)
     h = np.hypot(a, b)

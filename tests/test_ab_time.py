@@ -29,6 +29,11 @@ def test_head_against_working_tree(capsys):
     assert lines[3].split()[:4] == ["parent", "HEAD", "exit", "0"]
     assert lines[4].split()[:4] == ["working", "tree", "exit", "0"]
     assert lines[5].startswith("  working tree / parent median: ")
+    # the best ratio follows the median one, aligned with it, and is the two bests' ratio
+    assert lines[6].startswith("  working tree / parent best:   ")
+    best = [float(line.split("best")[1]) for line in lines[3:5]]
+    assert float(lines[6].split()[-1]) == pytest.approx(best[1] / best[0], rel=1e-2)
+    assert len(lines) == 7
     # the two trees are separate packages, neither of them `syzlab`
     parent, change = (sys.modules[f"syzlab_ab_{side}.cli"] for side in ("parent", "change"))
     assert parent.run is not change.run

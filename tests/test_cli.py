@@ -1,6 +1,7 @@
 import argparse
 import cmath
 import contextlib
+import datetime
 import decimal
 import importlib.util
 import io
@@ -20,7 +21,7 @@ from fractions import Fraction
 import jsonschema
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from syzlab import calabi, cli, moduli, slag
@@ -1275,15 +1276,26 @@ class TestRender:
     allow_nan=False) byte for byte, and its errors."""
 
     @given(results=st.dictionaries(_JSON_STRINGS, _JSON_VALUES, max_size=5),
-           checks=st.lists(_JSON_VALUES, max_size=3), subcommand=st.sampled_from([None, "eval"]))
+           checks=st.lists(_JSON_VALUES, max_size=3), subcommand=st.sampled_from([None, "eval"]),
+           no_timestamp=st.booleans())
+    @example(results={"fit": (np.float64(-0.5), {"b": [np.float64(1e308)], "a": ()}),
+                      "t": (None, True, 3, {"z": {}, "y": ("s",)})},
+             checks=[{"tolerance": np.float64(0.0), "passed": False}, (1.5, [np.float64(2.0)])],
+             subcommand="eval", no_timestamp=False)
     @settings(max_examples=300, deadline=None)
-    def test_equals_json_dumps(self, results, checks, subcommand):
+    def test_equals_json_dumps(self, results, checks, subcommand, no_timestamp):
+        # the writer lays out the top-level keys itself: timestamp, when there is one, between
+        # results and version, as sort_keys puts it
         args = argparse.Namespace(command="semiflat", subcommand=subcommand, k=1, b0="-1/4",
-                                  handler=None, csv=None, no_timestamp=True)
+                                  handler=None, csv=None, no_timestamp=no_timestamp)
+        text = cli._render(args, results, checks)
         report = {"command": "semiflat" + (f" {subcommand}" if subcommand else ""),
                   "inputs": cli._echo_inputs(args), "results": results, "checks": checks,
                   "version": cli.__version__}
-        assert cli._render(args, results, checks) == _dumps(report)
+        if not no_timestamp:
+            stamp = report["timestamp"] = json.loads(text)["timestamp"]
+            assert datetime.datetime.fromisoformat(stamp).utcoffset() == datetime.timedelta(0)
+        assert text == _dumps(report)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, np.float64("nan"),
                                        [1.0, {"a": -math.inf}]])

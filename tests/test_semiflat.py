@@ -1066,19 +1066,23 @@ class TestDecayClosedForms:
         assert np.max(np.abs(pi_sq * ell ** 3 / math.pi - 1.0)) <= 1e-15
 
     def test_kappa_one_scalars_have_the_bits_of_the_arrays(self):
-        # kappa_log_jet's (1.0, 0j) at kappa = 1 broadcast with the bits of kappa = 1 + 0 z,
-        # which takes the array path, at the decay samples and at drawn points and slopes
+        # kappa_log_jet's (1.0, 0j) at kappa = 1 broadcast with the bits of kappa = 1 + 1e-300 z,
+        # which takes the array path and whose term rounds away in K, in |Rm|'s radicand and in
+        # |II|'s bracket, at the decay samples and at drawn points and slopes
         rng = np.random.default_rng(49)
-        one, zero_term = sf.ModelParams(k=1), sf.ModelParams(k=1, kappa={0: 1.0, 1: 0.0})
+        one, tiny_term = sf.ModelParams(k=1), sf.ModelParams(k=1, kappa={0: 1.0, 1: 1e-300})
+        # a zero term is no term: kappa = 1 + 0 z is kappa = 1
+        assert sf.ModelParams(k=1, kappa={0: 1.0, 1: 0.0, 2: 0j}).kappa_is_one()
+        assert not tiny_term.kappa_is_one()
         assert sf.kappa_log_jet(one, sf.DECAY_ELLS, 0.0) == (1.0, 0j)
         ells = [(sf.DECAY_ELLS, 0.0), (sf.DECAY_ELLS, slag._THETA),
                 (rng.uniform(0.3, 1e3, 64), rng.uniform(-7.0, 7.0, 64))]
         for ell, theta in ells:
-            assert np.array_equal(sf.rm_norm(one, ell, theta), sf.rm_norm(zero_term, ell, theta))
+            assert np.array_equal(sf.rm_norm(one, ell, theta), sf.rm_norm(tiny_term, ell, theta))
             for slope in (rng.normal(size=np.shape(ell)) * 10.0 ** rng.uniform(-3.0, 3.0),
                           0.0, 1e150):
                 assert np.array_equal(slag.pi_norm_sq(one, ell, theta, slope),
-                                      slag.pi_norm_sq(zero_term, ell, theta, slope))
+                                      slag.pi_norm_sq(tiny_term, ell, theta, slope))
 
     def test_steep_plane_is_the_limit(self):
         # sigma -> inf leaves the bracket 1 + 3, |II|^2 = pi/(K ell^3)

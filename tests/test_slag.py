@@ -460,6 +460,51 @@ class TestSecondFundamentalForm:
         assert all(sp.cancel((second[n] * hinv).trace()) == 0 for n in range(4))
         assert slag.II_R == 2.0 / 3.0
 
+    def test_kappa_one_reads_the_bracket_as_four(self):
+        # pi_norm_sq's general bracket, written out at K = 1 and w = 0, is exactly 4 at every
+        # slope a lift forms: x2_slope's (m2/m1) (eps/2 pi) ell / 2 pi stays below fmax/(2 pi)
+        # and twist_slope's b0' ell/(2 pi^2) below fmax/(2 pi^2), or they raise, so |slope| <=
+        # top = 3.77e307, where a = sqrt(2) pi slope is still finite
+        fmax = np.finfo(float).max
+        top = fmax / slag.TWO_PI + fmax / (2.0 * math.pi ** 2)
+        rng = np.random.default_rng(50)
+        slopes = np.concatenate(([0.0, 5e-324, 1.0, top], np.geomspace(1e-300, top, 59)))
+        slopes = np.concatenate((slopes, -slopes))
+        one = sf.ModelParams(k=1, eps=3.0, b0=-2.0, alpha=5.0)
+
+        def general(ell, slope):
+            a, b = math.sqrt(2.0) * math.pi * slope, ell * np.sqrt(1.0)
+            h = np.hypot(a, b)
+            t = (b / h) ** 2
+            bracket = (0.0 * t + 1.0) ** 2 + 3.0 + -0.0 * -0.0 * (a / h) ** 2 * t * t
+            assert np.all(bracket == 4.0)
+            return math.pi / (4.0 * 1.0 * ell ** 3) * bracket
+
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for ell in (sf.DECAY_ELLS, rng.uniform(0.3, 1e3, 10)):
+                for theta in (slag._THETA, rng.uniform(-7.0, 7.0, 10)):
+                    for slope in slopes:
+                        want = general(ell, slope)
+                        assert np.array_equal(slag.pi_norm_sq(one, ell, theta, slope), want)
+                    for slope in slopes.reshape(-1, 2):
+                        pair = np.repeat(slope, 5)
+                        want = general(ell, pair)
+                        assert np.array_equal(slag.pi_norm_sq(one, ell, theta, pair), want)
+            for ell, slope in zip(rng.uniform(0.3, 1e3, 40).tolist(), rng.permutation(slopes)):
+                got, want = slag.pi_norm_sq(one, ell, -0.7, float(slope)), general(ell, slope)
+                assert isinstance(got, float) and got.hex() == float(want).hex()
+        # the bounds are reached: x2_slope at eps = 2.8e307 and twist_slope at b0' = 4.4e306
+        # come within 3 % of them over the decay samples, and 2.9e307 and 4.6e306 raise
+        c11 = fib.CycleSpec(m1=1, m2=1)
+        with np.errstate(over="raise"):
+            assert fmax / slag.TWO_PI / 1.02 < np.max(c11.x2_slope(2.8e307, sf.DECAY_ELLS))
+            assert np.max(sf.twist_slope(sf.ModelParams(k=1, b0=4.4e306), sf.DECAY_ELLS)) \
+                > fmax / (2.0 * math.pi ** 2) / 1.03
+            with pytest.raises(FloatingPointError):
+                c11.x2_slope(2.9e307, sf.DECAY_ELLS)
+            with pytest.raises(FloatingPointError):
+                sf.twist_slope(sf.ModelParams(k=1, b0=4.6e306), sf.DECAY_ELLS)
+
 
 class TestNoncollapse:
     def test_half_scale(self):

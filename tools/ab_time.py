@@ -10,8 +10,10 @@ one untimed call, then N passes of M calls each, the order of the two
 trees alternating from pass to pass (parent first in even passes); each
 call goes through cli_capture.run_captured with stdout and stderr sent to
 os.devnull.  It prints, per ARGV and tree, the exit code and the median and
-best of the passes' mean time per call, and the working tree's median over
-the parent's, and exits 1 if the two trees' exit codes differ on some ARGV.
+best of the passes' mean time per call, then the working tree's median over
+the parent's and its best over the parent's (the best pass is the one that
+other load on the host slowed least), and exits 1 if the two trees' exit
+codes differ on some ARGV.
 Only the standard library, numpy (through syzlab) and git are used.
 """
 
@@ -90,6 +92,7 @@ def main(argv: list[str] | None = None) -> int:
                       f"  median {1e6 * statistics.median(t):9.1f}  best {1e6 * min(t):9.1f}")
             ratio = statistics.median(times[1]) / statistics.median(times[0])
             print(f"  working tree / parent median: {ratio:.3f}")
+            print(f"  working tree / parent best:   {min(times[1]) / min(times[0]):.3f}")
             if codes[0] != codes[1]:
                 print("  exit codes differ: the times compare different work")
                 status = 1
