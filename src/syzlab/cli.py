@@ -99,7 +99,8 @@ _CHECKS = {
     "fit_r_squared": (0.99, operator.ge), "stretched_exponent": (0.0, operator.lt),
     # the benchmark's 243 power-decay argv measure -1.4064 to -1.3333, 0.077 or more inside
     "power_decay_exponent": _window(-4.0 / 3.0), "pole_growth": (2.0, operator.gt),
-    "bounded_ratio": ("<=50, max>=1e-14", lambda ratio, _, top: ratio <= 50.0 and top >= 1e-14),
+    "bounded_ratio": ("<=50, max/(eps/k)>=1e-14",
+                      lambda ratio, _, top: ratio <= 50.0 and top >= 1e-14),
     "isometry_defect": 1e-14, "curvature_exponent": _window(-2.0), "curvature_scale": 1e-12,
     "lagrangian": 1e-10, "gauss_equation": 1e-6, "mean_curvature": 1e-8,
     "lambda1_rel_error": 0.02, "pi_exponent": _window(-1.0), "pi_scale": 1e-12,
@@ -585,7 +586,9 @@ _SCALARS = {float: _float, str: _STRING, int: int.__repr__,
 def _json(value, pad: str) -> str:
     """value as json.dumps(value, indent=2, sort_keys=True, allow_nan=False)
     writes it, byte for byte, without the pure-Python encoder that json runs
-    for an indent; pad is the newline and indent of value's line.  Loops, not
+    for an indent; pad is the newline and indent of value's line.  Every dict
+    key must be a str, as in every report: a key of another type raises
+    TypeError, where json.dumps would write it as a string.  Loops, not
     comprehensions: before CPython 3.12 each comprehension is a function call."""
     inner = pad + "  "
     if isinstance(value, dict):

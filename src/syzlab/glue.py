@@ -11,7 +11,8 @@ whose square is alpha * Omega ^ Omegabar exactly.  The interpolation uses
 a cutoff psi, a positivity reserve t * beta and the harmonic matching of u
 on the gluing annulus.  Each radial quantity (ell = -log rho, psi with its
 two derivatives, beta, u_zzbar and u - v) is evaluated once per radius
-array; beta is one smoothstep whose edges depend on the side of r + s.
+array, in one pass (_q_parts); beta is one smoothstep whose edges depend on
+the side of r + s.
 The positivity margin reads each radius on the zero section with b0 = 0,
 where the 2 x 2 (x, y) block is diagonal.
 
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,55 +42,6 @@ TWO_PI = 2.0 * math.pi
 # derivative-bound constant of the cutoffs, and the gluing constant C(r, s)
 C0 = 8.0
 C0_RS = 1.0
-
-
-@dataclass(frozen=True)
-class Cutoffs:
-    """Quintic-smoothstep radial cutoffs for the gluing annulus.
-
-    psi is 1 on rho <= r+s and 0 on rho >= r+2s; beta is supported on
-    (r, r+3s) and equals 1 on [r+s, r+2s].
-    """
-
-    r: float
-    s: float
-
-    @property
-    def edges(self) -> tuple[float, float, float, float]:
-        return self.r, self.r + self.s, self.r + 2.0 * self.s, self.r + 3.0 * self.s
-
-    @functools.cached_property
-    def edge_logs(self) -> list:
-        return [-np.log(e) for e in self.edges]
-
-    @staticmethod
-    def _step(ell, b_lo, b_hi):
-        """(lam, b_lo - b_hi, smoothstep from 1 at ell >= b_lo to 0 at ell <= b_hi)."""
-        # lam runs 0 -> 1 as ell = -log rho runs b_hi -> b_lo; the polynomial
-        # and both derivatives are exactly 0 / 1, 0, 0 at the ends;
-        # minimum(maximum()) is np.clip bit for bit, without its overhead
-        denom = b_lo - b_hi
-        lam = np.minimum(np.maximum((ell - b_hi) / denom, 0.0), 1.0)
-        return lam, denom, lam ** 3 * (10.0 - 15.0 * lam + 6.0 * lam ** 2)
-
-    def _psi(self, rho, ell):
-        """(psi, psi', psi'') at rho, ell = -log rho."""
-        lam, denom, val = self._step(ell, *self.edge_logs[1:3])
-        d1 = 30.0 * lam ** 2 * (1.0 - lam) ** 2
-        d2 = 60.0 * lam * (1.0 - 3.0 * lam + 2.0 * lam ** 2)
-        # chain rule through lam(ell(rho)); d ell/d rho = -1/rho
-        dlam = -1.0 / (denom * rho)
-        ddlam = 1.0 / (denom * rho ** 2)
-        return val, d1 * dlam, d2 * dlam ** 2 + d1 * ddlam
-
-    def _beta(self, rho, ell):
-        """beta at rho, ell = -log rho: one smoothstep whose edges are r, r+s
-        below r+s and r+2s, r+3s from there on."""
-        # ramp 0 -> 1 as rho goes r -> r+s, down 1 -> 0 as r+2s -> r+3s
-        b = self.edge_logs
-        up = rho < self.r + self.s
-        val = self._step(ell, np.where(up, b[0], b[2]), np.where(up, b[1], b[3]))[2]
-        return np.where(up, 1.0 - val, val)
 
 
 @dataclass(frozen=True)
@@ -123,7 +75,7 @@ class GlueConfig:
         if self.s <= 0 or not (self.r + 3.0 * self.s < self.rho_max < 1.0):
             raise ValidationError("need r + 3s < rho_max < 1")
         # the cutoffs divide by differences of -log over these edges
-        edges, logs = self.cutoffs.edges, self.cutoffs.edge_logs
+        edges, logs = self.edges, self.edge_logs
         if not (edges[0] < edges[1] < edges[2] < edges[3]
                 and logs[0] > logs[1] > logs[2] > logs[3]):
             raise ValidationError("s is too small: r, r+s, r+2s and r+3s (or their"
@@ -133,9 +85,15 @@ class GlueConfig:
         if self.v0c <= 0 or self.vomc <= 0:
             raise ValidationError("external volume contributions must be positive")
 
+    @property
+    def edges(self) -> tuple[float, float, float, float]:
+        """r, r+s, r+2s, r+3s: the cutoff psi is 1 up to r+s and 0 from r+2s,
+        and beta is supported on (r, r+3s) and 1 on [r+s, r+2s] (_q_parts)."""
+        return self.r, self.r + self.s, self.r + 2.0 * self.s, self.r + 3.0 * self.s
+
     @functools.cached_property
-    def cutoffs(self) -> Cutoffs:
-        return Cutoffs(self.r, self.s)
+    def edge_logs(self) -> list:
+        return [-np.log(e) for e in self.edges]
 
     @functools.cached_property
     def sup_u_zz(self) -> float:
@@ -180,49 +138,67 @@ def _u_prime(p: sfm.ModelParams, rho: np.ndarray, ell: np.ndarray) -> np.ndarray
 
 def harmonic_match(cfg: GlueConfig) -> tuple[float, float]:
     """Coefficients (A, B) of the radial harmonic v = A + B*(-log rho)
-    matching u at rho = r and rho = r + 3s."""
+    matching u at rho = r and rho = r + 3s (both in (0, 1) by GlueConfig)."""
+    if not cfg.params.kappa_is_one():
+        raise ValidationError("no closed-form potential for non-trivial kappa")
     l1 = -math.log(cfg.r)
     l2 = -math.log(cfg.r + 3.0 * cfg.s)
-    u1, u2 = potential_u(cfg.params, np.array([cfg.r, cfg.r + 3.0 * cfg.s]))
+    u1, u2 = _potential_u(cfg.params, -np.log(np.array([cfg.r, cfg.r + 3.0 * cfg.s])))
     b = (u1 - u2) / (l1 - l2)
     a = u1 - b * l1
     return a, b
-
-
-def _match_defect(cfg: GlueConfig, rho: np.ndarray, ell: np.ndarray):
-    """(u - v, (u - v)') along rho, ell = -log rho, for the harmonic match v
-    of u; harmonic_match rejects a non-trivial kappa, as potential_u does."""
-    a, b = harmonic_match(cfg)
-    du = _potential_u(cfg.params, ell) - (a + b * ell)
-    dup = _u_prime(cfg.params, rho, ell) + b / rho
-    return du, dup
 
 
 def claim2_scan(cfg: GlueConfig) -> float:
     """Fitted gluing constant sup(s^-2|u-v| + s^-1|(u-v)_z|) / sup u_zzbar,
     each sup over 400 radii."""
     rho = np.linspace(cfg.r + cfg.s, cfg.r + 2.0 * cfg.s, 400)
-    du, dup = _match_defect(cfg, rho, -np.log(rho))
+    ell = -np.log(rho)
+    a, b = harmonic_match(cfg)
+    du = _potential_u(cfg.params, ell) - (a + b * ell)
+    dup = _u_prime(cfg.params, rho, ell) + b / rho
     lhs = np.max(np.abs(du) / cfg.s ** 2 + 0.5 * np.abs(dup) / cfg.s)
     rhs = np.max(u_zz(cfg.params, np.linspace(cfg.r, cfg.r + 3.0 * cfg.s, 400)))
     return float(lhs / rhs)
 
 
 def _q_parts(cfg: GlueConfig, x: np.ndarray, ell: np.ndarray):
-    """(beta, B, psi, u_zz) along the rho array x, ell = -log x, each
-    evaluated once, with q = t * beta + (alpha - 1) * B: B is u_zz for
-    rho <= r and the glued bracket where psi is non-zero above; x lies in
-    the modeled annulus."""
-    cut = cfg.cutoffs
-    uzz = _u_zz(cfg.params, x, ell)
-    bracket = np.zeros_like(x)
-    psi, psi_p, psi_pp = cut._psi(x, ell)
+    """(beta, B, psi, u_zz) along the rho array x, ell = -log x, in one pass,
+    with q = t * beta + (alpha - 1) * B: B is u_zz for rho <= r and the glued
+    bracket where psi is non-zero above; x lies in the modeled annulus.
+
+    Each cutoff is the quintic smoothstep S = lam^3 (10 - 15 lam + 6 lam^2),
+    lam running 0 -> 1 as ell runs from one edge log to the next and clipped
+    to [0, 1] by minimum(maximum()), np.clip bit for bit, so that S and both
+    its derivatives are exactly 0 / 1, 0, 0 at the ends.  psi is S over
+    (r+s, r+2s), its rho-derivatives by the chain rule through lam(ell(rho)),
+    d ell/d rho = -1/rho; beta is 1 - S over (r, r+s) and S over (r+2s, r+3s).
+    """
+    p, (b0, b1, b2, b3) = cfg.params, cfg.edge_logs
+    uzz = _u_zz(p, x, ell)
+    denom = b1 - b2
+    lam = np.minimum(np.maximum((ell - b2) / denom, 0.0), 1.0)
+    lam2 = lam ** 2
+    psi = lam ** 3 * (10.0 - 15.0 * lam + 6.0 * lam2)
+    d1 = 30.0 * lam2 * (1.0 - lam) ** 2
+    d2 = 60.0 * lam * (1.0 - 3.0 * lam + 2.0 * lam2)
+    dlam = -1.0 / (denom * x)
+    ddlam = 1.0 / (denom * x ** 2)
+    psi_p, psi_pp = d1 * dlam, d2 * dlam ** 2 + d1 * ddlam
     glued = (x > cfg.r) & (psi != 0.0)
+    bracket = 0.0
     if glued.any():
-        du, dup = _match_defect(cfg, x, ell)
+        a, b = harmonic_match(cfg)
+        du = _potential_u(p, ell) - (a + b * ell)
+        dup = _u_prime(p, x, ell) + b / x
         psi_zz = 0.25 * (psi_pp + psi_p / x)
         bracket = np.where(glued, psi_zz * du + psi * uzz + 0.5 * psi_p * dup, 0.0)
-    return cut._beta(x, ell), np.where(x <= cfg.r, uzz, bracket), psi, uzz
+    # beta's ramp has the edges r, r+s below r+s and r+2s, r+3s from there on
+    up = x < cfg.r + cfg.s
+    hi = np.where(up, b1, b3)
+    lam = np.minimum(np.maximum((ell - hi) / (np.where(up, b0, b2) - hi), 0.0), 1.0)
+    step = lam ** 3 * (10.0 - 15.0 * lam + 6.0 * lam ** 2)
+    return np.where(up, 1.0 - step, step), np.where(x <= cfg.r, uzz, bracket), psi, uzz
 
 
 def q_coefficient(cfg: GlueConfig, alpha: float, t: float, rho: np.ndarray) -> np.ndarray:
@@ -242,9 +218,12 @@ def required_t(cfg: GlueConfig, alpha: float, t_prime: float = 1.0) -> float:
 
 
 def _log_grid(lo: float, hi: float, n: int) -> np.ndarray:
-    """np.geomspace(lo, hi, n) bit for bit for lo, hi > 0, without its sign,
-    dtype and zero handling: 10 ** linspace of log10, the ends set exactly."""
-    rho = 10.0 ** np.linspace(np.log10(lo), np.log10(hi), n)
+    """np.geomspace(lo, hi, n) bit for bit for lo, hi > 0: 10 ** (arange * step
+    + log10 lo), linspace's own arithmetic without its wrapper, the ends set
+    exactly."""
+    start = np.log10(lo)
+    rho = 10.0 ** (np.arange(n, dtype=float) * ((np.log10(hi) - start) / max(n - 1, 1))
+                   + start)
     rho[-1], rho[0] = hi, lo
     return rho
 
@@ -285,9 +264,13 @@ def positivity_scan(cfg: GlueConfig, alpha: float, t: float) -> float:
     beta, bracket, psi, uzz = _q_parts(cfg, rho, ell)
     qc = t * beta + (alpha - 1.0) * bracket
     x = (qc - 0.5 * psi * (alpha - 1.0) * uzz) * rho ** 2
-    c, d = sfm._form_entries(replace(cfg.params, b0=0.0), ell, 0.0, 0.0, np.exp)[3:]
-    d_x = 0.25 * d + x
-    unresolved = np.abs(d_x) < POSITIVITY_SUM_ERR * (0.25 * d + np.abs(x))
+    # c = w eps and d = 2 |kappa|^2/(eps w) at theta = 0, as semiflat._form_entries forms them
+    p = cfg.params
+    kap = p.kappa_of_y(ell, 0.0)
+    w = sfm.w_factor(p, ell)
+    c, d4 = w * p.eps, 0.25 * (2.0 * (kap.real * kap.real + kap.imag * kap.imag) / (p.eps * w))
+    d_x = d4 + x
+    unresolved = np.abs(d_x) < POSITIVITY_SUM_ERR * (d4 + np.abs(x))
     if unresolved.any():
         raise NumericalError("float64 cannot resolve positivity_margin: d/4 + X ="
                              f" {d_x[unresolved][0]:.3g} is within its rounding bound")
@@ -334,7 +317,7 @@ def mass_integral(cfg: GlueConfig, alpha: float, t: float, n: int = 64) -> float
     if n not in cfg._sums:
         p = cfg.params
         ns = sorted({n, *_SOLVE_RULES} - cfg._sums.keys())
-        bounds = np.array(sorted({*cfg.cutoffs.edges, cfg.rho_max}))
+        bounds = np.array(sorted({*cfg.edges, cfg.rho_max}))
         # integrate in ell over each segment
         l_lo, l_hi = -np.log(bounds[1:]), -np.log(bounds[:-1])
         mid = (0.5 * (l_lo + l_hi))[:, None]
@@ -385,11 +368,12 @@ def solve_alpha(cfg: GlueConfig, t_prime: float = 1.0, n: int = 64) -> AlphaSolv
     if t_prime <= 0:
         raise ValidationError(f"tprime must be positive, got {t_prime}")
 
-    def t_of(alpha):
-        return required_t(cfg, alpha, t_prime)
+    # t(alpha) = required_t(cfg, alpha, t_prime) in its order of operations, for a
+    # finite alpha
+    reserve, sup_u_zz = C0_RS * t_prime, cfg.sup_u_zz
 
     def f(alpha):
-        return mass_integral(cfg, alpha, t_of(alpha), n=n)
+        return mass_integral(cfg, alpha, reserve + C0 * abs(alpha - 1.0) * sup_u_zz, n=n)
 
     lo = 1e-3
     f_lo = f(lo)
@@ -412,7 +396,7 @@ def solve_alpha(cfg: GlueConfig, t_prime: float = 1.0, n: int = 64) -> AlphaSolv
     if fa <= 0:
         a, fa = lo, f_lo
     root = find_root(f, a, hi)
-    t_root = t_of(root)
+    t_root = required_t(cfg, root, t_prime)
     if t_root <= required_t(cfg, root, 0.0):
         raise NumericalError(f"the reserve C(r,s) t' = {C0_RS * t_prime:.3g} is lost in"
                              f" rounding: t = {t_root!r} at alpha = {root!r} is not above"

@@ -1313,6 +1313,11 @@ class TestRender:
         with pytest.raises(TypeError):
             cli._json(value, "\n")
 
+    def test_non_str_key_raises_type_error(self):
+        # json.dumps writes {"1": 2.0}; _json takes str keys only, as every report has
+        with pytest.raises(TypeError):
+            cli._json({1: 2.0}, "\n")
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_report_is_two(self, capsys, monkeypatch, value):
         # no flag reaches this: every input is validated before its handler

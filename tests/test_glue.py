@@ -80,18 +80,11 @@ def q_reference(cfg, alpha, t, rho):
 
 
 def q_presplit(cfg, alpha, t, rho):
-    """glue.q_coefficient as written before its (alpha, t)-free split."""
+    """glue.q_coefficient as written before its (alpha, t)-free split, on parts_oracle."""
     x = np.atleast_1d(np.asarray(rho, dtype=float))
-    cut = cfg.cutoffs
-    uzz = glue.u_zz(cfg.params, x)
-    q = t * cut._beta(x, -np.log(x))
-    psi, psi_p, psi_pp = cut._psi(x, -np.log(x))
+    beta, bracket, psi, uzz = parts_oracle(cfg, x)
     glued = (x > cfg.r) & (psi != 0.0)
-    if np.any(glued):
-        du, dup = glue._match_defect(cfg, x, -np.log(x))
-        psi_zz = 0.25 * (psi_pp + psi_p / x)
-        bracket = psi_zz * du + psi * uzz + 0.5 * psi_p * dup
-        q = np.where(glued, q + (alpha - 1.0) * bracket, q)
+    q = np.where(glued, t * beta + (alpha - 1.0) * bracket, t * beta)
     return np.where(x <= cfg.r, (alpha - 1.0) * uzz, q)
 
 
@@ -263,7 +256,7 @@ class TestConfig:
             make_cfg(r=r, s=s)
 
     def test_small_resolvable_transition_width_accepted(self):
-        assert make_cfg(r=0.1, s=1e-12).cutoffs.s == 1e-12
+        assert make_cfg(r=0.1, s=1e-12).edges[1] == 0.1 + 1e-12
 
     @pytest.mark.parametrize("field", ["r", "s", "rho_min", "rho_max", "v0c",
                                        "vomc"])
@@ -331,26 +324,31 @@ class TestPotential:
             glue.potential_u(cfg.params, 0.3)
 
 
+def kernel_parts(cfg, rho):
+    """(beta, B, psi, u_zz) of glue._q_parts at rho, ell = -log rho."""
+    return glue._q_parts(cfg, rho, -np.log(rho))
+
+
 class TestCutoffs:
     def test_psi_plateaus(self):
-        cut = glue.Cutoffs(r=0.1, s=0.02)
-        assert cut._psi(0.11, -np.log(0.11)) == (1.0, 0.0, 0.0)
-        assert cut._psi(0.15, -np.log(0.15)) == (0.0, 0.0, 0.0)
-        mid = cut._psi(0.13, -np.log(0.13))[0]
-        assert 0.0 < mid < 1.0
+        # up to r+s psi is 1 and its derivatives vanish, so B is u_zz bit for bit
+        cfg = make_cfg(r=0.1, s=0.02)
+        _, bracket, psi, uzz = kernel_parts(cfg, 0.11)
+        assert psi == 1.0 and bracket == uzz
+        _, bracket, psi, _ = kernel_parts(cfg, 0.15)
+        assert psi == 0.0 and bracket == 0.0
+        assert 0.0 < kernel_parts(cfg, 0.13)[2] < 1.0
 
     def test_beta_support_and_plateau(self):
-        cut = glue.Cutoffs(r=0.1, s=0.02)
-        assert cut._beta(0.1, -np.log(0.1)) == 0.0
-        assert cut._beta(0.161, -np.log(0.161)) == 0.0
-        assert cut._beta(0.12, -np.log(0.12)) == 1.0
-        assert cut._beta(0.14, -np.log(0.14)) == 1.0
-        assert 0.0 < cut._beta(0.11, -np.log(0.11)) < 1.0
-        assert 0.0 < cut._beta(0.15, -np.log(0.15)) < 1.0
+        cfg = make_cfg(r=0.1, s=0.02)
+        for rho, want in ((0.1, 0.0), (0.161, 0.0), (0.12, 1.0), (0.14, 1.0)):
+            assert kernel_parts(cfg, rho)[0] == want
+        assert 0.0 < kernel_parts(cfg, 0.11)[0] < 1.0
+        assert 0.0 < kernel_parts(cfg, 0.15)[0] < 1.0
 
 
 def step_oracle(rho, lo, hi):
-    """glue.Cutoffs._step as written before one cutoff pass per radius array:
+    """The cutoffs' quintic step as written before glue._q_parts' one pass:
     smoothstep from 1 at rho <= lo to 0 at rho >= hi, with d/drho, d2/drho2."""
     big = -np.log(rho)
     b_lo = -np.log(lo)
@@ -375,13 +373,11 @@ def beta_oracle(r, s, rho):
     return np.where(rho < r + s, up, down)
 
 
-def margin_oracle(cfg, alpha, t, n=200, window=None):
-    """glue.positivity_scan's margin as written before one pass per radius
-    array, on the cutoff oracles, without its validation and rounding bound;
-    cfg has b0 = 0."""
+def parts_oracle(cfg, rho):
+    """(beta, B, psi, u_zz) of glue._q_parts as written before one pass per
+    radius array: the cutoff oracles, glue.u_zz, glue.potential_u,
+    glue._u_prime and harmonic_match, each quantity evaluated on its own."""
     p, r, s = cfg.params, cfg.r, cfg.s
-    lo, hi = window if window is not None else (cfg.rho_min, cfg.rho_max)
-    rho = np.geomspace(lo * 1.0001, hi * 0.9999, n)
     uzz = glue.u_zz(p, rho)
     bracket = np.zeros_like(rho)
     psi, psi_p, psi_pp = psi_oracle(r, s, rho)
@@ -392,10 +388,19 @@ def margin_oracle(cfg, alpha, t, n=200, window=None):
         dup = glue._u_prime(p, rho, -np.log(rho)) + b / rho
         psi_zz = 0.25 * (psi_pp + psi_p / rho)
         bracket = np.where(glued, psi_zz * du + psi * uzz + 0.5 * psi_p * dup, 0.0)
-    qc = t * beta_oracle(r, s, rho) + (alpha - 1.0) * np.where(rho <= r, uzz, bracket)
-    psi = psi_oracle(r, s, rho)[0]
-    x = (qc - 0.5 * psi * (alpha - 1.0) * glue.u_zz(p, rho)) * rho ** 2
-    c, d = sfm._form_entries(p, -np.log(rho), 0.0, 0.0, np.exp)[3:]
+    return beta_oracle(r, s, rho), np.where(rho <= r, uzz, bracket), psi, uzz
+
+
+def margin_oracle(cfg, alpha, t, n=200, window=None):
+    """glue.positivity_scan's margin as written before one pass per radius
+    array, on parts_oracle and semiflat._form_entries, without its validation
+    and rounding bound; cfg has b0 = 0."""
+    lo, hi = window if window is not None else (cfg.rho_min, cfg.rho_max)
+    rho = np.geomspace(lo * 1.0001, hi * 0.9999, n)
+    beta, bracket, psi, uzz = parts_oracle(cfg, rho)
+    qc = t * beta + (alpha - 1.0) * bracket
+    x = (qc - 0.5 * psi * (alpha - 1.0) * uzz) * rho ** 2
+    c, d = sfm._form_entries(cfg.params, -np.log(rho), 0.0, 0.0, np.exp)[3:]
     return float(np.min(np.minimum(0.25 * c, 0.25 * d + x)))
 
 
@@ -412,16 +417,16 @@ class TestCutoffBits:
     @pytest.mark.parametrize("r,s", [(0.1, 0.02), (0.2, 0.1), (0.05, 0.01),
                                      (0.15, 0.05), (0.3, 1e-3)])
     def test_psi_and_beta_bitwise(self, r, s):
+        # psi's two derivatives reach the parts through B, the glued bracket
         edges, rho = self._radii(r, s)
         # the grid straddles each edge, and the edges themselves are included
         assert all(rho.min() < e < rho[:-4].max() for e in edges)
-        cut = glue.Cutoffs(r, s)
-        for got, want in zip((*cut._psi(rho, -np.log(rho)), cut._beta(rho, -np.log(rho))),
-                             (*psi_oracle(r, s, rho), beta_oracle(r, s, rho))):
+        cfg = make_cfg(r=r, s=s)
+        for got, want in zip(kernel_parts(cfg, rho), parts_oracle(cfg, rho)):
             assert got.tobytes() == want.tobytes()
-        at_edges = np.array(edges)
-        assert cut._beta(at_edges, -np.log(at_edges)).tolist() == [0.0, 1.0, 1.0, 0.0]
-        assert cut._psi(at_edges, -np.log(at_edges))[0].tolist() == [1.0, 1.0, 0.0, 0.0]
+        beta, _, psi, _ = kernel_parts(cfg, np.array(edges))
+        assert beta.tolist() == [0.0, 1.0, 1.0, 0.0]
+        assert psi.tolist() == [1.0, 1.0, 0.0, 0.0]
 
     def test_positivity_margin_bitwise(self):
         for kw, alpha, _ in REF_CASES:
@@ -496,7 +501,7 @@ class TestArrayKernels:
         rho = np.geomspace(0.02, 0.8, 12).reshape(3, 4)
         assert glue.q_coefficient(cfg, 2.0, 3.0, rho).shape == (3, 4)
         assert glue.u_zz(cfg.params, rho).shape == (3, 4)
-        assert all(v.shape == (3, 4) for v in cfg.cutoffs._psi(rho, -np.log(rho)))
+        assert all(v.shape == (3, 4) for v in kernel_parts(cfg, rho))
 
     @pytest.mark.parametrize("outside", [0.005, 0.95, math.nan])
     def test_any_out_of_annulus_element_rejected(self, outside):
@@ -629,7 +634,7 @@ class TestGluedForm:
         cfg = make_cfg()
         # psi vanishes past r + 2s, leaving only the beta bump
         rho = 0.145
-        expect = 3.0 * cfg.cutoffs._beta(rho, -np.log(rho))
+        expect = 3.0 * float(beta_oracle(cfg.r, cfg.s, rho))
         assert 0.0 < expect < 3.0
         assert glue.q_coefficient(cfg, 2.0, 3.0, rho) == pytest.approx(expect)
         assert glue.q_coefficient(cfg, 2.0, 3.0, 0.5) == 0.0
@@ -637,7 +642,7 @@ class TestGluedForm:
     def test_alpha_one_kills_correction(self):
         cfg = make_cfg()
         for rho in (0.05, 0.11, 0.125, 0.145, 0.5):
-            beta_only = 3.0 * cfg.cutoffs._beta(rho, -np.log(rho))
+            beta_only = 3.0 * float(beta_oracle(cfg.r, cfg.s, rho))
             assert glue.q_coefficient(cfg, 1.0, 3.0, rho) == pytest.approx(
                 beta_only)
 
@@ -827,16 +832,17 @@ def count_matches(monkeypatch):
 
 def single_rule_sums(cfg, n):
     """(S_1, S_t, S_a) of rule n alone, each a sum over one (segments, n)
-    array: the bitwise reference for the sums glue.mass_integral keeps."""
+    array with (beta, B) from parts_oracle: the bitwise reference for the
+    sums glue.mass_integral keeps."""
     p = cfg.params
     nodes, weights = np.polynomial.legendre.leggauss(n)
-    bounds = np.array(sorted({*cfg.cutoffs.edges, cfg.rho_max}))
+    bounds = np.array(sorted({*cfg.edges, cfg.rho_max}))
     l_lo, l_hi = -np.log(bounds[1:]), -np.log(bounds[:-1])
     mid = (0.5 * (l_lo + l_hi))[:, None]
     half = (0.5 * (l_hi - l_lo))[:, None]
     ell = mid + half * nodes
     rho = np.exp(-ell)
-    beta, bracket = glue._q_parts(cfg, rho, -np.log(rho))[:2]
+    beta, bracket = parts_oracle(cfg, rho)[:2]
     wkl = 4.0 * weights * half * p.k * ell
     lift = rho ** 2 * sfm.w_factor(p, ell) * p.eps * wkl
     return float(np.sum(wkl)), float(np.sum(lift * beta)), float(np.sum(lift * bracket))

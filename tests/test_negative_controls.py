@@ -9,8 +9,9 @@ pi-decay scale rows also fail at delta = 1e-9.  The decay-exponent rows tilt
 the samples by r^delta instead and record the delta at which the exponent
 leaves its window.  A check that
 no delta flips would be an identity; positivity_margin is one on its README
-argv, metric_positive is one wherever it reads a verdict, and gauss_equation
-is one under every scaled row of the metric jet's patterns.  _NO_ROW_YET
+argv, metric_positive is one wherever it reads a verdict, sign_change is one
+on every report, and gauss_equation is one under every scaled row of the
+metric jet's patterns.  _NO_ROW_YET
 names the checks that have no row.
 """
 
@@ -18,6 +19,7 @@ import contextlib
 import io
 import json
 
+import numpy as np
 import pytest
 
 from syzlab import calabi as cal
@@ -291,19 +293,42 @@ _POSITIVITY = ["glue", "positivity", "--k", "1", "--r", "0.1", "--s", "0.02", "-
                "--vomc", "0.2"]
 
 
+def _scaled_parts(*names):
+    """glue._q_parts, whose parts are (beta, B, psi, u_zz), with each part in names
+    times (1 + delta).  "bracket" scales B where rho > r, the glued bracket, which
+    holds u - v and (u - v)' and is linear in psi and its two derivatives; below r,
+    B is u_zz, which the u_zz row scales through glue.TWO_PI."""
+    def scaled(real, delta):
+        def parts(cfg, rho, ell):
+            beta, bracket, psi, uzz = real(cfg, rho, ell)
+            f = 1.0 + delta
+            if "bracket" in names:
+                bracket = np.where(rho > cfg.r, bracket * f, bracket)
+            return (beta * f if "beta" in names else beta, bracket,
+                    psi * f if "psi" in names else psi, uzz)
+        return parts
+    return scaled
+
+
+# (owner, patched name, its scaled replacement) of each glue term the radial kernel
+# reads: u_zz (glue.TWO_PI enters u_zz only; c and d come through semiflat.w_factor),
+# beta, psi with the bracket it scales, and the bracket, which holds the match defect
+_GLUE_TERMS = [(glue, "TWO_PI", _scaled_constant),
+               (glue, "_q_parts", _scaled_parts("beta")),
+               (glue, "_q_parts", _scaled_parts("psi", "bracket")),
+               (glue, "_q_parts", _scaled_parts("bracket"))]
+_GLUE_TERM_IDS = ["u_zz", "beta", "psi", "match_defect"]
+
+
 # positivity_margin is an identity on these argv, as on every benchmark draw:
 # its minimum is d/4 at rho = 0.9 * 0.9999, past r + 3s, where the glued terms
 # are 0 and the block is the unglued one.  No glue term scaled by up to 10 %
-# moves a bit of it; psi scaled by 1.5 first flips it, at alpha 0.3.
+# moves a bit of it; psi scaled by 1.5 first flips it, at alpha 0.3, as does the
+# bracket alone, while beta, which only adds t beta >= 0, flips it at no scale.
 @pytest.mark.parametrize("extra", [["--alpha", "1.5"], ["--alpha", "0.3"],
                                    ["--alpha", "1.5", "--t", "146.5872"]],
                          ids=["alpha1.5", "alpha0.3", "t146.5872"])
-@pytest.mark.parametrize("owner,term,scaled",
-                         [(glue, "TWO_PI", _scaled_constant),
-                          (glue.Cutoffs, "_beta", _scaled_output),
-                          (glue.Cutoffs, "_psi", _scaled_output),
-                          (glue, "_match_defect", _scaled_output)],
-                         ids=["u_zz", "beta", "psi", "match_defect"])
+@pytest.mark.parametrize("owner,term,scaled", _GLUE_TERMS, ids=_GLUE_TERM_IDS)
 def test_positivity_margin_unmoved_by_scaled_glue_terms(monkeypatch, extra, owner, term,
                                                         scaled):
     argv = _POSITIVITY + extra
@@ -313,6 +338,23 @@ def test_positivity_margin_unmoved_by_scaled_glue_terms(monkeypatch, extra, owne
     for delta in (1e-12, 1e-6, 1e-2, 1e-1):
         monkeypatch.setattr(owner, term, scaled(exact, delta))
         assert _check(argv, "positivity_margin") == (0, exact_check), delta
+
+
+# sign_change is an identity on every report: solve_alpha requires f(1e-3) > 0 and
+# falls back to it whenever f(a) <= 0, its doubling loop stops only at f < 0, and its
+# kink fallback raises unless f(1) < 0, so f_lo > 0 > f_hi whenever a report is
+# written.  Each glue term scaled by up to 10 % moves the bracket values on the
+# README argv, and the check still passes.
+@pytest.mark.parametrize("owner,term,scaled", _GLUE_TERMS, ids=_GLUE_TERM_IDS)
+def test_sign_change_unmoved_by_scaled_glue_terms(monkeypatch, owner, term, scaled):
+    code, exact_check = _check(_SOLVE, "sign_change")
+    assert code == 0 and exact_check["passed"]
+    exact = getattr(owner, term)
+    for delta in (1e-12, 1e-6, 1e-2, 1e-1):
+        monkeypatch.setattr(owner, term, scaled(exact, delta))
+        code, check = _check(_SOLVE, "sign_change")
+        assert code == 0 and check["passed"], delta
+    assert check["measured"] != exact_check["measured"]
 
 
 # metric_positive is an identity wherever it reads a verdict: it reads the
@@ -406,13 +448,13 @@ def test_gauss_equation_unmoved_by_scaled_jet_patterns(monkeypatch, term, row):
 
 # the checks no row above perturbs yet: exact identities, fits and
 # classifications whose controls need a term that moves them
-_NO_ROW_YET = {"dims", "sign_change", "volume_product", "volume_product_minus_one",
+_NO_ROW_YET = {"dims", "volume_product", "volume_product_minus_one",
                "fit_r_squared", "pole_growth", "power_decay_exponent",
                "stretched_exponent"}
 
 
 def test_every_check_has_a_row_or_is_listed():
-    identities = {"positivity_margin", "metric_positive"}
+    identities = {"positivity_margin", "metric_positive", "sign_change"}
     floors = {"bounded_ratio"}  # test_floors_flip_at_one_delta_per_unit_scale
     rows = {row[0] for rows in (_ROWS, _JET_ROWS, _CONSTANT_ROWS, _EXPONENT_ROWS, _SEMIFLAT_ROWS,
                                 _HKROT_ROWS, _GLUE_ROWS, _SLAG_ROWS) for row in rows} | identities \
